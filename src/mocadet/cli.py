@@ -1,7 +1,7 @@
 """Command-line entry points.
 
 Subcommands: gen-data, tokens (synth/inspect/silhouette), pretrain, train,
-eval, mi-lab, bench. Exit codes: 0 success, 1 validation (bad config,
+eval, mi-lab. Exit codes: 0 success, 1 validation (bad config,
 arguments, or files), 2 runtime failure. ``MOCADET_THREADS`` controls
 worker threads where a command parallelizes (mi-lab).
 """
@@ -17,7 +17,6 @@ import numpy as np
 from . import milab as ml
 from .config import RunConfig
 from .data import DatasetSpec, export_coco, export_dataset, generate_synthetic, load_dataset
-from .detector import DetectorConfig, latency_bench
 from .errors import MocadetError, ValidationError
 from .evaluation import report_csv, save_report
 from .tokens import (MEDICAL_PROMPT_CATALOG, build_registry, load_registry,
@@ -77,14 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mi.add_argument("--seed", type=int, default=0)
     mi.add_argument("--report", default=None)
 
-    be = sub.add_parser("bench", help="decoder latency with/without the token row")
-    be.add_argument("--queries", type=int, default=300)
-    be.add_argument("--d-model", type=int, default=64)
-    be.add_argument("--layers", type=int, default=6)
-    be.add_argument("--heads", type=int, default=4)
-    be.add_argument("--trials", type=int, default=100)
-    be.add_argument("--seed", type=int, default=0)
-    be.add_argument("--out", default=None)
     return p
 
 
@@ -204,24 +195,6 @@ def _cmd_mi_lab(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    cfg = DetectorConfig(n_classes=2, d_model=args.d_model, n_queries=args.queries,
-                         n_decoder_layers=args.layers, n_heads=args.heads,
-                         patch_size=8, n_encoder_layers=0,
-                         ffn_width=2 * args.d_model, qra_layer=2)
-    base_ms, moca_ms = latency_bench(cfg, n_trials=args.trials, seed=args.seed)
-    overhead = (moca_ms - base_ms) / base_ms
-    print(f"bench: baseline {base_ms:.3f} ms, with token {moca_ms:.3f} ms, "
-          f"overhead {100 * overhead:.2f}%")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"baseline_ms": base_ms, "moca_ms": moca_ms,
-                       "overhead": overhead, "n_queries": args.queries,
-                       "n_layers": args.layers, "trials": args.trials},
-                      fh, sort_keys=True)
-    return 0
-
-
 _DISPATCH = {
     "gen-data": _cmd_gen_data,
     "tokens": _cmd_tokens,
@@ -229,7 +202,6 @@ _DISPATCH = {
     "train": _cmd_train,
     "eval": _cmd_eval,
     "mi-lab": _cmd_mi_lab,
-    "bench": _cmd_bench,
 }
 
 

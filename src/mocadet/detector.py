@@ -17,7 +17,6 @@ a token-free forward -- the reduction property the tests pin down.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -297,41 +296,3 @@ class Detector:
     def forward(self, image: np.ndarray, token: ad.Tensor | None = None,
                 mask_token_column: bool = False) -> DetectorOutput:
         return self.decode(self.encode(image), token, mask_token_column)
-
-
-def moca_augment(queries: ad.Tensor, token: ad.Tensor, token_proj: Linear) -> ad.Tensor:
-    """Augmented query set: N query rows followed by one projected token row."""
-    d = queries.shape[1]
-    if token.shape != (d,):
-        raise ShapeError(f"token shape {token.shape} incompatible with queries {queries.shape}")
-    row = ad.reshape(token_proj(ad.reshape(token, (1, d))), (1, d))
-    return ad.concat_rows([queries, row])
-
-
-def latency_bench(config: DetectorConfig, n_trials: int = 100, seed: int = 0,
-                  warmup: int = 5) -> tuple:
-    """Mean decoder-forward wall clock (ms) without and with the token row.
-
-    Same weights and memory for both arms; only the appended token differs.
-    """
-    if n_trials < 100:
-        raise ValidationError("latency bench needs n_trials >= 100")
-    rng = np.random.default_rng(seed)
-    model = Detector(config, rng)
-    size = config.patch_size * 8
-    image = rng.uniform(0, 1, size=(size, size))
-    with ad.no_grad():
-        memory = model.encode(image)
-        token = ad.constant(rng.normal(size=config.d_model))
-
-        def run(tok):
-            t0 = time.perf_counter()
-            model.decode(memory, tok)
-            return (time.perf_counter() - t0) * 1e3
-
-        for _ in range(warmup):
-            run(None)
-            run(token)
-        base = [run(None) for _ in range(n_trials)]
-        moca = [run(token) for _ in range(n_trials)]
-    return float(np.mean(base)), float(np.mean(moca))

@@ -25,12 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .boxes import cxcywh_to_xyxy, iou
 from .errors import ValidationError
 
 COCO_THRESHOLDS = tuple(np.round(np.arange(0.50, 0.96, 0.05), 2).tolist())
 SMALL_FRAC = (32.0 / 640.0) ** 2
 MEDIUM_FRAC = (96.0 / 640.0) ** 2
 MAX_DETS_PER_IMAGE = 100
+AREA_RANGES = ("all", "small", "medium", "large")
 
 
 @dataclass(frozen=True)
@@ -47,63 +49,6 @@ class Detection:
         if w <= 0 or h <= 0:
             raise ValidationError(f"degenerate detection box {self.box}")
         return self
-
-
-def iou(box_a, box_b) -> float:
-    """Intersection over union of two xyxy boxes."""
-    ax1, ay1, ax2, ay2 = map(float, box_a)
-    bx1, by1, bx2, by2 = map(float, box_b)
-    if ax2 <= ax1 or ay2 <= ay1 or bx2 <= bx1 or by2 <= by1:
-        raise ValidationError("degenerate box in iou")
-    iw = max(0.0, min(ax2, bx2) - max(ax1, bx1))
-    ih = max(0.0, min(ay2, by2) - max(ay1, by1))
-    inter = iw * ih
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    return inter / union
-
-
-def _to_xyxy(box) -> tuple:
-    cx, cy, w, h = box
-    return (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
-
-
-def match_and_score(detections, gt_boxes, iou_threshold: float,
-                    gt_ignore=None):
-    """Greedy TP/FP flags for one image and one class.
-
-    ``detections`` are (box, score) sorted by descending score upstream.
-    Returns per-detection flags: 1 TP, 0 FP, -1 ignored (matched to ignored
-    truth). Non-ignored truth is preferred at every step.
-    """
-    n_gt = len(gt_boxes)
-    gt_ignore = [False] * n_gt if gt_ignore is None else list(gt_ignore)
-    taken = [False] * n_gt
-    gt_xyxy = [_to_xyxy(b) for b in gt_boxes]
-    flags = []
-    for box, _score in detections:
-        d_xyxy = _to_xyxy(box)
-        best_j, best_iou = -1, 0.0
-        best_ign_j, best_ign_iou = -1, 0.0
-        for j in range(n_gt):
-            if taken[j]:
-                continue
-            v = iou(d_xyxy, gt_xyxy[j])
-            if v < iou_threshold:
-                continue
-            if gt_ignore[j]:
-                if v > best_ign_iou:
-                    best_ign_j, best_ign_iou = j, v
-            elif v > best_iou:
-                best_j, best_iou = j, v
-        if best_j >= 0:
-            taken[best_j] = True
-            flags.append(1)
-        elif best_ign_j >= 0:
-            taken[best_ign_j] = True
-            flags.append(-1)
-        else:
-            flags.append(0)
-    return flags
 
 
 def average_precision(tp_flags, n_gt: int):
@@ -163,82 +108,49 @@ def _area_bucket(box) -> str:
     return "large"
 
 
-class _EvalIndex:
-    """Detections capped per image and grouped per class; GT grouped too."""
+def greedy_match(ious: np.ndarray, gt_ignore) -> np.ndarray:
+    """Greedy matching of one image's detections of one class.
 
-    def __init__(self, detections, samples):
-        self.image_ids = [s.sample_id for s in samples]
-        id_set = set(self.image_ids)
-        if len(id_set) != len(self.image_ids):
-            raise ValidationError("duplicate sample ids in evaluation set")
-        per_image = {}
-        for i, d in enumerate(detections):
-            d.validate()
-            if d.image_id not in id_set:
-                raise ValidationError(f"detection references unknown image {d.image_id!r}")
-            per_image.setdefault(d.image_id, []).append((i, d))
-        self.dets_by_class = {}
-        for img in sorted(per_image):
-            rows = per_image[img]
-            rows.sort(key=lambda r: (-r[1].score, r[0]))
-            for rank, (i, d) in enumerate(rows[:MAX_DETS_PER_IMAGE]):
-                self.dets_by_class.setdefault(d.class_id, []).append(
-                    (-d.score, str(img), rank, d))
-        for rows in self.dets_by_class.values():
-            rows.sort(key=lambda r: r[:3])
-        self.gts = {}
-        for s in samples:
-            for a in s.annotations:
-                self.gts.setdefault((s.sample_id, a.class_id), []).append(a.box)
-
-
-def _class_ap(index: _EvalIndex, class_id: int, threshold: float,
-              image_filter=None, bucket=None):
-    gt_count = 0
-    ignore_map = {}
-    for (img, cid), boxes in index.gts.items():
-        if cid != class_id or (image_filter is not None and img not in image_filter):
-            continue
-        ign = [bucket is not None and _area_bucket(b) != bucket for b in boxes]
-        ignore_map[img] = (boxes, ign)
-        gt_count += sum(1 for x in ign if not x)
-    flags = []
-    per_image_state = {}
-    for _negscore, img, _rank, det in index.dets_by_class.get(class_id, []):
-        if image_filter is not None and img not in image_filter:
-            continue
-        if img not in per_image_state:
-            boxes, ign = ignore_map.get(img, ([], []))
-            per_image_state[img] = {"boxes": boxes, "ign": ign, "taken": [False] * len(boxes)}
-        st = per_image_state[img]
-        f = _match_one(det, st, threshold)
-        if f >= 0:
-            flags.append(f)
-    return average_precision(flags, gt_count)
+    ``ious`` is (D, G) between score-ranked detections and ground truth;
+    ``gt_ignore`` (G,) marks truth outside the area range. Returns (D, T)
+    int8 flags for the T thresholds of ``COCO_THRESHOLDS``: 1 TP, 0 FP, -1
+    matched to ignored truth. Each detection takes the untaken truth with
+    the highest IoU >= threshold (boundary counts as a match), non-ignored
+    truth first; ties go to the first index.
+    """
+    thresholds = np.asarray(COCO_THRESHOLDS)[:, None]
+    ignore = np.asarray(gt_ignore, dtype=bool)
+    rows = np.arange(thresholds.shape[0])
+    taken = np.zeros((rows.size, ious.shape[1]), dtype=bool)
+    flags = np.zeros((ious.shape[0], rows.size), dtype=np.int8)
+    # a detection below the lowest threshold everywhere matches nothing
+    for i in np.flatnonzero(ious.max(axis=1, initial=0.0) >= thresholds[0, 0]):
+        free = ~taken & (ious[i] >= thresholds)
+        for flag, eligible in ((1, free & ~ignore), (-1, free & ignore)):
+            cand = np.where(eligible, ious[i], -1.0)
+            best = cand.argmax(axis=1)
+            # ignored truth only at thresholds where no other truth matched
+            hit = (flags[i] == 0) & (cand[rows, best] >= 0.0)
+            taken[rows[hit], best[hit]] = True
+            flags[i, hit] = flag
+    return flags
 
 
-def _match_one(det: Detection, st: dict, threshold: float) -> int:
-    d_xyxy = _to_xyxy(det.box)
-    best_j, best_iou = -1, 0.0
-    best_ign_j, best_ign_iou = -1, 0.0
-    for j, b in enumerate(st["boxes"]):
-        if st["taken"][j]:
-            continue
-        v = iou(d_xyxy, _to_xyxy(b))
-        if v < threshold:
-            continue
-        if st["ign"][j]:
-            if v > best_ign_iou:
-                best_ign_j, best_ign_iou = j, v
-        elif v > best_iou:
-            best_j, best_iou = j, v
-    if best_j >= 0:
-        st["taken"][best_j] = True
-        return 1
-    if best_ign_j >= 0:
-        st["taken"][best_ign_j] = True
-        return -1
-    return 0
+def _ranked_detections(detections, samples) -> dict:
+    """Image id -> its detections by descending score (insertion order on
+    ties), capped at ``MAX_DETS_PER_IMAGE``."""
+    image_ids = {s.sample_id for s in samples}
+    if len(image_ids) != len(samples):
+        raise ValidationError("duplicate sample ids in evaluation set")
+    per_image = {}
+    for i, d in enumerate(detections):
+        d.validate()
+        if d.image_id not in image_ids:
+            raise ValidationError(f"detection references unknown image {d.image_id!r}")
+        per_image.setdefault(d.image_id, []).append((i, d))
+    return {img: [d for _, d in sorted(rows, key=lambda r: (-r[1].score, r[0]))
+                  [:MAX_DETS_PER_IMAGE]]
+            for img, rows in per_image.items()}
 
 
 def _mean(vals):
@@ -247,53 +159,88 @@ def _mean(vals):
 
 
 def ap_report(detections, samples, n_classes: int, modality_names=None,
-              class_modality=None, thresholds=COCO_THRESHOLDS) -> APReport:
+              class_modality=None) -> APReport:
     """Full metric report over an evaluation set.
 
     ``class_modality`` maps class id -> modality id for the per-modality
     breakdown (per-modality evaluation restricts to that modality's images
-    and classes, mirroring per-sub-dataset reporting).
+    and classes, mirroring per-sub-dataset reporting). Each (image, class)
+    is matched once for every threshold and area range; the per-modality
+    AP reuses those flags, since matching never crosses images.
     """
-    index = _EvalIndex(detections, samples)
-    classes = list(range(n_classes))
+    ranked = _ranked_detections(detections, samples)
+    n_areas, n_thr = len(AREA_RANGES), len(COCO_THRESHOLDS)
+    by_modality = modality_names is not None and class_modality is not None
+    # per class: (pooling key, image modality, (areas, thresholds) flags) of
+    # each detection; eligible truth per area range and per image modality
+    pooled = [[] for _ in range(n_classes)]
+    n_gt = np.zeros((n_classes, n_areas), dtype=int)
+    n_gt_modality = {}
+    for s in samples:
+        img = s.sample_id
+        gts, dets = {}, {}
+        for a in s.annotations:
+            gts.setdefault(a.class_id, []).append(a.box)
+        for rank, d in enumerate(ranked.get(img, [])):
+            dets.setdefault(d.class_id, []).append((rank, d))
+        for c in gts.keys() | dets.keys():
+            if not 0 <= c < n_classes:
+                continue
+            gt_boxes, rows = gts.get(c, []), dets.get(c, [])
+            ignore = np.array([[area != "all" and _area_bucket(b) != area for b in gt_boxes]
+                               for area in AREA_RANGES], dtype=bool)
+            n_gt[c] += (~ignore).sum(axis=1)
+            key = (c, s.modality_id)
+            n_gt_modality[key] = n_gt_modality.get(key, 0) + len(gt_boxes)
+            if not rows:
+                continue
+            f = np.zeros((len(rows), n_areas, n_thr), dtype=np.int8)
+            if gt_boxes:
+                ious = iou(cxcywh_to_xyxy([d.box for _, d in rows]),
+                           cxcywh_to_xyxy(gt_boxes))
+                for k in range(n_areas):
+                    f[:, k] = greedy_match(ious, ignore[k])
+            pooled[c].extend(((-d.score, str(img), rank), s.modality_id, row)
+                             for (rank, d), row in zip(rows, f))
 
-    cell = {}
-    for c in classes:
-        for t in thresholds:
-            cell[(c, t)] = _class_ap(index, c, t)
-    ap = _mean([cell[(c, t)] for c in classes for t in thresholds])
-    ap50 = _mean([cell[(c, 0.5)] for c in classes])
-    ap75 = _mean([cell[(c, 0.75)] for c in classes])
+    def class_ap(col, count):
+        return [average_precision(col[:, t][col[:, t] >= 0], count) for t in range(n_thr)]
 
-    buckets = {}
-    for name in ("small", "medium", "large"):
-        vals = [_class_ap(index, c, t, bucket=name)
-                for c in classes for t in thresholds]
-        buckets[name] = _mean(vals)
+    area_ap, modality_ap = {}, {}
+    for c in range(n_classes):
+        # pool across images by descending score, then image id, then rank
+        entries = sorted(pooled[c], key=lambda e: e[0])
+        f = np.array([e[2] for e in entries], dtype=np.int8).reshape(-1, n_areas, n_thr)
+        for k in range(n_areas):
+            area_ap[k, c] = class_ap(f[:, k], n_gt[c, k])
+        if by_modality:
+            m = class_modality[c]
+            in_modality = np.array([e[1] == m for e in entries], dtype=bool)
+            modality_ap[c] = class_ap(f[in_modality, 0], n_gt_modality.get((c, m), 0))
 
-    per_class = {c: {"ap": _mean([cell[(c, t)] for t in thresholds]),
-                     "ap50": cell[(c, 0.5)]} for c in classes}
-
+    classes = range(n_classes)
+    t50, t75 = COCO_THRESHOLDS.index(0.5), COCO_THRESHOLDS.index(0.75)
     per_modality = {}
-    if modality_names is not None and class_modality is not None:
-        mod_of_image = {s.sample_id: s.modality_id for s in samples}
+    if by_modality:
         for mi, mname in enumerate(modality_names):
-            image_filter = {img for img, m in mod_of_image.items() if m == mi}
             mclasses = [c for c in classes if class_modality[c] == mi]
-            vals = {t: [_class_ap(index, c, t, image_filter=image_filter)
-                        for c in mclasses] for t in thresholds}
             per_modality[mname] = {
-                "ap": _mean([v for t in thresholds for v in vals[t]]),
-                "ap50": _mean(vals[0.5]),
+                "ap": _mean([modality_ap[c][t] for t in range(n_thr) for c in mclasses]),
+                "ap50": _mean([modality_ap[c][t50] for c in mclasses]),
             }
-
-    return APReport(ap=ap, ap50=ap50, ap75=ap75,
-                    ap_small=buckets["small"], ap_medium=buckets["medium"],
-                    ap_large=buckets["large"], per_class=per_class,
+    bucket = {area: _mean([v for c in classes for v in area_ap[k, c]])
+              for k, area in enumerate(AREA_RANGES)}
+    return APReport(ap=bucket["all"],
+                    ap50=_mean([area_ap[0, c][t50] for c in classes]),
+                    ap75=_mean([area_ap[0, c][t75] for c in classes]),
+                    ap_small=bucket["small"], ap_medium=bucket["medium"],
+                    ap_large=bucket["large"],
+                    per_class={c: {"ap": _mean(area_ap[0, c]), "ap50": area_ap[0, c][t50]}
+                               for c in classes},
                     per_modality=per_modality)
 
 
-def detections_from_output(output, image_id: str, max_per_image: int = MAX_DETS_PER_IMAGE):
+def detections_from_output(output, image_id: str):
     """Turn the last decoder layer's predictions into scored detections."""
     logits, boxes = output.layers[-1]
     probs = 1.0 / (1.0 + np.exp(-logits.data))
@@ -301,7 +248,7 @@ def detections_from_output(output, image_id: str, max_per_image: int = MAX_DETS_
     flat = [(float(probs[q, k]), int(k), q) for q in range(n) for k in range(c)]
     flat.sort(key=lambda r: (-r[0], r[1], r[2]))
     out = []
-    for score, k, q in flat[:max_per_image]:
+    for score, k, q in flat[:MAX_DETS_PER_IMAGE]:
         out.append(Detection(image_id=image_id, class_id=k,
                              box=tuple(float(x) for x in boxes.data[q]),
                              score=score))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .boxes import cxcywh_to_xyxy, giou
 from .errors import ValidationError
 
 _P_CLAMP = 1e-12
@@ -29,39 +30,6 @@ class LossWeights:
         if min(self.w_focal, self.w_l1, self.w_giou, self.alpha, self.gamma) < 0:
             raise ValidationError("loss weights must be non-negative")
         return self
-
-
-def focal_loss(p: float, target: int, alpha: float = 0.25, gamma: float = 2.0) -> float:
-    """-alpha_t (1 - p_t)^gamma log(p_t); p clamped to [1e-12, 1 - 1e-12]."""
-    if target not in (0, 1):
-        raise ValidationError(f"target must be 0 or 1, got {target}")
-    p = min(max(float(p), _P_CLAMP), 1.0 - _P_CLAMP)
-    p_t = p if target == 1 else 1.0 - p
-    a_t = alpha if target == 1 else 1.0 - alpha
-    return -a_t * (1.0 - p_t) ** gamma * np.log(p_t)
-
-
-def cxcywh_to_xyxy(boxes: np.ndarray) -> np.ndarray:
-    b = np.asarray(boxes, dtype=np.float64)
-    half_w, half_h = b[..., 2] / 2.0, b[..., 3] / 2.0
-    return np.stack([b[..., 0] - half_w, b[..., 1] - half_h,
-                     b[..., 0] + half_w, b[..., 1] + half_h], axis=-1)
-
-
-def giou(box_a, box_b) -> float:
-    """Generalized IoU of two xyxy boxes, in [-1, 1]."""
-    ax1, ay1, ax2, ay2 = map(float, box_a)
-    bx1, by1, bx2, by2 = map(float, box_b)
-    if ax2 <= ax1 or ay2 <= ay1 or bx2 <= bx1 or by2 <= by1:
-        raise ValidationError("degenerate box in giou")
-    iw = max(0.0, min(ax2, bx2) - max(ax1, bx1))
-    ih = max(0.0, min(ay2, by2) - max(ay1, by1))
-    inter = iw * ih
-    area_a = (ax2 - ax1) * (ay2 - ay1)
-    area_b = (bx2 - bx1) * (by2 - by1)
-    union = area_a + area_b - inter
-    hull = (max(ax2, bx2) - min(ax1, bx1)) * (max(ay2, by2) - min(ay1, by1))
-    return inter / union - (hull - union) / hull
 
 
 def build_cost_matrix(pred_probs: np.ndarray, pred_boxes: np.ndarray,
@@ -88,12 +56,7 @@ def build_cost_matrix(pred_probs: np.ndarray, pred_boxes: np.ndarray,
 
     l1 = np.abs(boxes[:, None, :] - gt_boxes[None, :, :]).sum(axis=2)
 
-    pred_xyxy = cxcywh_to_xyxy(boxes)
-    gt_xyxy = cxcywh_to_xyxy(gt_boxes)
-    giou_cost = np.empty((n, g))
-    for j in range(g):
-        for i in range(n):
-            giou_cost[i, j] = 1.0 - giou(pred_xyxy[i], gt_xyxy[j])
+    giou_cost = 1.0 - giou(cxcywh_to_xyxy(boxes), cxcywh_to_xyxy(gt_boxes))
 
     cost = weights.w_focal * cls_cost + weights.w_l1 * l1 + weights.w_giou * giou_cost
     if not np.all(np.isfinite(cost)):

@@ -28,16 +28,18 @@ class AdamW:
             p.grad = None
 
     def step(self) -> None:
+        """One update of every parameter, or none: all gradients are checked
+        before anything changes."""
+        grads = []
+        for name, p in self.named_params:
+            g = np.zeros_like(p.data) if p.grad is None else p.grad
+            if not np.all(np.isfinite(g)):
+                raise ContractError(f"non-finite gradient in {name!r}; aborting step {self.t + 1}")
+            grads.append(g.reshape(p.data.shape))
         self.t += 1
         bc1 = 1.0 - self.b1 ** self.t
         bc2 = 1.0 - self.b2 ** self.t
-        for (name, p), m, v in zip(self.named_params, self._m, self._v):
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            if not np.all(np.isfinite(g)):
-                raise ContractError(f"non-finite gradient in {name!r}; aborting step {self.t}")
-            g = g.reshape(p.data.shape)
+        for (_, p), g, m, v in zip(self.named_params, grads, self._m, self._v):
             m *= self.b1
             m += (1.0 - self.b1) * g
             v *= self.b2

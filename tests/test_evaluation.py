@@ -1,12 +1,15 @@
 """Tests for the COCO-style evaluator, checked against an independent
 brute-force PR implementation written with plain loops below."""
 
+import math
+
 import numpy as np
 import pytest
 
+from mocadet import boxes as bx
 from mocadet import evaluation as ev
 from mocadet.data import Annotation, Sample
-from mocadet.errors import ValidationError
+from mocadet.errors import ShapeError, ValidationError
 
 
 def _sample(sid, boxes_classes, modality=0):
@@ -22,35 +25,61 @@ def _det(sid, cid, box, score):
 # -- iou -------------------------------------------------------------------
 
 
+def _iou(a, b):
+    return bx.iou(np.array([a], dtype=float), np.array([b], dtype=float))[0, 0]
+
+
 def test_iou_cases():
-    assert ev.iou([0, 0, 1, 1], [0, 0, 1, 1]) == 1.0
-    assert ev.iou([0, 0, 1, 1], [2, 2, 3, 3]) == 0.0
+    assert _iou([0, 0, 1, 1], [0, 0, 1, 1]) == 1.0
+    assert _iou([0, 0, 1, 1], [2, 2, 3, 3]) == 0.0
     # oracle: inter 1x2=2, union 4+4-2=6
-    assert ev.iou([0, 0, 2, 2], [1, 0, 3, 2]) == pytest.approx(2 / 6, abs=1e-12)
+    assert _iou([0, 0, 2, 2], [1, 0, 3, 2]) == pytest.approx(2 / 6, abs=1e-12)
     with pytest.raises(ValidationError):
-        ev.iou([0, 0, 0, 1], [0, 0, 1, 1])
+        _iou([0, 0, 0, 1], [0, 0, 1, 1])
+    with pytest.raises(ShapeError):
+        bx.iou(np.array([0, 0, 1, 1.0]), np.array([[0, 0, 1, 1.0]]))
+    # pairwise layout: (N, 4) x (G, 4) -> (N, G), empty sides allowed
+    got = bx.iou(np.array([[0, 0, 2, 2], [0, 0, 1, 1.0]]),
+                 np.array([[1, 0, 3, 2], [0, 0, 1, 1], [5, 5, 6, 6.0]]))
+    assert np.allclose(got, [[2 / 6, 1 / 4, 0], [0, 1, 0]], rtol=0, atol=1e-12)
+    assert bx.iou(np.zeros((0, 4)), np.array([[0, 0, 1, 1.0]])).shape == (0, 1)
 
 
 # -- greedy matching ---------------------------------------------------------
 
 
+def _match(det_boxes, gt_boxes, gt_ignore=None):
+    """Flags at every COCO threshold for cxcywh detections in rank order."""
+    ious = bx.iou(bx.cxcywh_to_xyxy(det_boxes), bx.cxcywh_to_xyxy(gt_boxes))
+    ignore = [False] * len(gt_boxes) if gt_ignore is None else gt_ignore
+    return ev.greedy_match(ious, ignore).tolist()
+
+
 def test_match_basic_tp():
-    flags = ev.match_and_score([((0.5, 0.5, 0.9, 0.7), 0.9)],
-                               [(0.5, 0.5, 1.0, 1.0)], 0.5)
-    assert flags == [1]
+    # IoU 0.63: a match up to the .60 threshold only
+    flags = _match([(0.5, 0.5, 0.9, 0.7)], [(0.5, 0.5, 1.0, 1.0)])
+    assert flags == [[1, 1, 1, 0, 0, 0, 0, 0, 0, 0]]
+    # non-ignored truth is preferred even at a lower IoU; the next detection
+    # then takes the ignored truth and is flagged -1
+    gts = [(0.5, 0.5, 0.5, 0.5), (0.5, 0.5, 0.6, 0.6)]
+    flags = _match([(0.5, 0.5, 0.5, 0.5), (0.5, 0.5, 0.5, 0.5)], gts, [True, False])
+    assert [row[0] for row in flags] == [1, -1]
+    # det 1 has IoU 0.6 with both truths and takes the first; det 2 overlaps
+    # only the second (IoU 0.6), so it matches too
+    flags = _match([(0.5, 0.5, 0.5, 0.5), (0.75, 0.5, 0.5, 0.5)],
+                   [(0.375, 0.5, 0.5, 0.5), (0.625, 0.5, 0.5, 0.5)])
+    assert flags == [[1, 1, 1, 0, 0, 0, 0, 0, 0, 0]] * 2
 
 
 def test_two_detections_one_gt():
-    dets = [((0.5, 0.5, 1.0, 1.0), 0.9), ((0.5, 0.5, 0.9, 0.9), 0.7)]
-    flags = ev.match_and_score(dets, [(0.5, 0.5, 1.0, 1.0)], 0.5)
-    assert flags == [1, 0]
+    flags = _match([(0.5, 0.5, 1.0, 1.0), (0.5, 0.5, 0.9, 0.9)], [(0.5, 0.5, 1.0, 1.0)])
+    assert flags == [[1] * 10, [0] * 10]
 
 
 def test_iou_exactly_at_threshold_is_tp():
     # det (0,0,1,1) vs gt (0,0,1,0.5): IoU exactly 0.5
-    flags = ev.match_and_score([((0.5, 0.5, 1.0, 1.0), 0.9)],
-                               [(0.5, 0.25, 1.0, 0.5)], 0.5)
-    assert flags == [1]
+    flags = _match([(0.5, 0.5, 1.0, 1.0)], [(0.5, 0.25, 1.0, 0.5)])
+    assert flags == [[1, 0, 0, 0, 0, 0, 0, 0, 0, 0]]
 
 
 # -- average precision --------------------------------------------------------
@@ -99,34 +128,48 @@ def _ref_iou_cxcywh(a, b):
     return inter / (a[2] * a[3] + b[2] * b[3] - inter)
 
 
-def _ref_report(dets, samples, n_classes):
-    """Brute-force PR evaluation, structured differently from the library."""
-    thr_list = [0.5 + 0.05 * i for i in range(10)]
+_REF_SMALL, _REF_MEDIUM = (32 / 640) ** 2, (96 / 640) ** 2
+_REF_AREAS = {None: (0.0, math.inf), "small": (0.0, _REF_SMALL),
+              "medium": (_REF_SMALL, _REF_MEDIUM), "large": (_REF_MEDIUM, math.inf)}
+
+
+def _ref_cells(dets, samples, n_classes, area=None, modality=None):
+    """(class, threshold index) -> AP over the images of ``modality`` (all
+    if None), with truth outside ``area`` ignored."""
+    lo, hi = _REF_AREAS[area]
+    thr_list = [round(0.5 + 0.05 * i, 2) for i in range(10)]
+    images = [s for s in samples if modality is None or s.modality_id == modality]
     results = {}
     for c in range(n_classes):
         for t_i, thr in enumerate(thr_list):
-            n_gt = sum(1 for s in samples for a in s.annotations if a.class_id == c)
+            n_gt = sum(1 for s in images for a in s.annotations
+                       if a.class_id == c and lo <= a.box[2] * a.box[3] < hi)
             if n_gt == 0:
                 results[(c, t_i)] = None
                 continue
             ranked = []
-            for s in samples:
+            for s in images:
                 img_dets = [(k, d) for k, d in enumerate(dets)
                             if d.image_id == s.sample_id and d.class_id == c]
                 img_dets.sort(key=lambda kd: -kd[1].score)
                 matched = set()
                 gts = [a.box for a in s.annotations if a.class_id == c]
                 for rank, (k, d) in enumerate(img_dets):
-                    best, best_v = None, thr
+                    # best untaken truth with IoU >= thr, first on ties;
+                    # truth inside the area range before ignored truth
+                    pick = {}
                     for j, g in enumerate(gts):
-                        if j in matched:
-                            continue
                         v = _ref_iou_cxcywh(d.box, g)
-                        if v >= best_v:
-                            best, best_v = j, v
-                    if best is not None:
-                        matched.add(best)
+                        inside = lo <= g[2] * g[3] < hi
+                        if j in matched or v < thr:
+                            continue
+                        if inside not in pick or v > pick[inside][1]:
+                            pick[inside] = (j, v)
+                    if True in pick:
+                        matched.add(pick[True][0])
                         ranked.append((-d.score, str(s.sample_id), rank, 1))
+                    elif False in pick:
+                        matched.add(pick[False][0])  # ignored: dropped from the ranking
                     else:
                         ranked.append((-d.score, str(s.sample_id), rank, 0))
             ranked.sort(key=lambda r: r[:3])
@@ -148,16 +191,85 @@ def _ref_report(dets, samples, n_classes):
                         best_p = p
                 ap_sum += best_p
             results[(c, t_i)] = ap_sum / 101.0
+    return results
+
+
+def _ref_report(dets, samples, n_classes, modality_names=(), class_modality=None):
+    """Brute-force PR evaluation, structured differently from the library."""
 
     def mean(vals):
         vals = [v for v in vals if v is not None]
         return sum(vals) / len(vals) if vals else None
 
-    return {
-        "ap": mean([results[(c, t)] for c in range(n_classes) for t in range(10)]),
-        "ap50": mean([results[(c, 0)] for c in range(n_classes)]),
-        "ap75": mean([results[(c, 5)] for c in range(n_classes)]),
+    classes = range(n_classes)
+    cells = _ref_cells(dets, samples, n_classes)
+    out = {
+        "ap": mean([cells[(c, t)] for c in classes for t in range(10)]),
+        "ap50": mean([cells[(c, 0)] for c in classes]),
+        "ap75": mean([cells[(c, 5)] for c in classes]),
+        "per_class": {str(c): {"ap": mean([cells[(c, t)] for t in range(10)]),
+                               "ap50": cells[(c, 0)]} for c in classes},
+        "per_modality": {},
     }
+    for area in ("small", "medium", "large"):
+        area_cells = _ref_cells(dets, samples, n_classes, area=area)
+        out[f"ap_{area}"] = mean(list(area_cells.values()))
+    for mi, name in enumerate(modality_names):
+        mod_cells = _ref_cells(dets, samples, n_classes, modality=mi)
+        mine = [c for c in classes if class_modality[c] == mi]
+        out["per_modality"][name] = {
+            "ap": mean([mod_cells[(c, t)] for c in mine for t in range(10)]),
+            "ap50": mean([mod_cells[(c, 0)] for c in mine])}
+    return out
+
+
+def _assert_reports_close(got, want):
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want)
+        for k in want:
+            _assert_reports_close(got[k], want[k])
+    elif want is None:
+        assert got is None
+    else:
+        assert got == pytest.approx(want, abs=1e-12)
+
+
+def _random_fixture(seed):
+    """Boxes on a 1/128 grid, so every IoU is a correctly rounded quotient of
+    exact areas and detections sit on, just above or just below thresholds;
+    scores repeat so ties occur within and across images."""
+    rng = np.random.default_rng(seed)
+    u = 1.0 / 128
+    n_classes = int(rng.integers(1, 4))
+    samples, dets = [], []
+    for i in range(int(rng.integers(2, 6))):
+        sid = f"img{i}"
+        anns = []
+        for _ in range(int(rng.integers(0, 5))):
+            w, h = (2 * int(rng.choice([3, 6, 10, 20, 30])) * u for _ in range(2))
+            cx = int(rng.integers(w / u / 2 + 1, 128 - w / u / 2)) * u
+            cy = int(rng.integers(h / u / 2 + 1, 128 - h / u / 2)) * u
+            anns.append(((cx, cy, w, h), int(rng.integers(0, n_classes))))
+        samples.append(_sample(sid, anns, modality=int(rng.integers(0, 2))))
+        for _ in range(int(rng.integers(0, 9))):
+            if anns and rng.uniform() < 0.75:
+                (cx, cy, w, h), c = anns[int(rng.integers(len(anns)))]
+                # width scaled to IoU k/20 with the truth, then nudged
+                k = int(rng.integers(9, 21))
+                wd = max(2 * round(w / u * k / 40), 2) * u
+                cx += int(rng.integers(-1, 2)) * u
+                if rng.uniform() < 0.15:
+                    c = int(rng.integers(0, n_classes))
+                box = (cx, cy, wd, h)
+            else:
+                box = tuple(int(v) * u for v in rng.integers(8, 120, size=2)) + \
+                      tuple(2 * int(v) * u for v in rng.integers(1, 20, size=2))
+                c = int(rng.integers(0, n_classes))
+            score = float(rng.choice([0.2, 0.5, 0.9])) if rng.uniform() < 0.5 \
+                else float(rng.uniform())
+            dets.append(_det(sid, c, box, score))
+    class_modality = [int(rng.integers(0, 2)) for _ in range(n_classes)]
+    return samples, dets, n_classes, class_modality
 
 
 def _three_image_fixture():
@@ -184,6 +296,15 @@ def test_report_matches_independent_reference():
     assert rep.ap == pytest.approx(ref["ap"], abs=1e-12)
     assert rep.ap50 == pytest.approx(ref["ap50"], abs=1e-12)
     assert rep.ap75 == pytest.approx(ref["ap75"], abs=1e-12)
+
+    # the whole report, area ranges and modalities included
+    names = ["m0", "m1"]
+    for seed in range(40):
+        samples, dets, n_classes, class_modality = _random_fixture(seed)
+        rep = ev.ap_report(dets, samples, n_classes, modality_names=names,
+                           class_modality=class_modality)
+        ref = _ref_report(dets, samples, n_classes, names, class_modality)
+        _assert_reports_close(rep.to_json(), ref)
 
 
 def test_report_order_invariance():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from mocadet import autodiff as ad
+from mocadet import boxes as bx
 from mocadet import losses as ls
 from mocadet.errors import ValidationError
 
@@ -18,55 +19,69 @@ from mocadet.errors import ValidationError
 # -- focal ---------------------------------------------------------------
 
 
+def _focal(logit, target, alpha=0.25, gamma=2.0):
+    """The focal term of one logit through the loss's own (1 x 1) matrix path."""
+    with ad.no_grad():
+        return ls._focal_matrix(ad.tensor(np.array([[logit]])), np.array([[float(target)]]),
+                                alpha, gamma).item()
+
+
 def test_focal_reduces_to_weighted_ce_at_gamma_zero():
-    # oracle: 0.5 * binary cross entropy at p=0.5, target=1 -> 0.5*ln2
-    got = ls.focal_loss(0.5, 1, alpha=0.5, gamma=0.0)
+    # oracle: 0.5 * binary cross entropy at p=0.5 (logit 0), target=1 -> 0.5*ln2
+    got = _focal(0.0, 1, alpha=0.5, gamma=0.0)
     assert abs(got - 0.5 * math.log(2.0)) < 1e-12
 
 
 def test_focal_vanishes_for_confident_correct():
-    assert ls.focal_loss(1.0 - 1e-9, 1) < 1e-6
-    assert ls.focal_loss(1e-9, 0) < 1e-6
+    assert _focal(20.0, 1) < 1e-6
+    assert _focal(-20.0, 0) < 1e-6
 
 
 def test_focal_direct_formula_point():
-    # oracle: 0.25 * (1-0.9)^2 * (-ln 0.9)
+    # oracle: p = 0.9 (logit ln 9): 0.25 * (1-0.9)^2 * (-ln 0.9)
     expected = 0.25 * 0.01 * (-math.log(0.9))
-    assert ls.focal_loss(0.9, 1, alpha=0.25, gamma=2.0) == pytest.approx(expected, rel=1e-12)
+    assert _focal(math.log(9.0), 1, alpha=0.25, gamma=2.0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_focal_handles_exact_zero_one_by_clamping():
-    assert math.isfinite(ls.focal_loss(0.0, 1))
-    assert math.isfinite(ls.focal_loss(1.0, 0))
+    # the sigmoid saturates to exactly 0 and 1 here
+    assert math.isfinite(_focal(-1000.0, 1))
+    assert math.isfinite(_focal(1000.0, 0))
 
 
 # -- giou ----------------------------------------------------------------
 
 
+def _giou(a, b):
+    return bx.giou(np.array([a], dtype=float), np.array([b], dtype=float))[0, 0]
+
+
 def test_giou_identical_boxes():
-    assert ls.giou([0, 0, 1, 1], [0, 0, 1, 1]) == pytest.approx(1.0, abs=1e-14)
+    assert _giou([0, 0, 1, 1], [0, 0, 1, 1]) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_giou_disjoint_hand_value():
     # oracle: IoU 0; hull area 9, union 2 -> 0 - 7/9
-    assert ls.giou([0, 0, 1, 1], [2, 2, 3, 3]) == pytest.approx(-7.0 / 9.0, abs=1e-12)
+    assert _giou([0, 0, 1, 1], [2, 2, 3, 3]) == pytest.approx(-7.0 / 9.0, abs=1e-12)
 
 
 def test_giou_symmetric_and_bounded():
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        a = np.sort(rng.uniform(0, 1, size=4).reshape(2, 2), axis=0).T.reshape(-1)
-        b = np.sort(rng.uniform(0, 1, size=4).reshape(2, 2), axis=0).T.reshape(-1)
-        a = [a[0], a[2], a[1] + 0.05, a[3] + 0.05]
-        b = [b[0], b[2], b[1] + 0.05, b[3] + 0.05]
-        g1, g2 = ls.giou(a, b), ls.giou(b, a)
-        assert g1 == pytest.approx(g2, abs=1e-12)
-        assert -1.0 <= g1 <= 1.0
+    lo = rng.uniform(0, 1, size=(50, 2, 2))
+    hi = lo + rng.uniform(0.05, 1, size=(50, 2, 2))
+    a = np.concatenate([lo[:, 0], hi[:, 0]], axis=1)
+    b = np.concatenate([lo[:, 1], hi[:, 1]], axis=1)
+    g = bx.giou(a, b)
+    assert g.shape == (50, 50)
+    assert np.allclose(g, bx.giou(b, a).T, rtol=0, atol=1e-12)
+    assert np.all((-1.0 <= g) & (g <= 1.0))
 
 
 def test_giou_rejects_degenerate():
     with pytest.raises(ValidationError):
-        ls.giou([0, 0, 0, 1], [0, 0, 1, 1])
+        bx.giou(np.array([[0, 0, 0, 1.0]]), np.array([[0, 0, 1, 1.0]]))
+    with pytest.raises(ValidationError):
+        bx.giou(np.array([[0, 0, 1, 1.0]]), np.array([[0, 0.5, 1, 0.5]]))
 
 
 # -- hungarian -----------------------------------------------------------

@@ -44,6 +44,15 @@ def test_adamw_rejects_nan_gradient():
     with pytest.raises(ContractError):
         opt.step()
 
+    # a NaN in a later parameter leaves the earlier one and the step untouched
+    a, b = ad.param(np.asarray(1.0)), ad.param(np.asarray(2.0))
+    opt = AdamW([("a", a), ("b", b)], lr=0.1, weight_decay=0.01)
+    a.grad, b.grad = np.asarray(1.0), np.asarray(np.nan)
+    with pytest.raises(ContractError):
+        opt.step()
+    assert a.data == 1.0 and b.data == 2.0 and opt.t == 0
+    assert all(np.array_equal(s, np.zeros(())) for s in opt._m + opt._v)
+
 
 def test_multistep_schedule():
     sched = MultiStepSchedule(2e-4, decay_epoch=40, factor=0.1)
