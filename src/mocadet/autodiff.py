@@ -4,6 +4,12 @@ Only what the detector and its objectives need: 0-d/1-d/2-d arrays, a small
 set of primitive ops with hand-written pullbacks, and an explicit Tape that
 records one forward build and supports exactly one backward pass.
 
+Ops, one tape node each: the fused ``linear``, ``attention`` (multi-head,
+optional extra key/value rows) and ``layernorm`` (optionally affine);
+elementwise ``add sub mul div neg exp log powf relu sigmoid abs_ clip minimum
+maximum``; ``matmul concat_rows slice_rows slice_cols select_rows reshape``;
+reductions ``mean_rows sum_all mean_all logsumexp_vec cosine_sim``.
+
 Conventions:
   * all data is float64, row-major;
   * leaf tensors are validated finite at construction;
@@ -218,15 +224,69 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make_node(out_data, (a, b), pullback)
 
 
-def transpose(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"transpose needs a matrix, got shape {a.shape}")
+def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """``x @ W + b`` as one node; ``b`` is a row vector."""
+    x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
+    if x.ndim != 2 or W.ndim != 2 or x.shape[1] != W.shape[0] or b.shape != W.shape[1:]:
+        raise ShapeError(f"linear needs (n, k) x (k, m) + (m,) operands, "
+                         f"got {x.shape}, {W.shape} and {b.shape}")
 
     def pullback(g):
-        _accum(a, g.T)
+        _accum(b, g.sum(axis=0))
+        if x.requires_grad:
+            _accum(x, g @ W.data.T)
+        if W.requires_grad:
+            _accum(W, x.data.T @ g)
 
-    return _make_node(a.data.T.copy(), (a,), pullback)
+    return _make_node(x.data @ W.data + b.data, (x, W, b), pullback)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
+              extra_k: Tensor | None = None, extra_v: Tensor | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention as one node.
+
+    Head h is column block h (width d / n_heads) of ``q``, ``k`` and ``v``;
+    it outputs softmax(scale * q_h k_h^T) v_h, and the head outputs are
+    concatenated in order. ``extra_k``/``extra_v`` append rows after those of
+    ``k``/``v`` (the MoCA token row). Heads are (h, rows, d_h) views inside
+    numpy. The softmax pullback is dS = P * (dP - rowsum(dP * P)), as in the
+    FlashAttention backward pass (Dao et al. 2022, arXiv:2205.14135).
+    """
+    q, k, v, *extras = [_as_tensor(t) for t in (q, k, v, extra_k, extra_v) if t is not None]
+    d = q.shape[-1] if q.ndim == 2 else -1
+    if (d < 0 or k.shape != v.shape or k.shape[1:] != (d,) or k.shape[0] == 0
+            or len(extras) == 1 or any(e.shape != (1, d) for e in extras)):
+        raise ShapeError(f"attention needs (n, d) queries, equal non-empty (m, d) keys and "
+                         f"values, and (1, d) extra rows in pairs; got {q.shape}, {k.shape}")
+    if n_heads < 1 or d % n_heads:
+        raise ShapeError(f"width {d} does not split into {n_heads} heads")
+    if not scale > 0.0:
+        raise ValidationError("attention scale must be positive")
+    m, d_head = k.shape[0], d // n_heads
+
+    def split(x):  # (rows, d) -> (h, rows, d_h)
+        return x.reshape(x.shape[0], n_heads, d_head).transpose(1, 0, 2)
+
+    def merge(x):  # (h, rows, d_h) -> (rows, d)
+        return x.transpose(1, 0, 2).reshape(x.shape[1], d)
+
+    qh = split(q.data)
+    kh = split(np.concatenate([k.data] + [e.data for e in extras[:1]]))
+    vh = split(np.concatenate([v.data] + [e.data for e in extras[1:]]))
+    z = scale * (qh @ kh.transpose(0, 2, 1))
+    e = np.exp(z - z.max(axis=2, keepdims=True))
+    p = e / e.sum(axis=2, keepdims=True)
+
+    def pullback(g):
+        go = split(g)
+        dp = go @ vh.transpose(0, 2, 1)
+        ds = scale * p * (dp - (dp * p).sum(axis=2, keepdims=True))
+        _accum(q, merge(ds @ kh))
+        dk, dv = merge(ds.transpose(0, 2, 1) @ qh), merge(p.transpose(0, 2, 1) @ go)
+        for t, grad in zip([k, v] + extras, (dk[:m], dv[:m], dk[m:], dv[m:])):
+            _accum(t, grad)
+
+    return _make_node(merge(p @ vh), (q, k, v, *extras), pullback)
 
 
 def _broadcast_kind(a: Tensor, b: Tensor) -> str:
@@ -406,25 +466,6 @@ def maximum(a, b) -> Tensor:
     return _make_node(np.maximum(a.data, b.data), (a, b), pullback)
 
 
-def softmax_rows(a: Tensor, scale: float = 1.0) -> Tensor:
-    """Row-wise softmax of ``scale * a``, stabilized by row-max subtraction."""
-    a = _as_tensor(a)
-    if a.ndim != 2 or a.shape[1] == 0:
-        raise ShapeError(f"softmax_rows needs a non-empty matrix, got {a.shape}")
-    if not scale > 0.0:
-        raise ValidationError("softmax scale must be positive")
-    z = scale * a.data
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    out_data = e / e.sum(axis=1, keepdims=True)
-
-    def pullback(g):
-        inner = (g * out_data).sum(axis=1, keepdims=True)
-        _accum(a, scale * out_data * (g - inner))
-
-    return _make_node(out_data, (a,), pullback)
-
-
 def logsumexp_vec(a: Tensor) -> Tensor:
     """log(sum(exp(a))) of a vector, stabilized."""
     a = _as_tensor(a)
@@ -442,24 +483,33 @@ def logsumexp_vec(a: Tensor) -> Tensor:
     return _make_node(out_data, (a,), pullback)
 
 
-def layernorm(a: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization to zero mean / unit variance (pre-affine)."""
+def layernorm(a: Tensor, eps: float = 1e-5, gamma: Tensor | None = None,
+              beta: Tensor | None = None) -> Tensor:
+    """Per-row normalization to zero mean / unit variance, then ``* gamma +
+    beta`` when those vectors over the normalized axis are given."""
     a = _as_tensor(a)
     if a.ndim not in (1, 2):
         raise ShapeError(f"layernorm needs a vector or matrix, got {a.shape}")
-    axis = a.ndim - 1
+    axis, affine = a.ndim - 1, gamma is not None
+    if affine != (beta is not None) or affine and not gamma.shape == beta.shape == a.shape[-1:]:
+        raise ShapeError(f"layernorm needs gamma and beta of shape {a.shape[-1:]} or neither")
     mu = a.data.mean(axis=axis, keepdims=True)
     var = ((a.data - mu) ** 2).mean(axis=axis, keepdims=True)
     s = np.sqrt(var + eps)
     y = (a.data - mu) / s
-    n = a.shape[axis]
 
     def pullback(g):
+        if affine:
+            kind = _broadcast_kind(a, gamma)
+            _accum(beta, _reduce_to(g, kind))
+            _accum(gamma, _reduce_to(g * y, kind))
+            g = g * gamma.data
         gm = g.mean(axis=axis, keepdims=True)
         gy = (g * y).mean(axis=axis, keepdims=True)
         _accum(a, (g - gm - y * gy) / s)
 
-    return _make_node(y, (a,), pullback)
+    out_data = y * gamma.data + beta.data if affine else y
+    return _make_node(out_data, (a, gamma, beta) if affine else (a,), pullback)
 
 
 def concat_rows(tensors) -> Tensor:
@@ -477,24 +527,6 @@ def concat_rows(tensors) -> Tensor:
             _accum(t, g[i0:i1])
 
     return _make_node(np.concatenate([t.data for t in tensors], axis=0),
-                      tuple(tensors), pullback)
-
-
-def concat_cols(tensors) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ShapeError("concat_cols of empty list")
-    for t in tensors:
-        if t.ndim != 2 or t.shape[0] != tensors[0].shape[0]:
-            raise ShapeError("concat_cols needs matrices with equal row counts")
-    sizes = [t.shape[1] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def pullback(g):
-        for t, j0, j1 in zip(tensors, offsets[:-1], offsets[1:]):
-            _accum(t, g[:, j0:j1])
-
-    return _make_node(np.concatenate([t.data for t in tensors], axis=1),
                       tuple(tensors), pullback)
 
 
@@ -582,22 +614,6 @@ def mean_all(a) -> Tensor:
     return _make_node(np.asarray(a.data.mean()), (a,), pullback)
 
 
-def l2_normalize(a: Tensor) -> Tensor:
-    """Unit-normalize a vector, or each row of a matrix."""
-    a = _as_tensor(a)
-    axis = a.ndim - 1
-    norms = np.sqrt((a.data ** 2).sum(axis=axis, keepdims=True))
-    if np.any(norms == 0.0):
-        raise ValidationError("l2_normalize of zero vector")
-    y = a.data / norms
-
-    def pullback(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        _accum(a, (g - y * inner) / norms)
-
-    return _make_node(y, (a,), pullback)
-
-
 def cosine_sim(u: Tensor, v: Tensor) -> Tensor:
     """Cosine similarity of two vectors (scalar output)."""
     u, v = _as_tensor(u), _as_tensor(v)
@@ -625,8 +641,8 @@ def backward(loss: Tensor) -> dict:
     """Run reverse mode from a scalar loss; returns {leaf tensor: gradient}.
 
     Gradients accumulate into ``.grad`` (call ``zero_grad`` between steps).
-    The loss's tape is consumed: a second backward without rebuilding the
-    forward pass raises ContractError.
+    The loss's tape is consumed and emptied: a second backward without
+    rebuilding the forward pass raises ContractError.
     """
     if not isinstance(loss, Tensor) or loss.ndim != 0:
         raise ContractError("backward needs a scalar Tensor loss")
@@ -655,9 +671,13 @@ def backward(loss: Tensor) -> dict:
             stack.extend(p for p in t._parents if p.requires_grad)
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape.nodes):
-        if id(node) in reachable and node.grad is not None:
-            node._pullback(node.grad)
+    try:
+        for node in reversed(tape.nodes):
+            if id(node) in reachable and node.grad is not None:
+                node._pullback(node.grad)
+    finally:
+        # nodes point back at the tape: emptying it lets refcounting free the graph
+        tape.nodes.clear()
     return {leaf: leaf.grad for leaf in leaves if leaf.grad is not None}
 
 

@@ -2,16 +2,16 @@
 
 A small DETR-style stack: non-overlapping patch embedding with fixed 2-d
 sinusoidal positions, optional encoder self-attention blocks, and a decoder
-whose self-attention can run over an augmented query set: the N object
-queries plus one projected modality token appended as the last row. The
-token contributes keys and values only; its own attention output is never
-consumed (the next layer's query set is always the first N rows), so query
-count is preserved through every layer.
+whose self-attention can run over an augmented set: the N object queries
+plus one projected modality token appended as the last row. The token
+contributes keys and values only and is never a query, so query count is
+preserved through every layer.
 
-The augmented attention is assembled from block scores (query-query and
-query-token). Masking the token column therefore reuses the exact
-query-query nodes, which is what makes the masked forward bitwise equal to
-a token-free forward -- the reduction property the tests pin down.
+Each attention is one fused ``autodiff.attention`` node; the token enters
+it as one extra key/value row after the N query rows. Masking the token
+column drops that row, so the masked forward runs the very same call as a
+token-free forward and is bitwise equal to it -- the reduction property the
+tests pin down.
 """
 
 from __future__ import annotations
@@ -65,20 +65,16 @@ class DetectorConfig:
 
 
 class Linear:
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, bias: bool = True):
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
         s = 1.0 / math.sqrt(d_in)
         self.W = ad.param(rng.uniform(-s, s, size=(d_in, d_out)))
-        self.b = ad.param(rng.uniform(-s, s, size=d_out)) if bias else None
+        self.b = ad.param(rng.uniform(-s, s, size=d_out))
 
     def __call__(self, x: ad.Tensor) -> ad.Tensor:
-        out = ad.matmul(x, self.W)
-        return ad.add(out, self.b) if self.b is not None else out
+        return ad.linear(x, self.W, self.b)
 
     def parameters(self, prefix: str) -> list:
-        out = [(f"{prefix}.W", self.W)]
-        if self.b is not None:
-            out.append((f"{prefix}.b", self.b))
-        return out
+        return [(f"{prefix}.W", self.W), (f"{prefix}.b", self.b)]
 
 
 class LayerNorm:
@@ -88,55 +84,33 @@ class LayerNorm:
         self.eps = eps
 
     def __call__(self, x: ad.Tensor) -> ad.Tensor:
-        return ad.add(ad.mul(ad.layernorm(x, self.eps), self.gamma), self.beta)
+        return ad.layernorm(x, self.eps, self.gamma, self.beta)
 
     def parameters(self, prefix: str) -> list:
         return [(f"{prefix}.gamma", self.gamma), (f"{prefix}.beta", self.beta)]
 
 
 class MultiHeadAttention:
-    """Scaled dot-product attention with head split/concat and output proj."""
+    """Scaled dot-product attention over n_heads column blocks, output proj."""
 
     def __init__(self, d_model: int, n_heads: int, rng: np.random.Generator):
         self.d_model, self.n_heads = d_model, n_heads
-        self.d_head = d_model // n_heads
         self.wq = Linear(d_model, d_model, rng)
         self.wk = Linear(d_model, d_model, rng)
         self.wv = Linear(d_model, d_model, rng)
         self.wo = Linear(d_model, d_model, rng)
 
-    def _heads(self, x: ad.Tensor) -> list:
-        return [ad.slice_cols(x, h * self.d_head, (h + 1) * self.d_head)
-                for h in range(self.n_heads)]
-
     def attend(self, q_in: ad.Tensor, kv_in: ad.Tensor,
                extra_kv: ad.Tensor | None = None, mask_extra: bool = False) -> ad.Tensor:
         """Rows of ``q_in`` attend to rows of ``kv_in`` (+ optional extra row).
 
-        ``extra_kv`` appends one key/value row whose scores form a separate
-        block column. With ``mask_extra`` the column is still computed but
-        excluded from the softmax and the value mix, which must reproduce
-        plain attention exactly: the in-set blocks are the same nodes.
+        ``extra_kv`` appends one key/value row after those of ``kv_in``. With
+        ``mask_extra`` the row is left out, which is plain attention exactly.
         """
-        scale = 1.0 / math.sqrt(self.d_head)
-        q = self._heads(self.wq(q_in))
-        k = self._heads(self.wk(kv_in))
-        v = self._heads(self.wv(kv_in))
-        if extra_kv is not None:
-            k_x = self._heads(self.wk(extra_kv))
-            v_x = self._heads(self.wv(extra_kv))
-        outs = []
-        for h in range(self.n_heads):
-            scores = ad.matmul(q[h], ad.transpose(k[h]))
-            values = v[h]
-            if extra_kv is not None:
-                token_col = ad.matmul(q[h], ad.transpose(k_x[h]))
-                if not mask_extra:
-                    scores = ad.concat_cols([scores, token_col])
-                    values = ad.concat_rows([values, v_x[h]])
-            attn = ad.softmax_rows(scores, scale)
-            outs.append(ad.matmul(attn, values))
-        return self.wo(ad.concat_cols(outs))
+        scale = 1.0 / math.sqrt(self.d_model // self.n_heads)
+        q, k, v = self.wq(q_in), self.wk(kv_in), self.wv(kv_in)
+        extra = () if extra_kv is None or mask_extra else (self.wk(extra_kv), self.wv(extra_kv))
+        return self.wo(ad.attention(q, k, v, self.n_heads, scale, *extra))
 
     def parameters(self, prefix: str) -> list:
         out = []

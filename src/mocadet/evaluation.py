@@ -46,7 +46,7 @@ class Detection:
         if not np.isfinite(self.score):
             raise ValidationError("detection score must be finite")
         cx, cy, w, h = self.box
-        if w <= 0 or h <= 0:
+        if not np.all(np.isfinite(self.box)) or w <= 0 or h <= 0:
             raise ValidationError(f"degenerate detection box {self.box}")
         return self
 

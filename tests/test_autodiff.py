@@ -37,11 +37,17 @@ def test_matmul_shape_mismatch():
         ad.matmul(ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((2, 3))))
 
 
+def _softmax(a, scale=1.0):
+    # one-head attention with identity keys and values returns softmax(scale * a)
+    eye = ad.tensor(np.eye(a.shape[1]))
+    return ad.attention(ad.tensor(a), eye, eye, 1, scale)
+
+
 def test_softmax_uniform_and_closed_form():
-    out = ad.softmax_rows(ad.tensor(np.zeros((1, 4))))
+    out = _softmax(np.zeros((1, 4)))
     assert np.allclose(out.data, 0.25, atol=1e-15)
     logs = np.log(np.array([[1.0, 2.0, 3.0]]))
-    out = ad.softmax_rows(ad.tensor(logs), scale=1.0)
+    out = _softmax(logs, scale=1.0)
     assert np.allclose(out.data, [[1 / 6, 2 / 6, 3 / 6]], atol=1e-15)
 
 
@@ -49,18 +55,22 @@ def test_softmax_rows_sum_to_one_and_shift_invariance():
     rng = np.random.default_rng(7)
     for _ in range(20):
         a = rng.normal(size=(5, 9)) * rng.uniform(0.1, 30)
-        out = ad.softmax_rows(ad.tensor(a), scale=rng.uniform(0.05, 4.0))
+        out = _softmax(a, scale=rng.uniform(0.05, 4.0))
         assert np.abs(out.data.sum(axis=1) - 1.0).max() <= 1e-12
-        shifted = ad.softmax_rows(ad.tensor(a + 3.7), scale=1.0)
-        base = ad.softmax_rows(ad.tensor(a), scale=1.0)
+        shifted = _softmax(a + 3.7, scale=1.0)
+        base = _softmax(a, scale=1.0)
         assert np.allclose(shifted.data, base.data, atol=1e-12, rtol=0)
 
 
 def test_softmax_empty_rows_rejected():
     with pytest.raises(ShapeError):
-        ad.softmax_rows(ad.tensor(np.ones((2, 0))))
+        ad.attention(ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((0, 3))),
+                     ad.tensor(np.ones((0, 3))), 1, 1.0)
     with pytest.raises(ValidationError):
-        ad.softmax_rows(ad.tensor(np.ones((2, 2))), scale=0.0)
+        _softmax(np.ones((2, 2)), scale=0.0)
+    with pytest.raises(ShapeError):  # width 6 does not split into 4 heads
+        x = ad.tensor(np.ones((2, 6)))
+        ad.attention(x, x, x, 4, 1.0)
 
 
 def test_cosine_sim_self_and_antipodal():
@@ -130,7 +140,7 @@ def test_backward_is_deterministic():
         x = ad.constant(rng.normal(size=(5, 3)))
         with ad.Tape():
             h = ad.relu(ad.matmul(W, x))
-            s = ad.softmax_rows(h, scale=0.7)
+            s = ad.attention(h, h, h, 1, 0.7)
             loss = ad.mean_all(ad.mul(s, s))
             ad.backward(loss)
         return W.grad
@@ -182,10 +192,27 @@ def _build_case(name, rng):
         b = ad.param(rng.normal(size=(4, 2)))
         w = rng.normal(size=(3, 2))
         return (lambda: ad.sum_all(ad.mul(ad.matmul(a, b), w))), [a, b]
-    if name == "transpose":
-        a = ad.param(rng.normal(size=(2, 5)))
-        w = rng.normal(size=(5, 2))
-        return (lambda: ad.sum_all(ad.mul(ad.transpose(a), w))), [a]
+    if name == "linear":
+        x = ad.param(rng.normal(size=(3, 4)))
+        W = ad.param(rng.normal(size=(4, 2)))
+        b = ad.param(rng.normal(size=2))
+        w = rng.normal(size=(3, 2))
+        return (lambda: ad.sum_all(ad.mul(ad.linear(x, W, b), w))), [x, W, b]
+    if name.startswith("attention"):
+        n_heads = 1 if name == "attention_one_head" else 2
+        extra = name != "attention"
+        q = ad.param(rng.normal(size=(3, 4)))
+        k = ad.param(rng.normal(size=(5, 4)))
+        v = ad.param(rng.normal(size=(5, 4)))
+        ek = ad.param(rng.normal(size=(1, 4))) if extra else None
+        ev = ad.param(rng.normal(size=(1, 4))) if extra else None
+        s = float(rng.uniform(0.2, 2.0))
+        w = rng.normal(size=(3, 4))
+
+        def f():
+            return ad.sum_all(ad.mul(ad.attention(q, k, v, n_heads, s, ek, ev), w))
+
+        return f, [q, k, v] + ([ek, ev] if extra else [])
     if name == "add_row_broadcast":
         a = ad.param(rng.normal(size=shp))
         b = ad.param(rng.normal(size=4))
@@ -227,26 +254,27 @@ def _build_case(name, rng):
         a = ad.param(rng.normal(size=shp))
         b = ad.param(a.data + _away_from_zero(rng, shp, low=0.3))
         return (lambda: ad.sum_all(ad.mul(ad.maximum(a, b), w34))), [a, b]
-    if name == "softmax_rows":
-        a = ad.param(rng.normal(size=shp))
-        s = float(rng.uniform(0.2, 2.0))
-        return (lambda: ad.sum_all(ad.mul(ad.softmax_rows(a, s), w34))), [a]
     if name == "logsumexp_vec":
         a = ad.param(rng.normal(size=6))
         return (lambda: ad.logsumexp_vec(a)), [a]
     if name == "layernorm":
         a = ad.param(rng.normal(size=shp))
         return (lambda: ad.sum_all(ad.mul(ad.layernorm(a), w34))), [a]
+    if name == "layernorm_affine":
+        a = ad.param(rng.normal(size=shp))
+        gamma = ad.param(rng.normal(size=4))
+        beta = ad.param(rng.normal(size=4))
+        return (lambda: ad.sum_all(ad.mul(ad.layernorm(a, 1e-5, gamma, beta), w34))), \
+            [a, gamma, beta]
     if name == "concat_slice":
         a = ad.param(rng.normal(size=(2, 4)))
         b = ad.param(rng.normal(size=(3, 4)))
-        w = rng.normal(size=(3, 5))
+        w = rng.normal(size=(3, 3))
 
         def f():
             cat = ad.concat_rows([a, b])
             piece = ad.slice_rows(cat, 1, 4)
-            piece2 = ad.slice_cols(ad.concat_cols([piece, piece]), 2, 7)
-            return ad.sum_all(ad.mul(piece2, w))
+            return ad.sum_all(ad.mul(ad.slice_cols(piece, 1, 4), w))
 
         return f, [a, b]
     if name == "select_rows":
@@ -264,9 +292,6 @@ def _build_case(name, rng):
     if name == "mean_all":
         a = ad.param(rng.normal(size=shp))
         return (lambda: ad.mean_all(ad.mul(a, a))), [a]
-    if name == "l2_normalize":
-        a = ad.param(_away_from_zero(rng, (3, 4), low=0.4))
-        return (lambda: ad.sum_all(ad.mul(ad.l2_normalize(a), w34))), [a]
     if name == "cosine_sim":
         u = ad.param(_away_from_zero(rng, 5, low=0.4))
         v = ad.param(_away_from_zero(rng, 5, low=0.4))
@@ -277,11 +302,12 @@ def _build_case(name, rng):
     raise AssertionError(name)
 
 
-OP_NAMES = ["matmul", "transpose", "add_row_broadcast", "sub", "mul", "div",
+OP_NAMES = ["matmul", "linear", "attention", "attention_extra_row",
+            "attention_one_head", "add_row_broadcast", "sub", "mul", "div",
             "exp", "log", "powf", "relu", "sigmoid", "abs", "minimum",
-            "maximum", "softmax_rows", "logsumexp_vec", "layernorm",
+            "maximum", "logsumexp_vec", "layernorm", "layernorm_affine",
             "concat_slice", "select_rows", "reshape", "mean_rows",
-            "mean_all", "l2_normalize", "cosine_sim", "clip"]
+            "mean_all", "cosine_sim", "clip"]
 
 
 @pytest.mark.parametrize("name", OP_NAMES)
@@ -294,3 +320,84 @@ def test_every_op_passes_grad_check_50_seeds(name):
         worst = max(worst, report.max_rel_error)
         assert report.passed, f"{name} seed {seed}: {report.per_param}"
     assert worst < 1e-4
+
+
+def _attention_oracle(q, k, v, n_heads, scale, w):
+    """Per-head loop with the explicit softmax Jacobian diag(p) - p p^T.
+
+    Returns the output and the gradients of sum(out * w) with respect to
+    q, k and v (k and v already include any extra rows).
+    """
+    n, d = q.shape
+    dh = d // n_heads
+    out = np.zeros((n, d))
+    dq, dk, dv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+    for h in range(n_heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        scores = scale * q[:, cols] @ k[:, cols].T
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        p = e / e.sum(axis=1, keepdims=True)
+        out[:, cols] = p @ v[:, cols]
+        d_out = w[:, cols]
+        dp = d_out @ v[:, cols].T
+        d_scores = np.stack([(np.diag(p[i]) - np.outer(p[i], p[i])) @ dp[i]
+                             for i in range(n)]) * scale
+        dq[:, cols] = d_scores @ k[:, cols]
+        dk[:, cols] = d_scores.T @ q[:, cols]
+        dv[:, cols] = p.T @ d_out
+    return out, dq, dk, dv
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+@pytest.mark.parametrize("extra", [False, True])
+def test_attention_matches_per_head_oracle(n_heads, extra):
+    for seed in range(20):
+        rng = np.random.default_rng(500 + seed)
+        n, m, d = int(rng.integers(1, 7)), int(rng.integers(1, 7)), 8
+        scale = float(rng.uniform(0.1, 2.0))
+        q, k, v = (ad.param(rng.normal(size=shape)) for shape in [(n, d), (m, d), (m, d)])
+        ek = ad.param(rng.normal(size=(1, d))) if extra else None
+        ev = ad.param(rng.normal(size=(1, d))) if extra else None
+        w = rng.normal(size=(n, d))
+        with ad.Tape():
+            out = ad.attention(q, k, v, n_heads, scale, ek, ev)
+            ad.backward(ad.sum_all(ad.mul(out, w)))
+        keys = np.concatenate([k.data, ek.data]) if extra else k.data
+        values = np.concatenate([v.data, ev.data]) if extra else v.data
+        want, dq, dk, dv = _attention_oracle(q.data, keys, values, n_heads, scale, w)
+        got_dk = np.concatenate([k.grad, ek.grad]) if extra else k.grad
+        got_dv = np.concatenate([v.grad, ev.grad]) if extra else v.grad
+        for got, ref in [(out.data, want), (q.grad, dq), (got_dk, dk), (got_dv, dv)]:
+            assert np.abs(got - ref).max() <= 1e-12
+
+
+def test_fused_linear_and_layernorm_equal_composed_ops_bitwise():
+    rng = np.random.default_rng(3)
+    x = ad.param(rng.normal(size=(5, 4)))
+    W, b = ad.param(rng.normal(size=(4, 6))), ad.param(rng.normal(size=6))
+    gamma, beta = ad.param(rng.normal(size=6)), ad.param(rng.normal(size=6))
+    w = rng.normal(size=(5, 6))
+
+    def run(fused):
+        ad.zero_grad([x, W, b, gamma, beta])
+        with ad.Tape():
+            if fused:
+                y = ad.layernorm(ad.linear(x, W, b), 1e-5, gamma, beta)
+            else:
+                h = ad.add(ad.matmul(x, W), b)
+                y = ad.add(ad.mul(ad.layernorm(h, 1e-5), gamma), beta)
+            ad.backward(ad.sum_all(ad.mul(y, w)))
+        return [y.data] + [t.grad.copy() for t in (x, W, b, gamma, beta)]
+
+    for got, want in zip(run(True), run(False)):
+        assert np.array_equal(got, want)
+
+
+def test_backward_empties_the_tape():
+    v = ad.param([1.0, 2.0])
+    with ad.Tape() as tape:
+        loss = ad.sum_all(ad.mul(v, v))
+        assert len(tape.nodes) == 2
+        ad.backward(loss)
+    assert tape.nodes == []
+    assert np.array_equal(v.grad, [2.0, 4.0])

@@ -1,5 +1,7 @@
 """Tests for the patch encoder, augmented decoder attention, and heads."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -166,3 +168,37 @@ def test_full_model_gradient_check_detection_loss():
     params = model.parameters() + [("token", token)]
     report = ad.grad_check(f, params, h=1e-5, tol=1e-4)
     assert report.passed, sorted(report.per_param, key=lambda kv: -kv[1])[:5]
+
+
+def test_tape_nodes_per_sample_at_default_config():
+    # one node per fused linear, attention and layernorm: a per-head graph
+    # would put roughly 4x as many nodes on the decode side
+    cfg = det.DetectorConfig(n_classes=10).validate()
+    model = det.Detector(cfg, np.random.default_rng(0))
+    image = np.random.default_rng(1).uniform(0, 1, size=(64, 64))
+    token = ad.param(np.random.default_rng(2).normal(size=cfg.d_model))
+    with ad.Tape() as tape:
+        memory = model.encode(image)
+        n_encode = len(tape.nodes)
+        model.decode(memory, token)
+        n_decode = len(tape.nodes) - n_encode
+    assert (n_encode, n_decode) == (14, 170)
+
+
+def test_backward_leaves_no_reference_cycles():
+    cfg = _cfg()
+    image = np.random.default_rng(11).uniform(0, 1, size=(16, 16))
+    gt_boxes = np.array([[0.3, 0.3, 0.25, 0.25], [0.7, 0.6, 0.2, 0.3]])
+    gc.collect()
+    gc.disable()
+    try:
+        model = det.Detector(cfg, np.random.default_rng(10))
+        token = ad.param(np.random.default_rng(12).normal(size=cfg.d_model))
+        with ad.Tape():
+            out = model.forward(image, token)
+            loss = ls.detection_loss(out.layers, [0, 1], gt_boxes, ls.LossWeights())
+            ad.backward(loss)
+        del model, token, out, loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

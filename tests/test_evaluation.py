@@ -108,6 +108,14 @@ def test_iou_06_threshold_enumeration():
     assert rep.ap == pytest.approx(0.30, abs=1e-9)
 
 
+def test_non_finite_detection_box_rejected():
+    samples = [_sample("a", [((0.5, 0.5, 0.5, 0.5), 0)])]
+    for box in [(np.nan, 0.5, 0.5, 0.5), (0.5, -np.inf, 0.5, 0.5),
+                (0.5, 0.5, np.inf, 0.5), (0.5, 0.5, 0.5, np.nan)]:
+        with pytest.raises(ValidationError):
+            ev.ap_report([_det("a", 0, box, 0.9)], samples, n_classes=1)
+
+
 def test_no_detections_zero_ap():
     samples = [_sample("a", [((0.5, 0.5, 0.5, 0.5), 0)])]
     rep = ev.ap_report([], samples, n_classes=1)
