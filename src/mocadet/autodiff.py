@@ -6,9 +6,9 @@ records one forward build and supports exactly one backward pass.
 
 Ops, one tape node each: the fused ``linear``, ``attention`` (multi-head,
 optional extra key/value rows) and ``layernorm`` (optionally affine);
-elementwise ``add sub mul div neg exp log powf relu sigmoid abs_ clip minimum
+elementwise ``add sub mul div neg log powf relu sigmoid abs_ clip minimum
 maximum``; ``matmul concat_rows slice_rows slice_cols select_rows reshape``;
-reductions ``mean_rows sum_all mean_all logsumexp_vec cosine_sim``.
+reductions ``mean_rows sum_all logsumexp_vec cosine_sim``.
 
 Conventions:
   * all data is float64, row-major;
@@ -128,7 +128,7 @@ class Tensor:
         return sub(self, other)
 
     def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
+        return sub(constant(np.full(self.shape, other)), self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -363,16 +363,6 @@ def neg(a) -> Tensor:
     return _make_node(-a.data, (a,), pullback)
 
 
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def pullback(g):
-        _accum(a, g * out_data)
-
-    return _make_node(out_data, (a,), pullback)
-
-
 def log(a) -> Tensor:
     a = _as_tensor(a)
     if np.any(a.data <= 0.0):
@@ -602,16 +592,6 @@ def sum_all(a) -> Tensor:
         _accum(a, np.broadcast_to(g, a.data.shape).copy())
 
     return _make_node(np.asarray(a.data.sum()), (a,), pullback)
-
-
-def mean_all(a) -> Tensor:
-    a = _as_tensor(a)
-    n = a.data.size
-
-    def pullback(g):
-        _accum(a, np.broadcast_to(g / n, a.data.shape).copy())
-
-    return _make_node(np.asarray(a.data.mean()), (a,), pullback)
 
 
 def cosine_sim(u: Tensor, v: Tensor) -> Tensor:

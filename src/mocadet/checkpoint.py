@@ -10,6 +10,7 @@ Parameters are float64 in memory; storage rounds to float32.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -47,25 +48,45 @@ def save_checkpoint(path, named_params, config_json: dict, phase: str,
             fh.write(np.concatenate(blobs).tobytes())
 
 
+def _valid_entry(entry) -> bool:
+    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(type(s) is int and s >= 0 for s in entry["shape"])
+            and type(entry.get("offset")) is int and entry["offset"] >= 0)
+
+
 def load_checkpoint(path):
-    """Returns (header dict, {param name: float64 array})."""
+    """Returns (header dict, {param name: float64 array}).
+
+    Any file that is not a well-formed checkpoint raises CheckpointError.
+    """
     try:
         with open(path, "rb") as fh:
-            magic = fh.read(len(_MAGIC))
-            if magic != _MAGIC:
-                raise CheckpointError(f"{path}: bad checkpoint magic")
-            (length,) = np.frombuffer(fh.read(8), dtype="<u8")
-            header = json.loads(fh.read(int(length)).decode("utf-8"))
-            blob = np.frombuffer(fh.read(), dtype="<f4")
+            data = fh.read()
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
-    if header.get("format") != "mocadet-checkpoint-v1":
+    if not data.startswith(_MAGIC):
+        raise CheckpointError(f"{path}: bad checkpoint magic")
+    start = len(_MAGIC) + 8
+    length = int.from_bytes(data[len(_MAGIC):start], "little")
+    if len(data) < start or length > len(data) - start:
+        raise CheckpointError(f"{path}: truncated checkpoint header")
+    try:
+        header = json.loads(data[start:start + length].decode("utf-8"))
+    except ValueError as e:  # bad UTF-8 or bad JSON
+        raise CheckpointError(f"{path}: unreadable checkpoint header: {e}") from e
+    if not isinstance(header, dict) or header.get("format") != "mocadet-checkpoint-v1":
         raise CheckpointError(f"{path}: unknown checkpoint format")
+    table = header.get("params")
+    if not isinstance(table, list) or not all(_valid_entry(e) for e in table):
+        raise CheckpointError(f"{path}: malformed parameter table")
+    if (len(data) - start - length) % 4:
+        raise CheckpointError(f"{path}: truncated parameter blob")
+    blob = np.frombuffer(data, dtype="<f4", offset=start + length)
     params = {}
-    for entry in header["params"]:
-        size = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        start = entry["offset"]
-        chunk = blob[start:start + size]
+    for entry in table:
+        size = math.prod(entry["shape"])
+        chunk = blob[entry["offset"]:entry["offset"] + size]
         if chunk.size != size:
             raise CheckpointError(f"{path}: truncated parameter {entry['name']!r}")
         params[entry["name"]] = chunk.astype(np.float64).reshape(entry["shape"])

@@ -2,8 +2,7 @@
 
 Subcommands: gen-data, tokens (synth/inspect/silhouette), pretrain, train,
 eval, mi-lab. Exit codes: 0 success, 1 validation (bad config,
-arguments, or files), 2 runtime failure. ``MOCADET_THREADS`` controls
-worker threads where a command parallelizes (mi-lab).
+arguments, or files), 2 runtime failure.
 """
 
 from __future__ import annotations

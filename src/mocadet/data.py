@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractError, IngestError, ValidationError
+from .errors import ContractError, IngestError, TokenLookupError, ValidationError
 from .tokens import TokenProjection, TokenRegistry, project_token
 
 _RAWF32_MAGIC = b"RAWF32\x00"
@@ -629,7 +629,6 @@ def modality_mean_token(spec: DatasetSpec, registry: TokenRegistry,
     """Mean over the projected tokens of every class declared for a modality."""
     mod_name = spec.modality_names[modality_id]
     if mod_name not in registry.modality_list:
-        from .errors import TokenLookupError
         raise TokenLookupError(f"modality {mod_name!r} absent from registry")
     names = [spec.global_classes[cid] for cid in spec.global_class_ids(modality_id)]
     projected = [ad.reshape(project_token(registry, projection, mod_name, c),
@@ -638,28 +637,16 @@ def modality_mean_token(spec: DatasetSpec, registry: TokenRegistry,
 
 
 def attach_token(sample: Sample, spec: DatasetSpec, registry: TokenRegistry,
-                 projection: TokenProjection, mode: str = "train",
-                 rng: np.random.Generator | None = None):
-    """Model-space token for a sample.
+                 projection: TokenProjection, rng: np.random.Generator) -> ad.Tensor:
+    """Model-space token for a training sample.
 
-    train: one of the sample's ground-truth classes, drawn uniformly with
-    ``rng`` (deterministic given the seed); empty images fall back to the
-    modality mean. inference: mean over the projected tokens of every class
-    declared for the sample's modality (no label information used).
-    Returns (token Tensor, class_name or None for the mean fallback).
+    The projected token of one of the sample's ground-truth classes, drawn
+    uniformly with ``rng`` (deterministic given the seed); empty images fall
+    back to the modality mean (``modality_mean_token``, which inference uses).
     """
-    mod_name = spec.modality_names[sample.modality_id]
-    if mod_name not in registry.modality_list:
-        from .errors import TokenLookupError
-        raise TokenLookupError(f"modality {mod_name!r} absent from registry")
-
-    if mode == "train" and sample.annotations:
-        if rng is None:
-            raise ValidationError("train-mode attach_token needs an rng")
-        classes = sorted({a.class_id for a in sample.annotations})
-        cid = classes[int(rng.integers(0, len(classes)))]
-        cname = spec.global_classes[cid]
-        return project_token(registry, projection, mod_name, cname), cname
-    if mode not in ("train", "inference"):
-        raise ValidationError(f"unknown attach_token mode {mode!r}")
-    return modality_mean_token(spec, registry, projection, sample.modality_id), None
+    if not sample.annotations:
+        return modality_mean_token(spec, registry, projection, sample.modality_id)
+    classes = sorted({a.class_id for a in sample.annotations})
+    cid = classes[int(rng.integers(0, len(classes)))]
+    return project_token(registry, projection, spec.modality_names[sample.modality_id],
+                         spec.global_classes[cid])

@@ -1,7 +1,9 @@
 """Set-prediction objective: Hungarian matching plus focal / L1 / GIoU terms.
 
-Matching is computed on detached values; the differentiable loss is then
-assembled with tape ops so gradients flow through logits and boxes only.
+Matching is computed per decoder layer on detached values; the layers'
+predictions are then stacked row-wise and one differentiable loss graph is
+assembled over the stack with tape ops, so gradients flow through logits
+and boxes only and the graph's size does not grow with the decoder depth.
 Boxes are normalized (cx, cy, w, h) unless a function says xyxy.
 """
 
@@ -68,8 +70,8 @@ def _lap_rows_le_cols(cost: np.ndarray) -> np.ndarray:
     """Shortest-augmenting-path assignment for cost (n, m), n <= m.
 
     Returns row -> column. Deterministic: augmenting scans prefer the
-    smallest index on ties, so a fully tied matrix yields the identity-style
-    matching.
+    smallest index on ties (``argmin`` takes the first minimum), so a fully
+    tied matrix yields the identity-style matching.
     """
     n, m = cost.shape
     u = np.zeros(n + 1)
@@ -84,24 +86,16 @@ def _lap_rows_le_cols(cost: np.ndarray) -> np.ndarray:
         while True:
             used[j0] = True
             i0 = col_to_row[j0]
-            delta = np.inf
-            j1 = -1
-            for j in range(m):
-                if used[j]:
-                    continue
-                cur = cost[i0, j] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(m + 1):
-                if used[j]:
-                    u[col_to_row[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
+            free = ~used[:m]
+            cur = cost[i0] - u[i0] - v[:m]
+            better = free & (cur < minv[:m])
+            minv[:m][better] = cur[better]
+            way[:m][better] = j0
+            j1 = int(np.argmin(np.where(free, minv[:m], np.inf)))
+            delta = minv[j1]
+            u[col_to_row[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
             j0 = j1
             if col_to_row[j0] == n:
                 break
@@ -110,9 +104,8 @@ def _lap_rows_le_cols(cost: np.ndarray) -> np.ndarray:
             col_to_row[j0] = col_to_row[j1]
             j0 = j1
     row_to_col = np.full(n, -1, dtype=int)
-    for j in range(m):
-        if col_to_row[j] != n:
-            row_to_col[col_to_row[j]] = j
+    assigned = col_to_row[:m] != n
+    row_to_col[col_to_row[:m][assigned]] = np.flatnonzero(assigned)
     return row_to_col
 
 
@@ -163,7 +156,7 @@ def _giou_rowwise(boxes_a: ad.Tensor, boxes_b: ad.Tensor) -> ad.Tensor:
 def _focal_matrix(logits: ad.Tensor, targets: np.ndarray, alpha: float,
                   gamma: float) -> ad.Tensor:
     p = ad.clip(ad.sigmoid(logits), _P_CLAMP, 1.0 - _P_CLAMP)
-    one_minus_p = ad.clip(sub_const(1.0, p), _P_CLAMP, 1.0)
+    one_minus_p = ad.clip(1.0 - p, _P_CLAMP, 1.0)
     t = ad.constant(targets)
     not_t = ad.constant(1.0 - targets)
     pos = ad.mul(ad.mul(ad.powf(one_minus_p, gamma), ad.neg(ad.log(p))), t) * alpha
@@ -171,56 +164,49 @@ def _focal_matrix(logits: ad.Tensor, targets: np.ndarray, alpha: float,
     return ad.sum_all(pos + neg)
 
 
-def sub_const(c: float, t: ad.Tensor) -> ad.Tensor:
-    return ad.sub(ad.constant(np.full(t.shape, c)), t)
-
-
 def detection_loss(per_layer_preds, gt_classes, gt_boxes,
                    weights: LossWeights, precomputed_matches=None) -> ad.Tensor:
     """Deep-supervised set loss summed over decoder layers.
 
     ``per_layer_preds`` is a list of (logits Tensor [N x C], boxes Tensor
-    [N x 4]). Each layer is matched independently on detached values.
-    Matched queries take class target 1 at the ground-truth class; all other
-    (query, class) targets are 0. Each layer's total is normalized by
-    max(G, 1).
+    [N x 4]). Each layer is matched independently on detached values. The
+    layers are then stacked into one (L*N) row block, so a single focal, L1
+    and GIoU graph covers all of them. Matched queries take class target 1
+    at the ground-truth class; all other (query, class) targets are 0. The
+    total is normalized by max(G, 1).
     """
     weights.validate()
+    if not per_layer_preds:
+        raise ValidationError("detection_loss needs at least one prediction layer")
     gt_classes = [int(c) for c in gt_classes]
     g = len(gt_classes)
     gt_arr = np.asarray(gt_boxes, dtype=np.float64).reshape(g, 4)
-    norm = float(max(g, 1))
 
-    total = None
+    rows, g_idx = [], []  # matched rows of the stack and their gt indices
+    offset = 0
     for li, (logits, boxes) in enumerate(per_layer_preds):
-        n, n_classes = logits.shape
         if precomputed_matches is not None:
             matches = precomputed_matches[li]
         elif g > 0:
-            with ad.no_grad():
-                probs = 1.0 / (1.0 + np.exp(-logits.data))
+            probs = 1.0 / (1.0 + np.exp(-logits.data))
             cost = build_cost_matrix(probs, boxes.data, gt_classes, gt_arr, weights)
             matches = hungarian(cost)
         else:
             matches = []
+        rows += [offset + q for q, _ in matches]
+        g_idx += [j for _, j in matches]
+        offset += logits.shape[0]
 
-        targets = np.zeros((n, n_classes))
-        for q, j in matches:
-            targets[q, gt_classes[j]] = 1.0
-        layer = ad.mul(_focal_matrix(logits, targets, weights.alpha, weights.gamma),
-                       weights.w_focal)
-
-        if matches:
-            q_idx = [q for q, _ in matches]
-            g_idx = [j for _, j in matches]
-            mb = ad.select_rows(boxes, q_idx)
-            gb = ad.constant(gt_arr[g_idx])
-            l1 = ad.sum_all(ad.abs_(ad.sub(mb, gb)))
-            giou_term = ad.sum_all(sub_const(1.0, _giou_rowwise(mb, gb)))
-            layer = layer + ad.mul(l1, weights.w_l1) + ad.mul(giou_term, weights.w_giou)
-
-        layer = ad.mul(layer, 1.0 / norm)
-        total = layer if total is None else total + layer
-    if total is None:
-        raise ValidationError("detection_loss needs at least one prediction layer")
-    return total
+    all_logits = ad.concat_rows([logits for logits, _ in per_layer_preds])
+    all_boxes = ad.concat_rows([boxes for _, boxes in per_layer_preds])
+    targets = np.zeros(all_logits.shape)
+    targets[rows, [gt_classes[j] for j in g_idx]] = 1.0
+    total = ad.mul(_focal_matrix(all_logits, targets, weights.alpha, weights.gamma),
+                   weights.w_focal)
+    if rows:
+        mb = ad.select_rows(all_boxes, rows)
+        gb = ad.constant(gt_arr[g_idx])
+        l1 = ad.sum_all(ad.abs_(ad.sub(mb, gb)))
+        giou_term = ad.sum_all(1.0 - _giou_rowwise(mb, gb))
+        total = total + ad.mul(l1, weights.w_l1) + ad.mul(giou_term, weights.w_giou)
+    return ad.mul(total, 1.0 / max(g, 1))

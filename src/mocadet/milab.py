@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -321,13 +319,6 @@ class BoundCell:
     violated: bool
 
 
-def n_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("MOCADET_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def verify_bound(joints, Ks=(1, 3, 7, 15), n_samples: int = 20_000,
                  seed: int = 0, se_slack: float = 5.0,
                  exact_tolerance: float = 1e-9) -> dict:
@@ -344,61 +335,41 @@ def verify_bound(joints, Ks=(1, 3, 7, 15), n_samples: int = 20_000,
     identity_gaps = []
     mono_failures = []
     exact_checked = 0
-
-    def run_joint(ji_joint):
-        ji, joint = ji_joint
-        out = []
+    joints = list(joints)
+    for ji, joint in enumerate(joints):
         mi = exact_mi(joint)
         nu, nv = joint.shape
         critics = [optimal_critic(joint),
                    cosine_critic(nu, nv, dim=8, tau=0.5,
                                  rng=np.random.default_rng(np.random.SeedSequence([seed, ji, 101])))]
-        gaps = []
-        monos = []
-        n_exact = 0
         for ci, critic in enumerate(critics):
             bounds = []
-            for ki, K in enumerate(Ks):
+            for K in Ks:
                 rng = np.random.default_rng(np.random.SeedSequence([seed, ji, ci, K]))
                 est = infonce_estimate(joint, critic, K, 1.0, n_samples, rng)
                 # 1e-12 absorbs float rounding when MI and SE are both ~0
                 violated = est.bound > mi + se_slack * est.stderr + 1e-12
-                out.append(BoundCell(ji, critic.kind, K, mi, est, violated))
+                cells.append(BoundCell(ji, critic.kind, K, mi, est, violated))
                 bounds.append(est)
                 if nv <= 6 and K <= 3:
                     exact_loss = exact_infonce(joint, critic, K)
                     exact_bound = math.log(1 + K) - exact_loss
-                    n_exact += 1
+                    exact_checked += 1
                     if exact_bound > mi + exact_tolerance:
-                        out.append(BoundCell(ji, critic.kind + "-exact", K, mi,
-                                             NCEEstimate(K, 0, exact_loss, exact_bound, 0.0),
-                                             True))
+                        cells.append(BoundCell(ji, critic.kind + "-exact", K, mi,
+                                               NCEEstimate(K, 0, exact_loss, exact_bound, 0.0),
+                                               True))
             if critic.kind == "optimal":
                 if nv ** 2 <= _ENUM_LIMIT:
-                    gaps.append(posterior_identity_gap(joint, critic, 1))
+                    identity_gaps.append(posterior_identity_gap(joint, critic, 1))
                 for a, b in zip(bounds[:-1], bounds[1:]):
                     slack = 2.0 * math.sqrt(a.stderr ** 2 + b.stderr ** 2) + 1e-12
                     if b.bound < a.bound - slack:
-                        monos.append((ji, a.K, b.K, a.bound, b.bound))
-        return out, gaps, monos, n_exact
-
-    workers = n_workers()
-    indexed = list(enumerate(joints))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(run_joint, indexed))
-    else:
-        results = [run_joint(x) for x in indexed]
-
-    for out, gaps, monos, n_exact in results:
-        cells.extend(out)
-        identity_gaps.extend(gaps)
-        mono_failures.extend(monos)
-        exact_checked += n_exact
+                        mono_failures.append((ji, a.K, b.K, a.bound, b.bound))
 
     violations = [c for c in cells if c.violated]
     return {
-        "n_joints": len(indexed),
+        "n_joints": len(joints),
         "Ks": list(Ks),
         "n_samples": n_samples,
         "cells": cells,

@@ -79,10 +79,7 @@ def batch_alignment_loss(batch, model: Detector, spec: DatasetSpec,
     if len(set(mods)) != len(mods):
         raise ContractError(f"batch modalities not distinct: {mods}")
 
-    tokens = []
-    for s in batch:
-        token, _ = attach_token(s, spec, registry, projection, "train", class_rng)
-        tokens.append(token)
+    tokens = [attach_token(s, spec, registry, projection, class_rng) for s in batch]
 
     total = None
     for s, token in zip(batch, tokens):
@@ -116,8 +113,7 @@ def positive_rank_fraction(batches, model: Detector, spec: DatasetSpec,
     hits = total = 0
     with ad.no_grad():
         for batch in batches:
-            tokens = [attach_token(s, spec, registry, projection, "train", class_rng)[0]
-                      for s in batch]
+            tokens = [attach_token(s, spec, registry, projection, class_rng) for s in batch]
             for s, token in zip(batch, tokens):
                 out = model.forward(s.image, token)
                 u = g_phi(cluster_mean(out.state(layer)))

@@ -214,8 +214,8 @@ def run_train(config: RunConfig, out_dir: str, moca: bool | None = None,
                 for s in batch:
                     token = None
                     if moca_flag:
-                        token, _ = attach_token(s, bundle.spec, bundle.registry,
-                                                bundle.projection, "train", class_rng)
+                        token = attach_token(s, bundle.spec, bundle.registry,
+                                             bundle.projection, class_rng)
                     out = bundle.model.forward(s.image, token)
                     loss = detection_loss(out.layers, s.class_ids,
                                           np.array([a.box for a in s.annotations]),

@@ -246,14 +246,16 @@ def test_attach_token_modes():
     assert len(s.annotations) == 1
 
     with ad.no_grad():
-        tok1, cname1 = dt.attach_token(s, spec, registry, proj, "train",
-                                       np.random.default_rng(5))
-        tok2, cname2 = dt.attach_token(s, spec, registry, proj, "train",
-                                       np.random.default_rng(5))
-    assert cname1 == cname2 == spec.global_classes[s.annotations[0].class_id]
+        tok1 = dt.attach_token(s, spec, registry, proj, np.random.default_rng(5))
+        tok2 = dt.attach_token(s, spec, registry, proj, np.random.default_rng(5))
+        expected = proj.W.data @ registry.embedding(
+            spec.modality_names[s.modality_id],
+            spec.global_classes[s.annotations[0].class_id]).vector
     assert np.array_equal(tok1.data, tok2.data)
+    assert np.allclose(tok1.data, expected, atol=1e-14)
 
-    # empty image: mean over the modality's projected class tokens
+    # empty image: mean over the modality's projected class tokens, the
+    # token inference uses for every image
     empty = dt.Sample(image=s.image, modality_id=0, annotations=[], sample_id="e")
     three = dt.DatasetSpec(
         modalities=[dt.ModalitySpec("moda", ("a1", "a2", "a3")),
@@ -261,15 +263,21 @@ def test_attach_token_modes():
         counts={"train": 4}, seed=0)
     reg3 = tk.build_registry(three.token_pairs(), d_text=8, seed64=1)
     with ad.no_grad():
-        tok, cname = dt.attach_token(empty, three, reg3, proj, "train",
-                                     np.random.default_rng(0))
+        tok = dt.attach_token(empty, three, reg3, proj, np.random.default_rng(0))
+        mean = dt.modality_mean_token(three, reg3, proj, 0)
         expected = np.mean([proj.W.data @ reg3.embedding("moda", c).vector
                             for c in ("a1", "a2", "a3")], axis=0)
-    assert cname is None
+    assert np.array_equal(tok.data, mean.data)
     assert np.allclose(tok.data, expected, atol=1e-14)
 
+    bad = dt.Sample(image=s.image, modality_id=1, annotations=[], sample_id="x")
+    spec_other = _tiny_spec(classes_b=("zz",))
+    reg_a_only = tk.build_registry([("moda", "alpha_circle")], d_text=8)
     with pytest.raises(TokenLookupError):
-        bad = dt.Sample(image=s.image, modality_id=1, annotations=[], sample_id="x")
-        spec_other = _tiny_spec(classes_b=("zz",))
-        reg_a_only = tk.build_registry([("moda", "alpha_circle")], d_text=8)
-        dt.attach_token(bad, spec_other, reg_a_only, proj, "inference")
+        dt.modality_mean_token(spec_other, reg_a_only, proj, 1)
+    with pytest.raises(TokenLookupError):
+        dt.attach_token(bad, spec_other, reg_a_only, proj, np.random.default_rng(0))
+    labelled = dt.Sample(image=s.image, modality_id=1, annotations=s.annotations,
+                         sample_id="y")
+    with pytest.raises(TokenLookupError):  # undeclared (modality, class) pair
+        dt.attach_token(labelled, spec_other, reg_a_only, proj, np.random.default_rng(0))

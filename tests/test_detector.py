@@ -172,17 +172,25 @@ def test_full_model_gradient_check_detection_loss():
 
 def test_tape_nodes_per_sample_at_default_config():
     # one node per fused linear, attention and layernorm: a per-head graph
-    # would put roughly 4x as many nodes on the decode side
+    # would put roughly 4x as many nodes on the decode side; the set loss
+    # stacks the 6 decoder layers into one graph instead of one per layer
     cfg = det.DetectorConfig(n_classes=10).validate()
     model = det.Detector(cfg, np.random.default_rng(0))
     image = np.random.default_rng(1).uniform(0, 1, size=(64, 64))
     token = ad.param(np.random.default_rng(2).normal(size=cfg.d_model))
+    gt_boxes = np.array([[0.3, 0.3, 0.25, 0.25], [0.7, 0.6, 0.2, 0.3]])
     with ad.Tape() as tape:
         memory = model.encode(image)
         n_encode = len(tape.nodes)
-        model.decode(memory, token)
+        out = model.decode(memory, token)
         n_decode = len(tape.nodes) - n_encode
+        n_loss = []
+        for classes, boxes in (([0, 1], gt_boxes), ([], np.zeros((0, 4)))):
+            before = len(tape.nodes)
+            ls.detection_loss(out.layers, classes, boxes, ls.LossWeights())
+            n_loss.append(len(tape.nodes) - before)
     assert (n_encode, n_decode) == (14, 170)
+    assert n_loss == [69, 22]
 
 
 def test_backward_leaves_no_reference_cycles():

@@ -134,6 +134,62 @@ def test_hungarian_matches_brute_force_1000_seeded():
         assert total == pytest.approx(_brute_force_min_cost(cost), abs=1e-9), f"trial {trial}"
 
 
+def _scalar_lap(cost):
+    """The column scan of ``_lap_rows_le_cols`` as scalar loops: first index wins ties."""
+    n, m = cost.shape
+    u, v = np.zeros(n + 1), np.zeros(m + 1)
+    col_to_row = np.full(m + 1, n, dtype=int)
+    way = np.zeros(m + 1, dtype=int)
+    for i in range(n):
+        col_to_row[m] = i
+        j0 = m
+        minv = np.full(m + 1, np.inf)
+        used = np.zeros(m + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = col_to_row[j0]
+            delta, j1 = np.inf, -1
+            for j in range(m):
+                if used[j]:
+                    continue
+                cur = cost[i0, j] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta, j1 = minv[j], j
+            for j in range(m + 1):
+                if used[j]:
+                    u[col_to_row[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if col_to_row[j0] == n:
+                break
+        while j0 != m:
+            j1 = way[j0]
+            col_to_row[j0] = col_to_row[j1]
+            j0 = j1
+    row_to_col = np.full(n, -1, dtype=int)
+    for j in range(m):
+        if col_to_row[j] != n:
+            row_to_col[col_to_row[j]] = j
+    return row_to_col
+
+
+def test_lap_matches_scalar_scan_3000_seeded():
+    rng = np.random.default_rng(303)
+    for trial in range(3000):
+        n = int(rng.integers(1, 6))
+        cost = rng.uniform(-3, 3, size=(n, int(rng.integers(n, 30))))
+        if trial % 3 == 0:
+            cost = np.round(cost)  # many ties
+        if trial % 7 == 0:
+            cost[:] = 0.0
+        assert np.array_equal(ls._lap_rows_le_cols(cost), _scalar_lap(cost)), f"trial {trial}"
+
+
 def test_hungarian_row_shift_invariance():
     rng = np.random.default_rng(77)
     cost = rng.uniform(0, 1, size=(6, 4))
@@ -187,6 +243,19 @@ def test_detection_loss_perfect_predictions_near_zero():
     with ad.no_grad():
         loss = ls.detection_loss([(ad.tensor(logits), ad.tensor(boxes))],
                                  gt_classes, gt_boxes, ls.LossWeights())
+    assert loss.item() < 1e-6
+
+    # two targets of different classes, two decoder layers with the queries
+    # in opposite orders: each layer must match every query to its own target
+    gt_classes = [1, 0]
+    gt_boxes = np.array([[0.5, 0.5, 0.25, 0.25], [0.2, 0.7, 0.1, 0.3]])
+    logits = np.array([[-30.0, 30.0], [30.0, -30.0], [-30.0, -30.0]])
+    boxes = np.vstack([gt_boxes, [[0.8, 0.1, 0.05, 0.05]]])
+    order = [1, 0, 2]
+    layers = [(ad.tensor(logits), ad.tensor(boxes)),
+              (ad.tensor(logits[order]), ad.tensor(boxes[order]))]
+    with ad.no_grad():
+        loss = ls.detection_loss(layers, gt_classes, gt_boxes, ls.LossWeights())
     assert loss.item() < 1e-6
 
 
@@ -267,3 +336,33 @@ def test_detection_loss_gradient_check():
 
     report = ad.grad_check(f, [("logits", logits), ("boxes_raw", braw)], h=1e-5, tol=1e-4)
     assert report.passed, report.per_param
+
+
+def test_detection_loss_stacked_layers_equal_sum_of_single_layers():
+    # layers of 3, 5 and 4 queries: each layer's rows start after the earlier ones
+    rng = np.random.default_rng(17)
+    w = ls.LossWeights()
+    for g in (0, 1, 3):
+        layers = [(ad.param(rng.normal(size=(n, 3))),
+                   ad.param(rng.uniform(0.2, 0.8, size=(n, 4)))) for n in (3, 5, 4)]
+        gt_classes = rng.integers(0, 3, size=g).tolist()
+        gt_boxes = np.column_stack([rng.uniform(0.3, 0.7, size=(g, 2)),
+                                    rng.uniform(0.1, 0.3, size=(g, 2))])
+        results = []
+        for stacked in (True, False):
+            ad.zero_grad([t for layer in layers for t in layer])
+            with ad.Tape():
+                if stacked:
+                    loss = ls.detection_loss(layers, gt_classes, gt_boxes, w)
+                else:
+                    loss = sum(ls.detection_loss([layer], gt_classes, gt_boxes, w)
+                               for layer in layers)
+                value = loss.item()
+                ad.backward(loss)
+            results.append((value, [t.grad.copy() for layer in layers for t in layer
+                                    if t.grad is not None]))
+        (v1, g1), (v2, g2) = results
+        assert v1 == pytest.approx(v2, rel=1e-12)
+        assert len(g1) == len(g2) == (6 if g else 3)
+        for a, b in zip(g1, g2):
+            assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
