@@ -242,49 +242,65 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
-              extra_k: Tensor | None = None, extra_v: Tensor | None = None) -> Tensor:
+              extra_k: Tensor | None = None, extra_v: Tensor | None = None,
+              segments: int = 1) -> Tensor:
     """Multi-head scaled dot-product attention as one node.
 
-    Head h is column block h (width d / n_heads) of ``q``, ``k`` and ``v``;
-    it outputs softmax(scale * q_h k_h^T) v_h, and the head outputs are
-    concatenated in order. ``extra_k``/``extra_v`` append rows after those of
-    ``k``/``v`` (the MoCA token row). Heads are (h, rows, d_h) views inside
-    numpy. The softmax pullback is dS = P * (dP - rowsum(dP * P)), as in the
-    FlashAttention backward pass (Dao et al. 2022, arXiv:2205.14135).
+    ``q``, ``k`` and ``v`` hold ``segments`` equal row blocks, and query
+    block s attends only to key/value block s (block-diagonal attention
+    over a batch of stacked images). Head h is column block h (width
+    d / n_heads); it outputs softmax(scale * q_h k_h^T) v_h, and the head
+    outputs are concatenated in order. ``extra_k``/``extra_v`` are
+    (segments, d): row s is appended after the key/value rows of block s
+    (the MoCA token row of image s). Heads are (segments, h, rows, d_h)
+    views inside numpy. The softmax pullback is dS = P * (dP - rowsum(dP *
+    P)), as in the FlashAttention backward pass (Dao et al. 2022,
+    arXiv:2205.14135).
     """
     q, k, v, *extras = [_as_tensor(t) for t in (q, k, v, extra_k, extra_v) if t is not None]
     d = q.shape[-1] if q.ndim == 2 else -1
-    if (d < 0 or k.shape != v.shape or k.shape[1:] != (d,) or k.shape[0] == 0
-            or len(extras) == 1 or any(e.shape != (1, d) for e in extras)):
-        raise ShapeError(f"attention needs (n, d) queries, equal non-empty (m, d) keys and "
-                         f"values, and (1, d) extra rows in pairs; got {q.shape}, {k.shape}")
+    s = int(segments)
+    if (d < 0 or s < 1 or q.shape[0] % s or k.shape != v.shape or k.shape[1:] != (d,)
+            or k.shape[0] == 0 or k.shape[0] % s
+            or len(extras) == 1 or any(e.shape != (s, d) for e in extras)):
+        raise ShapeError(f"attention needs (S*n, d) queries, equal non-empty (S*m, d) keys "
+                         f"and values, and (S, d) extra rows in pairs for S={segments} "
+                         f"segments; got {q.shape}, {k.shape}")
     if n_heads < 1 or d % n_heads:
         raise ShapeError(f"width {d} does not split into {n_heads} heads")
     if not scale > 0.0:
         raise ValidationError("attention scale must be positive")
-    m, d_head = k.shape[0], d // n_heads
+    m, d_head = k.shape[0] // s, d // n_heads
 
-    def split(x):  # (rows, d) -> (h, rows, d_h)
-        return x.reshape(x.shape[0], n_heads, d_head).transpose(1, 0, 2)
+    def split(x):  # (S*rows, d) -> (S, h, rows, d_h)
+        return x.reshape(s, -1, n_heads, d_head).transpose(0, 2, 1, 3)
 
-    def merge(x):  # (h, rows, d_h) -> (rows, d)
-        return x.transpose(1, 0, 2).reshape(x.shape[1], d)
+    def merge(x):  # (S, h, rows, d_h) -> (S*rows, d)
+        return x.transpose(0, 2, 1, 3).reshape(-1, d)
 
+    def with_extra(x, extra):  # (S*m, d) -> (S, m [+ 1], d): row s of extra ends block s
+        x = x.reshape(s, m, d)
+        return x if extra is None else np.concatenate([x, extra.data[:, None, :]], axis=1)
+
+    extra_k, extra_v = extras or (None, None)
     qh = split(q.data)
-    kh = split(np.concatenate([k.data] + [e.data for e in extras[:1]]))
-    vh = split(np.concatenate([v.data] + [e.data for e in extras[1:]]))
-    z = scale * (qh @ kh.transpose(0, 2, 1))
-    e = np.exp(z - z.max(axis=2, keepdims=True))
-    p = e / e.sum(axis=2, keepdims=True)
+    kh = split(with_extra(k.data, extra_k))
+    vh = split(with_extra(v.data, extra_v))
+    p = qh @ kh.transpose(0, 1, 3, 2)
+    p *= scale
+    p -= p.max(axis=3, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=3, keepdims=True)
 
     def pullback(g):
         go = split(g)
-        dp = go @ vh.transpose(0, 2, 1)
-        ds = scale * p * (dp - (dp * p).sum(axis=2, keepdims=True))
+        dp = go @ vh.transpose(0, 1, 3, 2)
+        ds = scale * p * (dp - (dp * p).sum(axis=3, keepdims=True))
         _accum(q, merge(ds @ kh))
-        dk, dv = merge(ds.transpose(0, 2, 1) @ qh), merge(p.transpose(0, 2, 1) @ go)
-        for t, grad in zip([k, v] + extras, (dk[:m], dv[:m], dk[m:], dv[m:])):
-            _accum(t, grad)
+        dk = merge(ds.transpose(0, 1, 3, 2) @ qh).reshape(s, -1, d)
+        dv = merge(p.transpose(0, 1, 3, 2) @ go).reshape(s, -1, d)
+        for t, grad in zip([k, v] + extras, (dk[:, :m], dv[:, :m], dk[:, m:], dv[:, m:])):
+            _accum(t, grad.reshape(t.shape))
 
     return _make_node(merge(p @ vh), (q, k, v, *extras), pullback)
 
@@ -621,8 +637,10 @@ def backward(loss: Tensor) -> dict:
     """Run reverse mode from a scalar loss; returns {leaf tensor: gradient}.
 
     Gradients accumulate into ``.grad`` (call ``zero_grad`` between steps).
-    The loss's tape is consumed and emptied: a second backward without
-    rebuilding the forward pass raises ContractError.
+    The loss's tape is consumed and emptied, and its nodes drop their
+    parents and pullbacks, so the graph is freed even while its outputs are
+    still held: a second backward without rebuilding the forward pass raises
+    ContractError.
     """
     if not isinstance(loss, Tensor) or loss.ndim != 0:
         raise ContractError("backward needs a scalar Tensor loss")
@@ -656,7 +674,12 @@ def backward(loss: Tensor) -> dict:
             if id(node) in reachable and node.grad is not None:
                 node._pullback(node.grad)
     finally:
-        # nodes point back at the tape: emptying it lets refcounting free the graph
+        # nodes point back at the tape, and each keeps its parents alive: cutting
+        # both lets refcounting free the graph even while the caller still holds
+        # the loss or other outputs of the forward pass
+        for node in tape.nodes:
+            node._parents = ()
+            node._pullback = None
         tape.nodes.clear()
     return {leaf: leaf.grad for leaf in leaves if leaf.grad is not None}
 

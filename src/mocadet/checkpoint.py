@@ -4,7 +4,8 @@ Single file: magic ``MDCKPT1\\n``, a little-endian uint64 header length, a
 JSON header, then one raw little-endian float32 blob. The header carries
 the run config echo, phase, step, seeds, and the parameter ordering table
 (name, shape, element offset), so identical bytes mean identical model.
-Parameters are float64 in memory; storage rounds to float32.
+Parameters are float64 in memory; storage rounds to float32. A save
+replaces the file atomically.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import os
 import numpy as np
 
 from .errors import CheckpointError
+from .fileio import atomic_write
 
 _MAGIC = b"MDCKPT1\n"
 
@@ -40,7 +42,7 @@ def save_checkpoint(path, named_params, config_json: dict, phase: str,
     }
     payload = json.dumps(header, sort_keys=True).encode("utf-8")
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(np.uint64(len(payload)).tobytes())
         fh.write(payload)

@@ -123,6 +123,9 @@ class RunConfig:
 
     @staticmethod
     def from_json(doc: dict) -> "RunConfig":
+        if not isinstance(doc, dict):
+            raise ValidationError("a run config must be a JSON object")
+
         def section(name, cls):
             raw = doc.get(name, {})
             if not isinstance(raw, dict):
@@ -138,19 +141,24 @@ class RunConfig:
             dataset = DatasetSpec.from_json(doc["dataset"])
         else:
             raise ValidationError("config field 'dataset' must be an object")
-        cfg = RunConfig(
-            dataset=dataset,
-            model=dict(doc.get("model", {})),
-            loss=section("loss", LossWeights),
-            optim=section("optim", OptimConfig),
-            tokens=section("tokens", TokenConfig),
-            qra=section("qra", QraConfig),
-            batch_size=int(doc.get("batch_size", 4)),
-            seed=int(doc.get("seed", 0)),
-            moca=bool(doc.get("moca", True)),
-            eval_every=int(doc.get("eval_every", 4)),
-        )
-        return cfg.validate()
+        if not isinstance(doc.get("model", {}), dict):
+            raise ValidationError("config field 'model' must be an object")
+        try:
+            cfg = RunConfig(
+                dataset=dataset,
+                model=dict(doc.get("model", {})),
+                loss=section("loss", LossWeights),
+                optim=section("optim", OptimConfig),
+                tokens=section("tokens", TokenConfig),
+                qra=section("qra", QraConfig),
+                batch_size=int(doc.get("batch_size", 4)),
+                seed=int(doc.get("seed", 0)),
+                moca=bool(doc.get("moca", True)),
+                eval_every=int(doc.get("eval_every", 4)),
+            ).validate()
+        except (TypeError, ValueError) as e:  # a non-numeric batch_size, lr, ...
+            raise ValidationError(f"bad config value: {e}") from e
+        return cfg
 
     @staticmethod
     def load(path) -> "RunConfig":

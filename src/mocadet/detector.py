@@ -7,11 +7,14 @@ plus one projected modality token appended as the last row. The token
 contributes keys and values only and is never a query, so query count is
 preserved through every layer.
 
-Each attention is one fused ``autodiff.attention`` node; the token enters
-it as one extra key/value row after the N query rows. Masking the token
-column drops that row, so the masked forward runs the very same call as a
-token-free forward and is bitwise equal to it -- the reduction property the
-tests pin down.
+A batch of B images runs as one forward: image b owns row block b of
+every activation (its P patch rows of the memory, its N query rows in the
+decoder), and every attention is block-diagonal over those blocks, so the
+images never mix. Each attention is one fused ``autodiff.attention`` node;
+image b's token enters it as one extra key/value row after block b's N
+query rows. Masking the token column drops those rows, so the masked
+forward runs the very same call as a token-free forward and is bitwise
+equal to it -- the reduction property the tests pin down.
 """
 
 from __future__ import annotations
@@ -101,16 +104,19 @@ class MultiHeadAttention:
         self.wo = Linear(d_model, d_model, rng)
 
     def attend(self, q_in: ad.Tensor, kv_in: ad.Tensor,
-               extra_kv: ad.Tensor | None = None, mask_extra: bool = False) -> ad.Tensor:
-        """Rows of ``q_in`` attend to rows of ``kv_in`` (+ optional extra row).
+               extra_kv: ad.Tensor | None = None, mask_extra: bool = False,
+               segments: int = 1) -> ad.Tensor:
+        """Row block s of ``q_in`` attends to row block s of ``kv_in``.
 
-        ``extra_kv`` appends one key/value row after those of ``kv_in``. With
-        ``mask_extra`` the row is left out, which is plain attention exactly.
+        Both hold ``segments`` equal row blocks. ``extra_kv`` (segments, d)
+        appends its row s after the key/value rows of block s. With
+        ``mask_extra`` those rows are left out, which is plain attention
+        exactly.
         """
         scale = 1.0 / math.sqrt(self.d_model // self.n_heads)
         q, k, v = self.wq(q_in), self.wk(kv_in), self.wv(kv_in)
         extra = () if extra_kv is None or mask_extra else (self.wk(extra_kv), self.wv(extra_kv))
-        return self.wo(ad.attention(q, k, v, self.n_heads, scale, *extra))
+        return self.wo(ad.attention(q, k, v, self.n_heads, scale, *extra, segments=segments))
 
     def parameters(self, prefix: str) -> list:
         out = []
@@ -156,8 +162,8 @@ class EncoderLayer:
         self.ln1 = LayerNorm(cfg.d_model)
         self.ln2 = LayerNorm(cfg.d_model)
 
-    def __call__(self, x: ad.Tensor) -> ad.Tensor:
-        x = self.ln1(ad.add(x, self.attn.attend(x, x)))
+    def __call__(self, x: ad.Tensor, segments: int = 1) -> ad.Tensor:
+        x = self.ln1(ad.add(x, self.attn.attend(x, x, segments=segments)))
         return self.ln2(ad.add(x, self.ffn(x)))
 
     def parameters(self, prefix: str) -> list:
@@ -175,11 +181,13 @@ class DecoderLayer:
         self.ln3 = LayerNorm(cfg.d_model)
 
     def __call__(self, queries: ad.Tensor, memory: ad.Tensor, query_pos: ad.Tensor,
-                 token_row: ad.Tensor | None, mask_token: bool = False) -> ad.Tensor:
-        x = ad.add(queries, query_pos)  # token row carries zero position
-        attn = self.self_attn.attend(x, x, extra_kv=token_row, mask_extra=mask_token)
+                 token_rows: ad.Tensor | None, mask_token: bool = False,
+                 segments: int = 1) -> ad.Tensor:
+        x = ad.add(queries, query_pos)  # token rows carry zero position
+        attn = self.self_attn.attend(x, x, extra_kv=token_rows, mask_extra=mask_token,
+                                     segments=segments)
         queries = self.ln1(ad.add(queries, attn))
-        cross = self.cross_attn.attend(ad.add(queries, query_pos), memory)
+        cross = self.cross_attn.attend(ad.add(queries, query_pos), memory, segments=segments)
         queries = self.ln2(ad.add(queries, cross))
         return self.ln3(ad.add(queries, self.ffn(queries)))
 
@@ -194,8 +202,12 @@ class DecoderLayer:
 
 @dataclass
 class DetectorOutput:
-    layers: list  # per decoder layer: (class logits [N x C], boxes [N x 4] cxcywh)
-    query_states: list = field(default_factory=list)  # Q^(1..L), each [N x d]
+    """Per-layer predictions of B images; rows are image-major (image b owns
+    rows b*N .. (b+1)*N - 1 of every tensor)."""
+
+    layers: list  # per decoder layer: (class logits [B*N x C], boxes [B*N x 4] cxcywh)
+    query_states: list = field(default_factory=list)  # Q^(1..L), each [B*N x d]
+    n_images: int = 1
 
     def state(self, layer: int) -> ad.Tensor:
         """Q^(l) for 1-indexed decoder layer l."""
@@ -235,38 +247,61 @@ class Detector:
         return out
 
     # -- forward ----------------------------------------------------------
-    def encode(self, image: np.ndarray) -> ad.Tensor:
-        img = np.asarray(image, dtype=np.float64)
+    def encode(self, images: np.ndarray) -> ad.Tensor:
+        """Memory of a (B, H, W) image stack, (B*P, d) with image b's P patch
+        rows as row block b; a 2-d (H, W) image is a stack of one."""
+        img = np.asarray(images, dtype=np.float64)
+        img = img[None] if img.ndim == 2 else img
         p = self.config.patch_size
-        if img.ndim != 2 or img.shape[0] % p or img.shape[1] % p:
-            raise ShapeError(f"image shape {img.shape} not divisible by patch size {p}")
-        gh, gw = img.shape[0] // p, img.shape[1] // p
-        patches = img.reshape(gh, p, gw, p).transpose(0, 2, 1, 3).reshape(gh * gw, p * p)
+        if img.ndim != 3 or not img.shape[0] or img.shape[1] % p or img.shape[2] % p:
+            raise ShapeError(f"image stack shape {img.shape} not divisible by patch size {p}")
+        b, gh, gw = img.shape[0], img.shape[1] // p, img.shape[2] // p
+        patches = img.reshape(b, gh, p, gw, p).transpose(0, 1, 3, 2, 4).reshape(-1, p * p)
         x = self.patch_proj(ad.constant(patches))
-        x = ad.add(x, ad.constant(sinusoidal_positions_2d(gh, gw, self.config.d_model)))
+        pos = sinusoidal_positions_2d(gh, gw, self.config.d_model)
+        x = ad.add(x, ad.constant(np.tile(pos, (b, 1))))
         for layer in self.encoder:
-            x = layer(x)
+            x = layer(x, segments=b)
         return x
 
-    def decode(self, memory: ad.Tensor, token: ad.Tensor | None,
-               mask_token_column: bool = False) -> DetectorOutput:
-        cfg = self.config
-        token_row = None
-        if cfg.moca_enabled and token is not None:
-            if token.shape != (cfg.d_model,):
-                raise ShapeError(f"token shape {token.shape} != ({cfg.d_model},)")
-            token_row = self.token_proj(ad.reshape(token, (1, cfg.d_model)))
-        queries = self.query_embed
-        out = DetectorOutput(layers=[])
+    def decode(self, memory: ad.Tensor, tokens: ad.Tensor | None,
+               mask_token_column: bool = False, n_images: int = 1) -> DetectorOutput:
+        """Decode the memory of ``n_images`` stacked images.
+
+        ``tokens`` is None, one (d,) token when ``n_images`` is 1, or the
+        (n_images, d) token rows, row b for image b.
+        """
+        cfg, b = self.config, n_images
+        if b < 1 or memory.ndim != 2 or memory.shape[0] % b:
+            raise ShapeError(f"memory of shape {memory.shape} does not split into {b} images")
+        token_rows = None
+        if cfg.moca_enabled and tokens is not None:
+            if b == 1 and tokens.shape == (cfg.d_model,):
+                tokens = ad.reshape(tokens, (1, cfg.d_model))
+            if tokens.shape != (b, cfg.d_model):
+                raise ShapeError(f"token shape {tokens.shape} != ({b}, {cfg.d_model})")
+            token_rows = self.token_proj(tokens)
+        queries, query_pos = self.query_embed, self.query_pos
+        if b > 1:
+            queries, query_pos = ad.concat_rows([queries] * b), ad.concat_rows([query_pos] * b)
+        out = DetectorOutput(layers=[], n_images=b)
         for layer in self.decoder:
-            queries = layer(queries, memory, self.query_pos, token_row,
-                            mask_token=mask_token_column)
+            queries = layer(queries, memory, query_pos, token_rows,
+                            mask_token=mask_token_column, segments=b)
             out.query_states.append(queries)
             logits = self.cls_head(queries)
             boxes = ad.sigmoid(self.box_out(ad.relu(self.box_hidden(queries))))
             out.layers.append((logits, boxes))
         return out
 
-    def forward(self, image: np.ndarray, token: ad.Tensor | None = None,
+    def forward(self, images: np.ndarray, tokens: ad.Tensor | None = None,
                 mask_token_column: bool = False) -> DetectorOutput:
-        return self.decode(self.encode(image), token, mask_token_column)
+        """One forward of a (B, H, W) stack or one (H, W) image; ``tokens``
+        as in ``decode`` (see ``stack_tokens``)."""
+        n_images = 1 if np.ndim(images) == 2 else len(images)
+        return self.decode(self.encode(images), tokens, mask_token_column, n_images)
+
+
+def stack_tokens(tokens) -> ad.Tensor:
+    """The (B, d) token rows of a batch from its B (d,) token tensors."""
+    return ad.concat_rows([ad.reshape(t, (1, t.shape[0])) for t in tokens])

@@ -27,6 +27,7 @@ import numpy as np
 
 from .boxes import cxcywh_to_xyxy, iou
 from .errors import ValidationError
+from .fileio import atomic_write
 
 COCO_THRESHOLDS = tuple(np.round(np.arange(0.50, 0.96, 0.05), 2).tolist())
 SMALL_FRAC = (32.0 / 640.0) ** 2
@@ -240,18 +241,26 @@ def ap_report(detections, samples, n_classes: int, modality_names=None,
                     per_modality=per_modality)
 
 
-def detections_from_output(output, image_id: str):
-    """Turn the last decoder layer's predictions into scored detections."""
+def detections_from_output(output, image_ids) -> list:
+    """Turn the last decoder layer's predictions into scored detections.
+
+    ``image_ids`` names the output's images in row-block order.
+    """
+    image_ids = list(image_ids)
+    if len(image_ids) != output.n_images:
+        raise ValidationError(f"{len(image_ids)} image ids for {output.n_images} images")
     logits, boxes = output.layers[-1]
     probs = 1.0 / (1.0 + np.exp(-logits.data))
-    n, c = probs.shape
-    flat = [(float(probs[q, k]), int(k), q) for q in range(n) for k in range(c)]
-    flat.sort(key=lambda r: (-r[0], r[1], r[2]))
+    n, c = probs.shape[0] // len(image_ids), probs.shape[1]
     out = []
-    for score, k, q in flat[:MAX_DETS_PER_IMAGE]:
-        out.append(Detection(image_id=image_id, class_id=k,
-                             box=tuple(float(x) for x in boxes.data[q]),
-                             score=score))
+    for b, image_id in enumerate(image_ids):
+        block = probs[b * n:(b + 1) * n]
+        flat = [(float(block[q, k]), int(k), q) for q in range(n) for k in range(c)]
+        flat.sort(key=lambda r: (-r[0], r[1], r[2]))
+        for score, k, q in flat[:MAX_DETS_PER_IMAGE]:
+            out.append(Detection(image_id=image_id, class_id=k,
+                                 box=tuple(float(x) for x in boxes.data[b * n + q]),
+                                 score=score))
     return out
 
 
@@ -268,5 +277,5 @@ def report_csv(report: APReport, modality_names) -> str:
 
 
 def save_report(report: APReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(report.to_json(), fh, sort_keys=True, indent=1)

@@ -1,10 +1,12 @@
 """Set-prediction objective: Hungarian matching plus focal / L1 / GIoU terms.
 
-Matching is computed per decoder layer on detached values; the layers'
-predictions are then stacked row-wise and one differentiable loss graph is
-assembled over the stack with tape ops, so gradients flow through logits
-and boxes only and the graph's size does not grow with the decoder depth.
-Boxes are normalized (cx, cy, w, h) unless a function says xyxy.
+Predictions arrive as one row block per image (the batched detector's
+image-major rows). Matching is computed per (decoder layer, image) on
+detached values; the layers' predictions are then stacked row-wise and one
+differentiable loss graph is assembled over all their rows with tape ops,
+so gradients flow through logits and boxes only and the graph's size grows
+with neither the decoder depth nor the batch size. Boxes are normalized
+(cx, cy, w, h) unless a function says xyxy.
 """
 
 from __future__ import annotations
@@ -154,59 +156,78 @@ def _giou_rowwise(boxes_a: ad.Tensor, boxes_b: ad.Tensor) -> ad.Tensor:
 
 
 def _focal_matrix(logits: ad.Tensor, targets: np.ndarray, alpha: float,
-                  gamma: float) -> ad.Tensor:
+                  gamma: float, weights=1.0) -> ad.Tensor:
+    """Summed focal loss of (R, C) logits against 0/1 targets; ``weights``
+    (a scalar or an (R, 1) column) scales each row's terms."""
     p = ad.clip(ad.sigmoid(logits), _P_CLAMP, 1.0 - _P_CLAMP)
     one_minus_p = ad.clip(1.0 - p, _P_CLAMP, 1.0)
-    t = ad.constant(targets)
-    not_t = ad.constant(1.0 - targets)
-    pos = ad.mul(ad.mul(ad.powf(one_minus_p, gamma), ad.neg(ad.log(p))), t) * alpha
-    neg = ad.mul(ad.mul(ad.powf(p, gamma), ad.neg(ad.log(one_minus_p))), not_t) * (1.0 - alpha)
+    pos_w = ad.constant(alpha * weights * targets)
+    neg_w = ad.constant((1.0 - alpha) * weights * (1.0 - targets))
+    pos = ad.mul(ad.mul(ad.powf(one_minus_p, gamma), ad.neg(ad.log(p))), pos_w)
+    neg = ad.mul(ad.mul(ad.powf(p, gamma), ad.neg(ad.log(one_minus_p))), neg_w)
     return ad.sum_all(pos + neg)
 
 
-def detection_loss(per_layer_preds, gt_classes, gt_boxes,
-                   weights: LossWeights, precomputed_matches=None) -> ad.Tensor:
-    """Deep-supervised set loss summed over decoder layers.
+def detection_loss(per_layer_preds, targets, weights: LossWeights,
+                   precomputed_matches=None) -> ad.Tensor:
+    """Deep-supervised set loss summed over decoder layers, mean over images.
 
-    ``per_layer_preds`` is a list of (logits Tensor [N x C], boxes Tensor
-    [N x 4]). Each layer is matched independently on detached values. The
-    layers are then stacked into one (L*N) row block, so a single focal, L1
-    and GIoU graph covers all of them. Matched queries take class target 1
-    at the ground-truth class; all other (query, class) targets are 0. The
-    total is normalized by max(G, 1).
+    ``per_layer_preds`` is a list of (logits Tensor [B*N x C], boxes Tensor
+    [B*N x 4]), image b owning rows b*N .. (b+1)*N - 1; ``targets`` is a
+    list of B (gt classes, gt boxes [G_b x 4]) pairs. Each (layer, image)
+    is matched on its own detached row block, unless
+    ``precomputed_matches[layer][image]`` gives its (query, gt) pairs. The
+    layers are then stacked into one (L*B*N) row block, so a single focal,
+    L1 and GIoU graph covers all of them. Matched queries take class target
+    1 at the ground-truth class; all other (query, class) targets are 0.
+    Image b's terms are weighted by 1 / (B * max(G_b, 1)), which makes the
+    total the mean over images of each image's loss normalized by its G.
     """
     weights.validate()
     if not per_layer_preds:
         raise ValidationError("detection_loss needs at least one prediction layer")
-    gt_classes = [int(c) for c in gt_classes]
-    g = len(gt_classes)
-    gt_arr = np.asarray(gt_boxes, dtype=np.float64).reshape(g, 4)
+    n_images = len(targets)
+    if not n_images or any(logits.shape[0] % n_images for logits, _ in per_layer_preds):
+        raise ValidationError(f"prediction rows do not split into {n_images} images")
+    gts = []
+    for classes, boxes in targets:
+        classes = [int(c) for c in classes]
+        gts.append((classes, np.asarray(boxes, dtype=np.float64).reshape(len(classes), 4)))
+    image_weight = np.array([1.0 / (n_images * max(len(c), 1)) for c, _ in gts])
 
-    rows, g_idx = [], []  # matched rows of the stack and their gt indices
+    rows, cls, gt_rows = [], [], []  # matched rows of the stack, their class and gt box
     offset = 0
     for li, (logits, boxes) in enumerate(per_layer_preds):
-        if precomputed_matches is not None:
-            matches = precomputed_matches[li]
-        elif g > 0:
-            probs = 1.0 / (1.0 + np.exp(-logits.data))
-            cost = build_cost_matrix(probs, boxes.data, gt_classes, gt_arr, weights)
-            matches = hungarian(cost)
-        else:
-            matches = []
-        rows += [offset + q for q, _ in matches]
-        g_idx += [j for _, j in matches]
+        n = logits.shape[0] // n_images
+        probs = 1.0 / (1.0 + np.exp(-logits.data))
+        for b, (classes, gt_boxes) in enumerate(gts):
+            block = slice(b * n, (b + 1) * n)
+            if precomputed_matches is not None:
+                matches = precomputed_matches[li][b]
+            elif classes:
+                cost = build_cost_matrix(probs[block], boxes.data[block], classes,
+                                         gt_boxes, weights)
+                matches = hungarian(cost)
+            else:
+                matches = []
+            rows += [offset + b * n + q for q, _ in matches]
+            cls += [classes[j] for _, j in matches]
+            gt_rows += [gt_boxes[j] for _, j in matches]
         offset += logits.shape[0]
 
     all_logits = ad.concat_rows([logits for logits, _ in per_layer_preds])
     all_boxes = ad.concat_rows([boxes for _, boxes in per_layer_preds])
-    targets = np.zeros(all_logits.shape)
-    targets[rows, [gt_classes[j] for j in g_idx]] = 1.0
-    total = ad.mul(_focal_matrix(all_logits, targets, weights.alpha, weights.gamma),
-                   weights.w_focal)
+    row_weight = np.concatenate([np.repeat(image_weight, logits.shape[0] // n_images)
+                                 for logits, _ in per_layer_preds])[:, None]
+    target = np.zeros(all_logits.shape)
+    target[rows, cls] = 1.0
+    total = _focal_matrix(all_logits, target, weights.alpha, weights.gamma,
+                          weights.w_focal * row_weight)
     if rows:
+        w = row_weight[rows]
         mb = ad.select_rows(all_boxes, rows)
-        gb = ad.constant(gt_arr[g_idx])
-        l1 = ad.sum_all(ad.abs_(ad.sub(mb, gb)))
-        giou_term = ad.sum_all(1.0 - _giou_rowwise(mb, gb))
-        total = total + ad.mul(l1, weights.w_l1) + ad.mul(giou_term, weights.w_giou)
-    return ad.mul(total, 1.0 / max(g, 1))
+        gb = ad.constant(np.array(gt_rows))
+        l1 = ad.sum_all(ad.mul(ad.abs_(ad.sub(mb, gb)), np.repeat(weights.w_l1 * w, 4, axis=1)))
+        giou_term = ad.sum_all(ad.mul(1.0 - _giou_rowwise(mb, gb), weights.w_giou * w))
+        total = total + l1 + giou_term
+    return total

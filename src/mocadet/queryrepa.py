@@ -1,11 +1,12 @@
 """Contrastive alignment of query statistics to modality tokens.
 
-Pretraining stage: each sample in a modality-balanced batch runs through
-the detector with its own token appended, the layer-l query states are
-averaged into a cluster mean, projected by a small MLP head, and pulled
-toward the sample's token against the other in-batch tokens (which the
-sampler guarantees come from other modalities). The head is used only
-during this stage and dropped before detection training.
+Pretraining stage: a modality-balanced batch runs through the detector in
+one forward, each image with its own token appended; image b's layer-l
+query states (row block b) are averaged into a cluster mean, projected by
+a small MLP head, and pulled toward the image's token against the other
+in-batch tokens (which the sampler guarantees come from other
+modalities). The head is used only during this stage and dropped before
+detection training.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import DatasetSpec, Sample, attach_token
-from .detector import Detector, Linear
+from .detector import Detector, Linear, stack_tokens
 from .errors import ContractError, ValidationError
 from .tokens import TokenProjection, TokenRegistry
 
@@ -62,14 +63,21 @@ def qra_loss(q_bar: ad.Tensor, positive: ad.Tensor, candidates,
     return ad.sub(ad.logsumexp_vec(logits), pos_logit)
 
 
+def _image_states(model: Detector, batch, tokens, layer: int) -> list:
+    """Each image's layer-``layer`` query states from one batched forward."""
+    out = model.forward(np.stack([s.image for s in batch]), stack_tokens(tokens))
+    state, n = out.state(layer), model.config.n_queries
+    return [ad.slice_rows(state, b * n, (b + 1) * n) for b in range(len(batch))]
+
+
 def batch_alignment_loss(batch, model: Detector, spec: DatasetSpec,
                          registry: TokenRegistry, projection: TokenProjection,
                          g_phi: AlignmentHead, tau: float, layer: int,
                          class_rng: np.random.Generator) -> ad.Tensor:
     """Mean contrastive loss over a distinct-modality batch.
 
-    Every sample is decoded with its own token; the candidate set for each
-    sample is all B batch tokens.
+    The batch is decoded in one forward, every image with its own token; the
+    candidate set for each image is all B batch tokens.
     """
     if layer < 2:
         raise ContractError("alignment layer must be >= 2 (queries must see the image)")
@@ -80,12 +88,10 @@ def batch_alignment_loss(batch, model: Detector, spec: DatasetSpec,
         raise ContractError(f"batch modalities not distinct: {mods}")
 
     tokens = [attach_token(s, spec, registry, projection, class_rng) for s in batch]
-
+    states = _image_states(model, batch, tokens, layer)
     total = None
-    for s, token in zip(batch, tokens):
-        out = model.forward(s.image, token)
-        q_bar = cluster_mean(out.state(layer))
-        loss = qra_loss(q_bar, token, tokens, g_phi, tau)
+    for token, state in zip(tokens, states):
+        loss = qra_loss(cluster_mean(state), token, tokens, g_phi, tau)
         total = loss if total is None else ad.add(total, loss)
     return ad.mul(total, 1.0 / len(batch))
 
@@ -114,10 +120,9 @@ def positive_rank_fraction(batches, model: Detector, spec: DatasetSpec,
     with ad.no_grad():
         for batch in batches:
             tokens = [attach_token(s, spec, registry, projection, class_rng) for s in batch]
-            for s, token in zip(batch, tokens):
-                out = model.forward(s.image, token)
-                u = g_phi(cluster_mean(out.state(layer)))
+            for b, state in enumerate(_image_states(model, batch, tokens, layer)):
+                u = g_phi(cluster_mean(state))
                 sims = [ad.cosine_sim(u, c).item() for c in tokens]
-                hits += int(np.argmax(sims) == tokens.index(token))
+                hits += int(np.argmax(sims) == b)
                 total += 1
     return hits / max(total, 1)

@@ -19,9 +19,10 @@ from .checkpoint import load_checkpoint, restore_params, save_checkpoint
 from .config import RunConfig
 from .data import (DatasetSpec, ModalityBatchSampler, attach_token,
                    generate_synthetic, modality_mean_token)
-from .detector import Detector, DetectorConfig
+from .detector import Detector, DetectorConfig, stack_tokens
 from .errors import CheckpointError, ValidationError
 from .evaluation import ap_report, detections_from_output
+from .fileio import atomic_write
 from .losses import detection_loss
 from .optim import AdamW, MultiStepSchedule
 from .queryrepa import AlignmentHead, pretrain_step
@@ -98,7 +99,7 @@ class _CsvLog:
 
 def _echo_config(config: RunConfig, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out_dir, "config.json")) as fh:
         json.dump(config.to_json(), fh, sort_keys=True, indent=1)
 
 
@@ -131,6 +132,13 @@ def run_pretrain(config: RunConfig, out_dir: str) -> dict:
     return {"checkpoint": ckpt, "losses": losses}
 
 
+def _stored_config(header: dict, ckpt_path: str) -> dict:
+    stored = header.get("config")
+    if not isinstance(stored, dict):
+        raise CheckpointError(f"{ckpt_path}: checkpoint config must be an object")
+    return stored
+
+
 def _config_sections_match(stored: dict, current: RunConfig) -> None:
     cur = current.to_json()
     for section in ("model", "dataset", "tokens"):
@@ -148,13 +156,28 @@ def load_pretrained(bundle: RunBundle, ckpt_path: str) -> None:
     header, stored = load_checkpoint(ckpt_path)
     if header.get("phase") != "pretrain":
         raise CheckpointError(f"{ckpt_path} is not a pretraining checkpoint")
-    _config_sections_match(header.get("config", {}), bundle.config)
+    _config_sections_match(_stored_config(header, ckpt_path), bundle.config)
     restore_params(bundle.model.parameters() + bundle.projection.parameters(),
                    stored, allow_extra=True)
 
 
+def _image_batches(samples, size: int):
+    """Runs of at most ``size`` consecutive samples whose images share a shape."""
+    batch = []
+    for s in samples:
+        if batch and (len(batch) == size or s.image.shape != batch[0].image.shape):
+            yield batch
+            batch = []
+        batch.append(s)
+    if batch:
+        yield batch
+
+
 def evaluate(bundle: RunBundle, samples, moca: bool):
-    """Validation metrics with inference tokens (modality means, no labels)."""
+    """Validation metrics with inference tokens (modality means, no labels).
+
+    Images run ``config.batch_size`` at a time through one forward each.
+    """
     spec = bundle.spec
     detections = []
     with ad.no_grad():
@@ -163,10 +186,10 @@ def evaluate(bundle: RunBundle, samples, moca: bool):
             for mi in range(spec.n_modalities):
                 token_cache[mi] = modality_mean_token(
                     spec, bundle.registry, bundle.projection, mi)
-        for s in samples:
-            token = token_cache.get(s.modality_id) if moca else None
-            out = bundle.model.forward(s.image, token)
-            detections.extend(detections_from_output(out, s.sample_id))
+        for batch in _image_batches(samples, bundle.config.batch_size):
+            tokens = stack_tokens([token_cache[s.modality_id] for s in batch]) if moca else None
+            out = bundle.model.forward(np.stack([s.image for s in batch]), tokens)
+            detections.extend(detections_from_output(out, [s.sample_id for s in batch]))
     class_modality = [spec.modality_of_class(c) for c in range(bundle.n_classes)]
     return ap_report(detections, samples, bundle.n_classes,
                      modality_names=spec.modality_names,
@@ -210,18 +233,15 @@ def run_train(config: RunConfig, out_dir: str, moca: bool | None = None,
             batch = [bundle.train_samples[i] for i in order[start:start + cfg.batch_size]]
             optimizer.zero_grad()
             with ad.Tape():
-                total = None
-                for s in batch:
-                    token = None
-                    if moca_flag:
-                        token = attach_token(s, bundle.spec, bundle.registry,
-                                             bundle.projection, class_rng)
-                    out = bundle.model.forward(s.image, token)
-                    loss = detection_loss(out.layers, s.class_ids,
-                                          np.array([a.box for a in s.annotations]),
-                                          cfg.loss)
-                    total = loss if total is None else ad.add(total, loss)
-                total = ad.mul(total, 1.0 / len(batch))
+                tokens = None
+                if moca_flag:
+                    tokens = stack_tokens([attach_token(s, bundle.spec, bundle.registry,
+                                                        bundle.projection, class_rng)
+                                           for s in batch])
+                out = bundle.model.forward(np.stack([s.image for s in batch]), tokens)
+                targets = [(s.class_ids, np.array([a.box for a in s.annotations]))
+                           for s in batch]
+                total = detection_loss(out.layers, targets, cfg.loss)
                 value = total.item()
                 ad.backward(total)
             optimizer.step()
@@ -256,7 +276,7 @@ def run_train(config: RunConfig, out_dir: str, moca: bool | None = None,
         "checkpoint_final": "final.ckpt",
         "checkpoint_best": "best.ckpt" if best["epoch"] >= 0 else None,
     }
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out_dir, "report.json")) as fh:
         json.dump(summary, fh, sort_keys=True, indent=1)
     summary = dict(summary)
     summary["from_pretrain"] = from_pretrain
@@ -271,7 +291,10 @@ def load_detector_for_eval(ckpt_path: str):
     header, stored = load_checkpoint(ckpt_path)
     if header.get("phase") != "detection":
         raise CheckpointError(f"{ckpt_path} is not a detection checkpoint")
-    config = RunConfig.from_json(header["config"])
+    try:
+        config = RunConfig.from_json(_stored_config(header, ckpt_path))
+    except ValidationError as e:
+        raise CheckpointError(f"{ckpt_path}: bad checkpoint config: {e}") from e
     moca_flag = any(name.startswith("token_projection.") for name in stored)
     bundle = build_run(config)
     params = bundle.model.parameters()

@@ -216,6 +216,21 @@ def _build_case(name, rng):
         b = ad.param(rng.normal(size=2))
         w = rng.normal(size=(3, 2))
         return (lambda: ad.sum_all(ad.mul(ad.linear(x, W, b), w))), [x, W, b]
+    if name.startswith("attention_segments"):
+        # three images of 2 query and 3 key rows; one extra row per image
+        extra = name.endswith("extra")
+        q = ad.param(rng.normal(size=(6, 4)))
+        k = ad.param(rng.normal(size=(9, 4)))
+        v = ad.param(rng.normal(size=(9, 4)))
+        ek = ad.param(rng.normal(size=(3, 4))) if extra else None
+        ev = ad.param(rng.normal(size=(3, 4))) if extra else None
+        s = float(rng.uniform(0.2, 2.0))
+        w = rng.normal(size=(6, 4))
+
+        def f():
+            return ad.sum_all(ad.mul(ad.attention(q, k, v, 2, s, ek, ev, segments=3), w))
+
+        return f, [q, k, v] + ([ek, ev] if extra else [])
     if name.startswith("attention"):
         n_heads = 1 if name == "attention_one_head" else 2
         extra = name != "attention"
@@ -315,7 +330,8 @@ def _build_case(name, rng):
 
 
 OP_NAMES = ["matmul", "linear", "attention", "attention_extra_row",
-            "attention_one_head", "add_row_broadcast", "sub", "mul", "div",
+            "attention_one_head", "attention_segments", "attention_segments_extra",
+            "add_row_broadcast", "sub", "mul", "div",
             "log", "powf", "relu", "sigmoid", "abs", "minimum",
             "maximum", "logsumexp_vec", "layernorm", "layernorm_affine",
             "concat_slice", "select_rows", "reshape", "mean_rows",
@@ -381,6 +397,49 @@ def test_attention_matches_per_head_oracle(n_heads, extra):
         got_dv = np.concatenate([v.grad, ev.grad]) if extra else v.grad
         for got, ref in [(out.data, want), (q.grad, dq), (got_dk, dk), (got_dv, dv)]:
             assert np.abs(got - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("extra", [False, True])
+def test_attention_segments_equal_separate_calls(extra):
+    # S row blocks in one call equal S calls, one per block, concatenated
+    for seed in range(20):
+        rng = np.random.default_rng(700 + seed)
+        s, n, m, d = int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(1, 6)), 8
+        n_heads = int(rng.choice([1, 2, 4]))
+        scale = float(rng.uniform(0.1, 2.0))
+        shapes = [(s * n, d), (s * m, d), (s * m, d)] + ([(s, d), (s, d)] if extra else [])
+        arrays = [rng.normal(size=shape) for shape in shapes]
+        w = rng.normal(size=(s * n, d))
+
+        def run(segmented):
+            ts = [ad.param(a) for a in arrays]
+            with ad.Tape():
+                if segmented:
+                    out = ad.attention(*ts[:3], n_heads, scale, *ts[3:], segments=s)
+                else:
+                    out = ad.concat_rows([
+                        ad.attention(ad.slice_rows(ts[0], i * n, (i + 1) * n),
+                                     ad.slice_rows(ts[1], i * m, (i + 1) * m),
+                                     ad.slice_rows(ts[2], i * m, (i + 1) * m), n_heads, scale,
+                                     *[ad.slice_rows(e, i, i + 1) for e in ts[3:]])
+                        for i in range(s)])
+                ad.backward(ad.sum_all(ad.mul(out, w)))
+            return [out.data] + [t.grad for t in ts]
+
+        for got, want in zip(run(True), run(False)):
+            assert np.abs(got - want).max() <= 1e-12
+
+
+def test_attention_segments_shape_errors():
+    x = ad.tensor(np.ones((6, 4)))
+    with pytest.raises(ShapeError):
+        ad.attention(x, x, x, 2, 1.0, segments=4)  # 6 rows do not split into 4
+    with pytest.raises(ShapeError):  # one extra row per segment
+        ad.attention(x, x, x, 2, 1.0, ad.tensor(np.ones((1, 4))), ad.tensor(np.ones((1, 4))),
+                     segments=2)
+    with pytest.raises(ShapeError):
+        ad.attention(x, ad.tensor(np.ones((4, 4))), ad.tensor(np.ones((4, 4))), 2, 1.0,
+                     segments=3)
 
 
 def test_fused_linear_and_layernorm_equal_composed_ops_bitwise():

@@ -1,6 +1,7 @@
 """Tests for the patch encoder, augmented decoder attention, and heads."""
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -127,6 +128,80 @@ def test_masked_token_column_bitwise_equals_disabled_20_seeds():
             assert np.array_equal(sa.data, sb.data)
 
 
+def test_masked_token_column_bitwise_equals_disabled_batch_of_3():
+    cfg = _cfg(n_encoder_layers=1)
+    rng = np.random.default_rng(5)
+    model = det.Detector(cfg, np.random.default_rng(6))
+    images = rng.uniform(0, 1, size=(3, 16, 16))
+    tokens = ad.constant(rng.normal(size=(3, cfg.d_model)))
+    with ad.no_grad():
+        masked = model.forward(images, tokens, mask_token_column=True)
+        plain = model.forward(images, None)
+    for (la, ba), (lb, bb) in zip(masked.layers, plain.layers):
+        assert np.array_equal(la.data, lb.data)
+        assert np.array_equal(ba.data, bb.data)
+    for sa, sb in zip(masked.query_states, plain.query_states):
+        assert sa.shape[0] == 3 * cfg.n_queries
+        assert np.array_equal(sa.data, sb.data)
+
+
+@pytest.mark.parametrize("n_images", [1, 2, 5])
+def test_batched_forward_equals_per_image_forwards(n_images):
+    # one forward of a stack of B images, every attention block-diagonal,
+    # against B single-image forwards; outputs and parameter gradients
+    cfg = _cfg(n_encoder_layers=1)
+    rng = np.random.default_rng(20 + n_images)
+    model = det.Detector(cfg, np.random.default_rng(21))
+    images = rng.uniform(0, 1, size=(n_images, 16, 12))
+    tokens = [ad.param(rng.normal(size=cfg.d_model)) for _ in range(n_images)]
+    w = rng.normal(size=(n_images, cfg.n_queries, cfg.n_classes + 4 + cfg.d_model))
+    params = [t for _, t in model.parameters()] + tokens
+
+    def objective(out, b, rows):
+        logits, boxes = out.layers[-1]
+        state = out.query_states[0]
+        parts = [ad.slice_rows(t, rows[0], rows[1]) for t in (logits, boxes, state)]
+        cols = np.cumsum([0, cfg.n_classes, 4, cfg.d_model])
+        return sum(ad.sum_all(ad.mul(part, w[b][:, c0:c1]))
+                   for part, c0, c1 in zip(parts, cols[:-1], cols[1:]))
+
+    def run(batched):
+        ad.zero_grad(params)
+        n = cfg.n_queries
+        with ad.Tape():
+            if batched:
+                out = model.forward(images, det.stack_tokens(tokens))
+                outs = [out]
+                loss = sum(objective(out, b, (b * n, (b + 1) * n)) for b in range(n_images))
+            else:
+                outs = [model.forward(images[b], tokens[b]) for b in range(n_images)]
+                loss = sum(objective(o, b, (0, n)) for b, o in enumerate(outs))
+            values = [np.concatenate([o.layers[k][j].data for o in outs])
+                      for k in range(cfg.n_decoder_layers) for j in (0, 1)]
+            values += [np.concatenate([o.query_states[k].data for o in outs])
+                       for k in range(cfg.n_decoder_layers)]
+            ad.backward(loss)
+        return values + [p.grad for p in params]
+
+    for got, want in zip(run(True), run(False)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def test_encode_rejects_bad_stacks():
+    model = det.Detector(_cfg(), np.random.default_rng(0))
+    with pytest.raises(ShapeError), ad.no_grad():
+        model.encode(np.zeros((0, 16, 16)))
+    with pytest.raises(ShapeError), ad.no_grad():
+        model.encode(np.zeros((2, 16, 14)))
+    with ad.no_grad():
+        memory = model.encode(np.zeros((3, 16, 16)))
+    with pytest.raises(ShapeError), ad.no_grad():
+        model.decode(memory, ad.constant(np.zeros((2, 8))), n_images=3)
+    with pytest.raises(ShapeError), ad.no_grad():
+        model.decode(memory, None, n_images=5)  # 48 memory rows
+
+
 def test_token_perturbation_changes_outputs():
     cfg = _cfg()
     model = det.Detector(cfg, np.random.default_rng(7))
@@ -162,8 +237,8 @@ def test_full_model_gradient_check_detection_loss():
 
     def f():
         out = model.forward(image, token)
-        return ls.detection_loss(out.layers, gt_classes, gt_boxes, weights,
-                                 precomputed_matches=frozen)
+        return ls.detection_loss(out.layers, [(gt_classes, gt_boxes)], weights,
+                                 precomputed_matches=[[m] for m in frozen])
 
     params = model.parameters() + [("token", token)]
     report = ad.grad_check(f, params, h=1e-5, tol=1e-4)
@@ -173,24 +248,37 @@ def test_full_model_gradient_check_detection_loss():
 def test_tape_nodes_per_sample_at_default_config():
     # one node per fused linear, attention and layernorm: a per-head graph
     # would put roughly 4x as many nodes on the decode side; the set loss
-    # stacks the 6 decoder layers into one graph instead of one per layer
+    # stacks the 6 decoder layers into one graph instead of one per layer,
+    # and a batch of B images is one forward and one loss, not B of each
     cfg = det.DetectorConfig(n_classes=10).validate()
     model = det.Detector(cfg, np.random.default_rng(0))
-    image = np.random.default_rng(1).uniform(0, 1, size=(64, 64))
-    token = ad.param(np.random.default_rng(2).normal(size=cfg.d_model))
+    rng = np.random.default_rng(1)
+    images = rng.uniform(0, 1, size=(4, 64, 64))
+    tokens = [ad.param(rng.normal(size=cfg.d_model)) for _ in range(4)]
     gt_boxes = np.array([[0.3, 0.3, 0.25, 0.25], [0.7, 0.6, 0.2, 0.3]])
-    with ad.Tape() as tape:
-        memory = model.encode(image)
-        n_encode = len(tape.nodes)
-        out = model.decode(memory, token)
-        n_decode = len(tape.nodes) - n_encode
-        n_loss = []
-        for classes, boxes in (([0, 1], gt_boxes), ([], np.zeros((0, 4)))):
+    targets = [([0, 1], gt_boxes), ([], np.zeros((0, 4))), ([3], gt_boxes[:1]),
+               ([2, 2], gt_boxes)]
+
+    def count(images, tokens, targets):
+        with ad.Tape() as tape:
+            stacked = tokens[0] if len(tokens) == 1 else det.stack_tokens(tokens)
+            n_stack = len(tape.nodes)
+            memory = model.encode(images)
+            n_encode = len(tape.nodes) - n_stack
+            out = model.decode(memory, stacked, n_images=len(tokens))
+            n_decode = len(tape.nodes) - n_encode - n_stack
             before = len(tape.nodes)
-            ls.detection_loss(out.layers, classes, boxes, ls.LossWeights())
-            n_loss.append(len(tape.nodes) - before)
-    assert (n_encode, n_decode) == (14, 170)
-    assert n_loss == [69, 22]
+            ls.detection_loss(out.layers, targets, ls.LossWeights())
+            return n_stack, n_encode, n_decode, len(tape.nodes) - before
+
+    assert count(images[0], tokens[:1], targets[:1]) == (0, 14, 170, 65)
+    assert count(images[0], tokens[:1], targets[1:2]) == (0, 14, 170, 18)
+    # B=4: the same encoder and decoder nodes, plus tiling the query
+    # embeddings and positions (2) and stacking the tokens (B reshapes and
+    # one concat) instead of reshaping the one token (1)
+    n_stack, n_encode, n_decode, n_loss = count(images, tokens, targets)
+    assert (n_stack, n_encode, n_decode, n_loss) == (5, 14, 171, 65)
+    assert n_stack + n_encode + n_decode == 14 + 170 - 1 + 2 + (4 + 1)
 
 
 def test_backward_leaves_no_reference_cycles():
@@ -204,9 +292,29 @@ def test_backward_leaves_no_reference_cycles():
         token = ad.param(np.random.default_rng(12).normal(size=cfg.d_model))
         with ad.Tape():
             out = model.forward(image, token)
-            loss = ls.detection_loss(out.layers, [0, 1], gt_boxes, ls.LossWeights())
+            loss = ls.detection_loss(out.layers, [([0, 1], gt_boxes)], ls.LossWeights())
             ad.backward(loss)
         del model, token, out, loss
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_backward_frees_the_graph_while_outputs_are_held():
+    # the caller still holds the loss and the DetectorOutput after backward,
+    # as run_train does until its next step; the intermediate attention
+    # outputs are referenced by the graph only and must be freed
+    cfg = _cfg()
+    model = det.Detector(cfg, np.random.default_rng(10))
+    image = np.random.default_rng(11).uniform(0, 1, size=(16, 16))
+    token = ad.param(np.random.default_rng(12).normal(size=cfg.d_model))
+    gt_boxes = np.array([[0.3, 0.3, 0.25, 0.25], [0.7, 0.6, 0.2, 0.3]])
+    with ad.Tape() as tape:
+        out = model.forward(image, token)
+        loss = ls.detection_loss(out.layers, [([0, 1], gt_boxes)], ls.LossWeights())
+        refs = [weakref.ref(node.data) for node in tape.nodes
+                if node._pullback.__qualname__.startswith("attention.")]
+        ad.backward(loss)
+    assert len(refs) == 2 * cfg.n_decoder_layers
+    assert all(ref() is None for ref in refs)
+    assert loss.item() > 0.0 and len(out.layers) == cfg.n_decoder_layers

@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from mocadet import autodiff as ad
 from mocadet import boxes as bx
 from mocadet import evaluation as ev
 from mocadet.data import Annotation, Sample
+from mocadet.detector import DetectorOutput
 from mocadet.errors import ShapeError, ValidationError
 
 
@@ -375,3 +377,22 @@ def test_report_csv_shape():
     lines = csv.strip().split("\n")
     assert lines[0].split(",") == ["total_ap", "total_ap50", "m0_ap", "m0_ap50"]
     assert len(lines[1].split(",")) == 4
+
+
+def test_detections_from_output_splits_image_row_blocks():
+    # a 3-image output gives each image the detections of its own row block
+    rng = np.random.default_rng(4)
+    n, c = 4, 3
+    logits = rng.normal(size=(3 * n, c))
+    boxes = rng.uniform(0.2, 0.8, size=(3 * n, 4))
+
+    def output(rows, n_images):
+        return DetectorOutput(layers=[(ad.tensor(logits[rows]), ad.tensor(boxes[rows]))],
+                              n_images=n_images)
+
+    got = ev.detections_from_output(output(slice(None), 3), ["a", "b", "c"])
+    want = [d for i, image_id in enumerate("abc")
+            for d in ev.detections_from_output(output(slice(i * n, (i + 1) * n), 1), [image_id])]
+    assert got == want and len(got) == 3 * n * c
+    with pytest.raises(ValidationError):
+        ev.detections_from_output(output(slice(None), 3), ["a", "b"])

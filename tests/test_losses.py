@@ -242,7 +242,7 @@ def test_detection_loss_perfect_predictions_near_zero():
     boxes = np.array([[0.5, 0.5, 0.25, 0.25], [0.1, 0.1, 0.05, 0.05]])
     with ad.no_grad():
         loss = ls.detection_loss([(ad.tensor(logits), ad.tensor(boxes))],
-                                 gt_classes, gt_boxes, ls.LossWeights())
+                                 [(gt_classes, gt_boxes)], ls.LossWeights())
     assert loss.item() < 1e-6
 
     # two targets of different classes, two decoder layers with the queries
@@ -255,7 +255,7 @@ def test_detection_loss_perfect_predictions_near_zero():
     layers = [(ad.tensor(logits), ad.tensor(boxes)),
               (ad.tensor(logits[order]), ad.tensor(boxes[order]))]
     with ad.no_grad():
-        loss = ls.detection_loss(layers, gt_classes, gt_boxes, ls.LossWeights())
+        loss = ls.detection_loss(layers, [(gt_classes, gt_boxes)], ls.LossWeights())
     assert loss.item() < 1e-6
 
 
@@ -264,7 +264,7 @@ def test_detection_loss_empty_image_is_negative_focal_only():
     boxes = np.full((2, 4), 0.5)
     with ad.no_grad():
         loss = ls.detection_loss([(ad.tensor(logits), ad.tensor(boxes))],
-                                 [], np.zeros((0, 4)), ls.LossWeights())
+                                 [([], np.zeros((0, 4)))], ls.LossWeights())
     # oracle: sum over entries of (1-alpha) * p^gamma * (-log(1-p))
     p = 1.0 / (1.0 + np.exp(-logits))
     expected = 2.0 * np.sum(0.75 * p ** 2 * (-np.log(1.0 - p)))
@@ -278,7 +278,7 @@ def test_detection_loss_single_pair_hand_composed():
     gt_boxes = np.array([[0.45, 0.5, 0.35, 0.3]])
     with ad.no_grad():
         loss = ls.detection_loss([(ad.tensor(logits), ad.tensor(boxes))],
-                                 [0], gt_boxes, w)
+                                 [([0], gt_boxes)], w)
 
     # independent composition with local formulas
     p = 1.0 / (1.0 + np.exp(-logits[0]))
@@ -311,7 +311,7 @@ def test_detection_loss_nonnegative_random():
                                     rng.uniform(0.1, 0.3, size=(g, 2))]) if g else np.zeros((0, 4))
         with ad.no_grad():
             loss = ls.detection_loss([(ad.tensor(logits), ad.tensor(boxes))],
-                                     gt_classes, gt_boxes, ls.LossWeights())
+                                     [(gt_classes, gt_boxes)], ls.LossWeights())
         assert loss.item() >= 0.0
 
 
@@ -331,8 +331,8 @@ def test_detection_loss_gradient_check():
     frozen = [ls.hungarian(cost)]
 
     def f():
-        return ls.detection_loss([(logits, ad.sigmoid(braw))], gt_classes, gt_boxes,
-                                 w, precomputed_matches=frozen)
+        return ls.detection_loss([(logits, ad.sigmoid(braw))], [(gt_classes, gt_boxes)],
+                                 w, precomputed_matches=[[m] for m in frozen])
 
     report = ad.grad_check(f, [("logits", logits), ("boxes_raw", braw)], h=1e-5, tol=1e-4)
     assert report.passed, report.per_param
@@ -353,9 +353,9 @@ def test_detection_loss_stacked_layers_equal_sum_of_single_layers():
             ad.zero_grad([t for layer in layers for t in layer])
             with ad.Tape():
                 if stacked:
-                    loss = ls.detection_loss(layers, gt_classes, gt_boxes, w)
+                    loss = ls.detection_loss(layers, [(gt_classes, gt_boxes)], w)
                 else:
-                    loss = sum(ls.detection_loss([layer], gt_classes, gt_boxes, w)
+                    loss = sum(ls.detection_loss([layer], [(gt_classes, gt_boxes)], w)
                                for layer in layers)
                 value = loss.item()
                 ad.backward(loss)
@@ -366,3 +366,45 @@ def test_detection_loss_stacked_layers_equal_sum_of_single_layers():
         assert len(g1) == len(g2) == (6 if g else 3)
         for a, b in zip(g1, g2):
             assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
+
+
+def test_batched_detection_loss_equals_mean_of_single_image_losses():
+    # B images as row blocks of every layer, one of them without ground truth
+    rng = np.random.default_rng(23)
+    w = ls.LossWeights()
+    n, c, n_layers = 4, 3, 3
+    for g_counts in ([2, 0, 1, 3], [0], [1, 1], [0, 0, 2]):
+        b = len(g_counts)
+        layers = [(ad.param(rng.normal(size=(b * n, c))),
+                   ad.param(rng.uniform(0.2, 0.8, size=(b * n, 4)))) for _ in range(n_layers)]
+        targets = [(rng.integers(0, c, size=g).tolist(),
+                    np.column_stack([rng.uniform(0.3, 0.7, size=(g, 2)),
+                                     rng.uniform(0.1, 0.3, size=(g, 2))])) for g in g_counts]
+        params = [t for layer in layers for t in layer]
+        results = []
+        for batched in (True, False):
+            ad.zero_grad(params)
+            with ad.Tape():
+                if batched:
+                    loss = ls.detection_loss(layers, targets, w)
+                else:
+                    singles = [ls.detection_loss(
+                        [(ad.slice_rows(lg, i * n, (i + 1) * n),
+                          ad.slice_rows(bx, i * n, (i + 1) * n)) for lg, bx in layers],
+                        [target], w) for i, target in enumerate(targets)]
+                    loss = ad.mul(sum(singles[1:], singles[0]), 1.0 / b)
+                value = loss.item()
+                ad.backward(loss)
+            results.append((value, [t.grad for t in params]))
+        (v1, g1), (v2, g2) = results
+        assert [a is None for a in g1] == [a is None for a in g2]
+        g1, g2 = [a for a in g1 if a is not None], [a for a in g2 if a is not None]
+        assert v1 == pytest.approx(v2, rel=1e-12)
+        for a, b_ in zip(g1, g2):
+            assert np.allclose(a, b_, rtol=1e-12, atol=1e-15)
+
+
+def test_detection_loss_rejects_rows_that_do_not_split_into_images():
+    layer = (ad.tensor(np.zeros((5, 2))), ad.tensor(np.full((5, 4), 0.5)))
+    with pytest.raises(ValidationError), ad.no_grad():
+        ls.detection_loss([layer], [([], np.zeros((0, 4)))] * 2, ls.LossWeights())

@@ -1,6 +1,7 @@
 """Tests for AdamW, the lr schedule, run config, and checkpoint IO."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mocadet.cli import main
 from mocadet.config import RunConfig
 from mocadet.data import make_default_spec
 from mocadet.errors import CheckpointError, ContractError, ValidationError
+from mocadet.fileio import atomic_write
 from mocadet.optim import AdamW, MultiStepSchedule
 
 
@@ -111,6 +113,15 @@ def test_config_field_level_messages():
     doc = {"dataset": make_default_spec().to_json(), "tokens": {"source": "magic"}}
     with pytest.raises(ValidationError, match="tokens.source"):
         RunConfig.from_json(doc)
+
+
+def test_config_rejects_non_object_documents_and_bad_values():
+    spec = make_default_spec().to_json()
+    for doc in ([1, 2], "text", {"dataset": spec, "model": 3},
+                {"dataset": spec, "batch_size": "four"}, {"dataset": spec, "seed": [0]},
+                {"dataset": spec, "optim": {"lr": "fast"}}):
+        with pytest.raises(ValidationError):
+            RunConfig.from_json(doc)
 
 
 # -- checkpoint ---------------------------------------------------------------
@@ -218,3 +229,35 @@ def test_checkpoint_malformed_files_raise_checkpoint_error(tmp_path):
                                     blob=b"\x00" * 4))
     _, stored = load_checkpoint(bad)  # the hand-built format itself is accepted
     assert np.array_equal(stored["w"], [0.0])
+
+
+def test_atomic_write_that_raises_leaves_the_old_file(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("old", encoding="utf-8")
+    with pytest.raises(RuntimeError):
+        with atomic_write(path) as fh:
+            fh.write("partial new conte")
+            raise RuntimeError("interrupted")
+    assert path.read_text(encoding="utf-8") == "old"
+    assert sorted(os.listdir(tmp_path)) == ["report.json"]
+    with atomic_write(path, "wb") as fh:
+        fh.write(b"new")
+    assert path.read_bytes() == b"new"
+    assert sorted(os.listdir(tmp_path)) == ["report.json"]
+
+
+def test_save_checkpoint_that_fails_leaves_the_old_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "final.ckpt"
+    named = _params(np.random.default_rng(5))
+    save_checkpoint(path, named, {"seed": 1}, phase="detection", step=1)
+    before = path.read_bytes()
+
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    named[0][1].data[0, 0] += 1.0
+    with pytest.raises(OSError):
+        save_checkpoint(path, named, {"seed": 1}, phase="detection", step=2)
+    assert path.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["final.ckpt"]

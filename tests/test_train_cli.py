@@ -110,6 +110,54 @@ def test_eval_checkpoint_round_trip(tmp_path):
     assert report.ap is not None
 
 
+def test_checkpoint_with_bad_config_raises_checkpoint_error(tmp_path):
+    # well-formed files that load_checkpoint accepts, with a config entry
+    # that is missing, not an object, or not a valid run config
+    path = tmp_path / "bad.ckpt"
+
+    def write(header):
+        raw = json.dumps({"format": "mocadet-checkpoint-v1", "params": [],
+                          **header}).encode()
+        path.write_bytes(b"MDCKPT1\n" + len(raw).to_bytes(8, "little") + raw)
+
+    for config in ({}, {"config": {"model": 3}}, {"config": [1, 2]},
+                   {"config": "text"}, {"config": {"batch_size": "four"}}):
+        write({"phase": "detection", **config})
+        with pytest.raises(CheckpointError):
+            load_detector_for_eval(str(path))
+        assert main(["eval", "--ckpt", str(path), "--data", str(tmp_path)]) == 1
+    bundle = build_run(RunConfig.from_json(_tiny_doc()))
+    for config in ({}, {"config": [1, 2]}, {"config": "text"}):
+        write({"phase": "pretrain", **config})
+        with pytest.raises(CheckpointError):
+            load_pretrained(bundle, str(path))
+
+
+def test_evaluate_in_batches_equals_one_image_at_a_time(tmp_path, monkeypatch):
+    from mocadet import train
+    seen = []
+    monkeypatch.setattr(train, "ap_report", lambda detections, *a, **k: seen.append(detections))
+    bundle = build_run(RunConfig.from_json(_tiny_doc()))
+    for batch_size in (4, 1):  # 6 val images: batches of 4 and 2, then six of 1
+        bundle.config.batch_size = batch_size
+        evaluate(bundle, bundle.val_samples, moca=True)
+    batched, single = seen
+    assert len(batched) == len(single) > 0
+    for a, b in zip(batched, single):
+        assert (a.image_id, a.class_id) == (b.image_id, b.class_id)
+        assert np.allclose(a.box + (a.score,), b.box + (b.score,), rtol=0, atol=1e-12)
+
+
+def test_image_batches_split_at_size_and_shape_changes():
+    from types import SimpleNamespace
+
+    from mocadet.train import _image_batches
+    shapes = [(16, 16)] * 3 + [(8, 8)] + [(16, 16)] * 5
+    samples = [SimpleNamespace(image=np.zeros(shape), i=i) for i, shape in enumerate(shapes)]
+    runs = [[s.i for s in batch] for batch in _image_batches(samples, 2)]
+    assert runs == [[0, 1], [2], [3], [4, 5], [6, 7], [8]]
+
+
 # -- CLI ----------------------------------------------------------------------
 
 
