@@ -8,7 +8,7 @@ Ops, one tape node each: the fused ``linear``, ``attention`` (multi-head,
 optional extra key/value rows) and ``layernorm`` (optionally affine);
 elementwise ``add sub mul div neg log powf relu sigmoid abs_ clip minimum
 maximum``; ``matmul concat_rows slice_rows slice_cols select_rows reshape``;
-reductions ``mean_rows sum_all logsumexp_vec cosine_sim``.
+reductions ``mean_rows sum_all logsumexp_rows cosine_matrix``.
 
 Conventions:
   * all data is float64, row-major;
@@ -192,11 +192,14 @@ def _make_node(data: np.ndarray, parents: tuple, pullback) -> Tensor:
 
 
 def _accum(parent: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` to ``parent.grad`` in place, so a leaf whose gradient is a
+    view of an optimizer's flat gradient fills that vector; the first write
+    to an empty gradient copies."""
     if parent.requires_grad:
         if parent.grad is None:
             parent.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g)
         else:
-            parent.grad = parent.grad + g
+            parent.grad += g
 
 
 def zero_grad(params) -> None:
@@ -472,19 +475,19 @@ def maximum(a, b) -> Tensor:
     return _make_node(np.maximum(a.data, b.data), (a, b), pullback)
 
 
-def logsumexp_vec(a: Tensor) -> Tensor:
-    """log(sum(exp(a))) of a vector, stabilized."""
+def logsumexp_rows(a: Tensor) -> Tensor:
+    """log(sum(exp(row))) of each row of a matrix, stabilized -> vector."""
     a = _as_tensor(a)
-    if a.ndim != 1 or a.shape[0] == 0:
-        raise ShapeError(f"logsumexp_vec needs a non-empty vector, got {a.shape}")
-    m = a.data.max()
+    if a.ndim != 2 or a.shape[1] == 0:
+        raise ShapeError(f"logsumexp_rows needs a matrix with >= 1 column, got {a.shape}")
+    m = a.data.max(axis=1, keepdims=True)
     e = np.exp(a.data - m)
-    s = e.sum()
-    out_data = np.asarray(m + np.log(s))
+    s = e.sum(axis=1, keepdims=True)
+    out_data = (m + np.log(s))[:, 0]
     soft = e / s
 
     def pullback(g):
-        _accum(a, g * soft)
+        _accum(a, g[:, None] * soft)
 
     return _make_node(out_data, (a,), pullback)
 
@@ -588,17 +591,26 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make_node(a.data.reshape(shape).copy(), (a,), pullback)
 
 
-def mean_rows(a: Tensor) -> Tensor:
-    """Arithmetic mean of the rows of a matrix -> vector of length n_cols."""
+def mean_rows(a: Tensor, segments: int | None = None) -> Tensor:
+    """Arithmetic mean of the rows of a matrix -> vector of length n_cols.
+
+    With ``segments`` S, the rows are S equal blocks (as in ``attention``)
+    and the result is the (S, n_cols) matrix of the block means.
+    """
     a = _as_tensor(a)
-    if a.ndim != 2 or a.shape[0] == 0:
-        raise ContractError(f"mean_rows needs a matrix with >= 1 row, got {a.shape}")
-    m = a.shape[0]
+    s = 1 if segments is None else int(segments)
+    if a.ndim != 2 or a.shape[0] == 0 or s < 1 or a.shape[0] % s:
+        raise ContractError(f"mean_rows needs a matrix of {s} equal non-empty row "
+                            f"blocks, got {a.shape}")
+    m = a.shape[0] // s
+    blocks = a.data.reshape(s, m, a.shape[1])
 
     def pullback(g):
-        _accum(a, np.tile(g / m, (m, 1)))
+        g = g.reshape(s, 1, a.shape[1])
+        _accum(a, np.broadcast_to(g / m, blocks.shape).reshape(a.shape))
 
-    return _make_node(a.data.mean(axis=0), (a,), pullback)
+    out_data = blocks.mean(axis=1)
+    return _make_node(out_data[0] if segments is None else out_data, (a,), pullback)
 
 
 def sum_all(a) -> Tensor:
@@ -610,22 +622,26 @@ def sum_all(a) -> Tensor:
     return _make_node(np.asarray(a.data.sum()), (a,), pullback)
 
 
-def cosine_sim(u: Tensor, v: Tensor) -> Tensor:
-    """Cosine similarity of two vectors (scalar output)."""
-    u, v = _as_tensor(u), _as_tensor(v)
-    if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
-        raise ShapeError(f"cosine_sim needs equal-length vectors, got {u.shape}, {v.shape}")
-    nu = float(np.sqrt((u.data ** 2).sum()))
-    nv = float(np.sqrt((v.data ** 2).sum()))
-    if nu == 0.0 or nv == 0.0:
-        raise ValidationError("cosine_sim of zero vector is undefined")
-    c = float(u.data @ v.data) / (nu * nv)
+def cosine_matrix(a: Tensor, b: Tensor) -> Tensor:
+    """Cosine similarity of every row of ``a`` (R, d) with every row of
+    ``b`` (K, d) -> (R, K)."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ShapeError(f"cosine_matrix needs (R, d) and (K, d) rows, got {a.shape}, {b.shape}")
+    na = np.sqrt((a.data ** 2).sum(axis=1))
+    nb = np.sqrt((b.data ** 2).sum(axis=1))
+    if not (na.all() and nb.all()):
+        raise ValidationError("cosine similarity of a zero vector is undefined")
+    norms = na[:, None] * nb[None, :]
+    c = (a.data @ b.data.T) / norms
 
     def pullback(g):
-        _accum(u, g * (v.data / (nu * nv) - c * u.data / (nu * nu)))
-        _accum(v, g * (u.data / (nu * nv) - c * v.data / (nv * nv)))
+        gn = g / norms
+        gc = g * c
+        _accum(a, gn @ b.data - (gc.sum(axis=1) / (na * na))[:, None] * a.data)
+        _accum(b, gn.T @ a.data - (gc.sum(axis=0) / (nb * nb))[:, None] * b.data)
 
-    return _make_node(np.asarray(c), (u, v), pullback)
+    return _make_node(c, (a, b), pullback)
 
 
 # ---------------------------------------------------------------------------

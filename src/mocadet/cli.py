@@ -18,6 +18,7 @@ from .config import RunConfig
 from .data import DatasetSpec, export_coco, export_dataset, generate_synthetic, load_dataset
 from .errors import MocadetError, ValidationError
 from .evaluation import report_csv, save_report
+from .fileio import atomic_write
 from .tokens import (MEDICAL_PROMPT_CATALOG, build_registry, load_registry,
                      save_registry, silhouette_score)
 from .train import evaluate, load_detector_for_eval, run_pretrain, run_train
@@ -123,7 +124,7 @@ def _cmd_tokens(args) -> int:
     score = silhouette_score(vectors, labels)
     print(f"modality silhouette: {score:.6f} over {len(vectors)} tokens")
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
+        with atomic_write(args.json_out) as fh:
             json.dump({"silhouette": score, "n_tokens": len(vectors),
                        "modalities": reg.modality_list}, fh, sort_keys=True)
     return 0
@@ -160,7 +161,7 @@ def _cmd_eval(args) -> int:
     if args.out:
         save_report(report, args.out)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
+        with atomic_write(args.csv) as fh:
             fh.write(report_csv(report, bundle.spec.modality_names))
     return 0
 
@@ -175,7 +176,7 @@ def _cmd_mi_lab(args) -> int:
     Ks = tuple(int(k) for k in args.K.split(","))
     report = ml.verify_bound(joints, Ks=Ks, n_samples=args.samples, seed=args.seed)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
+        with atomic_write(args.report) as fh:
             json.dump(ml.report_to_json(report), fh, sort_keys=True, indent=1)
     status = "PASS" if report["passed"] else "FAIL"
     print(f"mi-lab {status}: {len(report['cells'])} cells "

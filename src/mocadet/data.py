@@ -29,6 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError, IngestError, TokenLookupError, ValidationError
+from .fileio import atomic_write
 from .tokens import TokenProjection, TokenRegistry, project_token
 
 _RAWF32_MAGIC = b"RAWF32\x00"
@@ -318,7 +319,7 @@ def write_rawf32(path, image: np.ndarray) -> None:
     if img32.ndim != 2:
         raise ValidationError("rawf32 stores a single 2-d image")
     h, w = img32.shape
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(_RAWF32_MAGIC)
         fh.write(np.array([h, w], dtype="<u4").tobytes())
         fh.write(img32.astype("<f4").tobytes())
@@ -389,7 +390,7 @@ def export_dataset(samples, spec: DatasetSpec, out_dir, split: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     blob_name = f"{split}_images.bin"
     records = []
-    with open(os.path.join(out_dir, blob_name), "wb") as fh:
+    with atomic_write(os.path.join(out_dir, blob_name), "wb") as fh:
         offset = 0
         for s in samples:
             img32 = s.image.astype("<f4")
@@ -413,7 +414,7 @@ def export_dataset(samples, spec: DatasetSpec, out_dir, split: str) -> str:
         "samples": records,
     }
     path = os.path.join(out_dir, f"{split}_manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(manifest, fh, sort_keys=True)
     return path
 
@@ -472,7 +473,7 @@ def export_coco(samples, spec: DatasetSpec, out_dir, split: str) -> str:
         "categories": [{"id": i + 1, "name": c} for i, c in enumerate(spec.global_classes)],
     }
     path = os.path.join(out_dir, f"{split}_coco.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh, sort_keys=True)
     return path
 

@@ -2,7 +2,8 @@
 
 Predictions arrive as one row block per image (the batched detector's
 image-major rows). Matching is computed per (decoder layer, image) on
-detached values; the layers' predictions are then stacked row-wise and one
+detached values, from one cost matrix that covers every layer and image;
+the layers' predictions are then stacked row-wise and one
 differentiable loss graph is assembled over all their rows with tape ops,
 so gradients flow through logits and boxes only and the graph's size grows
 with neither the decoder depth nor the batch size. Boxes are normalized
@@ -168,6 +169,35 @@ def _focal_matrix(logits: ad.Tensor, targets: np.ndarray, alpha: float,
     return ad.sum_all(pos + neg)
 
 
+def _match_blocks(per_layer_preds, gts, sizes, weights: LossWeights) -> list:
+    """Hungarian matches of every (layer, image), indexed [layer][image].
+
+    One cost matrix covers the row blocks of every layer and every image
+    with ground truth, against all of those images' boxes. Each entry
+    depends on one query row and one box alone, so block (layer, image) of
+    it is that pair's own cost matrix, entry for entry; each block is then
+    matched on its own. Images without ground truth match nothing.
+    """
+    matches = [[[] for _ in gts] for _ in sizes]
+    with_gt = [b for b, (classes, _) in enumerate(gts) if classes]
+    if not with_gt:
+        return matches
+    blocks = [(li, b, slice(b * n, (b + 1) * n)) for li, n in enumerate(sizes) for b in with_gt]
+    logits = np.concatenate([per_layer_preds[li][0].data[r] for li, _, r in blocks])
+    boxes = np.concatenate([per_layer_preds[li][1].data[r] for li, _, r in blocks])
+    cost = build_cost_matrix(1.0 / (1.0 + np.exp(-logits)), boxes,
+                             [c for b in with_gt for c in gts[b][0]],
+                             np.concatenate([gts[b][1] for b in with_gt]), weights)
+    bounds = np.cumsum([0] + [len(gts[b][0]) for b in with_gt])
+    cols = {b: slice(lo, hi) for b, lo, hi in zip(with_gt, bounds[:-1], bounds[1:])}
+    start = 0
+    for li, b, r in blocks:
+        n = r.stop - r.start
+        matches[li][b] = hungarian(cost[start:start + n, cols[b]])
+        start += n
+    return matches
+
+
 def detection_loss(per_layer_preds, targets, weights: LossWeights,
                    precomputed_matches=None) -> ad.Tensor:
     """Deep-supervised set loss summed over decoder layers, mean over images.
@@ -175,9 +205,10 @@ def detection_loss(per_layer_preds, targets, weights: LossWeights,
     ``per_layer_preds`` is a list of (logits Tensor [B*N x C], boxes Tensor
     [B*N x 4]), image b owning rows b*N .. (b+1)*N - 1; ``targets`` is a
     list of B (gt classes, gt boxes [G_b x 4]) pairs. Each (layer, image)
-    is matched on its own detached row block, unless
-    ``precomputed_matches[layer][image]`` gives its (query, gt) pairs. The
-    layers are then stacked into one (L*B*N) row block, so a single focal,
+    is matched on its own detached row block (``_match_blocks`` builds one
+    cost matrix for the whole call), unless ``precomputed_matches`` gives
+    the (query, gt) pairs of every [layer][image]. The layers are then
+    stacked into one (L*B*N) row block, so a single focal,
     L1 and GIoU graph covers all of them. Matched queries take class target
     1 at the ground-truth class; all other (query, class) targets are 0.
     Image b's terms are weighted by 1 / (B * max(G_b, 1)), which makes the
@@ -195,30 +226,21 @@ def detection_loss(per_layer_preds, targets, weights: LossWeights,
         gts.append((classes, np.asarray(boxes, dtype=np.float64).reshape(len(classes), 4)))
     image_weight = np.array([1.0 / (n_images * max(len(c), 1)) for c, _ in gts])
 
+    sizes = [logits.shape[0] // n_images for logits, _ in per_layer_preds]
+    matches = (_match_blocks(per_layer_preds, gts, sizes, weights)
+               if precomputed_matches is None else precomputed_matches)
     rows, cls, gt_rows = [], [], []  # matched rows of the stack, their class and gt box
     offset = 0
-    for li, (logits, boxes) in enumerate(per_layer_preds):
-        n = logits.shape[0] // n_images
-        probs = 1.0 / (1.0 + np.exp(-logits.data))
+    for li, n in enumerate(sizes):
         for b, (classes, gt_boxes) in enumerate(gts):
-            block = slice(b * n, (b + 1) * n)
-            if precomputed_matches is not None:
-                matches = precomputed_matches[li][b]
-            elif classes:
-                cost = build_cost_matrix(probs[block], boxes.data[block], classes,
-                                         gt_boxes, weights)
-                matches = hungarian(cost)
-            else:
-                matches = []
-            rows += [offset + b * n + q for q, _ in matches]
-            cls += [classes[j] for _, j in matches]
-            gt_rows += [gt_boxes[j] for _, j in matches]
-        offset += logits.shape[0]
+            rows += [offset + b * n + q for q, _ in matches[li][b]]
+            cls += [classes[j] for _, j in matches[li][b]]
+            gt_rows += [gt_boxes[j] for _, j in matches[li][b]]
+        offset += n * n_images
 
     all_logits = ad.concat_rows([logits for logits, _ in per_layer_preds])
     all_boxes = ad.concat_rows([boxes for _, boxes in per_layer_preds])
-    row_weight = np.concatenate([np.repeat(image_weight, logits.shape[0] // n_images)
-                                 for logits, _ in per_layer_preds])[:, None]
+    row_weight = np.concatenate([np.repeat(image_weight, n) for n in sizes])[:, None]
     target = np.zeros(all_logits.shape)
     target[rows, cls] = 1.0
     total = _focal_matrix(all_logits, target, weights.alpha, weights.gamma,

@@ -5,8 +5,11 @@ one forward, each image with its own token appended; image b's layer-l
 query states (row block b) are averaged into a cluster mean, projected by
 a small MLP head, and pulled toward the image's token against the other
 in-batch tokens (which the sampler guarantees come from other
-modalities). The head is used only during this stage and dropped before
-detection training.
+modalities). The B means are one (B, d) row block: one mean node, one
+pass of the head and one (B, B) cosine matrix against the batch's token
+rows, whose row-wise logsumexp minus its diagonal is the loss, so the
+loss graph has the same size for every B. The head is used only during
+this stage and dropped before detection training.
 """
 
 from __future__ import annotations
@@ -21,53 +24,50 @@ from .tokens import TokenProjection, TokenRegistry
 
 
 class AlignmentHead:
-    """2-layer MLP (d -> d -> d, ReLU) mapping query means into token space."""
+    """2-layer MLP (d -> d -> d, ReLU) mapping query-mean rows into token space."""
 
     def __init__(self, d_model: int, rng: np.random.Generator):
         self.lin1 = Linear(d_model, d_model, rng)
         self.lin2 = Linear(d_model, d_model, rng)
-        self.d_model = d_model
 
-    def __call__(self, vec: ad.Tensor) -> ad.Tensor:
-        x = ad.reshape(vec, (1, self.d_model))
-        return ad.reshape(self.lin2(ad.relu(self.lin1(x))), (self.d_model,))
+    def __call__(self, rows: ad.Tensor) -> ad.Tensor:
+        return self.lin2(ad.relu(self.lin1(rows)))
 
     def parameters(self) -> list:
         return self.lin1.parameters("gphi.lin1") + self.lin2.parameters("gphi.lin2")
 
 
-def cluster_mean(query_state: ad.Tensor) -> ad.Tensor:
-    """Arithmetic mean of the N query rows (the per-image query statistic)."""
-    return ad.mean_rows(query_state)
+def cluster_mean(query_state: ad.Tensor, n_images: int) -> ad.Tensor:
+    """The (B, d) per-image query statistics: row b is the arithmetic mean
+    of image b's N query rows (row block b of the B * N rows)."""
+    return ad.mean_rows(query_state, n_images)
 
 
-def qra_loss(q_bar: ad.Tensor, positive: ad.Tensor, candidates,
-             g_phi: AlignmentHead, tau: float = 0.07) -> ad.Tensor:
-    """-log softmax over cosine similarities / tau at the positive's slot.
+def qra_loss(q_means: ad.Tensor, tokens: ad.Tensor, g_phi: AlignmentHead,
+             tau: float = 0.07) -> ad.Tensor:
+    """Mean over rows r of -log softmax_k(cos(g_phi(q_r), t_k) / tau) at k = r.
 
-    ``candidates`` are the batch tokens; ``positive`` must be one of them
-    (matched by object identity).
+    ``q_means`` is (R, d) and ``tokens`` (K, d) with R <= K: row r's
+    positive is token r, and every other token is one of its negatives. One
+    (R, K) cosine matrix holds every similarity, so the graph's size does
+    not grow with R or K.
     """
     if tau <= 0:
         raise ValidationError(f"temperature must be positive, got {tau}")
-    pos_index = next((i for i, c in enumerate(candidates) if c is positive), None)
-    if pos_index is None:
-        raise ContractError("positive token is not among the candidates")
-    u = g_phi(q_bar)
-    sims = ad.reshape(
-        ad.concat_rows([ad.reshape(ad.cosine_sim(u, c), (1, 1)) for c in candidates]),
-        (len(candidates),))
-    logits = ad.mul(sims, 1.0 / tau)
-    pos_logit = ad.reshape(ad.slice_rows(ad.reshape(logits, (len(candidates), 1)),
-                                         pos_index, pos_index + 1), ())
-    return ad.sub(ad.logsumexp_vec(logits), pos_logit)
+    if q_means.ndim != 2 or tokens.ndim != 2 or not 1 <= q_means.shape[0] <= tokens.shape[0]:
+        raise ContractError(f"each of the query means {q_means.shape} needs its own "
+                            f"token among {tokens.shape}")
+    r, k = q_means.shape[0], tokens.shape[0]
+    logits = ad.mul(ad.cosine_matrix(g_phi(q_means), tokens), 1.0 / tau)
+    positives = ad.sum_all(ad.mul(logits, np.eye(r, k)))
+    return ad.mul(ad.sum_all(ad.logsumexp_rows(logits)) - positives, 1.0 / r)
 
 
-def _image_states(model: Detector, batch, tokens, layer: int) -> list:
-    """Each image's layer-``layer`` query states from one batched forward."""
-    out = model.forward(np.stack([s.image for s in batch]), stack_tokens(tokens))
-    state, n = out.state(layer), model.config.n_queries
-    return [ad.slice_rows(state, b * n, (b + 1) * n) for b in range(len(batch))]
+def _query_means(model: Detector, batch, tokens: ad.Tensor, layer: int) -> ad.Tensor:
+    """The (B, d) means of each image's layer-``layer`` query states, from
+    one batched forward with ``tokens`` as the images' token rows."""
+    out = model.forward(np.stack([s.image for s in batch]), tokens)
+    return cluster_mean(out.state(layer), len(batch))
 
 
 def batch_alignment_loss(batch, model: Detector, spec: DatasetSpec,
@@ -77,7 +77,8 @@ def batch_alignment_loss(batch, model: Detector, spec: DatasetSpec,
     """Mean contrastive loss over a distinct-modality batch.
 
     The batch is decoded in one forward, every image with its own token; the
-    candidate set for each image is all B batch tokens.
+    candidate set for each image is all B batch tokens, the same (B, d) rows
+    the forward takes.
     """
     if layer < 2:
         raise ContractError("alignment layer must be >= 2 (queries must see the image)")
@@ -87,13 +88,9 @@ def batch_alignment_loss(batch, model: Detector, spec: DatasetSpec,
     if len(set(mods)) != len(mods):
         raise ContractError(f"batch modalities not distinct: {mods}")
 
-    tokens = [attach_token(s, spec, registry, projection, class_rng) for s in batch]
-    states = _image_states(model, batch, tokens, layer)
-    total = None
-    for token, state in zip(tokens, states):
-        loss = qra_loss(cluster_mean(state), token, tokens, g_phi, tau)
-        total = loss if total is None else ad.add(total, loss)
-    return ad.mul(total, 1.0 / len(batch))
+    tokens = stack_tokens([attach_token(s, spec, registry, projection, class_rng)
+                           for s in batch])
+    return qra_loss(_query_means(model, batch, tokens, layer), tokens, g_phi, tau)
 
 
 def pretrain_step(batch, model: Detector, spec: DatasetSpec,
@@ -119,10 +116,10 @@ def positive_rank_fraction(batches, model: Detector, spec: DatasetSpec,
     hits = total = 0
     with ad.no_grad():
         for batch in batches:
-            tokens = [attach_token(s, spec, registry, projection, class_rng) for s in batch]
-            for b, state in enumerate(_image_states(model, batch, tokens, layer)):
-                u = g_phi(cluster_mean(state))
-                sims = [ad.cosine_sim(u, c).item() for c in tokens]
-                hits += int(np.argmax(sims) == b)
-                total += 1
+            tokens = stack_tokens([attach_token(s, spec, registry, projection, class_rng)
+                                   for s in batch])
+            u = g_phi(_query_means(model, batch, tokens, layer))
+            best = ad.cosine_matrix(u, tokens).data.argmax(axis=1)
+            hits += int((best == np.arange(len(batch))).sum())
+            total += len(batch)
     return hits / max(total, 1)

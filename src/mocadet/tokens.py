@@ -24,6 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import (DuplicateKeyError, RegistryFormatError, ShapeError,
                      TokenLookupError, ValidationError)
+from .fileio import atomic_write
 
 # Demo catalog: 27 (modality, class) pairs spanning five imaging domains.
 MEDICAL_PROMPT_CATALOG: list[tuple[str, str]] = [
@@ -184,7 +185,7 @@ def save_registry(reg: TokenRegistry, path) -> None:
         "tokens": {f"{d}|{c}": [float(x) for x in emb.vector]
                    for (d, c), emb in reg.entries.items()},
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh)
 
 

@@ -73,15 +73,49 @@ def test_softmax_empty_rows_rejected():
         ad.attention(x, x, x, 4, 1.0)
 
 
-def test_cosine_sim_self_and_antipodal():
+def test_cosine_matrix_self_and_antipodal():
     rng = np.random.default_rng(3)
     for _ in range(10):
-        v = ad.tensor(rng.normal(size=6))
-        assert ad.cosine_sim(v, v).item() == pytest.approx(1.0, abs=1e-12)
+        v = ad.tensor(rng.normal(size=(1, 6)))
         w = ad.tensor(-v.data)
-        assert ad.cosine_sim(v, w).item() == pytest.approx(-1.0, abs=1e-12)
+        c = ad.cosine_matrix(v, ad.concat_rows([v, w])).data
+        assert c.shape == (1, 2)
+        assert c[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert c[0, 1] == pytest.approx(-1.0, abs=1e-12)
     with pytest.raises(ValidationError):
-        ad.cosine_sim(ad.tensor(np.zeros(4)), ad.tensor(np.ones(4)))
+        ad.cosine_matrix(ad.tensor(np.ones((2, 4))), ad.tensor(np.zeros((1, 4))))
+    with pytest.raises(ShapeError):
+        ad.cosine_matrix(ad.tensor(np.ones((2, 4))), ad.tensor(np.ones((2, 3))))
+
+
+def test_cosine_matrix_and_logsumexp_rows_match_pairwise_formulas():
+    """Every entry against the scalar formula u.v / (|u| |v|), and every row's
+    logsumexp against log(sum(exp(row)))."""
+    rng = np.random.default_rng(4)
+    for r, k in [(1, 1), (3, 5), (5, 5)]:
+        a, b = rng.normal(size=(r, 7)), rng.normal(size=(k, 7))
+        with ad.no_grad():
+            c = ad.cosine_matrix(ad.tensor(a), ad.tensor(b)).data
+            lse = ad.logsumexp_rows(ad.tensor(c * 3.0)).data
+        want = np.array([[float(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
+                          for v in b] for u in a])
+        assert np.allclose(c, want, rtol=0, atol=1e-14)
+        assert np.allclose(lse, np.log(np.exp(c * 3.0).sum(axis=1)), rtol=0, atol=1e-13)
+    with pytest.raises(ShapeError):
+        ad.logsumexp_rows(ad.tensor(np.ones((2, 0))))
+
+
+def test_mean_rows_segments_are_block_means():
+    a = np.random.default_rng(5).normal(size=(6, 3))
+    with ad.no_grad():
+        assert np.array_equal(ad.mean_rows(ad.tensor(a)).data, a.mean(axis=0))
+        got = ad.mean_rows(ad.tensor(a), 3).data
+        one = ad.mean_rows(ad.tensor(a), 1).data
+    assert got.shape == (3, 3) and one.shape == (1, 3)
+    assert np.allclose(got, [a[0:2].sum(axis=0) / 2, a[2:4].sum(axis=0) / 2,
+                             a[4:6].sum(axis=0) / 2], rtol=0, atol=1e-15)
+    with pytest.raises(ContractError):
+        ad.mean_rows(ad.tensor(a), 4)
 
 
 def test_layernorm_constant_row_is_zero():
@@ -284,9 +318,10 @@ def _build_case(name, rng):
         a = ad.param(rng.normal(size=shp))
         b = ad.param(a.data + _away_from_zero(rng, shp, low=0.3))
         return (lambda: ad.sum_all(ad.mul(ad.maximum(a, b), w34))), [a, b]
-    if name == "logsumexp_vec":
-        a = ad.param(rng.normal(size=6))
-        return (lambda: ad.logsumexp_vec(a)), [a]
+    if name == "logsumexp_rows":
+        a = ad.param(rng.normal(size=(3, 6)))
+        w = rng.normal(size=3)
+        return (lambda: ad.sum_all(ad.mul(ad.logsumexp_rows(a), w))), [a]
     if name == "layernorm":
         a = ad.param(rng.normal(size=shp))
         return (lambda: ad.sum_all(ad.mul(ad.layernorm(a), w34))), [a]
@@ -319,10 +354,15 @@ def _build_case(name, rng):
         a = ad.param(rng.normal(size=(4, 5)))
         w = rng.normal(size=5)
         return (lambda: ad.sum_all(ad.mul(ad.mean_rows(a), w))), [a]
-    if name == "cosine_sim":
-        u = ad.param(_away_from_zero(rng, 5, low=0.4))
-        v = ad.param(_away_from_zero(rng, 5, low=0.4))
-        return (lambda: ad.cosine_sim(u, v)), [u, v]
+    if name == "mean_rows_segments":
+        a = ad.param(rng.normal(size=(6, 5)))
+        w = rng.normal(size=(3, 5))
+        return (lambda: ad.sum_all(ad.mul(ad.mean_rows(a, 3), w))), [a]
+    if name == "cosine_matrix":
+        u = ad.param(_away_from_zero(rng, (3, 5), low=0.4))
+        v = ad.param(_away_from_zero(rng, (4, 5), low=0.4))
+        w = rng.normal(size=(3, 4))
+        return (lambda: ad.sum_all(ad.mul(ad.cosine_matrix(u, v), w))), [u, v]
     if name == "clip":
         a = ad.param(_away_from_zero(rng, shp, low=0.3, high=0.9))
         return (lambda: ad.sum_all(ad.mul(ad.clip(a, -0.95, 0.95), w34))), [a]
@@ -333,9 +373,9 @@ OP_NAMES = ["matmul", "linear", "attention", "attention_extra_row",
             "attention_one_head", "attention_segments", "attention_segments_extra",
             "add_row_broadcast", "sub", "mul", "div",
             "log", "powf", "relu", "sigmoid", "abs", "minimum",
-            "maximum", "logsumexp_vec", "layernorm", "layernorm_affine",
+            "maximum", "logsumexp_rows", "layernorm", "layernorm_affine",
             "concat_slice", "select_rows", "reshape", "mean_rows",
-            "cosine_sim", "clip"]
+            "mean_rows_segments", "cosine_matrix", "clip"]
 
 
 @pytest.mark.parametrize("name", OP_NAMES)

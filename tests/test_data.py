@@ -1,5 +1,6 @@
 """Tests for synthetic generation, dataset/COCO round trips, and the sampler."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -100,6 +101,46 @@ def test_dataset_export_load_round_trip(tmp_path):
         assert s.annotations == t.annotations
         assert s.modality_id == t.modality_id
     assert spec2.modality_names == spec.modality_names
+
+
+def test_exports_that_raise_midway_leave_the_old_files(tmp_path, monkeypatch):
+    """Each export writes through a temporary file: one that raises midway
+    leaves every old file whole and no temporary file behind."""
+    spec = _tiny_spec(noise=0.04)
+    samples = dt.generate_synthetic(spec, "val")
+    reg = tk.build_registry(spec.token_pairs(), d_text=4, seed64=1)
+
+    def exports(batch):
+        return [lambda: dt.export_dataset(batch, spec, tmp_path, "val"),
+                lambda: dt.export_coco(batch, spec, tmp_path, "val"),
+                lambda: tk.save_registry(reg, tmp_path / "registry.json")]
+
+    def snapshot():
+        return {p.relative_to(tmp_path).as_posix(): p.read_bytes()
+                for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+
+    for export in exports(samples):
+        export()
+    before = snapshot()
+
+    class _FailingImage:  # the image blob fails after the earlier images were written
+        def astype(self, dtype):
+            raise OSError("disk full")
+
+    broken = samples[:-1] + [dataclasses.replace(samples[-1], image=_FailingImage())]
+    with pytest.raises(OSError):
+        exports(broken)[0]()
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write('{"partial": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    for export in exports(samples):
+        with pytest.raises(OSError):
+            export()
+    monkeypatch.undo()
+    assert snapshot() == before
 
 
 def test_rawf32_and_pgm_readers(tmp_path):

@@ -404,6 +404,46 @@ def test_batched_detection_loss_equals_mean_of_single_image_losses():
             assert np.allclose(a, b_, rtol=1e-12, atol=1e-15)
 
 
+def test_one_cost_matrix_gives_the_matches_of_per_block_cost_matrices(monkeypatch):
+    """Matching from one cost matrix per call equals matching each (layer,
+    image) on its own cost matrix: value and every gradient bitwise. The
+    layers have 5, 3 and 4 rows per image."""
+    rng = np.random.default_rng(41)
+    w = ls.LossWeights()
+    c, sizes = 4, (5, 3, 4)
+    real = ls.build_cost_matrix
+    for g_counts in ([0, 1, 3], [3, 1, 1, 2], [1], [0, 0]):
+        b = len(g_counts)
+        layers = [(ad.param(rng.normal(size=(b * n, c))),
+                   ad.param(rng.uniform(0.2, 0.8, size=(b * n, 4)))) for n in sizes]
+        targets = [(rng.integers(0, c, size=g).tolist(),
+                    np.column_stack([rng.uniform(0.3, 0.7, size=(g, 2)),
+                                     rng.uniform(0.1, 0.3, size=(g, 2))])) for g in g_counts]
+        per_block = []
+        for (logits, boxes), n in zip(layers, sizes):
+            probs = 1.0 / (1.0 + np.exp(-logits.data))
+            per_block.append([
+                ls.hungarian(real(probs[i * n:(i + 1) * n], boxes.data[i * n:(i + 1) * n],
+                                  classes, gt, w)) if classes else []
+                for i, (classes, gt) in enumerate(targets)])
+        params = [t for layer in layers for t in layer]
+        calls = []
+        monkeypatch.setattr(ls, "build_cost_matrix", lambda *a: calls.append(a) or real(*a))
+        results = []
+        for matches in (None, per_block):
+            ad.zero_grad(params)
+            with ad.Tape():
+                loss = ls.detection_loss(layers, targets, w, precomputed_matches=matches)
+                value = loss.item()
+                ad.backward(loss)
+            results.append((value, [t.grad for t in params]))
+        monkeypatch.undo()
+        assert len(calls) == (1 if any(g_counts) else 0)
+        (v1, g1), (v2, g2) = results
+        assert v1 == v2
+        assert all(np.array_equal(a, b_) for a, b_ in zip(g1, g2))
+
+
 def test_detection_loss_rejects_rows_that_do_not_split_into_images():
     layer = (ad.tensor(np.zeros((5, 2))), ad.tensor(np.full((5, 4), 0.5)))
     with pytest.raises(ValidationError), ad.no_grad():

@@ -13,7 +13,7 @@ from mocadet.config import RunConfig
 from mocadet.data import make_default_spec
 from mocadet.errors import CheckpointError, ContractError, ValidationError
 from mocadet.fileio import atomic_write
-from mocadet.optim import AdamW, MultiStepSchedule
+from mocadet.optim import CHUNK, AdamW, MultiStepSchedule
 
 
 def test_adamw_zero_grad_zero_decay_noop():
@@ -56,7 +56,78 @@ def test_adamw_rejects_nan_gradient():
     with pytest.raises(ContractError):
         opt.step()
     assert a.data == 1.0 and b.data == 2.0 and opt.t == 0
-    assert all(np.array_equal(s, np.zeros(())) for s in opt._m + opt._v)
+    assert not opt.m.any() and not opt.v.any()
+
+
+class _PerTensorAdamW:
+    """The per-tensor AdamW loop the flat store replaced, kept as the oracle."""
+
+    def __init__(self, params, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
+        self.params, self.lr, self.weight_decay, self.eps = params, lr, weight_decay, eps
+        self.b1, self.b2 = betas
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
+
+    def step(self):
+        self.t += 1
+        bc1 = 1.0 - self.b1 ** self.t
+        bc2 = 1.0 - self.b2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = np.zeros_like(p.data) if p.grad is None else p.grad.reshape(p.data.shape)
+            m *= self.b1
+            m += (1.0 - self.b1) * g
+            v *= self.b2
+            v += (1.0 - self.b2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            if self.weight_decay:
+                p.data -= self.lr * self.weight_decay * p.data
+            p.data -= self.lr * update
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+def test_flat_adamw_matches_per_tensor_loop_bitwise(weight_decay):
+    """Five steps over more than two chunks with a ragged last one; parameter
+    2 never gets a gradient and parameter 3's gradient is assigned."""
+    rng = np.random.default_rng(7)
+    shapes = [(200, 200), (150, 100), (7,), (), (3, 5), (12345,)]
+    size = sum(int(np.prod(s)) for s in shapes)
+    assert size > 2 * CHUNK and size % CHUNK
+    init = [rng.normal(size=s) for s in shapes]
+    weights = [rng.normal(size=s) for s in shapes]
+    flat = [ad.param(x.copy()) for x in init]
+    ref = [ad.param(x.copy()) for x in init]
+    opt = AdamW([(f"p{i}", p) for i, p in enumerate(flat)], lr=1e-2,
+                weight_decay=weight_decay)
+    oracle = _PerTensorAdamW(ref, lr=1e-2, weight_decay=weight_decay)
+    assert all(np.shares_memory(p.data, opt.data) for p in flat)
+    for _ in range(5):
+        opt.zero_grad()
+        views = [p.grad for p in flat]
+        assert all(g.base is opt.grad and not g.any() for g in views)
+        ad.zero_grad(ref)
+        assigned = rng.normal(size=shapes[3])
+        for params in (flat, ref):
+            with ad.Tape():
+                terms = [ad.sum_all(ad.mul(ad.mul(p, p), w))
+                         for i, (p, w) in enumerate(zip(params, weights)) if i not in (2, 3)]
+                ad.backward(sum(terms[1:], terms[0]))
+            params[3].grad = assigned.copy()
+        assert all(p.grad is g for i, (p, g) in enumerate(zip(flat, views)) if i != 3)
+        opt.step()
+        oracle.step()
+        for i, (p, q) in enumerate(zip(flat, ref)):
+            assert p.data.tobytes() == q.data.tobytes(), i
+            lo = sum(int(np.prod(s)) for s in shapes[:i])
+            assert opt.m[lo:lo + p.data.size].tobytes() == oracle.m[i].tobytes()
+            assert opt.v[lo:lo + p.data.size].tobytes() == oracle.v[i].tobytes()
+    assert all(np.shares_memory(p.data, opt.data) for p in flat)
+
+
+def test_adamw_rejects_a_parameter_listed_twice():
+    p = ad.param(np.ones(3))
+    with pytest.raises(ContractError):
+        AdamW([("a", p), ("b", p)], lr=0.1)
 
 
 def test_multistep_schedule():

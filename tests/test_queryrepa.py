@@ -23,14 +23,19 @@ def _identity_head(d):
     return head
 
 
+def _rows(*vectors):
+    """The (R, d) tensor whose rows are the given (d,) tensors."""
+    return ad.tensor(np.stack([v.data for v in vectors]))
+
+
 def test_cluster_mean_cases():
     q = np.array([[1.0, 2.0, 3.0]])
     with ad.no_grad():
-        assert np.array_equal(qr.cluster_mean(ad.tensor(np.tile(q, (4, 1)))).data, q[0])
+        assert np.array_equal(qr.cluster_mean(ad.tensor(np.tile(q, (4, 1))), 1).data, q)
         assert np.array_equal(
-            qr.cluster_mean(ad.tensor(np.vstack([q, -q]))).data, np.zeros(3))
+            qr.cluster_mean(ad.tensor(np.vstack([q, -q])), 1).data, np.zeros((1, 3)))
         rnd = np.random.default_rng(1).normal(size=(4, 3))
-        got = qr.cluster_mean(ad.tensor(rnd)).data
+        got = qr.cluster_mean(ad.tensor(rnd), 1).data
     assert np.allclose(got, rnd.sum(axis=0) / 4.0, atol=1e-15)  # independent mean
 
 
@@ -40,7 +45,7 @@ def test_qra_loss_all_equal_similarities():
     q_bar = ad.tensor([1.0, 0.0, 0.0, 0.0])
     cands = [ad.tensor([1.0, 0.0, 0.0, 0.0]) for _ in range(4)]  # K = 3
     with ad.no_grad():
-        loss = qr.qra_loss(q_bar, cands[0], cands, head, tau=0.07)
+        loss = qr.qra_loss(_rows(q_bar), _rows(*cands), head, tau=0.07)
     assert loss.item() == pytest.approx(math.log(4.0), abs=1e-12)
 
 
@@ -53,7 +58,7 @@ def test_qra_loss_two_candidate_formula():
     neg = ad.tensor([0.2, math.sqrt(1 - 0.04), 0.0])
     tau = 0.07
     with ad.no_grad():
-        loss = qr.qra_loss(q_bar, pos, [pos, neg], head, tau=tau)
+        loss = qr.qra_loss(_rows(q_bar), _rows(pos, neg), head, tau=tau)
     expected = -math.log(math.exp(0.8 / tau)
                          / (math.exp(0.8 / tau) + math.exp(0.2 / tau)))
     assert loss.item() == pytest.approx(expected, rel=1e-10)
@@ -65,7 +70,7 @@ def test_qra_loss_single_candidate_is_zero():
     q_bar = ad.tensor([0.5, 0.5, 0.0])
     pos = ad.tensor([1.0, 0.0, 0.0])
     with ad.no_grad():
-        loss = qr.qra_loss(q_bar, pos, [pos], head, tau=0.07)
+        loss = qr.qra_loss(_rows(q_bar), _rows(pos), head, tau=0.07)
     assert loss.item() == 0.0
 
 
@@ -75,10 +80,10 @@ def test_qra_loss_contracts():
     pos = ad.tensor([1.0, 0.0, 0.0])
     other = ad.tensor([0.0, 1.0, 0.0])
     with pytest.raises(ValidationError):
-        qr.qra_loss(q_bar, pos, [pos, other], head, tau=0.0)
-    with pytest.raises(ContractError):
+        qr.qra_loss(_rows(q_bar), _rows(pos, other), head, tau=0.0)
+    with pytest.raises(ContractError):  # the second mean has no token of its own
         with ad.no_grad():
-            qr.qra_loss(q_bar, pos, [other], head, tau=0.07)
+            qr.qra_loss(_rows(q_bar, q_bar), _rows(other), head, tau=0.07)
 
 
 def test_qra_loss_matches_independent_reimplementation():
@@ -93,7 +98,9 @@ def test_qra_loss_matches_independent_reimplementation():
         pos_idx = int(rng.integers(0, b))
         tau = float(rng.uniform(0.03, 1.0))
         with ad.no_grad():
-            got = qr.qra_loss(q_bar, cands[pos_idx], cands, head, tau=tau).item()
+            others = cands[:pos_idx] + cands[pos_idx + 1:]
+            got = qr.qra_loss(_rows(q_bar), _rows(cands[pos_idx], *others), head,
+                              tau=tau).item()
 
         h = np.maximum(q_bar.data @ head.lin1.W.data + head.lin1.b.data, 0.0)
         u = h @ head.lin2.W.data + head.lin2.b.data
@@ -115,11 +122,37 @@ def test_qra_loss_crude_lower_bound():
         cands = [ad.tensor(rng.normal(size=d)) for _ in range(b)]
         tau = float(rng.uniform(0.05, 0.5))
         with ad.no_grad():
-            u = head(q_bar)
-            sims = np.array([ad.cosine_sim(u, c).item() for c in cands])
-            loss = qr.qra_loss(q_bar, cands[0], cands, head, tau=tau).item()
+            sims = ad.cosine_matrix(head(_rows(q_bar)), _rows(*cands)).data[0]
+            loss = qr.qra_loss(_rows(q_bar), _rows(*cands), head, tau=tau).item()
         assert loss >= 0.0
         assert loss >= math.log(b) - (sims.max() - sims.min()) / tau - 1e-12
+
+
+def test_qra_loss_of_a_batch_is_the_mean_of_its_rows_losses():
+    """R means at once equal the mean of R one-row calls, each with its own
+    token moved to the front: value and every gradient within 1e-12."""
+    rng = np.random.default_rng(21)
+    d = 6
+    for r, k in [(1, 1), (3, 3), (5, 5), (2, 4)]:
+        head = qr.AlignmentHead(d, rng)
+        means = ad.param(rng.normal(size=(r, d)))
+        tokens = ad.param(rng.normal(size=(k, d)))
+        with ad.Tape():
+            batch = qr.qra_loss(means, tokens, head, tau=0.1)
+            ad.backward(batch)
+        grads = [means.grad.copy(), tokens.grad.copy()]
+        means.grad = tokens.grad = None
+        total = 0.0
+        for i in range(r):
+            with ad.Tape():
+                row = ad.slice_rows(means, i, i + 1)
+                order = [i] + [j for j in range(k) if j != i]
+                loss = qr.qra_loss(row, ad.select_rows(tokens, order), head, tau=0.1)
+                ad.backward(ad.mul(loss, 1.0 / r))
+            total += loss.item() / r
+        assert abs(batch.item() - total) < 1e-12
+        assert np.allclose(grads[0], means.grad, rtol=0, atol=1e-12)
+        assert np.allclose(grads[1], tokens.grad, rtol=0, atol=1e-12)
 
 
 def _tiny_setup(seed=0):
@@ -218,3 +251,20 @@ def test_pretraining_improves_positive_rank():
     assert before < 0.5
     assert last < first
     assert after >= 0.85, f"rank-1 fraction only reached {after}"
+
+
+def test_alignment_loss_node_count_does_not_depend_on_batch_size():
+    """The loss on top of the batched forward is one mean node, the head's
+    three nodes and eight for the cosine matrix and the InfoNCE terms, at
+    every B (per-image losses built 2B² + 16B nodes: 130 at B = 5)."""
+    spec, samples, cfg, model, registry, proj, gphi = _tiny_setup()
+    for b in (1, 2, 3, 5):
+        batch = dt.ModalityBatchSampler(samples, 5, b, seed=0).next_batch()
+        with ad.Tape() as tape:
+            tokens = det.stack_tokens([dt.attach_token(s, spec, registry, proj,
+                                                       np.random.default_rng(0))
+                                       for s in batch])
+            out = model.forward(np.stack([s.image for s in batch]), tokens)
+            before = len(tape.nodes)
+            qr.qra_loss(qr.cluster_mean(out.state(2), b), tokens, gphi, 0.07)
+            assert len(tape.nodes) - before == 12
