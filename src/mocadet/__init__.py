@@ -3,7 +3,7 @@
 Subpackages/modules:
   autodiff    -- float64 tensors with reverse-mode AD
   tokens      -- modality-token construction, registry, silhouette analysis
-  data        -- synthetic multimodality data, COCO ingestion, batch sampler
+  data        -- synthetic multimodality data, dataset export, batch sampler
   boxes       -- box format conversion and pairwise IoU / GIoU
   detector    -- patch encoder + decoder with modality-context attention
   losses      -- Hungarian matching and the focal/L1/GIoU set objective

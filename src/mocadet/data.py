@@ -1,4 +1,4 @@
-"""Synthetic multimodality detection data, COCO ingestion, and batch sampling.
+"""Synthetic multimodality detection data, dataset export, and batch sampling.
 
 The synthetic generator draws simple shapes (circle/square/triangle/ring/
 blob) on modality-specific backgrounds. Class vocabularies are disjoint
@@ -10,16 +10,18 @@ are quantized to float32 values at generation time so the raw-blob export
 is lossless.
 
 On-disk formats:
-  * dataset dir: ``manifest.json`` + ``images.bin`` (little-endian f32,
-    one H*W block per sample, offsets in the manifest);
-  * standalone image files: ``.rawf32`` (magic ``RAWF32\\0`` + uint32 H, W
-    little-endian + H*W f32) or 8-bit binary/ASCII PGM;
-  * COCO-style JSON (images / annotations with absolute-pixel
-    ``bbox=[x,y,w,h]`` / categories).
+  * dataset dir: ``<split>_manifest.json`` + ``<split>_images.<hash>.bin``
+    (little-endian f32, one H*W block per sample, offsets in the manifest;
+    the blob is named after the first 16 hex digits of its sha256, so a
+    manifest only ever names the blob it was written with);
+  * COCO-style export: JSON (images / annotations with absolute-pixel
+    ``bbox=[x,y,w,h]`` / categories) plus one ``.rawf32`` file per image
+    (magic ``RAWF32\\0`` + uint32 H, W little-endian + H*W f32).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -310,99 +312,57 @@ def generate_synthetic(spec: DatasetSpec, split: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# image file IO
-# ---------------------------------------------------------------------------
-
-
-def write_rawf32(path, image: np.ndarray) -> None:
-    img32 = np.asarray(image, dtype=np.float32)
-    if img32.ndim != 2:
-        raise ValidationError("rawf32 stores a single 2-d image")
-    h, w = img32.shape
-    with atomic_write(path, "wb") as fh:
-        fh.write(_RAWF32_MAGIC)
-        fh.write(np.array([h, w], dtype="<u4").tobytes())
-        fh.write(img32.astype("<f4").tobytes())
-
-
-def read_rawf32(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_RAWF32_MAGIC))
-        if magic != _RAWF32_MAGIC:
-            raise IngestError(f"{path}: not a rawf32 file")
-        h, w = np.frombuffer(fh.read(8), dtype="<u4")
-        data = np.frombuffer(fh.read(int(h) * int(w) * 4), dtype="<f4")
-        if data.size != int(h) * int(w):
-            raise IngestError(f"{path}: truncated rawf32 payload")
-    return data.reshape(int(h), int(w)).astype(np.float64)
-
-
-def read_pgm(path) -> np.ndarray:
-    """Minimal 8-bit PGM (P2/P5) reader; values scaled to [0, 1]."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-
-    tokens = []
-    i = 0
-    while len(tokens) < 4:
-        while i < len(blob) and blob[i:i + 1].isspace():
-            i += 1
-        if i < len(blob) and blob[i:i + 1] == b"#":
-            while i < len(blob) and blob[i] != 0x0A:
-                i += 1
-            continue
-        start = i
-        while i < len(blob) and not blob[i:i + 1].isspace():
-            i += 1
-        if start == i:
-            raise IngestError(f"{path}: truncated PGM header")
-        tokens.append(blob[start:i])
-    magic, w, h, maxval = tokens[0], int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if magic not in (b"P2", b"P5") or maxval <= 0 or maxval > 255:
-        raise IngestError(f"{path}: unsupported PGM variant")
-    if magic == b"P5":
-        data = np.frombuffer(blob[i + 1:i + 1 + w * h], dtype=np.uint8)
-        if data.size != w * h:
-            raise IngestError(f"{path}: truncated PGM payload")
-    else:
-        vals = blob[i:].split()
-        if len(vals) < w * h:
-            raise IngestError(f"{path}: truncated PGM payload")
-        data = np.array([int(v) for v in vals[:w * h]], dtype=np.uint8)
-    return data.reshape(h, w).astype(np.float64) / float(maxval)
-
-
-def load_image(path) -> np.ndarray:
-    path = str(path)
-    if path.endswith(".rawf32"):
-        return read_rawf32(path)
-    if path.endswith(".pgm"):
-        return read_pgm(path)
-    raise IngestError(f"unsupported image format: {path}")
-
-
-# ---------------------------------------------------------------------------
 # dataset export / load (manifest + raw blob)
 # ---------------------------------------------------------------------------
 
 
+def _manifest_blob(path, split: str):
+    """The blob name the manifest at ``path`` records, or None when there is
+    no readable manifest or the name is not one of this split's blobs."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            name = json.load(fh).get("blob")
+    except (OSError, ValueError, AttributeError):
+        return None
+    if (isinstance(name, str) and name == os.path.basename(name)
+            and name.startswith(f"{split}_images") and name.endswith(".bin")):
+        return name
+    return None
+
+
+def _remove_blob(out_dir, name, keep) -> None:
+    if name is not None and name != keep:
+        try:
+            os.remove(os.path.join(out_dir, name))
+        except FileNotFoundError:
+            pass
+
+
 def export_dataset(samples, spec: DatasetSpec, out_dir, split: str) -> str:
+    """Writes the split's image blob, then its manifest.
+
+    Replacing the manifest is the one commit point: until it happens the old
+    manifest still names the old blob, and after it the old blob is removed.
+    A failed export therefore leaves the old dataset as it was.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    blob_name = f"{split}_images.bin"
-    records = []
+    records, images = [], []
+    offset = 0
+    for s in samples:
+        img32 = s.image.astype("<f4")
+        images.append(img32.tobytes())
+        records.append({
+            "id": s.sample_id,
+            "modality_id": s.modality_id,
+            "offset": offset,
+            "classes": [a.class_id for a in s.annotations],
+            "boxes": [list(a.box) for a in s.annotations],
+        })
+        offset += img32.size * 4
+    payload = b"".join(images)
+    blob_name = f"{split}_images.{hashlib.sha256(payload).hexdigest()[:16]}.bin"
     with atomic_write(os.path.join(out_dir, blob_name), "wb") as fh:
-        offset = 0
-        for s in samples:
-            img32 = s.image.astype("<f4")
-            fh.write(img32.tobytes())
-            records.append({
-                "id": s.sample_id,
-                "modality_id": s.modality_id,
-                "offset": offset,
-                "classes": [a.class_id for a in s.annotations],
-                "boxes": [list(a.box) for a in s.annotations],
-            })
-            offset += img32.size * 4
+        fh.write(payload)
     manifest = {
         "format": "mocadet-dataset-v1",
         "split": split,
@@ -414,8 +374,14 @@ def export_dataset(samples, spec: DatasetSpec, out_dir, split: str) -> str:
         "samples": records,
     }
     path = os.path.join(out_dir, f"{split}_manifest.json")
-    with atomic_write(path) as fh:
-        json.dump(manifest, fh, sort_keys=True)
+    old_blob = _manifest_blob(path, split)
+    try:
+        with atomic_write(path) as fh:
+            json.dump(manifest, fh, sort_keys=True)
+    except BaseException:
+        _remove_blob(out_dir, blob_name, keep=old_blob)
+        raise
+    _remove_blob(out_dir, old_blob, keep=blob_name)
     return path
 
 
@@ -430,10 +396,17 @@ def load_dataset(out_dir, split: str):
     if manifest.get("format") != "mocadet-dataset-v1":
         raise IngestError(f"{path}: unknown manifest format")
     size = int(manifest["image_size"])
-    blob = np.fromfile(os.path.join(out_dir, manifest["blob"]), dtype="<f4")
+    blob_path = os.path.join(out_dir, manifest["blob"])
+    try:
+        blob = np.fromfile(blob_path, dtype="<f4")
+    except OSError as e:
+        raise IngestError(f"cannot read image blob {blob_path}: {e}") from e
     samples = []
     for rec in manifest["samples"]:
         start = rec["offset"] // 4
+        if start < 0 or start + size * size > blob.size:
+            raise IngestError(f"{blob_path}: image {rec['id']!r} lies outside the "
+                              f"{blob.size * 4}-byte blob")
         img = blob[start:start + size * size].astype(np.float64).reshape(size, size)
         anns = [Annotation(box=tuple(b), class_id=int(c)).validate()
                 for b, c in zip(rec["boxes"], rec["classes"])]
@@ -445,6 +418,17 @@ def load_dataset(out_dir, split: str):
 # ---------------------------------------------------------------------------
 # COCO-style JSON
 # ---------------------------------------------------------------------------
+
+
+def write_rawf32(path, image: np.ndarray) -> None:
+    img32 = np.asarray(image, dtype=np.float32)
+    if img32.ndim != 2:
+        raise ValidationError("rawf32 stores a single 2-d image")
+    h, w = img32.shape
+    with atomic_write(path, "wb") as fh:
+        fh.write(_RAWF32_MAGIC)
+        fh.write(np.array([h, w], dtype="<u4").tobytes())
+        fh.write(img32.astype("<f4").tobytes())
 
 
 def export_coco(samples, spec: DatasetSpec, out_dir, split: str) -> str:
@@ -476,86 +460,6 @@ def export_coco(samples, spec: DatasetSpec, out_dir, split: str) -> str:
     with atomic_write(path) as fh:
         json.dump(doc, fh, sort_keys=True)
     return path
-
-
-def ingest_coco(annotation_json_path, image_dir, modality_name: str, *,
-                modality_id: int = 0, class_to_id=None, fail_fast: bool = True):
-    """Load a COCO-style annotation file.
-
-    ``class_to_id`` maps category names to global class ids; without it,
-    categories are numbered by their order in the file. Returns
-    (samples, error_records); with ``fail_fast`` the first record error
-    raises IngestError instead. Structural defects (duplicate image ids,
-    unparseable JSON) always raise.
-    """
-    try:
-        with open(annotation_json_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise IngestError(f"cannot read COCO json: {e}") from e
-    for key in ("images", "annotations", "categories"):
-        if key not in doc:
-            raise IngestError(f"COCO json missing {key!r}")
-
-    cat_name = {int(c["id"]): c["name"] for c in doc["categories"]}
-    if class_to_id is None:
-        class_to_id = {c["name"]: i for i, c in enumerate(doc["categories"])}
-
-    seen_ids = set()
-    images = {}
-    for im in doc["images"]:
-        iid = int(im["id"])
-        if iid in seen_ids:
-            raise IngestError(f"duplicate image id {iid}")
-        seen_ids.add(iid)
-        images[iid] = im
-
-    by_image = {iid: [] for iid in images}
-    for ann in doc["annotations"]:
-        iid = int(ann["image_id"])
-        if iid not in by_image:
-            raise IngestError(f"annotation {ann.get('id')} references unknown image {iid}")
-        by_image[iid].append(ann)
-
-    samples, errors = [], []
-
-    def record_error(msg):
-        if fail_fast:
-            raise IngestError(msg)
-        errors.append(msg)
-
-    for iid in sorted(images):
-        im = images[iid]
-        w_img, h_img = float(im["width"]), float(im["height"])
-        path = os.path.join(image_dir, im["file_name"])
-        if not os.path.exists(path):
-            record_error(f"missing image file {path}")
-            continue
-        img = load_image(path)
-        anns = []
-        ok = True
-        for ann in by_image[iid]:
-            x, y, w, h = (float(v) for v in ann["bbox"])
-            if (x < -1.0 or y < -1.0 or x + w > w_img + 1.0 or y + h > h_img + 1.0
-                    or w <= 0 or h <= 0):
-                record_error(f"image {iid}: bbox {ann['bbox']} outside bounds")
-                ok = False
-                continue
-            x, y = max(x, 0.0), max(y, 0.0)
-            w, h = min(w, w_img - x), min(h, h_img - y)
-            name = cat_name.get(int(ann["category_id"]))
-            if name is None or name not in class_to_id:
-                record_error(f"image {iid}: unknown category {ann['category_id']}")
-                ok = False
-                continue
-            anns.append(Annotation(
-                box=((x + w / 2) / w_img, (y + h / 2) / h_img, w / w_img, h / h_img),
-                class_id=class_to_id[name]).validate())
-        if ok or not fail_fast:
-            samples.append(Sample(image=img, modality_id=modality_id,
-                                  annotations=anns,
-                                  sample_id=os.path.splitext(im["file_name"])[0]))
-    return samples, errors
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,10 @@
 Protocol notes (declared here because "standard" hides many choices):
   * thresholds .50:.05:.95; AP is the mean over thresholds and classes of
     per-class 101-point interpolated AP;
+  * AP is computed column-wise: one call takes the (detections, thresholds)
+    flag matrix of a class and returns the AP of all ten thresholds, and
+    the 101 interpolated precisions are summed in sequence, in recall
+    order, so every value equals that of a one-threshold loop bit for bit;
   * per class, detections pool across images sorted by descending score,
     ties broken by image id then per-image insertion order, so reports are
     invariant to image enumeration order;
@@ -21,6 +25,7 @@ Protocol notes (declared here because "standard" hides many choices):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,39 +49,48 @@ class Detection:
     score: float
 
     def validate(self) -> "Detection":
-        if not np.isfinite(self.score):
+        if not math.isfinite(self.score):
             raise ValidationError("detection score must be finite")
         cx, cy, w, h = self.box
-        if not np.all(np.isfinite(self.box)) or w <= 0 or h <= 0:
+        if not all(map(math.isfinite, self.box)) or w <= 0 or h <= 0:
             raise ValidationError(f"degenerate detection box {self.box}")
         return self
 
 
-def average_precision(tp_flags, n_gt: int):
-    """101-point interpolated AP from score-ranked TP/FP flags.
+# recall points 0, .01, ..., 1, lowered by 1e-12 so that a recall one
+# rounding error below a point still reaches it
+_RECALL_PTS = np.linspace(0.0, 1.0, 101) - 1e-12
 
-    Returns None when there is no eligible ground truth (excluded from
-    averages); ignored flags (-1) must be filtered out by the caller.
+
+def average_precision(flags, n_gt: int):
+    """101-point interpolated AP from score-ranked flags: 1 TP, 0 FP, -1
+    ignored (dropped from the ranking).
+
+    ``flags`` is (D,) or (D, T): the AP of each column, a float for (D,) and
+    a list of T floats for (D, T). Returns None when there is no eligible
+    ground truth (excluded from averages); a column with no kept row gives
+    0.0.
     """
     if n_gt == 0:
         return None
-    flags = np.asarray(tp_flags, dtype=np.float64)
-    if flags.size == 0:
-        return 0.0
-    tp = np.cumsum(flags)
-    fp = np.cumsum(1.0 - flags)
+    flags = np.asarray(flags)
+    cols = flags[:, None] if flags.ndim == 1 else flags
+    # cumsums over all rows equal those of the kept rows at every kept row
+    tp = np.cumsum(cols == 1, axis=0)
+    fp = np.cumsum(cols == 0, axis=0)
     recall = tp / n_gt
     precision = tp / np.maximum(tp + fp, 1e-12)
-    # precision envelope (monotone non-increasing from the right)
-    for i in range(precision.size - 2, -1, -1):
-        precision[i] = max(precision[i], precision[i + 1])
-    out = 0.0
-    idx = 0
-    for r in np.linspace(0.0, 1.0, 101):
-        while idx < recall.size and recall[idx] < r - 1e-12:
-            idx += 1
-        out += precision[idx] if idx < recall.size else 0.0
-    return out / 101.0
+    precision[cols == -1] = 0.0
+    # precision envelope (monotone non-increasing from the right), plus a
+    # zero row for recall points past the last detection
+    envelope = np.maximum.accumulate(precision[::-1], axis=0)[::-1]
+    envelope = np.concatenate([envelope, np.zeros((1, cols.shape[1]))])
+    idx = np.stack([np.searchsorted(recall[:, t], _RECALL_PTS, side="left")
+                    for t in range(cols.shape[1])], axis=1)
+    picked = envelope[idx, np.arange(cols.shape[1])]
+    # cumsum adds in sequence; np.sum would add pairwise and round differently
+    ap = np.cumsum(picked, axis=0)[-1] / 101.0
+    return ap.tolist() if flags.ndim == 2 else float(ap[0])
 
 
 @dataclass
@@ -204,8 +218,9 @@ def ap_report(detections, samples, n_classes: int, modality_names=None,
             pooled[c].extend(((-d.score, str(img), rank), s.modality_id, row)
                              for (rank, d), row in zip(rows, f))
 
-    def class_ap(col, count):
-        return [average_precision(col[:, t][col[:, t] >= 0], count) for t in range(n_thr)]
+    def class_ap(flags, count):
+        ap = average_precision(flags, count)
+        return [None] * n_thr if ap is None else ap
 
     area_ap, modality_ap = {}, {}
     for c in range(n_classes):
@@ -250,18 +265,18 @@ def detections_from_output(output, image_ids) -> list:
     if len(image_ids) != output.n_images:
         raise ValidationError(f"{len(image_ids)} image ids for {output.n_images} images")
     logits, boxes = output.layers[-1]
-    probs = 1.0 / (1.0 + np.exp(-logits.data))
-    n, c = probs.shape[0] // len(image_ids), probs.shape[1]
-    out = []
-    for b, image_id in enumerate(image_ids):
-        block = probs[b * n:(b + 1) * n]
-        flat = [(float(block[q, k]), int(k), q) for q in range(n) for k in range(c)]
-        flat.sort(key=lambda r: (-r[0], r[1], r[2]))
-        for score, k, q in flat[:MAX_DETS_PER_IMAGE]:
-            out.append(Detection(image_id=image_id, class_id=k,
-                                 box=tuple(float(x) for x in boxes.data[b * n + q]),
-                                 score=score))
-    return out
+    n_images = len(image_ids)
+    n, c = logits.shape[0] // n_images, logits.shape[1]
+    scores = (1.0 / (1.0 + np.exp(-logits.data))).reshape(n_images, n * c)
+    # rank each image's (query, class) pairs by score, then class, then query
+    query, klass = (np.broadcast_to(v, scores.shape) for v in np.divmod(np.arange(n * c), c))
+    top = np.lexsort((query, klass, -scores))[:, :MAX_DETS_PER_IMAGE]
+    classes = (top % c).tolist()
+    kept_scores = np.take_along_axis(scores, top, axis=1).tolist()
+    kept_boxes = boxes.data[top // c + n * np.arange(n_images)[:, None]].tolist()
+    return [Detection(image_id=image_id, class_id=k, box=tuple(box), score=score)
+            for b, image_id in enumerate(image_ids)
+            for k, box, score in zip(classes[b], kept_boxes[b], kept_scores[b])]
 
 
 def report_csv(report: APReport, modality_names) -> str:

@@ -143,95 +143,87 @@ def test_exports_that_raise_midway_leave_the_old_files(tmp_path, monkeypatch):
     assert snapshot() == before
 
 
-def test_rawf32_and_pgm_readers(tmp_path):
+def test_failed_reexport_keeps_the_old_dataset(tmp_path, monkeypatch):
+    """A re-export whose manifest write fails leaves the old manifest naming
+    the old blob: the reload returns the first export, images included."""
+    spec = _tiny_spec(noise=0.04)
+    first = dt.generate_synthetic(spec, "val")
+    dt.export_dataset(first, spec, tmp_path, "val")
+    files = sorted(p.name for p in tmp_path.iterdir())
+    second = dt.generate_synthetic(dataclasses.replace(spec, seed=spec.seed + 1), "val")
+
+    def failing_dump(obj, fh, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    with pytest.raises(OSError):
+        dt.export_dataset(second, spec, tmp_path, "val")
+    monkeypatch.undo()
+    loaded, _ = dt.load_dataset(tmp_path, "val")
+    assert [s.sample_id for s in loaded] == [s.sample_id for s in first]
+    for s, t in zip(first, loaded):
+        assert np.array_equal(s.image, t.image)
+        assert s.annotations == t.annotations
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
+
+    # a re-export that succeeds removes the blob the old manifest named
+    dt.export_dataset(second, spec, tmp_path, "val")
+    loaded, _ = dt.load_dataset(tmp_path, "val")
+    assert all(np.array_equal(s.image, t.image) for s, t in zip(second, loaded))
+    assert len(list(tmp_path.glob("val_images.*.bin"))) == 1
+
+
+def test_truncated_or_missing_blob_raises_ingest_error(tmp_path):
+    spec = _tiny_spec()
+    dt.export_dataset(dt.generate_synthetic(spec, "val"), spec, tmp_path, "val")
+    blob = tmp_path / json.loads((tmp_path / "val_manifest.json").read_text())["blob"]
+    data = blob.read_bytes()
+    for cut in (4, len(data) // 2, len(data) - 4):
+        blob.write_bytes(data[:cut])
+        with pytest.raises(IngestError):
+            dt.load_dataset(tmp_path, "val")
+    blob.unlink()
+    with pytest.raises(IngestError):
+        dt.load_dataset(tmp_path, "val")
+
+
+def _read_rawf32(path):
+    """Reference reader for the ``.rawf32`` format ``write_rawf32`` writes."""
+    blob = path.read_bytes()
+    assert blob[:7] == b"RAWF32\x00"
+    h, w = np.frombuffer(blob[7:15], dtype="<u4")
+    data = np.frombuffer(blob[15:], dtype="<f4")
+    assert data.size == int(h) * int(w)
+    return data.reshape(int(h), int(w)).astype(np.float64)
+
+
+def test_rawf32_round_trip(tmp_path):
     img = np.random.default_rng(0).uniform(0, 1, size=(5, 7))
     img = np.float64(np.float32(img))
     p = tmp_path / "x.rawf32"
     dt.write_rawf32(p, img)
-    assert np.array_equal(dt.read_rawf32(p), img)
-
-    g = (np.arange(12, dtype=np.uint8) * 20).reshape(3, 4)
-    pgm = tmp_path / "y.pgm"
-    pgm.write_bytes(b"P5\n# comment\n4 3\n255\n" + g.tobytes())
-    assert np.allclose(dt.read_pgm(pgm), g / 255.0, atol=1e-12)
-
-    pgm2 = tmp_path / "z.pgm"
-    pgm2.write_text("P2\n2 2\n255\n0 128\n255 64\n")
-    assert np.allclose(dt.read_pgm(pgm2), np.array([[0, 128], [255, 64]]) / 255.0)
-
-
-def test_coco_bbox_conversion(tmp_path):
-    img_dir = tmp_path / "imgs"
-    img_dir.mkdir()
-    dt.write_rawf32(img_dir / "im1.rawf32", np.zeros((100, 100), dtype=np.float32))
-    doc = {
-        "images": [{"id": 1, "file_name": "im1.rawf32", "width": 100, "height": 100}],
-        "annotations": [{"id": 1, "image_id": 1, "category_id": 7, "bbox": [10, 10, 20, 20]}],
-        "categories": [{"id": 7, "name": "lesion"}],
-    }
-    ann = tmp_path / "ann.json"
-    ann.write_text(json.dumps(doc))
-    samples, errors = dt.ingest_coco(ann, img_dir, "ct")
-    assert not errors
-    assert len(samples) == 1
-    # oracle: cx=(10+10)/100, cy same, w=h=20/100
-    assert samples[0].annotations[0].box == (0.2, 0.2, 0.2, 0.2)
-
-
-def test_coco_empty_annotations_and_errors(tmp_path):
-    img_dir = tmp_path / "imgs"
-    img_dir.mkdir()
-    dt.write_rawf32(img_dir / "a.rawf32", np.zeros((10, 10), dtype=np.float32))
-    base = {
-        "images": [{"id": 1, "file_name": "a.rawf32", "width": 10, "height": 10}],
-        "annotations": [],
-        "categories": [{"id": 1, "name": "c"}],
-    }
-    ann = tmp_path / "ok.json"
-    ann.write_text(json.dumps(base))
-    samples, _ = dt.ingest_coco(ann, img_dir, "ct")
-    assert samples[0].annotations == []
-
-    dup = dict(base)
-    dup["images"] = base["images"] * 2
-    bad = tmp_path / "dup.json"
-    bad.write_text(json.dumps(dup))
-    with pytest.raises(IngestError):
-        dt.ingest_coco(bad, img_dir, "ct")
-
-    oob = dict(base)
-    oob["annotations"] = [{"id": 1, "image_id": 1, "category_id": 1, "bbox": [0, 0, 30, 5]}]
-    bad2 = tmp_path / "oob.json"
-    bad2.write_text(json.dumps(oob))
-    with pytest.raises(IngestError):
-        dt.ingest_coco(bad2, img_dir, "ct", fail_fast=True)
-    _, errors = dt.ingest_coco(bad2, img_dir, "ct", fail_fast=False)
-    assert len(errors) == 1
-
-    missing = dict(base)
-    missing["images"] = [{"id": 1, "file_name": "nope.rawf32", "width": 10, "height": 10}]
-    bad3 = tmp_path / "missing.json"
-    bad3.write_text(json.dumps(missing))
-    _, errors = dt.ingest_coco(bad3, img_dir, "ct", fail_fast=False)
-    assert len(errors) == 1
+    assert np.array_equal(_read_rawf32(p), img)
+    with pytest.raises(ValidationError):
+        dt.write_rawf32(tmp_path / "y.rawf32", np.zeros((2, 2, 2)))
 
 
 def test_coco_round_trip(tmp_path):
     spec = _tiny_spec(noise=0.03)
     samples = dt.generate_synthetic(spec, "train")
     dt.export_coco(samples, spec, tmp_path, "train")
-    class_to_id = {c: i for i, c in enumerate(spec.global_classes)}
-    loaded, errors = dt.ingest_coco(tmp_path / "train_coco.json",
-                                    tmp_path / "train_images", "moda",
-                                    class_to_id=class_to_id)
-    assert not errors
-    assert len(loaded) == len(samples)
-    by_id = {s.sample_id: s for s in loaded}
-    for s in samples:
-        t = by_id[s.sample_id]
-        assert np.array_equal(s.image, t.image)
-        assert [a.box for a in s.annotations] == [a.box for a in t.annotations]
-        assert [a.class_id for a in s.annotations] == [a.class_id for a in t.annotations]
+    doc = json.loads((tmp_path / "train_coco.json").read_text())
+    size = spec.image_size
+    assert [c["name"] for c in doc["categories"]] == spec.global_classes
+    assert len(doc["images"]) == len(samples)
+    for s, im in zip(samples, doc["images"]):
+        assert (im["width"], im["height"]) == (size, size)
+        assert np.array_equal(_read_rawf32(tmp_path / "train_images" / im["file_name"]),
+                              s.image)
+        anns = [a for a in doc["annotations"] if a["image_id"] == im["id"]]
+        assert [a["category_id"] - 1 for a in anns] == s.class_ids
+        for a, want in zip(anns, s.annotations):
+            x, y, w, h = (v / size for v in a["bbox"])
+            assert np.allclose((x + w / 2, y + h / 2, w, h), want.box, rtol=0, atol=1e-12)
 
 
 def test_sampler_distinct_modalities_and_refill():

@@ -87,10 +87,85 @@ def test_iou_exactly_at_threshold_is_tp():
 # -- average precision --------------------------------------------------------
 
 
+def _ap_loop(tp_flags, n_gt, tol=1e-12):
+    """The scalar 101-point AP loop over one column of kept (0/1) flags,
+    walking the envelope and the recall points one element at a time: the
+    oracle for the column-wise ``average_precision``."""
+    if n_gt == 0:
+        return None
+    flags = np.asarray(tp_flags, dtype=np.float64)
+    if flags.size == 0:
+        return 0.0
+    tp = np.cumsum(flags)
+    fp = np.cumsum(1.0 - flags)
+    recall = tp / n_gt
+    precision = tp / np.maximum(tp + fp, 1e-12)
+    for i in range(precision.size - 2, -1, -1):
+        precision[i] = max(precision[i], precision[i + 1])
+    out = 0.0
+    idx = 0
+    for r in np.linspace(0.0, 1.0, 101):
+        while idx < recall.size and recall[idx] < r - tol:
+            idx += 1
+        out += precision[idx] if idx < recall.size else 0.0
+    return out / 101.0
+
+
+def _random_flag_matrices(seed, count):
+    """(flags, n_gt) pairs: (D, 10) matrices of -1/0/1 with varied shares,
+    empty matrices, all-ignored columns and n_gt = 0 among them."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        d = int(rng.integers(0, 60)) if i % 10 else 0
+        flags = rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=(d, 10),
+                           p=rng.dirichlet(np.ones(3)))
+        flags[:, rng.uniform(size=10) < 0.1] = -1
+        n_tp = int((flags == 1).sum(axis=0).max(initial=0))
+        n_gt = 0 if i % 17 == 0 else n_tp + int(rng.integers(0 if n_tp else 1, 6))
+        yield flags, n_gt
+
+
+def _as_bytes(aps):
+    return np.asarray(aps, dtype=np.float64).tobytes()
+
+
+def test_average_precision_matches_scalar_loop_bitwise():
+    for flags, n_gt in _random_flag_matrices(seed=0, count=2000):
+        want = [_ap_loop(col[col >= 0], n_gt) for col in flags.T]
+        got = ev.average_precision(flags, n_gt)
+        if n_gt == 0:
+            assert got is None and ev.average_precision(flags[:, 0], n_gt) is None
+            continue
+        assert _as_bytes(got) == _as_bytes(want), (flags.tolist(), n_gt)
+        # a (D,) column is the one-column case and returns a float
+        one = ev.average_precision(flags[:, 3], n_gt)
+        assert isinstance(one, float) and _as_bytes(one) == _as_bytes(want[3])
+
+
+def test_average_precision_recall_on_a_point_reaches_it(monkeypatch):
+    # with recall points at exact fractions, a recall equal to a point must
+    # count as reaching it; n_gt of 2, 4, 5, ... puts recalls on the points
+    monkeypatch.setattr(ev, "_RECALL_PTS", np.linspace(0.0, 1.0, 101))
+    rng = np.random.default_rng(1)
+    hits = 0
+    for _ in range(300):
+        n_gt = int(rng.choice([2, 4, 5, 10, 20]))
+        flags = rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=(30, 10),
+                           p=[0.2, 0.4, 0.4])
+        flags[np.cumsum(flags == 1, axis=0) > n_gt] = 0
+        want = [_ap_loop(col[col >= 0], n_gt, tol=0.0) for col in flags.T]
+        assert _as_bytes(ev.average_precision(flags, n_gt)) == _as_bytes(want)
+        hits += want != [_ap_loop(col[col >= 0], n_gt, tol=-1e-12) for col in flags.T]
+    assert hits > 0  # the cases do put recalls exactly on points
+
+
 def test_average_precision_degenerate_cases():
     assert ev.average_precision([], 3) == 0.0
     assert ev.average_precision([1], 1) == pytest.approx(1.0)
     assert ev.average_precision([], 0) is None
+    assert ev.average_precision([-1, -1], 2) == 0.0
+    assert ev.average_precision(np.zeros((0, 10), dtype=np.int8), 3) == [0.0] * 10
+    assert ev.average_precision([-1, 1, 0, 1], 2) == ev.average_precision([1, 0, 1], 2)
 
 
 def test_perfect_single_detection_full_report():
@@ -396,3 +471,38 @@ def test_detections_from_output_splits_image_row_blocks():
     assert got == want and len(got) == 3 * n * c
     with pytest.raises(ValidationError):
         ev.detections_from_output(output(slice(None), 3), ["a", "b"])
+
+
+def _detections_loop(output, image_ids):
+    """Each image's detections from a list of (score, class, query) tuples
+    sorted by (-score, class, query): the oracle for the lexsort ranking of
+    ``detections_from_output``."""
+    logits, boxes = output.layers[-1]
+    probs = 1.0 / (1.0 + np.exp(-logits.data))
+    n, c = probs.shape[0] // len(image_ids), probs.shape[1]
+    out = []
+    for b, image_id in enumerate(image_ids):
+        block = probs[b * n:(b + 1) * n]
+        flat = [(float(block[q, k]), int(k), q) for q in range(n) for k in range(c)]
+        flat.sort(key=lambda r: (-r[0], r[1], r[2]))
+        for score, k, q in flat[:ev.MAX_DETS_PER_IMAGE]:
+            out.append(ev.Detection(image_id=image_id, class_id=k,
+                                    box=tuple(float(x) for x in boxes.data[b * n + q]),
+                                    score=score))
+    return out
+
+
+@pytest.mark.parametrize("n,c,n_images", [(25, 10, 3), (4, 3, 2), (50, 2, 1), (10, 10, 2)])
+def test_detections_from_output_matches_tuple_sort(n, c, n_images):
+    # logits from a few values, so scores tie within and across classes and
+    # the 100-detection cut falls inside a tie
+    rng = np.random.default_rng(n * c + n_images)
+    for _ in range(20):
+        logits = rng.choice([-2.0, -0.5, 0.0, 0.5, 3.0], size=(n_images * n, c))
+        boxes = rng.uniform(0.2, 0.8, size=(n_images * n, 4))
+        output = DetectorOutput(layers=[(ad.tensor(logits), ad.tensor(boxes))],
+                                n_images=n_images)
+        ids = [f"im{i}" for i in range(n_images)]
+        got = ev.detections_from_output(output, ids)
+        assert got == _detections_loop(output, ids)
+        assert all(type(d.score) is float and type(d.class_id) is int for d in got)

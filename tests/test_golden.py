@@ -1,14 +1,15 @@
-"""The seed-0 golden train and pretrain runs against the stored fingerprint.
+"""The seed-0 golden train, pretrain and eval runs against the stored
+fingerprint.
 
-``perfbench/reference.json`` holds each run's per-step losses and the
-sha256 and parameter sums of its final checkpoint. These tests rerun the
-same two configurations through the same entry points and compare at the
-tolerances the file states: losses to a relative tolerance, and the
-checkpoint's sha256 or else its sums (sum, sum of squares, sum of
-magnitudes of all stored parameters, in name order) to a relative
-tolerance. The file is read as data, so the tests need only ``src`` on the
-path. The eval fingerprint is not rerun here: its checkpoint needs the
-benchmark fixture's weight edits.
+``perfbench/reference.json`` holds each training run's per-step losses and
+the sha256 and parameter sums of its final checkpoint, and the eval run's
+whole report. These tests rerun the same configurations through the same
+entry points and compare at the tolerances the file states: losses to a
+relative tolerance, the checkpoint's sha256 or else its sums (sum, sum of
+squares, sum of magnitudes of all stored parameters, in name order) to a
+relative tolerance, and every AP entry of the report to an absolute
+tolerance. The eval fixture repeats the benchmark fixture's weight edits
+here. The file is read as data, so the tests need only ``src`` on the path.
 """
 
 import csv
@@ -20,10 +21,11 @@ import os
 import numpy as np
 import pytest
 
-from mocadet.checkpoint import load_checkpoint
+from mocadet import cli
+from mocadet.checkpoint import load_checkpoint, save_checkpoint
 from mocadet.config import OptimConfig, QraConfig, RunConfig
-from mocadet.data import make_default_spec
-from mocadet.train import run_pretrain, run_train
+from mocadet.data import export_dataset, generate_synthetic, make_default_spec
+from mocadet.train import build_run, run_pretrain, run_train
 
 REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                          "perfbench", "reference.json")
@@ -50,10 +52,14 @@ def _golden_run(workload, out):
     return losses, os.path.join(out, ckpt)
 
 
+def _reference():
+    with open(REFERENCE, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 @pytest.mark.parametrize("workload", ["train", "pretrain"])
 def test_golden_run_matches_reference(workload, tmp_path):
-    with open(REFERENCE, encoding="utf-8") as fh:
-        reference = json.load(fh)
+    reference = _reference()
     want, tol = reference[workload], reference["tolerance"]
     losses, ckpt = _golden_run(workload, str(tmp_path))
 
@@ -68,3 +74,46 @@ def test_golden_run_matches_reference(workload, tmp_path):
     sums = [float(flat.sum()), float(flat @ flat), float(np.abs(flat).sum())]
     for got, expected in zip(sums, want["ckpt_sums"]):
         assert abs(got - expected) <= tol["ckpt_sums_rtol"] * abs(expected), (got, expected)
+
+
+def _eval_fixture(out):
+    """(checkpoint, data dir) of the golden eval: the untrained seed-0 model
+    on one train image per modality, with its centre weights x3 and its
+    extent bias at the mean extent of a 40-image val split of 2-3 objects
+    per image, so that some detections reach IoU 0.5."""
+    spec = dataclasses.replace(_spec(5), objects_range=(2, 3))
+    cfg = RunConfig(dataset=spec, model={}, seed=0).validate()
+    bundle = build_run(cfg)
+    val_spec = dataclasses.replace(spec, counts={"val": 40})
+    val = generate_synthetic(val_spec, "val")
+    named = bundle.model.parameters() + bundle.projection.parameters()
+    params = dict(named)
+    extent = np.mean([a.box[2:] for s in val for a in s.annotations], axis=0)
+    params["box_out.W"].data[:, :2] *= 3.0
+    params["box_out.b"].data[:2] = 0.0
+    params["box_out.b"].data[2:] = np.log(extent / (1.0 - extent))
+    ckpt, data_dir = os.path.join(out, "model.ckpt"), os.path.join(out, "val")
+    save_checkpoint(ckpt, named, cfg.to_json(), phase="detection", step=0, seeds={"seed": 0})
+    export_dataset(val, val_spec, data_dir, "val")
+    return ckpt, data_dir
+
+
+def _assert_close(got, want, atol):
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want)
+        for k in want:
+            _assert_close(got[k], want[k], atol)
+    elif isinstance(want, float):
+        assert abs(got - want) <= atol, (got, want)
+    else:
+        assert got == want
+
+
+def test_golden_eval_matches_reference(tmp_path):
+    reference = _reference()
+    ckpt, data_dir = _eval_fixture(str(tmp_path))
+    report = os.path.join(str(tmp_path), "report.json")
+    assert cli.main(["eval", "--ckpt", ckpt, "--data", data_dir, "--out", report]) == 0
+    with open(report, encoding="utf-8") as fh:
+        got = json.load(fh)
+    _assert_close(got, reference["eval"]["report"], reference["tolerance"]["ap_atol"])
