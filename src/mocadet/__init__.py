@@ -1,7 +1,11 @@
 """Modality-token-guided DETR-style detection at desk scale.
 
 Subpackages/modules:
+  errors      -- the exception hierarchy (every error is a MocadetError)
+  fileio      -- atomic file replacement
+  config      -- run configuration and its validation
   autodiff    -- float64 tensors with reverse-mode AD
+  optim       -- AdamW over one flat parameter store, step-decay schedule
   tokens      -- modality-token construction, registry, silhouette analysis
   data        -- synthetic multimodality data, dataset export, batch sampler
   boxes       -- box format conversion and pairwise IoU / GIoU
@@ -9,7 +13,9 @@ Subpackages/modules:
   losses      -- Hungarian matching and the focal/L1/GIoU set objective
   queryrepa   -- contrastive query-token alignment pretraining
   milab       -- executable InfoNCE mutual-information bound verification
-  evaluation  -- COCO-style AP metrics
+  evaluation  -- COCO-style AP metrics over one detection array
+  checkpoint  -- the checkpoint file format
+  train       -- pretraining and detection training loops, evaluation
   cli         -- experiment orchestration
 """
 

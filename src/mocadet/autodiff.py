@@ -591,14 +591,12 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make_node(a.data.reshape(shape).copy(), (a,), pullback)
 
 
-def mean_rows(a: Tensor, segments: int | None = None) -> Tensor:
-    """Arithmetic mean of the rows of a matrix -> vector of length n_cols.
-
-    With ``segments`` S, the rows are S equal blocks (as in ``attention``)
-    and the result is the (S, n_cols) matrix of the block means.
-    """
+def mean_rows(a: Tensor, segments: int) -> Tensor:
+    """Block means of a matrix: its rows are ``segments`` S equal blocks (as
+    in ``attention``) and the result is the (S, n_cols) matrix of the
+    arithmetic means of the blocks."""
     a = _as_tensor(a)
-    s = 1 if segments is None else int(segments)
+    s = int(segments)
     if a.ndim != 2 or a.shape[0] == 0 or s < 1 or a.shape[0] % s:
         raise ContractError(f"mean_rows needs a matrix of {s} equal non-empty row "
                             f"blocks, got {a.shape}")
@@ -609,8 +607,7 @@ def mean_rows(a: Tensor, segments: int | None = None) -> Tensor:
         g = g.reshape(s, 1, a.shape[1])
         _accum(a, np.broadcast_to(g / m, blocks.shape).reshape(a.shape))
 
-    out_data = blocks.mean(axis=1)
-    return _make_node(out_data[0] if segments is None else out_data, (a,), pullback)
+    return _make_node(blocks.mean(axis=1), (a,), pullback)
 
 
 def sum_all(a) -> Tensor:

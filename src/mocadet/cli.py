@@ -155,7 +155,7 @@ def _cmd_eval(args) -> int:
     samples, spec = load_dataset(args.data, args.split)
     if spec.global_classes != bundle.spec.global_classes:
         raise ValidationError("dataset class list does not match the checkpoint")
-    report = evaluate(bundle, samples, moca=bundle.model.config.moca_enabled)
+    report = evaluate(bundle, samples)
     print(f"eval[{args.split}]: AP={report.ap:.4f} AP50={report.ap50:.4f} "
           f"AP75={report.ap75:.4f}")
     if args.out:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -32,7 +33,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ContractError, IngestError, TokenLookupError, ValidationError
 from .fileio import atomic_write
-from .tokens import TokenProjection, TokenRegistry, project_token
+from .tokens import TokenProjection, TokenRegistry, _fnv1a64, project_token
 
 _RAWF32_MAGIC = b"RAWF32\x00"
 
@@ -157,7 +158,7 @@ class DatasetSpec:
                                seed=int(doc.get("seed", 0)),
                                size_range=tuple(doc.get("size_range", (5, 20))),
                                objects_range=tuple(doc.get("objects_range", (1, 4))))
-        except (KeyError, TypeError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise ValidationError(f"bad dataset spec: {e}") from e
 
 
@@ -237,10 +238,7 @@ def shape_of_class(local_class_index: int) -> str:
 
 
 def _split_code(split: str) -> int:
-    h = 0xCBF29CE484222325
-    for b in split.encode("utf-8"):
-        h = ((h ^ b) * 0x100000001B3) & ((1 << 64) - 1)
-    return h % (1 << 31)
+    return _fnv1a64(split.encode("utf-8")) % 2**31
 
 
 def _boxes_iou(a, b) -> float:
@@ -393,26 +391,34 @@ def load_dataset(out_dir, split: str):
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise IngestError(f"cannot read manifest {path}: {e}") from e
-    if manifest.get("format") != "mocadet-dataset-v1":
+    if not isinstance(manifest, dict) or manifest.get("format") != "mocadet-dataset-v1":
         raise IngestError(f"{path}: unknown manifest format")
-    size = int(manifest["image_size"])
-    blob_path = os.path.join(out_dir, manifest["blob"])
+    size, blob_name, records = (manifest.get(k) for k in ("image_size", "blob", "samples"))
+    if type(size) is not int or size < 1 or not isinstance(blob_name, str) \
+            or not isinstance(records, list):
+        raise IngestError(f"{path}: manifest needs a positive integer image_size, "
+                          "a blob name and a list of samples")
+    blob_path = os.path.join(out_dir, blob_name)
     try:
         blob = np.fromfile(blob_path, dtype="<f4")
     except OSError as e:
         raise IngestError(f"cannot read image blob {blob_path}: {e}") from e
     samples = []
-    for rec in manifest["samples"]:
-        start = rec["offset"] // 4
+    for rec in records:
+        try:
+            sample_id, start = rec["id"], operator.index(rec["offset"]) // 4
+            modality_id = int(rec["modality_id"])
+            pairs = [(tuple(b), int(c)) for b, c in zip(rec["boxes"], rec["classes"])]
+        except (KeyError, TypeError, ValueError) as e:
+            raise IngestError(f"{path}: malformed sample record {rec!r}: {e!r}") from e
         if start < 0 or start + size * size > blob.size:
-            raise IngestError(f"{blob_path}: image {rec['id']!r} lies outside the "
+            raise IngestError(f"{blob_path}: image {sample_id!r} lies outside the "
                               f"{blob.size * 4}-byte blob")
         img = blob[start:start + size * size].astype(np.float64).reshape(size, size)
-        anns = [Annotation(box=tuple(b), class_id=int(c)).validate()
-                for b, c in zip(rec["boxes"], rec["classes"])]
-        samples.append(Sample(image=img, modality_id=int(rec["modality_id"]),
-                              annotations=anns, sample_id=rec["id"]))
-    return samples, DatasetSpec.from_json(manifest["dataset_spec"])
+        anns = [Annotation(box=b, class_id=c).validate() for b, c in pairs]
+        samples.append(Sample(image=img, modality_id=modality_id,
+                              annotations=anns, sample_id=sample_id))
+    return samples, DatasetSpec.from_json(manifest.get("dataset_spec"))
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +482,7 @@ class ModalityBatchSampler:
     epochs differ but runs reproduce.
     """
 
-    def __init__(self, samples, n_modalities: int, batch_size: int, seed: int = 0,
-                 shuffle: bool = True):
+    def __init__(self, samples, n_modalities: int, batch_size: int, seed: int = 0):
         if batch_size > n_modalities:
             raise ContractError(
                 f"batch size {batch_size} exceeds modality count {n_modalities}; "
@@ -493,17 +498,15 @@ class ModalityBatchSampler:
         self.batch_size = batch_size
         self.n_modalities = n_modalities
         self.seed = seed
-        self.shuffle = shuffle
         self._subset_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
         self._epochs = [0] * n_modalities
         self._queues = [self._fresh_queue(i) for i in range(n_modalities)]
 
     def _fresh_queue(self, mi: int) -> list:
         order = list(range(len(self.per_modality[mi])))
-        if self.shuffle:
-            rng = np.random.default_rng(
-                np.random.SeedSequence([self.seed, 1 + mi, self._epochs[mi]]))
-            rng.shuffle(order)
+        rng = np.random.default_rng(
+            np.random.SeedSequence([self.seed, 1 + mi, self._epochs[mi]]))
+        rng.shuffle(order)
         return order
 
     def _pop(self, mi: int) -> Sample:
@@ -531,19 +534,19 @@ class ModalityBatchSampler:
 
 def modality_mean_token(spec: DatasetSpec, registry: TokenRegistry,
                         projection: TokenProjection, modality_id: int) -> ad.Tensor:
-    """Mean over the projected tokens of every class declared for a modality."""
+    """(1, d_model) mean of the projected tokens of every class declared for
+    a modality."""
     mod_name = spec.modality_names[modality_id]
     if mod_name not in registry.modality_list:
         raise TokenLookupError(f"modality {mod_name!r} absent from registry")
     names = [spec.global_classes[cid] for cid in spec.global_class_ids(modality_id)]
-    projected = [ad.reshape(project_token(registry, projection, mod_name, c),
-                            (1, projection.d_model)) for c in names]
-    return ad.mean_rows(ad.concat_rows(projected))
+    projected = [project_token(registry, projection, mod_name, c) for c in names]
+    return ad.mean_rows(ad.concat_rows(projected), 1)
 
 
 def attach_token(sample: Sample, spec: DatasetSpec, registry: TokenRegistry,
                  projection: TokenProjection, rng: np.random.Generator) -> ad.Tensor:
-    """Model-space token for a training sample.
+    """Model-space (1, d_model) token row for a training sample.
 
     The projected token of one of the sample's ground-truth classes, drawn
     uniformly with ``rng`` (deterministic given the seed); empty images fall

@@ -268,16 +268,13 @@ class Detector:
                mask_token_column: bool = False, n_images: int = 1) -> DetectorOutput:
         """Decode the memory of ``n_images`` stacked images.
 
-        ``tokens`` is None, one (d,) token when ``n_images`` is 1, or the
-        (n_images, d) token rows, row b for image b.
+        ``tokens`` is None or the (n_images, d) token rows, row b for image b.
         """
         cfg, b = self.config, n_images
         if b < 1 or memory.ndim != 2 or memory.shape[0] % b:
             raise ShapeError(f"memory of shape {memory.shape} does not split into {b} images")
         token_rows = None
         if cfg.moca_enabled and tokens is not None:
-            if b == 1 and tokens.shape == (cfg.d_model,):
-                tokens = ad.reshape(tokens, (1, cfg.d_model))
             if tokens.shape != (b, cfg.d_model):
                 raise ShapeError(f"token shape {tokens.shape} != ({b}, {cfg.d_model})")
             token_rows = self.token_proj(tokens)
@@ -297,11 +294,7 @@ class Detector:
     def forward(self, images: np.ndarray, tokens: ad.Tensor | None = None,
                 mask_token_column: bool = False) -> DetectorOutput:
         """One forward of a (B, H, W) stack or one (H, W) image; ``tokens``
-        as in ``decode`` (see ``stack_tokens``)."""
+        as in ``decode``."""
         n_images = 1 if np.ndim(images) == 2 else len(images)
         return self.decode(self.encode(images), tokens, mask_token_column, n_images)
 
-
-def stack_tokens(tokens) -> ad.Tensor:
-    """The (B, d) token rows of a batch from its B (d,) token tensors."""
-    return ad.concat_rows([ad.reshape(t, (1, t.shape[0])) for t in tokens])

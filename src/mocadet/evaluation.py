@@ -1,5 +1,11 @@
 """COCO-style detection metrics.
 
+Detections travel as one NumPy structured array of dtype ``DETECTION``, one
+record per detection: ``image`` (int64, the index of the image in the
+``samples`` list given to ``ap_report``), ``class_id`` (int64), ``box``
+(4 float64, normalized cxcywh) and ``score`` (float64). Records may come in
+any order; ``ap_report`` orders them itself.
+
 Protocol notes (declared here because "standard" hides many choices):
   * thresholds .50:.05:.95; AP is the mean over thresholds and classes of
     per-class 101-point interpolated AP;
@@ -7,13 +13,16 @@ Protocol notes (declared here because "standard" hides many choices):
     flag matrix of a class and returns the AP of all ten thresholds, and
     the 101 interpolated precisions are summed in sequence, in recall
     order, so every value equals that of a one-threshold loop bit for bit;
+  * within an image, detections rank by descending score, ties broken by
+    record order in the array, and at most 100 per image are kept;
+    detections of a class outside ``range(n_classes)`` take a place in
+    that cut and are then dropped;
   * per class, detections pool across images sorted by descending score,
-    ties broken by image id then per-image insertion order, so reports are
-    invariant to image enumeration order;
+    ties broken by sample id (as a string) then by rank in the image, so
+    reports are invariant to image enumeration order;
   * greedy matching per image: each detection takes the unmatched same-class
     ground truth with the highest IoU >= threshold (boundary counts as a
-    match);
-  * at most 100 detections per image (by score);
+    match), truth inside the area range first, the first index on ties;
   * size buckets use COCO's 32^2/96^2 pixel cutoffs rescaled to fractions
     of a 640x640 frame, applied to normalized box areas: ground truth
     outside the bucket is ignored, detections matched to ignored truth are
@@ -25,7 +34,6 @@ Protocol notes (declared here because "standard" hides many choices):
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,22 +47,8 @@ SMALL_FRAC = (32.0 / 640.0) ** 2
 MEDIUM_FRAC = (96.0 / 640.0) ** 2
 MAX_DETS_PER_IMAGE = 100
 AREA_RANGES = ("all", "small", "medium", "large")
-
-
-@dataclass(frozen=True)
-class Detection:
-    image_id: str
-    class_id: int
-    box: tuple  # (cx, cy, w, h) normalized
-    score: float
-
-    def validate(self) -> "Detection":
-        if not math.isfinite(self.score):
-            raise ValidationError("detection score must be finite")
-        cx, cy, w, h = self.box
-        if not all(map(math.isfinite, self.box)) or w <= 0 or h <= 0:
-            raise ValidationError(f"degenerate detection box {self.box}")
-        return self
+DETECTION = np.dtype([("image", np.int64), ("class_id", np.int64),
+                      ("box", np.float64, (4,)), ("score", np.float64)])
 
 
 # recall points 0, .01, ..., 1, lowered by 1e-12 so that a recall one
@@ -114,58 +108,50 @@ class APReport:
         }
 
 
-def _area_bucket(box) -> str:
-    a = box[2] * box[3]
-    if a < SMALL_FRAC:
-        return "small"
-    if a < MEDIUM_FRAC:
-        return "medium"
-    return "large"
-
-
 def greedy_match(ious: np.ndarray, gt_ignore) -> np.ndarray:
     """Greedy matching of one image's detections of one class.
 
     ``ious`` is (D, G) between score-ranked detections and ground truth;
-    ``gt_ignore`` (G,) marks truth outside the area range. Returns (D, T)
-    int8 flags for the T thresholds of ``COCO_THRESHOLDS``: 1 TP, 0 FP, -1
-    matched to ignored truth. Each detection takes the untaken truth with
-    the highest IoU >= threshold (boundary counts as a match), non-ignored
-    truth first; ties go to the first index.
+    ``gt_ignore`` (A, G) marks, for each of A area ranges, the truth outside
+    that range. Returns (D, A, T) int8 flags for the T thresholds of
+    ``COCO_THRESHOLDS``: 1 TP, 0 FP, -1 matched to ignored truth. Each
+    (range, threshold) row is matched on its own: each detection takes the
+    untaken truth with the highest IoU >= threshold (boundary counts as a
+    match), non-ignored truth first; ties go to the first index.
     """
-    thresholds = np.asarray(COCO_THRESHOLDS)[:, None]
     ignore = np.asarray(gt_ignore, dtype=bool)
+    n_areas, n_thr = ignore.shape[0], len(COCO_THRESHOLDS)
+    thresholds = np.tile(COCO_THRESHOLDS, n_areas)[:, None]
+    ignore = np.repeat(ignore, n_thr, axis=0)
     rows = np.arange(thresholds.shape[0])
     taken = np.zeros((rows.size, ious.shape[1]), dtype=bool)
     flags = np.zeros((ious.shape[0], rows.size), dtype=np.int8)
     # a detection below the lowest threshold everywhere matches nothing
-    for i in np.flatnonzero(ious.max(axis=1, initial=0.0) >= thresholds[0, 0]):
+    for i in np.flatnonzero(ious.max(axis=1, initial=0.0) >= COCO_THRESHOLDS[0]):
         free = ~taken & (ious[i] >= thresholds)
         for flag, eligible in ((1, free & ~ignore), (-1, free & ignore)):
             cand = np.where(eligible, ious[i], -1.0)
             best = cand.argmax(axis=1)
-            # ignored truth only at thresholds where no other truth matched
+            # ignored truth only at rows where no other truth matched
             hit = (flags[i] == 0) & (cand[rows, best] >= 0.0)
             taken[rows[hit], best[hit]] = True
             flags[i, hit] = flag
-    return flags
+    return flags.reshape(-1, n_areas, n_thr)
 
 
-def _ranked_detections(detections, samples) -> dict:
-    """Image id -> its detections by descending score (insertion order on
-    ties), capped at ``MAX_DETS_PER_IMAGE``."""
-    image_ids = {s.sample_id for s in samples}
-    if len(image_ids) != len(samples):
+def _validate(detections, samples) -> None:
+    """Raises ValidationError unless ``detections`` is a (D,) ``DETECTION``
+    array of valid records for ``samples``."""
+    if not isinstance(detections, np.ndarray) or detections.dtype != DETECTION \
+            or detections.ndim != 1:
+        raise ValidationError("detections must be a 1-d array of dtype evaluation.DETECTION")
+    if len({s.sample_id for s in samples}) != len(samples):
         raise ValidationError("duplicate sample ids in evaluation set")
-    per_image = {}
-    for i, d in enumerate(detections):
-        d.validate()
-        if d.image_id not in image_ids:
-            raise ValidationError(f"detection references unknown image {d.image_id!r}")
-        per_image.setdefault(d.image_id, []).append((i, d))
-    return {img: [d for _, d in sorted(rows, key=lambda r: (-r[1].score, r[0]))
-                  [:MAX_DETS_PER_IMAGE]]
-            for img, rows in per_image.items()}
+    image, box, score = detections["image"], detections["box"], detections["score"]
+    if ((image < 0) | (image >= len(samples))).any():
+        raise ValidationError(f"detection image index outside the {len(samples)} samples")
+    if not (np.isfinite(score).all() and np.isfinite(box).all()) or (box[:, 2:] <= 0).any():
+        raise ValidationError("detection scores and boxes must be finite, box sizes positive")
 
 
 def _mean(vals):
@@ -177,62 +163,77 @@ def ap_report(detections, samples, n_classes: int, modality_names=None,
               class_modality=None) -> APReport:
     """Full metric report over an evaluation set.
 
-    ``class_modality`` maps class id -> modality id for the per-modality
-    breakdown (per-modality evaluation restricts to that modality's images
-    and classes, mirroring per-sub-dataset reporting). Each (image, class)
-    is matched once for every threshold and area range; the per-modality
-    AP reuses those flags, since matching never crosses images.
+    ``detections`` is a ``DETECTION`` array whose ``image`` field indexes
+    ``samples``. ``class_modality`` maps class id -> modality id for the
+    per-modality breakdown (per-modality evaluation restricts to that
+    modality's images and classes, mirroring per-sub-dataset reporting).
+    Each (image, class) is matched once for every threshold and area range;
+    the per-modality AP reuses those flags, since matching never crosses
+    images.
     """
-    ranked = _ranked_detections(detections, samples)
-    n_areas, n_thr = len(AREA_RANGES), len(COCO_THRESHOLDS)
+    _validate(detections, samples)
+    n_images, n_thr = len(samples), len(COCO_THRESHOLDS)
     by_modality = modality_names is not None and class_modality is not None
-    # per class: (pooling key, image modality, (areas, thresholds) flags) of
-    # each detection; eligible truth per area range and per image modality
-    pooled = [[] for _ in range(n_classes)]
-    n_gt = np.zeros((n_classes, n_areas), dtype=int)
-    n_gt_modality = {}
-    for s in samples:
-        img = s.sample_id
-        gts, dets = {}, {}
-        for a in s.annotations:
-            gts.setdefault(a.class_id, []).append(a.box)
-        for rank, d in enumerate(ranked.get(img, [])):
-            dets.setdefault(d.class_id, []).append((rank, d))
-        for c in gts.keys() | dets.keys():
-            if not 0 <= c < n_classes:
-                continue
-            gt_boxes, rows = gts.get(c, []), dets.get(c, [])
-            ignore = np.array([[area != "all" and _area_bucket(b) != area for b in gt_boxes]
-                               for area in AREA_RANGES], dtype=bool)
-            n_gt[c] += (~ignore).sum(axis=1)
-            key = (c, s.modality_id)
-            n_gt_modality[key] = n_gt_modality.get(key, 0) + len(gt_boxes)
-            if not rows:
-                continue
-            f = np.zeros((len(rows), n_areas, n_thr), dtype=np.int8)
-            if gt_boxes:
-                ious = iou(cxcywh_to_xyxy([d.box for _, d in rows]),
-                           cxcywh_to_xyxy(gt_boxes))
-                for k in range(n_areas):
-                    f[:, k] = greedy_match(ious, ignore[k])
-            pooled[c].extend(((-d.score, str(img), rank), s.modality_id, row)
-                             for (rank, d), row in zip(rows, f))
 
-    def class_ap(flags, count):
-        ap = average_precision(flags, count)
+    # rank within each image by descending score, record order on ties
+    order = np.lexsort((-detections["score"], detections["image"]))
+    image = detections["image"][order]
+    rank = np.arange(image.size) - np.searchsorted(image, image)
+    cls = detections["class_id"][order]
+    keep = (rank < MAX_DETS_PER_IMAGE) & (cls >= 0) & (cls < n_classes)
+    dets, rank = detections[order[keep]], rank[keep]
+
+    # ground truth of in-range classes and its (areas, truth) outside mask
+    gt_image = np.array([i for i, s in enumerate(samples) for _ in s.annotations], dtype=np.int64)
+    gt_class = np.array([a.class_id for s in samples for a in s.annotations], dtype=np.int64)
+    gt_box = np.array([a.box for s in samples for a in s.annotations],
+                      dtype=np.float64).reshape(-1, 4)
+    keep = (gt_class >= 0) & (gt_class < n_classes)
+    gt_image, gt_class, gt_box = gt_image[keep], gt_class[keep], gt_box[keep]
+    area = gt_box[:, 2] * gt_box[:, 3]
+    small, medium = area < SMALL_FRAC, area < MEDIUM_FRAC
+    outside = ~np.stack([np.ones_like(small), small, medium & ~small, ~medium])
+    n_gt = np.stack([np.bincount(gt_class[~out], minlength=n_classes) for out in outside],
+                    axis=1)
+
+    # match each (image, class) that has both detections and truth; the
+    # detections of a pair stay in rank order, its truth in annotation order
+    flags = np.zeros((len(dets), len(AREA_RANGES), n_thr), dtype=np.int8)
+    det_key = dets["class_id"] * n_images + dets["image"]
+    gt_key = gt_class * n_images + gt_image
+    det_order = np.argsort(det_key, kind="stable")
+    gt_order = np.argsort(gt_key, kind="stable")
+    det_key, gt_key = det_key[det_order], gt_key[gt_order]
+    det_xyxy = cxcywh_to_xyxy(dets["box"][det_order])
+    gt_xyxy = cxcywh_to_xyxy(gt_box[gt_order])
+    for key in set(det_key.tolist()) & set(gt_key.tolist()):
+        d0, d1 = np.searchsorted(det_key, key), np.searchsorted(det_key, key, side="right")
+        g0, g1 = np.searchsorted(gt_key, key), np.searchsorted(gt_key, key, side="right")
+        ious = iou(det_xyxy[d0:d1], gt_xyxy[g0:g1])
+        flags[det_order[d0:d1]] = greedy_match(ious, outside[:, gt_order[g0:g1]])
+
+    # pool each class by descending score, then sample id, then rank
+    id_rank = np.argsort(sorted(range(n_images), key=lambda i: str(samples[i].sample_id)))
+    pool = np.lexsort((rank, id_rank[dets["image"]], -dets["score"], dets["class_id"]))
+    flags, pooled = flags[pool], dets[pool]
+    bounds = np.searchsorted(pooled["class_id"], np.arange(n_classes + 1))
+
+    def class_ap(f, count):
+        ap = average_precision(f, count)
         return [None] * n_thr if ap is None else ap
 
     area_ap, modality_ap = {}, {}
+    if by_modality:
+        modality = np.array([s.modality_id for s in samples], dtype=np.int64)
+        in_modality = modality[gt_image] == np.asarray(class_modality, dtype=np.int64)[gt_class]
+        n_gt_modality = np.bincount(gt_class[in_modality], minlength=n_classes)
     for c in range(n_classes):
-        # pool across images by descending score, then image id, then rank
-        entries = sorted(pooled[c], key=lambda e: e[0])
-        f = np.array([e[2] for e in entries], dtype=np.int8).reshape(-1, n_areas, n_thr)
-        for k in range(n_areas):
+        f = flags[bounds[c]:bounds[c + 1]]
+        for k in range(len(AREA_RANGES)):
             area_ap[k, c] = class_ap(f[:, k], n_gt[c, k])
         if by_modality:
-            m = class_modality[c]
-            in_modality = np.array([e[1] == m for e in entries], dtype=bool)
-            modality_ap[c] = class_ap(f[in_modality, 0], n_gt_modality.get((c, m), 0))
+            mine = modality[pooled["image"][bounds[c]:bounds[c + 1]]] == class_modality[c]
+            modality_ap[c] = class_ap(f[mine, 0], n_gt_modality[c])
 
     classes = range(n_classes)
     t50, t75 = COCO_THRESHOLDS.index(0.5), COCO_THRESHOLDS.index(0.75)
@@ -256,27 +257,28 @@ def ap_report(detections, samples, n_classes: int, modality_names=None,
                     per_modality=per_modality)
 
 
-def detections_from_output(output, image_ids) -> list:
-    """Turn the last decoder layer's predictions into scored detections.
+def detections_from_output(output, images) -> np.ndarray:
+    """The last decoder layer's predictions as a ``DETECTION`` array.
 
-    ``image_ids`` names the output's images in row-block order.
+    ``images`` gives the ``image`` index of each of the output's images, in
+    row-block order. Each image keeps its ``MAX_DETS_PER_IMAGE`` best
+    (query, class) pairs, ranked by score, then class, then query.
     """
-    image_ids = list(image_ids)
-    if len(image_ids) != output.n_images:
-        raise ValidationError(f"{len(image_ids)} image ids for {output.n_images} images")
+    images = np.asarray(images, dtype=np.int64)
+    if images.shape != (output.n_images,):
+        raise ValidationError(f"{images.size} image indices for {output.n_images} images")
     logits, boxes = output.layers[-1]
-    n_images = len(image_ids)
+    n_images = output.n_images
     n, c = logits.shape[0] // n_images, logits.shape[1]
     scores = (1.0 / (1.0 + np.exp(-logits.data))).reshape(n_images, n * c)
-    # rank each image's (query, class) pairs by score, then class, then query
     query, klass = (np.broadcast_to(v, scores.shape) for v in np.divmod(np.arange(n * c), c))
     top = np.lexsort((query, klass, -scores))[:, :MAX_DETS_PER_IMAGE]
-    classes = (top % c).tolist()
-    kept_scores = np.take_along_axis(scores, top, axis=1).tolist()
-    kept_boxes = boxes.data[top // c + n * np.arange(n_images)[:, None]].tolist()
-    return [Detection(image_id=image_id, class_id=k, box=tuple(box), score=score)
-            for b, image_id in enumerate(image_ids)
-            for k, box, score in zip(classes[b], kept_boxes[b], kept_scores[b])]
+    out = np.empty(top.shape, dtype=DETECTION)
+    out["image"] = images[:, None]
+    out["class_id"] = top % c
+    out["box"] = boxes.data[top // c + n * np.arange(n_images)[:, None]]
+    out["score"] = np.take_along_axis(scores, top, axis=1)
+    return out.reshape(-1)
 
 
 def report_csv(report: APReport, modality_names) -> str:

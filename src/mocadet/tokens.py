@@ -142,7 +142,6 @@ class TokenRegistry:
     d_text: int
     entries: dict = field(default_factory=dict)  # (modality, class) -> RawEmbedding
     modality_list: list = field(default_factory=list)
-    class_list: list = field(default_factory=list)
 
     def embedding(self, modality: str, class_name: str) -> RawEmbedding:
         key = (modality, class_name)
@@ -156,9 +155,6 @@ class TokenRegistry:
             raise TokenLookupError(f"modality {modality!r} not in registry")
         return out
 
-    def pairs(self) -> list:
-        return list(self.entries.keys())
-
 
 def build_registry(pairs, d_text: int = 64, seed64: int = 1) -> TokenRegistry:
     """Synthesize one embedding per (modality, class) pair."""
@@ -171,8 +167,6 @@ def build_registry(pairs, d_text: int = 64, seed64: int = 1) -> TokenRegistry:
         reg.entries[key] = synth_embedding(prompt, d_text, seed64)
         if modality not in reg.modality_list:
             reg.modality_list.append(modality)
-        if class_name not in reg.class_list:
-            reg.class_list.append(class_name)
     return reg
 
 
@@ -229,8 +223,6 @@ def load_registry(path) -> TokenRegistry:
         reg.entries[(modality, class_name)] = RawEmbedding(vector=arr, source="file")
         if modality not in reg.modality_list:
             reg.modality_list.append(modality)
-        if class_name not in reg.class_list:
-            reg.class_list.append(class_name)
     return reg
 
 
@@ -253,11 +245,12 @@ class TokenProjection:
         return self.W.shape[1]
 
     def project(self, raw: np.ndarray) -> ad.Tensor:
+        """The (1, d_model) token row of one (d_text,) embedding."""
         e = np.asarray(raw, dtype=np.float64)
         if e.shape != (self.d_text,):
             raise ShapeError(f"embedding has shape {e.shape}, expected ({self.d_text},)")
         col = ad.constant(e.reshape(-1, 1))
-        return ad.reshape(ad.matmul(self.W, col), (self.d_model,))
+        return ad.reshape(ad.matmul(self.W, col), (1, self.d_model))
 
     def parameters(self) -> list:
         return [("token_projection.W", self.W)]
@@ -265,7 +258,8 @@ class TokenProjection:
 
 def project_token(reg: TokenRegistry, proj: TokenProjection,
                   modality: str, class_name: str) -> ad.Tensor:
-    """Model-space token for one declared pair; differentiable through W."""
+    """Model-space (1, d_model) token row for one declared pair;
+    differentiable through W."""
     return proj.project(reg.embedding(modality, class_name).vector)
 
 

@@ -19,9 +19,9 @@ from .checkpoint import load_checkpoint, restore_params, save_checkpoint
 from .config import RunConfig
 from .data import (DatasetSpec, ModalityBatchSampler, attach_token,
                    generate_synthetic, modality_mean_token)
-from .detector import Detector, DetectorConfig, stack_tokens
+from .detector import Detector, DetectorConfig
 from .errors import CheckpointError, ValidationError
-from .evaluation import ap_report, detections_from_output
+from .evaluation import DETECTION, ap_report, detections_from_output
 from .fileio import atomic_write
 from .losses import detection_loss
 from .optim import AdamW, MultiStepSchedule
@@ -173,25 +173,30 @@ def _image_batches(samples, size: int):
         yield batch
 
 
-def evaluate(bundle: RunBundle, samples, moca: bool):
+def evaluate(bundle: RunBundle, samples):
     """Validation metrics with inference tokens (modality means, no labels).
 
-    Images run ``config.batch_size`` at a time through one forward each.
+    Images run ``config.batch_size`` at a time through one forward each;
+    MoCA tokens are used when the model has MoCA enabled.
     """
     spec = bundle.spec
-    detections = []
+    moca = bundle.model.config.moca_enabled
+    detections = [np.empty(0, dtype=DETECTION)]
     with ad.no_grad():
         token_cache = {}
         if moca:
             for mi in range(spec.n_modalities):
                 token_cache[mi] = modality_mean_token(
                     spec, bundle.registry, bundle.projection, mi)
+        start = 0
         for batch in _image_batches(samples, bundle.config.batch_size):
-            tokens = stack_tokens([token_cache[s.modality_id] for s in batch]) if moca else None
+            tokens = (ad.concat_rows([token_cache[s.modality_id] for s in batch])
+                      if moca else None)
             out = bundle.model.forward(np.stack([s.image for s in batch]), tokens)
-            detections.extend(detections_from_output(out, [s.sample_id for s in batch]))
+            detections.append(detections_from_output(out, range(start, start + len(batch))))
+            start += len(batch)
     class_modality = [spec.modality_of_class(c) for c in range(bundle.n_classes)]
-    return ap_report(detections, samples, bundle.n_classes,
+    return ap_report(np.concatenate(detections), samples, bundle.n_classes,
                      modality_names=spec.modality_names,
                      class_modality=class_modality)
 
@@ -235,9 +240,9 @@ def run_train(config: RunConfig, out_dir: str, moca: bool | None = None,
             with ad.Tape():
                 tokens = None
                 if moca_flag:
-                    tokens = stack_tokens([attach_token(s, bundle.spec, bundle.registry,
-                                                        bundle.projection, class_rng)
-                                           for s in batch])
+                    tokens = ad.concat_rows([attach_token(s, bundle.spec, bundle.registry,
+                                                          bundle.projection, class_rng)
+                                             for s in batch])
                 out = bundle.model.forward(np.stack([s.image for s in batch]), tokens)
                 targets = [(s.class_ids, np.array([a.box for a in s.annotations]))
                            for s in batch]
@@ -250,7 +255,7 @@ def run_train(config: RunConfig, out_dir: str, moca: bool | None = None,
 
         if bundle.val_samples and ((epoch + 1) % cfg.eval_every == 0
                                    or epoch == cfg.optim.epochs - 1):
-            report = evaluate(bundle, bundle.val_samples, moca_flag)
+            report = evaluate(bundle, bundle.val_samples)
             last_eval = report
             epochs_log.row([epoch, report.ap or 0.0, report.ap50 or 0.0,
                             report.ap75 or 0.0])
@@ -295,10 +300,9 @@ def load_detector_for_eval(ckpt_path: str):
         config = RunConfig.from_json(_stored_config(header, ckpt_path))
     except ValidationError as e:
         raise CheckpointError(f"{ckpt_path}: bad checkpoint config: {e}") from e
-    moca_flag = any(name.startswith("token_projection.") for name in stored)
     bundle = build_run(config)
     params = bundle.model.parameters()
-    if moca_flag and bundle.model.config.moca_enabled:
+    if bundle.model.config.moca_enabled:
         params = params + bundle.projection.parameters()
     restore_params(params, stored, allow_extra=False)
     return bundle

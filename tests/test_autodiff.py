@@ -108,7 +108,7 @@ def test_cosine_matrix_and_logsumexp_rows_match_pairwise_formulas():
 def test_mean_rows_segments_are_block_means():
     a = np.random.default_rng(5).normal(size=(6, 3))
     with ad.no_grad():
-        assert np.array_equal(ad.mean_rows(ad.tensor(a)).data, a.mean(axis=0))
+        assert np.array_equal(ad.mean_rows(ad.tensor(a), 1).data, a.mean(axis=0, keepdims=True))
         got = ad.mean_rows(ad.tensor(a), 3).data
         one = ad.mean_rows(ad.tensor(a), 1).data
     assert got.shape == (3, 3) and one.shape == (1, 3)
@@ -352,8 +352,8 @@ def _build_case(name, rng):
         return (lambda: ad.sum_all(ad.mul(ad.reshape(a, (12,)), w))), [a]
     if name == "mean_rows":
         a = ad.param(rng.normal(size=(4, 5)))
-        w = rng.normal(size=5)
-        return (lambda: ad.sum_all(ad.mul(ad.mean_rows(a), w))), [a]
+        w = rng.normal(size=(1, 5))
+        return (lambda: ad.sum_all(ad.mul(ad.mean_rows(a, 1), w))), [a]
     if name == "mean_rows_segments":
         a = ad.param(rng.normal(size=(6, 5)))
         w = rng.normal(size=(3, 5))

@@ -187,6 +187,34 @@ def test_truncated_or_missing_blob_raises_ingest_error(tmp_path):
         dt.load_dataset(tmp_path, "val")
 
 
+def test_malformed_manifest_raises_ingest_error(tmp_path):
+    spec = _tiny_spec()
+    dt.export_dataset(dt.generate_synthetic(spec, "val"), spec, tmp_path, "val")
+    path = tmp_path / "val_manifest.json"
+    good = json.loads(path.read_text())
+
+    def no_offset(doc):
+        del doc["samples"][1]["offset"]
+
+    def text_size(doc):
+        doc["image_size"] = "sixteen"
+
+    def no_blob(doc):
+        del doc["blob"]
+
+    for edit in (lambda doc: [doc], no_offset, text_size, no_blob):
+        doc = json.loads(json.dumps(good))
+        path.write_text(json.dumps(edit(doc) or doc))
+        with pytest.raises(IngestError):
+            dt.load_dataset(tmp_path, "val")
+    # a manifest without its dataset spec is a validation error, as a bad spec is
+    path.write_text(json.dumps({k: v for k, v in good.items() if k != "dataset_spec"}))
+    with pytest.raises(ValidationError):
+        dt.load_dataset(tmp_path, "val")
+    path.write_text(json.dumps(good))
+    assert len(dt.load_dataset(tmp_path, "val")[0]) == len(good["samples"])
+
+
 def _read_rawf32(path):
     """Reference reader for the ``.rawf32`` format ``write_rawf32`` writes."""
     blob = path.read_bytes()
@@ -284,8 +312,8 @@ def test_attach_token_modes():
         expected = proj.W.data @ registry.embedding(
             spec.modality_names[s.modality_id],
             spec.global_classes[s.annotations[0].class_id]).vector
-    assert np.array_equal(tok1.data, tok2.data)
-    assert np.allclose(tok1.data, expected, atol=1e-14)
+    assert tok1.shape == (1, 6) and np.array_equal(tok1.data, tok2.data)
+    assert np.allclose(tok1.data, expected[None], atol=1e-14)
 
     # empty image: mean over the modality's projected class tokens, the
     # token inference uses for every image
@@ -300,8 +328,8 @@ def test_attach_token_modes():
         mean = dt.modality_mean_token(three, reg3, proj, 0)
         expected = np.mean([proj.W.data @ reg3.embedding("moda", c).vector
                             for c in ("a1", "a2", "a3")], axis=0)
-    assert np.array_equal(tok.data, mean.data)
-    assert np.allclose(tok.data, expected, atol=1e-14)
+    assert mean.shape == (1, 6) and np.array_equal(tok.data, mean.data)
+    assert np.allclose(tok.data, expected[None], atol=1e-14)
 
     bad = dt.Sample(image=s.image, modality_id=1, annotations=[], sample_id="x")
     spec_other = _tiny_spec(classes_b=("zz",))

@@ -79,7 +79,7 @@ def test_uniform_attention_is_row_mean_per_head():
 def test_forward_shapes_ranges_and_determinism():
     cfg = _cfg()
     image = np.random.default_rng(3).uniform(0, 1, size=(16, 16))
-    token = np.random.default_rng(4).normal(size=8)
+    token = np.random.default_rng(4).normal(size=(1, 8))
 
     def build_and_run():
         model = det.Detector(cfg, np.random.default_rng(42))
@@ -100,7 +100,7 @@ def test_forward_shapes_ranges_and_determinism():
 
 def test_moca_disabled_flag_ignores_token():
     image = np.random.default_rng(5).uniform(0, 1, size=(16, 16))
-    token = np.random.default_rng(6).normal(size=8)
+    token = np.random.default_rng(6).normal(size=(1, 8))
     model = det.Detector(_cfg(moca_enabled=False), np.random.default_rng(0))
     with ad.no_grad():
         with_tok = model.forward(image, ad.constant(token))
@@ -115,7 +115,7 @@ def test_masked_token_column_bitwise_equals_disabled_20_seeds():
         rng = np.random.default_rng(100 + seed)
         model = det.Detector(cfg, np.random.default_rng(seed))
         image = rng.uniform(0, 1, size=(16, 16))
-        token = ad.constant(rng.normal(size=cfg.d_model))
+        token = ad.constant(rng.normal(size=(1, cfg.d_model)))
         with ad.no_grad():
             memory = model.encode(image)
             masked = model.decode(memory, token, mask_token_column=True)
@@ -153,7 +153,7 @@ def test_batched_forward_equals_per_image_forwards(n_images):
     rng = np.random.default_rng(20 + n_images)
     model = det.Detector(cfg, np.random.default_rng(21))
     images = rng.uniform(0, 1, size=(n_images, 16, 12))
-    tokens = [ad.param(rng.normal(size=cfg.d_model)) for _ in range(n_images)]
+    tokens = [ad.param(rng.normal(size=(1, cfg.d_model))) for _ in range(n_images)]
     w = rng.normal(size=(n_images, cfg.n_queries, cfg.n_classes + 4 + cfg.d_model))
     params = [t for _, t in model.parameters()] + tokens
 
@@ -170,7 +170,7 @@ def test_batched_forward_equals_per_image_forwards(n_images):
         n = cfg.n_queries
         with ad.Tape():
             if batched:
-                out = model.forward(images, det.stack_tokens(tokens))
+                out = model.forward(images, ad.concat_rows(tokens))
                 outs = [out]
                 loss = sum(objective(out, b, (b * n, (b + 1) * n)) for b in range(n_images))
             else:
@@ -206,7 +206,7 @@ def test_token_perturbation_changes_outputs():
     cfg = _cfg()
     model = det.Detector(cfg, np.random.default_rng(7))
     image = np.random.default_rng(8).uniform(0, 1, size=(16, 16))
-    token = np.random.default_rng(9).normal(size=cfg.d_model)
+    token = np.random.default_rng(9).normal(size=(1, cfg.d_model))
     with ad.no_grad():
         memory = model.encode(image)
         a = model.decode(memory, ad.constant(token))
@@ -214,15 +214,16 @@ def test_token_perturbation_changes_outputs():
     delta = max(np.abs(sa.data - sb.data).max()
                 for sa, sb in zip(a.query_states, b.query_states))
     assert delta > 0.0
-    with pytest.raises(ShapeError), ad.no_grad():
-        model.decode(memory, ad.constant(np.zeros(5)))  # d_model is 8
+    for bad in (np.zeros((1, 5)), np.zeros(8)):  # d_model is 8; tokens are rows
+        with pytest.raises(ShapeError), ad.no_grad():
+            model.decode(memory, ad.constant(bad))
 
 
 def test_full_model_gradient_check_detection_loss():
     cfg = _cfg()
     model = det.Detector(cfg, np.random.default_rng(10))
     image = np.random.default_rng(11).uniform(0, 1, size=(8, 8))
-    token = ad.param(np.random.default_rng(12).normal(size=cfg.d_model) * 0.5)
+    token = ad.param(np.random.default_rng(12).normal(size=(1, cfg.d_model)) * 0.5)
     gt_classes = [0, 1]
     gt_boxes = np.array([[0.3, 0.3, 0.25, 0.25], [0.7, 0.6, 0.2, 0.3]])
     weights = ls.LossWeights()
@@ -254,14 +255,14 @@ def test_tape_nodes_per_sample_at_default_config():
     model = det.Detector(cfg, np.random.default_rng(0))
     rng = np.random.default_rng(1)
     images = rng.uniform(0, 1, size=(4, 64, 64))
-    tokens = [ad.param(rng.normal(size=cfg.d_model)) for _ in range(4)]
+    tokens = [ad.param(rng.normal(size=(1, cfg.d_model))) for _ in range(4)]
     gt_boxes = np.array([[0.3, 0.3, 0.25, 0.25], [0.7, 0.6, 0.2, 0.3]])
     targets = [([0, 1], gt_boxes), ([], np.zeros((0, 4))), ([3], gt_boxes[:1]),
                ([2, 2], gt_boxes)]
 
     def count(images, tokens, targets):
         with ad.Tape() as tape:
-            stacked = tokens[0] if len(tokens) == 1 else det.stack_tokens(tokens)
+            stacked = tokens[0] if len(tokens) == 1 else ad.concat_rows(tokens)
             n_stack = len(tape.nodes)
             memory = model.encode(images)
             n_encode = len(tape.nodes) - n_stack
@@ -271,14 +272,13 @@ def test_tape_nodes_per_sample_at_default_config():
             ls.detection_loss(out.layers, targets, ls.LossWeights())
             return n_stack, n_encode, n_decode, len(tape.nodes) - before
 
-    assert count(images[0], tokens[:1], targets[:1]) == (0, 14, 170, 65)
-    assert count(images[0], tokens[:1], targets[1:2]) == (0, 14, 170, 18)
+    assert count(images[0], tokens[:1], targets[:1]) == (0, 14, 169, 65)
+    assert count(images[0], tokens[:1], targets[1:2]) == (0, 14, 169, 18)
     # B=4: the same encoder and decoder nodes, plus tiling the query
-    # embeddings and positions (2) and stacking the tokens (B reshapes and
-    # one concat) instead of reshaping the one token (1)
+    # embeddings and positions (2) and one concat of the B token rows
     n_stack, n_encode, n_decode, n_loss = count(images, tokens, targets)
-    assert (n_stack, n_encode, n_decode, n_loss) == (5, 14, 171, 65)
-    assert n_stack + n_encode + n_decode == 14 + 170 - 1 + 2 + (4 + 1)
+    assert (n_stack, n_encode, n_decode, n_loss) == (1, 14, 171, 65)
+    assert n_stack + n_encode + n_decode == 14 + 169 + 2 + 1
 
 
 def test_backward_leaves_no_reference_cycles():
@@ -289,7 +289,7 @@ def test_backward_leaves_no_reference_cycles():
     gc.disable()
     try:
         model = det.Detector(cfg, np.random.default_rng(10))
-        token = ad.param(np.random.default_rng(12).normal(size=cfg.d_model))
+        token = ad.param(np.random.default_rng(12).normal(size=(1, cfg.d_model)))
         with ad.Tape():
             out = model.forward(image, token)
             loss = ls.detection_loss(out.layers, [([0, 1], gt_boxes)], ls.LossWeights())
@@ -307,7 +307,7 @@ def test_backward_frees_the_graph_while_outputs_are_held():
     cfg = _cfg()
     model = det.Detector(cfg, np.random.default_rng(10))
     image = np.random.default_rng(11).uniform(0, 1, size=(16, 16))
-    token = ad.param(np.random.default_rng(12).normal(size=cfg.d_model))
+    token = ad.param(np.random.default_rng(12).normal(size=(1, cfg.d_model)))
     gt_boxes = np.array([[0.3, 0.3, 0.25, 0.25], [0.7, 0.6, 0.2, 0.3]])
     with ad.Tape() as tape:
         out = model.forward(image, token)

@@ -21,7 +21,19 @@ def _sample(sid, boxes_classes, modality=0):
 
 
 def _det(sid, cid, box, score):
-    return ev.Detection(image_id=sid, class_id=cid, box=box, score=score)
+    """One detection on the sample named ``sid``, as a plain tuple."""
+    return sid, cid, box, score
+
+
+def _array(dets, samples):
+    """The ``DETECTION`` array of ``_det`` tuples, ``image`` indexing ``samples``."""
+    index = {s.sample_id: i for i, s in enumerate(samples)}
+    return np.array([(index[sid], cid, box, score) for sid, cid, box, score in dets],
+                    dtype=ev.DETECTION).reshape(-1)
+
+
+def _report(dets, samples, n_classes, **kw):
+    return ev.ap_report(_array(dets, samples), samples, n_classes, **kw)
 
 
 # -- iou -------------------------------------------------------------------
@@ -51,10 +63,11 @@ def test_iou_cases():
 
 
 def _match(det_boxes, gt_boxes, gt_ignore=None):
-    """Flags at every COCO threshold for cxcywh detections in rank order."""
+    """Flags at every COCO threshold for cxcywh detections in rank order,
+    matched for one area range."""
     ious = bx.iou(bx.cxcywh_to_xyxy(det_boxes), bx.cxcywh_to_xyxy(gt_boxes))
     ignore = [False] * len(gt_boxes) if gt_ignore is None else gt_ignore
-    return ev.greedy_match(ious, ignore).tolist()
+    return ev.greedy_match(ious, [ignore])[:, 0].tolist()
 
 
 def test_match_basic_tp():
@@ -82,6 +95,20 @@ def test_iou_exactly_at_threshold_is_tp():
     # det (0,0,1,1) vs gt (0,0,1,0.5): IoU exactly 0.5
     flags = _match([(0.5, 0.5, 1.0, 1.0)], [(0.5, 0.25, 1.0, 0.5)])
     assert flags == [[1, 0, 0, 0, 0, 0, 0, 0, 0, 0]]
+
+
+def test_greedy_match_of_stacked_ranges_equals_one_range_at_a_time():
+    # IoUs on a coarse grid, so ties and on-threshold values occur
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        d, g, a = (int(v) for v in rng.integers([0, 0, 1], [9, 7, 5]))
+        ious = rng.choice([0.0, 0.3, 0.5, 0.55, 0.6, 0.75, 0.9, 1.0], size=(d, g))
+        ignore = rng.uniform(size=(a, g)) < 0.4
+        got = ev.greedy_match(ious, ignore)
+        assert got.shape == (d, a, len(ev.COCO_THRESHOLDS)) and got.dtype == np.int8
+        want = np.stack([ev.greedy_match(ious, ignore[k:k + 1])[:, 0] for k in range(a)],
+                        axis=1)
+        assert np.array_equal(got, want)
 
 
 # -- average precision --------------------------------------------------------
@@ -171,7 +198,7 @@ def test_average_precision_degenerate_cases():
 def test_perfect_single_detection_full_report():
     samples = [_sample("a", [((0.5, 0.5, 0.5, 0.5), 0)])]
     dets = [_det("a", 0, (0.5, 0.5, 0.5, 0.5), 0.9)]
-    rep = ev.ap_report(dets, samples, n_classes=1)
+    rep = _report(dets, samples, n_classes=1)
     assert rep.ap == pytest.approx(1.0)
     assert rep.ap50 == pytest.approx(1.0)
     assert rep.ap75 == pytest.approx(1.0)
@@ -181,7 +208,7 @@ def test_iou_06_threshold_enumeration():
     # IoU of det vs gt is exactly 0.6: TP at thresholds .50/.55/.60 only
     samples = [_sample("a", [((0.5, 0.5, 1.0, 1.0), 0)])]
     dets = [_det("a", 0, (0.5, 0.3, 1.0, 0.6), 0.9)]
-    rep = ev.ap_report(dets, samples, n_classes=1)
+    rep = _report(dets, samples, n_classes=1)
     assert rep.ap == pytest.approx(0.30, abs=1e-9)
 
 
@@ -190,12 +217,36 @@ def test_non_finite_detection_box_rejected():
     for box in [(np.nan, 0.5, 0.5, 0.5), (0.5, -np.inf, 0.5, 0.5),
                 (0.5, 0.5, np.inf, 0.5), (0.5, 0.5, 0.5, np.nan)]:
         with pytest.raises(ValidationError):
-            ev.ap_report([_det("a", 0, box, 0.9)], samples, n_classes=1)
+            _report([_det("a", 0, box, 0.9)], samples, n_classes=1)
+    good = _array([_det("a", 0, (0.5, 0.5, 0.5, 0.5), 0.9)], samples)
+    # a non-finite score, an empty box and duplicate sample ids
+    for field, value in (("score", np.nan), ("score", np.inf), ("box", (0.5, 0.5, 0.0, 0.5)),
+                         ("box", (0.5, 0.5, 0.5, -0.1))):
+        bad = good.copy()
+        bad[field] = value
+        with pytest.raises(ValidationError):
+            ev.ap_report(bad, samples, n_classes=1)
+    with pytest.raises(ValidationError):
+        ev.ap_report(good, samples + samples, n_classes=1)
+    # an image index outside the samples
+    for image in (1, -1):
+        bad = good.copy()
+        bad["image"] = image
+        with pytest.raises(ValidationError):
+            ev.ap_report(bad, samples, n_classes=1)
+    # anything but a 1-d DETECTION array
+    other = np.dtype([("image", np.int64), ("class_id", np.int64),
+                      ("box", np.float64, (4,)), ("score", np.float32)])
+    for dets in ([(0, 0, (0.5, 0.5, 0.5, 0.5), 0.9)], good.tolist(), good.astype(other),
+                 np.zeros((1, 6)), good.reshape(1, 1)):
+        with pytest.raises(ValidationError):
+            ev.ap_report(dets, samples, n_classes=1)
+    ev.ap_report(good, samples, n_classes=1)
 
 
 def test_no_detections_zero_ap():
     samples = [_sample("a", [((0.5, 0.5, 0.5, 0.5), 0)])]
-    rep = ev.ap_report([], samples, n_classes=1)
+    rep = ev.ap_report(np.zeros(0, dtype=ev.DETECTION), samples, n_classes=1)
     assert rep.ap == 0.0
 
 
@@ -220,7 +271,8 @@ _REF_AREAS = {None: (0.0, math.inf), "small": (0.0, _REF_SMALL),
 
 def _ref_cells(dets, samples, n_classes, area=None, modality=None):
     """(class, threshold index) -> AP over the images of ``modality`` (all
-    if None), with truth outside ``area`` ignored."""
+    if None), with truth outside ``area`` ignored; ``dets`` is a
+    ``DETECTION`` array read one record at a time."""
     lo, hi = _REF_AREAS[area]
     thr_list = [round(0.5 + 0.05 * i, 2) for i in range(10)]
     images = [s for s in samples if modality is None or s.modality_id == modality]
@@ -235,8 +287,9 @@ def _ref_cells(dets, samples, n_classes, area=None, modality=None):
             ranked = []
             for s in images:
                 img_dets = [(k, d) for k, d in enumerate(dets)
-                            if d.image_id == s.sample_id and d.class_id == c]
-                img_dets.sort(key=lambda kd: -kd[1].score)
+                            if samples[d["image"]].sample_id == s.sample_id
+                            and d["class_id"] == c]
+                img_dets.sort(key=lambda kd: -kd[1]["score"])
                 matched = set()
                 gts = [a.box for a in s.annotations if a.class_id == c]
                 for rank, (k, d) in enumerate(img_dets):
@@ -244,7 +297,7 @@ def _ref_cells(dets, samples, n_classes, area=None, modality=None):
                     # truth inside the area range before ignored truth
                     pick = {}
                     for j, g in enumerate(gts):
-                        v = _ref_iou_cxcywh(d.box, g)
+                        v = _ref_iou_cxcywh(d["box"], g)
                         inside = lo <= g[2] * g[3] < hi
                         if j in matched or v < thr:
                             continue
@@ -252,11 +305,11 @@ def _ref_cells(dets, samples, n_classes, area=None, modality=None):
                             pick[inside] = (j, v)
                     if True in pick:
                         matched.add(pick[True][0])
-                        ranked.append((-d.score, str(s.sample_id), rank, 1))
+                        ranked.append((-d["score"], str(s.sample_id), rank, 1))
                     elif False in pick:
                         matched.add(pick[False][0])  # ignored: dropped from the ranking
                     else:
-                        ranked.append((-d.score, str(s.sample_id), rank, 0))
+                        ranked.append((-d["score"], str(s.sample_id), rank, 0))
             ranked.sort(key=lambda r: r[:3])
             tps = [r[3] for r in ranked]
             # explicit PR + 101-pt interpolation
@@ -376,8 +429,8 @@ def _three_image_fixture():
 
 def test_report_matches_independent_reference():
     samples, dets = _three_image_fixture()
-    rep = ev.ap_report(dets, samples, n_classes=2)
-    ref = _ref_report(dets, samples, n_classes=2)
+    rep = _report(dets, samples, n_classes=2)
+    ref = _ref_report(_array(dets, samples), samples, n_classes=2)
     assert rep.ap == pytest.approx(ref["ap"], abs=1e-12)
     assert rep.ap50 == pytest.approx(ref["ap50"], abs=1e-12)
     assert rep.ap75 == pytest.approx(ref["ap75"], abs=1e-12)
@@ -386,30 +439,50 @@ def test_report_matches_independent_reference():
     names = ["m0", "m1"]
     for seed in range(40):
         samples, dets, n_classes, class_modality = _random_fixture(seed)
-        rep = ev.ap_report(dets, samples, n_classes, modality_names=names,
-                           class_modality=class_modality)
-        ref = _ref_report(dets, samples, n_classes, names, class_modality)
+        rep = _report(dets, samples, n_classes, modality_names=names,
+                      class_modality=class_modality)
+        ref = _ref_report(_array(dets, samples), samples, n_classes, names, class_modality)
         _assert_reports_close(rep.to_json(), ref)
 
 
 def test_report_order_invariance():
     samples, dets = _three_image_fixture()
-    base = ev.ap_report(dets, samples, n_classes=2).to_json()
-    perm = ev.ap_report(dets[::-1], samples[::-1], n_classes=2).to_json()
+    base = _report(dets, samples, n_classes=2).to_json()
+    perm = _report(dets[::-1], samples[::-1], n_classes=2).to_json()
     assert base == perm
+    # scores tie across images here, so the pooled order rests on sample ids
+    for seed in range(20):
+        samples, dets, n_classes, _ = _random_fixture(seed)
+        base = _report(dets, samples, n_classes).to_json()
+        assert _report(dets, samples[::-1], n_classes).to_json() == base
+
+
+def test_equal_iou_goes_to_the_first_truth_among_many():
+    # the first detection overlaps truths A and B equally (IoU exactly 0.6)
+    # and must take A, listed first, so that the second can take B; 40
+    # distant truths of both classes come before and after the pair
+    grid = [((0.05 + 0.1 * i, 0.05 + 0.9 * j, 0.02, 0.02), (i + j) % 2) for i in range(10)
+            for j in range(2)]
+    pair = [((0.25, 0.5, 0.25, 0.25), 0), ((0.375, 0.5, 0.25, 0.25), 0)]
+    samples = [_sample("a", grid[:4] + pair + grid[4:] + grid)]
+    dets = [_det("a", 0, (0.3125, 0.5, 0.25, 0.25), 0.9),
+            _det("a", 0, (0.4375, 0.5, 0.25, 0.25), 0.8)]
+    rep = _report(dets, samples, n_classes=2)
+    _assert_reports_close(rep.to_json(), _ref_report(_array(dets, samples), samples, 2))
+    assert rep.ap_large == pytest.approx(0.3)  # both match up to the .60 threshold
 
 
 def test_ap50_at_least_ap():
     samples, dets = _three_image_fixture()
-    rep = ev.ap_report(dets, samples, n_classes=2)
+    rep = _report(dets, samples, n_classes=2)
     assert rep.ap50 >= rep.ap - 1e-12
 
 
 def test_adding_correct_top_detection_never_decreases_ap():
     samples, dets = _three_image_fixture()
-    before = ev.ap_report(dets, samples, n_classes=2).ap
+    before = _report(dets, samples, n_classes=2).ap
     extra = _det("im2", 1, (0.5, 0.5, 0.4, 0.4), 0.99)  # exact, highest score
-    after = ev.ap_report(dets + [extra], samples, n_classes=2).ap
+    after = _report(dets + [extra], samples, n_classes=2).ap
     assert after >= before - 1e-12
 
 
@@ -418,8 +491,8 @@ def test_single_modality_total_equals_modality_ap():
                _sample("b", [((0.4, 0.4, 0.3, 0.3), 1)], modality=0)]
     dets = [_det("a", 0, (0.5, 0.5, 0.5, 0.5), 0.9),
             _det("b", 1, (0.42, 0.4, 0.3, 0.3), 0.8)]
-    rep = ev.ap_report(dets, samples, n_classes=2, modality_names=["only"],
-                       class_modality=[0, 0])
+    rep = _report(dets, samples, n_classes=2, modality_names=["only"],
+                  class_modality=[0, 0])
     assert rep.per_modality["only"]["ap"] == pytest.approx(rep.ap, abs=1e-12)
     assert rep.per_modality["only"]["ap50"] == pytest.approx(rep.ap50, abs=1e-12)
 
@@ -431,7 +504,7 @@ def test_size_buckets():
     dets = [_det("a", 0, (0.2, 0.2, 0.04, 0.04), 0.9),
             _det("a", 0, (0.5, 0.5, 0.1, 0.1), 0.8),
             _det("a", 0, (0.8, 0.7, 0.3, 0.3), 0.7)]
-    rep = ev.ap_report(dets, samples, n_classes=1)
+    rep = _report(dets, samples, n_classes=1)
     assert rep.ap_small == pytest.approx(1.0)
     assert rep.ap_medium == pytest.approx(1.0)
     assert rep.ap_large == pytest.approx(1.0)
@@ -439,15 +512,15 @@ def test_size_buckets():
     # only-large ground truth: the small/medium buckets have no eligible gt
     samples2 = [_sample("a", [((0.5, 0.5, 0.3, 0.3), 0)])]
     dets2 = [_det("a", 0, (0.5, 0.5, 0.3, 0.3), 0.9)]
-    rep2 = ev.ap_report(dets2, samples2, n_classes=1)
+    rep2 = _report(dets2, samples2, n_classes=1)
     assert rep2.ap_small is None and rep2.ap_medium is None
     assert rep2.ap_large == pytest.approx(1.0)
 
 
 def test_report_csv_shape():
     samples, dets = _three_image_fixture()
-    rep = ev.ap_report(dets, samples, n_classes=2, modality_names=["m0"],
-                       class_modality=[0, 0])
+    rep = _report(dets, samples, n_classes=2, modality_names=["m0"],
+                  class_modality=[0, 0])
     csv = ev.report_csv(rep, ["m0"])
     lines = csv.strip().split("\n")
     assert lines[0].split(",") == ["total_ap", "total_ap50", "m0_ap", "m0_ap50"]
@@ -465,31 +538,29 @@ def test_detections_from_output_splits_image_row_blocks():
         return DetectorOutput(layers=[(ad.tensor(logits[rows]), ad.tensor(boxes[rows]))],
                               n_images=n_images)
 
-    got = ev.detections_from_output(output(slice(None), 3), ["a", "b", "c"])
-    want = [d for i, image_id in enumerate("abc")
-            for d in ev.detections_from_output(output(slice(i * n, (i + 1) * n), 1), [image_id])]
-    assert got == want and len(got) == 3 * n * c
+    got = ev.detections_from_output(output(slice(None), 3), [5, 6, 7])
+    want = np.concatenate([ev.detections_from_output(output(slice(i * n, (i + 1) * n), 1),
+                                                     [5 + i]) for i in range(3)])
+    assert got.tobytes() == want.tobytes() and len(got) == 3 * n * c
     with pytest.raises(ValidationError):
-        ev.detections_from_output(output(slice(None), 3), ["a", "b"])
+        ev.detections_from_output(output(slice(None), 3), [0, 1])
 
 
-def _detections_loop(output, image_ids):
+def _detections_loop(output, images):
     """Each image's detections from a list of (score, class, query) tuples
     sorted by (-score, class, query): the oracle for the lexsort ranking of
     ``detections_from_output``."""
     logits, boxes = output.layers[-1]
     probs = 1.0 / (1.0 + np.exp(-logits.data))
-    n, c = probs.shape[0] // len(image_ids), probs.shape[1]
+    n, c = probs.shape[0] // len(images), probs.shape[1]
     out = []
-    for b, image_id in enumerate(image_ids):
+    for b, image in enumerate(images):
         block = probs[b * n:(b + 1) * n]
         flat = [(float(block[q, k]), int(k), q) for q in range(n) for k in range(c)]
         flat.sort(key=lambda r: (-r[0], r[1], r[2]))
         for score, k, q in flat[:ev.MAX_DETS_PER_IMAGE]:
-            out.append(ev.Detection(image_id=image_id, class_id=k,
-                                    box=tuple(float(x) for x in boxes.data[b * n + q]),
-                                    score=score))
-    return out
+            out.append((image, k, tuple(float(x) for x in boxes.data[b * n + q]), score))
+    return np.array(out, dtype=ev.DETECTION)
 
 
 @pytest.mark.parametrize("n,c,n_images", [(25, 10, 3), (4, 3, 2), (50, 2, 1), (10, 10, 2)])
@@ -502,7 +573,7 @@ def test_detections_from_output_matches_tuple_sort(n, c, n_images):
         boxes = rng.uniform(0.2, 0.8, size=(n_images * n, 4))
         output = DetectorOutput(layers=[(ad.tensor(logits), ad.tensor(boxes))],
                                 n_images=n_images)
-        ids = [f"im{i}" for i in range(n_images)]
-        got = ev.detections_from_output(output, ids)
-        assert got == _detections_loop(output, ids)
-        assert all(type(d.score) is float and type(d.class_id) is int for d in got)
+        images = [3 * i + 1 for i in range(n_images)]
+        got = ev.detections_from_output(output, images)
+        assert got.dtype == ev.DETECTION and got.ndim == 1
+        assert got.tobytes() == _detections_loop(output, images).tobytes()

@@ -261,9 +261,10 @@ def test_alignment_loss_node_count_does_not_depend_on_batch_size():
     for b in (1, 2, 3, 5):
         batch = dt.ModalityBatchSampler(samples, 5, b, seed=0).next_batch()
         with ad.Tape() as tape:
-            tokens = det.stack_tokens([dt.attach_token(s, spec, registry, proj,
-                                                       np.random.default_rng(0))
-                                       for s in batch])
+            tokens = ad.concat_rows([dt.attach_token(s, spec, registry, proj,
+                                                     np.random.default_rng(0))
+                                     for s in batch])
+            assert len(tape.nodes) == 2 * b + 1  # a matmul and a reshape per row, one concat
             out = model.forward(np.stack([s.image for s in batch]), tokens)
             before = len(tape.nodes)
             qr.qra_loss(qr.cluster_mean(out.state(2), b), tokens, gphi, 0.07)

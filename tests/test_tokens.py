@@ -112,19 +112,21 @@ def test_project_token_zero_identity_and_random():
     proj.W.data[:] = 0.0
     with ad.no_grad():
         out = tk.project_token(reg, proj, "CT", "nodule")
-    assert np.array_equal(out.data, np.zeros(4))
+    assert np.array_equal(out.data, np.zeros((1, 4)))  # one (1, d_model) token row
 
     proj_id = tk.TokenProjection(6, 6, rng)
     proj_id.W.data[:] = np.eye(6)
     with ad.no_grad():
         out = tk.project_token(reg, proj_id, "CT", "nodule")
-    assert np.allclose(out.data, reg.embedding("CT", "nodule").vector, atol=1e-15)
+    assert out.shape == (1, 6)
+    assert np.allclose(out.data, reg.embedding("CT", "nodule").vector[None], atol=1e-15)
 
     proj_r = tk.TokenProjection(5, 6, rng)
     e = reg.embedding("CT", "nodule").vector
     with ad.no_grad():
         out = tk.project_token(reg, proj_r, "CT", "nodule")
-    assert np.allclose(out.data, proj_r.W.data @ e, atol=1e-14)  # independent matvec
+    assert out.shape == (1, 5)
+    assert np.allclose(out.data, (proj_r.W.data @ e)[None], atol=1e-14)  # independent matvec
 
     with pytest.raises(TokenLookupError):
         tk.project_token(reg, proj_r, "MRI", "nodule")

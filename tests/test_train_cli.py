@@ -6,10 +6,11 @@ import os
 import numpy as np
 import pytest
 
-from mocadet.checkpoint import load_checkpoint
+from mocadet.checkpoint import load_checkpoint, save_checkpoint
 from mocadet.cli import main
 from mocadet.config import RunConfig
 from mocadet.errors import CheckpointError
+from mocadet.evaluation import DETECTION
 from mocadet.train import (build_run, evaluate, load_detector_for_eval,
                            load_pretrained, run_pretrain, run_train)
 
@@ -106,7 +107,7 @@ def test_eval_checkpoint_round_trip(tmp_path):
     cfg = RunConfig.from_json(_tiny_doc(epochs=1))
     summary = run_train(cfg, str(tmp_path / "run"))
     bundle = load_detector_for_eval(summary["checkpoint_final"])
-    report = evaluate(bundle, bundle.val_samples, moca=True)
+    report = evaluate(bundle, bundle.val_samples)
     assert report.ap is not None
 
 
@@ -133,6 +134,21 @@ def test_checkpoint_with_bad_config_raises_checkpoint_error(tmp_path):
             load_pretrained(bundle, str(path))
 
 
+def test_moca_checkpoint_must_hold_exactly_the_configured_parameters(tmp_path):
+    # a MoCA config stored without its token projection, and a MoCA-off
+    # config stored with one
+    for moca, with_projection in ((True, False), (False, True)):
+        bundle = build_run(RunConfig.from_json(dict(_tiny_doc(), moca=moca)))
+        named = bundle.model.parameters()
+        if with_projection:
+            named = named + bundle.projection.parameters()
+        path = tmp_path / f"moca_{moca}.ckpt"
+        save_checkpoint(path, named, bundle.config.to_json(), phase="detection", step=0)
+        with pytest.raises(CheckpointError):
+            load_detector_for_eval(str(path))
+        assert main(["eval", "--ckpt", str(path), "--data", str(tmp_path)]) == 1
+
+
 def test_evaluate_in_batches_equals_one_image_at_a_time(tmp_path, monkeypatch):
     from mocadet import train
     seen = []
@@ -140,12 +156,14 @@ def test_evaluate_in_batches_equals_one_image_at_a_time(tmp_path, monkeypatch):
     bundle = build_run(RunConfig.from_json(_tiny_doc()))
     for batch_size in (4, 1):  # 6 val images: batches of 4 and 2, then six of 1
         bundle.config.batch_size = batch_size
-        evaluate(bundle, bundle.val_samples, moca=True)
+        evaluate(bundle, bundle.val_samples)
     batched, single = seen
+    assert batched.dtype == single.dtype == DETECTION
     assert len(batched) == len(single) > 0
     for a, b in zip(batched, single):
-        assert (a.image_id, a.class_id) == (b.image_id, b.class_id)
-        assert np.allclose(a.box + (a.score,), b.box + (b.score,), rtol=0, atol=1e-12)
+        assert (a["image"], a["class_id"]) == (b["image"], b["class_id"])
+        assert np.allclose(np.append(a["box"], a["score"]), np.append(b["box"], b["score"]),
+                           rtol=0, atol=1e-12)
 
 
 def test_image_batches_split_at_size_and_shape_changes():
