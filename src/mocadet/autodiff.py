@@ -6,9 +6,10 @@ records one forward build and supports exactly one backward pass.
 
 Ops, one tape node each: the fused ``linear``, ``attention`` (multi-head,
 optional extra key/value rows) and ``layernorm`` (optionally affine);
-elementwise ``add sub mul div neg log powf relu sigmoid abs_ clip minimum
-maximum``; ``matmul concat_rows slice_rows slice_cols select_rows reshape``;
-reductions ``mean_rows sum_all logsumexp_rows cosine_matrix``.
+elementwise ``add sub mul relu sigmoid``; ``matmul concat_rows select_rows
+reshape``; reductions ``mean_rows sum_all logsumexp_rows cosine_matrix``.
+``node`` builds one node from a value computed elsewhere and a hand-written
+pullback; the set loss builds its two fused nodes with it.
 
 Conventions:
   * all data is float64, row-major;
@@ -127,20 +128,11 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(constant(np.full(self.shape, other)), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -205,6 +197,27 @@ def _accum(parent: Tensor, g: np.ndarray) -> None:
 def zero_grad(params) -> None:
     for p in params:
         p.grad = None
+
+
+def node(data, parents, pullback) -> Tensor:
+    """One tape node whose value was computed outside this module: ``data``
+    is its value, ``parents`` the tensors it depends on, and ``pullback(g)``
+    maps the gradient ``g`` of the value to a sequence of one gradient per
+    parent, each of that parent's shape."""
+    parents = tuple(parents)
+    if not all(isinstance(p, Tensor) for p in parents):
+        raise ContractError("node parents must be Tensors")
+
+    def run(g):
+        grads = tuple(pullback(g))
+        if len(grads) != len(parents) or any(np.shape(d) != p.shape
+                                             for p, d in zip(parents, grads)):
+            raise ContractError("node pullback must return one gradient per parent, "
+                                "each of that parent's shape")
+        for p, d in zip(parents, grads):
+            _accum(p, d)
+
+    return _make_node(data, parents, run)
 
 
 # ---------------------------------------------------------------------------
@@ -360,52 +373,6 @@ def mul(a, b) -> Tensor:
     return _make_node(a.data * b.data, (a, b), pullback)
 
 
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    kind = _broadcast_kind(a, b)
-    if np.any(b.data == 0.0):
-        raise ValidationError("division by zero")
-
-    def pullback(g):
-        _accum(a, g / b.data)
-        _accum(b, _reduce_to(-g * a.data / (b.data * b.data), kind))
-
-    return _make_node(a.data / b.data, (a, b), pullback)
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-
-    def pullback(g):
-        _accum(a, -g)
-
-    return _make_node(-a.data, (a,), pullback)
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    if np.any(a.data <= 0.0):
-        raise ValidationError("log of non-positive value")
-
-    def pullback(g):
-        _accum(a, g / a.data)
-
-    return _make_node(np.log(a.data), (a,), pullback)
-
-
-def powf(a, exponent: float) -> Tensor:
-    """a ** exponent for strictly positive a (real exponent)."""
-    a = _as_tensor(a)
-    if np.any(a.data <= 0.0):
-        raise ValidationError("powf requires strictly positive base")
-    out_data = a.data ** exponent
-
-    def pullback(g):
-        _accum(a, g * exponent * a.data ** (exponent - 1.0))
-
-    return _make_node(out_data, (a,), pullback)
-
-
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     mask = a.data > 0.0
@@ -426,53 +393,6 @@ def sigmoid(a) -> Tensor:
         _accum(a, g * out_data * (1.0 - out_data))
 
     return _make_node(out_data, (a,), pullback)
-
-
-def abs_(a) -> Tensor:
-    a = _as_tensor(a)
-    sign = np.sign(a.data)  # subgradient 0 at 0
-
-    def pullback(g):
-        _accum(a, g * sign)
-
-    return _make_node(np.abs(a.data), (a,), pullback)
-
-
-def clip(a, lo: float, hi: float) -> Tensor:
-    """Clamp values; gradient passes through inside [lo, hi], zero outside."""
-    a = _as_tensor(a)
-    mask = (a.data >= lo) & (a.data <= hi)
-
-    def pullback(g):
-        _accum(a, g * mask)
-
-    return _make_node(np.clip(a.data, lo, hi), (a,), pullback)
-
-
-def minimum(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"minimum needs equal shapes, got {a.shape} and {b.shape}")
-    take_a = a.data <= b.data  # ties route gradient to a
-
-    def pullback(g):
-        _accum(a, g * take_a)
-        _accum(b, g * ~take_a)
-
-    return _make_node(np.minimum(a.data, b.data), (a, b), pullback)
-
-
-def maximum(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"maximum needs equal shapes, got {a.shape} and {b.shape}")
-    take_a = a.data >= b.data
-
-    def pullback(g):
-        _accum(a, g * take_a)
-        _accum(b, g * ~take_a)
-
-    return _make_node(np.maximum(a.data, b.data), (a, b), pullback)
 
 
 def logsumexp_rows(a: Tensor) -> Tensor:
@@ -537,32 +457,6 @@ def concat_rows(tensors) -> Tensor:
 
     return _make_node(np.concatenate([t.data for t in tensors], axis=0),
                       tuple(tensors), pullback)
-
-
-def slice_rows(a: Tensor, i0: int, i1: int) -> Tensor:
-    a = _as_tensor(a)
-    if a.ndim != 2 or not (0 <= i0 <= i1 <= a.shape[0]):
-        raise ShapeError(f"bad row slice [{i0}:{i1}] of shape {a.shape}")
-
-    def pullback(g):
-        full = np.zeros_like(a.data)
-        full[i0:i1] = g
-        _accum(a, full)
-
-    return _make_node(a.data[i0:i1].copy(), (a,), pullback)
-
-
-def slice_cols(a: Tensor, j0: int, j1: int) -> Tensor:
-    a = _as_tensor(a)
-    if a.ndim != 2 or not (0 <= j0 <= j1 <= a.shape[1]):
-        raise ShapeError(f"bad column slice [{j0}:{j1}] of shape {a.shape}")
-
-    def pullback(g):
-        full = np.zeros_like(a.data)
-        full[:, j0:j1] = g
-        _accum(a, full)
-
-    return _make_node(a.data[:, j0:j1].copy(), (a,), pullback)
 
 
 def select_rows(a: Tensor, indices) -> Tensor:

@@ -1,9 +1,12 @@
-"""Box geometry: the cxcywh -> xyxy conversion and pairwise IoU / GIoU.
+"""Box geometry: the cxcywh -> xyxy conversion, pairwise IoU and the one GIoU
+formula.
 
-Boxes are normalized (cx, cy, w, h) unless a function says xyxy. The
-pairwise functions take (N, 4) and (G, 4) xyxy arrays and return (N, G);
-each entry is computed with the same operations, in the same order, as the
-scalar formula, so it is bitwise equal to it.
+Boxes are normalized (cx, cy, w, h) unless a function says xyxy.
+``giou_parts`` computes GIoU entry by entry on corner stacks that broadcast,
+together with the areas it is built from, so the set loss can differentiate
+it by hand. The pairwise functions take (N, 4) and (G, 4) xyxy arrays and
+return (N, G); each entry is computed with the same operations, in the same
+order, as the scalar formula, so it is bitwise equal to it.
 """
 
 from __future__ import annotations
@@ -20,38 +23,50 @@ def cxcywh_to_xyxy(boxes) -> np.ndarray:
                      b[..., 0] + half_w, b[..., 1] + half_h], axis=-1)
 
 
-def _corners(boxes, what: str) -> np.ndarray:
-    """(4, K) corner rows of a checked (K, 4) xyxy array."""
-    b = np.asarray(boxes, dtype=np.float64)
-    if b.ndim != 2 or b.shape[1] != 4:
-        raise ShapeError(f"{what} needs (K, 4) xyxy boxes, got shape {b.shape}")
-    if np.any(b[:, 2] <= b[:, 0]) or np.any(b[:, 3] <= b[:, 1]):
-        raise ValidationError(f"degenerate box in {what}")
-    return b.T
+def _overlap(a, b):
+    """Intersection width and height and union area of two xyxy corner
+    stacks: ``a`` and ``b`` are (x1, y1, x2, y2) sequences of arrays that
+    broadcast against each other."""
+    ax1, ay1, ax2, ay2 = a
+    bx1, by1, bx2, by2 = b
+    iw = np.maximum(0.0, np.minimum(ax2, bx2) - np.maximum(ax1, bx1))
+    ih = np.maximum(0.0, np.minimum(ay2, by2) - np.maximum(ay1, by1))
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - iw * ih
+    return iw, ih, union
+
+
+def giou_parts(a, b):
+    """Generalized IoU of two xyxy corner stacks, entry by entry, and the
+    parts it is built from: returns (giou, iw, ih, union, cw, ch), where iw
+    and ih are the intersection's sides and cw and ch the enclosing hull's.
+    ``a`` and ``b`` are as in ``_overlap``."""
+    iw, ih, union = _overlap(a, b)
+    cw = np.maximum(a[2], b[2]) - np.minimum(a[0], b[0])
+    ch = np.maximum(a[3], b[3]) - np.minimum(a[1], b[1])
+    hull = cw * ch
+    return iw * ih / union - (hull - union) / hull, iw, ih, union, cw, ch
 
 
 def _pairwise(a, b, what: str):
-    """Broadcast corners of both sets plus intersection and union areas."""
-    ca = _corners(a, what)[:, :, None]  # each corner (N, 1)
-    cb = _corners(b, what)[:, None, :]  # each corner (1, G)
-    ax1, ay1, ax2, ay2 = ca
-    bx1, by1, bx2, by2 = cb
-    iw = np.maximum(0.0, np.minimum(ax2, bx2) - np.maximum(ax1, bx1))
-    ih = np.maximum(0.0, np.minimum(ay2, by2) - np.maximum(ay1, by1))
-    inter = iw * ih
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    return ca, cb, inter, union
+    """Corner stacks of two checked xyxy box sets, shaped (N, 1) and (1, G)
+    so that they broadcast to every pair."""
+    stacks = []
+    for boxes in (a, b):
+        k = np.asarray(boxes, dtype=np.float64)
+        if k.ndim != 2 or k.shape[1] != 4:
+            raise ShapeError(f"{what} needs (K, 4) xyxy boxes, got shape {k.shape}")
+        if np.any(k[:, 2] <= k[:, 0]) or np.any(k[:, 3] <= k[:, 1]):
+            raise ValidationError(f"degenerate box in {what}")
+        stacks.append(k.T)
+    return stacks[0][:, :, None], stacks[1][:, None, :]
 
 
 def iou(a, b) -> np.ndarray:
     """Pairwise intersection over union of (N, 4) and (G, 4) xyxy boxes."""
-    _, _, inter, union = _pairwise(a, b, "iou")
-    return inter / union
+    iw, ih, union = _overlap(*_pairwise(a, b, "iou"))
+    return iw * ih / union
 
 
 def giou(a, b) -> np.ndarray:
     """Pairwise generalized IoU of (N, 4) and (G, 4) xyxy boxes, in [-1, 1]."""
-    (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2), inter, union = _pairwise(a, b, "giou")
-    hull = (np.maximum(ax2, bx2) - np.minimum(ax1, bx1)) * \
-           (np.maximum(ay2, by2) - np.minimum(ay1, by1))
-    return inter / union - (hull - union) / hull
+    return giou_parts(*_pairwise(a, b, "giou"))[0]

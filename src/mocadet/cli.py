@@ -169,8 +169,15 @@ def _cmd_eval(args) -> int:
 def _cmd_mi_lab(args) -> int:
     if args.joints:
         doc = _load_json(args.joints)
-        joints = [ml.DiscreteJoint(np.asarray(t, dtype=np.float64))
-                  for t in doc["joints"]]
+        tables = doc.get("joints") if isinstance(doc, dict) else None
+        if not isinstance(tables, list) or not tables:
+            raise ValidationError(f"{args.joints}: expected {{\"joints\": [tables]}} with "
+                                  f"at least one table")
+        try:
+            tables = [np.asarray(t, dtype=np.float64) for t in tables]
+        except (TypeError, ValueError) as e:
+            raise ValidationError(f"{args.joints}: a joint table is not a numeric matrix") from e
+        joints = [ml.DiscreteJoint(t) for t in tables]
     else:
         joints = ml.seeded_joint_suite(args.n_joints, seed=args.seed)
     Ks = tuple(int(k) for k in args.K.split(","))

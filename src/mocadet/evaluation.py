@@ -15,8 +15,6 @@ Protocol notes (declared here because "standard" hides many choices):
     order, so every value equals that of a one-threshold loop bit for bit;
   * within an image, detections rank by descending score, ties broken by
     record order in the array, and at most 100 per image are kept;
-    detections of a class outside ``range(n_classes)`` take a place in
-    that cut and are then dropped;
   * per class, detections pool across images sorted by descending score,
     ties broken by sample id (as a string) then by rank in the image, so
     reports are invariant to image enumeration order;
@@ -179,17 +177,17 @@ def ap_report(detections, samples, n_classes: int, modality_names=None,
     order = np.lexsort((-detections["score"], detections["image"]))
     image = detections["image"][order]
     rank = np.arange(image.size) - np.searchsorted(image, image)
-    cls = detections["class_id"][order]
-    keep = (rank < MAX_DETS_PER_IMAGE) & (cls >= 0) & (cls < n_classes)
+    keep = rank < MAX_DETS_PER_IMAGE
     dets, rank = detections[order[keep]], rank[keep]
 
-    # ground truth of in-range classes and its (areas, truth) outside mask
+    # ground truth and its (areas, truth) outside mask
     gt_image = np.array([i for i, s in enumerate(samples) for _ in s.annotations], dtype=np.int64)
     gt_class = np.array([a.class_id for s in samples for a in s.annotations], dtype=np.int64)
     gt_box = np.array([a.box for s in samples for a in s.annotations],
                       dtype=np.float64).reshape(-1, 4)
-    keep = (gt_class >= 0) & (gt_class < n_classes)
-    gt_image, gt_class, gt_box = gt_image[keep], gt_class[keep], gt_box[keep]
+    for what, cls in (("detection", detections["class_id"]), ("truth", gt_class)):
+        if ((cls < 0) | (cls >= n_classes)).any():
+            raise ValidationError(f"{what} class id outside range({n_classes})")
     area = gt_box[:, 2] * gt_box[:, 3]
     small, medium = area < SMALL_FRAC, area < MEDIUM_FRAC
     outside = ~np.stack([np.ones_like(small), small, medium & ~small, ~medium])

@@ -2,12 +2,15 @@
 
 Predictions arrive as one row block per image (the batched detector's
 image-major rows). Matching is computed per (decoder layer, image) on
-detached values, from one cost matrix that covers every layer and image;
-the layers' predictions are then stacked row-wise and one
-differentiable loss graph is assembled over all their rows with tape ops,
-so gradients flow through logits and boxes only and the graph's size grows
-with neither the decoder depth nor the batch size. Boxes are normalized
-(cx, cy, w, h) unless a function says xyxy.
+detached values, from one cost matrix that covers every layer and image.
+The layers' predictions are then stacked row-wise, and the loss over all
+their rows is two fused tape nodes with hand-written pullbacks: the focal
+term of every (row, class) and the L1 plus GIoU term of the matched rows.
+Gradients flow through logits and boxes only, and the graph's size depends
+on neither the decoder depth, the batch size nor the number of objects. The
+focal formula (``_focal_terms``) and the GIoU formula (``boxes.giou_parts``)
+are each written once and shared by the cost matrix and the loss. Boxes are
+normalized (cx, cy, w, h) unless a function says xyxy.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .boxes import cxcywh_to_xyxy, giou
+from .boxes import cxcywh_to_xyxy, giou, giou_parts
 from .errors import ValidationError
 
 _P_CLAMP = 1e-12
@@ -37,6 +40,23 @@ class LossWeights:
         return self
 
 
+def _clamp(probs):
+    """Probabilities clamped to [eps, 1 - eps] and their complements clamped
+    to [eps, 1]; the second clamp matters too, since 1 - (1 - eps) rounds
+    below eps."""
+    p = np.clip(probs, _P_CLAMP, 1.0 - _P_CLAMP)
+    return p, np.clip(1.0 - p, _P_CLAMP, 1.0)
+
+
+def _focal_terms(probs, alpha: float, gamma: float):
+    """Entrywise focal terms of class probabilities (Lin et al. 2017,
+    arXiv:1708.02002): (pos, neg), the loss of a 1 target and of a 0 target,
+    alpha (1 - p)^gamma (-ln p) and (1 - alpha) p^gamma (-ln(1 - p)), on the
+    clamped values of ``_clamp``."""
+    p, q = _clamp(probs)
+    return alpha * q ** gamma * -np.log(p), (1.0 - alpha) * p ** gamma * -np.log(q)
+
+
 def build_cost_matrix(pred_probs: np.ndarray, pred_boxes: np.ndarray,
                       gt_classes, gt_boxes: np.ndarray,
                       weights: LossWeights) -> np.ndarray:
@@ -45,7 +65,7 @@ def build_cost_matrix(pred_probs: np.ndarray, pred_boxes: np.ndarray,
     Classification uses the focal-style positive-minus-negative cost;
     box terms are L1 on cxcywh plus (1 - GIoU).
     """
-    probs = np.clip(np.asarray(pred_probs, dtype=np.float64), _P_CLAMP, 1 - _P_CLAMP)
+    probs = np.asarray(pred_probs, dtype=np.float64)
     boxes = np.asarray(pred_boxes, dtype=np.float64)
     gt_classes = [int(c) for c in gt_classes]
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(len(gt_classes), 4)
@@ -54,10 +74,8 @@ def build_cost_matrix(pred_probs: np.ndarray, pred_boxes: np.ndarray,
     if g == 0:
         return cost
 
-    a, y = weights.alpha, weights.gamma
-    pos = a * (1.0 - probs) ** y * (-np.log(probs))
-    neg = (1.0 - a) * probs ** y * (-np.log(1.0 - probs))
-    cls_cost = pos[:, gt_classes] - neg[:, gt_classes]
+    pos, neg = _focal_terms(probs[:, gt_classes], weights.alpha, weights.gamma)
+    cls_cost = pos - neg
 
     l1 = np.abs(boxes[:, None, :] - gt_boxes[None, :, :]).sum(axis=2)
 
@@ -133,40 +151,69 @@ def hungarian(cost) -> list:
     return sorted(pairs)
 
 
-def _giou_rowwise(boxes_a: ad.Tensor, boxes_b: ad.Tensor) -> ad.Tensor:
-    """Differentiable GIoU per row for two (G, 4) cxcywh tensors -> (G, 1)."""
+def _focal_node(logits: ad.Tensor, targets: np.ndarray, row_weight: np.ndarray,
+                alpha: float, gamma: float) -> ad.Tensor:
+    """Summed focal loss of (R, C) logits against 0/1 targets as one tape
+    node; row r's terms are scaled by ``row_weight[r]`` (an (R, 1) column).
 
-    def split(b):
-        cx = ad.slice_cols(b, 0, 1)
-        cy = ad.slice_cols(b, 1, 2)
-        w = ad.slice_cols(b, 2, 3)
-        h = ad.slice_cols(b, 3, 4)
-        return (cx - w * 0.5, cy - h * 0.5, cx + w * 0.5, cy + h * 0.5)
+    The pullback is the chain rule through the sigmoid and the clamps of
+    ``_clamp``: a clamped probability passes no gradient, and one on a
+    clamp bound passes it. Where p is not clamped, 1 - p is not either: it
+    would take p = 1 - eps exactly, a value the sigmoid never returns.
+    """
+    s = ad.sigmoid(ad.constant(logits.data)).data
+    pos, neg = _focal_terms(s, alpha, gamma)
+    pos_w, neg_w = row_weight * targets, row_weight * (1.0 - targets)
 
-    ax1, ay1, ax2, ay2 = split(boxes_a)
-    bx1, by1, bx2, by2 = split(boxes_b)
-    iw = ad.relu(ad.minimum(ax2, bx2) - ad.maximum(ax1, bx1))
-    ih = ad.relu(ad.minimum(ay2, by2) - ad.maximum(ay1, by1))
-    inter = iw * ih
-    area_a = (ax2 - ax1) * (ay2 - ay1)
-    area_b = (bx2 - bx1) * (by2 - by1)
-    union = area_a + area_b - inter
-    hull = (ad.maximum(ax2, bx2) - ad.minimum(ax1, bx1)) * \
-           (ad.maximum(ay2, by2) - ad.minimum(ay1, by1))
-    return ad.div(inter, union) - ad.div(hull - union, hull)
+    def pullback(g):
+        p, q = _clamp(s)
+        d_pos = -alpha * (gamma * q ** (gamma - 1.0) * -np.log(p) + q ** gamma / p)
+        d_neg = (1.0 - alpha) * (gamma * p ** (gamma - 1.0) * -np.log(q) + p ** gamma / q)
+        return (g * (pos_w * d_pos + neg_w * d_neg) * (p == s) * s * (1.0 - s),)
+
+    return ad.node(np.sum(pos * pos_w + neg * neg_w), (logits,), pullback)
 
 
-def _focal_matrix(logits: ad.Tensor, targets: np.ndarray, alpha: float,
-                  gamma: float, weights=1.0) -> ad.Tensor:
-    """Summed focal loss of (R, C) logits against 0/1 targets; ``weights``
-    (a scalar or an (R, 1) column) scales each row's terms."""
-    p = ad.clip(ad.sigmoid(logits), _P_CLAMP, 1.0 - _P_CLAMP)
-    one_minus_p = ad.clip(1.0 - p, _P_CLAMP, 1.0)
-    pos_w = ad.constant(alpha * weights * targets)
-    neg_w = ad.constant((1.0 - alpha) * weights * (1.0 - targets))
-    pos = ad.mul(ad.mul(ad.powf(one_minus_p, gamma), ad.neg(ad.log(p))), pos_w)
-    neg = ad.mul(ad.mul(ad.powf(p, gamma), ad.neg(ad.log(one_minus_p))), neg_w)
-    return ad.sum_all(pos + neg)
+def _box_node(boxes: ad.Tensor, rows, truth: np.ndarray, row_weight: np.ndarray,
+              weights: LossWeights) -> ad.Tensor:
+    """The L1 and (1 - GIoU) terms of rows ``rows`` of (R, 4) cxcywh
+    ``boxes`` against their (M, 4) ``truth`` boxes as one tape node; the
+    terms of the i-th matched row are scaled by ``row_weight[i]`` (an
+    (M, 1) column), by ``w_l1`` and by ``w_giou``.
+
+    In the pullback, a min or max of a predicted and a true corner that tie
+    routes the gradient to the prediction, an intersection side of exactly
+    0 passes none, and the L1 term passes none where the box equals its
+    truth.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    mb = boxes.data[rows]
+    diff = mb - truth
+    pred, true = cxcywh_to_xyxy(mb).T, cxcywh_to_xyxy(truth).T  # (4, M) corner stacks
+    giou_m, iw, ih, union, cw, ch = giou_parts(pred, true)
+    w_l1, w_giou = weights.w_l1 * row_weight, weights.w_giou * row_weight[:, 0]
+    value = np.sum(np.abs(diff) * w_l1) + np.sum((1.0 - giou_m) * w_giou)
+
+    def pullback(g):
+        # GIoU = I / U - (H - U) / H with I = iw * ih and H = cw * ch
+        g_giou = -g * w_giou
+        inter, hull = iw * ih, cw * ch
+        g_union = -g_giou * inter / (union * union) + g_giou / hull
+        g_hull = g_giou * (hull - union) / (hull * hull) - g_giou / hull
+        g_inter = g_giou / union - g_union
+        g_i = g_inter * np.stack([ih * (iw > 0.0), iw * (ih > 0.0)])  # (2, M): x, y
+        g_c = g_hull * np.stack([ch, cw])
+        lo, hi, true_lo, true_hi = pred[:2], pred[2:], true[:2], true[2:]
+        g_area = g_union * (hi - lo)[::-1]  # d union / d hi: the other side
+        g_lo = -g_area - g_i * (lo >= true_lo) - g_c * (lo <= true_lo)
+        g_hi = g_area + g_i * (hi <= true_hi) + g_c * (hi >= true_hi)
+        g_rows = np.concatenate([g_lo + g_hi, 0.5 * (g_hi - g_lo)]).T
+        g_rows += g * np.sign(diff) * w_l1
+        full = np.zeros_like(boxes.data)
+        np.add.at(full, rows, g_rows)
+        return (full,)
+
+    return ad.node(value, (boxes,), pullback)
 
 
 def _match_blocks(per_layer_preds, gts, sizes, weights: LossWeights) -> list:
@@ -208,11 +255,14 @@ def detection_loss(per_layer_preds, targets, weights: LossWeights,
     is matched on its own detached row block (``_match_blocks`` builds one
     cost matrix for the whole call), unless ``precomputed_matches`` gives
     the (query, gt) pairs of every [layer][image]. The layers are then
-    stacked into one (L*B*N) row block, so a single focal,
-    L1 and GIoU graph covers all of them. Matched queries take class target
-    1 at the ground-truth class; all other (query, class) targets are 0.
-    Image b's terms are weighted by 1 / (B * max(G_b, 1)), which makes the
-    total the mean over images of each image's loss normalized by its G.
+    stacked into one (L*B*N) row block, and the loss is five tape nodes
+    whatever L, B and the G_b are: the two row stacks, the focal node, the
+    box node and their sum. Matched queries take class target 1 at the
+    ground-truth class; all other (query, class) targets are 0. Image b's
+    terms are weighted by 1 / (B * max(G_b, 1)), which makes the total the
+    mean over images of each image's loss normalized by its G. Ground-truth
+    boxes need a positive width and height, which keeps GIoU's union and
+    hull areas positive.
     """
     weights.validate()
     if not per_layer_preds:
@@ -223,7 +273,10 @@ def detection_loss(per_layer_preds, targets, weights: LossWeights,
     gts = []
     for classes, boxes in targets:
         classes = [int(c) for c in classes]
-        gts.append((classes, np.asarray(boxes, dtype=np.float64).reshape(len(classes), 4)))
+        boxes = np.asarray(boxes, dtype=np.float64).reshape(len(classes), 4)
+        if not (boxes[:, 2:] > 0.0).all():
+            raise ValidationError("ground-truth boxes need a positive width and height")
+        gts.append((classes, boxes))
     image_weight = np.array([1.0 / (n_images * max(len(c), 1)) for c, _ in gts])
 
     sizes = [logits.shape[0] // n_images for logits, _ in per_layer_preds]
@@ -243,13 +296,7 @@ def detection_loss(per_layer_preds, targets, weights: LossWeights,
     row_weight = np.concatenate([np.repeat(image_weight, n) for n in sizes])[:, None]
     target = np.zeros(all_logits.shape)
     target[rows, cls] = 1.0
-    total = _focal_matrix(all_logits, target, weights.alpha, weights.gamma,
-                          weights.w_focal * row_weight)
-    if rows:
-        w = row_weight[rows]
-        mb = ad.select_rows(all_boxes, rows)
-        gb = ad.constant(np.array(gt_rows))
-        l1 = ad.sum_all(ad.mul(ad.abs_(ad.sub(mb, gb)), np.repeat(weights.w_l1 * w, 4, axis=1)))
-        giou_term = ad.sum_all(ad.mul(1.0 - _giou_rowwise(mb, gb), weights.w_giou * w))
-        total = total + l1 + giou_term
-    return total
+    focal = _focal_node(all_logits, target, weights.w_focal * row_weight,
+                        weights.alpha, weights.gamma)
+    return focal + _box_node(all_boxes, rows, np.array(gt_rows).reshape(-1, 4),
+                             row_weight[rows], weights)

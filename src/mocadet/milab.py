@@ -51,9 +51,6 @@ class DiscreteJoint:
     def shape(self):
         return self.table.shape
 
-    def transposed(self) -> "DiscreteJoint":
-        return DiscreteJoint(self.table.T.copy())
-
 
 def exact_mi(joint: DiscreteJoint) -> float:
     """I(U;V) in nats by direct summation, with 0 ln 0 := 0."""
@@ -141,10 +138,6 @@ def cosine_critic(n_u: int, n_v: int, dim: int, tau: float,
     eu /= np.linalg.norm(eu, axis=1, keepdims=True)
     ev /= np.linalg.norm(ev, axis=1, keepdims=True)
     return Critic(kind="cosine", scores=(eu @ ev.T) / tau)
-
-
-def constant_critic(n_u: int, n_v: int, value: float = 0.0) -> Critic:
-    return Critic(kind="constant", scores=np.full((n_u, n_v), value))
 
 
 # -- sampling and estimation ---------------------------------------------------
@@ -252,31 +245,6 @@ def _slot_posterior(joint: DiscreteJoint, u: int, cands) -> np.ndarray:
                   if joint.pv[v] > 0 else 0.0 for v in cands])
     z = r.sum()
     return r / z if z > 0 else np.full(len(cands), 1.0 / len(cands))
-
-
-def exact_posterior_entropy(joint: DiscreteJoint, K: int) -> float:
-    """E[H(J | U, V_0..V_K)] by enumeration (the irreducible part of the loss)."""
-    nu, nv = joint.shape
-    _check_enum_size(nv, K + 1)
-    total = 0.0
-    for u in range(nu):
-        if joint.pu[u] == 0:
-            continue
-        for cands in itertools.product(range(nv), repeat=K + 1):
-            # weight of this (unordered slot) configuration: sum over J
-            w = 0.0
-            for j in range(K + 1):
-                wj = joint.table[u, cands[j]] / (K + 1)
-                for m in range(K + 1):
-                    if m != j:
-                        wj *= joint.pv[cands[m]]
-                w += wj
-            if w == 0:
-                continue
-            post = _slot_posterior(joint, u, cands)
-            nz = post[post > 0]
-            total += w * float(-(nz * np.log(nz)).sum())
-    return total
 
 
 def posterior_identity_gap(joint: DiscreteJoint, critic: Critic, K: int,

@@ -208,6 +208,8 @@ def load_registry(path) -> TokenRegistry:
     if not isinstance(d_text, int) or d_text < 2:
         raise RegistryFormatError(f"bad d_text: {d_text!r}")
 
+    if not isinstance(doc["tokens"], dict):
+        raise RegistryFormatError("registry 'tokens' must map '<modality>|<class>' to vectors")
     reg = TokenRegistry(d_text=d_text)
     for key, vec in doc["tokens"].items():
         if not isinstance(key, str) or key.count("|") != 1:
@@ -215,9 +217,11 @@ def load_registry(path) -> TokenRegistry:
         modality, class_name = key.split("|")
         if not modality or not class_name:
             raise RegistryFormatError(f"empty name in key {key!r}")
+        if not isinstance(vec, list) or not all(type(v) in (int, float) for v in vec):
+            raise RegistryFormatError(f"entry {key!r} is not a list of numbers")
+        if len(vec) != d_text:
+            raise ShapeError(f"entry {key!r} has length {len(vec)}, expected {d_text}")
         arr = np.asarray(vec, dtype=np.float64)
-        if arr.ndim != 1 or arr.shape[0] != d_text:
-            raise ShapeError(f"entry {key!r} has length {arr.shape}, expected ({d_text},)")
         if not np.all(np.isfinite(arr)):
             raise ValidationError(f"entry {key!r} has non-finite values")
         reg.entries[(modality, class_name)] = RawEmbedding(vector=arr, source="file")

@@ -4,10 +4,13 @@ Derived expectations are computed by independent oracles (hand evaluation,
 closed forms, central finite differences) rather than by the code under test.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
 from mocadet import autodiff as ad
+from mocadet import losses as ls
 from mocadet.errors import ContractError, ShapeError, ValidationError
 
 
@@ -141,24 +144,6 @@ def test_backward_quadratic():
     assert np.allclose(v.grad, 2 * v.data, atol=1e-14)
 
 
-def test_constant_minus_tensor_equals_explicit_constant_path():
-    # `c - t` must broadcast the constant over t, with t's full gradient negated
-    rng = np.random.default_rng(4)
-    for shape in [(), (5,), (2, 3)]:
-        data, w = rng.normal(size=shape), rng.normal(size=shape)
-        results = []
-        for rsub in (True, False):
-            t = ad.param(data)
-            with ad.Tape():
-                out = 1.5 - t if rsub else ad.sub(ad.constant(np.full(shape, 1.5)), t)
-                value = out.data.copy()
-                ad.backward(ad.sum_all(ad.mul(out, w)))
-            results.append((value, t.grad))
-        (v1, g1), (v2, g2) = results
-        assert np.array_equal(v1, v2) and np.array_equal(v1, 1.5 - data)
-        assert np.array_equal(g1, g2) and np.array_equal(g1, -w)
-
-
 def test_backward_requires_scalar():
     v = ad.param([1.0, 2.0])
     with ad.Tape():
@@ -290,34 +275,12 @@ def _build_case(name, rng):
     if name == "mul":
         a, b = ad.param(rng.normal(size=shp)), ad.param(rng.normal(size=shp))
         return (lambda: ad.sum_all(ad.mul(ad.mul(a, b), w34))), [a, b]
-    if name == "div":
-        a = ad.param(rng.normal(size=shp))
-        b = ad.param(_away_from_zero(rng, shp, low=0.5))
-        return (lambda: ad.sum_all(ad.mul(ad.div(a, b), w34))), [a, b]
-    if name == "log":
-        a = ad.param(rng.uniform(0.2, 3.0, size=shp))
-        return (lambda: ad.sum_all(ad.mul(ad.log(a), w34))), [a]
-    if name == "powf":
-        a = ad.param(rng.uniform(0.3, 2.0, size=shp))
-        p = float(rng.uniform(0.5, 3.0))
-        return (lambda: ad.sum_all(ad.mul(ad.powf(a, p), w34))), [a]
     if name == "relu":
         a = ad.param(_away_from_zero(rng, shp))
         return (lambda: ad.sum_all(ad.mul(ad.relu(a), w34))), [a]
     if name == "sigmoid":
         a = ad.param(rng.normal(size=shp) * 2)
         return (lambda: ad.sum_all(ad.mul(ad.sigmoid(a), w34))), [a]
-    if name == "abs":
-        a = ad.param(_away_from_zero(rng, shp))
-        return (lambda: ad.sum_all(ad.mul(ad.abs_(a), w34))), [a]
-    if name == "minimum":
-        a = ad.param(rng.normal(size=shp))
-        b = ad.param(a.data + _away_from_zero(rng, shp, low=0.3))
-        return (lambda: ad.sum_all(ad.mul(ad.minimum(a, b), w34))), [a, b]
-    if name == "maximum":
-        a = ad.param(rng.normal(size=shp))
-        b = ad.param(a.data + _away_from_zero(rng, shp, low=0.3))
-        return (lambda: ad.sum_all(ad.mul(ad.maximum(a, b), w34))), [a, b]
     if name == "logsumexp_rows":
         a = ad.param(rng.normal(size=(3, 6)))
         w = rng.normal(size=3)
@@ -331,17 +294,33 @@ def _build_case(name, rng):
         beta = ad.param(rng.normal(size=4))
         return (lambda: ad.sum_all(ad.mul(ad.layernorm(a, 1e-5, gamma, beta), w34))), \
             [a, gamma, beta]
-    if name == "concat_slice":
+    if name == "concat_rows":
         a = ad.param(rng.normal(size=(2, 4)))
         b = ad.param(rng.normal(size=(3, 4)))
-        w = rng.normal(size=(3, 3))
-
-        def f():
-            cat = ad.concat_rows([a, b])
-            piece = ad.slice_rows(cat, 1, 4)
-            return ad.sum_all(ad.mul(ad.slice_cols(piece, 1, 4), w))
-
-        return f, [a, b]
+        w = rng.normal(size=(5, 4))
+        return (lambda: ad.sum_all(ad.mul(ad.concat_rows([a, b]), w))), [a, b]
+    if name == "sum_all":
+        a = ad.param(rng.normal(size=shp))
+        return (lambda: ad.sum_all(a)), [a]
+    if name == "node_focal_loss":
+        # logits away from the clamps, where the loss is smooth
+        logits = ad.param(rng.normal(size=(6, 3)) * 2)
+        targets = (rng.uniform(size=(6, 3)) < 0.3).astype(float)
+        row_weight = rng.uniform(0.1, 2.0, size=(6, 1))
+        alpha, gamma = float(rng.uniform(0.1, 0.9)), float(rng.uniform(0.0, 3.0))
+        return (lambda: ls._focal_node(logits, targets, row_weight, alpha, gamma)), [logits]
+    if name == "node_box_loss":
+        # each truth center is 0.02-0.04 and each side 0.01-0.015 off its
+        # prediction, so every corner is at least 0.0125 off: no min or max
+        # tie, empty intersection or L1 kink lies within the differencing step
+        boxes = ad.param(np.column_stack([rng.uniform(0.3, 0.7, size=(5, 2)),
+                                          rng.uniform(0.1, 0.4, size=(5, 2))]))
+        rows = [4, 0, 2]
+        truth = boxes.data[rows] + np.column_stack([_away_from_zero(rng, (3, 2), 0.02, 0.04),
+                                                    _away_from_zero(rng, (3, 2), 0.01, 0.015)])
+        row_weight = rng.uniform(0.1, 2.0, size=(3, 1))
+        weights = ls.LossWeights(w_l1=float(rng.uniform(0.5, 5)), w_giou=float(rng.uniform(0.5, 5)))
+        return (lambda: ls._box_node(boxes, rows, truth, row_weight, weights)), [boxes]
     if name == "select_rows":
         a = ad.param(rng.normal(size=(5, 3)))
         w = rng.normal(size=(4, 3))
@@ -363,19 +342,32 @@ def _build_case(name, rng):
         v = ad.param(_away_from_zero(rng, (4, 5), low=0.4))
         w = rng.normal(size=(3, 4))
         return (lambda: ad.sum_all(ad.mul(ad.cosine_matrix(u, v), w))), [u, v]
-    if name == "clip":
-        a = ad.param(_away_from_zero(rng, shp, low=0.3, high=0.9))
-        return (lambda: ad.sum_all(ad.mul(ad.clip(a, -0.95, 0.95), w34))), [a]
     raise AssertionError(name)
 
 
 OP_NAMES = ["matmul", "linear", "attention", "attention_extra_row",
             "attention_one_head", "attention_segments", "attention_segments_extra",
-            "add_row_broadcast", "sub", "mul", "div",
-            "log", "powf", "relu", "sigmoid", "abs", "minimum",
-            "maximum", "logsumexp_rows", "layernorm", "layernorm_affine",
-            "concat_slice", "select_rows", "reshape", "mean_rows",
-            "mean_rows_segments", "cosine_matrix", "clip"]
+            "add_row_broadcast", "sub", "mul", "relu", "sigmoid",
+            "logsumexp_rows", "layernorm", "layernorm_affine",
+            "concat_rows", "select_rows", "reshape", "mean_rows",
+            "mean_rows_segments", "sum_all", "cosine_matrix",
+            "node_focal_loss", "node_box_loss"]
+
+# public functions of autodiff that build no op node: leaf constructors,
+# the recording switches and the gradient drivers
+_NOT_OPS = {"tensor", "param", "constant", "grad_enabled", "active_tape", "zero_grad",
+            "backward", "grad_check"}
+
+
+def test_every_node_building_function_has_a_grad_check_case():
+    # a case named f or f_<variant> checks function f
+    ops = {name for name, fn in vars(ad).items()
+           if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+           and not name.startswith("_") and name not in _NOT_OPS}
+    unchecked = sorted(op for op in ops
+                       if not any(case == op or case.startswith(op + "_") for case in OP_NAMES))
+    assert not unchecked, f"autodiff ops without a grad_check case in OP_NAMES: {unchecked}"
+    assert {"linear", "attention", "node"} <= ops
 
 
 @pytest.mark.parametrize("name", OP_NAMES)
@@ -458,10 +450,11 @@ def test_attention_segments_equal_separate_calls(extra):
                     out = ad.attention(*ts[:3], n_heads, scale, *ts[3:], segments=s)
                 else:
                     out = ad.concat_rows([
-                        ad.attention(ad.slice_rows(ts[0], i * n, (i + 1) * n),
-                                     ad.slice_rows(ts[1], i * m, (i + 1) * m),
-                                     ad.slice_rows(ts[2], i * m, (i + 1) * m), n_heads, scale,
-                                     *[ad.slice_rows(e, i, i + 1) for e in ts[3:]])
+                        ad.attention(ad.select_rows(ts[0], range(i * n, (i + 1) * n)),
+                                     ad.select_rows(ts[1], range(i * m, (i + 1) * m)),
+                                     ad.select_rows(ts[2], range(i * m, (i + 1) * m)),
+                                     n_heads, scale,
+                                     *[ad.select_rows(e, [i]) for e in ts[3:]])
                         for i in range(s)])
                 ad.backward(ad.sum_all(ad.mul(out, w)))
             return [out.data] + [t.grad for t in ts]

@@ -160,7 +160,7 @@ def test_batched_forward_equals_per_image_forwards(n_images):
     def objective(out, b, rows):
         logits, boxes = out.layers[-1]
         state = out.query_states[0]
-        parts = [ad.slice_rows(t, rows[0], rows[1]) for t in (logits, boxes, state)]
+        parts = [ad.select_rows(t, range(rows[0], rows[1])) for t in (logits, boxes, state)]
         cols = np.cumsum([0, cfg.n_classes, 4, cfg.d_model])
         return sum(ad.sum_all(ad.mul(part, w[b][:, c0:c1]))
                    for part, c0, c1 in zip(parts, cols[:-1], cols[1:]))
@@ -248,9 +248,10 @@ def test_full_model_gradient_check_detection_loss():
 
 def test_tape_nodes_per_sample_at_default_config():
     # one node per fused linear, attention and layernorm: a per-head graph
-    # would put roughly 4x as many nodes on the decode side; the set loss
-    # stacks the 6 decoder layers into one graph instead of one per layer,
-    # and a batch of B images is one forward and one loss, not B of each
+    # would put roughly 4x as many nodes on the decode side; the set loss is
+    # five nodes (two row stacks, the focal node, the box node and their
+    # sum) whatever the number of layers, images and objects, and a batch of
+    # B images is one forward and one loss, not B of each
     cfg = det.DetectorConfig(n_classes=10).validate()
     model = det.Detector(cfg, np.random.default_rng(0))
     rng = np.random.default_rng(1)
@@ -272,12 +273,12 @@ def test_tape_nodes_per_sample_at_default_config():
             ls.detection_loss(out.layers, targets, ls.LossWeights())
             return n_stack, n_encode, n_decode, len(tape.nodes) - before
 
-    assert count(images[0], tokens[:1], targets[:1]) == (0, 14, 169, 65)
-    assert count(images[0], tokens[:1], targets[1:2]) == (0, 14, 169, 18)
+    assert count(images[0], tokens[:1], targets[:1]) == (0, 14, 169, 5)
+    assert count(images[0], tokens[:1], targets[1:2]) == (0, 14, 169, 5)
     # B=4: the same encoder and decoder nodes, plus tiling the query
     # embeddings and positions (2) and one concat of the B token rows
     n_stack, n_encode, n_decode, n_loss = count(images, tokens, targets)
-    assert (n_stack, n_encode, n_decode, n_loss) == (1, 14, 171, 65)
+    assert (n_stack, n_encode, n_decode, n_loss) == (1, 14, 171, 5)
     assert n_stack + n_encode + n_decode == 14 + 169 + 2 + 1
 
 

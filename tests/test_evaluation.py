@@ -244,6 +244,21 @@ def test_non_finite_detection_box_rejected():
     ev.ap_report(good, samples, n_classes=1)
 
 
+def test_class_id_outside_the_class_range_rejected():
+    # 100 better-scored detections of class 2 would fill the 100-per-image cut
+    samples = [_sample("a", [((0.5, 0.5, 0.5, 0.5), 0)])]
+    exact = _det("a", 0, (0.5, 0.5, 0.5, 0.5), 0.5)
+    assert _report([exact], samples, n_classes=2).ap50 == 1.0
+    for cid in (-1, 2, 4):
+        with pytest.raises(ValidationError):
+            _report([_det("a", cid, (0.3, 0.3, 0.2, 0.2), 0.9)] * 100 + [exact], samples,
+                    n_classes=2)
+    for cid in (-1, 2):
+        bad = [_sample("a", [((0.5, 0.5, 0.5, 0.5), 0), ((0.3, 0.3, 0.2, 0.2), cid)])]
+        with pytest.raises(ValidationError):
+            _report([exact], bad, n_classes=2)
+
+
 def test_no_detections_zero_ap():
     samples = [_sample("a", [((0.5, 0.5, 0.5, 0.5), 0)])]
     rep = ev.ap_report(np.zeros(0, dtype=ev.DETECTION), samples, n_classes=1)

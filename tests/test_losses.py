@@ -20,10 +20,10 @@ from mocadet.errors import ValidationError
 
 
 def _focal(logit, target, alpha=0.25, gamma=2.0):
-    """The focal term of one logit through the loss's own (1 x 1) matrix path."""
+    """The focal term of one logit through the loss's own focal node."""
     with ad.no_grad():
-        return ls._focal_matrix(ad.tensor(np.array([[logit]])), np.array([[float(target)]]),
-                                alpha, gamma).item()
+        return ls._focal_node(ad.tensor(np.array([[logit]])), np.array([[float(target)]]),
+                              np.ones((1, 1)), alpha, gamma).item()
 
 
 def test_focal_reduces_to_weighted_ce_at_gamma_zero():
@@ -41,6 +41,19 @@ def test_focal_direct_formula_point():
     # oracle: p = 0.9 (logit ln 9): 0.25 * (1-0.9)^2 * (-ln 0.9)
     expected = 0.25 * 0.01 * (-math.log(0.9))
     assert _focal(math.log(9.0), 1, alpha=0.25, gamma=2.0) == pytest.approx(expected, rel=1e-12)
+
+
+def test_sigmoid_never_returns_the_upper_clamp_bound():
+    # the focal pullback masks only the clamp on p: 1 - p is clamped while p
+    # is not only at p = 1 - 1e-12 exactly, and no logit gives that value.
+    # Steps of 1e-7 move 1 + exp(-x) by about 1e-19, far below its spacing
+    # of 2.2e-16, so the scan meets every value the sigmoid returns here.
+    bound = 1.0 - 1e-12
+    x = math.log(bound / 1e-12) + np.arange(-200_000, 200_000) * 1e-7
+    with ad.no_grad():
+        s = ad.sigmoid(ad.tensor(x)).data
+    assert s[0] < bound < s[-1] and np.all(np.diff(s) >= 0)
+    assert not (s == bound).any()
 
 
 def test_focal_handles_exact_zero_one_by_clamping():
@@ -363,7 +376,8 @@ def test_detection_loss_stacked_layers_equal_sum_of_single_layers():
                                     if t.grad is not None]))
         (v1, g1), (v2, g2) = results
         assert v1 == pytest.approx(v2, rel=1e-12)
-        assert len(g1) == len(g2) == (6 if g else 3)
+        assert len(g1) == len(g2) == 6
+        assert g or not any(a.any() for a in g1[1::2] + g2[1::2])  # no box gradient at G = 0
         for a, b in zip(g1, g2):
             assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
 
@@ -389,8 +403,8 @@ def test_batched_detection_loss_equals_mean_of_single_image_losses():
                     loss = ls.detection_loss(layers, targets, w)
                 else:
                     singles = [ls.detection_loss(
-                        [(ad.slice_rows(lg, i * n, (i + 1) * n),
-                          ad.slice_rows(bx, i * n, (i + 1) * n)) for lg, bx in layers],
+                        [(ad.select_rows(lg, range(i * n, (i + 1) * n)),
+                          ad.select_rows(bx, range(i * n, (i + 1) * n))) for lg, bx in layers],
                         [target], w) for i, target in enumerate(targets)]
                     loss = ad.mul(sum(singles[1:], singles[0]), 1.0 / b)
                 value = loss.item()
@@ -444,7 +458,187 @@ def test_one_cost_matrix_gives_the_matches_of_per_block_cost_matrices(monkeypatc
         assert all(np.array_equal(a, b_) for a, b_ in zip(g1, g2))
 
 
+def test_detection_loss_rejects_truth_without_area():
+    # GIoU divides by the union and hull areas, which a true box of positive
+    # size keeps positive; matches are given, so no cost matrix checks it
+    layer = (ad.tensor(np.zeros((2, 2))), ad.tensor(np.full((2, 4), 0.5)))
+    for box in ([0.5, 0.5, 0.0, 0.2], [0.5, 0.5, 0.2, -0.1]):
+        with pytest.raises(ValidationError), ad.no_grad():
+            ls.detection_loss([layer], [([0], np.array([box]))], ls.LossWeights(),
+                              precomputed_matches=[[[(0, 0)]]])
+
+
 def test_detection_loss_rejects_rows_that_do_not_split_into_images():
     layer = (ad.tensor(np.zeros((5, 2))), ad.tensor(np.full((5, 4), 0.5)))
     with pytest.raises(ValidationError), ad.no_grad():
         ls.detection_loss([layer], [([], np.zeros((0, 4)))] * 2, ls.LossWeights())
+
+
+# -- the composed loss, kept as the oracle of the fused nodes ---------------
+# Before the loss became two fused nodes it was a graph of elementwise tape
+# ops. These are those ops, each one node with the pullback it had then.
+
+
+def _clip_op(a, lo, hi):
+    mask = (a.data >= lo) & (a.data <= hi)
+    return ad.node(np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,))
+
+
+def _pow_op(a, exponent):
+    return ad.node(a.data ** exponent, (a,),
+                   lambda g: (g * exponent * a.data ** (exponent - 1.0),))
+
+
+def _log_op(a):
+    return ad.node(np.log(a.data), (a,), lambda g: (g / a.data,))
+
+
+def _neg_op(a):
+    return ad.node(-a.data, (a,), lambda g: (-g,))
+
+
+def _abs_op(a):
+    sign = np.sign(a.data)
+    return ad.node(np.abs(a.data), (a,), lambda g: (g * sign,))
+
+
+def _min_op(a, b):
+    take_a = a.data <= b.data  # ties route the gradient to a
+    return ad.node(np.minimum(a.data, b.data), (a, b), lambda g: (g * take_a, g * ~take_a))
+
+
+def _max_op(a, b):
+    take_a = a.data >= b.data
+    return ad.node(np.maximum(a.data, b.data), (a, b), lambda g: (g * take_a, g * ~take_a))
+
+
+def _div_op(a, b):
+    return ad.node(a.data / b.data, (a, b),
+                   lambda g: (g / b.data, -g * a.data / (b.data * b.data)))
+
+
+def _col_op(a, j):
+    def pullback(g):
+        full = np.zeros_like(a.data)
+        full[:, j:j + 1] = g
+        return (full,)
+
+    return ad.node(a.data[:, j:j + 1].copy(), (a,), pullback)
+
+
+def _one_minus(a):
+    return ad.sub(ad.constant(np.ones(a.shape)), a)
+
+
+def _composed_focal(logits, targets, alpha, gamma, weights):
+    p = _clip_op(ad.sigmoid(logits), 1e-12, 1.0 - 1e-12)
+    one_minus_p = _clip_op(_one_minus(p), 1e-12, 1.0)
+    pos_w = ad.constant(alpha * weights * targets)
+    neg_w = ad.constant((1.0 - alpha) * weights * (1.0 - targets))
+    pos = ad.mul(ad.mul(_pow_op(one_minus_p, gamma), _neg_op(_log_op(p))), pos_w)
+    neg = ad.mul(ad.mul(_pow_op(p, gamma), _neg_op(_log_op(one_minus_p))), neg_w)
+    return ad.sum_all(pos + neg)
+
+
+def _composed_giou(boxes_a, boxes_b):
+    def split(b):
+        cx, cy, w, h = (_col_op(b, j) for j in range(4))
+        return (cx - w * 0.5, cy - h * 0.5, cx + w * 0.5, cy + h * 0.5)
+
+    ax1, ay1, ax2, ay2 = split(boxes_a)
+    bx1, by1, bx2, by2 = split(boxes_b)
+    iw = ad.relu(_min_op(ax2, bx2) - _max_op(ax1, bx1))
+    ih = ad.relu(_min_op(ay2, by2) - _max_op(ay1, by1))
+    inter = iw * ih
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    hull = (_max_op(ax2, bx2) - _min_op(ax1, bx1)) * (_max_op(ay2, by2) - _min_op(ay1, by1))
+    return _div_op(inter, union) - _div_op(hull - union, hull)
+
+
+def _composed_loss(layers, targets, w, matches):
+    """``detection_loss`` with ``precomputed_matches=matches``, assembled from
+    the elementwise ops above."""
+    n_images = len(targets)
+    sizes = [lg.shape[0] // n_images for lg, _ in layers]
+    rows, cls, gt_rows, offset = [], [], [], 0
+    for li, n in enumerate(sizes):
+        for b, (classes, gt_boxes) in enumerate(targets):
+            rows += [offset + b * n + q for q, _ in matches[li][b]]
+            cls += [classes[j] for _, j in matches[li][b]]
+            gt_rows += [gt_boxes[j] for _, j in matches[li][b]]
+        offset += n * n_images
+    image_weight = np.array([1.0 / (n_images * max(len(c), 1)) for c, _ in targets])
+    row_weight = np.concatenate([np.repeat(image_weight, n) for n in sizes])[:, None]
+    all_logits = ad.concat_rows([lg for lg, _ in layers])
+    all_boxes = ad.concat_rows([bx for _, bx in layers])
+    target = np.zeros(all_logits.shape)
+    target[rows, cls] = 1.0
+    total = _composed_focal(all_logits, target, w.alpha, w.gamma, w.w_focal * row_weight)
+    if rows:
+        rw = row_weight[rows]
+        mb = ad.select_rows(all_boxes, rows)
+        gb = ad.constant(np.array(gt_rows))
+        l1 = ad.sum_all(ad.mul(_abs_op(ad.sub(mb, gb)), np.repeat(w.w_l1 * rw, 4, axis=1)))
+        giou_term = ad.sum_all(ad.mul(_one_minus(_composed_giou(mb, gb)), w.w_giou * rw))
+        total = total + l1 + giou_term
+    return total
+
+
+def _oracle_case(rng, case):
+    """(layers, targets, weights) of one seeded batch: 1-3 layers, 1-3 images
+    of G = 0, 1 or 3 objects; every fourth case has logits of +-30 and every
+    fourth +-1000 (both clamps active), every third has matched predictions
+    on exactly their truth boxes, and every fifth puts all boxes on a 1/16
+    grid, so predicted and true corners tie."""
+    n_layers, n_images = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    n, c = int(rng.integers(3, 7)), int(rng.integers(1, 5))
+    targets = []
+    for _ in range(n_images):
+        g = int(rng.choice([0, 1, 3]))
+        targets.append((rng.integers(0, c, size=g).tolist(),
+                        np.column_stack([rng.uniform(0.3, 0.7, size=(g, 2)),
+                                         rng.uniform(0.1, 0.3, size=(g, 2))])))
+    layers = []
+    for _ in range(n_layers):
+        logits = rng.normal(size=(n_images * n, c)) * 2.0
+        if case % 4 >= 2:
+            big = 30.0 if case % 4 == 2 else 1000.0
+            logits = rng.choice([-big, big, -0.5, 0.5], size=logits.shape)
+        boxes = np.column_stack([rng.uniform(0.2, 0.8, size=(n_images * n, 2)),
+                                 rng.uniform(0.05, 0.4, size=(n_images * n, 2))])
+        if case % 3 == 0:
+            for b, (classes, gt_boxes) in enumerate(targets):
+                boxes[b * n:b * n + len(classes)] = gt_boxes
+        layers.append([logits, boxes])
+    if case % 5 == 0:
+        layers = [[lg, np.round(bx * 16) / 16] for lg, bx in layers]
+        targets = [(classes, np.round(gt_boxes * 16) / 16) for classes, gt_boxes in targets]
+    weights = ls.LossWeights(alpha=float(rng.uniform(0.1, 0.9)),
+                             gamma=float(rng.choice([0.0, 1.0, 2.0, 2.5])))
+    return layers, targets, weights
+
+
+def test_fused_loss_equals_composed_graph():
+    """The two fused nodes against the composed graph they replace: value and
+    every gradient within rtol 1e-12, on 300 seeded batches."""
+    rng = np.random.default_rng(2026)
+    for case in range(300):
+        layers, targets, w = _oracle_case(rng, case)
+        n_images = len(targets)
+        matches = []
+        for logits, boxes in layers:
+            n = len(logits) // n_images
+            probs = 1.0 / (1.0 + np.exp(-np.clip(logits, -700, 700)))
+            matches.append([ls.hungarian(ls.build_cost_matrix(
+                probs[b * n:(b + 1) * n], boxes[b * n:(b + 1) * n], classes, gt, w))
+                if classes else [] for b, (classes, gt) in enumerate(targets)])
+        results = []
+        for loss_fn in (ls.detection_loss, _composed_loss):
+            params = [ad.param(a) for layer in layers for a in layer]
+            with ad.Tape():
+                loss = loss_fn(list(zip(params[::2], params[1::2])), targets, w, matches)
+                ad.backward(loss)
+            results.append([loss.data] + [np.zeros(p.shape) if p.grad is None else p.grad
+                                          for p in params])
+        for got, want in zip(*results):
+            assert np.allclose(got, want, rtol=1e-12, atol=0), f"case {case}"

@@ -145,7 +145,7 @@ def test_qra_loss_of_a_batch_is_the_mean_of_its_rows_losses():
         total = 0.0
         for i in range(r):
             with ad.Tape():
-                row = ad.slice_rows(means, i, i + 1)
+                row = ad.select_rows(means, range(i, i + 1))
                 order = [i] + [j for j in range(k) if j != i]
                 loss = qr.qra_loss(row, ad.select_rows(tokens, order), head, tau=0.1)
                 ad.backward(ad.mul(loss, 1.0 / r))

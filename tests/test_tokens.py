@@ -104,6 +104,15 @@ def test_registry_error_kinds(tmp_path):
         tk.load_registry(bad_key)
 
 
+def test_registry_tokens_must_map_keys_to_lists_of_numbers(tmp_path):
+    path = tmp_path / "reg.json"
+    for tokens in ([1, 2], "CT|a", {"CT|a": [1.0, "x"]}, {"CT|a": ["1.0", 0.0]},
+                   {"CT|a": [True, 0.0]}, {"CT|a": 2.0}, {"CT|a": [[1.0, 0.0]]}):
+        path.write_text(json.dumps({"d_text": 2, "tokens": tokens}))
+        with pytest.raises(RegistryFormatError):
+            tk.load_registry(path)
+
+
 def test_project_token_zero_identity_and_random():
     reg = tk.build_registry([("CT", "nodule")], d_text=6, seed64=2)
     rng = np.random.default_rng(0)

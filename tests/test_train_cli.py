@@ -232,6 +232,26 @@ def test_cli_pretrain_and_mi_lab(tmp_path):
     assert doc["passed"] is True
 
 
+@pytest.mark.parametrize("doc", [{"joints": 3}, {}, [1], {"joints": []},
+                                 {"joints": [[[0.5, "a"]]]}, {"joints": [[[0.5], [0.25, 0.25]]]}],
+                         ids=["not_a_list", "no_joints", "not_an_object", "empty",
+                              "non_numeric", "ragged"])
+def test_cli_mi_lab_malformed_joints_file_exits_1(tmp_path, capsys, doc):
+    path = tmp_path / "joints.json"
+    path.write_text(json.dumps(doc))
+    assert main(["mi-lab", "--joints", str(path), "--K", "1", "--samples", "1000"]) == 1
+    assert "runtime error" not in capsys.readouterr().err
+
+
+def test_cli_tokens_inspect_malformed_registry_exits_1(tmp_path, capsys):
+    for i, tokens in enumerate([[1, 2], {"CT|a": [1.0, "x"]}, {"CT|a": "ab"},
+                                {"CT|a": [1.0, None]}, {"CT|a": 2.0}]):
+        path = tmp_path / f"reg{i}.json"
+        path.write_text(json.dumps({"d_text": 2, "tokens": tokens}))
+        assert main(["tokens", "inspect", str(path)]) == 1, tokens
+        assert "runtime error" not in capsys.readouterr().err
+
+
 def test_cli_exit_codes(tmp_path):
     # unknown argument -> validation exit
     assert main(["train", "--nope"]) == 1
