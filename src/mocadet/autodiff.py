@@ -6,10 +6,12 @@ records one forward build and supports exactly one backward pass.
 
 Ops, one tape node each: the fused ``linear``, ``attention`` (multi-head,
 optional extra key/value rows) and ``layernorm`` (optionally affine);
-elementwise ``add sub mul relu sigmoid``; ``matmul concat_rows select_rows
-reshape``; reductions ``mean_rows sum_all logsumexp_rows cosine_matrix``.
-``node`` builds one node from a value computed elsewhere and a hand-written
-pullback; the set loss builds its two fused nodes with it.
+elementwise ``add sub mul relu sigmoid``; ``concat_rows select_rows``;
+reductions ``mean_rows sum_all logsumexp_rows cosine_matrix``. ``node``
+builds one node from a value computed elsewhere and a hand-written
+pullback; the set loss builds its two fused nodes with it, and the token
+projection its one. ``expit`` is the numpy sigmoid that ``sigmoid``, the
+set loss and the detection scores share.
 
 Conventions:
   * all data is float64, row-major;
@@ -134,9 +136,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(self, other)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
     return Tensor(data, requires_grad=requires_grad)
@@ -223,21 +222,6 @@ def node(data, parents, pullback) -> Tensor:
 # ---------------------------------------------------------------------------
 # primitive ops
 # ---------------------------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dims differ: {a.shape} x {b.shape}")
-    out_data = a.data @ b.data
-
-    def pullback(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
-
-    return _make_node(out_data, (a, b), pullback)
 
 
 def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
@@ -383,11 +367,16 @@ def relu(a) -> Tensor:
     return _make_node(a.data * mask, (a,), pullback)
 
 
+def expit(x) -> np.ndarray:
+    """The logistic sigmoid 1 / (1 + exp(-x)) of an array, entry by entry.
+    It takes one exp, of -|x|, so no entry overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out_data = expit(a.data)
 
     def pullback(g):
         _accum(a, g * out_data * (1.0 - out_data))
@@ -471,18 +460,6 @@ def select_rows(a: Tensor, indices) -> Tensor:
         _accum(a, full)
 
     return _make_node(a.data[idx].copy(), (a,), pullback)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    a = _as_tensor(a)
-    shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != a.data.size or len(shape) > 2:
-        raise ShapeError(f"cannot reshape {a.shape} to {shape}")
-
-    def pullback(g):
-        _accum(a, g.reshape(a.data.shape))
-
-    return _make_node(a.data.reshape(shape).copy(), (a,), pullback)
 
 
 def mean_rows(a: Tensor, segments: int) -> Tensor:

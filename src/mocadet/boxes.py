@@ -55,7 +55,7 @@ def _pairwise(a, b, what: str):
         k = np.asarray(boxes, dtype=np.float64)
         if k.ndim != 2 or k.shape[1] != 4:
             raise ShapeError(f"{what} needs (K, 4) xyxy boxes, got shape {k.shape}")
-        if np.any(k[:, 2] <= k[:, 0]) or np.any(k[:, 3] <= k[:, 1]):
+        if (k[:, 2:] <= k[:, :2]).any():
             raise ValidationError(f"degenerate box in {what}")
         stacks.append(k.T)
     return stacks[0][:, :, None], stacks[1][:, None, :]

@@ -119,7 +119,7 @@ def _cmd_tokens(args) -> int:
             print(f"  {m}: {len(reg.classes_of(m))} classes")
         return 0
     # silhouette over raw embeddings grouped by modality
-    vectors = [emb.vector for emb in reg.entries.values()]
+    vectors = list(reg.entries.values())
     labels = [d for (d, _c) in reg.entries]
     score = silhouette_score(vectors, labels)
     print(f"modality silhouette: {score:.6f} over {len(vectors)} tokens")

@@ -9,6 +9,11 @@ from the rendered mask, so annotations are exact by construction. Images
 are quantized to float32 values at generation time so the raw-blob export
 is lossless.
 
+Each image of a batch gets one modality token row (``attach_token``): the
+embedding of one of its box classes in training, and the mean of its
+modality's class embeddings for an image without boxes and at inference.
+The whole batch is projected by one ``TokenProjection.rows`` node.
+
 On-disk formats:
   * dataset dir: ``<split>_manifest.json`` + ``<split>_images.<hash>.bin``
     (little-endian f32, one H*W block per sample, offsets in the manifest;
@@ -31,9 +36,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .boxes import iou
 from .errors import ContractError, IngestError, TokenLookupError, ValidationError
 from .fileio import atomic_write
-from .tokens import TokenProjection, TokenRegistry, _fnv1a64, project_token
+from .tokens import TokenProjection, TokenRegistry, _fnv1a64
 
 _RAWF32_MAGIC = b"RAWF32\x00"
 
@@ -190,7 +196,7 @@ _SHAPES = ("circle", "square", "triangle", "ring", "blob")
 
 def _shape_mask(shape: str, size: int, rng: np.random.Generator) -> np.ndarray:
     s = max(int(size), 2)
-    yy, xx = np.mgrid[0:s, 0:s].astype(np.float64)
+    yy, xx = np.indices((s, s), dtype=np.float64)
     cy = cx = (s - 1) / 2.0
     r = s / 2.0
     if shape == "circle":
@@ -241,16 +247,6 @@ def _split_code(split: str) -> int:
     return _fnv1a64(split.encode("utf-8")) % 2**31
 
 
-def _boxes_iou(a, b) -> float:
-    ax1, ay1, ax2, ay2 = a
-    bx1, by1, bx2, by2 = b
-    iw = max(0, min(ax2, bx2) - max(ax1, bx1))
-    ih = max(0, min(ay2, by2) - max(ay1, by1))
-    inter = iw * ih
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    return inter / union if union > 0 else 0.0
-
-
 def _render_sample(spec: DatasetSpec, modality_id: int, split: str,
                    index: int) -> Sample:
     mod = spec.modalities[modality_id]
@@ -258,7 +254,7 @@ def _render_sample(spec: DatasetSpec, modality_id: int, split: str,
     rng = np.random.default_rng(
         np.random.SeedSequence([spec.seed, _split_code(split), modality_id, index]))
 
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64) / size
+    yy, xx = np.indices((size, size), dtype=np.float64) / size
     phase = rng.uniform(0, 2 * math.pi, size=2)
     img = 0.32 + 0.10 * np.sin(2 * math.pi * mod.texture_freq * xx + phase[0]) \
                       * np.sin(2 * math.pi * mod.texture_freq * yy + phase[1])
@@ -276,7 +272,7 @@ def _render_sample(spec: DatasetSpec, modality_id: int, split: str,
             r0 = int(rng.integers(1, size - mh)) if size - mh > 1 else 0
             c0 = int(rng.integers(1, size - mw)) if size - mw > 1 else 0
             xyxy = (c0, r0, c0 + mw, r0 + mh)
-            if all(_boxes_iou(xyxy, p) < 0.3 for p in placed_xyxy):
+            if not placed_xyxy or iou([xyxy], placed_xyxy).max() < 0.3:
                 break
         placed_xyxy.append(xyxy)
         level = rng.uniform(0.72, 0.95)
@@ -532,29 +528,41 @@ class ModalityBatchSampler:
 # ---------------------------------------------------------------------------
 
 
-def modality_mean_token(spec: DatasetSpec, registry: TokenRegistry,
-                        projection: TokenProjection, modality_id: int) -> ad.Tensor:
-    """(1, d_model) mean of the projected tokens of every class declared for
-    a modality."""
+def _mean_embedding(spec: DatasetSpec, registry: TokenRegistry,
+                    modality_id: int) -> np.ndarray:
+    """The mean of the raw embeddings of every class declared for a modality."""
     mod_name = spec.modality_names[modality_id]
     if mod_name not in registry.modality_list:
         raise TokenLookupError(f"modality {mod_name!r} absent from registry")
-    names = [spec.global_classes[cid] for cid in spec.global_class_ids(modality_id)]
-    projected = [project_token(registry, projection, mod_name, c) for c in names]
-    return ad.mean_rows(ad.concat_rows(projected), 1)
+    return np.mean([registry.embedding(mod_name, spec.global_classes[cid])
+                    for cid in spec.global_class_ids(modality_id)], axis=0)
 
 
-def attach_token(sample: Sample, spec: DatasetSpec, registry: TokenRegistry,
-                 projection: TokenProjection, rng: np.random.Generator) -> ad.Tensor:
-    """Model-space (1, d_model) token row for a training sample.
+def modality_mean_token(spec: DatasetSpec, registry: TokenRegistry,
+                        projection: TokenProjection, modality_id: int) -> ad.Tensor:
+    """(1, d_model) inference token of a modality: the projection of the
+    mean of its class embeddings."""
+    return projection.rows(_mean_embedding(spec, registry, modality_id)[None])
 
-    The projected token of one of the sample's ground-truth classes, drawn
-    uniformly with ``rng`` (deterministic given the seed); empty images fall
-    back to the modality mean (``modality_mean_token``, which inference uses).
+
+def attach_token(batch, spec: DatasetSpec, registry: TokenRegistry,
+                 projection: TokenProjection,
+                 rng: np.random.Generator | None = None) -> ad.Tensor:
+    """The (B, d_model) token rows of a batch, one ``TokenProjection.rows``
+    node: row b projects one raw embedding for image b.
+
+    With ``rng`` (training) that is the embedding of one of the image's
+    ground-truth classes, drawn uniformly, image by image; an image without
+    boxes, and every image when ``rng`` is None (inference), takes the mean
+    of its modality's class embeddings, as ``modality_mean_token`` does.
     """
-    if not sample.annotations:
-        return modality_mean_token(spec, registry, projection, sample.modality_id)
-    classes = sorted({a.class_id for a in sample.annotations})
-    cid = classes[int(rng.integers(0, len(classes)))]
-    return project_token(registry, projection, spec.modality_names[sample.modality_id],
-                         spec.global_classes[cid])
+    raw = []
+    for s in batch:
+        if rng is None or not s.annotations:
+            raw.append(_mean_embedding(spec, registry, s.modality_id))
+            continue
+        classes = sorted({a.class_id for a in s.annotations})
+        cid = classes[int(rng.integers(0, len(classes)))]
+        raw.append(registry.embedding(spec.modality_names[s.modality_id],
+                                      spec.global_classes[cid]))
+    return projection.rows(np.stack(raw))

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .boxes import cxcywh_to_xyxy, iou
 from .errors import ValidationError
 from .fileio import atomic_write
@@ -268,7 +269,7 @@ def detections_from_output(output, images) -> np.ndarray:
     logits, boxes = output.layers[-1]
     n_images = output.n_images
     n, c = logits.shape[0] // n_images, logits.shape[1]
-    scores = (1.0 / (1.0 + np.exp(-logits.data))).reshape(n_images, n * c)
+    scores = ad.expit(logits.data).reshape(n_images, n * c)
     query, klass = (np.broadcast_to(v, scores.shape) for v in np.divmod(np.arange(n * c), c))
     top = np.lexsort((query, klass, -scores))[:, :MAX_DETS_PER_IMAGE]
     out = np.empty(top.shape, dtype=DETECTION)

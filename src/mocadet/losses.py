@@ -161,7 +161,7 @@ def _focal_node(logits: ad.Tensor, targets: np.ndarray, row_weight: np.ndarray,
     clamp bound passes it. Where p is not clamped, 1 - p is not either: it
     would take p = 1 - eps exactly, a value the sigmoid never returns.
     """
-    s = ad.sigmoid(ad.constant(logits.data)).data
+    s = ad.expit(logits.data)
     pos, neg = _focal_terms(s, alpha, gamma)
     pos_w, neg_w = row_weight * targets, row_weight * (1.0 - targets)
 
@@ -232,7 +232,7 @@ def _match_blocks(per_layer_preds, gts, sizes, weights: LossWeights) -> list:
     blocks = [(li, b, slice(b * n, (b + 1) * n)) for li, n in enumerate(sizes) for b in with_gt]
     logits = np.concatenate([per_layer_preds[li][0].data[r] for li, _, r in blocks])
     boxes = np.concatenate([per_layer_preds[li][1].data[r] for li, _, r in blocks])
-    cost = build_cost_matrix(1.0 / (1.0 + np.exp(-logits)), boxes,
+    cost = build_cost_matrix(ad.expit(logits), boxes,
                              [c for b in with_gt for c in gts[b][0]],
                              np.concatenate([gts[b][1] for b in with_gt]), weights)
     bounds = np.cumsum([0] + [len(gts[b][0]) for b in with_gt])

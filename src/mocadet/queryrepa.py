@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .data import DatasetSpec, Sample, attach_token
+from .data import DatasetSpec, attach_token
 from .detector import Detector, Linear
 from .errors import ContractError, ValidationError
 from .tokens import TokenProjection, TokenRegistry
@@ -88,8 +88,7 @@ def batch_alignment_loss(batch, model: Detector, spec: DatasetSpec,
     if len(set(mods)) != len(mods):
         raise ContractError(f"batch modalities not distinct: {mods}")
 
-    tokens = ad.concat_rows([attach_token(s, spec, registry, projection, class_rng)
-                             for s in batch])
+    tokens = attach_token(batch, spec, registry, projection, class_rng)
     return qra_loss(_query_means(model, batch, tokens, layer), tokens, g_phi, tau)
 
 
@@ -116,8 +115,7 @@ def positive_rank_fraction(batches, model: Detector, spec: DatasetSpec,
     hits = total = 0
     with ad.no_grad():
         for batch in batches:
-            tokens = ad.concat_rows([attach_token(s, spec, registry, projection, class_rng)
-                                     for s in batch])
+            tokens = attach_token(batch, spec, registry, projection, class_rng)
             u = g_phi(_query_means(model, batch, tokens, layer))
             best = ad.cosine_matrix(u, tokens).data.argmax(axis=1)
             hits += int((best == np.arange(len(batch))).sum())

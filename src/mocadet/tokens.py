@@ -1,10 +1,15 @@
 """Modality tokens: text-anchored vectors for (modality, class) pairs.
 
 A token starts life as a raw text-encoder output for the prompt
-``"<class> in <modality>"``. At desk scale we either load such vectors from
-a registry file or synthesize them with a deterministic hash-seeded
-generator; a learnable linear projection maps them into the detector's
-model space where they act as modality-context anchors.
+``"<class> in <modality>"``, a (d_text,) array. At desk scale we either
+load such vectors from a registry file or synthesize them with a
+deterministic hash-seeded generator. Each image of a batch gets one raw row
+(``data.attach_token`` picks it: one of the image's box classes in
+training, the mean of its modality's class embeddings for an image without
+boxes and at inference), and ``TokenProjection.rows`` maps the batch's rows
+into the detector's model space as one tape node, where they act as
+modality-context anchors. The projection is linear, so a mean row projects
+to the mean of the projected class tokens.
 
 Registry file format (JSON, UTF-8)::
 
@@ -58,28 +63,14 @@ MEDICAL_PROMPT_CATALOG: list[tuple[str, str]] = [
 ]
 
 
-@dataclass(frozen=True)
-class PromptSpec:
-    class_name: str
-    modality_name: str
-    rendered: str
-
-
-@dataclass(frozen=True)
-class RawEmbedding:
-    vector: np.ndarray
-    source: str  # "file" | "synthetic"
-
-
-def build_prompt(class_name: str, modality_name: str) -> PromptSpec:
+def build_prompt(class_name: str, modality_name: str) -> str:
     """Render the fixed '<class> in <modality>' template."""
     for label, name in (("class", class_name), ("modality", modality_name)):
         if not name:
             raise ValidationError(f"empty {label} name")
         if name != name.strip():
             raise ValidationError(f"{label} name has leading/trailing whitespace: {name!r}")
-    return PromptSpec(class_name=class_name, modality_name=modality_name,
-                      rendered=f"{class_name} in {modality_name}")
+    return f"{class_name} in {modality_name}"
 
 
 # -- deterministic synthetic embeddings -------------------------------------
@@ -104,17 +95,17 @@ def _splitmix64(state: int):
     return state, z ^ (z >> 31)
 
 
-def synth_embedding(prompt: PromptSpec, d_text: int, seed64: int) -> RawEmbedding:
+def synth_embedding(prompt: str, d_text: int, seed64: int) -> np.ndarray:
     """Deterministic unit-norm stand-in for a frozen text encoder.
 
-    FNV-1a over (rendered prompt UTF-8 ++ seed64 as 8 LE bytes) seeds a
+    FNV-1a over (prompt UTF-8 ++ seed64 as 8 LE bytes) seeds a
     splitmix64 stream; pairs of 53-bit uniforms feed Box-Muller; the result
     is L2-normalized. Same (prompt, d_text, seed) always gives the same
     vector.
     """
     if d_text < 2:
         raise ValidationError(f"d_text must be >= 2, got {d_text}")
-    state = _fnv1a64(prompt.rendered.encode("utf-8")
+    state = _fnv1a64(prompt.encode("utf-8")
                      + int(seed64).to_bytes(8, "little", signed=False))
     vals = np.empty(2 * ((d_text + 1) // 2), dtype=np.float64)
     for i in range(0, vals.size, 2):
@@ -129,7 +120,7 @@ def synth_embedding(prompt: PromptSpec, d_text: int, seed64: int) -> RawEmbeddin
     norm = float(np.sqrt((v * v).sum()))
     if norm == 0.0:
         raise ValidationError("degenerate synthetic embedding (zero norm)")
-    return RawEmbedding(vector=v / norm, source="synthetic")
+    return v / norm
 
 
 # -- registry ----------------------------------------------------------------
@@ -140,10 +131,14 @@ class TokenRegistry:
     """Immutable store of raw embeddings for every declared (d, c) pair."""
 
     d_text: int
-    entries: dict = field(default_factory=dict)  # (modality, class) -> RawEmbedding
-    modality_list: list = field(default_factory=list)
+    entries: dict = field(default_factory=dict)  # (modality, class) -> (d_text,) array
 
-    def embedding(self, modality: str, class_name: str) -> RawEmbedding:
+    @property
+    def modality_list(self) -> list:
+        """The registry's modalities in first-seen order."""
+        return list(dict.fromkeys(d for d, _ in self.entries))
+
+    def embedding(self, modality: str, class_name: str) -> np.ndarray:
         key = (modality, class_name)
         if key not in self.entries:
             raise TokenLookupError(f"undeclared (modality, class) pair {key}")
@@ -163,10 +158,7 @@ def build_registry(pairs, d_text: int = 64, seed64: int = 1) -> TokenRegistry:
         key = (modality, class_name)
         if key in reg.entries:
             raise DuplicateKeyError(f"duplicate pair {key}")
-        prompt = build_prompt(class_name, modality)
-        reg.entries[key] = synth_embedding(prompt, d_text, seed64)
-        if modality not in reg.modality_list:
-            reg.modality_list.append(modality)
+        reg.entries[key] = synth_embedding(build_prompt(class_name, modality), d_text, seed64)
     return reg
 
 
@@ -176,8 +168,8 @@ def save_registry(reg: TokenRegistry, path) -> None:
             raise ValidationError(f"'|' not allowed in names: {(modality, class_name)}")
     doc = {
         "d_text": reg.d_text,
-        "tokens": {f"{d}|{c}": [float(x) for x in emb.vector]
-                   for (d, c), emb in reg.entries.items()},
+        "tokens": {f"{d}|{c}": [float(x) for x in vec]
+                   for (d, c), vec in reg.entries.items()},
     }
     with atomic_write(path) as fh:
         json.dump(doc, fh)
@@ -224,9 +216,7 @@ def load_registry(path) -> TokenRegistry:
         arr = np.asarray(vec, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise ValidationError(f"entry {key!r} has non-finite values")
-        reg.entries[(modality, class_name)] = RawEmbedding(vector=arr, source="file")
-        if modality not in reg.modality_list:
-            reg.modality_list.append(modality)
+        reg.entries[(modality, class_name)] = arr
     return reg
 
 
@@ -248,23 +238,21 @@ class TokenProjection:
     def d_text(self) -> int:
         return self.W.shape[1]
 
-    def project(self, raw: np.ndarray) -> ad.Tensor:
-        """The (1, d_model) token row of one (d_text,) embedding."""
-        e = np.asarray(raw, dtype=np.float64)
-        if e.shape != (self.d_text,):
-            raise ShapeError(f"embedding has shape {e.shape}, expected ({self.d_text},)")
-        col = ad.constant(e.reshape(-1, 1))
-        return ad.reshape(ad.matmul(self.W, col), (1, self.d_model))
+    def rows(self, raw) -> ad.Tensor:
+        """The (B, d_model) token rows ``raw @ W.T`` of a (B, d_text) matrix
+        of raw embeddings, as one tape node whose pullback is ``g.T @ raw``.
+
+        The value is taken as B matrix-vector products ``W @ raw[b]``, so
+        each row is bitwise the same whatever rows share its batch."""
+        raw = np.asarray(raw, dtype=np.float64)
+        if raw.ndim != 2 or raw.shape[1] != self.d_text:
+            raise ShapeError(f"raw embeddings have shape {raw.shape}, "
+                             f"expected (B, {self.d_text})")
+        value = (self.W.data @ raw[:, :, None])[:, :, 0]
+        return ad.node(value, (self.W,), lambda g: (g.T @ raw,))
 
     def parameters(self) -> list:
         return [("token_projection.W", self.W)]
-
-
-def project_token(reg: TokenRegistry, proj: TokenProjection,
-                  modality: str, class_name: str) -> ad.Tensor:
-    """Model-space (1, d_model) token row for one declared pair;
-    differentiable through W."""
-    return proj.project(reg.embedding(modality, class_name).vector)
 
 
 # -- clustering quality --------------------------------------------------------

@@ -17,8 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import load_checkpoint, restore_params, save_checkpoint
 from .config import RunConfig
-from .data import (DatasetSpec, ModalityBatchSampler, attach_token,
-                   generate_synthetic, modality_mean_token)
+from .data import DatasetSpec, ModalityBatchSampler, attach_token, generate_synthetic
 from .detector import Detector, DetectorConfig
 from .errors import CheckpointError, ValidationError
 from .evaluation import DETECTION, ap_report, detections_from_output
@@ -161,18 +160,6 @@ def load_pretrained(bundle: RunBundle, ckpt_path: str) -> None:
                    stored, allow_extra=True)
 
 
-def _image_batches(samples, size: int):
-    """Runs of at most ``size`` consecutive samples whose images share a shape."""
-    batch = []
-    for s in samples:
-        if batch and (len(batch) == size or s.image.shape != batch[0].image.shape):
-            yield batch
-            batch = []
-        batch.append(s)
-    if batch:
-        yield batch
-
-
 def evaluate(bundle: RunBundle, samples):
     """Validation metrics with inference tokens (modality means, no labels).
 
@@ -181,20 +168,15 @@ def evaluate(bundle: RunBundle, samples):
     """
     spec = bundle.spec
     moca = bundle.model.config.moca_enabled
+    size = bundle.config.batch_size
     detections = [np.empty(0, dtype=DETECTION)]
     with ad.no_grad():
-        token_cache = {}
-        if moca:
-            for mi in range(spec.n_modalities):
-                token_cache[mi] = modality_mean_token(
-                    spec, bundle.registry, bundle.projection, mi)
-        start = 0
-        for batch in _image_batches(samples, bundle.config.batch_size):
-            tokens = (ad.concat_rows([token_cache[s.modality_id] for s in batch])
+        for start in range(0, len(samples), size):
+            batch = samples[start:start + size]
+            tokens = (attach_token(batch, spec, bundle.registry, bundle.projection)
                       if moca else None)
             out = bundle.model.forward(np.stack([s.image for s in batch]), tokens)
             detections.append(detections_from_output(out, range(start, start + len(batch))))
-            start += len(batch)
     class_modality = [spec.modality_of_class(c) for c in range(bundle.n_classes)]
     return ap_report(np.concatenate(detections), samples, bundle.n_classes,
                      modality_names=spec.modality_names,
@@ -238,11 +220,8 @@ def run_train(config: RunConfig, out_dir: str, moca: bool | None = None,
             batch = [bundle.train_samples[i] for i in order[start:start + cfg.batch_size]]
             optimizer.zero_grad()
             with ad.Tape():
-                tokens = None
-                if moca_flag:
-                    tokens = ad.concat_rows([attach_token(s, bundle.spec, bundle.registry,
-                                                          bundle.projection, class_rng)
-                                             for s in batch])
+                tokens = (attach_token(batch, bundle.spec, bundle.registry,
+                                       bundle.projection, class_rng) if moca_flag else None)
                 out = bundle.model.forward(np.stack([s.image for s in batch]), tokens)
                 targets = [(s.class_ids, np.array([a.box for a in s.annotations]))
                            for s in batch]

@@ -11,6 +11,7 @@ import pytest
 
 from mocadet import autodiff as ad
 from mocadet import losses as ls
+from mocadet import tokens as tk
 from mocadet.errors import ContractError, ShapeError, ValidationError
 
 
@@ -19,25 +20,6 @@ def test_leaf_rejects_non_finite():
         ad.tensor([1.0, np.nan])
     with pytest.raises(ValidationError):
         ad.tensor([np.inf])
-
-
-def test_matmul_identity_and_zero():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(2, 3))
-    assert np.array_equal(ad.matmul(ad.tensor(np.eye(2)), ad.tensor(a)).data, a)
-    z = np.zeros((4, 2))
-    assert np.array_equal(ad.matmul(ad.tensor(z), ad.tensor(a)).data, np.zeros((4, 3)))
-
-
-def test_matmul_hand_evaluated():
-    # oracle: [[1*1+2*1], [3*1+4*1]] = [[3],[7]]
-    out = ad.matmul(ad.tensor([[1.0, 2.0], [3.0, 4.0]]), ad.tensor([[1.0], [1.0]]))
-    assert np.array_equal(out.data, [[3.0], [7.0]])
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ShapeError):
-        ad.matmul(ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((2, 3))))
 
 
 def _softmax(a, scale=1.0):
@@ -127,13 +109,13 @@ def test_layernorm_constant_row_is_zero():
 
 
 def test_backward_linear_map():
-    # loss = sum(W x): dloss/dW = x^T broadcast per row
-    x = np.array([[1.0], [2.0], [-3.0]])
-    W = ad.param(np.random.default_rng(0).normal(size=(4, 3)))
+    # loss = sum(x W) for a row x: dloss/dW = x^T broadcast per column
+    x = np.array([[1.0, 2.0, -3.0]])
+    W = ad.param(np.random.default_rng(0).normal(size=(3, 4)))
     with ad.Tape():
-        loss = ad.sum_all(ad.matmul(W, ad.constant(x)))
+        loss = ad.sum_all(ad.linear(ad.constant(x), W, np.zeros(4)))
         grads = ad.backward(loss)
-    assert np.allclose(grads[W], np.tile(x.T, (4, 1)), atol=1e-14)
+    assert np.allclose(grads[W], np.tile(x.T, (1, 4)), atol=1e-14)
 
 
 def test_backward_quadratic():
@@ -176,7 +158,7 @@ def test_backward_is_deterministic():
         W = ad.param(rng.normal(size=(5, 5)))
         x = ad.constant(rng.normal(size=(5, 3)))
         with ad.Tape():
-            h = ad.relu(ad.matmul(W, x))
+            h = ad.relu(ad.linear(W, x, np.zeros(3)))
             s = ad.attention(h, h, h, 1, 0.7)
             loss = ad.sum_all(ad.mul(s, s))
             ad.backward(loss)
@@ -198,6 +180,16 @@ def test_grad_check_sigmoid_closed_form():
     # independent closed form: d sigma(wx)/dw = x * s * (1 - s)
     s = 1.0 / (1.0 + np.exp(-0.3))
     assert w.grad == pytest.approx(x * s * (1 - s), rel=1e-12)
+
+
+def test_expit_matches_the_closed_form_and_saturates_without_overflow():
+    x = np.array([-1000.0, -30.0, -1.5, -0.0, 0.0, 2.0, 40.0, 1000.0])
+    with np.errstate(over="raise"):
+        got = ad.expit(x)
+    assert np.array_equal(got[[0, -1]], [0.0, 1.0])
+    # oracle: the textbook formula wherever exp(-x) is finite
+    assert np.allclose(got[1:-1], 1.0 / (1.0 + np.exp(-x[1:-1])), rtol=1e-15, atol=0.0)
+    assert np.array_equal(ad.sigmoid(ad.tensor(x)).data, got)
 
 
 def test_grad_check_unused_param_zero_error():
@@ -224,11 +216,6 @@ def _build_case(name, rng):
     """Return (f, params) for one op; f closes over fixed constants only."""
     shp = (3, 4)
     w34 = rng.normal(size=shp)
-    if name == "matmul":
-        a = ad.param(rng.normal(size=(3, 4)))
-        b = ad.param(rng.normal(size=(4, 2)))
-        w = rng.normal(size=(3, 2))
-        return (lambda: ad.sum_all(ad.mul(ad.matmul(a, b), w))), [a, b]
     if name == "linear":
         x = ad.param(rng.normal(size=(3, 4)))
         W = ad.param(rng.normal(size=(4, 2)))
@@ -321,14 +308,15 @@ def _build_case(name, rng):
         row_weight = rng.uniform(0.1, 2.0, size=(3, 1))
         weights = ls.LossWeights(w_l1=float(rng.uniform(0.5, 5)), w_giou=float(rng.uniform(0.5, 5)))
         return (lambda: ls._box_node(boxes, rows, truth, row_weight, weights)), [boxes]
+    if name == "node_token_rows":
+        proj = tk.TokenProjection(4, 5, rng)
+        raw = rng.normal(size=(3, 5))
+        w = rng.normal(size=(3, 4))
+        return (lambda: ad.sum_all(ad.mul(proj.rows(raw), w))), [proj.W]
     if name == "select_rows":
         a = ad.param(rng.normal(size=(5, 3)))
         w = rng.normal(size=(4, 3))
         return (lambda: ad.sum_all(ad.mul(ad.select_rows(a, [4, 0, 0, 2]), w))), [a]
-    if name == "reshape":
-        a = ad.param(rng.normal(size=(3, 4)))
-        w = rng.normal(size=12)
-        return (lambda: ad.sum_all(ad.mul(ad.reshape(a, (12,)), w))), [a]
     if name == "mean_rows":
         a = ad.param(rng.normal(size=(4, 5)))
         w = rng.normal(size=(1, 5))
@@ -345,18 +333,18 @@ def _build_case(name, rng):
     raise AssertionError(name)
 
 
-OP_NAMES = ["matmul", "linear", "attention", "attention_extra_row",
+OP_NAMES = ["linear", "attention", "attention_extra_row",
             "attention_one_head", "attention_segments", "attention_segments_extra",
             "add_row_broadcast", "sub", "mul", "relu", "sigmoid",
             "logsumexp_rows", "layernorm", "layernorm_affine",
-            "concat_rows", "select_rows", "reshape", "mean_rows",
+            "concat_rows", "select_rows", "mean_rows",
             "mean_rows_segments", "sum_all", "cosine_matrix",
-            "node_focal_loss", "node_box_loss"]
+            "node_focal_loss", "node_box_loss", "node_token_rows"]
 
 # public functions of autodiff that build no op node: leaf constructors,
-# the recording switches and the gradient drivers
+# the recording switches, the gradient drivers and the numpy sigmoid
 _NOT_OPS = {"tensor", "param", "constant", "grad_enabled", "active_tape", "zero_grad",
-            "backward", "grad_check"}
+            "backward", "grad_check", "expit"}
 
 
 def test_every_node_building_function_has_a_grad_check_case():
@@ -488,7 +476,7 @@ def test_fused_linear_and_layernorm_equal_composed_ops_bitwise():
             if fused:
                 y = ad.layernorm(ad.linear(x, W, b), 1e-5, gamma, beta)
             else:
-                h = ad.add(ad.matmul(x, W), b)
+                h = ad.add(ad.linear(x, W, np.zeros(6)), b)
                 y = ad.add(ad.mul(ad.layernorm(h, 1e-5), gamma), beta)
             ad.backward(ad.sum_all(ad.mul(y, w)))
         return [y.data] + [t.grad.copy() for t in (x, W, b, gamma, beta)]

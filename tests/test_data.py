@@ -2,9 +2,12 @@
 
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mocadet import autodiff as ad
 from mocadet import data as dt
@@ -254,14 +257,29 @@ def test_coco_round_trip(tmp_path):
             assert np.allclose((x + w / 2, y + h / 2, w, h), want.box, rtol=0, atol=1e-12)
 
 
-def test_sampler_distinct_modalities_and_refill():
-    spec = dt.make_default_spec(counts={"train": 25})
-    samples = dt.generate_synthetic(spec, "train")
-    sampler = dt.ModalityBatchSampler(samples, 5, 5, seed=1)
-    for _ in range(1000):
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sampler_distinct_modalities_and_refill(data):
+    m = data.draw(st.integers(1, 6), label="M")
+    b = data.draw(st.integers(1, m), label="B")
+    counts = data.draw(st.lists(st.integers(1, 5), min_size=m, max_size=m), label="counts")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    samples = [SimpleNamespace(modality_id=mi, sample_id=(mi, k))
+               for mi in range(m) for k in range(counts[mi])]
+    sampler = dt.ModalityBatchSampler(samples, m, b, seed=seed)
+    drawn = [[] for _ in range(m)]
+    for _ in range(3 * sum(counts)):
         batch = sampler.next_batch()
-        mods = sorted(s.modality_id for s in batch)
-        assert mods == [0, 1, 2, 3, 4]
+        mods = [s.modality_id for s in batch]
+        assert len(mods) == b and len(set(mods)) == b
+        if b == m:
+            assert sorted(mods) == list(range(m))
+        for s in batch:
+            drawn[s.modality_id].append(s.sample_id)
+    # each modality's queue hands out all its samples once per epoch, then refills
+    for mi, n in enumerate(counts):
+        for start in range(0, len(drawn[mi]) - n + 1, n):
+            assert sorted(drawn[mi][start:start + n]) == [(mi, k) for k in range(n)]
 
 
 def test_sampler_uniform_coverage_when_b_lt_m():
@@ -307,29 +325,33 @@ def test_attach_token_modes():
     assert len(s.annotations) == 1
 
     with ad.no_grad():
-        tok1 = dt.attach_token(s, spec, registry, proj, np.random.default_rng(5))
-        tok2 = dt.attach_token(s, spec, registry, proj, np.random.default_rng(5))
+        tok1 = dt.attach_token([s], spec, registry, proj, np.random.default_rng(5))
+        tok2 = dt.attach_token([s], spec, registry, proj, np.random.default_rng(5))
         expected = proj.W.data @ registry.embedding(
             spec.modality_names[s.modality_id],
-            spec.global_classes[s.annotations[0].class_id]).vector
+            spec.global_classes[s.annotations[0].class_id])
     assert tok1.shape == (1, 6) and np.array_equal(tok1.data, tok2.data)
     assert np.allclose(tok1.data, expected[None], atol=1e-14)
 
     # empty image: mean over the modality's projected class tokens, the
-    # token inference uses for every image
+    # token inference (no rng) uses for every image
     empty = dt.Sample(image=s.image, modality_id=0, annotations=[], sample_id="e")
     three = dt.DatasetSpec(
         modalities=[dt.ModalitySpec("moda", ("a1", "a2", "a3")),
                     dt.ModalitySpec("modb", ("b1",))],
         counts={"train": 4}, seed=0)
     reg3 = tk.build_registry(three.token_pairs(), d_text=8, seed64=1)
+    labelled = dt.Sample(image=s.image, modality_id=0,
+                         annotations=[dt.Annotation((0.5, 0.5, 0.2, 0.2), 1)], sample_id="l")
     with ad.no_grad():
-        tok = dt.attach_token(empty, three, reg3, proj, np.random.default_rng(0))
+        tok = dt.attach_token([empty], three, reg3, proj, np.random.default_rng(0))
         mean = dt.modality_mean_token(three, reg3, proj, 0)
-        expected = np.mean([proj.W.data @ reg3.embedding("moda", c).vector
+        inference = dt.attach_token([labelled, empty], three, reg3, proj)
+        expected = np.mean([proj.W.data @ reg3.embedding("moda", c)
                             for c in ("a1", "a2", "a3")], axis=0)
     assert mean.shape == (1, 6) and np.array_equal(tok.data, mean.data)
     assert np.allclose(tok.data, expected[None], atol=1e-14)
+    assert np.array_equal(inference.data, np.concatenate([mean.data, mean.data]))
 
     bad = dt.Sample(image=s.image, modality_id=1, annotations=[], sample_id="x")
     spec_other = _tiny_spec(classes_b=("zz",))
@@ -337,8 +359,8 @@ def test_attach_token_modes():
     with pytest.raises(TokenLookupError):
         dt.modality_mean_token(spec_other, reg_a_only, proj, 1)
     with pytest.raises(TokenLookupError):
-        dt.attach_token(bad, spec_other, reg_a_only, proj, np.random.default_rng(0))
+        dt.attach_token([bad], spec_other, reg_a_only, proj, np.random.default_rng(0))
     labelled = dt.Sample(image=s.image, modality_id=1, annotations=s.annotations,
                          sample_id="y")
     with pytest.raises(TokenLookupError):  # undeclared (modality, class) pair
-        dt.attach_token(labelled, spec_other, reg_a_only, proj, np.random.default_rng(0))
+        dt.attach_token([labelled], spec_other, reg_a_only, proj, np.random.default_rng(0))

@@ -9,6 +9,7 @@ import pytest
 from mocadet import autodiff as ad
 from mocadet import detector as det
 from mocadet import losses as ls
+from mocadet import tokens as tk
 from mocadet.errors import ShapeError, ValidationError
 
 
@@ -250,36 +251,38 @@ def test_tape_nodes_per_sample_at_default_config():
     # one node per fused linear, attention and layernorm: a per-head graph
     # would put roughly 4x as many nodes on the decode side; the set loss is
     # five nodes (two row stacks, the focal node, the box node and their
-    # sum) whatever the number of layers, images and objects, and a batch of
-    # B images is one forward and one loss, not B of each
+    # sum) whatever the number of layers, images and objects; the B token
+    # rows are one projection node; and a batch of B images is one forward
+    # and one loss, not B of each
     cfg = det.DetectorConfig(n_classes=10).validate()
     model = det.Detector(cfg, np.random.default_rng(0))
     rng = np.random.default_rng(1)
     images = rng.uniform(0, 1, size=(4, 64, 64))
-    tokens = [ad.param(rng.normal(size=(1, cfg.d_model))) for _ in range(4)]
+    projection = tk.TokenProjection(cfg.d_model, 64, rng)
+    raw = rng.normal(size=(4, 64))
     gt_boxes = np.array([[0.3, 0.3, 0.25, 0.25], [0.7, 0.6, 0.2, 0.3]])
     targets = [([0, 1], gt_boxes), ([], np.zeros((0, 4))), ([3], gt_boxes[:1]),
                ([2, 2], gt_boxes)]
 
-    def count(images, tokens, targets):
+    def count(images, raw, targets):
         with ad.Tape() as tape:
-            stacked = tokens[0] if len(tokens) == 1 else ad.concat_rows(tokens)
-            n_stack = len(tape.nodes)
+            tokens = projection.rows(raw)
+            n_tokens = len(tape.nodes)
             memory = model.encode(images)
-            n_encode = len(tape.nodes) - n_stack
-            out = model.decode(memory, stacked, n_images=len(tokens))
-            n_decode = len(tape.nodes) - n_encode - n_stack
+            n_encode = len(tape.nodes) - n_tokens
+            out = model.decode(memory, tokens, n_images=len(raw))
+            n_decode = len(tape.nodes) - n_encode - n_tokens
             before = len(tape.nodes)
             ls.detection_loss(out.layers, targets, ls.LossWeights())
-            return n_stack, n_encode, n_decode, len(tape.nodes) - before
+            return n_tokens, n_encode, n_decode, len(tape.nodes) - before
 
-    assert count(images[0], tokens[:1], targets[:1]) == (0, 14, 169, 5)
-    assert count(images[0], tokens[:1], targets[1:2]) == (0, 14, 169, 5)
-    # B=4: the same encoder and decoder nodes, plus tiling the query
-    # embeddings and positions (2) and one concat of the B token rows
-    n_stack, n_encode, n_decode, n_loss = count(images, tokens, targets)
-    assert (n_stack, n_encode, n_decode, n_loss) == (1, 14, 171, 5)
-    assert n_stack + n_encode + n_decode == 14 + 169 + 2 + 1
+    assert count(images[0], raw[:1], targets[:1]) == (1, 14, 169, 5)
+    assert count(images[0], raw[:1], targets[1:2]) == (1, 14, 169, 5)
+    # B=4: the same token, encoder and decoder nodes, plus tiling the
+    # query embeddings and positions (2): a train step builds 191 nodes
+    counts = count(images, raw, targets)
+    assert counts == (1, 14, 171, 5)
+    assert sum(counts) == 191
 
 
 def test_backward_leaves_no_reference_cycles():

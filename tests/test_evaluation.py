@@ -564,9 +564,10 @@ def test_detections_from_output_splits_image_row_blocks():
 def _detections_loop(output, images):
     """Each image's detections from a list of (score, class, query) tuples
     sorted by (-score, class, query): the oracle for the lexsort ranking of
-    ``detections_from_output``."""
+    ``detections_from_output``. Scores come from the same ``expit``, which
+    has its own test against the closed form."""
     logits, boxes = output.layers[-1]
-    probs = 1.0 / (1.0 + np.exp(-logits.data))
+    probs = ad.expit(logits.data)
     n, c = probs.shape[0] // len(images), probs.shape[1]
     out = []
     for b, image in enumerate(images):

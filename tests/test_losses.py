@@ -6,13 +6,16 @@ the test body and exhaustive permutation search for the matcher.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from mocadet import autodiff as ad
 from mocadet import boxes as bx
+from mocadet import evaluation as ev
 from mocadet import losses as ls
+from mocadet.detector import DetectorOutput
 from mocadet.errors import ValidationError
 
 
@@ -54,6 +57,22 @@ def test_sigmoid_never_returns_the_upper_clamp_bound():
         s = ad.sigmoid(ad.tensor(x)).data
     assert s[0] < bound < s[-1] and np.all(np.diff(s) >= 0)
     assert not (s == bound).any()
+
+
+def test_saturated_logits_raise_no_overflow_warning():
+    # exp(1000) overflows, so the textbook 1 / (1 + exp(-x)) warns at -1000
+    logits = ad.param(np.array([[1000.0, -1000.0], [-1000.0, 1000.0]]))
+    boxes = ad.param(np.array([[0.5, 0.5, 0.2, 0.2], [0.3, 0.3, 0.1, 0.1]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with ad.Tape():
+            loss = ls.detection_loss([(logits, boxes)], [([0], boxes.data[:1])],
+                                     ls.LossWeights())
+            ad.backward(loss)
+        dets = ev.detections_from_output(DetectorOutput(layers=[(logits, boxes)],
+                                                        n_images=1), [0])
+    assert np.isfinite(loss.item()) and np.all(np.isfinite(logits.grad))
+    assert sorted(dets["score"]) == [0.0, 0.0, 1.0, 1.0]
 
 
 def test_focal_handles_exact_zero_one_by_clamping():

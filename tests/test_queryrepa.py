@@ -254,18 +254,29 @@ def test_pretraining_improves_positive_rank():
 
 
 def test_alignment_loss_node_count_does_not_depend_on_batch_size():
-    """The loss on top of the batched forward is one mean node, the head's
-    three nodes and eight for the cosine matrix and the InfoNCE terms, at
-    every B (per-image losses built 2B² + 16B nodes: 130 at B = 5)."""
+    """The batch's token rows are one projection node, and the loss on top
+    of the batched forward is one mean node, the head's three nodes and
+    eight for the cosine matrix and the InfoNCE terms, at every B
+    (per-image losses built 2B² + 16B nodes: 130 at B = 5)."""
     spec, samples, cfg, model, registry, proj, gphi = _tiny_setup()
     for b in (1, 2, 3, 5):
         batch = dt.ModalityBatchSampler(samples, 5, b, seed=0).next_batch()
         with ad.Tape() as tape:
-            tokens = ad.concat_rows([dt.attach_token(s, spec, registry, proj,
-                                                     np.random.default_rng(0))
-                                     for s in batch])
-            assert len(tape.nodes) == 2 * b + 1  # a matmul and a reshape per row, one concat
+            tokens = dt.attach_token(batch, spec, registry, proj, np.random.default_rng(0))
+            assert len(tape.nodes) == 1
             out = model.forward(np.stack([s.image for s in batch]), tokens)
             before = len(tape.nodes)
             qr.qra_loss(qr.cluster_mean(out.state(2), b), tokens, gphi, 0.07)
             assert len(tape.nodes) - before == 12
+    # at the default model, a B=5 alignment loss is 1 token node, 14 encoder
+    # and 171 decoder nodes, and those 12
+    cfg = det.DetectorConfig(n_classes=10, qra_layer=5).validate()
+    model = det.Detector(cfg, np.random.default_rng(0))
+    registry = tk.build_registry(spec.token_pairs(), d_text=64, seed64=1)
+    proj = tk.TokenProjection(cfg.d_model, 64, np.random.default_rng(1))
+    gphi = qr.AlignmentHead(cfg.d_model, np.random.default_rng(2))
+    batch = dt.ModalityBatchSampler(samples, 5, 5, seed=0).next_batch()
+    with ad.Tape() as tape:
+        qr.batch_alignment_loss(batch, model, spec, registry, proj, gphi, 0.07, 5,
+                                np.random.default_rng(0))
+        assert len(tape.nodes) == 198

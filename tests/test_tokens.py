@@ -1,21 +1,25 @@
-"""Tests for prompt templates, synthetic embeddings, the registry, and silhouette."""
+"""Tests for prompt templates, synthetic embeddings, the registry, the
+token projection and silhouette."""
 
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mocadet import autodiff as ad
+from mocadet import data as dt
 from mocadet import tokens as tk
 from mocadet.errors import (DuplicateKeyError, RegistryFormatError, ShapeError,
                             TokenLookupError, ValidationError)
 
 
 def test_build_prompt_examples():
-    assert tk.build_prompt("Cardiomegaly", "CXR").rendered == "Cardiomegaly in CXR"
-    assert tk.build_prompt("Brain tumor", "MRI").rendered == "Brain tumor in MRI"
-    assert tk.build_prompt("x", "y").rendered == "x in y"
+    assert tk.build_prompt("Cardiomegaly", "CXR") == "Cardiomegaly in CXR"
+    assert tk.build_prompt("Brain tumor", "MRI") == "Brain tumor in MRI"
+    assert tk.build_prompt("x", "y") == "x in y"
 
 
 def test_build_prompt_validation():
@@ -29,17 +33,17 @@ def test_synth_embedding_deterministic_and_unit_norm():
     p = tk.build_prompt("Nodule", "lung CT")
     a = tk.synth_embedding(p, 64, 7)
     b = tk.synth_embedding(p, 64, 7)
-    assert np.array_equal(a.vector, b.vector)
-    assert abs(np.linalg.norm(a.vector) - 1.0) <= 1e-12
+    assert np.array_equal(a, b)
+    assert abs(np.linalg.norm(a) - 1.0) <= 1e-12
     c = tk.synth_embedding(p, 64, 8)
-    assert not np.array_equal(a.vector, c.vector)
+    assert not np.array_equal(a, c)
     with pytest.raises(ValidationError):
         tk.synth_embedding(p, 1, 7)
 
 
 def test_synth_embedding_odd_dimension():
     p = tk.build_prompt("Polyp", "colon endoscope")
-    v = tk.synth_embedding(p, 5, 1).vector
+    v = tk.synth_embedding(p, 5, 1)
     assert v.shape == (5,)
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
@@ -48,7 +52,7 @@ def test_catalog_prompts_are_well_separated():
     # independent check: pairwise cosines of the 27 catalog embeddings at
     # d_text=64, seed=1 computed with plain numpy
     assert len(tk.MEDICAL_PROMPT_CATALOG) == 27
-    vecs = [tk.synth_embedding(tk.build_prompt(c, d), 64, 1).vector
+    vecs = [tk.synth_embedding(tk.build_prompt(c, d), 64, 1)
             for d, c in tk.MEDICAL_PROMPT_CATALOG]
     worst = 0.0
     for i in range(len(vecs)):
@@ -62,24 +66,41 @@ def test_catalog_prompts_are_well_separated():
 def test_registry_build_and_lookup():
     reg = tk.build_registry([("CT", "nodule"), ("MRI", "tumor")], d_text=8, seed64=3)
     assert len(reg.entries) == 2
-    assert reg.embedding("CT", "nodule").source == "synthetic"
+    assert reg.embedding("CT", "nodule").shape == (8,)
+    assert reg.modality_list == ["CT", "MRI"]
     with pytest.raises(TokenLookupError):
         reg.embedding("CT", "tumor")
     with pytest.raises(DuplicateKeyError):
         tk.build_registry([("CT", "a"), ("CT", "a")], d_text=8)
 
 
-def test_registry_round_trip(tmp_path):
-    reg = tk.build_registry([("CT", "nodule"), ("MRI", "tumor"), ("MRI", "ventricle")],
-                            d_text=16, seed64=5)
-    path = tmp_path / "reg.json"
+_NAME = st.text(st.characters(blacklist_characters="|", blacklist_categories=("Cs",)),
+                min_size=1, max_size=8)
+
+
+@st.composite
+def _registries(draw):
+    d_text = draw(st.integers(2, 6))
+    keys = draw(st.lists(st.tuples(_NAME, _NAME), min_size=1, max_size=6, unique=True))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    reg = tk.TokenRegistry(d_text=d_text)
+    for key in keys:
+        reg.entries[key] = np.array(draw(st.lists(finite, min_size=d_text, max_size=d_text)))
+    return reg
+
+
+@settings(max_examples=60, deadline=None)
+@given(reg=_registries())
+def test_registry_round_trip(reg, tmp_path_factory):
+    path = tmp_path_factory.mktemp("reg") / "reg.json"
     tk.save_registry(reg, path)
     loaded = tk.load_registry(path)
     assert loaded.d_text == reg.d_text
-    assert set(loaded.entries) == set(reg.entries)
-    for key in reg.entries:
-        assert np.array_equal(loaded.entries[key].vector, reg.entries[key].vector)
-        assert loaded.entries[key].source == "file"
+    assert list(loaded.entries) == list(reg.entries)
+    assert loaded.modality_list == list(dict.fromkeys(d for d, _ in reg.entries))
+    for key, vec in reg.entries.items():
+        assert loaded.entries[key].dtype == np.float64
+        assert np.array_equal(loaded.entries[key], vec)
 
 
 def test_registry_error_kinds(tmp_path):
@@ -113,32 +134,85 @@ def test_registry_tokens_must_map_keys_to_lists_of_numbers(tmp_path):
             tk.load_registry(path)
 
 
-def test_project_token_zero_identity_and_random():
-    reg = tk.build_registry([("CT", "nodule")], d_text=6, seed64=2)
+def test_token_rows_zero_identity_and_random():
+    reg = tk.build_registry([("CT", "nodule"), ("CT", "cyst")], d_text=6, seed64=2)
+    raw = np.stack([reg.embedding("CT", "nodule"), reg.embedding("CT", "cyst")])
     rng = np.random.default_rng(0)
 
     proj = tk.TokenProjection(4, 6, rng)
     proj.W.data[:] = 0.0
     with ad.no_grad():
-        out = tk.project_token(reg, proj, "CT", "nodule")
-    assert np.array_equal(out.data, np.zeros((1, 4)))  # one (1, d_model) token row
+        out = proj.rows(raw)
+    assert np.array_equal(out.data, np.zeros((2, 4)))  # one (d_model,) row per raw row
 
     proj_id = tk.TokenProjection(6, 6, rng)
     proj_id.W.data[:] = np.eye(6)
     with ad.no_grad():
-        out = tk.project_token(reg, proj_id, "CT", "nodule")
-    assert out.shape == (1, 6)
-    assert np.allclose(out.data, reg.embedding("CT", "nodule").vector[None], atol=1e-15)
+        out = proj_id.rows(raw)
+    assert np.allclose(out.data, raw, atol=1e-15)
 
     proj_r = tk.TokenProjection(5, 6, rng)
-    e = reg.embedding("CT", "nodule").vector
     with ad.no_grad():
-        out = tk.project_token(reg, proj_r, "CT", "nodule")
-    assert out.shape == (1, 5)
-    assert np.allclose(out.data, (proj_r.W.data @ e)[None], atol=1e-14)  # independent matvec
+        out = proj_r.rows(raw)
+        alone = [proj_r.rows(raw[b:b + 1]).data for b in range(2)]
+    assert out.shape == (2, 5)
+    assert np.allclose(out.data, raw @ proj_r.W.data.T, atol=1e-14)  # independent matmul
+    assert np.array_equal(out.data, np.concatenate(alone))  # batch-independent bit for bit
 
+    with pytest.raises(ShapeError):
+        proj_r.rows(raw[0])
+    with pytest.raises(ShapeError):
+        proj_r.rows(raw[:, :5])
     with pytest.raises(TokenLookupError):
-        tk.project_token(reg, proj_r, "MRI", "nodule")
+        reg.embedding("MRI", "nodule")
+
+
+def _per_token_oracle(batch, spec, registry, W, rng):
+    """The per-sample projection the batched node replaced: ``W @ e`` of
+    one class embedding drawn per labelled image, and the mean of the
+    projected class tokens for an image without boxes. Returns the (B, d)
+    rows and, for each row, the (embedding, weight) pairs whose outer
+    products make up d(row . g)/dW."""
+    rows, parts = [], []
+    for s in batch:
+        mod = spec.modality_names[s.modality_id]
+        if s.annotations:
+            classes = sorted({a.class_id for a in s.annotations})
+            names = [spec.global_classes[classes[int(rng.integers(0, len(classes)))]]]
+        else:
+            names = [spec.global_classes[c] for c in spec.global_class_ids(s.modality_id)]
+        embs = [registry.embedding(mod, c) for c in names]
+        rows.append(np.mean([W @ e for e in embs], axis=0))
+        parts.append([(e, 1.0 / len(embs)) for e in embs])
+    return np.array(rows), parts
+
+
+def test_batch_token_rows_match_the_per_token_projection():
+    spec = dt.make_default_spec(seed=3, counts={"train": 10})
+    samples = dt.generate_synthetic(spec, "train")
+    empty = dt.Sample(image=samples[0].image, modality_id=2, annotations=[], sample_id="e")
+    batch = [samples[3], empty, samples[4], samples[6], samples[9]]  # 3, 4, 6: two classes
+    registry = tk.build_registry(spec.token_pairs(), d_text=12, seed64=4)
+    proj = tk.TokenProjection(7, 12, np.random.default_rng(1))
+    g = np.random.default_rng(2).normal(size=(len(batch), 7))
+
+    want, parts = _per_token_oracle(batch, spec, registry, proj.W.data,
+                                    np.random.default_rng(9))
+    want_grad = sum(w * np.outer(g[b], e) for b, pairs in enumerate(parts) for e, w in pairs)
+    proj.W.grad = None
+    with ad.Tape() as tape:
+        rows = dt.attach_token(batch, spec, registry, proj, np.random.default_rng(9))
+        assert len(tape.nodes) == 1
+        ad.backward(ad.sum_all(ad.mul(rows, g)))
+    assert np.allclose(rows.data, want, rtol=0, atol=1e-14)
+    assert np.allclose(proj.W.grad, want_grad, rtol=0, atol=1e-14)
+
+    # inference: every image takes its modality's mean token
+    with ad.no_grad():
+        rows = dt.attach_token(batch, spec, registry, proj)
+    unlabelled = [dt.Sample(s.image, s.modality_id, [], s.sample_id) for s in batch]
+    want, _ = _per_token_oracle(unlabelled, spec, registry, proj.W.data, None)
+    assert np.allclose(rows.data, want, rtol=0, atol=1e-14)
 
 
 def _silhouette_bruteforce(X, y):

@@ -166,16 +166,6 @@ def test_evaluate_in_batches_equals_one_image_at_a_time(tmp_path, monkeypatch):
                            rtol=0, atol=1e-12)
 
 
-def test_image_batches_split_at_size_and_shape_changes():
-    from types import SimpleNamespace
-
-    from mocadet.train import _image_batches
-    shapes = [(16, 16)] * 3 + [(8, 8)] + [(16, 16)] * 5
-    samples = [SimpleNamespace(image=np.zeros(shape), i=i) for i, shape in enumerate(shapes)]
-    runs = [[s.i for s in batch] for batch in _image_batches(samples, 2)]
-    assert runs == [[0, 1], [2], [3], [4, 5], [6, 7], [8]]
-
-
 # -- CLI ----------------------------------------------------------------------
 
 
