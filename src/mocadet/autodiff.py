@@ -6,7 +6,7 @@ records one forward build and supports exactly one backward pass.
 
 Ops, one tape node each: the fused ``linear``, ``attention`` (multi-head,
 optional extra key/value rows) and ``layernorm`` (optionally affine);
-elementwise ``add sub mul relu sigmoid``; ``concat_rows select_rows``;
+elementwise ``add sub mul relu sigmoid``; ``concat_rows``;
 reductions ``mean_rows sum_all logsumexp_rows cosine_matrix``. ``node``
 builds one node from a value computed elsewhere and a hand-written
 pullback; the set loss builds its two fused nodes with it, and the token
@@ -448,20 +448,6 @@ def concat_rows(tensors) -> Tensor:
                       tuple(tensors), pullback)
 
 
-def select_rows(a: Tensor, indices) -> Tensor:
-    a = _as_tensor(a)
-    idx = [int(i) for i in indices]
-    if a.ndim != 2 or any(not 0 <= i < a.shape[0] for i in idx):
-        raise ShapeError(f"bad row selection {idx} of shape {a.shape}")
-
-    def pullback(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
-        _accum(a, full)
-
-    return _make_node(a.data[idx].copy(), (a,), pullback)
-
-
 def mean_rows(a: Tensor, segments: int) -> Tensor:
     """Block means of a matrix: its rows are ``segments`` S equal blocks (as
     in ``attention``) and the result is the (S, n_cols) matrix of the
@@ -517,14 +503,15 @@ def cosine_matrix(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def backward(loss: Tensor) -> dict:
-    """Run reverse mode from a scalar loss; returns {leaf tensor: gradient}.
+def backward(loss: Tensor) -> None:
+    """Run reverse mode from a scalar loss in one pass over its tape.
 
     Gradients accumulate into ``.grad`` (call ``zero_grad`` between steps).
-    The loss's tape is consumed and emptied, and its nodes drop their
-    parents and pullbacks, so the graph is freed even while its outputs are
-    still held: a second backward without rebuilding the forward pass raises
-    ContractError.
+    Newest node first, a node's pullback runs when the node holds a gradient,
+    which only a node whose pullback ran can give it. The loss's tape is
+    consumed and emptied, and its nodes drop their parents and pullbacks, so
+    the graph is freed even while its outputs are still held: a second
+    backward without rebuilding the forward pass raises ContractError.
     """
     if not isinstance(loss, Tensor) or loss.ndim != 0:
         raise ContractError("backward needs a scalar Tensor loss")
@@ -533,29 +520,15 @@ def backward(loss: Tensor) -> dict:
     tape = loss._tape
     if tape is None:  # loss is itself a leaf parameter
         loss.grad = np.ones_like(loss.data) if loss.grad is None else loss.grad + 1.0
-        return {loss: loss.grad}
+        return
     if tape.consumed:
         raise ContractError("tape already consumed; rebuild the forward pass")
     tape.consumed = True
 
-    reachable = set()
-    leaves = []
-    stack = [loss]
-    while stack:
-        t = stack.pop()
-        if id(t) in reachable:
-            continue
-        reachable.add(id(t))
-        if t._pullback is None:
-            if t.requires_grad:
-                leaves.append(t)
-        else:
-            stack.extend(p for p in t._parents if p.requires_grad)
-
     loss.grad = np.ones_like(loss.data)
     try:
         for node in reversed(tape.nodes):
-            if id(node) in reachable and node.grad is not None:
+            if node.grad is not None:
                 node._pullback(node.grad)
     finally:
         # nodes point back at the tape, and each keeps its parents alive: cutting
@@ -565,7 +538,6 @@ def backward(loss: Tensor) -> dict:
             node._parents = ()
             node._pullback = None
         tape.nodes.clear()
-    return {leaf: leaf.grad for leaf in leaves if leaf.grad is not None}
 
 
 @dataclass

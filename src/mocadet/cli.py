@@ -142,8 +142,9 @@ def _cmd_pretrain(args) -> int:
 
 def _cmd_train(args) -> int:
     config = RunConfig.load(args.config)
-    moca = None if args.moca is None else (args.moca == "on")
-    summary = run_train(config, args.out, moca=moca, from_pretrain=args.from_pretrain)
+    if args.moca is not None:  # the echo and checkpoints carry the flag that took effect
+        config.moca = args.moca == "on"
+    summary = run_train(config, args.out, from_pretrain=args.from_pretrain)
     print(f"train: {summary['steps']} steps, moca={summary['moca']}, "
           f"best AP {summary['best']['ap']:.4f} (AP50 {summary['best']['ap50']:.4f}) "
           f"at epoch {summary['best']['epoch']}")

@@ -1,4 +1,8 @@
-"""Run configuration: one JSON document fully determines a run."""
+"""Run configuration: one JSON document fully determines a run.
+
+``RunConfig.validate`` checks every section before any data or model exists;
+the ``model`` section by building the run's ``DetectorConfig`` from it.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +10,7 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from .data import DatasetSpec, make_default_spec
+from .detector import DetectorConfig
 from .errors import ValidationError
 from .losses import LossWeights
 
@@ -58,8 +63,6 @@ class QraConfig:
     def validate(self):
         if self.tau <= 0:
             raise ValidationError("qra.tau must be positive")
-        if self.layer < 2:
-            raise ValidationError("qra.layer must be >= 2")
         if self.steps < 0 or self.lr <= 0:
             raise ValidationError("qra.steps/lr out of range")
         return self
@@ -83,11 +86,6 @@ class RunConfig:
         self.tokens.validate()
         self.qra.validate()
         self.loss.validate()
-        reserved = {"n_classes", "moca_enabled", "qra_layer"} & set(self.model)
-        if reserved:
-            raise ValidationError(
-                f"model section must not set {sorted(reserved)}; these are derived "
-                "from the dataset, the top-level moca flag, and the qra section")
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
         m = self.dataset.n_modalities
@@ -95,13 +93,24 @@ class RunConfig:
             raise ValidationError(
                 f"qra.batch_size {self.qra_batch_size} exceeds modality count {m}; "
                 "pretraining batches must cover distinct modalities")
-        n_dec = self.model.get("n_decoder_layers", 6)
+        n_dec = self.detector_config().n_decoder_layers
         if not 2 <= self.qra.layer <= n_dec:
             raise ValidationError(
                 f"qra.layer must be in [2, {n_dec}] for this decoder depth")
         if self.eval_every < 1:
             raise ValidationError("eval_every must be >= 1")
         return self
+
+    def detector_config(self) -> DetectorConfig:
+        """The run's model: the ``model`` section over the defaults, with
+        ``n_classes`` from the dataset, checked."""
+        if "n_classes" in self.model:
+            raise ValidationError("model.n_classes is derived from the dataset; do not set it")
+        try:
+            cfg = DetectorConfig(n_classes=len(self.dataset.global_classes), **self.model)
+        except TypeError as e:
+            raise ValidationError(f"config field 'model': {e}") from e
+        return cfg.validate()
 
     @property
     def qra_batch_size(self) -> int:

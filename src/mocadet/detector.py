@@ -15,6 +15,8 @@ image b's token enters it as one extra key/value row after block b's N
 query rows. Masking the token column drops those rows, so the masked
 forward runs the very same call as a token-free forward and is bitwise
 equal to it -- the reduction property the tests pin down.
+The detector has no MoCA switch: ``decode`` uses tokens exactly when it is
+given them, and a run without MoCA passes None.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ from .errors import ContractError, ShapeError, ValidationError
 
 @dataclass
 class DetectorConfig:
+    """Model sizes: integers, all >= 1 but ``n_encoder_layers`` >= 0. A run
+    builds its own in ``RunConfig.detector_config``."""
+
     n_classes: int
     d_model: int = 64
     n_queries: int = 25
@@ -38,33 +43,20 @@ class DetectorConfig:
     patch_size: int = 8
     n_encoder_layers: int = 1
     ffn_width: int = 128
-    moca_enabled: bool = True
-    qra_layer: int = 5
 
     def validate(self) -> "DetectorConfig":
+        for name, value in vars(self).items():
+            if type(value) is not int:
+                raise ValidationError(f"model.{name} must be an integer, got {value!r}")
+            if value < (0 if name == "n_encoder_layers" else 1):
+                raise ValidationError(f"model.{name} out of range: {value}")
         if self.d_model % self.n_heads != 0:
             raise ValidationError("d_model must be divisible by n_heads")
         if self.d_model % 4 != 0:
             raise ValidationError("d_model must be divisible by 4 (2-d positions)")
-        if self.n_queries < 1:
-            raise ValidationError("need at least one query")
         if self.n_decoder_layers < 2:
             raise ValidationError("need >= 2 decoder layers (alignment layer must be > 1)")
-        if not (2 <= self.qra_layer <= self.n_decoder_layers):
-            raise ValidationError(
-                f"qra_layer must be in [2, {self.n_decoder_layers}], got {self.qra_layer}")
-        if self.n_classes < 1:
-            raise ValidationError("need at least one class")
         return self
-
-    def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "n_classes", "d_model", "n_queries", "n_decoder_layers", "n_heads",
-            "patch_size", "n_encoder_layers", "ffn_width", "moca_enabled", "qra_layer")}
-
-    @staticmethod
-    def from_json(doc: dict) -> "DetectorConfig":
-        return DetectorConfig(**doc).validate()
 
 
 class Linear:
@@ -269,12 +261,14 @@ class Detector:
         """Decode the memory of ``n_images`` stacked images.
 
         ``tokens`` is None or the (n_images, d) token rows, row b for image b.
+        Given tokens, each self-attention takes image b's projected token as
+        one extra key/value row (MoCA); given None, it is plain attention.
         """
         cfg, b = self.config, n_images
         if b < 1 or memory.ndim != 2 or memory.shape[0] % b:
             raise ShapeError(f"memory of shape {memory.shape} does not split into {b} images")
         token_rows = None
-        if cfg.moca_enabled and tokens is not None:
+        if tokens is not None:
             if tokens.shape != (b, cfg.d_model):
                 raise ShapeError(f"token shape {tokens.shape} != ({b}, {cfg.d_model})")
             token_rows = self.token_proj(tokens)

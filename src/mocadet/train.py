@@ -4,6 +4,10 @@ Every run is a pure function of (config, seed): model init, batch order,
 class draws, and queue shuffles all derive from the config seed through
 named substreams, and metric rows are written with repr() floats, so two
 runs of the same config produce byte-identical checkpoints and logs.
+
+``RunConfig.moca`` is the one MoCA switch: only with it on do detection
+training and evaluation give the decoder modality tokens and train and store
+the token projection. Pretraining always uses tokens, as QueryREPA needs them.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from . import autodiff as ad
 from .checkpoint import load_checkpoint, restore_params, save_checkpoint
 from .config import RunConfig
 from .data import DatasetSpec, ModalityBatchSampler, attach_token, generate_synthetic
-from .detector import Detector, DetectorConfig
+from .detector import Detector
 from .errors import CheckpointError, ValidationError
 from .evaluation import DETECTION, ap_report, detections_from_output
 from .fileio import atomic_write
@@ -45,12 +49,17 @@ class RunBundle:
     def n_classes(self) -> int:
         return len(self.spec.global_classes)
 
+    def detection_parameters(self) -> list:
+        """What a detection run trains, stores and restores: the model, plus
+        the token projection when the run uses MoCA."""
+        return self.model.parameters() + (self.projection.parameters() if self.config.moca else [])
+
 
 def _sub_seed(seed: int, tag: int) -> int:
     return int(np.random.SeedSequence([seed, tag]).generate_state(1)[0])
 
 
-def build_run(config: RunConfig, moca: bool | None = None) -> RunBundle:
+def build_run(config: RunConfig) -> RunBundle:
     config.validate()
     spec = config.dataset
     train_samples = generate_synthetic(spec, "train")
@@ -64,11 +73,7 @@ def build_run(config: RunConfig, moca: bool | None = None) -> RunBundle:
         for pair in spec.token_pairs():
             registry.embedding(*pair)  # fail loudly on undeclared pairs
 
-    moca_flag = config.moca if moca is None else moca
-    det_cfg = DetectorConfig(n_classes=len(spec.global_classes),
-                             moca_enabled=moca_flag,
-                             qra_layer=config.qra.layer,
-                             **config.model)
+    det_cfg = config.detector_config()
     model = Detector(det_cfg, np.random.default_rng(
         np.random.SeedSequence([config.seed, _SS_MODEL])))
     projection = TokenProjection(det_cfg.d_model, registry.d_text,
@@ -104,7 +109,7 @@ def _echo_config(config: RunConfig, out_dir: str) -> None:
 
 def run_pretrain(config: RunConfig, out_dir: str) -> dict:
     """Alignment-only pretraining; no detection loss is ever computed."""
-    bundle = build_run(config, moca=True)
+    bundle = build_run(config)
     _echo_config(config, out_dir)
     cfg = config
     gphi = AlignmentHead(bundle.model.config.d_model, np.random.default_rng(
@@ -164,17 +169,16 @@ def evaluate(bundle: RunBundle, samples):
     """Validation metrics with inference tokens (modality means, no labels).
 
     Images run ``config.batch_size`` at a time through one forward each;
-    MoCA tokens are used when the model has MoCA enabled.
+    MoCA tokens are used when ``config.moca`` is on.
     """
     spec = bundle.spec
-    moca = bundle.model.config.moca_enabled
     size = bundle.config.batch_size
     detections = [np.empty(0, dtype=DETECTION)]
     with ad.no_grad():
         for start in range(0, len(samples), size):
             batch = samples[start:start + size]
             tokens = (attach_token(batch, spec, bundle.registry, bundle.projection)
-                      if moca else None)
+                      if bundle.config.moca else None)
             out = bundle.model.forward(np.stack([s.image for s in batch]), tokens)
             detections.append(detections_from_output(out, range(start, start + len(batch))))
     class_modality = [spec.modality_of_class(c) for c in range(bundle.n_classes)]
@@ -183,21 +187,16 @@ def evaluate(bundle: RunBundle, samples):
                      class_modality=class_modality)
 
 
-def run_train(config: RunConfig, out_dir: str, moca: bool | None = None,
-              from_pretrain: str | None = None) -> dict:
-    """Detection training (optionally resumed from alignment pretraining)."""
-    cfg = RunConfig.from_json(config.to_json())  # private copy
-    if moca is not None:
-        cfg.moca = moca  # the echo and checkpoints carry the effective flag
-    bundle = build_run(cfg)
-    _echo_config(cfg, out_dir)
-    moca_flag = bundle.model.config.moca_enabled
+def run_train(config: RunConfig, out_dir: str, from_pretrain: str | None = None) -> dict:
+    """Detection training (optionally resumed from alignment pretraining),
+    with MoCA tokens when ``config.moca`` is on."""
+    bundle = build_run(config)
+    _echo_config(config, out_dir)
+    cfg = config
     if from_pretrain:
         load_pretrained(bundle, from_pretrain)
 
-    named = bundle.model.parameters()
-    if moca_flag:
-        named = named + bundle.projection.parameters()
+    named = bundle.detection_parameters()
     optimizer = AdamW(named, lr=cfg.optim.lr, weight_decay=cfg.optim.weight_decay)
     schedule = MultiStepSchedule(cfg.optim.lr, cfg.optim.decay_epoch,
                                  cfg.optim.decay_factor)
@@ -221,7 +220,7 @@ def run_train(config: RunConfig, out_dir: str, moca: bool | None = None,
             optimizer.zero_grad()
             with ad.Tape():
                 tokens = (attach_token(batch, bundle.spec, bundle.registry,
-                                       bundle.projection, class_rng) if moca_flag else None)
+                                       bundle.projection, class_rng) if cfg.moca else None)
                 out = bundle.model.forward(np.stack([s.image for s in batch]), tokens)
                 targets = [(s.class_ids, np.array([a.box for a in s.annotations]))
                            for s in batch]
@@ -251,7 +250,7 @@ def run_train(config: RunConfig, out_dir: str, moca: bool | None = None,
     save_checkpoint(final_ckpt, named, cfg.to_json(), phase="detection",
                     step=step, seeds={"seed": cfg.seed})
     summary = {
-        "moca": moca_flag,
+        "moca": cfg.moca,
         "resumed_from_pretrain": from_pretrain is not None,
         "steps": step,
         "best": best,
@@ -280,8 +279,5 @@ def load_detector_for_eval(ckpt_path: str):
     except ValidationError as e:
         raise CheckpointError(f"{ckpt_path}: bad checkpoint config: {e}") from e
     bundle = build_run(config)
-    params = bundle.model.parameters()
-    if bundle.model.config.moca_enabled:
-        params = params + bundle.projection.parameters()
-    restore_params(params, stored, allow_extra=False)
+    restore_params(bundle.detection_parameters(), stored, allow_extra=False)
     return bundle

@@ -33,6 +33,24 @@ def test_spec_validation():
     with pytest.raises(ValidationError):
         dt.DatasetSpec(modalities=[dt.ModalitySpec("a", ("x",)),
                                    dt.ModalitySpec("b", ("y",))], image_size=8)
+    # object sizes and counts that cannot render
+    mods = [dt.ModalitySpec("a", ("x",)), dt.ModalitySpec("b", ("y",))]
+    for bad in ({"size_range": (5, 40)}, {"size_range": (10, 5)}, {"size_range": (0, 5)},
+                {"size_range": (5.0, 9)}, {"size_range": (5,)}, {"size_range": (5, 9, 12)},
+                {"objects_range": (3, 1)}, {"objects_range": (-1, 2)},
+                {"objects_range": (1, True)}):
+        with pytest.raises(ValidationError):
+            dt.DatasetSpec(modalities=mods, image_size=32, **bad)
+        with pytest.raises(ValidationError):
+            dt.DatasetSpec.from_json(dict(dt.DatasetSpec(mods, image_size=32).to_json(),
+                                          **{k: list(v) for k, v in bad.items()}))
+    with pytest.raises(ValidationError):  # the default sizes reach 20 px
+        dt.DatasetSpec(modalities=mods, image_size=16)
+    # the bounds themselves render
+    spec = dt.DatasetSpec(modalities=mods, image_size=16, counts={"train": 30},
+                          size_range=(1, 16), objects_range=(0, 2))
+    samples = dt.generate_synthetic(spec, "train")
+    assert {len(s.annotations) for s in samples} == {0, 1, 2}
 
 
 def test_generate_deterministic():

@@ -15,8 +15,7 @@ from mocadet.errors import ShapeError, ValidationError
 
 def _cfg(**kw):
     base = dict(n_classes=2, d_model=8, n_queries=4, n_decoder_layers=2,
-                n_heads=2, patch_size=4, n_encoder_layers=0, ffn_width=12,
-                moca_enabled=True, qra_layer=2)
+                n_heads=2, patch_size=4, n_encoder_layers=0, ffn_width=12)
     base.update(kw)
     return det.DetectorConfig(**base).validate()
 
@@ -25,11 +24,15 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         _cfg(d_model=10)  # not divisible by heads=2? 10 is; but not by 4
     with pytest.raises(ValidationError):
-        _cfg(n_decoder_layers=1, qra_layer=2)
-    with pytest.raises(ValidationError):
-        _cfg(qra_layer=1)
-    with pytest.raises(ValidationError):
-        _cfg(qra_layer=3)  # only 2 decoder layers
+        _cfg(n_decoder_layers=1)
+    # every field is an int (not a bool), n_encoder_layers >= 0 and the rest >= 1
+    for bad in ({"d_model": "8"}, {"d_model": 8.0}, {"n_queries": 2.5}, {"n_queries": True},
+                {"n_heads": 0}, {"d_model": 0}, {"n_queries": 0}, {"n_classes": 0},
+                {"patch_size": 0}, {"ffn_width": -1}, {"n_encoder_layers": -1},
+                {"n_classes": np.int64(2)}):
+        with pytest.raises(ValidationError):
+            _cfg(**bad)
+    assert _cfg(n_encoder_layers=0).n_encoder_layers == 0
 
 
 def test_patch_count():
@@ -99,17 +102,6 @@ def test_forward_shapes_ranges_and_determinism():
         assert np.array_equal(b1.data, b2.data)
 
 
-def test_moca_disabled_flag_ignores_token():
-    image = np.random.default_rng(5).uniform(0, 1, size=(16, 16))
-    token = np.random.default_rng(6).normal(size=(1, 8))
-    model = det.Detector(_cfg(moca_enabled=False), np.random.default_rng(0))
-    with ad.no_grad():
-        with_tok = model.forward(image, ad.constant(token))
-        without = model.forward(image, None)
-    for (l1, _), (l2, _) in zip(with_tok.layers, without.layers):
-        assert np.array_equal(l1.data, l2.data)
-
-
 def test_masked_token_column_bitwise_equals_disabled_20_seeds():
     cfg = _cfg()
     for seed in range(20):
@@ -158,25 +150,24 @@ def test_batched_forward_equals_per_image_forwards(n_images):
     w = rng.normal(size=(n_images, cfg.n_queries, cfg.n_classes + 4 + cfg.d_model))
     params = [t for _, t in model.parameters()] + tokens
 
-    def objective(out, b, rows):
+    def objective(out, weights):
+        # weights holds one (N, C + 4 + d) block per image in the output
         logits, boxes = out.layers[-1]
-        state = out.query_states[0]
-        parts = [ad.select_rows(t, range(rows[0], rows[1])) for t in (logits, boxes, state)]
+        parts = (logits, boxes, out.query_states[0])
+        weights = weights.reshape(-1, weights.shape[-1])
         cols = np.cumsum([0, cfg.n_classes, 4, cfg.d_model])
-        return sum(ad.sum_all(ad.mul(part, w[b][:, c0:c1]))
+        return sum(ad.sum_all(ad.mul(part, weights[:, c0:c1]))
                    for part, c0, c1 in zip(parts, cols[:-1], cols[1:]))
 
     def run(batched):
         ad.zero_grad(params)
-        n = cfg.n_queries
         with ad.Tape():
             if batched:
-                out = model.forward(images, ad.concat_rows(tokens))
-                outs = [out]
-                loss = sum(objective(out, b, (b * n, (b + 1) * n)) for b in range(n_images))
+                outs = [model.forward(images, ad.concat_rows(tokens))]
+                loss = objective(outs[0], w)
             else:
                 outs = [model.forward(images[b], tokens[b]) for b in range(n_images)]
-                loss = sum(objective(o, b, (0, n)) for b, o in enumerate(outs))
+                loss = sum(objective(o, w[b]) for b, o in enumerate(outs))
             values = [np.concatenate([o.layers[k][j].data for o in outs])
                       for k in range(cfg.n_decoder_layers) for j in (0, 1)]
             values += [np.concatenate([o.query_states[k].data for o in outs])

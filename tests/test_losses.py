@@ -422,8 +422,8 @@ def test_batched_detection_loss_equals_mean_of_single_image_losses():
                     loss = ls.detection_loss(layers, targets, w)
                 else:
                     singles = [ls.detection_loss(
-                        [(ad.select_rows(lg, range(i * n, (i + 1) * n)),
-                          ad.select_rows(bx, range(i * n, (i + 1) * n))) for lg, bx in layers],
+                        [(_rows_op(lg, range(i * n, (i + 1) * n)),
+                          _rows_op(bx, range(i * n, (i + 1) * n))) for lg, bx in layers],
                         [target], w) for i, target in enumerate(targets)]
                     loss = ad.mul(sum(singles[1:], singles[0]), 1.0 / b)
                 value = loss.item()
@@ -545,6 +545,17 @@ def _col_op(a, j):
     return ad.node(a.data[:, j:j + 1].copy(), (a,), pullback)
 
 
+def _rows_op(a, rows):
+    rows = list(rows)
+
+    def pullback(g):
+        full = np.zeros_like(a.data)
+        np.add.at(full, rows, g)
+        return (full,)
+
+    return ad.node(a.data[rows], (a,), pullback)
+
+
 def _one_minus(a):
     return ad.sub(ad.constant(np.ones(a.shape)), a)
 
@@ -595,7 +606,7 @@ def _composed_loss(layers, targets, w, matches):
     total = _composed_focal(all_logits, target, w.alpha, w.gamma, w.w_focal * row_weight)
     if rows:
         rw = row_weight[rows]
-        mb = ad.select_rows(all_boxes, rows)
+        mb = _rows_op(all_boxes, rows)
         gb = ad.constant(np.array(gt_rows))
         l1 = ad.sum_all(ad.mul(_abs_op(ad.sub(mb, gb)), np.repeat(w.w_l1 * rw, 4, axis=1)))
         giou_term = ad.sum_all(ad.mul(_one_minus(_composed_giou(mb, gb)), w.w_giou * rw))

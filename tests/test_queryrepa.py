@@ -130,29 +130,30 @@ def test_qra_loss_crude_lower_bound():
 
 def test_qra_loss_of_a_batch_is_the_mean_of_its_rows_losses():
     """R means at once equal the mean of R one-row calls, each with its own
-    token moved to the front: value and every gradient within 1e-12."""
+    token moved to the front: value and every gradient within 1e-12. Each
+    row is its own parameter, and the batch call takes them concatenated."""
     rng = np.random.default_rng(21)
     d = 6
     for r, k in [(1, 1), (3, 3), (5, 5), (2, 4)]:
         head = qr.AlignmentHead(d, rng)
-        means = ad.param(rng.normal(size=(r, d)))
-        tokens = ad.param(rng.normal(size=(k, d)))
+        means = [ad.param(rng.normal(size=(1, d))) for _ in range(r)]
+        tokens = [ad.param(rng.normal(size=(1, d))) for _ in range(k)]
         with ad.Tape():
-            batch = qr.qra_loss(means, tokens, head, tau=0.1)
+            batch = qr.qra_loss(ad.concat_rows(means), ad.concat_rows(tokens), head, tau=0.1)
             ad.backward(batch)
-        grads = [means.grad.copy(), tokens.grad.copy()]
-        means.grad = tokens.grad = None
+        grads = [t.grad.copy() for t in means + tokens]
+        ad.zero_grad(means + tokens)
         total = 0.0
         for i in range(r):
             with ad.Tape():
-                row = ad.select_rows(means, range(i, i + 1))
                 order = [i] + [j for j in range(k) if j != i]
-                loss = qr.qra_loss(row, ad.select_rows(tokens, order), head, tau=0.1)
+                loss = qr.qra_loss(means[i], ad.concat_rows([tokens[j] for j in order]),
+                                   head, tau=0.1)
                 ad.backward(ad.mul(loss, 1.0 / r))
             total += loss.item() / r
         assert abs(batch.item() - total) < 1e-12
-        assert np.allclose(grads[0], means.grad, rtol=0, atol=1e-12)
-        assert np.allclose(grads[1], tokens.grad, rtol=0, atol=1e-12)
+        for want, t in zip(grads, means + tokens):
+            assert np.allclose(want, t.grad, rtol=0, atol=1e-12)
 
 
 def _tiny_setup(seed=0):
@@ -160,7 +161,7 @@ def _tiny_setup(seed=0):
     samples = dt.generate_synthetic(spec, "train")
     cfg = det.DetectorConfig(n_classes=10, d_model=8, n_queries=4,
                              n_decoder_layers=2, n_heads=2, patch_size=8,
-                             n_encoder_layers=0, ffn_width=12, qra_layer=2)
+                             n_encoder_layers=0, ffn_width=12)
     rng = np.random.default_rng(seed)
     model = det.Detector(cfg, rng)
     registry = tk.build_registry(spec.token_pairs(), d_text=6, seed64=1)
@@ -225,7 +226,7 @@ def test_pretraining_improves_positive_rank():
     samples = dt.generate_synthetic(spec, "train")
     cfg = det.DetectorConfig(n_classes=10, d_model=16, n_queries=8,
                              n_decoder_layers=2, n_heads=2, patch_size=8,
-                             n_encoder_layers=0, ffn_width=32, qra_layer=2)
+                             n_encoder_layers=0, ffn_width=32)
     rng = np.random.default_rng(0)
     model = det.Detector(cfg, rng)
     registry = tk.build_registry(spec.token_pairs(), d_text=16, seed64=1)
@@ -270,7 +271,7 @@ def test_alignment_loss_node_count_does_not_depend_on_batch_size():
             assert len(tape.nodes) - before == 12
     # at the default model, a B=5 alignment loss is 1 token node, 14 encoder
     # and 171 decoder nodes, and those 12
-    cfg = det.DetectorConfig(n_classes=10, qra_layer=5).validate()
+    cfg = det.DetectorConfig(n_classes=10).validate()
     model = det.Detector(cfg, np.random.default_rng(0))
     registry = tk.build_registry(spec.token_pairs(), d_text=64, seed64=1)
     proj = tk.TokenProjection(cfg.d_model, 64, np.random.default_rng(1))

@@ -63,13 +63,29 @@ def test_run_train_seed_changes_artifacts(tmp_path):
 
 
 def test_moca_off_excludes_projection_params(tmp_path):
-    cfg = RunConfig.from_json(_tiny_doc(epochs=1))
-    run_train(cfg, str(tmp_path / "off"), moca=False)
+    cfg = RunConfig.from_json(dict(_tiny_doc(epochs=1), moca=False))
+    run_train(cfg, str(tmp_path / "off"))
     _, stored = load_checkpoint(tmp_path / "off" / "final.ckpt")
     assert not any(k.startswith("token_projection.") for k in stored)
-    # effective flag is echoed so eval rebuilds the same architecture
+    # the flag is echoed so eval rebuilds the same run
     echo = json.loads((tmp_path / "off" / "config.json").read_text())
     assert echo["moca"] is False
+
+
+def test_moca_off_run_does_not_depend_on_the_tokens(tmp_path):
+    # two MoCA-off runs whose configs differ only in the token seed: with no
+    # token in the decoder, every log, report and parameter is the same
+    for seed in (1, 2):
+        doc = dict(_tiny_doc(), moca=False)
+        doc["tokens"] = dict(doc["tokens"], seed=seed)
+        run_train(RunConfig.from_json(doc), str(tmp_path / f"seed{seed}"))
+    a, b = tmp_path / "seed1", tmp_path / "seed2"
+    for name in ("metrics_steps.csv", "metrics_epochs.csv", "report.json"):
+        assert _read(a / name) == _read(b / name), name
+    for name in ("best.ckpt", "final.ckpt"):
+        (_, pa), (_, pb) = load_checkpoint(a / name), load_checkpoint(b / name)
+        assert pa.keys() == pb.keys()
+        assert all(np.array_equal(pa[k], pb[k]) for k in pa), name
 
 
 def test_pretrain_then_resume_zero_steps_equals_checkpoint(tmp_path):
@@ -122,7 +138,8 @@ def test_checkpoint_with_bad_config_raises_checkpoint_error(tmp_path):
         path.write_bytes(b"MDCKPT1\n" + len(raw).to_bytes(8, "little") + raw)
 
     for config in ({}, {"config": {"model": 3}}, {"config": [1, 2]},
-                   {"config": "text"}, {"config": {"batch_size": "four"}}):
+                   {"config": "text"}, {"config": {"batch_size": "four"}},
+                   {"config": {"model": {"bogus": 1}}}):
         write({"phase": "detection", **config})
         with pytest.raises(CheckpointError):
             load_detector_for_eval(str(path))
@@ -198,6 +215,10 @@ def test_cli_train_and_eval_end_to_end(tmp_path):
     assert main(["gen-data", "--spec", str(spec_path), "--out", str(tmp_path / "d")]) == 0
     assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run"),
                  "--moca", "off"]) == 0
+    # the config says moca on; the echo and the checkpoint carry the flag that took effect
+    assert json.loads((tmp_path / "run" / "config.json").read_text())["moca"] is False
+    _, stored = load_checkpoint(tmp_path / "run" / "final.ckpt")
+    assert not any(k.startswith("token_projection.") for k in stored)
     report = tmp_path / "rep.json"
     csv = tmp_path / "rep.csv"
     assert main(["eval", "--ckpt", str(tmp_path / "run" / "final.ckpt"),
@@ -206,6 +227,28 @@ def test_cli_train_and_eval_end_to_end(tmp_path):
     doc = json.loads(report.read_text())
     assert "ap" in doc and "per_modality" in doc
     assert csv.read_text().count("\n") == 2
+
+
+@pytest.mark.parametrize("section,edit", [
+    ("model", {"bogus": 1}), ("model", {"n_heads": 0}), ("model", {"d_model": "64"}),
+    ("model", {"d_model": 0}), ("model", {"n_queries": 2.5}),
+    ("dataset", {"size_range": [5, 40]}), ("dataset", {"size_range": [10, 5]}),
+    ("dataset", {"objects_range": [3, 1]}), ("dataset", {"objects_range": [-1, 2]}),
+    ("dataset", {"image_size": 16, "size_range": [5, 20]}),
+], ids=["unknown_field", "zero_heads", "text_width", "zero_width", "fractional_queries",
+        "size_above_image", "size_reversed", "objects_reversed", "negative_objects",
+        "default_sizes_on_16px"])
+def test_cli_train_rejects_a_bad_model_or_dataset_section(tmp_path, capsys, section, edit):
+    # a 2-modality, 32 px run whose model is the given section, or whose
+    # dataset gets the given fields
+    doc = _tiny_doc(epochs=1)
+    doc["dataset"]["image_size"] = 32
+    doc[section] = edit if section == "model" else dict(doc[section], **edit)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "runtime error" not in err
 
 
 def test_cli_pretrain_and_mi_lab(tmp_path):
