@@ -2,7 +2,7 @@
 
 Subpackages/modules:
   errors      -- the exception hierarchy (every error is a MocadetError)
-  fileio      -- atomic file replacement
+  fileio      -- atomic file replacement; the one JSON-to-config-dataclass reader
   config      -- run configuration and its validation
   autodiff    -- float64 tensors with reverse-mode AD
   optim       -- AdamW over one flat parameter store, step-decay schedule

@@ -131,7 +131,7 @@ def _cmd_tokens(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
-    config = RunConfig.load(args.config)
+    config = RunConfig.from_json(_load_json(args.config))
     result = run_pretrain(config, args.out)
     losses = result["losses"]
     tail = float(np.mean(losses[-20:])) if losses else float("nan")
@@ -141,7 +141,7 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = RunConfig.load(args.config)
+    config = RunConfig.from_json(_load_json(args.config))
     if args.moca is not None:  # the echo and checkpoints carry the flag that took effect
         config.moca = args.moca == "on"
     summary = run_train(config, args.out, from_pretrain=args.from_pretrain)
@@ -154,7 +154,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     bundle = load_detector_for_eval(args.ckpt)
     samples, spec = load_dataset(args.data, args.split)
-    if spec.global_classes != bundle.spec.global_classes:
+    if spec.global_classes != bundle.config.dataset.global_classes:
         raise ValidationError("dataset class list does not match the checkpoint")
     report = evaluate(bundle, samples)
     print(f"eval[{args.split}]: AP={report.ap:.4f} AP50={report.ap50:.4f} "
@@ -163,7 +163,7 @@ def _cmd_eval(args) -> int:
         save_report(report, args.out)
     if args.csv:
         with atomic_write(args.csv) as fh:
-            fh.write(report_csv(report, bundle.spec.modality_names))
+            fh.write(report_csv(report, bundle.config.dataset.modality_names))
     return 0
 
 

@@ -1,17 +1,19 @@
 """Run configuration: one JSON document fully determines a run.
 
-``RunConfig.validate`` checks every section before any data or model exists;
-the ``model`` section by building the run's ``DetectorConfig`` from it.
+``RunConfig.from_json`` reads it by the one rule of ``fileio.read_dataclass``
+on the field annotations, so an unknown key (top-level ones included) or a
+value of the wrong JSON type is a ``ValidationError`` naming the field. Then
+``validate`` checks every section's ranges before any data or model exists.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .data import DatasetSpec, make_default_spec
 from .detector import DetectorConfig
 from .errors import ValidationError
+from .fileio import json_form, read_dataclass
 from .losses import LossWeights
 
 
@@ -23,15 +25,15 @@ class OptimConfig:
     decay_factor: float = 0.1
     epochs: int = 48
 
-    def validate(self, where: str = "optim"):
+    def validate(self):
         if self.lr <= 0:
-            raise ValidationError(f"{where}.lr must be positive")
+            raise ValidationError("optim.lr must be positive")
         if self.weight_decay < 0:
-            raise ValidationError(f"{where}.weight_decay must be non-negative")
+            raise ValidationError("optim.weight_decay must be non-negative")
         if not 0 < self.decay_factor <= 1:
-            raise ValidationError(f"{where}.decay_factor must be in (0, 1]")
+            raise ValidationError("optim.decay_factor must be in (0, 1]")
         if self.epochs < 1 or self.decay_epoch < 0:
-            raise ValidationError(f"{where}.epochs/decay_epoch out of range")
+            raise ValidationError("optim.epochs/decay_epoch out of range")
         return self
 
 
@@ -70,8 +72,8 @@ class QraConfig:
 
 @dataclass
 class RunConfig:
-    dataset: DatasetSpec
-    model: dict = field(default_factory=dict)  # DetectorConfig overrides (no n_classes)
+    dataset: DatasetSpec = field(default_factory=make_default_spec)
+    model: dict[str, int] = field(default_factory=dict)  # DetectorConfig overrides
     loss: LossWeights = field(default_factory=LossWeights)
     optim: OptimConfig = field(default_factory=OptimConfig)
     tokens: TokenConfig = field(default_factory=TokenConfig)
@@ -106,74 +108,16 @@ class RunConfig:
         ``n_classes`` from the dataset, checked."""
         if "n_classes" in self.model:
             raise ValidationError("model.n_classes is derived from the dataset; do not set it")
-        try:
-            cfg = DetectorConfig(n_classes=len(self.dataset.global_classes), **self.model)
-        except TypeError as e:
-            raise ValidationError(f"config field 'model': {e}") from e
-        return cfg.validate()
+        model = dict(self.model, n_classes=len(self.dataset.global_classes))
+        return read_dataclass(DetectorConfig, model, "config.model").validate()
 
     @property
     def qra_batch_size(self) -> int:
         return self.qra.batch_size or self.dataset.n_modalities
 
     def to_json(self) -> dict:
-        return {
-            "dataset": self.dataset.to_json(),
-            "model": dict(self.model),
-            "loss": asdict(self.loss),
-            "optim": asdict(self.optim),
-            "tokens": asdict(self.tokens),
-            "qra": asdict(self.qra),
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "moca": self.moca,
-            "eval_every": self.eval_every,
-        }
+        return json_form(self)
 
     @staticmethod
-    def from_json(doc: dict) -> "RunConfig":
-        if not isinstance(doc, dict):
-            raise ValidationError("a run config must be a JSON object")
-
-        def section(name, cls):
-            raw = doc.get(name, {})
-            if not isinstance(raw, dict):
-                raise ValidationError(f"config field {name!r} must be an object")
-            try:
-                return cls(**raw)
-            except TypeError as e:
-                raise ValidationError(f"config field {name!r}: {e}") from e
-
-        if "dataset" not in doc:
-            dataset = make_default_spec()
-        elif isinstance(doc["dataset"], dict):
-            dataset = DatasetSpec.from_json(doc["dataset"])
-        else:
-            raise ValidationError("config field 'dataset' must be an object")
-        if not isinstance(doc.get("model", {}), dict):
-            raise ValidationError("config field 'model' must be an object")
-        try:
-            cfg = RunConfig(
-                dataset=dataset,
-                model=dict(doc.get("model", {})),
-                loss=section("loss", LossWeights),
-                optim=section("optim", OptimConfig),
-                tokens=section("tokens", TokenConfig),
-                qra=section("qra", QraConfig),
-                batch_size=int(doc.get("batch_size", 4)),
-                seed=int(doc.get("seed", 0)),
-                moca=bool(doc.get("moca", True)),
-                eval_every=int(doc.get("eval_every", 4)),
-            ).validate()
-        except (TypeError, ValueError) as e:  # a non-numeric batch_size, lr, ...
-            raise ValidationError(f"bad config value: {e}") from e
-        return cfg
-
-    @staticmethod
-    def load(path) -> "RunConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
-            raise ValidationError(f"cannot read config {path}: {e}") from e
-        return RunConfig.from_json(doc)
+    def from_json(doc) -> "RunConfig":
+        return read_dataclass(RunConfig, doc, "config").validate()

@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import operator
 import os
 from dataclasses import dataclass, field
 
@@ -38,7 +37,7 @@ import numpy as np
 from . import autodiff as ad
 from .boxes import iou
 from .errors import ContractError, IngestError, TokenLookupError, ValidationError
-from .fileio import atomic_write
+from .fileio import atomic_write, json_form, read_dataclass
 from .tokens import TokenProjection, TokenRegistry, _fnv1a64
 
 _RAWF32_MAGIC = b"RAWF32\x00"
@@ -80,7 +79,7 @@ class Sample:
 @dataclass(frozen=True)
 class ModalitySpec:
     name: str
-    classes: tuple  # class names, disjoint across modalities
+    classes: tuple[str, ...]  # class names, disjoint across modalities
     curve: int = 0  # intensity transfer curve id, 0..4
     noise_sigma: float = 0.02
     texture_freq: float = 2.0
@@ -88,12 +87,12 @@ class ModalitySpec:
 
 @dataclass
 class DatasetSpec:
-    modalities: list  # of ModalitySpec
+    modalities: list[ModalitySpec]
     image_size: int = 64
-    counts: dict = field(default_factory=lambda: {"train": 200, "val": 100})
+    counts: dict[str, int] = field(default_factory=lambda: {"train": 200, "val": 100})
     seed: int = 0
-    size_range: tuple = (5, 20)  # object extent in pixels
-    objects_range: tuple = (1, 4)
+    size_range: tuple[int, ...] = (5, 20)  # object extent in pixels: lo, hi
+    objects_range: tuple[int, ...] = (1, 4)
 
     def __post_init__(self):
         if len(self.modalities) < 2:
@@ -102,7 +101,7 @@ class DatasetSpec:
             raise ValidationError("image_size must be >= 16")
         for name, low, high in (("size_range", 1, self.image_size),
                                 ("objects_range", 0, math.inf)):
-            r = tuple(getattr(self, name))
+            r = getattr(self, name)
             if not (len(r) == 2 and all(type(v) is int for v in r)
                     and low <= r[0] <= r[1] <= high):
                 raise ValidationError(f"{name} must be two integers lo, hi with "
@@ -143,36 +142,11 @@ class DatasetSpec:
         return [(m.name, c) for m in self.modalities for c in m.classes]
 
     def to_json(self) -> dict:
-        return {
-            "image_size": self.image_size,
-            "counts": dict(self.counts),
-            "seed": self.seed,
-            "size_range": list(self.size_range),
-            "objects_range": list(self.objects_range),
-            "modalities": [
-                {"name": m.name, "classes": list(m.classes), "curve": m.curve,
-                 "noise_sigma": m.noise_sigma, "texture_freq": m.texture_freq}
-                for m in self.modalities
-            ],
-        }
+        return json_form(self)
 
     @staticmethod
-    def from_json(doc: dict) -> "DatasetSpec":
-        try:
-            mods = [ModalitySpec(name=m["name"], classes=tuple(m["classes"]),
-                                 curve=int(m.get("curve", 0)),
-                                 noise_sigma=float(m.get("noise_sigma", 0.02)),
-                                 texture_freq=float(m.get("texture_freq", 2.0)))
-                    for m in doc["modalities"]]
-            return DatasetSpec(modalities=mods,
-                               image_size=int(doc.get("image_size", 64)),
-                               counts={k: int(v) for k, v in doc.get(
-                                   "counts", {"train": 200, "val": 100}).items()},
-                               seed=int(doc.get("seed", 0)),
-                               size_range=tuple(doc.get("size_range", (5, 20))),
-                               objects_range=tuple(doc.get("objects_range", (1, 4))))
-        except (KeyError, TypeError, ValueError) as e:
-            raise ValidationError(f"bad dataset spec: {e}") from e
+    def from_json(doc) -> "DatasetSpec":
+        return read_dataclass(DatasetSpec, doc, "dataset")
 
 
 def make_default_spec(seed: int = 0, counts=None) -> DatasetSpec:
@@ -302,7 +276,7 @@ def generate_synthetic(spec: DatasetSpec, split: str) -> list:
     """Deterministic sample list for one split; uniform modality allocation."""
     if split not in spec.counts:
         raise ValidationError(f"split {split!r} not declared in counts")
-    total = int(spec.counts[split])
+    total = spec.counts[split]
     m = spec.n_modalities
     out = []
     for mi in range(m):
@@ -386,8 +360,20 @@ def export_dataset(samples, spec: DatasetSpec, out_dir, split: str) -> str:
     return path
 
 
+@dataclass
+class _Record:
+    """One sample of a manifest, as ``export_dataset`` writes it."""
+    id: str
+    modality_id: int
+    offset: int  # byte offset into the blob
+    classes: list[int]
+    boxes: list[tuple[float, ...]]
+
+
 def load_dataset(out_dir, split: str):
-    """Returns (samples, DatasetSpec)."""
+    """Returns (samples, DatasetSpec). A bad manifest or sample record raises
+    IngestError; a missing or bad dataset spec raises ValidationError, as a bad
+    spec file does."""
     path = os.path.join(out_dir, f"{split}_manifest.json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -401,27 +387,34 @@ def load_dataset(out_dir, split: str):
             or not isinstance(records, list):
         raise IngestError(f"{path}: manifest needs a positive integer image_size, "
                           "a blob name and a list of samples")
+    spec = read_dataclass(DatasetSpec, manifest.get("dataset_spec"), "manifest.dataset_spec")
+    try:
+        records = [read_dataclass(_Record, rec, f"manifest.samples[{i}]")
+                   for i, rec in enumerate(records)]
+    except ValidationError as e:
+        raise IngestError(f"{path}: {e}") from e
     blob_path = os.path.join(out_dir, blob_name)
     try:
         blob = np.fromfile(blob_path, dtype="<f4")
     except OSError as e:
         raise IngestError(f"cannot read image blob {blob_path}: {e}") from e
     samples = []
-    for rec in records:
-        try:
-            sample_id, start = rec["id"], operator.index(rec["offset"]) // 4
-            modality_id = int(rec["modality_id"])
-            pairs = [(tuple(b), int(c)) for b, c in zip(rec["boxes"], rec["classes"])]
-        except (KeyError, TypeError, ValueError) as e:
-            raise IngestError(f"{path}: malformed sample record {rec!r}: {e!r}") from e
+    for i, rec in enumerate(records):
+        if not (0 <= rec.modality_id < spec.n_modalities and len(rec.boxes) == len(rec.classes)
+                and all(0 <= c < len(spec.global_classes) for c in rec.classes)
+                and all(len(b) == 4 for b in rec.boxes)):
+            raise IngestError(f"{path}: manifest.samples[{i}] needs a modality_id below "
+                              f"{spec.n_modalities}, one box of 4 numbers per class and "
+                              f"class ids below {len(spec.global_classes)}: {rec}")
+        start = rec.offset // 4
         if start < 0 or start + size * size > blob.size:
-            raise IngestError(f"{blob_path}: image {sample_id!r} lies outside the "
+            raise IngestError(f"{blob_path}: image {rec.id!r} lies outside the "
                               f"{blob.size * 4}-byte blob")
         img = blob[start:start + size * size].astype(np.float64).reshape(size, size)
-        anns = [Annotation(box=b, class_id=c).validate() for b, c in pairs]
-        samples.append(Sample(image=img, modality_id=modality_id,
-                              annotations=anns, sample_id=sample_id))
-    return samples, DatasetSpec.from_json(manifest.get("dataset_spec"))
+        anns = [Annotation(box=b, class_id=c).validate() for b, c in zip(rec.boxes, rec.classes)]
+        samples.append(Sample(image=img, modality_id=rec.modality_id,
+                              annotations=anns, sample_id=rec.id))
+    return samples, spec
 
 
 # ---------------------------------------------------------------------------

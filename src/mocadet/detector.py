@@ -33,7 +33,7 @@ from .errors import ContractError, ShapeError, ValidationError
 @dataclass
 class DetectorConfig:
     """Model sizes: integers, all >= 1 but ``n_encoder_layers`` >= 0. A run
-    builds its own in ``RunConfig.detector_config``."""
+    reads its own in ``RunConfig.detector_config``, which checks the types."""
 
     n_classes: int
     d_model: int = 64
@@ -46,8 +46,6 @@ class DetectorConfig:
 
     def validate(self) -> "DetectorConfig":
         for name, value in vars(self).items():
-            if type(value) is not int:
-                raise ValidationError(f"model.{name} must be an integer, got {value!r}")
             if value < (0 if name == "n_encoder_layers" else 1):
                 raise ValidationError(f"model.{name} out of range: {value}")
         if self.d_model % self.n_heads != 0:

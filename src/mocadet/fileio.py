@@ -1,10 +1,22 @@
-"""Atomic file writes: a reader finds the old file or the new one, never a part."""
+"""Atomic file writes, and the one rule that turns JSON into config objects:
+``read_dataclass`` follows the field annotations and checks instead of
+converting. An unknown key, a missing required field or a value of the wrong
+JSON type is a ``ValidationError`` naming the dotted field, e.g.
+``config.dataset.modalities[0].curve``. A bool is not an int, an int counts
+as a float, absent fields take their defaults and nested dataclasses are read
+by the same rule. ``json_form`` is the inverse."""
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import os
 import secrets
+import types
+import typing
 from contextlib import contextmanager
+
+from .errors import ValidationError
 
 
 @contextmanager
@@ -25,3 +37,57 @@ def atomic_write(path, mode: str = "w"):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+_SCALARS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+_hints = functools.cache(typing.get_type_hints)  # resolving them costs more than a read
+
+
+def read_dataclass(cls, doc, where: str):
+    """``cls`` built from the JSON object ``doc``, which ``where`` names.
+
+    It reads dataclasses, ``bool``, ``int``, ``float``, ``str``, ``X | None``,
+    ``list[X]``, ``tuple[X, ...]`` and ``dict[str, X]``."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{where} must be an object, got {doc!r}")
+    hints = _hints(cls)
+    for name in doc:
+        if name not in hints:
+            raise ValidationError(f"{where}.{name} is not a known field")
+    for f in dataclasses.fields(cls):
+        if f.name not in doc and f.default is f.default_factory is dataclasses.MISSING:
+            raise ValidationError(f"{where}.{f.name} is missing")
+    return cls(**{name: _read(hints[name], value, f"{where}.{name}")
+                  for name, value in doc.items()})
+
+
+def _read(tp, value, where: str):
+    if dataclasses.is_dataclass(tp):
+        return read_dataclass(tp, value, where)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:  # X | None
+        return None if value is None else _read(args[0], value, where)
+    if origin in (list, tuple):
+        if not isinstance(value, list):
+            raise ValidationError(f"{where} must be a list, got {value!r}")
+        out = [_read(args[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
+        return out if origin is list else tuple(out)
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ValidationError(f"{where} must be an object, got {value!r}")
+        return {k: _read(args[1], v, f"{where}.{k}") for k, v in value.items()}
+    if tp is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValidationError(f"{where} is out of range, got {value!r}") from None
+    if type(value) is not tp:
+        raise ValidationError(f"{where} must be {_SCALARS[tp]}, got {value!r}")
+    return value
+
+
+def json_form(obj) -> dict:
+    """A config dataclass as JSON-ready data: ``dataclasses.asdict`` with
+    tuples as lists, the form ``read_dataclass`` reads back."""
+    return dataclasses.asdict(obj, dict_factory=lambda items: {
+        k: list(v) if isinstance(v, tuple) else v for k, v in items})

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import load_checkpoint, restore_params, save_checkpoint
 from .config import RunConfig
-from .data import DatasetSpec, ModalityBatchSampler, attach_token, generate_synthetic
+from .data import ModalityBatchSampler, attach_token, generate_synthetic
 from .detector import Detector
 from .errors import CheckpointError, ValidationError
 from .evaluation import DETECTION, ap_report, detections_from_output
@@ -38,7 +38,6 @@ _SS_MODEL, _SS_PROJ, _SS_GPHI, _SS_BATCH, _SS_CLASS, _SS_SAMPLER = 1, 2, 3, 4, 5
 @dataclass
 class RunBundle:
     config: RunConfig
-    spec: DatasetSpec
     train_samples: list
     val_samples: list
     registry: object
@@ -47,7 +46,7 @@ class RunBundle:
 
     @property
     def n_classes(self) -> int:
-        return len(self.spec.global_classes)
+        return len(self.config.dataset.global_classes)
 
     def detection_parameters(self) -> list:
         """What a detection run trains, stores and restores: the model, plus
@@ -79,9 +78,8 @@ def build_run(config: RunConfig) -> RunBundle:
     projection = TokenProjection(det_cfg.d_model, registry.d_text,
                                  np.random.default_rng(
                                      np.random.SeedSequence([config.seed, _SS_PROJ])))
-    return RunBundle(config=config, spec=spec, train_samples=train_samples,
-                     val_samples=val_samples, registry=registry, model=model,
-                     projection=projection)
+    return RunBundle(config=config, train_samples=train_samples, val_samples=val_samples,
+                     registry=registry, model=model, projection=projection)
 
 
 class _CsvLog:
@@ -117,14 +115,14 @@ def run_pretrain(config: RunConfig, out_dir: str) -> dict:
     named = (bundle.model.parameters() + bundle.projection.parameters()
              + gphi.parameters())
     optimizer = AdamW(named, lr=cfg.qra.lr, weight_decay=cfg.optim.weight_decay)
-    sampler = ModalityBatchSampler(bundle.train_samples, bundle.spec.n_modalities,
+    sampler = ModalityBatchSampler(bundle.train_samples, cfg.dataset.n_modalities,
                                    cfg.qra_batch_size,
                                    seed=_sub_seed(cfg.seed, _SS_SAMPLER))
     class_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _SS_CLASS]))
     log = _CsvLog(os.path.join(out_dir, "pretrain_steps.csv"), ["step", "loss"])
     losses = []
     for step in range(cfg.qra.steps):
-        loss = pretrain_step(sampler.next_batch(), bundle.model, bundle.spec,
+        loss = pretrain_step(sampler.next_batch(), bundle.model, cfg.dataset,
                              bundle.registry, bundle.projection, gphi,
                              cfg.qra.tau, cfg.qra.layer, optimizer, class_rng)
         losses.append(loss)
@@ -136,19 +134,12 @@ def run_pretrain(config: RunConfig, out_dir: str) -> dict:
     return {"checkpoint": ckpt, "losses": losses}
 
 
-def _stored_config(header: dict, ckpt_path: str) -> dict:
-    stored = header.get("config")
-    if not isinstance(stored, dict):
-        raise CheckpointError(f"{ckpt_path}: checkpoint config must be an object")
-    return stored
-
-
-def _config_sections_match(stored: dict, current: RunConfig) -> None:
-    cur = current.to_json()
-    for section in ("model", "dataset", "tokens"):
-        if stored.get(section) != cur[section]:
-            raise CheckpointError(
-                f"checkpoint config section {section!r} does not match the run config")
+def _stored_config(header: dict, ckpt_path: str) -> RunConfig:
+    """The run config a checkpoint header stores; any fault is a CheckpointError."""
+    try:
+        return RunConfig.from_json(header.get("config"))
+    except ValidationError as e:
+        raise CheckpointError(f"{ckpt_path}: bad checkpoint config: {e}") from e
 
 
 def load_pretrained(bundle: RunBundle, ckpt_path: str) -> None:
@@ -160,7 +151,11 @@ def load_pretrained(bundle: RunBundle, ckpt_path: str) -> None:
     header, stored = load_checkpoint(ckpt_path)
     if header.get("phase") != "pretrain":
         raise CheckpointError(f"{ckpt_path} is not a pretraining checkpoint")
-    _config_sections_match(_stored_config(header, ckpt_path), bundle.config)
+    stored_config = _stored_config(header, ckpt_path)
+    for section in ("model", "dataset", "tokens"):
+        if getattr(stored_config, section) != getattr(bundle.config, section):
+            raise CheckpointError(
+                f"checkpoint config section {section!r} does not match the run config")
     restore_params(bundle.model.parameters() + bundle.projection.parameters(),
                    stored, allow_extra=True)
 
@@ -171,7 +166,7 @@ def evaluate(bundle: RunBundle, samples):
     Images run ``config.batch_size`` at a time through one forward each;
     MoCA tokens are used when ``config.moca`` is on.
     """
-    spec = bundle.spec
+    spec = bundle.config.dataset
     size = bundle.config.batch_size
     detections = [np.empty(0, dtype=DETECTION)]
     with ad.no_grad():
@@ -219,7 +214,7 @@ def run_train(config: RunConfig, out_dir: str, from_pretrain: str | None = None)
             batch = [bundle.train_samples[i] for i in order[start:start + cfg.batch_size]]
             optimizer.zero_grad()
             with ad.Tape():
-                tokens = (attach_token(batch, bundle.spec, bundle.registry,
+                tokens = (attach_token(batch, cfg.dataset, bundle.registry,
                                        bundle.projection, class_rng) if cfg.moca else None)
                 out = bundle.model.forward(np.stack([s.image for s in batch]), tokens)
                 targets = [(s.class_ids, np.array([a.box for a in s.annotations]))
@@ -269,15 +264,11 @@ def run_train(config: RunConfig, out_dir: str, from_pretrain: str | None = None)
     return summary
 
 
-def load_detector_for_eval(ckpt_path: str):
+def load_detector_for_eval(ckpt_path: str) -> RunBundle:
     """Rebuild a bundle from a detection checkpoint (weights restored)."""
     header, stored = load_checkpoint(ckpt_path)
     if header.get("phase") != "detection":
         raise CheckpointError(f"{ckpt_path} is not a detection checkpoint")
-    try:
-        config = RunConfig.from_json(_stored_config(header, ckpt_path))
-    except ValidationError as e:
-        raise CheckpointError(f"{ckpt_path}: bad checkpoint config: {e}") from e
-    bundle = build_run(config)
+    bundle = build_run(_stored_config(header, ckpt_path))
     restore_params(bundle.detection_parameters(), stored, allow_extra=False)
     return bundle

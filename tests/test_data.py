@@ -223,7 +223,15 @@ def test_malformed_manifest_raises_ingest_error(tmp_path):
     def no_blob(doc):
         del doc["blob"]
 
-    for edit in (lambda doc: [doc], no_offset, text_size, no_blob):
+    def record(**fields):
+        return lambda doc: doc["samples"][1].update(fields)
+
+    def extra_box(doc):
+        doc["samples"][1]["boxes"].append([0.5, 0.5, 0.1, 0.1])
+
+    for edit in (lambda doc: [doc], no_offset, text_size, no_blob, record(modality_id=1.9),
+                 record(modality_id="1"), record(modality_id=99), record(classes=["1"]),
+                 record(classes=[5]), extra_box, record(boxes=[[0.5, 0.5, 0.1]])):
         doc = json.loads(json.dumps(good))
         path.write_text(json.dumps(edit(doc) or doc))
         with pytest.raises(IngestError):

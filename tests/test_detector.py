@@ -11,13 +11,15 @@ from mocadet import detector as det
 from mocadet import losses as ls
 from mocadet import tokens as tk
 from mocadet.errors import ShapeError, ValidationError
+from mocadet.fileio import read_dataclass
+
+
+_BASE = dict(n_classes=2, d_model=8, n_queries=4, n_decoder_layers=2,
+             n_heads=2, patch_size=4, n_encoder_layers=0, ffn_width=12)
 
 
 def _cfg(**kw):
-    base = dict(n_classes=2, d_model=8, n_queries=4, n_decoder_layers=2,
-                n_heads=2, patch_size=4, n_encoder_layers=0, ffn_width=12)
-    base.update(kw)
-    return det.DetectorConfig(**base).validate()
+    return det.DetectorConfig(**dict(_BASE, **kw)).validate()
 
 
 def test_config_validation():
@@ -25,11 +27,14 @@ def test_config_validation():
         _cfg(d_model=10)  # not divisible by heads=2? 10 is; but not by 4
     with pytest.raises(ValidationError):
         _cfg(n_decoder_layers=1)
-    # every field is an int (not a bool), n_encoder_layers >= 0 and the rest >= 1
+    # every field is an int (not a bool), checked by the reader that builds
+    # a run's config; n_encoder_layers >= 0 and the rest >= 1
     for bad in ({"d_model": "8"}, {"d_model": 8.0}, {"n_queries": 2.5}, {"n_queries": True},
-                {"n_heads": 0}, {"d_model": 0}, {"n_queries": 0}, {"n_classes": 0},
-                {"patch_size": 0}, {"ffn_width": -1}, {"n_encoder_layers": -1},
                 {"n_classes": np.int64(2)}):
+        with pytest.raises(ValidationError, match=f"config.model.{next(iter(bad))}"):
+            read_dataclass(det.DetectorConfig, dict(_BASE, **bad), "config.model")
+    for bad in ({"n_heads": 0}, {"d_model": 0}, {"n_queries": 0}, {"n_classes": 0},
+                {"patch_size": 0}, {"ffn_width": -1}, {"n_encoder_layers": -1}):
         with pytest.raises(ValidationError):
             _cfg(**bad)
     assert _cfg(n_encoder_layers=0).n_encoder_layers == 0

@@ -1,5 +1,6 @@
 """Tests for AdamW, the lr schedule, run config, and checkpoint IO."""
 
+import dataclasses
 import json
 import os
 
@@ -9,10 +10,11 @@ import pytest
 from mocadet import autodiff as ad
 from mocadet.checkpoint import load_checkpoint, restore_params, save_checkpoint
 from mocadet.cli import main
-from mocadet.config import RunConfig
-from mocadet.data import make_default_spec
+from mocadet.config import OptimConfig, QraConfig, RunConfig, TokenConfig
+from mocadet.data import DatasetSpec, ModalitySpec, make_default_spec
 from mocadet.errors import CheckpointError, ContractError, ValidationError
 from mocadet.fileio import atomic_write
+from mocadet.losses import LossWeights
 from mocadet.optim import CHUNK, AdamW, MultiStepSchedule
 
 
@@ -151,11 +153,41 @@ def test_config_defaults_mirror_training_recipe():
     assert cfg.qra.tau == 0.07 and cfg.qra.layer == 5
 
 
+def _assert_every_field_differs(value, default, where):
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            _assert_every_field_differs(getattr(value, f.name), getattr(default, f.name),
+                                        f"{where}.{f.name}")
+    elif isinstance(value, list) and dataclasses.is_dataclass(value[0]):
+        _assert_every_field_differs(value[0], default[0], f"{where}[0]")
+    else:
+        assert value != default, where
+
+
 def test_config_round_trip():
-    cfg = RunConfig(dataset=make_default_spec(seed=4), seed=9).validate()
-    doc = cfg.to_json()
+    # every field, at every level, away from its default: a field whose
+    # annotation the reader cannot read fails here
+    spec = DatasetSpec(
+        modalities=[ModalitySpec("ma", ("ma_c0", "ma_c1"), curve=3, noise_sigma=0.5,
+                                 texture_freq=7.0),
+                    ModalitySpec("mb", ("mb_c0",)), ModalitySpec("mc", ("mc_c0",))],
+        image_size=32, counts={"train": 9, "test": 3}, seed=4, size_range=(6, 30),
+        objects_range=(0, 2))
+    cfg = RunConfig(
+        dataset=spec, model={"d_model": 32, "n_decoder_layers": 4},
+        loss=LossWeights(w_focal=1.5, alpha=0.5, gamma=1.0, w_l1=4.0, w_giou=3.0),
+        optim=OptimConfig(lr=1e-3, weight_decay=0.0, decay_epoch=3, decay_factor=0.5,
+                          epochs=5),
+        tokens=TokenConfig(source="file", d_text=16, seed=2, path="registry.json"),
+        qra=QraConfig(tau=0.1, layer=3, steps=7, batch_size=2, lr=1e-3),
+        batch_size=3, seed=9, moca=False, eval_every=2).validate()
+    _assert_every_field_differs(cfg, RunConfig(), "config")
+    doc = json.loads(json.dumps(cfg.to_json()))
+    assert doc == cfg.to_json()
     again = RunConfig.from_json(doc)
+    assert again == cfg
     assert again.to_json() == doc
+    assert RunConfig.from_json({}) == RunConfig()
 
 
 def test_config_rejects_oversized_qra_batch():
@@ -193,6 +225,24 @@ def test_config_rejects_non_object_documents_and_bad_values():
                 {"dataset": spec, "optim": {"lr": "fast"}}):
         with pytest.raises(ValidationError):
             RunConfig.from_json(doc)
+
+    # values of the wrong JSON type and an unknown key, each named by its field
+    modalities = [dict(spec["modalities"][0], classes="ab")] + spec["modalities"][1:]
+    for doc, field in (
+            ({"moca": "false"}, "config.moca"),
+            ({"batch_size": 2.7}, "config.batch_size"),
+            ({"seed": 1.9}, "config.seed"),
+            ({"dataset": dict(spec, image_size=64.5)}, "config.dataset.image_size"),
+            ({"epochs": 3}, "config.epochs"),
+            ({"optim": {"lr": True}}, "config.optim.lr"),
+            ({"dataset": dict(spec, counts={"train": 20.5})}, "config.dataset.counts.train"),
+            ({"dataset": dict(spec, modalities=modalities)},
+             r"config\.dataset\.modalities\[0\]\.classes"),
+            ({"qra": {"batch_size": 2.5}}, "config.qra.batch_size"),
+            ({"tokens": {"path": 3}}, "config.tokens.path"),
+            ({"optim": {"lr": 10 ** 400}}, "config.optim.lr")):
+        with pytest.raises(ValidationError, match=field):
+            RunConfig.from_json(dict({"dataset": spec}, **doc))
 
 
 # -- checkpoint ---------------------------------------------------------------

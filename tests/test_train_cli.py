@@ -251,6 +251,31 @@ def test_cli_train_rejects_a_bad_model_or_dataset_section(tmp_path, capsys, sect
     assert err.startswith("error:") and "runtime error" not in err
 
 
+def test_cli_eval_rejects_a_malformed_manifest_record(tmp_path, capsys):
+    doc = _tiny_doc(epochs=1)
+    bundle = build_run(RunConfig.from_json(doc))
+    ckpt = str(tmp_path / "model.ckpt")
+    save_checkpoint(ckpt, bundle.detection_parameters(), bundle.config.to_json(),
+                    phase="detection", step=0)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc["dataset"]))
+    assert main(["gen-data", "--spec", str(spec_path), "--out", str(tmp_path / "d"),
+                 "--splits", "val"]) == 0
+    path = tmp_path / "d" / "val_manifest.json"
+    good = json.loads(path.read_text())
+    box = good["samples"][0]["boxes"][0]
+    for field, value in (("modality_id", 1.9), ("modality_id", "1"), ("modality_id", 99),
+                         ("classes", ["0"]), ("classes", [7]), ("boxes", [box, box]),
+                         ("boxes", [box[:3]])):
+        bad = json.loads(json.dumps(good))
+        bad["samples"][0][field] = value
+        path.write_text(json.dumps(bad))
+        assert main(["eval", "--ckpt", ckpt, "--data", str(tmp_path / "d")]) == 1, field
+        assert "manifest.samples[0]" in capsys.readouterr().err, field
+    path.write_text(json.dumps(good))
+    assert main(["eval", "--ckpt", ckpt, "--data", str(tmp_path / "d")]) == 0
+
+
 def test_cli_pretrain_and_mi_lab(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_tiny_doc(qra_steps=3)))
@@ -298,6 +323,10 @@ def test_cli_exit_codes(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    # a value of the wrong JSON type is not converted: "false" is not false
+    cfg.write_text(json.dumps(dict(_tiny_doc(), moca="false")))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
     # missing checkpoint file -> validation exit (checkpoint error)
     assert main(["eval", "--ckpt", str(tmp_path / "none.ckpt"),
                  "--data", str(tmp_path)]) == 1
