@@ -13,6 +13,11 @@ pullback; the set loss builds its two fused nodes with it, and the token
 projection its one. ``expit`` is the numpy sigmoid that ``sigmoid``, the
 set loss and the detection scores share.
 
+Every model part is a ``Module``, and one rule names its parameters: the
+order in which its ``__init__`` assigns them. That order is the
+checkpoint's parameter table and the optimizer's flat layout, so
+reordering assignments changes both.
+
 Conventions:
   * all data is float64, row-major;
   * leaf tensors are validated finite at construction;
@@ -148,6 +153,36 @@ def param(data) -> Tensor:
 
 def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
+
+
+class Module:
+    """A model part whose parameters are the ``param`` tensors it holds.
+
+    ``parameters(prefix)`` walks ``vars(self)`` in assignment order: a
+    tensor with ``requires_grad`` is listed as ``(path, tensor)``, and a
+    ``Module``, or each item of a list (its index in the path), is walked in
+    turn, so a decoder weight is ``decoder.0.self_attn.wq.W``. Called with no
+    prefix, the paths start from the class's ``prefix``.
+    """
+
+    prefix = ""
+
+    def parameters(self, prefix: str | None = None) -> list:
+        return list(_named_params(self.prefix if prefix is None else prefix, self))
+
+
+def _named_params(path: str, value):
+    # a generator, not a closure that calls itself: that would be a reference
+    # cycle holding the listed tensors until the cyclic collector runs
+    if isinstance(value, Tensor):
+        if value.requires_grad:
+            yield path, value
+    elif isinstance(value, Module):
+        for name, item in vars(value).items():
+            yield from _named_params(f"{path}.{name}" if path else name, item)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _named_params(f"{path}.{i}", item)
 
 
 def _as_tensor(x) -> Tensor:

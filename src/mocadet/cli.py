@@ -134,9 +134,8 @@ def _cmd_pretrain(args) -> int:
     config = RunConfig.from_json(_load_json(args.config))
     result = run_pretrain(config, args.out)
     losses = result["losses"]
-    tail = float(np.mean(losses[-20:])) if losses else float("nan")
-    print(f"pretrain: {len(losses)} steps, loss {losses[0]:.4f} -> {tail:.4f}; "
-          f"checkpoint {result['checkpoint']}")
+    trend = f", loss {losses[0]:.4f} -> {np.mean(losses[-20:]):.4f}" if losses else ""
+    print(f"pretrain: {len(losses)} steps{trend}; checkpoint {result['checkpoint']}")
     return 0
 
 

@@ -67,6 +67,8 @@ class QraConfig:
             raise ValidationError("qra.tau must be positive")
         if self.steps < 0 or self.lr <= 0:
             raise ValidationError("qra.steps/lr out of range")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValidationError(f"qra.batch_size must be >= 1, got {self.batch_size}")
         return self
 
 
@@ -90,6 +92,8 @@ class RunConfig:
         self.loss.validate()
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
+        if self.dataset.counts.get("train", 0) < 1:
+            raise ValidationError("dataset.counts.train must be >= 1: a run trains on it")
         m = self.dataset.n_modalities
         if self.qra_batch_size > m:
             raise ValidationError(
@@ -113,7 +117,7 @@ class RunConfig:
 
     @property
     def qra_batch_size(self) -> int:
-        return self.qra.batch_size or self.dataset.n_modalities
+        return self.dataset.n_modalities if self.qra.batch_size is None else self.qra.batch_size
 
     def to_json(self) -> dict:
         return json_form(self)

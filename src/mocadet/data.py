@@ -99,6 +99,9 @@ class DatasetSpec:
             raise ValidationError("need at least 2 modalities")
         if self.image_size < 16:
             raise ValidationError("image_size must be >= 16")
+        for split, n in self.counts.items():
+            if n < 0:
+                raise ValidationError(f"counts.{split} must be >= 0, got {n}")
         for name, low, high in (("size_range", 1, self.image_size),
                                 ("objects_range", 0, math.inf)):
             r = getattr(self, name)

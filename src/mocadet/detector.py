@@ -57,7 +57,7 @@ class DetectorConfig:
         return self
 
 
-class Linear:
+class Linear(ad.Module):
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
         s = 1.0 / math.sqrt(d_in)
         self.W = ad.param(rng.uniform(-s, s, size=(d_in, d_out)))
@@ -66,11 +66,8 @@ class Linear:
     def __call__(self, x: ad.Tensor) -> ad.Tensor:
         return ad.linear(x, self.W, self.b)
 
-    def parameters(self, prefix: str) -> list:
-        return [(f"{prefix}.W", self.W), (f"{prefix}.b", self.b)]
 
-
-class LayerNorm:
+class LayerNorm(ad.Module):
     def __init__(self, d: int, eps: float = 1e-5):
         self.gamma = ad.param(np.ones(d))
         self.beta = ad.param(np.zeros(d))
@@ -79,11 +76,8 @@ class LayerNorm:
     def __call__(self, x: ad.Tensor) -> ad.Tensor:
         return ad.layernorm(x, self.eps, self.gamma, self.beta)
 
-    def parameters(self, prefix: str) -> list:
-        return [(f"{prefix}.gamma", self.gamma), (f"{prefix}.beta", self.beta)]
 
-
-class MultiHeadAttention:
+class MultiHeadAttention(ad.Module):
     """Scaled dot-product attention over n_heads column blocks, output proj."""
 
     def __init__(self, d_model: int, n_heads: int, rng: np.random.Generator):
@@ -108,23 +102,14 @@ class MultiHeadAttention:
         extra = () if extra_kv is None or mask_extra else (self.wk(extra_kv), self.wv(extra_kv))
         return self.wo(ad.attention(q, k, v, self.n_heads, scale, *extra, segments=segments))
 
-    def parameters(self, prefix: str) -> list:
-        out = []
-        for name, lin in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)):
-            out.extend(lin.parameters(f"{prefix}.{name}"))
-        return out
 
-
-class FeedForward:
+class FeedForward(ad.Module):
     def __init__(self, d_model: int, width: int, rng: np.random.Generator):
         self.lin1 = Linear(d_model, width, rng)
         self.lin2 = Linear(width, d_model, rng)
 
     def __call__(self, x: ad.Tensor) -> ad.Tensor:
         return self.lin2(ad.relu(self.lin1(x)))
-
-    def parameters(self, prefix: str) -> list:
-        return self.lin1.parameters(f"{prefix}.lin1") + self.lin2.parameters(f"{prefix}.lin2")
 
 
 def sinusoidal_positions_2d(n_rows: int, n_cols: int, d_model: int) -> np.ndarray:
@@ -145,7 +130,7 @@ def sinusoidal_positions_2d(n_rows: int, n_cols: int, d_model: int) -> np.ndarra
                            encode_1d(xs.reshape(-1).astype(np.float64))], axis=1)
 
 
-class EncoderLayer:
+class EncoderLayer(ad.Module):
     def __init__(self, cfg: DetectorConfig, rng):
         self.attn = MultiHeadAttention(cfg.d_model, cfg.n_heads, rng)
         self.ffn = FeedForward(cfg.d_model, cfg.ffn_width, rng)
@@ -156,12 +141,8 @@ class EncoderLayer:
         x = self.ln1(ad.add(x, self.attn.attend(x, x, segments=segments)))
         return self.ln2(ad.add(x, self.ffn(x)))
 
-    def parameters(self, prefix: str) -> list:
-        return (self.attn.parameters(f"{prefix}.attn") + self.ffn.parameters(f"{prefix}.ffn")
-                + self.ln1.parameters(f"{prefix}.ln1") + self.ln2.parameters(f"{prefix}.ln2"))
 
-
-class DecoderLayer:
+class DecoderLayer(ad.Module):
     def __init__(self, cfg: DetectorConfig, rng):
         self.self_attn = MultiHeadAttention(cfg.d_model, cfg.n_heads, rng)
         self.cross_attn = MultiHeadAttention(cfg.d_model, cfg.n_heads, rng)
@@ -181,14 +162,6 @@ class DecoderLayer:
         queries = self.ln2(ad.add(queries, cross))
         return self.ln3(ad.add(queries, self.ffn(queries)))
 
-    def parameters(self, prefix: str) -> list:
-        return (self.self_attn.parameters(f"{prefix}.self_attn")
-                + self.cross_attn.parameters(f"{prefix}.cross_attn")
-                + self.ffn.parameters(f"{prefix}.ffn")
-                + self.ln1.parameters(f"{prefix}.ln1")
-                + self.ln2.parameters(f"{prefix}.ln2")
-                + self.ln3.parameters(f"{prefix}.ln3"))
-
 
 @dataclass
 class DetectorOutput:
@@ -206,7 +179,7 @@ class DetectorOutput:
         return self.query_states[layer - 1]
 
 
-class Detector:
+class Detector(ad.Module):
     def __init__(self, config: DetectorConfig, rng: np.random.Generator):
         cfg = config.validate()
         self.config = cfg
@@ -220,21 +193,6 @@ class Detector:
         self.cls_head = Linear(d, cfg.n_classes, rng)
         self.box_hidden = Linear(d, d, rng)
         self.box_out = Linear(d, 4, rng)
-
-    # -- parameters ------------------------------------------------------
-    def parameters(self) -> list:
-        out = self.patch_proj.parameters("patch_proj")
-        for i, layer in enumerate(self.encoder):
-            out.extend(layer.parameters(f"encoder.{i}"))
-        out.append(("query_embed", self.query_embed))
-        out.append(("query_pos", self.query_pos))
-        out.extend(self.token_proj.parameters("token_proj"))
-        for i, layer in enumerate(self.decoder):
-            out.extend(layer.parameters(f"decoder.{i}"))
-        out.extend(self.cls_head.parameters("cls_head"))
-        out.extend(self.box_hidden.parameters("box_hidden"))
-        out.extend(self.box_out.parameters("box_out"))
-        return out
 
     # -- forward ----------------------------------------------------------
     def encode(self, images: np.ndarray) -> ad.Tensor:

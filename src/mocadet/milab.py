@@ -16,7 +16,6 @@ critic; the estimator also accepts an explicit tau.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -161,12 +160,10 @@ def sample_candidates(joint: DiscreteJoint, K: int, rng: np.random.Generator,
     negs = rng.choice(nv, size=(n, K), p=joint.pv)
     j = rng.integers(0, K + 1, size=n)
     cands = np.empty((n, K + 1), dtype=np.int64)
-    for i in range(n):
-        row = np.empty(K + 1, dtype=np.int64)
-        row[:j[i]] = negs[i, :j[i]]
-        row[j[i]] = v[i]
-        row[j[i] + 1:] = negs[i, j[i]:]
-        cands[i] = row
+    rows = np.arange(n)
+    # negative k sits in slot k before the positive's slot j, in slot k + 1 after it
+    cands[rows[:, None], np.arange(K) + (np.arange(K) >= j[:, None])] = negs
+    cands[rows, j] = v
     if size is None:
         return int(u[0]), cands[0], int(j[0])
     return u, cands, j
@@ -211,66 +208,55 @@ def _check_enum_size(n_v: int, K: int) -> None:
         raise ValidationError(f"enumeration of {n_v}^{K} negative tuples is too large")
 
 
+def _all_tuples(n_v: int, length: int) -> np.ndarray:
+    """Every tuple over range(n_v) of the given length, one per row, the last
+    position varying fastest."""
+    return np.indices((n_v,) * length).reshape(length, -1).T
+
+
 def exact_infonce(joint: DiscreteJoint, critic: Critic, K: int,
                   tau: float = 1.0) -> float:
-    """Exact expected contrastive loss by enumerating all candidate tuples."""
+    """Exact expected contrastive loss: the loss of every (u, v, negative
+    tuple), the positive in slot 0, weighted by its probability."""
     if K < 1:
         raise ValidationError("need at least one negative")
-    nu, nv = joint.shape
+    nv = joint.shape[1]
     _check_enum_size(nv, K)
+    negs = _all_tuples(nv, K)
+    p_negs = joint.pv[negs].prod(axis=1)
     total = 0.0
-    for u in range(nu):
-        if joint.pu[u] == 0:
-            continue
-        srow = critic.scores[u] / tau
-        for v in range(nv):
-            p_pair = joint.table[u, v]
-            if p_pair == 0:
-                continue
-            for negs in itertools.product(range(nv), repeat=K):
-                w = p_pair
-                for k in negs:
-                    w *= joint.pv[k]
-                if w == 0:
-                    continue
-                s = np.array([srow[v]] + [srow[k] for k in negs])
-                m = s.max()
-                total += w * float(m + np.log(np.exp(s - m).sum()) - srow[v])
+    for u, v in zip(*np.nonzero(joint.table)):
+        cands = np.column_stack([np.full(len(negs), v), negs])
+        losses = _losses_from_draws(critic, tau, np.full(len(negs), u), cands,
+                                    np.zeros(len(negs), dtype=np.int64))
+        total += float(joint.table[u, v] * p_negs @ losses)
     return total
-
-
-def _slot_posterior(joint: DiscreteJoint, u: int, cands) -> np.ndarray:
-    """True posterior over the positive slot given (u, candidates)."""
-    r = np.array([joint.table[u, v] / (joint.pu[u] * joint.pv[v])
-                  if joint.pv[v] > 0 else 0.0 for v in cands])
-    z = r.sum()
-    return r / z if z > 0 else np.full(len(cands), 1.0 / len(cands))
 
 
 def posterior_identity_gap(joint: DiscreteJoint, critic: Critic, K: int,
                            tau: float = 1.0) -> float:
     """Max |true slot posterior - critic softmax| over all reachable tuples.
 
-    Zero (to rounding) iff the critic is the log-density-ratio critic.
+    The posterior of slot j given (u, candidates) is proportional to
+    p(u, v_j) / (p(u) p(v_j)); the softmax of slot j is exp(-loss) with the
+    positive in slot j. Zero (to rounding) iff the critic is the
+    log-density-ratio critic.
     """
-    nu, nv = joint.shape
+    nv = joint.shape[1]
     _check_enum_size(nv, K + 1)
+    tuples = _all_tuples(nv, K + 1)
+    tuples = tuples[(joint.pv[tuples] > 0).all(axis=1)]
+    slots = np.arange(K + 1)
     worst = 0.0
-    for u in range(nu):
-        if joint.pu[u] == 0:
-            continue
-        srow = critic.scores[u] / tau
-        for cands in itertools.product(range(nv), repeat=K + 1):
-            if any(joint.pv[v] == 0 for v in cands):
-                continue
-            if all(joint.table[u, v] == 0 for v in cands):
-                continue  # unreachable: positive slot impossible everywhere
-            post = _slot_posterior(joint, u, np.array(cands))
-            s = np.array([srow[v] for v in cands])
-            m = s.max()
-            q = np.exp(s - m)
-            q /= q.sum()
-            worst = max(worst, float(np.abs(post - q).max()))
+    for u in np.nonzero(joint.pu)[0]:
+        cands = tuples[(joint.table[u, tuples] > 0).any(axis=1)]  # reachable
+        r = joint.table[u, cands] / (joint.pu[u] * joint.pv[cands])
+        post = r / r.sum(axis=1, keepdims=True)
+        losses = _losses_from_draws(critic, tau, np.full(cands.size, u),
+                                    np.repeat(cands, K + 1, axis=0),
+                                    np.tile(slots, len(cands)))
+        q = np.exp(-losses).reshape(cands.shape)
+        worst = max(worst, float(np.abs(post - q).max()))
     return worst
 
 

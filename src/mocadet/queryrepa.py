@@ -3,13 +3,14 @@
 Pretraining stage: a modality-balanced batch runs through the detector in
 one forward, each image with its own token appended; image b's layer-l
 query states (row block b) are averaged into a cluster mean, projected by
-a small MLP head, and pulled toward the image's token against the other
+the head g_phi, and pulled toward the image's token against the other
 in-batch tokens (which the sampler guarantees come from other
 modalities). The B means are one (B, d) row block: one mean node, one
 pass of the head and one (B, B) cosine matrix against the batch's token
 rows, whose row-wise logsumexp minus its diagonal is the loss, so the
-loss graph has the same size for every B. The head is used only during
-this stage and dropped before detection training.
+loss graph has the same size for every B. g_phi is a d -> d -> d
+``detector.FeedForward``; it is used only during this stage, stored in the
+pretraining checkpoint as ``gphi.*`` and dropped before detection training.
 """
 
 from __future__ import annotations
@@ -18,23 +19,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import DatasetSpec, attach_token
-from .detector import Detector, Linear
+from .detector import Detector, FeedForward
 from .errors import ContractError, ValidationError
 from .tokens import TokenProjection, TokenRegistry
-
-
-class AlignmentHead:
-    """2-layer MLP (d -> d -> d, ReLU) mapping query-mean rows into token space."""
-
-    def __init__(self, d_model: int, rng: np.random.Generator):
-        self.lin1 = Linear(d_model, d_model, rng)
-        self.lin2 = Linear(d_model, d_model, rng)
-
-    def __call__(self, rows: ad.Tensor) -> ad.Tensor:
-        return self.lin2(ad.relu(self.lin1(rows)))
-
-    def parameters(self) -> list:
-        return self.lin1.parameters("gphi.lin1") + self.lin2.parameters("gphi.lin2")
 
 
 def cluster_mean(query_state: ad.Tensor, n_images: int) -> ad.Tensor:
@@ -43,7 +30,7 @@ def cluster_mean(query_state: ad.Tensor, n_images: int) -> ad.Tensor:
     return ad.mean_rows(query_state, n_images)
 
 
-def qra_loss(q_means: ad.Tensor, tokens: ad.Tensor, g_phi: AlignmentHead,
+def qra_loss(q_means: ad.Tensor, tokens: ad.Tensor, g_phi: FeedForward,
              tau: float = 0.07) -> ad.Tensor:
     """Mean over rows r of -log softmax_k(cos(g_phi(q_r), t_k) / tau) at k = r.
 
@@ -72,7 +59,7 @@ def _query_means(model: Detector, batch, tokens: ad.Tensor, layer: int) -> ad.Te
 
 def batch_alignment_loss(batch, model: Detector, spec: DatasetSpec,
                          registry: TokenRegistry, projection: TokenProjection,
-                         g_phi: AlignmentHead, tau: float, layer: int,
+                         g_phi: FeedForward, tau: float, layer: int,
                          class_rng: np.random.Generator) -> ad.Tensor:
     """Mean contrastive loss over a distinct-modality batch.
 
@@ -94,7 +81,7 @@ def batch_alignment_loss(batch, model: Detector, spec: DatasetSpec,
 
 def pretrain_step(batch, model: Detector, spec: DatasetSpec,
                   registry: TokenRegistry, projection: TokenProjection,
-                  g_phi: AlignmentHead, tau: float, layer: int,
+                  g_phi: FeedForward, tau: float, layer: int,
                   optimizer, class_rng: np.random.Generator) -> float:
     """One optimizer step on the alignment loss alone (no detection terms)."""
     optimizer.zero_grad()
@@ -109,7 +96,7 @@ def pretrain_step(batch, model: Detector, spec: DatasetSpec,
 
 def positive_rank_fraction(batches, model: Detector, spec: DatasetSpec,
                            registry: TokenRegistry, projection: TokenProjection,
-                           g_phi: AlignmentHead, layer: int,
+                           g_phi: FeedForward, layer: int,
                            class_rng: np.random.Generator) -> float:
     """Fraction of samples whose own token has the top similarity in-batch."""
     hits = total = 0

@@ -223,8 +223,11 @@ def load_registry(path) -> TokenRegistry:
 # -- projection into model space ---------------------------------------------
 
 
-class TokenProjection:
-    """Learnable linear map from text space to the detector's model space."""
+class TokenProjection(ad.Module):
+    """Learnable linear map from text space to the detector's model space;
+    its one parameter is ``token_projection.W``."""
+
+    prefix = "token_projection"
 
     def __init__(self, d_model: int, d_text: int, rng: np.random.Generator):
         scale = 1.0 / math.sqrt(d_text)
@@ -250,9 +253,6 @@ class TokenProjection:
                              f"expected (B, {self.d_text})")
         value = (self.W.data @ raw[:, :, None])[:, :, 0]
         return ad.node(value, (self.W,), lambda g: (g.T @ raw,))
-
-    def parameters(self) -> list:
-        return [("token_projection.W", self.W)]
 
 
 # -- clustering quality --------------------------------------------------------

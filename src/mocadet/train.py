@@ -22,13 +22,13 @@ from . import autodiff as ad
 from .checkpoint import load_checkpoint, restore_params, save_checkpoint
 from .config import RunConfig
 from .data import ModalityBatchSampler, attach_token, generate_synthetic
-from .detector import Detector
+from .detector import Detector, FeedForward
 from .errors import CheckpointError, ValidationError
 from .evaluation import DETECTION, ap_report, detections_from_output
 from .fileio import atomic_write
 from .losses import detection_loss
 from .optim import AdamW, MultiStepSchedule
-from .queryrepa import AlignmentHead, pretrain_step
+from .queryrepa import pretrain_step
 from .tokens import TokenProjection, build_registry, load_registry
 
 # substream tags for the run's seed tree
@@ -110,10 +110,10 @@ def run_pretrain(config: RunConfig, out_dir: str) -> dict:
     bundle = build_run(config)
     _echo_config(config, out_dir)
     cfg = config
-    gphi = AlignmentHead(bundle.model.config.d_model, np.random.default_rng(
-        np.random.SeedSequence([cfg.seed, _SS_GPHI])))
+    d = bundle.model.config.d_model
+    gphi = FeedForward(d, d, np.random.default_rng(np.random.SeedSequence([cfg.seed, _SS_GPHI])))
     named = (bundle.model.parameters() + bundle.projection.parameters()
-             + gphi.parameters())
+             + gphi.parameters("gphi"))
     optimizer = AdamW(named, lr=cfg.qra.lr, weight_decay=cfg.optim.weight_decay)
     sampler = ModalityBatchSampler(bundle.train_samples, cfg.dataset.n_modalities,
                                    cfg.qra_batch_size,

@@ -40,6 +40,56 @@ def test_config_validation():
     assert _cfg(n_encoder_layers=0).n_encoder_layers == 0
 
 
+# Assignment order in each __init__ is the rule that names and orders the
+# parameters, so this list pins the checkpoint's parameter table and the
+# optimizer's flat layout: a detector with 1 encoder and 2 decoder layers,
+# the token projection, and the pretraining head under "gphi".
+_PARAMETER_NAMES = """
+patch_proj.W patch_proj.b
+encoder.0.attn.wq.W encoder.0.attn.wq.b encoder.0.attn.wk.W encoder.0.attn.wk.b
+encoder.0.attn.wv.W encoder.0.attn.wv.b encoder.0.attn.wo.W encoder.0.attn.wo.b
+encoder.0.ffn.lin1.W encoder.0.ffn.lin1.b encoder.0.ffn.lin2.W encoder.0.ffn.lin2.b
+encoder.0.ln1.gamma encoder.0.ln1.beta encoder.0.ln2.gamma encoder.0.ln2.beta
+query_embed query_pos token_proj.W token_proj.b
+decoder.0.self_attn.wq.W decoder.0.self_attn.wq.b decoder.0.self_attn.wk.W
+decoder.0.self_attn.wk.b decoder.0.self_attn.wv.W decoder.0.self_attn.wv.b
+decoder.0.self_attn.wo.W decoder.0.self_attn.wo.b
+decoder.0.cross_attn.wq.W decoder.0.cross_attn.wq.b decoder.0.cross_attn.wk.W
+decoder.0.cross_attn.wk.b decoder.0.cross_attn.wv.W decoder.0.cross_attn.wv.b
+decoder.0.cross_attn.wo.W decoder.0.cross_attn.wo.b
+decoder.0.ffn.lin1.W decoder.0.ffn.lin1.b decoder.0.ffn.lin2.W decoder.0.ffn.lin2.b
+decoder.0.ln1.gamma decoder.0.ln1.beta decoder.0.ln2.gamma decoder.0.ln2.beta
+decoder.0.ln3.gamma decoder.0.ln3.beta
+decoder.1.self_attn.wq.W decoder.1.self_attn.wq.b decoder.1.self_attn.wk.W
+decoder.1.self_attn.wk.b decoder.1.self_attn.wv.W decoder.1.self_attn.wv.b
+decoder.1.self_attn.wo.W decoder.1.self_attn.wo.b
+decoder.1.cross_attn.wq.W decoder.1.cross_attn.wq.b decoder.1.cross_attn.wk.W
+decoder.1.cross_attn.wk.b decoder.1.cross_attn.wv.W decoder.1.cross_attn.wv.b
+decoder.1.cross_attn.wo.W decoder.1.cross_attn.wo.b
+decoder.1.ffn.lin1.W decoder.1.ffn.lin1.b decoder.1.ffn.lin2.W decoder.1.ffn.lin2.b
+decoder.1.ln1.gamma decoder.1.ln1.beta decoder.1.ln2.gamma decoder.1.ln2.beta
+decoder.1.ln3.gamma decoder.1.ln3.beta
+cls_head.W cls_head.b box_hidden.W box_hidden.b box_out.W box_out.b
+token_projection.W
+gphi.lin1.W gphi.lin1.b gphi.lin2.W gphi.lin2.b
+""".split()
+
+
+def test_parameter_names_and_order_are_pinned():
+    model = det.Detector(_cfg(n_encoder_layers=1), np.random.default_rng(0))
+    proj = tk.TokenProjection(8, 6, np.random.default_rng(1))
+    gphi = det.FeedForward(8, 8, np.random.default_rng(2))
+    named = model.parameters() + proj.parameters() + gphi.parameters("gphi")
+    assert [name for name, _ in named] == _PARAMETER_NAMES
+    params = dict(named)
+    assert params["decoder.1.ffn.lin2.b"] is model.decoder[1].ffn.lin2.b
+    assert params["token_projection.W"] is proj.W
+    assert params["gphi.lin1.W"] is gphi.lin1.W
+    # the listed tensors are exactly the ones that train, each once
+    assert all(p.requires_grad for _, p in named)
+    assert len({id(p) for _, p in named}) == len(named)
+
+
 def test_patch_count():
     model = det.Detector(_cfg(patch_size=8, d_model=8), np.random.default_rng(0))
     with ad.no_grad():
@@ -294,6 +344,7 @@ def test_backward_leaves_no_reference_cycles():
             out = model.forward(image, token)
             loss = ls.detection_loss(out.layers, [([0, 1], gt_boxes)], ls.LossWeights())
             ad.backward(loss)
+        model.parameters()  # a model's parameters are listed without a cycle too
         del model, token, out, loss
         assert gc.collect() == 0
     finally:

@@ -49,6 +49,25 @@ def _exact_posterior_entropy(joint, K):
     return total
 
 
+def _looped_candidates(joint, K, rng, size=None):
+    """``sample_candidates`` as a per-row loop: the same rng calls, then each
+    row built as negatives before slot j, the positive, negatives after."""
+    n = 1 if size is None else size
+    nu, nv = joint.shape
+    flat = rng.choice(nu * nv, size=n, p=joint.table.reshape(-1))
+    u, v = np.divmod(flat, nv)
+    negs = rng.choice(nv, size=(n, K), p=joint.pv)
+    j = rng.integers(0, K + 1, size=n)
+    cands = np.empty((n, K + 1), dtype=np.int64)
+    for i in range(n):
+        cands[i, :j[i]] = negs[i, :j[i]]
+        cands[i, j[i]] = v[i]
+        cands[i, j[i] + 1:] = negs[i, j[i]:]
+    if size is None:
+        return int(u[0]), cands[0], int(j[0])
+    return u, cands, j
+
+
 def test_joint_validation():
     with pytest.raises(ValidationError):
         ml.DiscreteJoint(np.array([[0.5, 0.6]]))  # sums to 1.1
@@ -95,6 +114,18 @@ def test_sample_candidates_counts_and_uniform_slot():
         pv = joint.pv[v]
         s = math.sqrt(len(negs) * pv * (1 - pv))
         assert abs(np.sum(negs == v) - len(negs) * pv) <= 3 * s
+
+
+def test_sample_candidates_equals_the_per_row_loop():
+    joint = ml.random_joint(5, 4, np.random.default_rng(3))
+    for K in (1, 2, 7):
+        for size in (None, 1, 9, 500):
+            for seed in (0, 1, 2):
+                got = ml.sample_candidates(joint, K, np.random.default_rng(seed), size)
+                want = _looped_candidates(joint, K, np.random.default_rng(seed), size)
+                assert type(got[0]) is type(want[0]) and type(got[2]) is type(want[2])
+                for a, b in zip(got, want):
+                    np.testing.assert_array_equal(a, b)
 
 
 def test_constant_critic_gives_log1pk_exactly():

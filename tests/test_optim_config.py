@@ -240,9 +240,20 @@ def test_config_rejects_non_object_documents_and_bad_values():
              r"config\.dataset\.modalities\[0\]\.classes"),
             ({"qra": {"batch_size": 2.5}}, "config.qra.batch_size"),
             ({"tokens": {"path": 3}}, "config.tokens.path"),
-            ({"optim": {"lr": 10 ** 400}}, "config.optim.lr")):
+            ({"optim": {"lr": 10 ** 400}}, "config.optim.lr"),
+            # ranges: None is the one way to ask for every modality, and a
+            # run needs a train split of at least one image
+            ({"qra": {"batch_size": 0}}, "qra.batch_size must be >= 1"),
+            ({"qra": {"batch_size": -1}}, "qra.batch_size must be >= 1"),
+            ({"dataset": dict(spec, counts={"train": -5, "val": 6})}, "counts.train must be >= 0"),
+            ({"dataset": dict(spec, counts={"train": 4, "val": -1})}, "counts.val must be >= 0"),
+            ({"dataset": dict(spec, counts={"train": 0, "val": 6})}, "counts.train must be >= 1"),
+            ({"dataset": dict(spec, counts={"val": 6})}, "counts.train must be >= 1")):
         with pytest.raises(ValidationError, match=field):
             RunConfig.from_json(dict({"dataset": spec}, **doc))
+    # a dataset of one val split is a valid dataset, though not a valid run
+    assert DatasetSpec.from_json(dict(spec, counts={"val": 6})).counts == {"val": 6}
+    assert RunConfig.from_json({"dataset": spec, "qra": {"batch_size": None}}).qra_batch_size == 5
 
 
 # -- checkpoint ---------------------------------------------------------------

@@ -15,7 +15,7 @@ from mocadet.errors import ContractError, ValidationError
 
 
 def _identity_head(d):
-    head = qr.AlignmentHead(d, np.random.default_rng(0))
+    head = det.FeedForward(d, d, np.random.default_rng(0))
     head.lin1.W.data[:] = np.eye(d)
     head.lin1.b.data[:] = 0.0
     head.lin2.W.data[:] = np.eye(d)
@@ -91,7 +91,7 @@ def test_qra_loss_matches_independent_reimplementation():
     rng = np.random.default_rng(123)
     d = 6
     for _ in range(100):
-        head = qr.AlignmentHead(d, rng)
+        head = det.FeedForward(d, d, rng)
         q_bar = ad.tensor(rng.normal(size=d))
         b = int(rng.integers(2, 6))
         cands = [ad.tensor(rng.normal(size=d)) for _ in range(b)]
@@ -115,7 +115,7 @@ def test_qra_loss_matches_independent_reimplementation():
 def test_qra_loss_crude_lower_bound():
     rng = np.random.default_rng(7)
     d = 5
-    head = qr.AlignmentHead(d, rng)
+    head = det.FeedForward(d, d, rng)
     for _ in range(25):
         q_bar = ad.tensor(rng.normal(size=d))
         b = int(rng.integers(2, 6))
@@ -135,7 +135,7 @@ def test_qra_loss_of_a_batch_is_the_mean_of_its_rows_losses():
     rng = np.random.default_rng(21)
     d = 6
     for r, k in [(1, 1), (3, 3), (5, 5), (2, 4)]:
-        head = qr.AlignmentHead(d, rng)
+        head = det.FeedForward(d, d, rng)
         means = [ad.param(rng.normal(size=(1, d))) for _ in range(r)]
         tokens = [ad.param(rng.normal(size=(1, d))) for _ in range(k)]
         with ad.Tape():
@@ -166,7 +166,7 @@ def _tiny_setup(seed=0):
     model = det.Detector(cfg, rng)
     registry = tk.build_registry(spec.token_pairs(), d_text=6, seed64=1)
     proj = tk.TokenProjection(cfg.d_model, 6, rng)
-    gphi = qr.AlignmentHead(cfg.d_model, rng)
+    gphi = det.FeedForward(cfg.d_model, cfg.d_model, rng)
     return spec, samples, cfg, model, registry, proj, gphi
 
 
@@ -197,7 +197,7 @@ def test_alignment_loss_deterministic_with_frozen_weights():
 def test_pretrain_step_single_sample_batch_zero_loss():
     spec, samples, cfg, model, registry, proj, gphi = _tiny_setup()
     batch = dt.ModalityBatchSampler(samples, 5, 1, seed=0).next_batch()
-    optim = op.AdamW(model.parameters() + proj.parameters() + gphi.parameters(), lr=1e-3)
+    optim = op.AdamW(model.parameters() + proj.parameters() + gphi.parameters("gphi"), lr=1e-3)
     loss = qr.pretrain_step(batch, model, spec, registry, proj, gphi, 0.07, 2,
                             optim, np.random.default_rng(0))
     assert loss == 0.0
@@ -211,7 +211,7 @@ def test_qra_gradient_check_through_decoder_projections_and_head():
         return qr.batch_alignment_loss(batch, model, spec, registry, proj, gphi,
                                        0.07, 2, np.random.default_rng(8))
 
-    params = (proj.parameters() + gphi.parameters()
+    params = (proj.parameters() + gphi.parameters("gphi")
               + [("query_embed", model.query_embed)]
               + model.token_proj.parameters("token_proj")
               + model.decoder[0].self_attn.wq.parameters("dec0.self.wq"))
@@ -231,8 +231,8 @@ def test_pretraining_improves_positive_rank():
     model = det.Detector(cfg, rng)
     registry = tk.build_registry(spec.token_pairs(), d_text=16, seed64=1)
     proj = tk.TokenProjection(cfg.d_model, 16, rng)
-    gphi = qr.AlignmentHead(cfg.d_model, rng)
-    optim = op.AdamW(model.parameters() + proj.parameters() + gphi.parameters(),
+    gphi = det.FeedForward(cfg.d_model, cfg.d_model, rng)
+    optim = op.AdamW(model.parameters() + proj.parameters() + gphi.parameters("gphi"),
                      lr=1e-3, weight_decay=1e-4)
     sampler = dt.ModalityBatchSampler(samples, 5, 5, seed=3)
     class_rng = np.random.default_rng(11)
@@ -275,7 +275,7 @@ def test_alignment_loss_node_count_does_not_depend_on_batch_size():
     model = det.Detector(cfg, np.random.default_rng(0))
     registry = tk.build_registry(spec.token_pairs(), d_text=64, seed64=1)
     proj = tk.TokenProjection(cfg.d_model, 64, np.random.default_rng(1))
-    gphi = qr.AlignmentHead(cfg.d_model, np.random.default_rng(2))
+    gphi = det.FeedForward(cfg.d_model, cfg.d_model, np.random.default_rng(2))
     batch = dt.ModalityBatchSampler(samples, 5, 5, seed=0).next_batch()
     with ad.Tape() as tape:
         qr.batch_alignment_loss(batch, model, spec, registry, proj, gphi, 0.07, 5,

@@ -290,6 +290,17 @@ def test_cli_pretrain_and_mi_lab(tmp_path):
     assert doc["passed"] is True
 
 
+def test_cli_pretrain_with_zero_steps(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_doc(qra_steps=0)))
+    assert main(["pretrain", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "pre")]) == 0
+    assert capsys.readouterr().out.startswith("pretrain: 0 steps; checkpoint ")
+    assert (tmp_path / "pre" / "pretrain_steps.csv").read_text() == "step,loss\n"
+    header, _ = load_checkpoint(str(tmp_path / "pre" / "pretrain.ckpt"))
+    assert header["step"] == 0
+
+
 @pytest.mark.parametrize("doc", [{"joints": 3}, {}, [1], {"joints": []},
                                  {"joints": [[[0.5, "a"]]]}, {"joints": [[[0.5], [0.25, 0.25]]]}],
                          ids=["not_a_list", "no_joints", "not_an_object", "empty",
@@ -325,6 +336,18 @@ def test_cli_exit_codes(tmp_path):
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     # a value of the wrong JSON type is not converted: "false" is not false
     cfg.write_text(json.dumps(dict(_tiny_doc(), moca="false")))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
+    # out-of-range batch and split sizes are rejected before the run directory
+    # is made: a negative qra.batch_size, and a train split with no images
+    doc = _tiny_doc()
+    doc["qra"]["batch_size"] = -1
+    cfg.write_text(json.dumps(doc))
+    assert main(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
+    doc = _tiny_doc()
+    doc["dataset"]["counts"] = {"train": -5, "val": 6}
+    cfg.write_text(json.dumps(doc))
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert not (tmp_path / "o").exists()
     # missing checkpoint file -> validation exit (checkpoint error)
