@@ -5,7 +5,7 @@ Subpackages/modules:
   fileio      -- atomic file replacement; the one JSON-to-config-dataclass reader
   config      -- run configuration and its validation
   autodiff    -- float64 tensors with reverse-mode AD; Module, the one parameter-naming rule
-  optim       -- AdamW over one flat parameter store, step-decay schedule
+  optim       -- AdamW over one flat parameter store
   tokens      -- modality-token construction, registry, silhouette analysis
   data        -- synthetic multimodality data, dataset export, batch sampler
   boxes       -- box format conversion and pairwise IoU / GIoU
@@ -15,7 +15,7 @@ Subpackages/modules:
   milab       -- executable InfoNCE mutual-information bound verification
   evaluation  -- COCO-style AP metrics over one detection array
   checkpoint  -- the checkpoint file format
-  train       -- pretraining and detection training loops, evaluation
+  train       -- the one optimizer step, the pretraining and detection loops, evaluation
   cli         -- experiment orchestration
 """
 

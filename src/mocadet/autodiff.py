@@ -142,10 +142,6 @@ class Tensor:
         return mul(self, other)
 
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
 def param(data) -> Tensor:
     """Leaf tensor that will receive gradients."""
     return Tensor(data, requires_grad=True)

@@ -36,6 +36,11 @@ class OptimConfig:
             raise ValidationError("optim.epochs/decay_epoch out of range")
         return self
 
+    def lr_at(self, epoch: int) -> float:
+        """The step-decay schedule: ``lr``, times ``decay_factor`` from
+        ``decay_epoch`` on."""
+        return self.lr * (self.decay_factor if epoch >= self.decay_epoch else 1.0)
+
 
 @dataclass
 class TokenConfig:

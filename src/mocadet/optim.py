@@ -1,4 +1,4 @@
-"""AdamW with decoupled weight decay and a MultiStep learning-rate schedule.
+"""AdamW with decoupled weight decay over one flat parameter store.
 
 The optimizer owns flat float64 storage for the parameters it is given:
 one ``data``, one ``grad`` and one vector for each moment, ``m`` and
@@ -90,15 +90,3 @@ class AdamW:
             if self.weight_decay:
                 x -= np.multiply(decay, x, out=s)
             x -= np.multiply(self.lr, u, out=u)
-
-
-class MultiStepSchedule:
-    """Base lr multiplied by ``factor`` from ``decay_epoch`` onward."""
-
-    def __init__(self, base_lr: float, decay_epoch: int, factor: float = 0.1):
-        self.base_lr = base_lr
-        self.decay_epoch = decay_epoch
-        self.factor = factor
-
-    def lr_at(self, epoch: int) -> float:
-        return self.base_lr * (self.factor if epoch >= self.decay_epoch else 1.0)

@@ -79,21 +79,6 @@ def batch_alignment_loss(batch, model: Detector, spec: DatasetSpec,
     return qra_loss(_query_means(model, batch, tokens, layer), tokens, g_phi, tau)
 
 
-def pretrain_step(batch, model: Detector, spec: DatasetSpec,
-                  registry: TokenRegistry, projection: TokenProjection,
-                  g_phi: FeedForward, tau: float, layer: int,
-                  optimizer, class_rng: np.random.Generator) -> float:
-    """One optimizer step on the alignment loss alone (no detection terms)."""
-    optimizer.zero_grad()
-    with ad.Tape():
-        loss = batch_alignment_loss(batch, model, spec, registry, projection,
-                                    g_phi, tau, layer, class_rng)
-        value = loss.item()
-        ad.backward(loss)
-    optimizer.step()
-    return value
-
-
 def positive_rank_fraction(batches, model: Detector, spec: DatasetSpec,
                            registry: TokenRegistry, projection: TokenProjection,
                            g_phi: FeedForward, layer: int,

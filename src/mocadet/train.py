@@ -8,12 +8,19 @@ runs of the same config produce byte-identical checkpoints and logs.
 ``RunConfig.moca`` is the one MoCA switch: only with it on do detection
 training and evaluation give the decoder modality tokens and train and store
 the token projection. Pretraining always uses tokens, as QueryREPA needs them.
+
+Both loops take their steps through ``optimizer_step``. Each runs every
+check that can reject the run (the config and data in ``build_run``, the
+batch sampler, the pretraining checkpoint, the optimizer) before its first
+write, so a rejected run leaves no run directory behind; the metric logs are
+closed however the loop ends.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,13 +29,13 @@ from . import autodiff as ad
 from .checkpoint import load_checkpoint, restore_params, save_checkpoint
 from .config import RunConfig
 from .data import ModalityBatchSampler, attach_token, generate_synthetic
-from .detector import Detector, FeedForward
+from .detector import Detector, DetectorOutput, FeedForward
 from .errors import CheckpointError, ValidationError
 from .evaluation import DETECTION, ap_report, detections_from_output
 from .fileio import atomic_write
 from .losses import detection_loss
-from .optim import AdamW, MultiStepSchedule
-from .queryrepa import pretrain_step
+from .optim import AdamW
+from .queryrepa import batch_alignment_loss
 from .tokens import TokenProjection, build_registry, load_registry
 
 # substream tags for the run's seed tree
@@ -52,6 +59,14 @@ class RunBundle:
         """What a detection run trains, stores and restores: the model, plus
         the token projection when the run uses MoCA."""
         return self.model.parameters() + (self.projection.parameters() if self.config.moca else [])
+
+    def forward(self, batch, class_rng: np.random.Generator | None = None) -> DetectorOutput:
+        """The detector on a batch's stacked images, with the batch's token
+        rows when the run uses MoCA (drawn from ``class_rng`` in training,
+        modality means without it)."""
+        tokens = (attach_token(batch, self.config.dataset, self.registry, self.projection,
+                               class_rng) if self.config.moca else None)
+        return self.model.forward(np.stack([s.image for s in batch]), tokens)
 
 
 def _sub_seed(seed: int, tag: int) -> int:
@@ -82,21 +97,30 @@ def build_run(config: RunConfig) -> RunBundle:
                      registry=registry, model=model, projection=projection)
 
 
-class _CsvLog:
-    """Append-only metric log; one flushed line per row."""
+def optimizer_step(optimizer: AdamW, loss_of) -> float:
+    """One update on the scalar loss that ``loss_of()`` builds: zero the
+    gradients, record the loss on a fresh tape, backpropagate, step.
+    Returns the loss value."""
+    optimizer.zero_grad()
+    with ad.Tape():
+        loss = loss_of()
+        value = loss.item()
+        ad.backward(loss)
+    optimizer.step()
+    return value
 
-    def __init__(self, path, columns):
-        self.fh = open(path, "w", encoding="utf-8", newline="")
-        self.fh.write(",".join(columns) + "\n")
-        self.fh.flush()
 
-    def row(self, values) -> None:
-        self.fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                               for v in values) + "\n")
-        self.fh.flush()
-
-    def close(self) -> None:
-        self.fh.close()
+@contextmanager
+def _csv_log(path, columns):
+    """An append-only metric log, open for the ``with`` block: yields a
+    function that writes one flushed line per row."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        def row(values) -> None:
+            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
+                              for v in values) + "\n")
+            fh.flush()
+        row(columns)
+        yield row
 
 
 def _echo_config(config: RunConfig, out_dir: str) -> None:
@@ -105,41 +129,47 @@ def _echo_config(config: RunConfig, out_dir: str) -> None:
         json.dump(config.to_json(), fh, sort_keys=True, indent=1)
 
 
+def _save(path: str, named, config: RunConfig, phase: str, step: int) -> None:
+    save_checkpoint(path, named, config.to_json(), phase=phase, step=step,
+                    seeds={"seed": config.seed})
+
+
+def _read_checkpoint(path: str, phase: str) -> tuple:
+    """(run config, {name: array}) of a ``phase`` checkpoint; a missing or
+    malformed file, another phase or a bad stored config is a CheckpointError."""
+    header, stored = load_checkpoint(path)
+    if header.get("phase") != phase:
+        raise CheckpointError(f"{path} is not a {phase} checkpoint")
+    try:
+        return RunConfig.from_json(header.get("config")), stored
+    except ValidationError as e:
+        raise CheckpointError(f"{path}: bad checkpoint config: {e}") from e
+
+
 def run_pretrain(config: RunConfig, out_dir: str) -> dict:
     """Alignment-only pretraining; no detection loss is ever computed."""
     bundle = build_run(config)
-    _echo_config(config, out_dir)
-    cfg = config
     d = bundle.model.config.d_model
-    gphi = FeedForward(d, d, np.random.default_rng(np.random.SeedSequence([cfg.seed, _SS_GPHI])))
+    gphi = FeedForward(d, d, np.random.default_rng(np.random.SeedSequence([config.seed, _SS_GPHI])))
     named = (bundle.model.parameters() + bundle.projection.parameters()
              + gphi.parameters("gphi"))
-    optimizer = AdamW(named, lr=cfg.qra.lr, weight_decay=cfg.optim.weight_decay)
-    sampler = ModalityBatchSampler(bundle.train_samples, cfg.dataset.n_modalities,
-                                   cfg.qra_batch_size,
-                                   seed=_sub_seed(cfg.seed, _SS_SAMPLER))
-    class_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _SS_CLASS]))
-    log = _CsvLog(os.path.join(out_dir, "pretrain_steps.csv"), ["step", "loss"])
+    optimizer = AdamW(named, lr=config.qra.lr, weight_decay=config.optim.weight_decay)
+    sampler = ModalityBatchSampler(bundle.train_samples, config.dataset.n_modalities,
+                                   config.qra_batch_size,
+                                   seed=_sub_seed(config.seed, _SS_SAMPLER))
+    class_rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SS_CLASS]))
+    _echo_config(config, out_dir)
     losses = []
-    for step in range(cfg.qra.steps):
-        loss = pretrain_step(sampler.next_batch(), bundle.model, cfg.dataset,
-                             bundle.registry, bundle.projection, gphi,
-                             cfg.qra.tau, cfg.qra.layer, optimizer, class_rng)
-        losses.append(loss)
-        log.row([step, loss])
-    log.close()
+    with _csv_log(os.path.join(out_dir, "pretrain_steps.csv"), ["step", "loss"]) as log:
+        for step in range(config.qra.steps):
+            batch = sampler.next_batch()
+            losses.append(optimizer_step(optimizer, lambda: batch_alignment_loss(
+                batch, bundle.model, config.dataset, bundle.registry, bundle.projection,
+                gphi, config.qra.tau, config.qra.layer, class_rng)))
+            log([step, losses[-1]])
     ckpt = os.path.join(out_dir, "pretrain.ckpt")
-    save_checkpoint(ckpt, named, cfg.to_json(), phase="pretrain",
-                    step=cfg.qra.steps, seeds={"seed": cfg.seed})
+    _save(ckpt, named, config, "pretrain", config.qra.steps)
     return {"checkpoint": ckpt, "losses": losses}
-
-
-def _stored_config(header: dict, ckpt_path: str) -> RunConfig:
-    """The run config a checkpoint header stores; any fault is a CheckpointError."""
-    try:
-        return RunConfig.from_json(header.get("config"))
-    except ValidationError as e:
-        raise CheckpointError(f"{ckpt_path}: bad checkpoint config: {e}") from e
 
 
 def load_pretrained(bundle: RunBundle, ckpt_path: str) -> None:
@@ -148,10 +178,7 @@ def load_pretrained(bundle: RunBundle, ckpt_path: str) -> None:
     The alignment head is deliberately dropped: it exists only for the
     contrastive stage.
     """
-    header, stored = load_checkpoint(ckpt_path)
-    if header.get("phase") != "pretrain":
-        raise CheckpointError(f"{ckpt_path} is not a pretraining checkpoint")
-    stored_config = _stored_config(header, ckpt_path)
+    stored_config, stored = _read_checkpoint(ckpt_path, "pretrain")
     for section in ("model", "dataset", "tokens"):
         if getattr(stored_config, section) != getattr(bundle.config, section):
             raise CheckpointError(
@@ -172,10 +199,8 @@ def evaluate(bundle: RunBundle, samples):
     with ad.no_grad():
         for start in range(0, len(samples), size):
             batch = samples[start:start + size]
-            tokens = (attach_token(batch, spec, bundle.registry, bundle.projection)
-                      if bundle.config.moca else None)
-            out = bundle.model.forward(np.stack([s.image for s in batch]), tokens)
-            detections.append(detections_from_output(out, range(start, start + len(batch))))
+            detections.append(detections_from_output(bundle.forward(batch),
+                                                     range(start, start + len(batch))))
     class_modality = [spec.modality_of_class(c) for c in range(bundle.n_classes)]
     return ap_report(np.concatenate(detections), samples, bundle.n_classes,
                      modality_names=spec.modality_names,
@@ -186,66 +211,46 @@ def run_train(config: RunConfig, out_dir: str, from_pretrain: str | None = None)
     """Detection training (optionally resumed from alignment pretraining),
     with MoCA tokens when ``config.moca`` is on."""
     bundle = build_run(config)
-    _echo_config(config, out_dir)
-    cfg = config
-    if from_pretrain:
+    if from_pretrain is not None:
         load_pretrained(bundle, from_pretrain)
-
     named = bundle.detection_parameters()
-    optimizer = AdamW(named, lr=cfg.optim.lr, weight_decay=cfg.optim.weight_decay)
-    schedule = MultiStepSchedule(cfg.optim.lr, cfg.optim.decay_epoch,
-                                 cfg.optim.decay_factor)
-    class_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _SS_CLASS]))
-
-    steps_log = _CsvLog(os.path.join(out_dir, "metrics_steps.csv"),
-                        ["step", "epoch", "loss", "lr"])
-    epochs_log = _CsvLog(os.path.join(out_dir, "metrics_epochs.csv"),
-                         ["epoch", "ap", "ap50", "ap75"])
-
+    optimizer = AdamW(named, lr=config.optim.lr, weight_decay=config.optim.weight_decay)
+    class_rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SS_CLASS]))
+    _echo_config(config, out_dir)
     n = len(bundle.train_samples)
     step = 0
     best = {"ap": -1.0, "ap50": -1.0, "epoch": -1}
     last_eval = None
-    for epoch in range(cfg.optim.epochs):
-        optimizer.lr = schedule.lr_at(epoch)
-        order = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed, _SS_BATCH, epoch])).permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = [bundle.train_samples[i] for i in order[start:start + cfg.batch_size]]
-            optimizer.zero_grad()
-            with ad.Tape():
-                tokens = (attach_token(batch, cfg.dataset, bundle.registry,
-                                       bundle.projection, class_rng) if cfg.moca else None)
-                out = bundle.model.forward(np.stack([s.image for s in batch]), tokens)
+    with _csv_log(os.path.join(out_dir, "metrics_steps.csv"),
+                  ["step", "epoch", "loss", "lr"]) as steps_log, \
+            _csv_log(os.path.join(out_dir, "metrics_epochs.csv"),
+                     ["epoch", "ap", "ap50", "ap75"]) as epochs_log:
+        for epoch in range(config.optim.epochs):
+            optimizer.lr = config.optim.lr_at(epoch)
+            order = np.random.default_rng(
+                np.random.SeedSequence([config.seed, _SS_BATCH, epoch])).permutation(n)
+            for start in range(0, n, config.batch_size):
+                batch = [bundle.train_samples[i] for i in order[start:start + config.batch_size]]
                 targets = [(s.class_ids, np.array([a.box for a in s.annotations]))
                            for s in batch]
-                total = detection_loss(out.layers, targets, cfg.loss)
-                value = total.item()
-                ad.backward(total)
-            optimizer.step()
-            steps_log.row([step, epoch, value, optimizer.lr])
-            step += 1
+                value = optimizer_step(optimizer, lambda: detection_loss(
+                    bundle.forward(batch, class_rng).layers, targets, config.loss))
+                steps_log([step, epoch, value, optimizer.lr])
+                step += 1
 
-        if bundle.val_samples and ((epoch + 1) % cfg.eval_every == 0
-                                   or epoch == cfg.optim.epochs - 1):
-            report = evaluate(bundle, bundle.val_samples)
-            last_eval = report
-            epochs_log.row([epoch, report.ap or 0.0, report.ap50 or 0.0,
-                            report.ap75 or 0.0])
-            if (report.ap or 0.0) > best["ap"]:
-                best = {"ap": report.ap or 0.0, "ap50": report.ap50 or 0.0,
-                        "epoch": epoch}
-                save_checkpoint(os.path.join(out_dir, "best.ckpt"), named,
-                                cfg.to_json(), phase="detection", step=step,
-                                seeds={"seed": cfg.seed})
-    steps_log.close()
-    epochs_log.close()
+            if bundle.val_samples and ((epoch + 1) % config.eval_every == 0
+                                       or epoch == config.optim.epochs - 1):
+                report = last_eval = evaluate(bundle, bundle.val_samples)
+                epochs_log([epoch, report.ap or 0.0, report.ap50 or 0.0, report.ap75 or 0.0])
+                if (report.ap or 0.0) > best["ap"]:
+                    best = {"ap": report.ap or 0.0, "ap50": report.ap50 or 0.0,
+                            "epoch": epoch}
+                    _save(os.path.join(out_dir, "best.ckpt"), named, config, "detection", step)
 
     final_ckpt = os.path.join(out_dir, "final.ckpt")
-    save_checkpoint(final_ckpt, named, cfg.to_json(), phase="detection",
-                    step=step, seeds={"seed": cfg.seed})
+    _save(final_ckpt, named, config, "detection", step)
     summary = {
-        "moca": cfg.moca,
+        "moca": config.moca,
         "resumed_from_pretrain": from_pretrain is not None,
         "steps": step,
         "best": best,
@@ -256,19 +261,14 @@ def run_train(config: RunConfig, out_dir: str, from_pretrain: str | None = None)
     }
     with atomic_write(os.path.join(out_dir, "report.json")) as fh:
         json.dump(summary, fh, sort_keys=True, indent=1)
-    summary = dict(summary)
-    summary["from_pretrain"] = from_pretrain
-    summary["checkpoint_final"] = final_ckpt
-    summary["checkpoint_best"] = (os.path.join(out_dir, "best.ckpt")
-                                  if best["epoch"] >= 0 else None)
-    return summary
+    return dict(summary, from_pretrain=from_pretrain, checkpoint_final=final_ckpt,
+                checkpoint_best=(os.path.join(out_dir, "best.ckpt")
+                                 if best["epoch"] >= 0 else None))
 
 
 def load_detector_for_eval(ckpt_path: str) -> RunBundle:
     """Rebuild a bundle from a detection checkpoint (weights restored)."""
-    header, stored = load_checkpoint(ckpt_path)
-    if header.get("phase") != "detection":
-        raise CheckpointError(f"{ckpt_path} is not a detection checkpoint")
-    bundle = build_run(_stored_config(header, ckpt_path))
+    config, stored = _read_checkpoint(ckpt_path, "detection")
+    bundle = build_run(config)
     restore_params(bundle.detection_parameters(), stored, allow_extra=False)
     return bundle

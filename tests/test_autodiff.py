@@ -17,15 +17,15 @@ from mocadet.errors import ContractError, ShapeError, ValidationError
 
 def test_leaf_rejects_non_finite():
     with pytest.raises(ValidationError):
-        ad.tensor([1.0, np.nan])
+        ad.constant([1.0, np.nan])
     with pytest.raises(ValidationError):
-        ad.tensor([np.inf])
+        ad.constant([np.inf])
 
 
 def _softmax(a, scale=1.0):
     # one-head attention with identity keys and values returns softmax(scale * a)
-    eye = ad.tensor(np.eye(a.shape[1]))
-    return ad.attention(ad.tensor(a), eye, eye, 1, scale)
+    eye = ad.constant(np.eye(a.shape[1]))
+    return ad.attention(ad.constant(a), eye, eye, 1, scale)
 
 
 def test_softmax_uniform_and_closed_form():
@@ -49,28 +49,28 @@ def test_softmax_rows_sum_to_one_and_shift_invariance():
 
 def test_softmax_empty_rows_rejected():
     with pytest.raises(ShapeError):
-        ad.attention(ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((0, 3))),
-                     ad.tensor(np.ones((0, 3))), 1, 1.0)
+        ad.attention(ad.constant(np.ones((2, 3))), ad.constant(np.ones((0, 3))),
+                     ad.constant(np.ones((0, 3))), 1, 1.0)
     with pytest.raises(ValidationError):
         _softmax(np.ones((2, 2)), scale=0.0)
     with pytest.raises(ShapeError):  # width 6 does not split into 4 heads
-        x = ad.tensor(np.ones((2, 6)))
+        x = ad.constant(np.ones((2, 6)))
         ad.attention(x, x, x, 4, 1.0)
 
 
 def test_cosine_matrix_self_and_antipodal():
     rng = np.random.default_rng(3)
     for _ in range(10):
-        v = ad.tensor(rng.normal(size=(1, 6)))
-        w = ad.tensor(-v.data)
+        v = ad.constant(rng.normal(size=(1, 6)))
+        w = ad.constant(-v.data)
         c = ad.cosine_matrix(v, ad.concat_rows([v, w])).data
         assert c.shape == (1, 2)
         assert c[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert c[0, 1] == pytest.approx(-1.0, abs=1e-12)
     with pytest.raises(ValidationError):
-        ad.cosine_matrix(ad.tensor(np.ones((2, 4))), ad.tensor(np.zeros((1, 4))))
+        ad.cosine_matrix(ad.constant(np.ones((2, 4))), ad.constant(np.zeros((1, 4))))
     with pytest.raises(ShapeError):
-        ad.cosine_matrix(ad.tensor(np.ones((2, 4))), ad.tensor(np.ones((2, 3))))
+        ad.cosine_matrix(ad.constant(np.ones((2, 4))), ad.constant(np.ones((2, 3))))
 
 
 def test_cosine_matrix_and_logsumexp_rows_match_pairwise_formulas():
@@ -80,31 +80,31 @@ def test_cosine_matrix_and_logsumexp_rows_match_pairwise_formulas():
     for r, k in [(1, 1), (3, 5), (5, 5)]:
         a, b = rng.normal(size=(r, 7)), rng.normal(size=(k, 7))
         with ad.no_grad():
-            c = ad.cosine_matrix(ad.tensor(a), ad.tensor(b)).data
-            lse = ad.logsumexp_rows(ad.tensor(c * 3.0)).data
+            c = ad.cosine_matrix(ad.constant(a), ad.constant(b)).data
+            lse = ad.logsumexp_rows(ad.constant(c * 3.0)).data
         want = np.array([[float(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
                           for v in b] for u in a])
         assert np.allclose(c, want, rtol=0, atol=1e-14)
         assert np.allclose(lse, np.log(np.exp(c * 3.0).sum(axis=1)), rtol=0, atol=1e-13)
     with pytest.raises(ShapeError):
-        ad.logsumexp_rows(ad.tensor(np.ones((2, 0))))
+        ad.logsumexp_rows(ad.constant(np.ones((2, 0))))
 
 
 def test_mean_rows_segments_are_block_means():
     a = np.random.default_rng(5).normal(size=(6, 3))
     with ad.no_grad():
-        assert np.array_equal(ad.mean_rows(ad.tensor(a), 1).data, a.mean(axis=0, keepdims=True))
-        got = ad.mean_rows(ad.tensor(a), 3).data
-        one = ad.mean_rows(ad.tensor(a), 1).data
+        assert np.array_equal(ad.mean_rows(ad.constant(a), 1).data, a.mean(axis=0, keepdims=True))
+        got = ad.mean_rows(ad.constant(a), 3).data
+        one = ad.mean_rows(ad.constant(a), 1).data
     assert got.shape == (3, 3) and one.shape == (1, 3)
     assert np.allclose(got, [a[0:2].sum(axis=0) / 2, a[2:4].sum(axis=0) / 2,
                              a[4:6].sum(axis=0) / 2], rtol=0, atol=1e-15)
     with pytest.raises(ContractError):
-        ad.mean_rows(ad.tensor(a), 4)
+        ad.mean_rows(ad.constant(a), 4)
 
 
 def test_layernorm_constant_row_is_zero():
-    out = ad.layernorm(ad.tensor(np.full((3, 8), 2.5)))
+    out = ad.layernorm(ad.constant(np.full((3, 8), 2.5)))
     assert np.abs(out.data).max() < 1e-8
 
 
@@ -189,7 +189,7 @@ def test_expit_matches_the_closed_form_and_saturates_without_overflow():
     assert np.array_equal(got[[0, -1]], [0.0, 1.0])
     # oracle: the textbook formula wherever exp(-x) is finite
     assert np.allclose(got[1:-1], 1.0 / (1.0 + np.exp(-x[1:-1])), rtol=1e-15, atol=0.0)
-    assert np.array_equal(ad.sigmoid(ad.tensor(x)).data, got)
+    assert np.array_equal(ad.sigmoid(ad.constant(x)).data, got)
 
 
 def test_grad_check_unused_param_zero_error():
@@ -339,7 +339,7 @@ OP_NAMES = ["linear", "attention", "attention_extra_row",
 
 # public functions of autodiff that build no op node: leaf constructors,
 # the recording switches, the gradient drivers and the numpy sigmoid
-_NOT_OPS = {"tensor", "param", "constant", "grad_enabled", "active_tape", "zero_grad",
+_NOT_OPS = {"param", "constant", "grad_enabled", "active_tape", "zero_grad",
             "backward", "grad_check", "expit"}
 
 
@@ -445,14 +445,14 @@ def test_attention_segments_equal_separate_calls(extra):
 
 
 def test_attention_segments_shape_errors():
-    x = ad.tensor(np.ones((6, 4)))
+    x = ad.constant(np.ones((6, 4)))
     with pytest.raises(ShapeError):
         ad.attention(x, x, x, 2, 1.0, segments=4)  # 6 rows do not split into 4
     with pytest.raises(ShapeError):  # one extra row per segment
-        ad.attention(x, x, x, 2, 1.0, ad.tensor(np.ones((1, 4))), ad.tensor(np.ones((1, 4))),
+        ad.attention(x, x, x, 2, 1.0, ad.constant(np.ones((1, 4))), ad.constant(np.ones((1, 4))),
                      segments=2)
     with pytest.raises(ShapeError):
-        ad.attention(x, ad.tensor(np.ones((4, 4))), ad.tensor(np.ones((4, 4))), 2, 1.0,
+        ad.attention(x, ad.constant(np.ones((4, 4))), ad.constant(np.ones((4, 4))), 2, 1.0,
                      segments=3)
 
 

@@ -129,7 +129,7 @@ def test_uniform_attention_is_row_mean_per_head():
     mha.wo.b.data[:] = 0.0
     x = rng.normal(size=(2, 8))
     with ad.no_grad():
-        out = mha.attend(ad.tensor(x), ad.tensor(x))
+        out = mha.attend(ad.constant(x), ad.constant(x))
         values = x @ mha.wv.W.data + mha.wv.b.data
     expected = np.tile(values.mean(axis=0), (2, 1))
     assert np.allclose(out.data, expected, atol=1e-14)

@@ -550,7 +550,7 @@ def test_detections_from_output_splits_image_row_blocks():
     boxes = rng.uniform(0.2, 0.8, size=(3 * n, 4))
 
     def output(rows, n_images):
-        return DetectorOutput(layers=[(ad.tensor(logits[rows]), ad.tensor(boxes[rows]))],
+        return DetectorOutput(layers=[(ad.constant(logits[rows]), ad.constant(boxes[rows]))],
                               n_images=n_images)
 
     got = ev.detections_from_output(output(slice(None), 3), [5, 6, 7])
@@ -587,7 +587,7 @@ def test_detections_from_output_matches_tuple_sort(n, c, n_images):
     for _ in range(20):
         logits = rng.choice([-2.0, -0.5, 0.0, 0.5, 3.0], size=(n_images * n, c))
         boxes = rng.uniform(0.2, 0.8, size=(n_images * n, 4))
-        output = DetectorOutput(layers=[(ad.tensor(logits), ad.tensor(boxes))],
+        output = DetectorOutput(layers=[(ad.constant(logits), ad.constant(boxes))],
                                 n_images=n_images)
         images = [3 * i + 1 for i in range(n_images)]
         got = ev.detections_from_output(output, images)

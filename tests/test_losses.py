@@ -25,7 +25,7 @@ from mocadet.errors import ValidationError
 def _focal(logit, target, alpha=0.25, gamma=2.0):
     """The focal term of one logit through the loss's own focal node."""
     with ad.no_grad():
-        return ls._focal_node(ad.tensor(np.array([[logit]])), np.array([[float(target)]]),
+        return ls._focal_node(ad.constant(np.array([[logit]])), np.array([[float(target)]]),
                               np.ones((1, 1)), alpha, gamma).item()
 
 
@@ -54,7 +54,7 @@ def test_sigmoid_never_returns_the_upper_clamp_bound():
     bound = 1.0 - 1e-12
     x = math.log(bound / 1e-12) + np.arange(-200_000, 200_000) * 1e-7
     with ad.no_grad():
-        s = ad.sigmoid(ad.tensor(x)).data
+        s = ad.sigmoid(ad.constant(x)).data
     assert s[0] < bound < s[-1] and np.all(np.diff(s) >= 0)
     assert not (s == bound).any()
 
@@ -273,7 +273,7 @@ def test_detection_loss_perfect_predictions_near_zero():
     # boxes: query 0 exactly on target, query 1 elsewhere
     boxes = np.array([[0.5, 0.5, 0.25, 0.25], [0.1, 0.1, 0.05, 0.05]])
     with ad.no_grad():
-        loss = ls.detection_loss([(ad.tensor(logits), ad.tensor(boxes))],
+        loss = ls.detection_loss([(ad.constant(logits), ad.constant(boxes))],
                                  [(gt_classes, gt_boxes)], ls.LossWeights())
     assert loss.item() < 1e-6
 
@@ -284,8 +284,8 @@ def test_detection_loss_perfect_predictions_near_zero():
     logits = np.array([[-30.0, 30.0], [30.0, -30.0], [-30.0, -30.0]])
     boxes = np.vstack([gt_boxes, [[0.8, 0.1, 0.05, 0.05]]])
     order = [1, 0, 2]
-    layers = [(ad.tensor(logits), ad.tensor(boxes)),
-              (ad.tensor(logits[order]), ad.tensor(boxes[order]))]
+    layers = [(ad.constant(logits), ad.constant(boxes)),
+              (ad.constant(logits[order]), ad.constant(boxes[order]))]
     with ad.no_grad():
         loss = ls.detection_loss(layers, [(gt_classes, gt_boxes)], ls.LossWeights())
     assert loss.item() < 1e-6
@@ -295,7 +295,7 @@ def test_detection_loss_empty_image_is_negative_focal_only():
     logits = np.array([[0.4, -0.3], [1.0, 0.2]])
     boxes = np.full((2, 4), 0.5)
     with ad.no_grad():
-        loss = ls.detection_loss([(ad.tensor(logits), ad.tensor(boxes))],
+        loss = ls.detection_loss([(ad.constant(logits), ad.constant(boxes))],
                                  [([], np.zeros((0, 4)))], ls.LossWeights())
     # oracle: sum over entries of (1-alpha) * p^gamma * (-log(1-p))
     p = 1.0 / (1.0 + np.exp(-logits))
@@ -309,7 +309,7 @@ def test_detection_loss_single_pair_hand_composed():
     boxes = np.array([[0.52, 0.48, 0.3, 0.22]])
     gt_boxes = np.array([[0.45, 0.5, 0.35, 0.3]])
     with ad.no_grad():
-        loss = ls.detection_loss([(ad.tensor(logits), ad.tensor(boxes))],
+        loss = ls.detection_loss([(ad.constant(logits), ad.constant(boxes))],
                                  [([0], gt_boxes)], w)
 
     # independent composition with local formulas
@@ -342,7 +342,7 @@ def test_detection_loss_nonnegative_random():
         gt_boxes = np.column_stack([rng.uniform(0.3, 0.7, size=(g, 2)),
                                     rng.uniform(0.1, 0.3, size=(g, 2))]) if g else np.zeros((0, 4))
         with ad.no_grad():
-            loss = ls.detection_loss([(ad.tensor(logits), ad.tensor(boxes))],
+            loss = ls.detection_loss([(ad.constant(logits), ad.constant(boxes))],
                                      [(gt_classes, gt_boxes)], ls.LossWeights())
         assert loss.item() >= 0.0
 
@@ -480,7 +480,7 @@ def test_one_cost_matrix_gives_the_matches_of_per_block_cost_matrices(monkeypatc
 def test_detection_loss_rejects_truth_without_area():
     # GIoU divides by the union and hull areas, which a true box of positive
     # size keeps positive; matches are given, so no cost matrix checks it
-    layer = (ad.tensor(np.zeros((2, 2))), ad.tensor(np.full((2, 4), 0.5)))
+    layer = (ad.constant(np.zeros((2, 2))), ad.constant(np.full((2, 4), 0.5)))
     for box in ([0.5, 0.5, 0.0, 0.2], [0.5, 0.5, 0.2, -0.1]):
         with pytest.raises(ValidationError), ad.no_grad():
             ls.detection_loss([layer], [([0], np.array([box]))], ls.LossWeights(),
@@ -488,7 +488,7 @@ def test_detection_loss_rejects_truth_without_area():
 
 
 def test_detection_loss_rejects_rows_that_do_not_split_into_images():
-    layer = (ad.tensor(np.zeros((5, 2))), ad.tensor(np.full((5, 4), 0.5)))
+    layer = (ad.constant(np.zeros((5, 2))), ad.constant(np.full((5, 4), 0.5)))
     with pytest.raises(ValidationError), ad.no_grad():
         ls.detection_loss([layer], [([], np.zeros((0, 4)))] * 2, ls.LossWeights())
 

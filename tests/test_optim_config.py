@@ -15,7 +15,7 @@ from mocadet.data import DatasetSpec, ModalitySpec, make_default_spec
 from mocadet.errors import CheckpointError, ContractError, ValidationError
 from mocadet.fileio import atomic_write
 from mocadet.losses import LossWeights
-from mocadet.optim import CHUNK, AdamW, MultiStepSchedule
+from mocadet.optim import CHUNK, AdamW
 
 
 def test_adamw_zero_grad_zero_decay_noop():
@@ -133,11 +133,10 @@ def test_adamw_rejects_a_parameter_listed_twice():
 
 
 def test_multistep_schedule():
-    sched = MultiStepSchedule(2e-4, decay_epoch=40, factor=0.1)
-    assert sched.lr_at(0) == 2e-4
-    assert sched.lr_at(39) == 2e-4
-    assert sched.lr_at(40) == pytest.approx(2e-5)
-    assert sched.lr_at(99) == pytest.approx(2e-5)
+    # exact equality: metrics_steps.csv logs repr(lr)
+    optim = OptimConfig(lr=2e-4, decay_epoch=40, decay_factor=0.1)
+    assert optim.lr_at(0) == optim.lr_at(39) == 2e-4
+    assert optim.lr_at(40) == optim.lr_at(99) == 2e-4 * 0.1
 
 
 # -- config ------------------------------------------------------------------

@@ -11,6 +11,7 @@ from mocadet import detector as det
 from mocadet import optim as op
 from mocadet import queryrepa as qr
 from mocadet import tokens as tk
+from mocadet import train
 from mocadet.errors import ContractError, ValidationError
 
 
@@ -25,25 +26,25 @@ def _identity_head(d):
 
 def _rows(*vectors):
     """The (R, d) tensor whose rows are the given (d,) tensors."""
-    return ad.tensor(np.stack([v.data for v in vectors]))
+    return ad.constant(np.stack([v.data for v in vectors]))
 
 
 def test_cluster_mean_cases():
     q = np.array([[1.0, 2.0, 3.0]])
     with ad.no_grad():
-        assert np.array_equal(qr.cluster_mean(ad.tensor(np.tile(q, (4, 1))), 1).data, q)
+        assert np.array_equal(qr.cluster_mean(ad.constant(np.tile(q, (4, 1))), 1).data, q)
         assert np.array_equal(
-            qr.cluster_mean(ad.tensor(np.vstack([q, -q])), 1).data, np.zeros((1, 3)))
+            qr.cluster_mean(ad.constant(np.vstack([q, -q])), 1).data, np.zeros((1, 3)))
         rnd = np.random.default_rng(1).normal(size=(4, 3))
-        got = qr.cluster_mean(ad.tensor(rnd), 1).data
+        got = qr.cluster_mean(ad.constant(rnd), 1).data
     assert np.allclose(got, rnd.sum(axis=0) / 4.0, atol=1e-15)  # independent mean
 
 
 def test_qra_loss_all_equal_similarities():
     d = 4
     head = _identity_head(d)
-    q_bar = ad.tensor([1.0, 0.0, 0.0, 0.0])
-    cands = [ad.tensor([1.0, 0.0, 0.0, 0.0]) for _ in range(4)]  # K = 3
+    q_bar = ad.constant([1.0, 0.0, 0.0, 0.0])
+    cands = [ad.constant([1.0, 0.0, 0.0, 0.0]) for _ in range(4)]  # K = 3
     with ad.no_grad():
         loss = qr.qra_loss(_rows(q_bar), _rows(*cands), head, tau=0.07)
     assert loss.item() == pytest.approx(math.log(4.0), abs=1e-12)
@@ -53,9 +54,9 @@ def test_qra_loss_two_candidate_formula():
     # cosine sims are 0.8 (positive) and 0.2; oracle is the direct formula
     d = 3
     head = _identity_head(d)
-    q_bar = ad.tensor([1.0, 0.0, 0.0])
-    pos = ad.tensor([0.8, math.sqrt(1 - 0.64), 0.0])
-    neg = ad.tensor([0.2, math.sqrt(1 - 0.04), 0.0])
+    q_bar = ad.constant([1.0, 0.0, 0.0])
+    pos = ad.constant([0.8, math.sqrt(1 - 0.64), 0.0])
+    neg = ad.constant([0.2, math.sqrt(1 - 0.04), 0.0])
     tau = 0.07
     with ad.no_grad():
         loss = qr.qra_loss(_rows(q_bar), _rows(pos, neg), head, tau=tau)
@@ -67,8 +68,8 @@ def test_qra_loss_two_candidate_formula():
 
 def test_qra_loss_single_candidate_is_zero():
     head = _identity_head(3)
-    q_bar = ad.tensor([0.5, 0.5, 0.0])
-    pos = ad.tensor([1.0, 0.0, 0.0])
+    q_bar = ad.constant([0.5, 0.5, 0.0])
+    pos = ad.constant([1.0, 0.0, 0.0])
     with ad.no_grad():
         loss = qr.qra_loss(_rows(q_bar), _rows(pos), head, tau=0.07)
     assert loss.item() == 0.0
@@ -76,9 +77,9 @@ def test_qra_loss_single_candidate_is_zero():
 
 def test_qra_loss_contracts():
     head = _identity_head(3)
-    q_bar = ad.tensor([1.0, 0.0, 0.0])
-    pos = ad.tensor([1.0, 0.0, 0.0])
-    other = ad.tensor([0.0, 1.0, 0.0])
+    q_bar = ad.constant([1.0, 0.0, 0.0])
+    pos = ad.constant([1.0, 0.0, 0.0])
+    other = ad.constant([0.0, 1.0, 0.0])
     with pytest.raises(ValidationError):
         qr.qra_loss(_rows(q_bar), _rows(pos, other), head, tau=0.0)
     with pytest.raises(ContractError):  # the second mean has no token of its own
@@ -92,9 +93,9 @@ def test_qra_loss_matches_independent_reimplementation():
     d = 6
     for _ in range(100):
         head = det.FeedForward(d, d, rng)
-        q_bar = ad.tensor(rng.normal(size=d))
+        q_bar = ad.constant(rng.normal(size=d))
         b = int(rng.integers(2, 6))
-        cands = [ad.tensor(rng.normal(size=d)) for _ in range(b)]
+        cands = [ad.constant(rng.normal(size=d)) for _ in range(b)]
         pos_idx = int(rng.integers(0, b))
         tau = float(rng.uniform(0.03, 1.0))
         with ad.no_grad():
@@ -117,9 +118,9 @@ def test_qra_loss_crude_lower_bound():
     d = 5
     head = det.FeedForward(d, d, rng)
     for _ in range(25):
-        q_bar = ad.tensor(rng.normal(size=d))
+        q_bar = ad.constant(rng.normal(size=d))
         b = int(rng.integers(2, 6))
-        cands = [ad.tensor(rng.normal(size=d)) for _ in range(b)]
+        cands = [ad.constant(rng.normal(size=d)) for _ in range(b)]
         tau = float(rng.uniform(0.05, 0.5))
         with ad.no_grad():
             sims = ad.cosine_matrix(head(_rows(q_bar)), _rows(*cands)).data[0]
@@ -198,8 +199,8 @@ def test_pretrain_step_single_sample_batch_zero_loss():
     spec, samples, cfg, model, registry, proj, gphi = _tiny_setup()
     batch = dt.ModalityBatchSampler(samples, 5, 1, seed=0).next_batch()
     optim = op.AdamW(model.parameters() + proj.parameters() + gphi.parameters("gphi"), lr=1e-3)
-    loss = qr.pretrain_step(batch, model, spec, registry, proj, gphi, 0.07, 2,
-                            optim, np.random.default_rng(0))
+    loss = train.optimizer_step(optim, lambda: qr.batch_alignment_loss(
+        batch, model, spec, registry, proj, gphi, 0.07, 2, np.random.default_rng(0)))
     assert loss == 0.0
 
 
@@ -243,8 +244,9 @@ def test_pretraining_improves_positive_rank():
                                        gphi, 2, np.random.default_rng(5))
     first = last = None
     for step in range(200):
-        loss = qr.pretrain_step(sampler.next_batch(), model, spec, registry, proj,
-                                gphi, 0.07, 2, optim, class_rng)
+        batch = sampler.next_batch()
+        loss = train.optimizer_step(optim, lambda: qr.batch_alignment_loss(
+            batch, model, spec, registry, proj, gphi, 0.07, 2, class_rng))
         first = loss if first is None else first
         last = loss
     after = qr.positive_rank_fraction(eval_batches, model, spec, registry, proj,

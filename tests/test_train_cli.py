@@ -11,6 +11,7 @@ from mocadet.cli import main
 from mocadet.config import RunConfig
 from mocadet.errors import CheckpointError
 from mocadet.evaluation import DETECTION
+from mocadet.losses import detection_loss
 from mocadet.train import (build_run, evaluate, load_detector_for_eval,
                            load_pretrained, run_pretrain, run_train)
 
@@ -117,6 +118,24 @@ def test_finetune_runs_and_improves_nothing_breaks(tmp_path):
     summary = run_train(cfg, str(tmp_path / "ft"), from_pretrain=pre["checkpoint"])
     assert summary["steps"] > 0
     assert summary["from_pretrain"] == pre["checkpoint"]
+
+
+def test_run_train_closes_its_logs_when_a_step_fails(tmp_path, monkeypatch):
+    # the second step's loss raises; an open log would be a ResourceWarning
+    from mocadet import train
+    calls = []
+
+    def failing_loss(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("loss failed")
+        return detection_loss(*args, **kwargs)
+
+    monkeypatch.setattr(train, "detection_loss", failing_loss)
+    with pytest.raises(RuntimeError, match="loss failed"):
+        run_train(RunConfig.from_json(_tiny_doc(epochs=1)), str(tmp_path / "run"))
+    assert (tmp_path / "run" / "metrics_steps.csv").read_text().count("\n") == 2
+    assert (tmp_path / "run" / "metrics_epochs.csv").read_text() == "epoch,ap,ap50,ap75\n"
 
 
 def test_eval_checkpoint_round_trip(tmp_path):
@@ -288,6 +307,33 @@ def test_cli_pretrain_and_mi_lab(tmp_path):
                  "--seed", "1", "--report", str(rep)]) == 0
     doc = json.loads(rep.read_text())
     assert doc["passed"] is True
+
+
+def test_cli_pretrain_rejected_by_the_sampler_writes_nothing(tmp_path, capsys):
+    # one train image for two modalities: the second has none to sample
+    doc = _tiny_doc()
+    doc["dataset"]["counts"] = {"train": 1, "val": 2}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["pretrain", "--config", str(cfg_path), "--out", str(tmp_path / "pre")]) == 1
+    assert "modalities with no samples" in capsys.readouterr().err
+    assert not (tmp_path / "pre").exists()
+
+
+@pytest.mark.parametrize("case", ["missing", "empty_path", "n_queries"])
+def test_cli_train_rejecting_the_pretraining_checkpoint_writes_nothing(tmp_path, capsys, case):
+    ckpt = "" if case == "empty_path" else tmp_path / "pre" / "pretrain.ckpt"
+    if case == "n_queries":
+        other = _tiny_doc(qra_steps=0)
+        other["model"]["n_queries"] = 8
+        run_pretrain(RunConfig.from_json(other), str(tmp_path / "pre"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_doc(epochs=1)))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run"),
+                 "--from-pretrain", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "runtime error" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_pretrain_with_zero_steps(tmp_path, capsys):
