@@ -61,10 +61,16 @@ def _pairwise(a, b, what: str):
     return stacks[0][:, :, None], stacks[1][:, None, :]
 
 
+def corner_iou(a, b):
+    """Intersection over union of two xyxy corner stacks, entry by entry and
+    unchecked; ``a`` and ``b`` are as in ``_overlap``."""
+    iw, ih, union = _overlap(a, b)
+    return iw * ih / union
+
+
 def iou(a, b) -> np.ndarray:
     """Pairwise intersection over union of (N, 4) and (G, 4) xyxy boxes."""
-    iw, ih, union = _overlap(*_pairwise(a, b, "iou"))
-    return iw * ih / union
+    return corner_iou(*_pairwise(a, b, "iou"))
 
 
 def giou(a, b) -> np.ndarray:

@@ -17,7 +17,7 @@ import os
 import numpy as np
 
 from .errors import CheckpointError
-from .fileio import atomic_write
+from .fileio import atomic_write, make_dirs
 
 _MAGIC = b"MDCKPT1\n"
 
@@ -41,7 +41,7 @@ def save_checkpoint(path, named_params, config_json: dict, phase: str,
         "params": table,
     }
     payload = json.dumps(header, sort_keys=True).encode("utf-8")
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    make_dirs(os.path.dirname(os.path.abspath(path)))
     with atomic_write(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(np.uint64(len(payload)).tobytes())

@@ -7,7 +7,9 @@ local index, so the same silhouette can mean different classes in different
 modalities -- resolving it requires modality context. Boxes are derived
 from the rendered mask, so annotations are exact by construction. Images
 are quantized to float32 values at generation time so the raw-blob export
-is lossless.
+is lossless. The texture is computed on 1-d coordinates and broadcast, and
+the four fixed shapes are built once per extent and cached read-only; only
+the blob draws from the generator.
 
 Each image of a batch gets one modality token row (``attach_token``): the
 embedding of one of its box classes in training, and the mean of its
@@ -26,6 +28,7 @@ On-disk formats:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -35,9 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .boxes import iou
+from .boxes import corner_iou
 from .errors import ContractError, IngestError, TokenLookupError, ValidationError
-from .fileio import atomic_write, json_form, read_dataclass
+from .fileio import atomic_write, json_form, make_dirs, read_dataclass
 from .tokens import TokenProjection, TokenRegistry, _fnv1a64
 
 _RAWF32_MAGIC = b"RAWF32\x00"
@@ -178,9 +181,26 @@ def make_default_spec(seed: int = 0, counts=None) -> DatasetSpec:
 _SHAPES = ("circle", "square", "triangle", "ring", "blob")
 
 
-def _shape_mask(shape: str, size: int, rng: np.random.Generator) -> np.ndarray:
-    s = max(int(size), 2)
-    yy, xx = np.indices((s, s), dtype=np.float64)
+def _grid(s: int):
+    """Pixel coordinates of an s x s grid: rows as an (s, 1) column and
+    columns as a (1, s) row, which broadcast to every pixel."""
+    t = np.arange(s, dtype=np.float64)
+    return t[:, None], t[None, :]
+
+
+def _tight_crop(mask: np.ndarray) -> np.ndarray:
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    return mask[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+
+
+@functools.cache
+def _fixed_mask(shape: str, s: int) -> np.ndarray:
+    """The cropped mask of a shape that does not draw from the generator, as
+    a read-only view; cached, so there is one per (shape, extent). Extents
+    never exceed the image size, so the cache holds at most 4 x N masks,
+    N the largest image size rendered."""
+    yy, xx = _grid(s)
     cy = cx = (s - 1) / 2.0
     r = s / 2.0
     if shape == "circle":
@@ -191,21 +211,27 @@ def _shape_mask(shape: str, size: int, rng: np.random.Generator) -> np.ndarray:
         # upward triangle: row i spans a widening band
         half = (yy + 1) / s * r
         mask = np.abs(xx - cx) <= half
-    elif shape == "ring":
+    else:  # ring
         d2 = (yy - cy) ** 2 + (xx - cx) ** 2
         inner = max(r * 0.55, 0.5)
         mask = (d2 <= r * r) & (d2 >= inner * inner)
-    elif shape == "blob":
-        mask = np.zeros((s, s), dtype=bool)
-        for _ in range(int(rng.integers(2, 4))):
-            by, bx = rng.uniform(0.25 * s, 0.75 * s, size=2)
-            br = rng.uniform(0.25 * s, 0.45 * s)
-            mask |= (yy - by) ** 2 + (xx - bx) ** 2 <= br * br
-    else:
+    mask.setflags(write=False)
+    return _tight_crop(mask)
+
+
+def _shape_mask(shape: str, size: int, rng: np.random.Generator) -> np.ndarray:
+    s = max(int(size), 2)
+    if shape not in _SHAPES:
         raise ValidationError(f"unknown shape {shape!r}")
-    rows = np.flatnonzero(mask.any(axis=1))
-    cols = np.flatnonzero(mask.any(axis=0))
-    return mask[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]  # tight crop
+    if shape != "blob":
+        return _fixed_mask(shape, s)
+    yy, xx = _grid(s)
+    mask = np.zeros((s, s), dtype=bool)
+    for _ in range(int(rng.integers(2, 4))):
+        by, bx = rng.uniform(0.25 * s, 0.75 * s, size=2)
+        br = rng.uniform(0.25 * s, 0.45 * s)
+        mask |= (yy - by) ** 2 + (xx - bx) ** 2 <= br * br
+    return _tight_crop(mask)
 
 
 def _apply_curve(img: np.ndarray, curve: int) -> np.ndarray:
@@ -238,16 +264,17 @@ def _render_sample(spec: DatasetSpec, modality_id: int, split: str,
     rng = np.random.default_rng(
         np.random.SeedSequence([spec.seed, _split_code(split), modality_id, index]))
 
-    yy, xx = np.indices((size, size), dtype=np.float64) / size
+    t = np.arange(size) / size  # x along a row, y down a column
     phase = rng.uniform(0, 2 * math.pi, size=2)
-    img = 0.32 + 0.10 * np.sin(2 * math.pi * mod.texture_freq * xx + phase[0]) \
-                      * np.sin(2 * math.pi * mod.texture_freq * yy + phase[1])
-    img += 0.06 * (xx - 0.5) * rng.uniform(-1, 1)
+    img = 0.32 + 0.10 * np.sin(2 * math.pi * mod.texture_freq * t + phase[0]) \
+                      * np.sin(2 * math.pi * mod.texture_freq * t + phase[1])[:, None]
+    img += 0.06 * (t - 0.5) * rng.uniform(-1, 1)
 
     n_objects = int(rng.integers(spec.objects_range[0], spec.objects_range[1] + 1))
+    class_offset = spec.class_offset(modality_id)
     annotations = []
-    placed_xyxy = []
-    for _ in range(n_objects):
+    placed = np.empty((4, n_objects))  # xyxy corners, one column per placed object
+    for k in range(n_objects):
         local_cls = int(rng.integers(0, len(mod.classes)))
         extent = int(rng.integers(spec.size_range[0], spec.size_range[1] + 1))
         mask = _shape_mask(shape_of_class(local_cls), extent, rng)
@@ -256,15 +283,14 @@ def _render_sample(spec: DatasetSpec, modality_id: int, split: str,
             r0 = int(rng.integers(1, size - mh)) if size - mh > 1 else 0
             c0 = int(rng.integers(1, size - mw)) if size - mw > 1 else 0
             xyxy = (c0, r0, c0 + mw, r0 + mh)
-            if not placed_xyxy or iou([xyxy], placed_xyxy).max() < 0.3:
+            if not k or corner_iou(xyxy, placed[:, :k]).max() < 0.3:
                 break
-        placed_xyxy.append(xyxy)
+        placed[:, k] = xyxy
         level = rng.uniform(0.72, 0.95)
         region = img[r0:r0 + mh, c0:c0 + mw]
         region[mask] = level
         box = ((c0 + mw / 2.0) / size, (r0 + mh / 2.0) / size, mw / size, mh / size)
-        annotations.append(Annotation(box=box,
-                                      class_id=spec.class_offset(modality_id) + local_cls).validate())
+        annotations.append(Annotation(box=box, class_id=class_offset + local_cls).validate())
 
     img = _apply_curve(img, mod.curve)
     if mod.noise_sigma > 0:
@@ -323,7 +349,7 @@ def export_dataset(samples, spec: DatasetSpec, out_dir, split: str) -> str:
     manifest still names the old blob, and after it the old blob is removed.
     A failed export therefore leaves the old dataset as it was.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    make_dirs(out_dir)
     records, images = [], []
     offset = 0
     for s in samples:
@@ -439,7 +465,7 @@ def write_rawf32(path, image: np.ndarray) -> None:
 def export_coco(samples, spec: DatasetSpec, out_dir, split: str) -> str:
     """COCO-style annotations + one .rawf32 image file per sample."""
     img_dir = os.path.join(out_dir, f"{split}_images")
-    os.makedirs(img_dir, exist_ok=True)
+    make_dirs(img_dir)
     size = spec.image_size
     images, annotations = [], []
     ann_id = 1

@@ -168,7 +168,9 @@ class DetectorOutput:
     """Per-layer predictions of B images; rows are image-major (image b owns
     rows b*N .. (b+1)*N - 1 of every tensor)."""
 
-    layers: list  # per decoder layer: (class logits [B*N x C], boxes [B*N x 4] cxcywh)
+    # per decoder layer (the last one only under final_heads_only):
+    # (class logits [B*N x C], boxes [B*N x 4] cxcywh)
+    layers: list
     query_states: list = field(default_factory=list)  # Q^(1..L), each [B*N x d]
     n_images: int = 1
 
@@ -213,12 +215,16 @@ class Detector(ad.Module):
         return x
 
     def decode(self, memory: ad.Tensor, tokens: ad.Tensor | None,
-               mask_token_column: bool = False, n_images: int = 1) -> DetectorOutput:
+               mask_token_column: bool = False, n_images: int = 1,
+               final_heads_only: bool = False) -> DetectorOutput:
         """Decode the memory of ``n_images`` stacked images.
 
         ``tokens`` is None or the (n_images, d) token rows, row b for image b.
         Given tokens, each self-attention takes image b's projected token as
         one extra key/value row (MoCA); given None, it is plain attention.
+        With ``final_heads_only`` the class and box heads run on the last
+        decoder layer alone, so ``layers`` holds one entry (what inference
+        reads); the query states of every layer are kept either way.
         """
         cfg, b = self.config, n_images
         if b < 1 or memory.ndim != 2 or memory.shape[0] % b:
@@ -232,19 +238,23 @@ class Detector(ad.Module):
         if b > 1:
             queries, query_pos = ad.concat_rows([queries] * b), ad.concat_rows([query_pos] * b)
         out = DetectorOutput(layers=[], n_images=b)
-        for layer in self.decoder:
+        for i, layer in enumerate(self.decoder):
             queries = layer(queries, memory, query_pos, token_rows,
                             mask_token=mask_token_column, segments=b)
             out.query_states.append(queries)
+            if final_heads_only and i < len(self.decoder) - 1:
+                continue
             logits = self.cls_head(queries)
             boxes = ad.sigmoid(self.box_out(ad.relu(self.box_hidden(queries))))
             out.layers.append((logits, boxes))
         return out
 
     def forward(self, images: np.ndarray, tokens: ad.Tensor | None = None,
-                mask_token_column: bool = False) -> DetectorOutput:
+                mask_token_column: bool = False,
+                final_heads_only: bool = False) -> DetectorOutput:
         """One forward of a (B, H, W) stack or one (H, W) image; ``tokens``
-        as in ``decode``."""
+        and ``final_heads_only`` as in ``decode``."""
         n_images = 1 if np.ndim(images) == 2 else len(images)
-        return self.decode(self.encode(images), tokens, mask_token_column, n_images)
+        return self.decode(self.encode(images), tokens, mask_token_column, n_images,
+                           final_heads_only)
 

@@ -1,4 +1,5 @@
-"""Atomic file writes, and the one rule that turns JSON into config objects:
+"""Atomic file writes and output directories, where a bad path is a
+``ValidationError``, and the one rule that turns JSON into config objects:
 ``read_dataclass`` follows the field annotations and checks instead of
 converting. An unknown key, a missing required field or a value of the wrong
 JSON type is a ``ValidationError`` naming the dotted field, e.g.
@@ -25,11 +26,18 @@ def atomic_write(path, mode: str = "w"):
 
     When the block ends normally the file replaces ``path`` in one
     ``os.replace``; when it raises, the file is removed and ``path`` is left
-    as it was. ``mode`` is "w" (UTF-8 text) or "wb".
+    as it was. ``mode`` is "w" (UTF-8 text) or "wb". A ``path`` that names a
+    directory, or lies in a directory that cannot hold the file (missing, not
+    a directory, not writable), is a ValidationError: a bad path argument.
     """
     head, tail = os.path.split(os.fspath(path))
     tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
-    fh = open(tmp, mode.replace("w", "x"), encoding=None if "b" in mode else "utf-8")
+    if os.path.isdir(path):
+        raise ValidationError(f"cannot write {path}: it is a directory")
+    try:
+        fh = open(tmp, mode.replace("w", "x"), encoding=None if "b" in mode else "utf-8")
+    except OSError as e:
+        raise ValidationError(f"cannot write {path}: {e}") from e
     try:
         with fh:
             yield fh
@@ -37,6 +45,16 @@ def atomic_write(path, mode: str = "w"):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def make_dirs(path) -> None:
+    """``os.makedirs(path, exist_ok=True)``; a path that cannot be a directory
+    (an existing file, or a path under one) is a ValidationError: a bad path
+    argument."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise ValidationError(f"cannot make directory {path}: {e}") from e
 
 
 _SCALARS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}

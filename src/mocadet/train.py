@@ -32,7 +32,7 @@ from .data import ModalityBatchSampler, attach_token, generate_synthetic
 from .detector import Detector, DetectorOutput, FeedForward
 from .errors import CheckpointError, ValidationError
 from .evaluation import DETECTION, ap_report, detections_from_output
-from .fileio import atomic_write
+from .fileio import atomic_write, make_dirs
 from .losses import detection_loss
 from .optim import AdamW
 from .queryrepa import batch_alignment_loss
@@ -60,13 +60,16 @@ class RunBundle:
         the token projection when the run uses MoCA."""
         return self.model.parameters() + (self.projection.parameters() if self.config.moca else [])
 
-    def forward(self, batch, class_rng: np.random.Generator | None = None) -> DetectorOutput:
+    def forward(self, batch, class_rng: np.random.Generator | None = None,
+                final_heads_only: bool = False) -> DetectorOutput:
         """The detector on a batch's stacked images, with the batch's token
         rows when the run uses MoCA (drawn from ``class_rng`` in training,
-        modality means without it)."""
+        modality means without it); ``final_heads_only`` as in
+        ``Detector.decode``."""
         tokens = (attach_token(batch, self.config.dataset, self.registry, self.projection,
                                class_rng) if self.config.moca else None)
-        return self.model.forward(np.stack([s.image for s in batch]), tokens)
+        return self.model.forward(np.stack([s.image for s in batch]), tokens,
+                                  final_heads_only=final_heads_only)
 
 
 def _sub_seed(seed: int, tag: int) -> int:
@@ -124,7 +127,7 @@ def _csv_log(path, columns):
 
 
 def _echo_config(config: RunConfig, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
+    make_dirs(out_dir)
     with atomic_write(os.path.join(out_dir, "config.json")) as fh:
         json.dump(config.to_json(), fh, sort_keys=True, indent=1)
 
@@ -190,8 +193,9 @@ def load_pretrained(bundle: RunBundle, ckpt_path: str) -> None:
 def evaluate(bundle: RunBundle, samples):
     """Validation metrics with inference tokens (modality means, no labels).
 
-    Images run ``config.batch_size`` at a time through one forward each;
-    MoCA tokens are used when ``config.moca`` is on.
+    Images run ``config.batch_size`` at a time through one forward each,
+    with the heads on the last decoder layer only, the one the detections
+    come from; MoCA tokens are used when ``config.moca`` is on.
     """
     spec = bundle.config.dataset
     size = bundle.config.batch_size
@@ -199,8 +203,8 @@ def evaluate(bundle: RunBundle, samples):
     with ad.no_grad():
         for start in range(0, len(samples), size):
             batch = samples[start:start + size]
-            detections.append(detections_from_output(bundle.forward(batch),
-                                                     range(start, start + len(batch))))
+            output = bundle.forward(batch, final_heads_only=True)
+            detections.append(detections_from_output(output, range(start, start + len(batch))))
     class_modality = [spec.modality_of_class(c) for c in range(bundle.n_classes)]
     return ap_report(np.concatenate(detections), samples, bundle.n_classes,
                      modality_names=spec.modality_names,

@@ -6,11 +6,12 @@ import os
 import numpy as np
 import pytest
 
+from mocadet import autodiff as ad
 from mocadet.checkpoint import load_checkpoint, save_checkpoint
 from mocadet.cli import main
 from mocadet.config import RunConfig
 from mocadet.errors import CheckpointError
-from mocadet.evaluation import DETECTION
+from mocadet.evaluation import DETECTION, detections_from_output
 from mocadet.losses import detection_loss
 from mocadet.train import (build_run, evaluate, load_detector_for_eval,
                            load_pretrained, run_pretrain, run_train)
@@ -200,6 +201,19 @@ def test_evaluate_in_batches_equals_one_image_at_a_time(tmp_path, monkeypatch):
         assert (a["image"], a["class_id"]) == (b["image"], b["class_id"])
         assert np.allclose(np.append(a["box"], a["score"]), np.append(b["box"], b["score"]),
                            rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("moca", [True, False], ids=["moca_on", "moca_off"])
+def test_final_heads_only_gives_the_detections_of_the_full_forward(moca):
+    bundle = build_run(RunConfig.from_json(dict(_tiny_doc(), moca=moca)))
+    batch = bundle.val_samples[:4]
+    with ad.no_grad():
+        full = bundle.forward(batch)
+        last = bundle.forward(batch, final_heads_only=True)
+    assert len(full.layers) == len(last.query_states) == 2 and len(last.layers) == 1
+    a, b = (detections_from_output(o, range(len(batch))) for o in (full, last))
+    assert a.dtype == b.dtype == DETECTION and len(a) > 0
+    assert a.tobytes() == b.tobytes()
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -399,3 +413,36 @@ def test_cli_exit_codes(tmp_path):
     # missing checkpoint file -> validation exit (checkpoint error)
     assert main(["eval", "--ckpt", str(tmp_path / "none.ckpt"),
                  "--data", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("command", ["train", "pretrain", "gen-data"])
+@pytest.mark.parametrize("under_file", [False, True], ids=["file", "under_file"])
+def test_cli_output_directory_that_is_a_file_exits_1(tmp_path, capsys, command, under_file):
+    doc = _tiny_doc(epochs=1, qra_steps=1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc["dataset"] if command == "gen-data" else doc))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("x")
+    out = blocker / "sub" if under_file else blocker
+    source = "--spec" if command == "gen-data" else "--config"
+    assert main([command, source, str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "runtime error" not in err
+    assert blocker.read_text() == "x"
+
+
+@pytest.mark.parametrize("flag,target", [("--out", "blocker/r.json"), ("--csv", "blocker/r.csv"),
+                                         ("--out", "d")], ids=["out", "csv", "out_dir"])
+def test_cli_eval_report_path_under_a_file_or_on_a_directory_exits_1(tmp_path, capsys,
+                                                                     flag, target):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_tiny_doc()["dataset"]))
+    assert main(["gen-data", "--spec", str(spec_path), "--out", str(tmp_path / "d")]) == 0
+    ckpt = run_train(RunConfig.from_json(_tiny_doc(epochs=1)),
+                     str(tmp_path / "run"))["checkpoint_final"]
+    blocker = tmp_path / "blocker"
+    blocker.write_text("x")
+    assert main(["eval", "--ckpt", ckpt, "--data", str(tmp_path / "d"),
+                 flag, str(tmp_path / target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "runtime error" not in err
