@@ -30,13 +30,14 @@ Conventions:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractError, ShapeError, ValidationError
 
 _state = threading.local()
+
+_LAYERNORM_EPS = 1e-5
 
 
 def _tape_stack() -> list:
@@ -122,24 +123,12 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
     # -- operator sugar --------------------------------------------------
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
 
 
 def param(data) -> Tensor:
@@ -222,11 +211,6 @@ def _accum(parent: Tensor, g: np.ndarray) -> None:
             parent.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g)
         else:
             parent.grad += g
-
-
-def zero_grad(params) -> None:
-    for p in params:
-        p.grad = None
 
 
 def node(data, parents, pullback) -> Tensor:
@@ -432,10 +416,10 @@ def logsumexp_rows(a: Tensor) -> Tensor:
     return _make_node(out_data, (a,), pullback)
 
 
-def layernorm(a: Tensor, eps: float = 1e-5, gamma: Tensor | None = None,
-              beta: Tensor | None = None) -> Tensor:
-    """Per-row normalization to zero mean / unit variance, then ``* gamma +
-    beta`` when those vectors over the normalized axis are given."""
+def layernorm(a: Tensor, gamma: Tensor | None = None, beta: Tensor | None = None) -> Tensor:
+    """Per-row normalization to zero mean / unit variance (with 1e-5 added to
+    the variance), then ``* gamma + beta`` when those vectors over the
+    normalized axis are given."""
     a = _as_tensor(a)
     if a.ndim not in (1, 2):
         raise ShapeError(f"layernorm needs a vector or matrix, got {a.shape}")
@@ -444,7 +428,7 @@ def layernorm(a: Tensor, eps: float = 1e-5, gamma: Tensor | None = None,
         raise ShapeError(f"layernorm needs gamma and beta of shape {a.shape[-1:]} or neither")
     mu = a.data.mean(axis=axis, keepdims=True)
     var = ((a.data - mu) ** 2).mean(axis=axis, keepdims=True)
-    s = np.sqrt(var + eps)
+    s = np.sqrt(var + _LAYERNORM_EPS)
     y = (a.data - mu) / s
 
     def pullback(g):
@@ -530,14 +514,14 @@ def cosine_matrix(a: Tensor, b: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# backward and gradient checking
+# backward
 # ---------------------------------------------------------------------------
 
 
 def backward(loss: Tensor) -> None:
     """Run reverse mode from a scalar loss in one pass over its tape.
 
-    Gradients accumulate into ``.grad`` (call ``zero_grad`` between steps).
+    Gradients accumulate into ``.grad``; the caller clears them between steps.
     Newest node first, a node's pullback runs when the node holds a gradient,
     which only a node whose pullback ran can give it. The loss's tape is
     consumed and emptied, and its nodes drop their parents and pullbacks, so
@@ -569,70 +553,3 @@ def backward(loss: Tensor) -> None:
             node._parents = ()
             node._pullback = None
         tape.nodes.clear()
-
-
-@dataclass
-class GradCheckReport:
-    h: float
-    tol: float
-    per_param: list = field(default_factory=list)  # (name, rel_error)
-    max_rel_error: float = 0.0
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_error < self.tol
-
-
-def grad_check(f, params, h: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
-    """Compare analytic gradients of ``f()`` against central differences.
-
-    ``f`` is a nullary callable returning a scalar Tensor built from
-    ``params`` (a list of leaf tensors, or (name, tensor) pairs). ``f`` is
-    evaluated twice up front; any mismatch means a non-deterministic
-    objective and raises ContractError. Relative error per parameter is
-    ``|ga - gn|_inf / max(|ga|_inf, |gn|_inf, 1)``: the unit floor means
-    parameters whose true gradient is (near) zero are judged on absolute
-    error, which keeps central-difference cancellation noise from being
-    amplified.
-    """
-    if not (1e-7 <= h <= 1e-3):
-        raise ValidationError(f"h={h} outside [1e-7, 1e-3]")
-    named = [(p if isinstance(p, tuple) else (f"param{i}", p))
-             for i, p in enumerate(params)]
-
-    def eval_value() -> float:
-        with no_grad():
-            out = f()
-        if not isinstance(out, Tensor) or out.ndim != 0:
-            raise ContractError("grad_check objective must return a scalar Tensor")
-        return float(out.data)
-
-    v1, v2 = eval_value(), eval_value()
-    if v1 != v2:
-        raise ContractError("objective is non-deterministic: repeated evaluation mismatch")
-
-    zero_grad([p for _, p in named])
-    with Tape():
-        loss = f()
-        backward(loss)
-    analytic = {name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
-                for name, p in named}
-
-    report = GradCheckReport(h=h, tol=tol)
-    for name, p in named:
-        flat = p.data.reshape(-1)
-        numeric = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = eval_value()
-            flat[i] = orig - h
-            fm = eval_value()
-            flat[i] = orig
-            numeric[i] = (fp - fm) / (2.0 * h)
-        ga = analytic[name].reshape(-1)
-        denom = max(np.abs(ga).max(initial=0.0), np.abs(numeric).max(initial=0.0), 1.0)
-        rel = float(np.abs(ga - numeric).max(initial=0.0) / denom)
-        report.per_param.append((name, rel))
-        report.max_rel_error = max(report.max_rel_error, rel)
-    return report

@@ -18,7 +18,7 @@ from .config import RunConfig
 from .data import DatasetSpec, export_coco, export_dataset, generate_synthetic, load_dataset
 from .errors import MocadetError, ValidationError
 from .evaluation import report_csv, save_report
-from .fileio import atomic_write
+from .fileio import atomic_write, check_output_path
 from .tokens import (MEDICAL_PROMPT_CATALOG, build_registry, load_registry,
                      save_registry, silhouette_score)
 from .train import evaluate, load_detector_for_eval, run_pretrain, run_train
@@ -87,6 +87,17 @@ def _load_json(path):
         raise ValidationError(f"cannot read {path}: {e}") from e
 
 
+def _positive_ints(text: str, flag: str) -> tuple:
+    """The comma-separated integers of a flag's value, each at least 1."""
+    try:
+        values = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        values = ()
+    if not values or min(values) < 1:
+        raise ValidationError(f"{flag} must be comma-separated integers >= 1, got {text!r}")
+    return values
+
+
 def _cmd_gen_data(args) -> int:
     spec = DatasetSpec.from_json(_load_json(args.spec))
     splits = args.splits.split(",") if args.splits else list(spec.counts)
@@ -151,6 +162,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    for path in (args.out, args.csv):
+        if path:
+            check_output_path(path)
     bundle = load_detector_for_eval(args.ckpt)
     samples, spec = load_dataset(args.data, args.split)
     if spec.global_classes != bundle.config.dataset.global_classes:
@@ -167,6 +181,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_mi_lab(args) -> int:
+    Ks = _positive_ints(args.K, "--K")
     if args.joints:
         doc = _load_json(args.joints)
         tables = doc.get("joints") if isinstance(doc, dict) else None
@@ -178,9 +193,10 @@ def _cmd_mi_lab(args) -> int:
         except (TypeError, ValueError) as e:
             raise ValidationError(f"{args.joints}: a joint table is not a numeric matrix") from e
         joints = [ml.DiscreteJoint(t) for t in tables]
+    elif args.n_joints < 1:
+        raise ValidationError(f"--n-joints must be >= 1, got {args.n_joints}")
     else:
         joints = ml.seeded_joint_suite(args.n_joints, seed=args.seed)
-    Ks = tuple(int(k) for k in args.K.split(","))
     report = ml.verify_bound(joints, Ks=Ks, n_samples=args.samples, seed=args.seed)
     if args.report:
         with atomic_write(args.report) as fh:

@@ -4,13 +4,15 @@
 converting. An unknown key, a missing required field or a value of the wrong
 JSON type is a ``ValidationError`` naming the dotted field, e.g.
 ``config.dataset.modalities[0].curve``. A bool is not an int, an int counts
-as a float, absent fields take their defaults and nested dataclasses are read
-by the same rule. ``json_form`` is the inverse."""
+as a float, a float must be finite (Python's ``json`` reads ``NaN`` and
+``Infinity``), absent fields take their defaults and nested dataclasses are
+read by the same rule. ``json_form`` is the inverse."""
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import os
 import secrets
 import types
@@ -20,20 +22,32 @@ from contextlib import contextmanager
 from .errors import ValidationError
 
 
+def check_output_path(path) -> None:
+    """A ``path`` that names a directory, or lies in a directory that cannot
+    hold a new file (missing, not a directory, not writable), is a
+    ValidationError: a bad path argument. Nothing is written."""
+    head = os.path.dirname(os.fspath(path)) or "."
+    if os.path.isdir(path):
+        raise ValidationError(f"cannot write {path}: it is a directory")
+    if not os.path.isdir(head):
+        raise ValidationError(f"cannot write {path}: {head} is not a directory")
+    if not os.access(head, os.W_OK | os.X_OK):
+        raise ValidationError(f"cannot write {path}: {head} is not writable")
+
+
 @contextmanager
 def atomic_write(path, mode: str = "w"):
     """Open a new temporary file beside ``path`` for writing.
 
     When the block ends normally the file replaces ``path`` in one
     ``os.replace``; when it raises, the file is removed and ``path`` is left
-    as it was. ``mode`` is "w" (UTF-8 text) or "wb". A ``path`` that names a
-    directory, or lies in a directory that cannot hold the file (missing, not
-    a directory, not writable), is a ValidationError: a bad path argument.
+    as it was. ``mode`` is "w" (UTF-8 text) or "wb". A path that
+    ``check_output_path`` rejects, or a temporary file that cannot be made,
+    is a ValidationError: a bad path argument.
     """
+    check_output_path(path)
     head, tail = os.path.split(os.fspath(path))
     tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
-    if os.path.isdir(path):
-        raise ValidationError(f"cannot write {path}: it is a directory")
     try:
         fh = open(tmp, mode.replace("w", "x"), encoding=None if "b" in mode else "utf-8")
     except OSError as e:
@@ -101,6 +115,8 @@ def _read(tp, value, where: str):
             raise ValidationError(f"{where} is out of range, got {value!r}") from None
     if type(value) is not tp:
         raise ValidationError(f"{where} must be {_SCALARS[tp]}, got {value!r}")
+    if tp is float and not math.isfinite(value):
+        raise ValidationError(f"{where} must be finite, got {value!r}")
     return value
 
 

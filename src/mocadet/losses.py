@@ -254,7 +254,9 @@ def detection_loss(per_layer_preds, targets, weights: LossWeights,
     list of B (gt classes, gt boxes [G_b x 4]) pairs. Each (layer, image)
     is matched on its own detached row block (``_match_blocks`` builds one
     cost matrix for the whole call), unless ``precomputed_matches`` gives
-    the (query, gt) pairs of every [layer][image]. The layers are then
+    the (query, gt) pairs of every [layer][image]. No entry point passes
+    them: frozen matches make the loss a differentiable function of the
+    predictions, which its gradient checks need. The layers are then
     stacked into one (L*B*N) row block, and the loss is five tape nodes
     whatever L, B and the G_b are: the two row stacks, the focal node, the
     box node and their sum. Matched queries take class target 1 at the

@@ -10,8 +10,8 @@ I(U; V) by summation, and L either by Monte Carlo (with a standard error)
 or by enumerating all candidate tuples. Two critics are exercised: the
 log-density-ratio critic s(u,v) = ln p(v|u)/p(v) (optimal: its softmax
 equals the true posterior over the positive slot) and a cosine critic over
-random symbol embeddings (suboptimal). Temperature can be folded into the
-critic; the estimator also accepts an explicit tau.
+random symbol embeddings (suboptimal). Temperature is folded into the
+critic: the cosine critic divides its similarities by its own tau.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import numpy as np
 from .errors import ValidationError
 
 _ENUM_LIMIT = 2_000_000  # max enumerated tuples in exact modes
+_SE_SLACK = 5.0  # a Monte-Carlo bound may exceed the MI by this many standard errors
+_EXACT_TOLERANCE = 1e-9  # an enumerated bound may exceed the MI by this much
 
 
 @dataclass
@@ -142,18 +144,15 @@ def cosine_critic(n_u: int, n_v: int, dim: int, tau: float,
 # -- sampling and estimation ---------------------------------------------------
 
 
-def sample_candidates(joint: DiscreteJoint, K: int, rng: np.random.Generator,
-                      size: int | None = None):
-    """Draw (u, candidate set, positive slot J).
+def sample_candidates(joint: DiscreteJoint, K: int, rng: np.random.Generator, n: int):
+    """Draw ``n`` triples (u, candidate set, positive slot J).
 
     The pair (u, v) comes from the joint, the K negatives i.i.d. from the
     marginal p(v) independently of u, and J ~ Uniform{0..K} places the
-    positive. Returns (u, candidates[K+1], J); with ``size`` set, arrays of
-    that leading dimension.
+    positive. Returns (u[n], candidates[n, K+1], J[n]).
     """
     if K < 1:
         raise ValidationError("need at least one negative")
-    n = 1 if size is None else int(size)
     nu, nv = joint.shape
     flat = rng.choice(nu * nv, size=n, p=joint.table.reshape(-1))
     u, v = np.divmod(flat, nv)
@@ -164,8 +163,6 @@ def sample_candidates(joint: DiscreteJoint, K: int, rng: np.random.Generator,
     # negative k sits in slot k before the positive's slot j, in slot k + 1 after it
     cands[rows[:, None], np.arange(K) + (np.arange(K) >= j[:, None])] = negs
     cands[rows, j] = v
-    if size is None:
-        return int(u[0]), cands[0], int(j[0])
     return u, cands, j
 
 
@@ -178,25 +175,21 @@ class NCEEstimate:
     stderr: float
 
 
-def _losses_from_draws(critic: Critic, tau: float, u, cands, j) -> np.ndarray:
-    s = critic.scores[u[:, None], cands] / tau
+def _losses_from_draws(critic: Critic, u, cands, j) -> np.ndarray:
+    s = critic.scores[u[:, None], cands]
     m = s.max(axis=1, keepdims=True)
     lse = (m[:, 0] + np.log(np.exp(s - m).sum(axis=1)))
     pos = s[np.arange(len(j)), j]
     return lse - pos
 
 
-def infonce_estimate(joint: DiscreteJoint, critic: Critic, K: int,
-                     tau: float = 1.0, n_samples: int = 10_000,
-                     rng: np.random.Generator | None = None) -> NCEEstimate:
+def infonce_estimate(joint: DiscreteJoint, critic: Critic, K: int, n_samples: int,
+                     rng: np.random.Generator) -> NCEEstimate:
     """Monte-Carlo contrastive loss and the implied lower bound on I(U;V)."""
     if n_samples < 1_000:
         raise ValidationError("need n_samples >= 1000")
-    if tau <= 0:
-        raise ValidationError("tau must be positive")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    u, cands, j = sample_candidates(joint, K, rng, size=n_samples)
-    losses = _losses_from_draws(critic, tau, u, cands, j)
+    u, cands, j = sample_candidates(joint, K, rng, n_samples)
+    losses = _losses_from_draws(critic, u, cands, j)
     loss = float(losses.mean())
     se = float(losses.std(ddof=1) / math.sqrt(n_samples))
     return NCEEstimate(K=K, n_samples=n_samples, loss=loss,
@@ -214,8 +207,7 @@ def _all_tuples(n_v: int, length: int) -> np.ndarray:
     return np.indices((n_v,) * length).reshape(length, -1).T
 
 
-def exact_infonce(joint: DiscreteJoint, critic: Critic, K: int,
-                  tau: float = 1.0) -> float:
+def exact_infonce(joint: DiscreteJoint, critic: Critic, K: int) -> float:
     """Exact expected contrastive loss: the loss of every (u, v, negative
     tuple), the positive in slot 0, weighted by its probability."""
     if K < 1:
@@ -227,14 +219,13 @@ def exact_infonce(joint: DiscreteJoint, critic: Critic, K: int,
     total = 0.0
     for u, v in zip(*np.nonzero(joint.table)):
         cands = np.column_stack([np.full(len(negs), v), negs])
-        losses = _losses_from_draws(critic, tau, np.full(len(negs), u), cands,
+        losses = _losses_from_draws(critic, np.full(len(negs), u), cands,
                                     np.zeros(len(negs), dtype=np.int64))
         total += float(joint.table[u, v] * p_negs @ losses)
     return total
 
 
-def posterior_identity_gap(joint: DiscreteJoint, critic: Critic, K: int,
-                           tau: float = 1.0) -> float:
+def posterior_identity_gap(joint: DiscreteJoint, critic: Critic, K: int) -> float:
     """Max |true slot posterior - critic softmax| over all reachable tuples.
 
     The posterior of slot j given (u, candidates) is proportional to
@@ -252,7 +243,7 @@ def posterior_identity_gap(joint: DiscreteJoint, critic: Critic, K: int,
         cands = tuples[(joint.table[u, tuples] > 0).any(axis=1)]  # reachable
         r = joint.table[u, cands] / (joint.pu[u] * joint.pv[cands])
         post = r / r.sum(axis=1, keepdims=True)
-        losses = _losses_from_draws(critic, tau, np.full(cands.size, u),
+        losses = _losses_from_draws(critic, np.full(cands.size, u),
                                     np.repeat(cands, K + 1, axis=0),
                                     np.tile(slots, len(cands)))
         q = np.exp(-losses).reshape(cands.shape)
@@ -274,14 +265,13 @@ class BoundCell:
 
 
 def verify_bound(joints, Ks=(1, 3, 7, 15), n_samples: int = 20_000,
-                 seed: int = 0, se_slack: float = 5.0,
-                 exact_tolerance: float = 1e-9) -> dict:
+                 seed: int = 0) -> dict:
     """Certify the lower bound on a suite of joints.
 
     For every (joint, critic in {optimal, cosine}, K): assert
-    ln(1+K) - L_hat <= I + se_slack * SE. Where enumeration is affordable
-    (support <= 6, K <= 3) the same inequality is asserted exactly with
-    ``exact_tolerance``; the slot-posterior identity is checked for the
+    ln(1+K) - L_hat <= I + _SE_SLACK * SE. Where enumeration is affordable
+    (support <= 6, K <= 3) the same inequality is asserted exactly, within
+    ``_EXACT_TOLERANCE``; the slot-posterior identity is checked for the
     optimal critic; and the optimal-critic bound must be non-decreasing in
     K within 2 combined SEs (exactly, in enumeration mode).
     """
@@ -300,16 +290,16 @@ def verify_bound(joints, Ks=(1, 3, 7, 15), n_samples: int = 20_000,
             bounds = []
             for K in Ks:
                 rng = np.random.default_rng(np.random.SeedSequence([seed, ji, ci, K]))
-                est = infonce_estimate(joint, critic, K, 1.0, n_samples, rng)
+                est = infonce_estimate(joint, critic, K, n_samples, rng)
                 # 1e-12 absorbs float rounding when MI and SE are both ~0
-                violated = est.bound > mi + se_slack * est.stderr + 1e-12
+                violated = est.bound > mi + _SE_SLACK * est.stderr + 1e-12
                 cells.append(BoundCell(ji, critic.kind, K, mi, est, violated))
                 bounds.append(est)
                 if nv <= 6 and K <= 3:
                     exact_loss = exact_infonce(joint, critic, K)
                     exact_bound = math.log(1 + K) - exact_loss
                     exact_checked += 1
-                    if exact_bound > mi + exact_tolerance:
+                    if exact_bound > mi + _EXACT_TOLERANCE:
                         cells.append(BoundCell(ji, critic.kind + "-exact", K, mi,
                                                NCEEstimate(K, 0, exact_loss, exact_bound, 0.0),
                                                True))

@@ -25,13 +25,13 @@ from .errors import ContractError, ValidationError
 # elements per update slice: scratch buffers this long stay in cache, and
 # the slices are long enough that numpy's per-call cost is small
 CHUNK = 32_768
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class AdamW:
     """Standard AdamW; betas (0.9, 0.999), eps 1e-8, bias-corrected."""
 
-    def __init__(self, named_params, lr: float, weight_decay: float = 0.0,
-                 betas=(0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, named_params, lr: float, weight_decay: float = 0.0):
         if lr <= 0:
             raise ValidationError("learning rate must be positive")
         self.named_params = list(named_params)
@@ -39,8 +39,6 @@ class AdamW:
             raise ContractError("a parameter is listed twice")
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         self._bounds = np.cumsum([0] + [p.data.size for _, p in self.named_params])
         size = int(self._bounds[-1])
@@ -72,20 +70,19 @@ class AdamW:
                         if not np.isfinite(self.grad[lo:hi]).all())
             raise ContractError(f"non-finite gradient in {name!r}; aborting step {self.t + 1}")
         self.t += 1
-        b1, b2, eps = self.b1, self.b2, self.eps
-        bc1 = 1.0 - b1 ** self.t
-        bc2 = 1.0 - b2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         decay = self.lr * self.weight_decay
         for lo in range(0, self.data.size, CHUNK):
             g, m, v, x = (a[lo:lo + CHUNK] for a in (self.grad, self.m, self.v, self.data))
             s, u = (a[:g.size] for a in self._scratch)
-            m *= b1
-            m += np.multiply(1.0 - b1, g, out=s)
-            v *= b2
-            v += np.multiply(np.multiply(1.0 - b2, g, out=s), g, out=s)
-            # u = (m / bc1) / (sqrt(v / bc2) + eps)
+            m *= BETA1
+            m += np.multiply(1.0 - BETA1, g, out=s)
+            v *= BETA2
+            v += np.multiply(np.multiply(1.0 - BETA2, g, out=s), g, out=s)
+            # u = (m / bc1) / (sqrt(v / bc2) + EPS)
             np.sqrt(np.divide(v, bc2, out=s), out=s)
-            s += eps
+            s += EPS
             np.divide(np.divide(m, bc1, out=u), s, out=u)
             if self.weight_decay:
                 x -= np.multiply(decay, x, out=s)

@@ -24,12 +24,6 @@ from .errors import ContractError, ValidationError
 from .tokens import TokenProjection, TokenRegistry
 
 
-def cluster_mean(query_state: ad.Tensor, n_images: int) -> ad.Tensor:
-    """The (B, d) per-image query statistics: row b is the arithmetic mean
-    of image b's N query rows (row block b of the B * N rows)."""
-    return ad.mean_rows(query_state, n_images)
-
-
 def qra_loss(q_means: ad.Tensor, tokens: ad.Tensor, g_phi: FeedForward,
              tau: float = 0.07) -> ad.Tensor:
     """Mean over rows r of -log softmax_k(cos(g_phi(q_r), t_k) / tau) at k = r.
@@ -52,9 +46,10 @@ def qra_loss(q_means: ad.Tensor, tokens: ad.Tensor, g_phi: FeedForward,
 
 def _query_means(model: Detector, batch, tokens: ad.Tensor, layer: int) -> ad.Tensor:
     """The (B, d) means of each image's layer-``layer`` query states, from
-    one batched forward with ``tokens`` as the images' token rows."""
+    one batched forward with ``tokens`` as the images' token rows: row b is
+    the arithmetic mean of image b's N query rows (row block b)."""
     out = model.forward(np.stack([s.image for s in batch]), tokens)
-    return cluster_mean(out.state(layer), len(batch))
+    return ad.mean_rows(out.state(layer), len(batch))
 
 
 def batch_alignment_loss(batch, model: Detector, spec: DatasetSpec,
@@ -78,18 +73,3 @@ def batch_alignment_loss(batch, model: Detector, spec: DatasetSpec,
     tokens = attach_token(batch, spec, registry, projection, class_rng)
     return qra_loss(_query_means(model, batch, tokens, layer), tokens, g_phi, tau)
 
-
-def positive_rank_fraction(batches, model: Detector, spec: DatasetSpec,
-                           registry: TokenRegistry, projection: TokenProjection,
-                           g_phi: FeedForward, layer: int,
-                           class_rng: np.random.Generator) -> float:
-    """Fraction of samples whose own token has the top similarity in-batch."""
-    hits = total = 0
-    with ad.no_grad():
-        for batch in batches:
-            tokens = attach_token(batch, spec, registry, projection, class_rng)
-            u = g_phi(_query_means(model, batch, tokens, layer))
-            best = ad.cosine_matrix(u, tokens).data.argmax(axis=1)
-            hits += int((best == np.arange(len(batch))).sum())
-            total += len(batch)
-    return hits / max(total, 1)

@@ -234,10 +234,6 @@ class TokenProjection(ad.Module):
         self.W = ad.param(rng.uniform(-scale, scale, size=(d_model, d_text)))
 
     @property
-    def d_model(self) -> int:
-        return self.W.shape[0]
-
-    @property
     def d_text(self) -> int:
         return self.W.shape[1]
 

@@ -9,6 +9,7 @@ import inspect
 import numpy as np
 import pytest
 
+from gradcheck import clear_grads, grad_check
 from mocadet import autodiff as ad
 from mocadet import losses as ls
 from mocadet import tokens as tk
@@ -175,7 +176,7 @@ def test_grad_check_sigmoid_closed_form():
     def f():
         return ad.sigmoid(ad.mul(w, x))
 
-    report = ad.grad_check(f, [("w", w)], h=1e-5, tol=1e-6)
+    report = grad_check(f, [("w", w)], h=1e-5, tol=1e-6)
     assert report.passed, report.per_param
     # independent closed form: d sigma(wx)/dw = x * s * (1 - s)
     s = 1.0 / (1.0 + np.exp(-0.3))
@@ -198,14 +199,14 @@ def test_grad_check_unused_param_zero_error():
     def f():
         return ad.sum_all(ad.mul(w, 0.0))
 
-    report = ad.grad_check(f, [("w", w)], h=1e-5, tol=1e-6)
+    report = grad_check(f, [("w", w)], h=1e-5, tol=1e-6)
     assert report.max_rel_error == 0.0
 
 
 def test_grad_check_rejects_bad_h():
     w = ad.param([1.0])
     with pytest.raises(ValidationError):
-        ad.grad_check(lambda: ad.sum_all(w), [w], h=1e-2)
+        grad_check(lambda: ad.sum_all(w), [w], h=1e-2)
 
 
 def _away_from_zero(rng, shape, low=0.2, high=2.0):
@@ -279,7 +280,7 @@ def _build_case(name, rng):
         a = ad.param(rng.normal(size=shp))
         gamma = ad.param(rng.normal(size=4))
         beta = ad.param(rng.normal(size=4))
-        return (lambda: ad.sum_all(ad.mul(ad.layernorm(a, 1e-5, gamma, beta), w34))), \
+        return (lambda: ad.sum_all(ad.mul(ad.layernorm(a, gamma, beta), w34))), \
             [a, gamma, beta]
     if name == "concat_rows":
         a = ad.param(rng.normal(size=(2, 4)))
@@ -338,9 +339,8 @@ OP_NAMES = ["linear", "attention", "attention_extra_row",
             "node_focal_loss", "node_box_loss", "node_token_rows"]
 
 # public functions of autodiff that build no op node: leaf constructors,
-# the recording switches, the gradient drivers and the numpy sigmoid
-_NOT_OPS = {"param", "constant", "grad_enabled", "active_tape", "zero_grad",
-            "backward", "grad_check", "expit"}
+# the recording switches, backward and the numpy sigmoid
+_NOT_OPS = {"param", "constant", "grad_enabled", "active_tape", "backward", "expit"}
 
 
 def test_every_node_building_function_has_a_grad_check_case():
@@ -360,7 +360,7 @@ def test_every_op_passes_grad_check_50_seeds(name):
     for seed in range(50):
         rng = np.random.default_rng(1000 + seed)
         f, params = _build_case(name, rng)
-        report = ad.grad_check(f, params, h=1e-5, tol=1e-4)
+        report = grad_check(f, params, h=1e-5, tol=1e-4)
         worst = max(worst, report.max_rel_error)
         assert report.passed, f"{name} seed {seed}: {report.per_param}"
     assert worst < 1e-4
@@ -464,13 +464,13 @@ def test_fused_linear_and_layernorm_equal_composed_ops_bitwise():
     w = rng.normal(size=(5, 6))
 
     def run(fused):
-        ad.zero_grad([x, W, b, gamma, beta])
+        clear_grads([x, W, b, gamma, beta])
         with ad.Tape():
             if fused:
-                y = ad.layernorm(ad.linear(x, W, b), 1e-5, gamma, beta)
+                y = ad.layernorm(ad.linear(x, W, b), gamma, beta)
             else:
                 h = ad.add(ad.linear(x, W, np.zeros(6)), b)
-                y = ad.add(ad.mul(ad.layernorm(h, 1e-5), gamma), beta)
+                y = ad.add(ad.mul(ad.layernorm(h), gamma), beta)
             ad.backward(ad.sum_all(ad.mul(y, w)))
         return [y.data] + [t.grad.copy() for t in (x, W, b, gamma, beta)]
 

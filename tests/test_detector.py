@@ -1,11 +1,13 @@
 """Tests for the patch encoder, augmented decoder attention, and heads."""
 
+import functools
 import gc
 import weakref
 
 import numpy as np
 import pytest
 
+from gradcheck import clear_grads, grad_check
 from mocadet import autodiff as ad
 from mocadet import detector as det
 from mocadet import losses as ls
@@ -211,18 +213,18 @@ def test_batched_forward_equals_per_image_forwards(n_images):
         parts = (logits, boxes, out.query_states[0])
         weights = weights.reshape(-1, weights.shape[-1])
         cols = np.cumsum([0, cfg.n_classes, 4, cfg.d_model])
-        return sum(ad.sum_all(ad.mul(part, weights[:, c0:c1]))
-                   for part, c0, c1 in zip(parts, cols[:-1], cols[1:]))
+        return functools.reduce(ad.add, [ad.sum_all(ad.mul(part, weights[:, c0:c1]))
+                                         for part, c0, c1 in zip(parts, cols[:-1], cols[1:])])
 
     def run(batched):
-        ad.zero_grad(params)
+        clear_grads(params)
         with ad.Tape():
             if batched:
                 outs = [model.forward(images, ad.concat_rows(tokens))]
                 loss = objective(outs[0], w)
             else:
                 outs = [model.forward(images[b], tokens[b]) for b in range(n_images)]
-                loss = sum(objective(o, w[b]) for b, o in enumerate(outs))
+                loss = functools.reduce(ad.add, [objective(o, w[b]) for b, o in enumerate(outs)])
             values = [np.concatenate([o.layers[k][j].data for o in outs])
                       for k in range(cfg.n_decoder_layers) for j in (0, 1)]
             values += [np.concatenate([o.query_states[k].data for o in outs])
@@ -289,7 +291,7 @@ def test_full_model_gradient_check_detection_loss():
                                  precomputed_matches=[[m] for m in frozen])
 
     params = model.parameters() + [("token", token)]
-    report = ad.grad_check(f, params, h=1e-5, tol=1e-4)
+    report = grad_check(f, params, h=1e-5, tol=1e-4)
     assert report.passed, sorted(report.per_param, key=lambda kv: -kv[1])[:5]
 
 

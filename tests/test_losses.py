@@ -4,6 +4,7 @@ Expected values come from independent oracles: direct formula evaluation in
 the test body and exhaustive permutation search for the matcher.
 """
 
+import functools
 import itertools
 import math
 import warnings
@@ -11,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from gradcheck import clear_grads, grad_check
 from mocadet import autodiff as ad
 from mocadet import boxes as bx
 from mocadet import evaluation as ev
@@ -366,7 +368,7 @@ def test_detection_loss_gradient_check():
         return ls.detection_loss([(logits, ad.sigmoid(braw))], [(gt_classes, gt_boxes)],
                                  w, precomputed_matches=[[m] for m in frozen])
 
-    report = ad.grad_check(f, [("logits", logits), ("boxes_raw", braw)], h=1e-5, tol=1e-4)
+    report = grad_check(f, [("logits", logits), ("boxes_raw", braw)], h=1e-5, tol=1e-4)
     assert report.passed, report.per_param
 
 
@@ -382,13 +384,14 @@ def test_detection_loss_stacked_layers_equal_sum_of_single_layers():
                                     rng.uniform(0.1, 0.3, size=(g, 2))])
         results = []
         for stacked in (True, False):
-            ad.zero_grad([t for layer in layers for t in layer])
+            clear_grads([t for layer in layers for t in layer])
             with ad.Tape():
                 if stacked:
                     loss = ls.detection_loss(layers, [(gt_classes, gt_boxes)], w)
                 else:
-                    loss = sum(ls.detection_loss([layer], [(gt_classes, gt_boxes)], w)
-                               for layer in layers)
+                    loss = functools.reduce(ad.add, [
+                        ls.detection_loss([layer], [(gt_classes, gt_boxes)], w)
+                        for layer in layers])
                 value = loss.item()
                 ad.backward(loss)
             results.append((value, [t.grad.copy() for layer in layers for t in layer
@@ -416,7 +419,7 @@ def test_batched_detection_loss_equals_mean_of_single_image_losses():
         params = [t for layer in layers for t in layer]
         results = []
         for batched in (True, False):
-            ad.zero_grad(params)
+            clear_grads(params)
             with ad.Tape():
                 if batched:
                     loss = ls.detection_loss(layers, targets, w)
@@ -464,7 +467,7 @@ def test_one_cost_matrix_gives_the_matches_of_per_block_cost_matrices(monkeypatc
         monkeypatch.setattr(ls, "build_cost_matrix", lambda *a: calls.append(a) or real(*a))
         results = []
         for matches in (None, per_block):
-            ad.zero_grad(params)
+            clear_grads(params)
             with ad.Tape():
                 loss = ls.detection_loss(layers, targets, w, precomputed_matches=matches)
                 value = loss.item()
@@ -573,15 +576,16 @@ def _composed_focal(logits, targets, alpha, gamma, weights):
 def _composed_giou(boxes_a, boxes_b):
     def split(b):
         cx, cy, w, h = (_col_op(b, j) for j in range(4))
-        return (cx - w * 0.5, cy - h * 0.5, cx + w * 0.5, cy + h * 0.5)
+        half_w, half_h = ad.mul(w, 0.5), ad.mul(h, 0.5)
+        return (cx - half_w, cy - half_h, cx + half_w, cy + half_h)
 
     ax1, ay1, ax2, ay2 = split(boxes_a)
     bx1, by1, bx2, by2 = split(boxes_b)
     iw = ad.relu(_min_op(ax2, bx2) - _max_op(ax1, bx1))
     ih = ad.relu(_min_op(ay2, by2) - _max_op(ay1, by1))
-    inter = iw * ih
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    hull = (_max_op(ax2, bx2) - _min_op(ax1, bx1)) * (_max_op(ay2, by2) - _min_op(ay1, by1))
+    inter = ad.mul(iw, ih)
+    union = ad.mul(ax2 - ax1, ay2 - ay1) + ad.mul(bx2 - bx1, by2 - by1) - inter
+    hull = ad.mul(_max_op(ax2, bx2) - _min_op(ax1, bx1), _max_op(ay2, by2) - _min_op(ay1, by1))
     return _div_op(inter, union) - _div_op(hull - union, hull)
 
 

@@ -5,6 +5,7 @@ test body: closed forms for entropies, a binomial collision formula for the
 identity coupling, and direct enumeration for posteriors.
 """
 
+import hashlib
 import itertools
 import math
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from mocadet import milab as ml
+from mocadet.cli import main
 from mocadet.errors import ValidationError
 
 
@@ -49,10 +51,9 @@ def _exact_posterior_entropy(joint, K):
     return total
 
 
-def _looped_candidates(joint, K, rng, size=None):
+def _looped_candidates(joint, K, rng, n):
     """``sample_candidates`` as a per-row loop: the same rng calls, then each
     row built as negatives before slot j, the positive, negatives after."""
-    n = 1 if size is None else size
     nu, nv = joint.shape
     flat = rng.choice(nu * nv, size=n, p=joint.table.reshape(-1))
     u, v = np.divmod(flat, nv)
@@ -63,8 +64,6 @@ def _looped_candidates(joint, K, rng, size=None):
         cands[i, :j[i]] = negs[i, :j[i]]
         cands[i, j[i]] = v[i]
         cands[i, j[i] + 1:] = negs[i, j[i]:]
-    if size is None:
-        return int(u[0]), cands[0], int(j[0])
     return u, cands, j
 
 
@@ -93,13 +92,13 @@ def test_exact_mi_independent_identity_symmetry():
 def test_sample_candidates_counts_and_uniform_slot():
     joint = ml.correlated_joint(4, 0.6, np.random.default_rng(1))
     rng = np.random.default_rng(2)
-    u, cands, j = ml.sample_candidates(joint, 1, rng)
-    assert cands.shape == (2,)
-    assert 0 <= j <= 1
+    u, cands, j = ml.sample_candidates(joint, 1, rng, 1)
+    assert u.shape == j.shape == (1,) and cands.shape == (1, 2)
+    assert 0 <= j[0] <= 1
 
     n = 100_000
     K = 3
-    u, cands, j = ml.sample_candidates(joint, K, rng, size=n)
+    u, cands, j = ml.sample_candidates(joint, K, rng, n)
     # slot uniformity: binomial 3-sigma around n/(K+1)
     p = 1.0 / (K + 1)
     sigma = math.sqrt(n * p * (1 - p))
@@ -119,11 +118,10 @@ def test_sample_candidates_counts_and_uniform_slot():
 def test_sample_candidates_equals_the_per_row_loop():
     joint = ml.random_joint(5, 4, np.random.default_rng(3))
     for K in (1, 2, 7):
-        for size in (None, 1, 9, 500):
+        for n in (1, 9, 500):
             for seed in (0, 1, 2):
-                got = ml.sample_candidates(joint, K, np.random.default_rng(seed), size)
-                want = _looped_candidates(joint, K, np.random.default_rng(seed), size)
-                assert type(got[0]) is type(want[0]) and type(got[2]) is type(want[2])
+                got = ml.sample_candidates(joint, K, np.random.default_rng(seed), n)
+                want = _looped_candidates(joint, K, np.random.default_rng(seed), n)
                 for a, b in zip(got, want):
                     np.testing.assert_array_equal(a, b)
 
@@ -131,8 +129,8 @@ def test_sample_candidates_equals_the_per_row_loop():
 def test_constant_critic_gives_log1pk_exactly():
     joint = ml.random_joint(3, 5, np.random.default_rng(3))
     for K in (1, 4):
-        est = ml.infonce_estimate(joint, _constant_critic(3, 5), K,
-                                  n_samples=2000, rng=np.random.default_rng(4))
+        est = ml.infonce_estimate(joint, _constant_critic(3, 5), K, 2000,
+                                  np.random.default_rng(4))
         assert est.loss == pytest.approx(math.log(1 + K), abs=1e-12)
         assert est.bound == pytest.approx(0.0, abs=1e-12)
         assert est.stderr == pytest.approx(0.0, abs=1e-12)
@@ -142,8 +140,7 @@ def test_independent_joint_bound_near_zero():
     joint = ml.product_joint([0.4, 0.6], [0.1, 0.2, 0.3, 0.4])
     for critic in (ml.optimal_critic(joint),
                    ml.cosine_critic(2, 4, 8, 0.5, np.random.default_rng(5))):
-        est = ml.infonce_estimate(joint, critic, 3, n_samples=20_000,
-                                  rng=np.random.default_rng(6))
+        est = ml.infonce_estimate(joint, critic, 3, 20_000, np.random.default_rng(6))
         assert est.bound <= 0.0 + 3 * est.stderr + 1e-12
 
 
@@ -164,8 +161,7 @@ def test_identity_coupling_exact_value_binomial_oracle():
     exact_bound = math.log(4) - exact
     assert exact_bound <= ml.exact_mi(joint) + 1e-12
 
-    est = ml.infonce_estimate(joint, critic, 3, n_samples=40_000,
-                              rng=np.random.default_rng(7))
+    est = ml.infonce_estimate(joint, critic, 3, 40_000, np.random.default_rng(7))
     assert abs(est.bound - exact_bound) <= 3 * est.stderr
     assert est.bound <= math.log(1 + 3)  # structural cap
 
@@ -195,8 +191,7 @@ def test_optimal_bound_monotone_in_k_monte_carlo():
     critic = ml.optimal_critic(joint)
     prev = None
     for K in (1, 3, 7, 15):
-        est = ml.infonce_estimate(joint, critic, K, n_samples=30_000,
-                                  rng=np.random.default_rng(10 + K))
+        est = ml.infonce_estimate(joint, critic, K, 30_000, np.random.default_rng(10 + K))
         if prev is not None:
             slack = 2 * math.sqrt(est.stderr ** 2 + prev.stderr ** 2)
             assert est.bound >= prev.bound - slack
@@ -208,11 +203,10 @@ def test_optimal_bound_monotone_in_k_monte_carlo():
 
 def test_random_critic_below_optimal():
     joint = ml.correlated_joint(6, 0.9, np.random.default_rng(11))
-    opt = ml.infonce_estimate(joint, ml.optimal_critic(joint), 7,
-                              n_samples=20_000, rng=np.random.default_rng(12))
-    cos = ml.infonce_estimate(joint, ml.cosine_critic(6, 6, 8, 0.5,
-                                                      np.random.default_rng(13)),
-                              7, n_samples=20_000, rng=np.random.default_rng(14))
+    opt = ml.infonce_estimate(joint, ml.optimal_critic(joint), 7, 20_000,
+                              np.random.default_rng(12))
+    cos = ml.infonce_estimate(joint, ml.cosine_critic(6, 6, 8, 0.5, np.random.default_rng(13)),
+                              7, 20_000, np.random.default_rng(14))
     assert cos.bound < opt.bound
 
 
@@ -255,9 +249,19 @@ def test_verify_bound_suite_passes():
 def test_estimator_preconditions():
     joint = ml.identity_joint(3)
     with pytest.raises(ValidationError):
-        ml.infonce_estimate(joint, ml.optimal_critic(joint), 2, n_samples=10)
+        ml.infonce_estimate(joint, ml.optimal_critic(joint), 2, 10, np.random.default_rng(0))
     with pytest.raises(ValidationError):
-        ml.sample_candidates(joint, 0, np.random.default_rng(0))
-    with pytest.raises(ValidationError):
-        ml.infonce_estimate(joint, ml.optimal_critic(joint), 2, tau=0.0,
-                            n_samples=2000)
+        ml.sample_candidates(joint, 0, np.random.default_rng(0), 1)
+
+
+def test_cli_report_matches_the_pinned_digest(tmp_path):
+    """The sha256 of the report of ``mi-lab --n-joints 4 --K 1,3 --samples 2000
+    --seed 0`` was recorded at commit 6600e97, the parent of the change that
+    made the estimator's tau, its scalar sampling mode and the certificate's
+    slack arguments into constants. A change to the joints, the critics, the
+    sampling, the estimators or the report's format moves it."""
+    report = tmp_path / "mi.json"
+    assert main(["mi-lab", "--n-joints", "4", "--K", "1,3", "--samples", "2000",
+                 "--seed", "0", "--report", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "7c4c02a4f20de0cfd10f3cd4cbae6a737bef4fac6673a7976d8f72168d69f214")

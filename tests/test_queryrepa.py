@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gradcheck import clear_grads, grad_check
 from mocadet import autodiff as ad
 from mocadet import data as dt
 from mocadet import detector as det
@@ -32,11 +33,11 @@ def _rows(*vectors):
 def test_cluster_mean_cases():
     q = np.array([[1.0, 2.0, 3.0]])
     with ad.no_grad():
-        assert np.array_equal(qr.cluster_mean(ad.constant(np.tile(q, (4, 1))), 1).data, q)
+        assert np.array_equal(ad.mean_rows(ad.constant(np.tile(q, (4, 1))), 1).data, q)
         assert np.array_equal(
-            qr.cluster_mean(ad.constant(np.vstack([q, -q])), 1).data, np.zeros((1, 3)))
+            ad.mean_rows(ad.constant(np.vstack([q, -q])), 1).data, np.zeros((1, 3)))
         rnd = np.random.default_rng(1).normal(size=(4, 3))
-        got = qr.cluster_mean(ad.constant(rnd), 1).data
+        got = ad.mean_rows(ad.constant(rnd), 1).data
     assert np.allclose(got, rnd.sum(axis=0) / 4.0, atol=1e-15)  # independent mean
 
 
@@ -143,7 +144,7 @@ def test_qra_loss_of_a_batch_is_the_mean_of_its_rows_losses():
             batch = qr.qra_loss(ad.concat_rows(means), ad.concat_rows(tokens), head, tau=0.1)
             ad.backward(batch)
         grads = [t.grad.copy() for t in means + tokens]
-        ad.zero_grad(means + tokens)
+        clear_grads(means + tokens)
         total = 0.0
         for i in range(r):
             with ad.Tape():
@@ -216,8 +217,22 @@ def test_qra_gradient_check_through_decoder_projections_and_head():
               + [("query_embed", model.query_embed)]
               + model.token_proj.parameters("token_proj")
               + model.decoder[0].self_attn.wq.parameters("dec0.self.wq"))
-    report = ad.grad_check(f, params, h=1e-5, tol=1e-4)
+    report = grad_check(f, params, h=1e-5, tol=1e-4)
     assert report.passed, sorted(report.per_param, key=lambda kv: -kv[1])[:5]
+
+
+def _positive_rank_fraction(batches, model, spec, registry, proj, gphi, layer, class_rng):
+    """Fraction of samples whose own token has the top similarity in-batch."""
+    hits = total = 0
+    with ad.no_grad():
+        for batch in batches:
+            tokens = dt.attach_token(batch, spec, registry, proj, class_rng)
+            out = model.forward(np.stack([s.image for s in batch]), tokens)
+            u = gphi(ad.mean_rows(out.state(layer), len(batch)))
+            best = ad.cosine_matrix(u, tokens).data.argmax(axis=1)
+            hits += int((best == np.arange(len(batch))).sum())
+            total += len(batch)
+    return hits / total
 
 
 def test_pretraining_improves_positive_rank():
@@ -240,8 +255,8 @@ def test_pretraining_improves_positive_rank():
     eval_batches = [dt.ModalityBatchSampler(samples, 5, 5, seed=99).next_batch()
                     for _ in range(10)]
 
-    before = qr.positive_rank_fraction(eval_batches, model, spec, registry, proj,
-                                       gphi, 2, np.random.default_rng(5))
+    before = _positive_rank_fraction(eval_batches, model, spec, registry, proj,
+                                     gphi, 2, np.random.default_rng(5))
     first = last = None
     for step in range(200):
         batch = sampler.next_batch()
@@ -249,8 +264,8 @@ def test_pretraining_improves_positive_rank():
             batch, model, spec, registry, proj, gphi, 0.07, 2, class_rng))
         first = loss if first is None else first
         last = loss
-    after = qr.positive_rank_fraction(eval_batches, model, spec, registry, proj,
-                                      gphi, 2, np.random.default_rng(5))
+    after = _positive_rank_fraction(eval_batches, model, spec, registry, proj,
+                                    gphi, 2, np.random.default_rng(5))
     assert before < 0.5
     assert last < first
     assert after >= 0.85, f"rank-1 fraction only reached {after}"
@@ -269,7 +284,7 @@ def test_alignment_loss_node_count_does_not_depend_on_batch_size():
             assert len(tape.nodes) == 1
             out = model.forward(np.stack([s.image for s in batch]), tokens)
             before = len(tape.nodes)
-            qr.qra_loss(qr.cluster_mean(out.state(2), b), tokens, gphi, 0.07)
+            qr.qra_loss(ad.mean_rows(out.state(2), b), tokens, gphi, 0.07)
             assert len(tape.nodes) - before == 12
     # at the default model, a B=5 alignment loss is 1 token node, 14 encoder
     # and 171 decoder nodes, and those 12

@@ -284,6 +284,26 @@ def test_cli_train_rejects_a_bad_model_or_dataset_section(tmp_path, capsys, sect
     assert err.startswith("error:") and "runtime error" not in err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("optim.lr", float("nan")), ("optim.lr", float("inf")), ("qra.tau", float("nan")),
+    ("loss.w_giou", float("-inf")), ("dataset.modalities[0].noise_sigma", float("nan")),
+], ids=["lr_nan", "lr_inf", "tau_nan", "w_giou_minus_inf", "noise_sigma_nan"])
+def test_cli_train_rejects_a_non_finite_number_and_writes_nothing(tmp_path, capsys,
+                                                                  field, value):
+    # Python's json writes and reads NaN and Infinity; no float field takes them
+    doc = dict(_tiny_doc(epochs=1), loss={})
+    *parents, name = field.replace("[0]", ".0").split(".")
+    target = doc
+    for key in parents:
+        target = target[int(key) if key.isdigit() else key]
+    target[name] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+    assert f"config.{field} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_eval_rejects_a_malformed_manifest_record(tmp_path, capsys):
     doc = _tiny_doc(epochs=1)
     bundle = build_run(RunConfig.from_json(doc))
@@ -299,7 +319,7 @@ def test_cli_eval_rejects_a_malformed_manifest_record(tmp_path, capsys):
     box = good["samples"][0]["boxes"][0]
     for field, value in (("modality_id", 1.9), ("modality_id", "1"), ("modality_id", 99),
                          ("classes", ["0"]), ("classes", [7]), ("boxes", [box, box]),
-                         ("boxes", [box[:3]])):
+                         ("boxes", [box[:3]]), ("boxes", [[box[0], float("nan")] + box[2:]])):
         bad = json.loads(json.dumps(good))
         bad["samples"][0][field] = value
         path.write_text(json.dumps(bad))
@@ -359,6 +379,16 @@ def test_cli_pretrain_with_zero_steps(tmp_path, capsys):
     assert (tmp_path / "pre" / "pretrain_steps.csv").read_text() == "step,loss\n"
     header, _ = load_checkpoint(str(tmp_path / "pre" / "pretrain.ckpt"))
     assert header["step"] == 0
+
+
+@pytest.mark.parametrize("args", [["--K", "a"], ["--K", "-1"], ["--K", ""], ["--K", "1,0"],
+                                  ["--n-joints", "0"], ["--n-joints", "-1"]],
+                         ids=["K_text", "K_negative", "K_empty", "K_zero", "no_joints",
+                              "negative_joints"])
+def test_cli_mi_lab_bad_arguments_exit_1(capsys, args):
+    assert main(["mi-lab", "--samples", "1000", *args]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and args[0] in err
 
 
 @pytest.mark.parametrize("doc", [{"joints": 3}, {}, [1], {"joints": []},
@@ -434,7 +464,8 @@ def test_cli_output_directory_that_is_a_file_exits_1(tmp_path, capsys, command, 
 @pytest.mark.parametrize("flag,target", [("--out", "blocker/r.json"), ("--csv", "blocker/r.csv"),
                                          ("--out", "d")], ids=["out", "csv", "out_dir"])
 def test_cli_eval_report_path_under_a_file_or_on_a_directory_exits_1(tmp_path, capsys,
-                                                                     flag, target):
+                                                                     monkeypatch, flag, target):
+    from mocadet import train
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(_tiny_doc()["dataset"]))
     assert main(["gen-data", "--spec", str(spec_path), "--out", str(tmp_path / "d")]) == 0
@@ -442,7 +473,12 @@ def test_cli_eval_report_path_under_a_file_or_on_a_directory_exits_1(tmp_path, c
                      str(tmp_path / "run"))["checkpoint_final"]
     blocker = tmp_path / "blocker"
     blocker.write_text("x")
+    loads, load = [], train.load_checkpoint
+    monkeypatch.setattr(train, "load_checkpoint", lambda *a: loads.append(a) or load(*a))
+    capsys.readouterr()
     assert main(["eval", "--ckpt", ckpt, "--data", str(tmp_path / "d"),
                  flag, str(tmp_path / target)]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error:") and "runtime error" not in err
+    # the paths are checked before the checkpoint is read or anything is scored
+    assert out == "" and not loads
