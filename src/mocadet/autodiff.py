@@ -25,6 +25,15 @@ Conventions:
     ``no_grad()`` when only values are needed);
   * broadcasting is limited to scalars and row vectors -- anything else is a
     loud ShapeError.
+
+Gradient ownership: a pullback gives each parent its gradient through
+``_accum``, which adds into a gradient the parent already holds and
+otherwise stores a copy. A pullback hands over, uncopied, only an array it
+has just allocated and gives to no other parent (``owned=True``); disjoint
+row blocks of one such array may go to different parents. An array that is,
+or is a view of, the node's own gradient, or one array given to two
+parents, is copied. So no two tensors' gradients share memory, and a
+pullback may not write into the gradient it receives.
 """
 
 from __future__ import annotations
@@ -202,13 +211,18 @@ def _make_node(data: np.ndarray, parents: tuple, pullback) -> Tensor:
     return out
 
 
-def _accum(parent: Tensor, g: np.ndarray) -> None:
+def _accum(parent: Tensor, g: np.ndarray, owned: bool = False) -> None:
     """Add ``g`` to ``parent.grad`` in place, so a leaf whose gradient is a
-    view of an optimizer's flat gradient fills that vector; the first write
-    to an empty gradient copies."""
+    view of an optimizer's flat gradient fills that vector. The first write
+    to an empty gradient copies ``g``, unless ``owned`` says that the
+    pullback has just allocated ``g`` and nothing else holds it: then
+    ``g`` becomes the gradient."""
     if parent.requires_grad:
         if parent.grad is None:
-            parent.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g)
+            if owned:
+                parent.grad = g
+            else:
+                parent.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g)
         else:
             parent.grad += g
 
@@ -249,11 +263,13 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     def pullback(g):
         _accum(b, g.sum(axis=0))
         if x.requires_grad:
-            _accum(x, g @ W.data.T)
+            _accum(x, g @ W.data.T, owned=True)
         if W.requires_grad:
-            _accum(W, x.data.T @ g)
+            _accum(W, x.data.T @ g, owned=True)
 
-    return _make_node(x.data @ W.data + b.data, (x, W, b), pullback)
+    out = x.data @ W.data
+    out += b.data
+    return _make_node(out, (x, W, b), pullback)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
@@ -310,12 +326,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
     def pullback(g):
         go = split(g)
         dp = go @ vh.transpose(0, 1, 3, 2)
-        ds = scale * p * (dp - (dp * p).sum(axis=3, keepdims=True))
-        _accum(q, merge(ds @ kh))
+        # scale * p * (dp - rowsum(dp * p)), in that order, in place
+        dp -= (dp * p).sum(axis=3, keepdims=True)
+        ds = scale * p
+        ds *= dp
+        _accum(q, merge(ds @ kh), owned=True)
         dk = merge(ds.transpose(0, 1, 3, 2) @ qh).reshape(s, -1, d)
         dv = merge(p.transpose(0, 1, 3, 2) @ go).reshape(s, -1, d)
+        # disjoint row blocks of two fresh arrays: each parent owns its block
         for t, grad in zip([k, v] + extras, (dk[:, :m], dv[:, :m], dk[:, m:], dv[:, m:])):
-            _accum(t, grad.reshape(t.shape))
+            _accum(t, grad.reshape(t.shape), owned=True)
 
     return _make_node(merge(p @ vh), (q, k, v, *extras), pullback)
 
@@ -377,7 +397,7 @@ def relu(a) -> Tensor:
     mask = a.data > 0.0
 
     def pullback(g):
-        _accum(a, g * mask)
+        _accum(a, g * mask, owned=True)
 
     return _make_node(a.data * mask, (a,), pullback)
 
@@ -394,7 +414,7 @@ def sigmoid(a) -> Tensor:
     out_data = expit(a.data)
 
     def pullback(g):
-        _accum(a, g * out_data * (1.0 - out_data))
+        _accum(a, g * out_data * (1.0 - out_data), owned=True)
 
     return _make_node(out_data, (a,), pullback)
 
@@ -426,10 +446,13 @@ def layernorm(a: Tensor, gamma: Tensor | None = None, beta: Tensor | None = None
     axis, affine = a.ndim - 1, gamma is not None
     if affine != (beta is not None) or affine and not gamma.shape == beta.shape == a.shape[-1:]:
         raise ShapeError(f"layernorm needs gamma and beta of shape {a.shape[-1:]} or neither")
-    mu = a.data.mean(axis=axis, keepdims=True)
-    var = ((a.data - mu) ** 2).mean(axis=axis, keepdims=True)
-    s = np.sqrt(var + _LAYERNORM_EPS)
-    y = (a.data - mu) / s
+    # numpy's mean is this sum divided by the count, so the bits are the same
+    n = a.shape[-1]
+    y = a.data - a.data.sum(axis=axis, keepdims=True) / n
+    s = (y ** 2).sum(axis=axis, keepdims=True) / n
+    s += _LAYERNORM_EPS
+    np.sqrt(s, out=s)
+    y /= s
 
     def pullback(g):
         if affine:
@@ -437,11 +460,19 @@ def layernorm(a: Tensor, gamma: Tensor | None = None, beta: Tensor | None = None
             _accum(beta, _reduce_to(g, kind))
             _accum(gamma, _reduce_to(g * y, kind))
             g = g * gamma.data
-        gm = g.mean(axis=axis, keepdims=True)
-        gy = (g * y).mean(axis=axis, keepdims=True)
-        _accum(a, (g - gm - y * gy) / s)
+        gm = g.sum(axis=axis, keepdims=True) / n
+        gy = (g * y).sum(axis=axis, keepdims=True) / n
+        # (g - gm - y * gy) / s
+        dx = g - gm
+        dx -= y * gy
+        dx /= s
+        _accum(a, dx, owned=True)
 
-    out_data = y * gamma.data + beta.data if affine else y
+    if affine:
+        out_data = y * gamma.data
+        out_data += beta.data
+    else:
+        out_data = y
     return _make_node(out_data, (a, gamma, beta) if affine else (a,), pullback)
 
 
@@ -476,8 +507,9 @@ def mean_rows(a: Tensor, segments: int) -> Tensor:
     blocks = a.data.reshape(s, m, a.shape[1])
 
     def pullback(g):
-        g = g.reshape(s, 1, a.shape[1])
-        _accum(a, np.broadcast_to(g / m, blocks.shape).reshape(a.shape))
+        ga = np.empty(blocks.shape)
+        ga[...] = g.reshape(s, 1, a.shape[1]) / m
+        _accum(a, ga.reshape(a.shape), owned=True)
 
     return _make_node(blocks.mean(axis=1), (a,), pullback)
 
@@ -486,7 +518,7 @@ def sum_all(a) -> Tensor:
     a = _as_tensor(a)
 
     def pullback(g):
-        _accum(a, np.broadcast_to(g, a.data.shape).copy())
+        _accum(a, np.broadcast_to(g, a.data.shape).copy(), owned=True)
 
     return _make_node(np.asarray(a.data.sum()), (a,), pullback)
 

@@ -60,7 +60,8 @@ def _valid_entry(entry) -> bool:
 def load_checkpoint(path):
     """Returns (header dict, {param name: float64 array}).
 
-    Any file that is not a well-formed checkpoint raises CheckpointError.
+    Any file that is not a well-formed checkpoint raises CheckpointError,
+    and so does a NaN or Inf in a stored parameter, which is named.
     """
     try:
         with open(path, "rb") as fh:
@@ -85,12 +86,15 @@ def load_checkpoint(path):
     if (len(data) - start - length) % 4:
         raise CheckpointError(f"{path}: truncated parameter blob")
     blob = np.frombuffer(data, dtype="<f4", offset=start + length)
+    finite = bool(np.isfinite(blob).all())
     params = {}
     for entry in table:
         size = math.prod(entry["shape"])
         chunk = blob[entry["offset"]:entry["offset"] + size]
         if chunk.size != size:
             raise CheckpointError(f"{path}: truncated parameter {entry['name']!r}")
+        if not finite and not np.isfinite(chunk).all():
+            raise CheckpointError(f"{path}: parameter {entry['name']!r} holds a NaN or Inf")
         params[entry["name"]] = chunk.astype(np.float64).reshape(entry["shape"])
     return header, params
 

@@ -18,8 +18,10 @@ closed however the loop ends.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
+import platform
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -40,6 +42,11 @@ from .tokens import TokenProjection, build_registry, load_registry
 
 # substream tags for the run's seed tree
 _SS_MODEL, _SS_PROJ, _SS_GPHI, _SS_BATCH, _SS_CLASS, _SS_SAMPLER = 1, 2, 3, 4, 5, 6
+
+# glibc's mallopt parameter numbers (<malloc.h>) and the values set for them
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD_BYTES = 1 << 30
+_MMAP_THRESHOLD_BYTES = 1 << 20
 
 
 @dataclass
@@ -76,7 +83,42 @@ def _sub_seed(seed: int, tag: int) -> int:
     return int(np.random.SeedSequence([seed, tag]).generate_state(1)[0])
 
 
+def _keep_freed_heap() -> None:
+    """Let glibc's malloc keep the memory a step frees for the next step.
+
+    A training step allocates and frees the same few thousand tape arrays
+    every time. By default glibc hands the freed top of the heap back to the
+    kernel after each step, and serves arrays past its adaptive mmap
+    threshold with fresh mappings, so the next step faults every page in
+    again: about 1,000 minor page faults per default-size B=4 step. Keeping
+    up to 1 GiB of freed heap and placing blocks under 1 MiB on the heap
+    brings that to about 1. With the trim setting alone, blocks over the
+    default 128 KiB mmap threshold are still mapped afresh: 8 to 27 faults
+    per step. A 32 MiB threshold would also put the largest arrays of
+    ``mocadet eval`` on the heap and raise its peak memory by about 5%.
+    Only glibc has these settings: elsewhere, and if the call fails, this
+    does nothing.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+
+
 def build_run(config: RunConfig) -> RunBundle:
+    """The data, token registry, model and token projection of a run.
+
+    Every run starts here, so this first sets the process's allocator policy
+    (``_keep_freed_heap``): on glibc, memory freed by one step is reused by
+    the next instead of being returned to the kernel and faulted back in.
+    """
+    _keep_freed_heap()
     config.validate()
     spec = config.dataset
     train_samples = generate_synthetic(spec, "train")

@@ -457,25 +457,116 @@ def test_attention_segments_shape_errors():
 
 
 def test_fused_linear_and_layernorm_equal_composed_ops_bitwise():
-    rng = np.random.default_rng(3)
-    x = ad.param(rng.normal(size=(5, 4)))
-    W, b = ad.param(rng.normal(size=(4, 6))), ad.param(rng.normal(size=6))
-    gamma, beta = ad.param(rng.normal(size=6)), ad.param(rng.normal(size=6))
-    w = rng.normal(size=(5, 6))
+    # (rows, k, m, affine): rows=None puts an m-vector into layernorm directly,
+    # with no linear before it; affine=False is the plain layernorm call
+    for rows, k, m, affine in [(5, 4, 6, True), (5, 4, 6, False), (None, 4, 6, True),
+                               (256, 32, 64, True)]:
+        rng = np.random.default_rng(3)
+        x = ad.param(rng.normal(size=(rows, k) if rows else m))
+        W, b = ad.param(rng.normal(size=(k, m))), ad.param(rng.normal(size=m))
+        gamma, beta = ad.param(rng.normal(size=m)), ad.param(rng.normal(size=m))
+        w = rng.normal(size=(rows, m) if rows else m)
+        leaves = ([x, W, b] if rows else [x]) + ([gamma, beta] if affine else [])
 
-    def run(fused):
-        clear_grads([x, W, b, gamma, beta])
+        def run(fused):
+            clear_grads([x, W, b, gamma, beta])
+            with ad.Tape():
+                if not rows:
+                    h = x
+                elif fused:
+                    h = ad.linear(x, W, b)
+                else:
+                    h = ad.add(ad.linear(x, W, np.zeros(m)), b)
+                if fused:
+                    y = ad.layernorm(h, gamma, beta) if affine else ad.layernorm(h)
+                else:
+                    y = ad.layernorm(h)
+                    y = ad.add(ad.mul(y, gamma), beta) if affine else y
+                ad.backward(ad.sum_all(ad.mul(y, w)))
+            return [y.data] + [t.grad.copy() for t in leaves]
+
+        for got, want in zip(run(True), run(False)):
+            assert np.array_equal(got, want), (rows, affine)
+
+
+def _layernorm_oracle(x, g):
+    """Layer norm of ``x``'s last axis and its input gradient for output
+    gradient ``g``, by the mean-based formulas with numpy's ``mean``."""
+    axis = x.ndim - 1
+    mu = x.mean(axis=axis, keepdims=True)
+    s = np.sqrt(((x - mu) ** 2).mean(axis=axis, keepdims=True) + 1e-5)
+    y = (x - mu) / s
+    gm = g.mean(axis=axis, keepdims=True)
+    gy = (g * y).mean(axis=axis, keepdims=True)
+    return y, (g - gm - y * gy) / s
+
+
+@pytest.mark.parametrize("shape", [(5, 6), (7,), (256, 64)])
+def test_layernorm_equals_the_mean_based_formulas_bitwise(shape):
+    rng = np.random.default_rng(4)
+    x = ad.param(rng.normal(size=shape) * 3.0 + 1.0)
+    w = rng.normal(size=shape)
+    with ad.Tape():
+        y = ad.layernorm(x)
+        ad.backward(ad.sum_all(ad.mul(y, w)))  # the layernorm node receives w itself
+    want_y, want_dx = _layernorm_oracle(x.data, w)
+    assert np.array_equal(y.data, want_y)
+    assert np.array_equal(x.grad, want_dx)
+
+
+def _attention_pullback_oracle(q, k, v, ek, ev, n_heads, scale, s, g):
+    """dq, dk and dv of ``attention`` for output gradient ``g``, with the
+    softmax pullback written as scale * P * (dP - rowsum(dP * P)); dk and dv
+    are (s, rows, d) with each segment's extra row last."""
+    d = q.shape[1]
+    m, d_head = k.shape[0] // s, d // n_heads
+
+    def split(x):
+        return x.reshape(s, -1, n_heads, d_head).transpose(0, 2, 1, 3)
+
+    def merge(x):
+        return x.transpose(0, 2, 1, 3).reshape(-1, d)
+
+    def rows(x, extra):
+        x = x.reshape(s, m, d)
+        return x if extra is None else np.concatenate([x, extra[:, None, :]], axis=1)
+
+    qh, kh, vh = split(q), split(rows(k, ek)), split(rows(v, ev))
+    p = qh @ kh.transpose(0, 1, 3, 2)
+    p *= scale
+    p -= p.max(axis=3, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=3, keepdims=True)
+    go = split(g)
+    dp = go @ vh.transpose(0, 1, 3, 2)
+    ds = scale * p * (dp - (dp * p).sum(axis=3, keepdims=True))
+    return (merge(ds @ kh), merge(ds.transpose(0, 1, 3, 2) @ qh).reshape(s, -1, d),
+            merge(p.transpose(0, 1, 3, 2) @ go).reshape(s, -1, d))
+
+
+@pytest.mark.parametrize("extra", [False, True])
+def test_attention_pullback_equals_the_softmax_formula_bitwise(extra):
+    for seed in range(10):
+        rng = np.random.default_rng(900 + seed)
+        s, n, m, d = int(rng.integers(1, 4)), int(rng.integers(1, 6)), int(rng.integers(1, 6)), 8
+        n_heads = int(rng.choice([1, 2, 4]))
+        scale = float(rng.uniform(0.1, 2.0))
+        q, k, v = (ad.param(rng.normal(size=shape)) for shape in [(s * n, d), (s * m, d),
+                                                                   (s * m, d)])
+        ek, ev = (ad.param(rng.normal(size=(s, d))) for _ in range(2)) if extra else (None, None)
+        w = rng.normal(size=(s * n, d))
         with ad.Tape():
-            if fused:
-                y = ad.layernorm(ad.linear(x, W, b), gamma, beta)
-            else:
-                h = ad.add(ad.linear(x, W, np.zeros(6)), b)
-                y = ad.add(ad.mul(ad.layernorm(h), gamma), beta)
-            ad.backward(ad.sum_all(ad.mul(y, w)))
-        return [y.data] + [t.grad.copy() for t in (x, W, b, gamma, beta)]
-
-    for got, want in zip(run(True), run(False)):
-        assert np.array_equal(got, want)
+            out = ad.attention(q, k, v, n_heads, scale, ek, ev, segments=s)
+            ad.backward(ad.sum_all(ad.mul(out, w)))  # the attention node receives w itself
+        dq, dk, dv = _attention_pullback_oracle(q.data, k.data, v.data,
+                                                ek.data if extra else None,
+                                                ev.data if extra else None, n_heads, scale, s, w)
+        assert np.array_equal(q.grad, dq)
+        assert np.array_equal(k.grad, dk[:, :m].reshape(k.shape))
+        assert np.array_equal(v.grad, dv[:, :m].reshape(v.shape))
+        if extra:
+            assert np.array_equal(ek.grad, dk[:, m:].reshape(ek.shape))
+            assert np.array_equal(ev.grad, dv[:, m:].reshape(ev.shape))
 
 
 def test_backward_empties_the_tape():

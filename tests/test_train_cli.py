@@ -1,7 +1,10 @@
 """End-to-end tests for training loops, checkpoint resume, and the CLI."""
 
+import ctypes
 import json
 import os
+import platform
+import resource
 
 import numpy as np
 import pytest
@@ -10,11 +13,13 @@ from mocadet import autodiff as ad
 from mocadet.checkpoint import load_checkpoint, save_checkpoint
 from mocadet.cli import main
 from mocadet.config import RunConfig
+from mocadet.data import make_default_spec
 from mocadet.errors import CheckpointError
 from mocadet.evaluation import DETECTION, detections_from_output
 from mocadet.losses import detection_loss
+from mocadet.optim import AdamW
 from mocadet.train import (build_run, evaluate, load_detector_for_eval,
-                           load_pretrained, run_pretrain, run_train)
+                           load_pretrained, optimizer_step, run_pretrain, run_train)
 
 
 def _tiny_doc(seed=3, epochs=2, qra_steps=4):
@@ -43,6 +48,34 @@ def _tiny_doc(seed=3, epochs=2, qra_steps=4):
 def _read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _poison_checkpoint(path, name, value):
+    """Overwrite the first stored element of parameter ``name`` in place."""
+    header, _ = load_checkpoint(path)
+    entry = next(e for e in header["params"] if e["name"] == name)
+    raw = bytearray(_read(path))
+    start = 16 + int.from_bytes(raw[8:16], "little") + 4 * entry["offset"]
+    raw[start:start + 4] = np.array(value, dtype="<f4").tobytes()
+    with open(path, "wb") as fh:
+        fh.write(raw)
+
+
+def _default_model_step(batch_size):
+    """The default model with MoCA on, its optimizer, and a function that
+    takes one training step on a fixed batch of ``batch_size`` images."""
+    config = RunConfig(dataset=make_default_spec(counts={"train": batch_size}),
+                       batch_size=batch_size)
+    bundle = build_run(config)
+    optimizer = AdamW(bundle.detection_parameters(), lr=1e-4)
+    batch = bundle.train_samples
+    targets = [(s.class_ids, np.array([a.box for a in s.annotations])) for s in batch]
+    class_rng = np.random.default_rng(0)
+
+    def loss_of():
+        return detection_loss(bundle.forward(batch, class_rng).layers, targets, config.loss)
+
+    return optimizer, loss_of
 
 
 def test_run_train_artifacts_and_determinism(tmp_path):
@@ -482,3 +515,91 @@ def test_cli_eval_report_path_under_a_file_or_on_a_directory_exits_1(tmp_path, c
     assert err.startswith("error:") and "runtime error" not in err
     # the paths are checked before the checkpoint is read or anything is scored
     assert out == "" and not loads
+
+
+def test_a_non_finite_detection_checkpoint_value_fails_eval_by_name(tmp_path, capsys):
+    doc = _tiny_doc(epochs=1)
+    bundle = build_run(RunConfig.from_json(doc))
+    ckpt = str(tmp_path / "model.ckpt")
+    save_checkpoint(ckpt, bundle.detection_parameters(), bundle.config.to_json(),
+                    phase="detection", step=0)
+    _poison_checkpoint(ckpt, "decoder.1.ffn.lin1.W", np.nan)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc["dataset"]))
+    assert main(["gen-data", "--spec", str(spec_path), "--out", str(tmp_path / "d"),
+                 "--splits", "val"]) == 0
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    assert main(["eval", "--ckpt", ckpt, "--data", str(tmp_path / "d"),
+                 "--out", str(report)]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and "'decoder.1.ffn.lin1.W'" in err
+    assert out == "" and not report.exists()
+
+
+def test_a_non_finite_pretraining_checkpoint_value_fails_train_and_writes_nothing(tmp_path,
+                                                                                  capsys):
+    ckpt = run_pretrain(RunConfig.from_json(_tiny_doc(qra_steps=0)),
+                        str(tmp_path / "pre"))["checkpoint"]
+    _poison_checkpoint(ckpt, "token_projection.W", np.inf)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_doc(epochs=1)))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run"),
+                 "--from-pretrain", ckpt]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'token_projection.W'" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator policy sets glibc's mallopt and nothing elsewhere")
+def test_training_steps_reuse_their_memory():
+    # glibc trimming the freed heap after every step, and mapping large blocks
+    # afresh, cost about 1,000 minor page faults per step of this size
+    optimizer, loss_of = _default_model_step(4)
+    for _ in range(3):
+        optimizer_step(optimizer, loss_of)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(6):
+        optimizer_step(optimizer, loss_of)
+    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 6
+    assert faults < 100
+
+
+def test_the_allocator_policy_is_glibc_only_and_its_failure_is_ignored(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda *a: calls.append(a))
+    config = RunConfig.from_json(_tiny_doc())
+    monkeypatch.setattr(platform, "libc_ver", lambda *a, **k: ("musl", "1.2"))
+    build_run(config)
+    assert calls == []
+    # on glibc the library is opened; a library without mallopt changes nothing
+    monkeypatch.setattr(platform, "libc_ver", lambda *a, **k: ("glibc", "2.99"))
+    build_run(config)
+    assert calls == [(None,)]
+
+
+def test_gradients_handed_over_by_pullbacks_never_alias():
+    optimizer, loss_of = _default_model_step(2)
+    optimizer.zero_grad()
+    with ad.Tape() as tape:
+        loss = loss_of()
+        nodes = list(tape.nodes)
+        ad.backward(loss)
+    leaves = [p for _, p in optimizer.named_params]
+    for p in leaves:
+        assert p.grad.base is optimizer.grad
+    # arrays on different buffers cannot overlap; compare within each buffer
+    by_buffer = {}
+    for t in nodes + leaves:
+        if t.grad is not None:
+            root = t.grad
+            while root.base is not None:
+                root = root.base
+            by_buffer.setdefault(id(root), []).append(t.grad)
+    assert sum(map(len, by_buffer.values())) > len(leaves)
+    for grads in by_buffer.values():
+        for i, a in enumerate(grads):
+            for b in grads[i + 1:]:
+                assert not np.shares_memory(a, b)
