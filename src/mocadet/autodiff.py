@@ -34,6 +34,13 @@ row blocks of one such array may go to different parents. An array that is,
 or is a view of, the node's own gradient, or one array given to two
 parents, is copied. So no two tensors' gradients share memory, and a
 pullback may not write into the gradient it receives.
+
+Release: backward takes nodes off the tape newest first and cuts each
+node's parents and pullback as soon as it has been visited. Only newer
+nodes point at a node, so once they are cut its value, its gradient and
+the arrays its pullback saved are freed, unless the caller holds the node:
+then it keeps its ``.data`` and ``.grad``. Backward's memory therefore
+never rises above what the forward pass left.
 """
 
 from __future__ import annotations
@@ -554,11 +561,15 @@ def backward(loss: Tensor) -> None:
     """Run reverse mode from a scalar loss in one pass over its tape.
 
     Gradients accumulate into ``.grad``; the caller clears them between steps.
-    Newest node first, a node's pullback runs when the node holds a gradient,
-    which only a node whose pullback ran can give it. The loss's tape is
-    consumed and emptied, and its nodes drop their parents and pullbacks, so
-    the graph is freed even while its outputs are still held: a second
-    backward without rebuilding the forward pass raises ContractError.
+    Nodes leave the tape newest first, and a node's pullback runs when the
+    node holds a gradient, which only a node whose pullback ran can give it.
+    Each node drops its parents and pullback as soon as it has been visited,
+    and backward keeps no reference to it, so its value, its gradient and the
+    arrays its pullback saved are freed at once unless the caller still holds
+    the node: such a node keeps its ``.data`` and ``.grad``. Backward's memory
+    thus never rises above what the forward pass left. The tape ends consumed
+    and empty, also when a pullback raises: a second backward without
+    rebuilding the forward pass raises ContractError.
     """
     if not isinstance(loss, Tensor) or loss.ndim != 0:
         raise ContractError("backward needs a scalar Tensor loss")
@@ -573,15 +584,21 @@ def backward(loss: Tensor) -> None:
     tape.consumed = True
 
     loss.grad = np.ones_like(loss.data)
+    nodes = tape.nodes
     try:
-        for node in reversed(tape.nodes):
+        while nodes:
+            node = nodes[-1]  # it leaves the tape only once it has been cut
             if node.grad is not None:
                 node._pullback(node.grad)
-    finally:
-        # nodes point back at the tape, and each keeps its parents alive: cutting
-        # both lets refcounting free the graph even while the caller still holds
-        # the loss or other outputs of the forward pass
-        for node in tape.nodes:
             node._parents = ()
             node._pullback = None
-        tape.nodes.clear()
+            nodes.pop()
+            node = None  # the last reference this loop holds
+    finally:
+        # a pullback raised: the nodes left, the raising one included, point
+        # back at the tape and keep their parents alive, so cutting both lets
+        # refcounting free the graph even while the caller holds its outputs
+        for node in nodes:
+            node._parents = ()
+            node._pullback = None
+        nodes.clear()

@@ -18,7 +18,7 @@ from .config import RunConfig
 from .data import DatasetSpec, export_coco, export_dataset, generate_synthetic, load_dataset
 from .errors import MocadetError, ValidationError
 from .evaluation import report_csv, save_report
-from .fileio import atomic_write, check_output_path
+from .fileio import atomic_write, check_output_path, check_seed
 from .tokens import (MEDICAL_PROMPT_CATALOG, build_registry, load_registry,
                      save_registry, silhouette_score)
 from .train import evaluate, load_detector_for_eval, run_pretrain, run_train
@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--catalog", action="store_true",
                      help="use the built-in 27-pair medical catalog")
     ts.add_argument("--d-text", type=int, default=64)
-    ts.add_argument("--seed", type=int, default=1)
+    ts.add_argument("--seed", type=_seed, default=1)
     ts.add_argument("--out", required=True)
     ti = tsub.add_parser("inspect", help="summarize a registry file")
     ti.add_argument("registry")
@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mi.add_argument("--n-joints", type=int, default=20)
     mi.add_argument("--K", default="1,3,7,15")
     mi.add_argument("--samples", type=int, default=20000)
-    mi.add_argument("--seed", type=int, default=0)
+    mi.add_argument("--seed", type=_seed, default=0)
     mi.add_argument("--report", default=None)
 
     return p
@@ -85,6 +85,15 @@ def _load_json(path):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise ValidationError(f"cannot read {path}: {e}") from e
+
+
+def _seed(text: str) -> int:
+    """The value of a ``--seed`` flag: an integer in [0, 2^64). argparse
+    reports a bad one as a usage error, so the command exits 1."""
+    try:
+        return check_seed(int(text), "--seed")
+    except ValidationError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _positive_ints(text: str, flag: str) -> tuple:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .data import DatasetSpec, make_default_spec
 from .detector import DetectorConfig
 from .errors import ValidationError
-from .fileio import json_form, read_dataclass
+from .fileio import check_seed, json_form, read_dataclass
 from .losses import LossWeights
 
 
@@ -56,6 +56,7 @@ class TokenConfig:
             raise ValidationError("tokens.path required when tokens.source='file'")
         if self.source == "synthetic" and self.d_text < 2:
             raise ValidationError("tokens.d_text must be >= 2")
+        check_seed(self.seed, "tokens.seed")
         return self
 
 
@@ -91,6 +92,7 @@ class RunConfig:
     eval_every: int = 4
 
     def validate(self) -> "RunConfig":
+        check_seed(self.seed, "seed")
         self.optim.validate()
         self.tokens.validate()
         self.qra.validate()

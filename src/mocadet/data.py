@@ -40,7 +40,7 @@ import numpy as np
 from . import autodiff as ad
 from .boxes import corner_iou
 from .errors import ContractError, IngestError, TokenLookupError, ValidationError
-from .fileio import atomic_write, json_form, make_dirs, read_dataclass
+from .fileio import atomic_write, check_seed, json_form, make_dirs, read_dataclass
 from .tokens import TokenProjection, TokenRegistry, _fnv1a64
 
 _RAWF32_MAGIC = b"RAWF32\x00"
@@ -87,6 +87,10 @@ class ModalitySpec:
     noise_sigma: float = 0.02
     texture_freq: float = 2.0
 
+    def __post_init__(self):
+        if not self.classes:
+            raise ValidationError(f"modality {self.name!r}: classes must name at least one class")
+
 
 @dataclass
 class DatasetSpec:
@@ -102,6 +106,7 @@ class DatasetSpec:
             raise ValidationError("need at least 2 modalities")
         if self.image_size < 16:
             raise ValidationError("image_size must be >= 16")
+        check_seed(self.seed, "dataset.seed")
         for split, n in self.counts.items():
             if n < 0:
                 raise ValidationError(f"counts.{split} must be >= 0, got {n}")

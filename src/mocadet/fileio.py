@@ -6,7 +6,8 @@ JSON type is a ``ValidationError`` naming the dotted field, e.g.
 ``config.dataset.modalities[0].curve``. A bool is not an int, an int counts
 as a float, a float must be finite (Python's ``json`` reads ``NaN`` and
 ``Infinity``), absent fields take their defaults and nested dataclasses are
-read by the same rule. ``json_form`` is the inverse."""
+read by the same rule. ``json_form`` is the inverse. ``check_seed`` is the
+one range rule of a seed read from outside."""
 
 from __future__ import annotations
 
@@ -59,6 +60,14 @@ def atomic_write(path, mode: str = "w"):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def check_seed(seed: int, where: str) -> int:
+    """``seed``, which must lie in [0, 2^64), the range every seeded
+    generator here accepts; otherwise a ValidationError naming ``where``."""
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"{where} must be an integer in [0, 2^64), got {seed}")
+    return seed
 
 
 def make_dirs(path) -> None:

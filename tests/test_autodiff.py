@@ -4,6 +4,7 @@ Derived expectations are computed by independent oracles (hand evaluation,
 closed forms, central finite differences) rather than by the code under test.
 """
 
+import gc
 import inspect
 
 import numpy as np
@@ -577,3 +578,38 @@ def test_backward_empties_the_tape():
         ad.backward(loss)
     assert tape.nodes == []
     assert np.array_equal(v.grad, [2.0, 4.0])
+
+
+def test_a_raising_pullback_still_releases_the_whole_graph():
+    v = ad.param([1.0, 2.0])
+    held = []
+
+    def wrong_shape(g):
+        assert held[0].grad is g  # the pullback reaches its own node: a cycle
+        return (np.ones(3),)
+
+    with ad.Tape() as tape:
+        h = ad.mul(v, v)
+        bad = ad.node(h.data.sum(), [h], wrong_shape)
+        held.append(bad)
+        loss = ad.mul(bad, bad)
+        nodes = list(tape.nodes)
+        assert nodes == [h, bad, loss]
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()  # an automatic collection would hide a leftover cycle
+        message = None
+        try:
+            try:
+                ad.backward(loss)
+            except ContractError as e:
+                message = str(e)
+            assert "one gradient per parent" in message
+            assert tape.consumed and tape.nodes == []
+            # the unreached node, the one that raised and the one that ran
+            assert all(n._parents == () and n._pullback is None for n in nodes)
+            del h, bad, loss, nodes, held[:]
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()

@@ -116,7 +116,7 @@ def _run_chain(tmp) -> dict:
     cfg_default = write("cfg_default.json", {"qra": {"steps": 0}})
     commands = [
         ["gen-data", "--spec", spec, "--out", at("data"), "--coco"],
-        ["tokens", "synth", "--spec", spec, "--d-text", "8", "--out", reg],
+        ["tokens", "synth", "--spec", spec, "--d-text", "8", "--seed", "1", "--out", reg],
         ["tokens", "inspect", reg],
         ["tokens", "silhouette", reg, "--json", at("sil.json")],
         ["pretrain", "--config", cfg, "--out", at("pre")],

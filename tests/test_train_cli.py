@@ -5,6 +5,7 @@ import json
 import os
 import platform
 import resource
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -424,6 +425,57 @@ def test_cli_mi_lab_bad_arguments_exit_1(capsys, args):
     assert out == "" and err.startswith("error:") and args[0] in err
 
 
+@pytest.mark.parametrize("command,field", [("train", "seed"), ("train", "tokens.seed"),
+                                           ("gen-data", "dataset.seed")],
+                         ids=["config_seed", "tokens_seed", "dataset_seed"])
+def test_cli_rejects_a_negative_seed_in_a_document_and_writes_nothing(tmp_path, capsys,
+                                                                      command, field):
+    doc = _tiny_doc(epochs=1)
+    *parents, name = field.split(".")
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[name] = -1
+    path = tmp_path / "in.json"
+    if command == "gen-data":
+        path.write_text(json.dumps(doc["dataset"]))
+        argv = ["gen-data", "--spec", str(path)]
+    else:
+        path.write_text(json.dumps(doc))
+        argv = ["train", "--config", str(path)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{field} must be an integer in [0, 2^64)" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["tokens", "synth", "--catalog", "--seed", "-1"],
+                                  ["tokens", "synth", "--catalog", "--seed", str(2**70)],
+                                  ["mi-lab", "--samples", "1000", "--seed", "-1"]],
+                         ids=["tokens_negative", "tokens_2_pow_70", "mi_lab_negative"])
+def test_cli_rejects_a_seed_flag_outside_0_to_2_pow_64_and_writes_nothing(tmp_path, capsys,
+                                                                          argv):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out" if argv[0] == "tokens" else "--report", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and "--seed must be an integer in [0, 2^64)" in err
+    assert not out.exists()
+    # the largest seed is accepted
+    assert main(["tokens", "synth", "--catalog", "--d-text", "4", "--seed", str(2**64 - 1),
+                 "--out", str(out)]) == 0
+
+
+def test_cli_gen_data_rejects_a_modality_without_classes(tmp_path, capsys):
+    spec = _tiny_doc()["dataset"]
+    spec["modalities"][1]["classes"] = []
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["gen-data", "--spec", str(path), "--out", str(tmp_path / "data")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'mb': classes must name at least one class" in err
+    assert not (tmp_path / "data").exists()
+
+
 @pytest.mark.parametrize("doc", [{"joints": 3}, {}, [1], {"joints": []},
                                  {"joints": [[[0.5, "a"]]]}, {"joints": [[[0.5], [0.25, 0.25]]]}],
                          ids=["not_a_list", "no_joints", "not_an_object", "empty",
@@ -603,3 +655,52 @@ def test_gradients_handed_over_by_pullbacks_never_alias():
         for i, a in enumerate(grads):
             for b in grads[i + 1:]:
                 assert not np.shares_memory(a, b)
+
+
+def test_backward_holds_no_more_memory_than_the_forward_pass_left():
+    # each node is freed once its pullback has run, so the traced peak of
+    # backward stays near what the forward pass holds (1.8 times it when
+    # backward keeps the whole graph to the end)
+    optimizer, loss_of = _default_model_step(4)
+    optimizer_step(optimizer, loss_of)
+    optimizer.zero_grad()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with ad.Tape():
+            loss = loss_of()
+            forward = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            ad.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert forward > 10e6  # the default model's activations, about 16 MB
+    assert peak <= 1.1 * forward, (peak, forward)
+
+
+@pytest.mark.parametrize("moca", [True, False], ids=["moca", "base"])
+def test_a_tiny_run_learns_its_own_training_images(tmp_path, moca):
+    # the goldens pin behaviour; this pins learning: 300 steps overfit four
+    # 32 px images, scored through the saved checkpoint. Two classes per
+    # modality, so a box matched to another object's class is an error
+    dataset = dict(_tiny_doc()["dataset"], image_size=32, counts={"train": 4},
+                   size_range=[8, 14], objects_range=[1, 2])
+    for m in dataset["modalities"]:
+        m["classes"] = [f"{m['name']}_c0", f"{m['name']}_c1"]
+    doc = {
+        "dataset": dataset,
+        "model": {"d_model": 32, "n_queries": 8, "n_decoder_layers": 2, "n_heads": 4,
+                  "patch_size": 8, "n_encoder_layers": 0, "ffn_width": 64},
+        "optim": {"lr": 2e-3, "weight_decay": 1e-4, "decay_epoch": 300, "epochs": 300},
+        "tokens": {"source": "synthetic", "d_text": 8, "seed": 1},
+        "qra": {"layer": 2}, "batch_size": 4, "seed": 0, "moca": moca,
+    }
+    summary = run_train(RunConfig.from_json(doc), str(tmp_path))
+    assert summary["steps"] == 300
+    bundle = load_detector_for_eval(summary["checkpoint_final"])
+    ap50 = evaluate(bundle, bundle.train_samples).ap50
+    assert ap50 >= 0.9
