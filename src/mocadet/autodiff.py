@@ -26,21 +26,38 @@ Conventions:
   * broadcasting is limited to scalars and row vectors -- anything else is a
     loud ShapeError.
 
+Graph and values: a ``Tensor`` is its value ``data`` plus a link to its
+``Node``, which holds what reverse mode needs: ``grad``, ``requires_grad``,
+the parent nodes and the pullback. The tape lists nodes, and no node points
+at a tensor or a value.
+
+Capture: a pullback closes over the parent nodes it accumulates into and
+over only the arrays and shapes its formula reads, all taken at forward
+time. ``linear`` keeps ``x`` and ``W``; ``attention`` its q/k/v head views
+(the concatenated copies when extra rows are appended) and the softmax
+``p``; ``mul`` and ``cosine_matrix`` both inputs; ``layernorm`` its
+normalized ``y``, the row scales and ``gamma``; ``sigmoid`` its own output;
+``relu`` its mask; ``logsumexp_rows`` its softmax. ``add``, ``sub``,
+``concat_rows``, ``mean_rows`` and ``sum_all`` keep no value. So a value
+that no pullback reads -- a residual sum that only a layer norm takes, an
+FFN pre-activation -- is freed as soon as the forward code drops its
+tensor.
+
 Gradient ownership: a pullback gives each parent its gradient through
 ``_accum``, which adds into a gradient the parent already holds and
 otherwise stores a copy. A pullback hands over, uncopied, only an array it
 has just allocated and gives to no other parent (``owned=True``); disjoint
 row blocks of one such array may go to different parents. An array that is,
 or is a view of, the node's own gradient, or one array given to two
-parents, is copied. So no two tensors' gradients share memory, and a
+parents, is copied. So no two nodes' gradients share memory, and a
 pullback may not write into the gradient it receives.
 
 Release: backward takes nodes off the tape newest first and cuts each
 node's parents and pullback as soon as it has been visited. Only newer
-nodes point at a node, so once they are cut its value, its gradient and
-the arrays its pullback saved are freed, unless the caller holds the node:
-then it keeps its ``.data`` and ``.grad``. Backward's memory therefore
-never rises above what the forward pass left.
+nodes point at a node, so once they are cut its gradient and the arrays
+its pullback saved are freed, unless the caller holds its tensor: that
+keeps its ``.data`` and ``.grad``. Backward's memory therefore never rises
+above what the forward pass left.
 """
 
 from __future__ import annotations
@@ -90,7 +107,7 @@ class Tape:
     """
 
     def __init__(self):
-        self.nodes: list[Tensor] = []
+        self.nodes: list[Node] = []
         self.consumed = False
 
     def __enter__(self) -> "Tape":
@@ -109,10 +126,24 @@ def active_tape() -> Tape | None:
     return stack[-1] if stack else None
 
 
-class Tensor:
-    """A float64 array plus the bookkeeping reverse mode needs."""
+class Node:
+    """The reverse-mode half of a tensor: its gradient and, once recorded on
+    a tape, its parent nodes and pullback. It holds no value."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_pullback", "_tape")
+    __slots__ = ("requires_grad", "grad", "_parents", "_pullback", "_tape")
+
+    def __init__(self, requires_grad: bool):
+        self.requires_grad = requires_grad
+        self.grad: np.ndarray | None = None
+        self._parents: tuple = ()
+        self._pullback = None
+        self._tape: Tape | None = None
+
+
+class Tensor:
+    """A float64 array and the graph node reverse mode tracks it by."""
+
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -121,11 +152,7 @@ class Tensor:
         if not np.all(np.isfinite(arr)):
             raise ValidationError("leaf tensor contains NaN or Inf")
         self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
-        self._parents: tuple = ()
-        self._pullback = None
-        self._tape: Tape | None = None
+        self.node = Node(bool(requires_grad))
 
     # -- introspection -------------------------------------------------
     @property
@@ -135,6 +162,18 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node.requires_grad
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self.node.grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        self.node.grad = value
 
     def item(self) -> float:
         return float(self.data)
@@ -193,12 +232,12 @@ def _as_tensor(x) -> Tensor:
 
 
 def _make_node(data: np.ndarray, parents: tuple, pullback) -> Tensor:
+    """The tensor of ``data`` whose node has the nodes ``parents``; it is
+    recorded with ``pullback`` when a parent requires a gradient."""
     out = Tensor.__new__(Tensor)
     out.data = np.asarray(data, dtype=np.float64)
-    out.grad = None
-    needs = grad_enabled() and any(p.requires_grad for p in parents)
-    out.requires_grad = needs
-    if needs:
+    out.node = n = Node(grad_enabled() and any(p.requires_grad for p in parents))
+    if n.requires_grad:
         tape = active_tape()
         if tape is None:
             raise ContractError(
@@ -207,18 +246,14 @@ def _make_node(data: np.ndarray, parents: tuple, pullback) -> Tensor:
             )
         if tape.consumed:
             raise ContractError("tape already consumed by backward; open a new Tape")
-        out._parents = parents
-        out._pullback = pullback
-        out._tape = tape
-        tape.nodes.append(out)
-    else:
-        out._parents = ()
-        out._pullback = None
-        out._tape = None
+        n._parents = parents
+        n._pullback = pullback
+        n._tape = tape
+        tape.nodes.append(n)
     return out
 
 
-def _accum(parent: Tensor, g: np.ndarray, owned: bool = False) -> None:
+def _accum(parent: Node, g: np.ndarray, owned: bool = False) -> None:
     """Add ``g`` to ``parent.grad`` in place, so a leaf whose gradient is a
     view of an optimizer's flat gradient fills that vector. The first write
     to an empty gradient copies ``g``, unless ``owned`` says that the
@@ -242,17 +277,18 @@ def node(data, parents, pullback) -> Tensor:
     parents = tuple(parents)
     if not all(isinstance(p, Tensor) for p in parents):
         raise ContractError("node parents must be Tensors")
+    nodes, shapes = tuple(p.node for p in parents), [p.shape for p in parents]
 
     def run(g):
         grads = tuple(pullback(g))
-        if len(grads) != len(parents) or any(np.shape(d) != p.shape
-                                             for p, d in zip(parents, grads)):
+        if len(grads) != len(nodes) or any(np.shape(d) != shape
+                                           for shape, d in zip(shapes, grads)):
             raise ContractError("node pullback must return one gradient per parent, "
                                 "each of that parent's shape")
-        for p, d in zip(parents, grads):
-            _accum(p, d)
+        for n, d in zip(nodes, grads):
+            _accum(n, d)
 
-    return _make_node(data, parents, run)
+    return _make_node(data, nodes, run)
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +303,18 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear needs (n, k) x (k, m) + (m,) operands, "
                          f"got {x.shape}, {W.shape} and {b.shape}")
 
-    def pullback(g):
-        _accum(b, g.sum(axis=0))
-        if x.requires_grad:
-            _accum(x, g @ W.data.T, owned=True)
-        if W.requires_grad:
-            _accum(W, x.data.T @ g, owned=True)
+    nx, nW, nb, x, W = x.node, W.node, b.node, x.data, W.data
 
-    out = x.data @ W.data
+    def pullback(g):
+        _accum(nb, g.sum(axis=0))
+        if nx.requires_grad:
+            _accum(nx, g @ W.T, owned=True)
+        if nW.requires_grad:
+            _accum(nW, x.T @ g, owned=True)
+
+    out = x @ W
     out += b.data
-    return _make_node(out, (x, W, b), pullback)
+    return _make_node(out, (nx, nW, nb), pullback)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
@@ -308,7 +346,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
         raise ShapeError(f"width {d} does not split into {n_heads} heads")
     if not scale > 0.0:
         raise ValidationError("attention scale must be positive")
-    m, d_head = k.shape[0] // s, d // n_heads
+    m, d_head, kv_shape = k.shape[0] // s, d // n_heads, k.shape
 
     def split(x):  # (S*rows, d) -> (S, h, rows, d_h)
         return x.reshape(s, -1, n_heads, d_head).transpose(0, 2, 1, 3)
@@ -321,6 +359,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
         return x if extra is None else np.concatenate([x, extra.data[:, None, :]], axis=1)
 
     extra_k, extra_v = extras or (None, None)
+    nodes = tuple(t.node for t in (q, k, v, *extras))
+    extra_shape = extra_k.shape if extras else None
     qh = split(q.data)
     kh = split(with_extra(k.data, extra_k))
     vh = split(with_extra(v.data, extra_v))
@@ -337,14 +377,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
         dp -= (dp * p).sum(axis=3, keepdims=True)
         ds = scale * p
         ds *= dp
-        _accum(q, merge(ds @ kh), owned=True)
+        _accum(nodes[0], merge(ds @ kh), owned=True)
         dk = merge(ds.transpose(0, 1, 3, 2) @ qh).reshape(s, -1, d)
         dv = merge(p.transpose(0, 1, 3, 2) @ go).reshape(s, -1, d)
         # disjoint row blocks of two fresh arrays: each parent owns its block
-        for t, grad in zip([k, v] + extras, (dk[:, :m], dv[:, :m], dk[:, m:], dv[:, m:])):
-            _accum(t, grad.reshape(t.shape), owned=True)
+        for n, grad, shape in zip(nodes[1:], (dk[:, :m], dv[:, :m], dk[:, m:], dv[:, m:]),
+                                  (kv_shape, kv_shape, extra_shape, extra_shape)):
+            _accum(n, grad.reshape(shape), owned=True)
 
-    return _make_node(merge(p @ vh), (q, k, v, *extras), pullback)
+    return _make_node(merge(p @ vh), nodes, pullback)
 
 
 def _broadcast_kind(a: Tensor, b: Tensor) -> str:
@@ -368,45 +409,45 @@ def _reduce_to(g: np.ndarray, kind: str) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    kind = _broadcast_kind(a, b)
+    kind, na, nb = _broadcast_kind(a, b), a.node, b.node
 
     def pullback(g):
-        _accum(a, g)
-        _accum(b, _reduce_to(g, kind))
+        _accum(na, g)
+        _accum(nb, _reduce_to(g, kind))
 
-    return _make_node(a.data + b.data, (a, b), pullback)
+    return _make_node(a.data + b.data, (na, nb), pullback)
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    kind = _broadcast_kind(a, b)
+    kind, na, nb = _broadcast_kind(a, b), a.node, b.node
 
     def pullback(g):
-        _accum(a, g)
-        _accum(b, -_reduce_to(g, kind))
+        _accum(na, g)
+        _accum(nb, -_reduce_to(g, kind))
 
-    return _make_node(a.data - b.data, (a, b), pullback)
+    return _make_node(a.data - b.data, (na, nb), pullback)
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    kind = _broadcast_kind(a, b)
+    kind, na, nb, a, b = _broadcast_kind(a, b), a.node, b.node, a.data, b.data
 
     def pullback(g):
-        _accum(a, g * b.data)
-        _accum(b, _reduce_to(g * a.data, kind))
+        _accum(na, g * b)
+        _accum(nb, _reduce_to(g * a, kind))
 
-    return _make_node(a.data * b.data, (a, b), pullback)
+    return _make_node(a * b, (na, nb), pullback)
 
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-    mask = a.data > 0.0
+    na, mask = a.node, a.data > 0.0
 
     def pullback(g):
-        _accum(a, g * mask, owned=True)
+        _accum(na, g * mask, owned=True)
 
-    return _make_node(a.data * mask, (a,), pullback)
+    return _make_node(a.data * mask, (na,), pullback)
 
 
 def expit(x) -> np.ndarray:
@@ -418,12 +459,12 @@ def expit(x) -> np.ndarray:
 
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    out_data = expit(a.data)
+    na, out_data = a.node, expit(a.data)
 
     def pullback(g):
-        _accum(a, g * out_data * (1.0 - out_data), owned=True)
+        _accum(na, g * out_data * (1.0 - out_data), owned=True)
 
-    return _make_node(out_data, (a,), pullback)
+    return _make_node(out_data, (na,), pullback)
 
 
 def logsumexp_rows(a: Tensor) -> Tensor:
@@ -435,12 +476,12 @@ def logsumexp_rows(a: Tensor) -> Tensor:
     e = np.exp(a.data - m)
     s = e.sum(axis=1, keepdims=True)
     out_data = (m + np.log(s))[:, 0]
-    soft = e / s
+    na, soft = a.node, e / s
 
     def pullback(g):
-        _accum(a, g[:, None] * soft)
+        _accum(na, g[:, None] * soft)
 
-    return _make_node(out_data, (a,), pullback)
+    return _make_node(out_data, (na,), pullback)
 
 
 def layernorm(a: Tensor, gamma: Tensor | None = None, beta: Tensor | None = None) -> Tensor:
@@ -461,26 +502,29 @@ def layernorm(a: Tensor, gamma: Tensor | None = None, beta: Tensor | None = None
     np.sqrt(s, out=s)
     y /= s
 
+    nodes = tuple(t.node for t in ((a, gamma, beta) if affine else (a,)))
+    if affine:
+        kind, gamma = _broadcast_kind(a, gamma), gamma.data
+
     def pullback(g):
         if affine:
-            kind = _broadcast_kind(a, gamma)
-            _accum(beta, _reduce_to(g, kind))
-            _accum(gamma, _reduce_to(g * y, kind))
-            g = g * gamma.data
+            _accum(nodes[2], _reduce_to(g, kind))
+            _accum(nodes[1], _reduce_to(g * y, kind))
+            g = g * gamma
         gm = g.sum(axis=axis, keepdims=True) / n
         gy = (g * y).sum(axis=axis, keepdims=True) / n
         # (g - gm - y * gy) / s
         dx = g - gm
         dx -= y * gy
         dx /= s
-        _accum(a, dx, owned=True)
+        _accum(nodes[0], dx, owned=True)
 
     if affine:
-        out_data = y * gamma.data
+        out_data = y * gamma
         out_data += beta.data
     else:
         out_data = y
-    return _make_node(out_data, (a, gamma, beta) if affine else (a,), pullback)
+    return _make_node(out_data, nodes, pullback)
 
 
 def concat_rows(tensors) -> Tensor:
@@ -492,13 +536,13 @@ def concat_rows(tensors) -> Tensor:
             raise ShapeError("concat_rows needs matrices with equal column counts")
     sizes = [t.shape[0] for t in tensors]
     offsets = np.cumsum([0] + sizes)
+    nodes = tuple(t.node for t in tensors)
 
     def pullback(g):
-        for t, i0, i1 in zip(tensors, offsets[:-1], offsets[1:]):
-            _accum(t, g[i0:i1])
+        for n, i0, i1 in zip(nodes, offsets[:-1], offsets[1:]):
+            _accum(n, g[i0:i1])
 
-    return _make_node(np.concatenate([t.data for t in tensors], axis=0),
-                      tuple(tensors), pullback)
+    return _make_node(np.concatenate([t.data for t in tensors], axis=0), nodes, pullback)
 
 
 def mean_rows(a: Tensor, segments: int) -> Tensor:
@@ -510,24 +554,25 @@ def mean_rows(a: Tensor, segments: int) -> Tensor:
     if a.ndim != 2 or a.shape[0] == 0 or s < 1 or a.shape[0] % s:
         raise ContractError(f"mean_rows needs a matrix of {s} equal non-empty row "
                             f"blocks, got {a.shape}")
-    m = a.shape[0] // s
-    blocks = a.data.reshape(s, m, a.shape[1])
+    na, shape = a.node, a.shape
+    m, cols = shape[0] // s, shape[1]
 
     def pullback(g):
-        ga = np.empty(blocks.shape)
-        ga[...] = g.reshape(s, 1, a.shape[1]) / m
-        _accum(a, ga.reshape(a.shape), owned=True)
+        ga = np.empty((s, m, cols))
+        ga[...] = g.reshape(s, 1, cols) / m
+        _accum(na, ga.reshape(shape), owned=True)
 
-    return _make_node(blocks.mean(axis=1), (a,), pullback)
+    return _make_node(a.data.reshape(s, m, cols).mean(axis=1), (na,), pullback)
 
 
 def sum_all(a) -> Tensor:
     a = _as_tensor(a)
+    na, shape = a.node, a.shape
 
     def pullback(g):
-        _accum(a, np.broadcast_to(g, a.data.shape).copy(), owned=True)
+        _accum(na, np.broadcast_to(g, shape).copy(), owned=True)
 
-    return _make_node(np.asarray(a.data.sum()), (a,), pullback)
+    return _make_node(np.asarray(a.data.sum()), (na,), pullback)
 
 
 def cosine_matrix(a: Tensor, b: Tensor) -> Tensor:
@@ -542,14 +587,15 @@ def cosine_matrix(a: Tensor, b: Tensor) -> Tensor:
         raise ValidationError("cosine similarity of a zero vector is undefined")
     norms = na[:, None] * nb[None, :]
     c = (a.data @ b.data.T) / norms
+    nodes, a, b = (a.node, b.node), a.data, b.data
 
     def pullback(g):
         gn = g / norms
         gc = g * c
-        _accum(a, gn @ b.data - (gc.sum(axis=1) / (na * na))[:, None] * a.data)
-        _accum(b, gn.T @ a.data - (gc.sum(axis=0) / (nb * nb))[:, None] * b.data)
+        _accum(nodes[0], gn @ b - (gc.sum(axis=1) / (na * na))[:, None] * a)
+        _accum(nodes[1], gn.T @ a - (gc.sum(axis=0) / (nb * nb))[:, None] * b)
 
-    return _make_node(c, (a, b), pullback)
+    return _make_node(c, nodes, pullback)
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +610,9 @@ def backward(loss: Tensor) -> None:
     Nodes leave the tape newest first, and a node's pullback runs when the
     node holds a gradient, which only a node whose pullback ran can give it.
     Each node drops its parents and pullback as soon as it has been visited,
-    and backward keeps no reference to it, so its value, its gradient and the
-    arrays its pullback saved are freed at once unless the caller still holds
-    the node: such a node keeps its ``.data`` and ``.grad``. Backward's memory
+    and backward keeps no reference to it, so its gradient and the arrays its
+    pullback saved are freed at once unless the caller still holds its
+    tensor, which keeps its ``.data`` and ``.grad``. Backward's memory
     thus never rises above what the forward pass left. The tape ends consumed
     and empty, also when a pullback raises: a second backward without
     rebuilding the forward pass raises ContractError.
@@ -575,7 +621,7 @@ def backward(loss: Tensor) -> None:
         raise ContractError("backward needs a scalar Tensor loss")
     if not loss.requires_grad:
         raise ContractError("loss does not depend on any requires_grad leaf")
-    tape = loss._tape
+    tape = loss.node._tape
     if tape is None:  # loss is itself a leaf parameter
         loss.grad = np.ones_like(loss.data) if loss.grad is None else loss.grad + 1.0
         return

@@ -6,10 +6,12 @@ across modalities, but the shape assigned to a class depends only on its
 local index, so the same silhouette can mean different classes in different
 modalities -- resolving it requires modality context. Boxes are derived
 from the rendered mask, so annotations are exact by construction. Images
-are quantized to float32 values at generation time so the raw-blob export
-is lossless. The texture is computed on 1-d coordinates and broadcast, and
-the four fixed shapes are built once per extent and cached read-only; only
-the blob draws from the generator.
+are float32 from generation on, the precision the raw-blob export stores,
+so the export is lossless and a loaded image equals the rendered one; the
+detector widens a batch to float64 when it encodes it. The texture is
+computed on 1-d coordinates and broadcast, and the four fixed shapes are
+built once per extent and cached read-only; only the blob draws from the
+generator.
 
 Each image of a batch gets one modality token row (``attach_token``): the
 embedding of one of its box classes in training, and the mean of its
@@ -69,7 +71,7 @@ class Annotation:
 
 @dataclass
 class Sample:
-    image: np.ndarray  # (H, W) float64 in [0, 1]
+    image: np.ndarray  # (H, W) float32 in [0, 1]
     modality_id: int
     annotations: list
     sample_id: str
@@ -90,6 +92,10 @@ class ModalitySpec:
     def __post_init__(self):
         if not self.classes:
             raise ValidationError(f"modality {self.name!r}: classes must name at least one class")
+        for name in ("noise_sigma", "texture_freq"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"modality {self.name!r}: {name} must be >= 0, "
+                                      f"got {getattr(self, name)}")
 
 
 @dataclass
@@ -117,6 +123,10 @@ class DatasetSpec:
                     and low <= r[0] <= r[1] <= high):
                 raise ValidationError(f"{name} must be two integers lo, hi with "
                                       f"{low} <= lo <= hi <= {high}, got {list(r)}")
+        names = self.modality_names
+        for name in names:
+            if names.count(name) > 1:
+                raise ValidationError(f"modality names must be unique: {name!r}")
         seen = set()
         for m in self.modalities:
             for c in m.classes:
@@ -301,7 +311,7 @@ def _render_sample(spec: DatasetSpec, modality_id: int, split: str,
     if mod.noise_sigma > 0:
         img = img + rng.normal(0.0, mod.noise_sigma, size=img.shape)
     img = np.clip(img, 0.0, 1.0)
-    img = np.float64(np.float32(img))  # lossless raw-f32 export
+    img = img.astype(np.float32)  # the precision of the raw-f32 export
     return Sample(image=img, modality_id=modality_id, annotations=annotations,
                   sample_id=f"{split}-{mod.name}-{index}")
 
@@ -444,7 +454,7 @@ def load_dataset(out_dir, split: str):
         if start < 0 or start + size * size > blob.size:
             raise IngestError(f"{blob_path}: image {rec.id!r} lies outside the "
                               f"{blob.size * 4}-byte blob")
-        img = blob[start:start + size * size].astype(np.float64).reshape(size, size)
+        img = blob[start:start + size * size].astype(np.float32).reshape(size, size)
         anns = [Annotation(box=b, class_id=c).validate() for b, c in zip(rec.boxes, rec.classes)]
         samples.append(Sample(image=img, modality_id=rec.modality_id,
                               annotations=anns, sample_id=rec.id))

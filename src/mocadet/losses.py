@@ -193,6 +193,7 @@ def _box_node(boxes: ad.Tensor, rows, truth: np.ndarray, row_weight: np.ndarray,
     giou_m, iw, ih, union, cw, ch = giou_parts(pred, true)
     w_l1, w_giou = weights.w_l1 * row_weight, weights.w_giou * row_weight[:, 0]
     value = np.sum(np.abs(diff) * w_l1) + np.sum((1.0 - giou_m) * w_giou)
+    shape = boxes.shape
 
     def pullback(g):
         # GIoU = I / U - (H - U) / H with I = iw * ih and H = cw * ch
@@ -209,7 +210,7 @@ def _box_node(boxes: ad.Tensor, rows, truth: np.ndarray, row_weight: np.ndarray,
         g_hi = g_area + g_i * (hi <= true_hi) + g_c * (hi >= true_hi)
         g_rows = np.concatenate([g_lo + g_hi, 0.5 * (g_hi - g_lo)]).T
         g_rows += g * np.sign(diff) * w_l1
-        full = np.zeros_like(boxes.data)
+        full = np.zeros(shape)
         np.add.at(full, rows, g_rows)
         return (full,)
 

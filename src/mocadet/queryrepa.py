@@ -47,8 +47,9 @@ def qra_loss(q_means: ad.Tensor, tokens: ad.Tensor, g_phi: FeedForward,
 def _query_means(model: Detector, batch, tokens: ad.Tensor, layer: int) -> ad.Tensor:
     """The (B, d) means of each image's layer-``layer`` query states, from
     one batched forward with ``tokens`` as the images' token rows: row b is
-    the arithmetic mean of image b's N query rows (row block b)."""
-    out = model.forward(np.stack([s.image for s in batch]), tokens)
+    the arithmetic mean of image b's N query rows (row block b). The loss
+    reads no head, so they run on the last layer only."""
+    out = model.forward(np.stack([s.image for s in batch]), tokens, final_heads_only=True)
     return ad.mean_rows(out.state(layer), len(batch))
 
 

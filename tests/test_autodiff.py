@@ -594,7 +594,7 @@ def test_a_raising_pullback_still_releases_the_whole_graph():
         held.append(bad)
         loss = ad.mul(bad, bad)
         nodes = list(tape.nodes)
-        assert nodes == [h, bad, loss]
+        assert nodes == [h.node, bad.node, loss.node]
         gc.collect()
         enabled = gc.isenabled()
         gc.disable()  # an automatic collection would hide a leftover cycle

@@ -58,7 +58,8 @@ def _render_digest(spec) -> str:
     h = hashlib.sha256()
     for split in ("train", "val"):
         for s in dt.generate_synthetic(spec, split):
-            h.update(s.image.tobytes())
+            # widened: the digests were recorded when images were float64
+            h.update(s.image.astype(np.float64).tobytes())
             h.update(repr([a.box for a in s.annotations]).encode())
             h.update(repr(s.class_ids).encode())
             h.update(s.sample_id.encode())
