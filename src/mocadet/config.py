@@ -106,7 +106,12 @@ class RunConfig:
             raise ValidationError(
                 f"qra.batch_size {self.qra_batch_size} exceeds modality count {m}; "
                 "pretraining batches must cover distinct modalities")
-        n_dec = self.detector_config().n_decoder_layers
+        det_cfg = self.detector_config()
+        if self.dataset.image_size % det_cfg.patch_size:
+            raise ValidationError(
+                f"dataset.image_size {self.dataset.image_size} is not a multiple of "
+                f"model.patch_size {det_cfg.patch_size}")
+        n_dec = det_cfg.n_decoder_layers
         if not 2 <= self.qra.layer <= n_dec:
             raise ValidationError(
                 f"qra.layer must be in [2, {n_dec}] for this decoder depth")

@@ -58,10 +58,16 @@ class DetectorConfig:
 
 
 class Linear(ad.Module):
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
+    """``x @ W + b``. Given ``rng``, W and b are drawn uniform in
+    [-1/sqrt(d_in), 1/sqrt(d_in)); without it they start as zeros, for a
+    model whose weights a checkpoint then fills. Every module here takes
+    ``rng`` the same way."""
+
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator | None = None):
         s = 1.0 / math.sqrt(d_in)
-        self.W = ad.param(rng.uniform(-s, s, size=(d_in, d_out)))
-        self.b = ad.param(rng.uniform(-s, s, size=d_out))
+        self.W = ad.param(np.zeros((d_in, d_out)) if rng is None
+                          else rng.uniform(-s, s, size=(d_in, d_out)))
+        self.b = ad.param(np.zeros(d_out) if rng is None else rng.uniform(-s, s, size=d_out))
 
     def __call__(self, x: ad.Tensor) -> ad.Tensor:
         return ad.linear(x, self.W, self.b)
@@ -79,7 +85,7 @@ class LayerNorm(ad.Module):
 class MultiHeadAttention(ad.Module):
     """Scaled dot-product attention over n_heads column blocks, output proj."""
 
-    def __init__(self, d_model: int, n_heads: int, rng: np.random.Generator):
+    def __init__(self, d_model: int, n_heads: int, rng: np.random.Generator | None = None):
         self.d_model, self.n_heads = d_model, n_heads
         self.wq = Linear(d_model, d_model, rng)
         self.wk = Linear(d_model, d_model, rng)
@@ -103,7 +109,7 @@ class MultiHeadAttention(ad.Module):
 
 
 class FeedForward(ad.Module):
-    def __init__(self, d_model: int, width: int, rng: np.random.Generator):
+    def __init__(self, d_model: int, width: int, rng: np.random.Generator | None = None):
         self.lin1 = Linear(d_model, width, rng)
         self.lin2 = Linear(width, d_model, rng)
 
@@ -130,7 +136,7 @@ def sinusoidal_positions_2d(n_rows: int, n_cols: int, d_model: int) -> np.ndarra
 
 
 class EncoderLayer(ad.Module):
-    def __init__(self, cfg: DetectorConfig, rng):
+    def __init__(self, cfg: DetectorConfig, rng: np.random.Generator | None = None):
         self.attn = MultiHeadAttention(cfg.d_model, cfg.n_heads, rng)
         self.ffn = FeedForward(cfg.d_model, cfg.ffn_width, rng)
         self.ln1 = LayerNorm(cfg.d_model)
@@ -142,7 +148,7 @@ class EncoderLayer(ad.Module):
 
 
 class DecoderLayer(ad.Module):
-    def __init__(self, cfg: DetectorConfig, rng):
+    def __init__(self, cfg: DetectorConfig, rng: np.random.Generator | None = None):
         self.self_attn = MultiHeadAttention(cfg.d_model, cfg.n_heads, rng)
         self.cross_attn = MultiHeadAttention(cfg.d_model, cfg.n_heads, rng)
         self.ffn = FeedForward(cfg.d_model, cfg.ffn_width, rng)
@@ -181,14 +187,19 @@ class DetectorOutput:
 
 
 class Detector(ad.Module):
-    def __init__(self, config: DetectorConfig, rng: np.random.Generator):
+    def __init__(self, config: DetectorConfig, rng: np.random.Generator | None = None):
+        """The model of ``config``, its weights drawn from ``rng`` in a fixed
+        order, or all zeros but the layer norms' without it (see ``Linear``)."""
         cfg = config.validate()
         self.config = cfg
         d = cfg.d_model
         self.patch_proj = Linear(cfg.patch_size * cfg.patch_size, d, rng)
         self.encoder = [EncoderLayer(cfg, rng) for _ in range(cfg.n_encoder_layers)]
-        self.query_embed = ad.param(rng.normal(0.0, 0.5, size=(cfg.n_queries, d)))
-        self.query_pos = ad.param(rng.normal(0.0, 0.5, size=(cfg.n_queries, d)))
+        queries = (cfg.n_queries, d)
+        self.query_embed = ad.param(np.zeros(queries) if rng is None
+                                    else rng.normal(0.0, 0.5, size=queries))
+        self.query_pos = ad.param(np.zeros(queries) if rng is None
+                                  else rng.normal(0.0, 0.5, size=queries))
         self.token_proj = Linear(d, d, rng)  # projects the modality token into query space
         self.decoder = [DecoderLayer(cfg, rng) for _ in range(cfg.n_decoder_layers)]
         self.cls_head = Linear(d, cfg.n_classes, rng)

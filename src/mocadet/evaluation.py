@@ -68,12 +68,12 @@ def average_precision(flags, n_gt: int):
         return None
     flags = np.asarray(flags)
     cols = flags[:, None] if flags.ndim == 1 else flags
-    # cumsums over all rows equal those of the kept rows at every kept row
+    # cumsums over all rows equal those of the kept rows at every kept row, and
+    # an ignored row repeats the tp and fp of the row before it (0/0 -> 0 at the top)
     tp = np.cumsum(cols == 1, axis=0)
     fp = np.cumsum(cols == 0, axis=0)
     recall = tp / n_gt
     precision = tp / np.maximum(tp + fp, 1e-12)
-    precision[cols == -1] = 0.0
     # precision envelope (monotone non-increasing from the right), plus a
     # zero row for recall points past the last detection
     envelope = np.maximum.accumulate(precision[::-1], axis=0)[::-1]

@@ -37,6 +37,10 @@ class LossWeights:
     def validate(self) -> "LossWeights":
         if min(self.w_focal, self.w_l1, self.w_giou, self.alpha, self.gamma) < 0:
             raise ValidationError("loss weights must be non-negative")
+        if self.alpha > 1:
+            # the negative term's weight 1 - alpha would fall below zero, and
+            # the loss would reward confident false positives without bound
+            raise ValidationError(f"loss.alpha must be in [0, 1], got {self.alpha}")
         return self
 
 

@@ -386,6 +386,18 @@ def test_sampler_uniform_coverage_when_b_lt_m():
     assert freq.max() / freq.min() <= 1.1
 
 
+def test_sampler_batch_order_when_b_lt_m_is_pinned():
+    # 20 batches of 3 of 5 modalities: the subsets, the ascending modality
+    # order inside a batch and each queue's order, as sample ids, by digest
+    samples = [SimpleNamespace(modality_id=mi, sample_id=f"{mi}-{k}")
+               for mi in range(5) for k in range(3)]
+    sampler = dt.ModalityBatchSampler(samples, 5, 3, seed=4)
+    ids = [[s.sample_id for s in sampler.next_batch()] for _ in range(20)]
+    assert ids[0] == ["0-2", "1-0", "3-0"]
+    assert hashlib.sha256(json.dumps(ids).encode()).hexdigest() == (
+        "ff5923be99a987e3e65587023eff24bc6b21c5df69db71ecf7fe650d23e816f4")
+
+
 def test_sampler_rejects_oversized_batch():
     spec = _tiny_spec()
     samples = dt.generate_synthetic(spec, "train")

@@ -532,6 +532,35 @@ def test_size_buckets():
     assert rep2.ap_large == pytest.approx(1.0)
 
 
+def test_protocol_constants_are_cocos_by_value():
+    assert ev.MAX_DETS_PER_IMAGE == 100
+    assert ev.SMALL_FRAC == (32 / 640) ** 2 and ev.MEDIUM_FRAC == (96 / 640) ** 2
+
+
+def test_a_truth_exactly_at_a_cutoff_goes_to_the_larger_bucket():
+    # 32 px and 96 px squares of a 640 px frame: areas equal to the cutoffs
+    at_small, at_medium = (0.25, 0.5, 0.05, 0.05), (0.75, 0.5, 0.15, 0.15)
+    assert 0.05 * 0.05 == ev.SMALL_FRAC and 0.15 * 0.15 == ev.MEDIUM_FRAC
+    samples = [_sample("a", [(at_small, 0), (at_medium, 0)])]
+    dets = [_det("a", 0, at_small, 0.9), _det("a", 0, at_medium, 0.8)]
+    rep = _report(dets, samples, n_classes=1)
+    assert rep.ap_small is None
+    assert rep.ap_medium == pytest.approx(1.0) and rep.ap_large == pytest.approx(1.0)
+
+
+def test_only_the_first_100_detections_of_an_image_are_ranked():
+    # 99 misses, then exact hits on truths A (rank 99) and B (rank 100): the
+    # cap keeps the hit on A, at precision 1/100 and recall 1/2, and drops B's
+    a, b = (0.25, 0.5, 0.1, 0.1), (0.75, 0.5, 0.1, 0.1)
+    samples = [_sample("a", [(a, 0), (b, 0)])]
+    misses = [_det("a", 0, (0.005 + 0.01 * i, 0.05, 0.005, 0.005), 0.99 - 0.001 * i)
+              for i in range(99)]
+    rep = _report(misses + [_det("a", 0, a, 0.5), _det("a", 0, b, 0.4)], samples, n_classes=1)
+    # recall points 0, .01, ..., .50 reach the hit on A
+    assert rep.ap == pytest.approx(51 * 0.01 / 101, abs=1e-12)
+    assert rep.ap50 == pytest.approx(51 * 0.01 / 101, abs=1e-12)
+
+
 def test_report_csv_shape():
     samples, dets = _three_image_fixture()
     rep = _report(dets, samples, n_classes=2, modality_names=["m0"],

@@ -265,3 +265,21 @@ def test_cli_report_matches_the_pinned_digest(tmp_path):
                  "--seed", "0", "--report", str(report)]) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == (
         "7c4c02a4f20de0cfd10f3cd4cbae6a737bef4fac6673a7976d8f72168d69f214")
+
+
+def test_cli_mi_lab_flags_an_understated_mi_and_exits_2(capsys, monkeypatch):
+    # one 7x7 joint at K = 7, so no exact cell is checked: the Monte-Carlo
+    # test alone must flag an MI stated 10 standard errors below the optimal
+    # critic's bound, twice the slack it allows
+    suite, K = ml.seeded_joint_suite(1, seed=0), 7
+    assert suite[0].shape == (7, 7)
+    cell = next(c for c in ml.verify_bound(suite, Ks=(K,), n_samples=2000, seed=0)["cells"]
+                if c.critic_kind == "optimal")
+    assert not cell.violated
+    monkeypatch.setattr(ml, "exact_mi",
+                        lambda joint: cell.estimate.bound - 10 * cell.estimate.stderr)
+    assert main(["mi-lab", "--n-joints", "1", "--K", str(K), "--samples", "2000",
+                 "--seed", "0"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("mi-lab FAIL: 2 cells (0 exact), 1 bound violations")
+    assert f"VIOLATION joint=0 critic=optimal K={K}" in out

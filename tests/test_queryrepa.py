@@ -175,11 +175,13 @@ def _tiny_setup(seed=0):
 def test_batch_alignment_loss_rejects_bad_layer_and_dup_modalities():
     spec, samples, cfg, model, registry, proj, gphi = _tiny_setup()
     batch = dt.ModalityBatchSampler(samples, 5, 3, seed=0).next_batch()
-    with pytest.raises(ContractError):
-        qr.batch_alignment_loss(batch, model, spec, registry, proj, gphi, 0.07, 1,
-                                np.random.default_rng(0))
+    # under no_grad, so that only the guard can raise
+    with pytest.raises(ContractError, match="alignment layer must be >= 2"):
+        with ad.no_grad():
+            qr.batch_alignment_loss(batch, model, spec, registry, proj, gphi, 0.07, 1,
+                                    np.random.default_rng(0))
     dup = [batch[0], batch[0]]
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="batch modalities not distinct"):
         with ad.no_grad():
             qr.batch_alignment_loss(dup, model, spec, registry, proj, gphi, 0.07, 2,
                                     np.random.default_rng(0))

@@ -225,8 +225,8 @@ def test_evaluate_in_batches_equals_one_image_at_a_time(tmp_path, monkeypatch):
     seen = []
     monkeypatch.setattr(train, "ap_report", lambda detections, *a, **k: seen.append(detections))
     bundle = build_run(RunConfig.from_json(_tiny_doc()))
-    for batch_size in (4, 1):  # 6 val images: batches of 4 and 2, then six of 1
-        bundle.config.batch_size = batch_size
+    for inference_batch in (16, 1):  # 6 val images: one forward, then six of 1
+        monkeypatch.setattr(train, "INFERENCE_BATCH", inference_batch)
         evaluate(bundle, bundle.val_samples)
     batched, single = seen
     assert batched.dtype == single.dtype == DETECTION
@@ -235,6 +235,40 @@ def test_evaluate_in_batches_equals_one_image_at_a_time(tmp_path, monkeypatch):
         assert (a["image"], a["class_id"]) == (b["image"], b["class_id"])
         assert np.allclose(np.append(a["box"], a["score"]), np.append(b["box"], b["score"]),
                            rtol=0, atol=1e-12)
+
+
+def test_evaluate_forwards_ten_images_at_once_whatever_the_training_batch(monkeypatch):
+    from mocadet import detector, train
+    doc = _tiny_doc()
+    doc["dataset"]["counts"]["val"] = 10
+    bundle = build_run(RunConfig.from_json(doc))
+    sizes = []
+    forward = detector.Detector.forward
+    monkeypatch.setattr(detector.Detector, "forward",
+                        lambda self, images, *a, **k: sizes.append(len(images))
+                        or forward(self, images, *a, **k))
+    assert bundle.config.batch_size == 4 and train.INFERENCE_BATCH == 16
+    evaluate(bundle, bundle.val_samples)
+    assert sizes == [10]
+
+
+def test_eval_loading_draws_no_weights_and_holds_the_stored_ones(tmp_path, monkeypatch):
+    from mocadet import train
+    bundle = build_run(RunConfig.from_json(_tiny_doc()))
+    ckpt = str(tmp_path / "model.ckpt")
+    save_checkpoint(ckpt, bundle.detection_parameters(), bundle.config.to_json(),
+                    phase="detection", step=0)
+    rngs = []
+    for name in ("Detector", "TokenProjection"):
+        cls = getattr(train, name)
+        monkeypatch.setattr(train, name, lambda *a, cls=cls: rngs.append(a[-1]) or cls(*a))
+    loaded = load_detector_for_eval(ckpt)
+    assert rngs == [None, None]
+    _, stored = load_checkpoint(ckpt)
+    named = loaded.detection_parameters()
+    assert sorted(n for n, _ in named) == sorted(stored)
+    for name, p in named:
+        assert p.data.tobytes() == stored[name].tobytes(), name
 
 
 @pytest.mark.parametrize("moca", [True, False], ids=["moca_on", "moca_off"])
@@ -336,6 +370,26 @@ def test_cli_train_rejects_a_non_finite_number_and_writes_nothing(tmp_path, caps
     assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
     assert f"config.{field} must be finite" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("section,edit,message", [
+    ("loss", {"alpha": 2.0}, "loss.alpha must be in [0, 1]"),
+    ("dataset", {"image_size": 36}, "dataset.image_size 36 is not a multiple of "
+                                    "model.patch_size 8"),
+], ids=["focal_alpha_above_1", "image_not_a_patch_multiple"])
+def test_cli_rejects_a_run_that_cannot_work_and_writes_nothing(tmp_path, capsys,
+                                                               section, edit, message):
+    # an alpha above 1 gives the focal loss no lower bound, and 8 px patches
+    # do not tile a 36 px image
+    doc = _tiny_doc(epochs=1)
+    doc[section] = dict(doc.get(section, {}), **edit)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    for command in ("train", "pretrain"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_eval_rejects_a_malformed_manifest_record(tmp_path, capsys):
