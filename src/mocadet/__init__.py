@@ -2,7 +2,7 @@
 
 Subpackages/modules:
   errors      -- the exception hierarchy (every error is a MocadetError)
-  fileio      -- atomic file replacement; the one JSON-to-config-dataclass reader
+  fileio      -- atomic file replacement; the one config reader and the one range check
   config      -- run configuration and its validation
   autodiff    -- float64 tensors with reverse-mode AD; Module, the one parameter-naming rule
   optim       -- AdamW over one flat parameter store

@@ -14,11 +14,11 @@ import sys
 import numpy as np
 
 from . import milab as ml
-from .config import RunConfig
+from .config import RunConfig, TokenConfig
 from .data import DatasetSpec, export_coco, export_dataset, generate_synthetic, load_dataset
 from .errors import MocadetError, ValidationError
 from .evaluation import report_csv, save_report
-from .fileio import atomic_write, check_output_path, check_seed
+from .fileio import SEED, Range, atomic_write, check_output_path
 from .tokens import (MEDICAL_PROMPT_CATALOG, build_registry, load_registry,
                      save_registry, silhouette_score)
 from .train import evaluate, load_detector_for_eval, run_pretrain, run_train
@@ -42,8 +42,9 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--spec", help="dataset spec JSON (uses its modality/class grid)")
     src.add_argument("--catalog", action="store_true",
                      help="use the built-in 27-pair medical catalog")
-    ts.add_argument("--d-text", type=int, default=64)
-    ts.add_argument("--seed", type=_seed, default=1)
+    d_text = TokenConfig.__dataclass_fields__["d_text"].metadata["range"]
+    ts.add_argument("--d-text", type=_within(d_text, "--d-text"), default=64)
+    ts.add_argument("--seed", type=_within(SEED, "--seed"), default=1)
     ts.add_argument("--out", required=True)
     ti = tsub.add_parser("inspect", help="summarize a registry file")
     ti.add_argument("registry")
@@ -73,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mi.add_argument("--n-joints", type=int, default=20)
     mi.add_argument("--K", default="1,3,7,15")
     mi.add_argument("--samples", type=int, default=20000)
-    mi.add_argument("--seed", type=_seed, default=0)
+    mi.add_argument("--seed", type=_within(SEED, "--seed"), default=0)
     mi.add_argument("--report", default=None)
 
     return p
@@ -87,13 +88,15 @@ def _load_json(path):
         raise ValidationError(f"cannot read {path}: {e}") from e
 
 
-def _seed(text: str) -> int:
-    """The value of a ``--seed`` flag: an integer in [0, 2^64). argparse
-    reports a bad one as a usage error, so the command exits 1."""
-    try:
-        return check_seed(int(text), "--seed")
-    except ValidationError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
+def _within(interval: Range, flag: str):
+    """The argparse type of an integer ``flag`` in ``interval``; argparse
+    reports a bad value as a usage error, so the command exits 1."""
+    def parse(text: str) -> int:
+        try:
+            return interval.check(int(text), flag)
+        except ValidationError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+    return parse
 
 
 def _positive_ints(text: str, flag: str) -> tuple:
@@ -110,6 +113,9 @@ def _positive_ints(text: str, flag: str) -> tuple:
 def _cmd_gen_data(args) -> int:
     spec = DatasetSpec.from_json(_load_json(args.spec))
     splits = args.splits.split(",") if args.splits else list(spec.counts)
+    for split in splits:  # all of them before the first is rendered
+        if split not in spec.counts:
+            raise ValidationError(f"split {split!r} not declared in counts")
     for split in splits:
         samples = generate_synthetic(spec, split)
         manifest = export_dataset(samples, spec, args.out, split)

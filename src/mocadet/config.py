@@ -3,7 +3,11 @@
 ``RunConfig.from_json`` reads it by the one rule of ``fileio.read_dataclass``
 on the field annotations, so an unknown key (top-level ones included) or a
 value of the wrong JSON type is a ``ValidationError`` naming the field. Then
-``validate`` checks every section's ranges before any data or model exists.
+``validate`` checks it before any data or model exists: every numeric field
+declares its range once, in its field's metadata (``fileio.Range``), and
+``fileio.check_ranges`` checks them all, the dataset's and the model's
+included; ``validate`` adds only the rules that tie fields together. An
+upper bound keeps a valid document within bounded memory, or bounds time.
 """
 
 from __future__ import annotations
@@ -13,28 +17,17 @@ from dataclasses import dataclass, field
 from .data import DatasetSpec, make_default_spec
 from .detector import DetectorConfig
 from .errors import ValidationError
-from .fileio import check_seed, json_form, read_dataclass
+from .fileio import SEED, Range, check_ranges, json_form, read_dataclass
 from .losses import LossWeights
 
 
 @dataclass
 class OptimConfig:
-    lr: float = 2e-4
-    weight_decay: float = 1e-4
-    decay_epoch: int = 40
-    decay_factor: float = 0.1
-    epochs: int = 48
-
-    def validate(self):
-        if self.lr <= 0:
-            raise ValidationError("optim.lr must be positive")
-        if self.weight_decay < 0:
-            raise ValidationError("optim.weight_decay must be non-negative")
-        if not 0 < self.decay_factor <= 1:
-            raise ValidationError("optim.decay_factor must be in (0, 1]")
-        if self.epochs < 1 or self.decay_epoch < 0:
-            raise ValidationError("optim.epochs/decay_epoch out of range")
-        return self
+    lr: float = Range(0, 1, lo_open=True).field(default=2e-4)  # AdamW moves a weight ~lr a step
+    weight_decay: float = Range(0, 1).field(default=1e-4)  # so 1 - lr * weight_decay is in [0, 1]
+    decay_epoch: int = Range(0, 100_000).field(default=40)  # in epochs, as epochs is
+    decay_factor: float = Range(0, 1, lo_open=True).field(default=0.1)
+    epochs: int = Range(1, 100_000).field(default=48)  # bounds time, not memory
 
     def lr_at(self, epoch: int) -> float:
         """The step-decay schedule: ``lr``, times ``decay_factor`` from
@@ -45,37 +38,19 @@ class OptimConfig:
 @dataclass
 class TokenConfig:
     source: str = "synthetic"  # synthetic | file
-    d_text: int = 64
-    seed: int = 1
+    d_text: int = Range(2, 4096).field(default=64)  # W of the projection is (d_model, d_text)
+    seed: int = SEED.field(default=1)
     path: str | None = None
-
-    def validate(self):
-        if self.source not in ("synthetic", "file"):
-            raise ValidationError("tokens.source must be 'synthetic' or 'file'")
-        if self.source == "file" and not self.path:
-            raise ValidationError("tokens.path required when tokens.source='file'")
-        if self.source == "synthetic" and self.d_text < 2:
-            raise ValidationError("tokens.d_text must be >= 2")
-        check_seed(self.seed, "tokens.seed")
-        return self
 
 
 @dataclass
 class QraConfig:
-    tau: float = 0.07
-    layer: int = 5
-    steps: int = 300
-    batch_size: int | None = None  # None -> number of modalities
-    lr: float = 1e-4
-
-    def validate(self):
-        if self.tau <= 0:
-            raise ValidationError("qra.tau must be positive")
-        if self.steps < 0 or self.lr <= 0:
-            raise ValidationError("qra.steps/lr out of range")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValidationError(f"qra.batch_size must be >= 1, got {self.batch_size}")
-        return self
+    tau: float = Range(0, 10, lo_open=True).field(default=0.07)  # at 10 each logit is in ±0.1
+    layer: int = Range(2, 32).field(default=5)  # queries see the image from layer 2 on
+    steps: int = Range(0, 10_000_000).field(default=300)  # 10^7 kept losses hold 0.3 GB
+    # None -> number of modalities; a batch is one forward, as in RunConfig
+    batch_size: int | None = Range(1, 256).field(default=None)
+    lr: float = Range(0, 1, lo_open=True).field(default=1e-4)  # as optim.lr
 
 
 @dataclass
@@ -86,19 +61,18 @@ class RunConfig:
     optim: OptimConfig = field(default_factory=OptimConfig)
     tokens: TokenConfig = field(default_factory=TokenConfig)
     qra: QraConfig = field(default_factory=QraConfig)
-    batch_size: int = 4
-    seed: int = 0
+    batch_size: int = Range(1, 256).field(default=4)  # one forward, its tape grows with B
+    seed: int = SEED.field(default=0)
     moca: bool = True
-    eval_every: int = 4
+    eval_every: int = Range(1, 100_000).field(default=4)  # in epochs, as epochs is
 
     def validate(self) -> "RunConfig":
-        check_seed(self.seed, "seed")
-        self.optim.validate()
-        self.tokens.validate()
-        self.qra.validate()
-        self.loss.validate()
-        if self.batch_size < 1:
-            raise ValidationError("batch_size must be >= 1")
+        """The run, once every declared range and each rule across fields hold."""
+        check_ranges(self, "config")
+        if self.tokens.source not in ("synthetic", "file"):
+            raise ValidationError("tokens.source must be 'synthetic' or 'file'")
+        if self.tokens.source == "file" and not self.tokens.path:
+            raise ValidationError("tokens.path required when tokens.source='file'")
         if self.dataset.counts.get("train", 0) < 1:
             raise ValidationError("dataset.counts.train must be >= 1: a run trains on it")
         m = self.dataset.n_modalities
@@ -111,12 +85,9 @@ class RunConfig:
             raise ValidationError(
                 f"dataset.image_size {self.dataset.image_size} is not a multiple of "
                 f"model.patch_size {det_cfg.patch_size}")
-        n_dec = det_cfg.n_decoder_layers
-        if not 2 <= self.qra.layer <= n_dec:
-            raise ValidationError(
-                f"qra.layer must be in [2, {n_dec}] for this decoder depth")
-        if self.eval_every < 1:
-            raise ValidationError("eval_every must be >= 1")
+        if self.qra.layer > det_cfg.n_decoder_layers:
+            raise ValidationError(f"qra.layer {self.qra.layer} exceeds model.n_decoder_layers "
+                                  f"{det_cfg.n_decoder_layers}")
         return self
 
     def detector_config(self) -> DetectorConfig:

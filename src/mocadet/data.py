@@ -42,7 +42,7 @@ import numpy as np
 from . import autodiff as ad
 from .boxes import corner_iou
 from .errors import ContractError, IngestError, TokenLookupError, ValidationError
-from .fileio import atomic_write, check_seed, json_form, make_dirs, read_dataclass
+from .fileio import SEED, Range, atomic_write, check_ranges, json_form, make_dirs, read_dataclass
 from .tokens import TokenProjection, TokenRegistry, _fnv1a64
 
 _RAWF32_MAGIC = b"RAWF32\x00"
@@ -85,44 +85,38 @@ class Sample:
 class ModalitySpec:
     name: str
     classes: tuple[str, ...]  # class names, disjoint across modalities
-    curve: int = 0  # intensity transfer curve id, 0..4
-    noise_sigma: float = 0.02
-    texture_freq: float = 2.0
+    curve: int = Range(0, 4).field(default=0)  # intensity transfer curve id
+    noise_sigma: float = Range(0, 1).field(default=0.02)  # pixel values lie in [0, 1]
+    # cycles per image, up to the Nyquist rate of the largest image, 1024 px
+    texture_freq: float = Range(0, 512).field(default=2.0)
 
     def __post_init__(self):
         if not self.classes:
             raise ValidationError(f"modality {self.name!r}: classes must name at least one class")
-        for name in ("noise_sigma", "texture_freq"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"modality {self.name!r}: {name} must be >= 0, "
-                                      f"got {getattr(self, name)}")
 
 
 @dataclass
 class DatasetSpec:
     modalities: list[ModalitySpec]
-    image_size: int = 64
-    counts: dict[str, int] = field(default_factory=lambda: {"train": 200, "val": 100})
-    seed: int = 0
-    size_range: tuple[int, ...] = (5, 20)  # object extent in pixels: lo, hi
-    objects_range: tuple[int, ...] = (1, 4)
+    # images are held in memory: 4 MB each at 1024 px, 1.6 GB for 100,000 at 64 px
+    image_size: int = Range(16, 1024).field(default=64)
+    counts: dict[str, int] = Range(0, 100_000).field(
+        default_factory=lambda: {"train": 200, "val": 100})
+    seed: int = SEED.field(default=0)
+    # object extent in pixels (lo, hi), at most image_size
+    size_range: tuple[int, ...] = Range(1, 1024).field(default=(5, 20))
+    # objects per image (lo, hi); placing one checks it against all before it
+    objects_range: tuple[int, ...] = Range(0, 100).field(default=(1, 4))
 
     def __post_init__(self):
         if len(self.modalities) < 2:
             raise ValidationError("need at least 2 modalities")
-        if self.image_size < 16:
-            raise ValidationError("image_size must be >= 16")
-        check_seed(self.seed, "dataset.seed")
-        for split, n in self.counts.items():
-            if n < 0:
-                raise ValidationError(f"counts.{split} must be >= 0, got {n}")
-        for name, low, high in (("size_range", 1, self.image_size),
-                                ("objects_range", 0, math.inf)):
+        check_ranges(self, "dataset")  # the modalities' ranges too
+        for name, top in (("size_range", self.image_size), ("objects_range", math.inf)):
             r = getattr(self, name)
-            if not (len(r) == 2 and all(type(v) is int for v in r)
-                    and low <= r[0] <= r[1] <= high):
-                raise ValidationError(f"{name} must be two integers lo, hi with "
-                                      f"{low} <= lo <= hi <= {high}, got {list(r)}")
+            if not (len(r) == 2 and all(type(v) is int for v in r) and r[0] <= r[1] <= top):
+                raise ValidationError(f"dataset.{name} must be two integers lo <= hi <= {top}, "
+                                      f"got {list(r)}")
         names = self.modality_names
         for name in names:
             if names.count(name) > 1:
@@ -259,9 +253,7 @@ def _apply_curve(img: np.ndarray, curve: int) -> np.ndarray:
         return x * x
     if curve == 3:
         return x * x * (3.0 - 2.0 * x)  # smoothstep
-    if curve == 4:
-        return 1.0 - x
-    raise ValidationError(f"unknown intensity curve id {curve}")
+    return 1.0 - x  # 4, the last id ModalitySpec declares
 
 
 def shape_of_class(local_class_index: int) -> str:
@@ -317,9 +309,8 @@ def _render_sample(spec: DatasetSpec, modality_id: int, split: str,
 
 
 def generate_synthetic(spec: DatasetSpec, split: str) -> list:
-    """Deterministic sample list for one split; uniform modality allocation."""
-    if split not in spec.counts:
-        raise ValidationError(f"split {split!r} not declared in counts")
+    """Deterministic sample list for one split that ``spec.counts``
+    declares; uniform modality allocation."""
     total = spec.counts[split]
     m = spec.n_modalities
     out = []
@@ -516,7 +507,7 @@ def export_coco(samples, spec: DatasetSpec, out_dir, split: str) -> str:
 class ModalityBatchSampler:
     """Round-robin per-modality queues with the distinct-modality guarantee.
 
-    Every batch holds one sample from each of B pairwise-distinct
+    Every batch holds one sample from each of B >= 1 pairwise-distinct
     modalities; when B < M the covered subset is drawn uniformly per batch.
     Queues reshuffle per epoch with the epoch index mixed into the seed, so
     epochs differ but runs reproduce.
@@ -527,8 +518,6 @@ class ModalityBatchSampler:
             raise ContractError(
                 f"batch size {batch_size} exceeds modality count {n_modalities}; "
                 "batches must cover pairwise-distinct modalities")
-        if batch_size < 1:
-            raise ValidationError("batch size must be >= 1")
         self.per_modality = [[] for _ in range(n_modalities)]
         for s in samples:
             self.per_modality[s.modality_id].append(s)

@@ -28,32 +28,33 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError, ShapeError, ValidationError
+from .fileio import Range, check_ranges
 
 
 @dataclass
 class DetectorConfig:
-    """Model sizes: integers, all >= 1 but ``n_encoder_layers`` >= 0. A run
-    reads its own in ``RunConfig.detector_config``, which checks the types."""
+    """Model sizes, each an integer in the range its field declares. A run
+    reads its own in ``RunConfig.detector_config``, which checks the types;
+    ``validate`` checks the ranges and how the sizes fit together."""
 
-    n_classes: int
-    d_model: int = 64
-    n_queries: int = 25
-    n_decoder_layers: int = 6
-    n_heads: int = 4
-    patch_size: int = 8
-    n_encoder_layers: int = 1
-    ffn_width: int = 128
+    # the upper bounds keep the model finite: at every bound at once it holds
+    # 950 million weights (DETR's own sizes are d 256, 100 queries, 6 + 6 layers)
+    n_classes: int = Range(1, 1024).field()
+    d_model: int = Range(4, 1024).field(default=64)
+    n_queries: int = Range(1, 1000).field(default=25)
+    # QueryREPA aligns a layer >= 2, so the decoder needs two
+    n_decoder_layers: int = Range(2, 32).field(default=6)
+    n_heads: int = Range(1, 64).field(default=4)
+    patch_size: int = Range(1, 64).field(default=8)
+    n_encoder_layers: int = Range(0, 32).field(default=1)
+    ffn_width: int = Range(1, 4096).field(default=128)
 
     def validate(self) -> "DetectorConfig":
-        for name, value in vars(self).items():
-            if value < (0 if name == "n_encoder_layers" else 1):
-                raise ValidationError(f"model.{name} out of range: {value}")
+        check_ranges(self, "config.model")
         if self.d_model % self.n_heads != 0:
             raise ValidationError("d_model must be divisible by n_heads")
         if self.d_model % 4 != 0:
             raise ValidationError("d_model must be divisible by 4 (2-d positions)")
-        if self.n_decoder_layers < 2:
-            raise ValidationError("need >= 2 decoder layers (alignment layer must be > 1)")
         return self
 
 

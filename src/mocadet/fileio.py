@@ -6,8 +6,9 @@ JSON type is a ``ValidationError`` naming the dotted field, e.g.
 ``config.dataset.modalities[0].curve``. A bool is not an int, an int counts
 as a float, a float must be finite (Python's ``json`` reads ``NaN`` and
 ``Infinity``), absent fields take their defaults and nested dataclasses are
-read by the same rule. ``json_form`` is the inverse. ``check_seed`` is the
-one range rule of a seed read from outside."""
+read by the same rule. ``json_form`` is the inverse. Ranges are not types:
+each numeric field declares its own once (``Range.field``), and the config
+validators call ``check_ranges``, the one rule that checks them all."""
 
 from __future__ import annotations
 
@@ -60,14 +61,6 @@ def atomic_write(path, mode: str = "w"):
     except BaseException:
         os.unlink(tmp)
         raise
-
-
-def check_seed(seed: int, where: str) -> int:
-    """``seed``, which must lie in [0, 2^64), the range every seeded
-    generator here accepts; otherwise a ValidationError naming ``where``."""
-    if not 0 <= seed < 2**64:
-        raise ValidationError(f"{where} must be an integer in [0, 2^64), got {seed}")
-    return seed
 
 
 def make_dirs(path) -> None:
@@ -127,6 +120,56 @@ def _read(tp, value, where: str):
     if tp is float and not math.isfinite(value):
         raise ValidationError(f"{where} must be finite, got {value!r}")
     return value
+
+
+@dataclasses.dataclass(frozen=True)
+class Range:
+    """[lo, hi], without ``lo`` if ``lo_open`` and ``hi`` if ``hi_open``: the
+    values a numeric config field may take, declared by ``Range.field``."""
+
+    lo: float
+    hi: float
+    lo_open: bool = False
+    hi_open: bool = False
+
+    def field(self, **kwargs) -> dataclasses.Field:
+        """A dataclass field, its default in ``kwargs``, that holds this range."""
+        return dataclasses.field(metadata={"range": self}, **kwargs)
+
+    def check(self, value, where: str):
+        """``value``, or a ValidationError naming ``where``, the range and ``value``."""
+        if not ((self.lo < value if self.lo_open else self.lo <= value)
+                and (value < self.hi if self.hi_open else value <= self.hi)):
+            lo, hi = ("2^64" if b == 2**64 else b for b in (self.lo, self.hi))
+            raise ValidationError(f"{where} must be in {'(' if self.lo_open else '['}{lo}, "
+                                  f"{hi}{')' if self.hi_open else ']'}, got {value!r}")
+        return value
+
+
+SEED = Range(0, 2**64, hi_open=True)  # what every seeded generator here takes
+
+
+def check_ranges(obj, where: str) -> None:
+    """Checks each range the fields of ``obj``, a config dataclass that
+    ``where`` names, declare (on a dict's values, a tuple's items), and so in
+    each dataclass it holds: ``config.loss.alpha must be in [0, 1], got 2.0``."""
+    for f in dataclasses.fields(obj):
+        value, interval = getattr(obj, f.name), f.metadata.get("range")
+        if interval is None and not isinstance(value, list) and \
+                not dataclasses.is_dataclass(value):
+            continue  # nothing to check, such as a name
+        name = f"{where}.{f.name}"
+        if isinstance(value, dict):
+            entries = [(f"{name}.{k}", v) for k, v in value.items()]
+        elif isinstance(value, (tuple, list)):
+            entries = [(f"{name}[{i}]", v) for i, v in enumerate(value)]
+        else:
+            entries = [] if value is None else [(name, value)]
+        for key, v in entries:
+            if interval is not None:
+                interval.check(v, key)
+            elif dataclasses.is_dataclass(v):
+                check_ranges(v, key)
 
 
 def json_form(obj) -> dict:

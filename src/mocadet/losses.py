@@ -22,26 +22,21 @@ import numpy as np
 from . import autodiff as ad
 from .boxes import cxcywh_to_xyxy, giou, giou_parts
 from .errors import ValidationError
+from .fileio import Range
 
 _P_CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
 class LossWeights:
-    w_focal: float = 2.0
-    alpha: float = 0.25
-    gamma: float = 2.0
-    w_l1: float = 5.0
-    w_giou: float = 2.0
-
-    def validate(self) -> "LossWeights":
-        if min(self.w_focal, self.w_l1, self.w_giou, self.alpha, self.gamma) < 0:
-            raise ValidationError("loss weights must be non-negative")
-        if self.alpha > 1:
-            # the negative term's weight 1 - alpha would fall below zero, and
-            # the loss would reward confident false positives without bound
-            raise ValidationError(f"loss.alpha must be in [0, 1], got {self.alpha}")
-        return self
+    # the three terms are each of order 1; a weight above 100 is a typo
+    w_focal: float = Range(0, 100).field(default=2.0)
+    # above 1 the weight 1 - alpha of the negative term is negative: no lower bound
+    alpha: float = Range(0, 1).field(default=0.25)
+    # Lin et al. 2017 try gamma up to 5; beyond 10 (1 - p)^gamma is all but 0
+    gamma: float = Range(0, 10).field(default=2.0)
+    w_l1: float = Range(0, 100).field(default=5.0)
+    w_giou: float = Range(0, 100).field(default=2.0)
 
 
 def _clamp(probs):
@@ -271,7 +266,6 @@ def detection_loss(per_layer_preds, targets, weights: LossWeights,
     boxes need a positive width and height, which keeps GIoU's union and
     hull areas positive.
     """
-    weights.validate()
     if not per_layer_preds:
         raise ValidationError("detection_loss needs at least one prediction layer")
     n_images = len(targets)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, ValidationError
+from .errors import ContractError
 
 # elements per update slice: scratch buffers this long stay in cache, and
 # the slices are long enough that numpy's per-call cost is small
@@ -29,11 +29,10 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class AdamW:
-    """Standard AdamW; betas (0.9, 0.999), eps 1e-8, bias-corrected."""
+    """Standard AdamW; betas (0.9, 0.999), eps 1e-8, bias-corrected. ``lr``
+    and ``weight_decay`` are a checked config's, in the ranges it declares."""
 
     def __init__(self, named_params, lr: float, weight_decay: float = 0.0):
-        if lr <= 0:
-            raise ValidationError("learning rate must be positive")
         self.named_params = list(named_params)
         if len({id(p) for _, p in self.named_params}) != len(self.named_params):
             raise ContractError("a parameter is listed twice")

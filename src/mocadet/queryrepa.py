@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import DatasetSpec, attach_token
 from .detector import Detector, FeedForward
-from .errors import ContractError, ValidationError
+from .errors import ContractError
 from .tokens import TokenProjection, TokenRegistry
 
 
@@ -31,10 +31,8 @@ def qra_loss(q_means: ad.Tensor, tokens: ad.Tensor, g_phi: FeedForward,
     ``q_means`` is (R, d) and ``tokens`` (K, d) with R <= K: row r's
     positive is token r, and every other token is one of its negatives. One
     (R, K) cosine matrix holds every similarity, so the graph's size does
-    not grow with R or K.
+    not grow with R or K. ``tau`` > 0, as ``QraConfig`` declares it.
     """
-    if tau <= 0:
-        raise ValidationError(f"temperature must be positive, got {tau}")
     if q_means.ndim != 2 or tokens.ndim != 2 or not 1 <= q_means.shape[0] <= tokens.shape[0]:
         raise ContractError(f"each of the query means {q_means.shape} needs its own "
                             f"token among {tokens.shape}")
@@ -61,12 +59,9 @@ def batch_alignment_loss(batch, model: Detector, spec: DatasetSpec,
 
     The batch is decoded in one forward, every image with its own token; the
     candidate set for each image is all B batch tokens, the same (B, d) rows
-    the forward takes.
+    the forward takes. ``tau`` and ``layer`` are a checked ``QraConfig``'s:
+    ``RunConfig.validate`` holds ``layer`` in [2, ``n_decoder_layers``].
     """
-    if layer < 2:
-        raise ContractError("alignment layer must be >= 2 (queries must see the image)")
-    if layer > model.config.n_decoder_layers:
-        raise ContractError(f"alignment layer {layer} exceeds decoder depth")
     mods = [s.modality_id for s in batch]
     if len(set(mods)) != len(mods):
         raise ContractError(f"batch modalities not distinct: {mods}")

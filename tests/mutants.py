@@ -64,8 +64,15 @@ MUTANTS = (
            "[:self.batch_size].tolist())[::-1]\n"),
     Mutant("se_slack_50", "src/mocadet/milab.py",
            "_SE_SLACK = 5.0", "_SE_SLACK = 50.0"),
-    Mutant("alignment_layer_guard_1", "src/mocadet/queryrepa.py",
-           "    if layer < 2:", "    if layer < 1:"),
+    # the declared lower bound of QraConfig.layer, the one guard left
+    Mutant("alignment_layer_guard_1", "src/mocadet/config.py",
+           "layer: int = Range(2, 32)", "layer: int = Range(1, 32)"),
+    Mutant("focal_alpha_up_to_2", "src/mocadet/losses.py",
+           "alpha: float = Range(0, 1)", "alpha: float = Range(0, 2)"),
+    Mutant("decoder_depth_unbounded", "src/mocadet/detector.py",
+           "n_decoder_layers: int = Range(2, 32)", "n_decoder_layers: int = Range(2, 2**64)"),
+    Mutant("split_count_unbounded", "src/mocadet/data.py",
+           "Range(0, 100_000).field(", "Range(0, 2**64).field("),
     Mutant("eval_batch_from_config", "src/mocadet/train.py",
            "        for start in range(0, len(samples), INFERENCE_BATCH):\n"
            "            batch = samples[start:start + INFERENCE_BATCH]\n",

@@ -406,16 +406,17 @@ def test_sampler_rejects_oversized_batch():
 
 
 def test_sampler_deterministic():
+    # two samplers of one seed give the same 50 batches; another seed does not
     spec = dt.make_default_spec(counts={"train": 25})
     samples = dt.generate_synthetic(spec, "train")
-    ids1 = [s.sample_id for _ in range(50)
-            for s in dt.ModalityBatchSampler(samples, 5, 3, seed=9).next_batch()]
-    s2 = dt.ModalityBatchSampler(samples, 5, 3, seed=9)
-    ids2 = [s.sample_id for _ in range(50) for s in s2.next_batch()]
-    # note: first list rebuilds the sampler each batch, so compare one step
-    s1 = dt.ModalityBatchSampler(samples, 5, 3, seed=9)
-    seq1 = [s.sample_id for _ in range(50) for s in s1.next_batch()]
-    assert seq1 == ids2
+
+    def batches(seed):
+        sampler = dt.ModalityBatchSampler(samples, 5, 3, seed=seed)
+        return [[s.sample_id for s in sampler.next_batch()] for _ in range(50)]
+
+    first = batches(9)
+    assert batches(9) == first
+    assert batches(10) != first
 
 
 def test_attach_token_modes():

@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import math
 import os
+import re
+import typing
 
 import numpy as np
 import pytest
@@ -13,8 +16,9 @@ from mocadet.checkpoint import load_checkpoint, restore_params, save_checkpoint
 from mocadet.cli import main
 from mocadet.config import OptimConfig, QraConfig, RunConfig, TokenConfig
 from mocadet.data import DatasetSpec, ModalitySpec, make_default_spec
+from mocadet.detector import DetectorConfig
 from mocadet.errors import CheckpointError, ContractError, ValidationError
-from mocadet.fileio import atomic_write
+from mocadet.fileio import atomic_write, read_dataclass
 from mocadet.losses import LossWeights
 from mocadet.optim import CHUNK, AdamW
 
@@ -243,10 +247,14 @@ def test_config_rejects_non_object_documents_and_bad_values():
             ({"optim": {"lr": 10 ** 400}}, "config.optim.lr"),
             # ranges: None is the one way to ask for every modality, and a
             # run needs a train split of at least one image
-            ({"qra": {"batch_size": 0}}, "qra.batch_size must be >= 1"),
-            ({"qra": {"batch_size": -1}}, "qra.batch_size must be >= 1"),
-            ({"dataset": dict(spec, counts={"train": -5, "val": 6})}, "counts.train must be >= 0"),
-            ({"dataset": dict(spec, counts={"train": 4, "val": -1})}, "counts.val must be >= 0"),
+            ({"qra": {"batch_size": 0}}, r"qra\.batch_size must be in \[1, 256\], got 0"),
+            ({"qra": {"batch_size": -1}}, r"qra\.batch_size must be in \[1, 256\], got -1"),
+            ({"dataset": dict(spec, counts={"train": -5, "val": 6})},
+             r"dataset\.counts\.train must be in \[0, 100000\], got -5"),
+            ({"dataset": dict(spec, counts={"train": 4, "val": -1})},
+             r"dataset\.counts\.val must be in \[0, 100000\], got -1"),
+            # queries see the image only after the first decoder layer
+            ({"qra": {"layer": 1}}, r"qra\.layer must be in \[2, 32\], got 1"),
             ({"dataset": dict(spec, counts={"train": 0, "val": 6})}, "counts.train must be >= 1"),
             ({"dataset": dict(spec, counts={"val": 6})}, "counts.train must be >= 1")):
         with pytest.raises(ValidationError, match=field):
@@ -254,6 +262,92 @@ def test_config_rejects_non_object_documents_and_bad_values():
     # a dataset of one val split is a valid dataset, though not a valid run
     assert DatasetSpec.from_json(dict(spec, counts={"val": 6})).counts == {"val": 6}
     assert RunConfig.from_json({"dataset": spec, "qra": {"batch_size": None}}).qra_batch_size == 5
+
+
+# -- declared ranges ----------------------------------------------------------
+
+# where each config class sits in the document its reader takes
+_SECTIONS = {RunConfig: (), OptimConfig: ("optim",), TokenConfig: ("tokens",),
+             QraConfig: ("qra",), LossWeights: ("loss",), DetectorConfig: (),
+             DatasetSpec: (), ModalitySpec: ("modalities", 0)}
+
+
+def _numeric_fields():
+    """(class, field, int or float) for every field whose annotation holds
+    numbers: a number, an optional one, or a dict or tuple of them. The
+    ``model`` section of a run holds ``DetectorConfig``'s fields by name."""
+    out = []
+    for cls in _SECTIONS:
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            if (cls, f.name) == (RunConfig, "model"):
+                continue
+            tp = hints[f.name]
+            kind = next((k for k in (int, float) if tp is k or k in typing.get_args(tp)), None)
+            if kind is not None:
+                out.append(pytest.param(cls, f, kind, id=f"{cls.__name__}.{f.name}"))
+    return out
+
+
+# the reader of each document, by the name it gives the document; the model
+# section is read as RunConfig.detector_config reads it
+_READERS = {"config": RunConfig.from_json, "dataset": DatasetSpec.from_json,
+            "config.model": lambda doc: read_dataclass(DetectorConfig, doc,
+                                                       "config.model").validate()}
+
+
+def _document(cls, f, value):
+    """(reader, document, name): a valid document but for its field ``f`` of
+    ``cls``, which holds ``value`` (as a dict's one entry, or as both items of
+    a pair), the reader that takes it, and the dotted name of the value."""
+    # 256 one-class modalities fit every qra.batch_size, 1024 px images every
+    # size_range, and 32 decoder layers every qra.layer
+    dataset = {"image_size": 1024, "counts": {"train": 1}, "size_range": [1, 16],
+               "modalities": [{"name": f"m{i}", "classes": [f"c{i}"]} for i in range(256)]}
+    if cls is DetectorConfig:
+        doc, where = {"n_classes": 2}, "config.model"
+    elif cls in (DatasetSpec, ModalitySpec):
+        doc, where = dataset, "dataset"
+    else:
+        doc, where = {"dataset": dataset, "model": {"n_decoder_layers": 32}}, "config"
+    reader, target = _READERS[where], doc
+    for key in _SECTIONS[cls]:
+        target = target.setdefault(key, {}) if isinstance(key, str) else target[key]
+        where += f"[{key}]" if isinstance(key, int) else f".{key}"
+    where += f".{f.name}"
+    if f.name == "counts":
+        value, where = {"train": value}, where + ".train"
+    elif f.name.endswith("_range"):
+        value, where = [value, value], where + "[0]"
+    target[f.name] = value
+    return reader, doc, where
+
+
+@pytest.mark.parametrize("cls,f,kind", _numeric_fields())
+def test_every_numeric_config_field_declares_the_range_its_reader_holds(cls, f, kind):
+    # each numeric field of the eight config classes declares a range; its
+    # reader accepts both ends and rejects the nearest value outside each,
+    # naming the field and the value
+    assert "range" in f.metadata, f"{cls.__name__}.{f.name} declares no range"
+    r = f.metadata["range"]
+
+    def step(x, up):
+        if kind is int:
+            return x + 1 if up else x - 1
+        return math.nextafter(float(x), math.inf if up else -math.inf)
+
+    inside = (step(r.lo, True) if r.lo_open else kind(r.lo),
+              step(r.hi, False) if r.hi_open else kind(r.hi))
+    outside = (kind(r.lo) if r.lo_open else step(r.lo, False),
+               kind(r.hi) if r.hi_open else step(r.hi, True))
+    for value in inside:
+        reader, doc, _ = _document(cls, f, value)
+        reader(doc)
+    for value in outside:
+        reader, doc, name = _document(cls, f, value)
+        with pytest.raises(ValidationError, match=rf"^{re.escape(name)} must be in "
+                           rf"[\[(][^,]+, [^,]+[\])], got {re.escape(repr(value))}$"):
+            reader(doc)
 
 
 # -- checkpoint ---------------------------------------------------------------

@@ -13,7 +13,7 @@ from mocadet import optim as op
 from mocadet import queryrepa as qr
 from mocadet import tokens as tk
 from mocadet import train
-from mocadet.errors import ContractError, ValidationError
+from mocadet.errors import ContractError
 
 
 def _identity_head(d):
@@ -79,10 +79,7 @@ def test_qra_loss_single_candidate_is_zero():
 def test_qra_loss_contracts():
     head = _identity_head(3)
     q_bar = ad.constant([1.0, 0.0, 0.0])
-    pos = ad.constant([1.0, 0.0, 0.0])
     other = ad.constant([0.0, 1.0, 0.0])
-    with pytest.raises(ValidationError):
-        qr.qra_loss(_rows(q_bar), _rows(pos, other), head, tau=0.0)
     with pytest.raises(ContractError):  # the second mean has no token of its own
         with ad.no_grad():
             qr.qra_loss(_rows(q_bar, q_bar), _rows(other), head, tau=0.07)
@@ -172,14 +169,10 @@ def _tiny_setup(seed=0):
     return spec, samples, cfg, model, registry, proj, gphi
 
 
-def test_batch_alignment_loss_rejects_bad_layer_and_dup_modalities():
+def test_batch_alignment_loss_rejects_dup_modalities():
     spec, samples, cfg, model, registry, proj, gphi = _tiny_setup()
     batch = dt.ModalityBatchSampler(samples, 5, 3, seed=0).next_batch()
     # under no_grad, so that only the guard can raise
-    with pytest.raises(ContractError, match="alignment layer must be >= 2"):
-        with ad.no_grad():
-            qr.batch_alignment_loss(batch, model, spec, registry, proj, gphi, 0.07, 1,
-                                    np.random.default_rng(0))
     dup = [batch[0], batch[0]]
     with pytest.raises(ContractError, match="batch modalities not distinct"):
         with ad.no_grad():

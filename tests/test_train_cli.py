@@ -306,6 +306,13 @@ def test_cli_gen_data_tokens_and_silhouette(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "registry: 27 tokens" in out
 
+    # a --d-text outside TokenConfig.d_text's range writes nothing
+    big = tmp_path / "big.json"
+    assert main(["tokens", "synth", "--catalog", "--d-text", str(10 ** 12),
+                 "--out", str(big)]) == 1
+    assert f"--d-text must be in [2, 4096], got {10 ** 12}" in capsys.readouterr().err
+    assert not big.exists()
+
 
 def test_cli_train_and_eval_end_to_end(tmp_path):
     cfg_path = tmp_path / "cfg.json"
@@ -499,7 +506,7 @@ def test_cli_rejects_a_negative_seed_in_a_document_and_writes_nothing(tmp_path, 
         argv = ["train", "--config", str(path)]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and f"{field} must be an integer in [0, 2^64)" in err
+    assert err.startswith("error:") and f"{field} must be in [0, 2^64), got -1" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -512,7 +519,7 @@ def test_cli_rejects_a_seed_flag_outside_0_to_2_pow_64_and_writes_nothing(tmp_pa
     out = tmp_path / "out.json"
     assert main([*argv, "--out" if argv[0] == "tokens" else "--report", str(out)]) == 1
     stdout, err = capsys.readouterr()
-    assert stdout == "" and "--seed must be an integer in [0, 2^64)" in err
+    assert stdout == "" and "--seed must be in [0, 2^64), got " in err
     assert not out.exists()
     # the largest seed is accepted
     assert main(["tokens", "synth", "--catalog", "--d-text", "4", "--seed", str(2**64 - 1),
@@ -551,8 +558,47 @@ def test_cli_gen_data_rejects_a_negative_modality_field(tmp_path, capsys, field)
     path.write_text(json.dumps(spec))
     assert main(["gen-data", "--spec", str(path), "--out", str(tmp_path / "data")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and f"'mb': {field} must be >= 0" in err
+    assert err.startswith("error:") and \
+        f"dataset.modalities[1].{field} must be in [0, " in err and "got -0.1" in err
     assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "gen-data"])
+def test_cli_rejects_a_size_no_memory_holds_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                               command):
+    # model.n_decoder_layers 2^63 once built layers until memory ran out, and
+    # counts.val 2^63 rendered without end: should the checks let either
+    # through, these stand-ins end the command instead
+    from mocadet import cli
+
+    def past_the_checks(*args, **kwargs):
+        raise AssertionError(f"{command} got past its checks")
+
+    monkeypatch.setattr(cli, "run_train", past_the_checks)
+    monkeypatch.setattr(cli, "generate_synthetic", past_the_checks)
+    doc = _tiny_doc(epochs=1)
+    path = tmp_path / "in.json"
+    if command == "train":
+        doc["model"]["n_decoder_layers"] = 2 ** 63
+        path.write_text(json.dumps(doc))
+        argv, message = ["train", "--config", str(path)], "config.model.n_decoder_layers"
+    else:
+        doc["dataset"]["counts"]["val"] = 2 ** 63
+        path.write_text(json.dumps(doc["dataset"]))
+        argv, message = ["gen-data", "--spec", str(path)], "dataset.counts.val"
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"{message} must be in [" in err and f"got {2 ** 63}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_gen_data_checks_every_split_before_it_writes(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_tiny_doc()["dataset"]))
+    assert main(["gen-data", "--spec", str(path), "--out", str(tmp_path / "o"),
+                 "--splits", "train,bogus"]) == 1
+    assert "split 'bogus' not declared in counts" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("doc", [{"joints": 3}, {}, [1], {"joints": []},
