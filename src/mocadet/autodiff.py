@@ -6,12 +6,12 @@ records one forward build and supports exactly one backward pass.
 
 Ops, one tape node each: the fused ``linear``, ``attention`` (multi-head,
 optional extra key/value rows) and ``layernorm`` (optionally affine);
-elementwise ``add sub mul relu sigmoid``; ``concat_rows``;
-reductions ``mean_rows sum_all logsumexp_rows cosine_matrix``. ``node``
-builds one node from a value computed elsewhere and a hand-written
-pullback; the set loss builds its two fused nodes with it, and the token
-projection its one. ``expit`` is the numpy sigmoid that ``sigmoid``, the
-set loss and the detection scores share.
+elementwise ``add relu sigmoid``; ``concat_rows``; the block means
+``mean_rows``. ``node`` builds one node from a value computed elsewhere and
+a hand-written pullback; the set loss builds its two fused nodes with it,
+the token projection its one and QueryREPA's InfoNCE loss its one.
+``expit`` is the numpy sigmoid that ``sigmoid``, the set loss and the
+detection scores share.
 
 Every model part is a ``Module``, and one rule names its parameters: the
 order in which its ``__init__`` assigns them. That order is the
@@ -21,10 +21,12 @@ reordering assignments changes both.
 Conventions:
   * all data is float64, row-major;
   * leaf tensors are validated finite at construction;
+  * ops take Tensors: a constant operand is wrapped by ``constant`` first;
   * differentiable ops must run inside a ``with Tape():`` block (or under
     ``no_grad()`` when only values are needed);
-  * broadcasting is limited to scalars and row vectors -- anything else is a
-    loud ShapeError.
+  * the only broadcast is a row vector against a matrix (``add``'s second
+    operand, ``layernorm``'s gamma and beta) -- anything else is a loud
+    ShapeError.
 
 Graph and values: a ``Tensor`` is its value ``data`` plus a link to its
 ``Node``, which holds what reverse mode needs: ``grad``, ``requires_grad``,
@@ -35,13 +37,11 @@ Capture: a pullback closes over the parent nodes it accumulates into and
 over only the arrays and shapes its formula reads, all taken at forward
 time. ``linear`` keeps ``x`` and ``W``; ``attention`` its q/k/v head views
 (the concatenated copies when extra rows are appended) and the softmax
-``p``; ``mul`` and ``cosine_matrix`` both inputs; ``layernorm`` its
-normalized ``y``, the row scales and ``gamma``; ``sigmoid`` its own output;
-``relu`` its mask; ``logsumexp_rows`` its softmax. ``add``, ``sub``,
-``concat_rows``, ``mean_rows`` and ``sum_all`` keep no value. So a value
-that no pullback reads -- a residual sum that only a layer norm takes, an
-FFN pre-activation -- is freed as soon as the forward code drops its
-tensor.
+``p``; ``layernorm`` its normalized ``y``, the row scales and ``gamma``;
+``sigmoid`` its own output; ``relu`` its mask. ``add``, ``concat_rows``
+and ``mean_rows`` keep no value. So a value that no pullback reads -- a
+residual sum that only a layer norm takes, an FFN pre-activation -- is
+freed as soon as the forward code drops its tensor.
 
 Gradient ownership: a pullback gives each parent its gradient through
 ``_accum``, which adds into a gradient the parent already holds and
@@ -182,9 +182,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
 
 def param(data) -> Tensor:
     """Leaf tensor that will receive gradients."""
@@ -223,12 +220,6 @@ def _named_params(path: str, value):
     elif isinstance(value, list):
         for i, item in enumerate(value):
             yield from _named_params(f"{path}.{i}", item)
-
-
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x)
 
 
 def _make_node(data: np.ndarray, parents: tuple, pullback) -> Tensor:
@@ -298,7 +289,6 @@ def node(data, parents, pullback) -> Tensor:
 
 def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     """``x @ W + b`` as one node; ``b`` is a row vector."""
-    x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
     if x.ndim != 2 or W.ndim != 2 or x.shape[1] != W.shape[0] or b.shape != W.shape[1:]:
         raise ShapeError(f"linear needs (n, k) x (k, m) + (m,) operands, "
                          f"got {x.shape}, {W.shape} and {b.shape}")
@@ -333,7 +323,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
     P)), as in the FlashAttention backward pass (Dao et al. 2022,
     arXiv:2205.14135).
     """
-    q, k, v, *extras = [_as_tensor(t) for t in (q, k, v, extra_k, extra_v) if t is not None]
+    extras = [t for t in (extra_k, extra_v) if t is not None]
     d = q.shape[-1] if q.ndim == 2 else -1
     s = int(segments)
     if (d < 0 or s < 1 or q.shape[0] % s or k.shape != v.shape or k.shape[1:] != (d,)
@@ -389,11 +379,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
 
 
 def _broadcast_kind(a: Tensor, b: Tensor) -> str:
-    """same | scalar_b | row_b  (b is broadcast against a)."""
+    """same | row_b  (b is broadcast against a)."""
     if a.shape == b.shape:
         return "same"
-    if b.ndim == 0:
-        return "scalar_b"
     if a.ndim == 2 and b.ndim == 1 and b.shape[0] == a.shape[1]:
         return "row_b"
     raise ShapeError(f"incompatible shapes {a.shape} and {b.shape}")
@@ -402,13 +390,10 @@ def _broadcast_kind(a: Tensor, b: Tensor) -> str:
 def _reduce_to(g: np.ndarray, kind: str) -> np.ndarray:
     if kind == "same":
         return g
-    if kind == "scalar_b":
-        return np.asarray(g.sum())
     return g.sum(axis=0)  # row_b
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     kind, na, nb = _broadcast_kind(a, b), a.node, b.node
 
     def pullback(g):
@@ -418,30 +403,7 @@ def add(a, b) -> Tensor:
     return _make_node(a.data + b.data, (na, nb), pullback)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    kind, na, nb = _broadcast_kind(a, b), a.node, b.node
-
-    def pullback(g):
-        _accum(na, g)
-        _accum(nb, -_reduce_to(g, kind))
-
-    return _make_node(a.data - b.data, (na, nb), pullback)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    kind, na, nb, a, b = _broadcast_kind(a, b), a.node, b.node, a.data, b.data
-
-    def pullback(g):
-        _accum(na, g * b)
-        _accum(nb, _reduce_to(g * a, kind))
-
-    return _make_node(a * b, (na, nb), pullback)
-
-
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
+def relu(a: Tensor) -> Tensor:
     na, mask = a.node, a.data > 0.0
 
     def pullback(g):
@@ -457,8 +419,7 @@ def expit(x) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
+def sigmoid(a: Tensor) -> Tensor:
     na, out_data = a.node, expit(a.data)
 
     def pullback(g):
@@ -467,28 +428,10 @@ def sigmoid(a) -> Tensor:
     return _make_node(out_data, (na,), pullback)
 
 
-def logsumexp_rows(a: Tensor) -> Tensor:
-    """log(sum(exp(row))) of each row of a matrix, stabilized -> vector."""
-    a = _as_tensor(a)
-    if a.ndim != 2 or a.shape[1] == 0:
-        raise ShapeError(f"logsumexp_rows needs a matrix with >= 1 column, got {a.shape}")
-    m = a.data.max(axis=1, keepdims=True)
-    e = np.exp(a.data - m)
-    s = e.sum(axis=1, keepdims=True)
-    out_data = (m + np.log(s))[:, 0]
-    na, soft = a.node, e / s
-
-    def pullback(g):
-        _accum(na, g[:, None] * soft)
-
-    return _make_node(out_data, (na,), pullback)
-
-
 def layernorm(a: Tensor, gamma: Tensor | None = None, beta: Tensor | None = None) -> Tensor:
     """Per-row normalization to zero mean / unit variance (with 1e-5 added to
     the variance), then ``* gamma + beta`` when those vectors over the
     normalized axis are given."""
-    a = _as_tensor(a)
     if a.ndim not in (1, 2):
         raise ShapeError(f"layernorm needs a vector or matrix, got {a.shape}")
     axis, affine = a.ndim - 1, gamma is not None
@@ -528,7 +471,6 @@ def layernorm(a: Tensor, gamma: Tensor | None = None, beta: Tensor | None = None
 
 
 def concat_rows(tensors) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise ShapeError("concat_rows of empty list")
     for t in tensors:
@@ -549,7 +491,6 @@ def mean_rows(a: Tensor, segments: int) -> Tensor:
     """Block means of a matrix: its rows are ``segments`` S equal blocks (as
     in ``attention``) and the result is the (S, n_cols) matrix of the
     arithmetic means of the blocks."""
-    a = _as_tensor(a)
     s = int(segments)
     if a.ndim != 2 or a.shape[0] == 0 or s < 1 or a.shape[0] % s:
         raise ContractError(f"mean_rows needs a matrix of {s} equal non-empty row "
@@ -563,39 +504,6 @@ def mean_rows(a: Tensor, segments: int) -> Tensor:
         _accum(na, ga.reshape(shape), owned=True)
 
     return _make_node(a.data.reshape(s, m, cols).mean(axis=1), (na,), pullback)
-
-
-def sum_all(a) -> Tensor:
-    a = _as_tensor(a)
-    na, shape = a.node, a.shape
-
-    def pullback(g):
-        _accum(na, np.broadcast_to(g, shape).copy(), owned=True)
-
-    return _make_node(np.asarray(a.data.sum()), (na,), pullback)
-
-
-def cosine_matrix(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity of every row of ``a`` (R, d) with every row of
-    ``b`` (K, d) -> (R, K)."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ShapeError(f"cosine_matrix needs (R, d) and (K, d) rows, got {a.shape}, {b.shape}")
-    na = np.sqrt((a.data ** 2).sum(axis=1))
-    nb = np.sqrt((b.data ** 2).sum(axis=1))
-    if not (na.all() and nb.all()):
-        raise ValidationError("cosine similarity of a zero vector is undefined")
-    norms = na[:, None] * nb[None, :]
-    c = (a.data @ b.data.T) / norms
-    nodes, a, b = (a.node, b.node), a.data, b.data
-
-    def pullback(g):
-        gn = g / norms
-        gc = g * c
-        _accum(nodes[0], gn @ b - (gc.sum(axis=1) / (na * na))[:, None] * a)
-        _accum(nodes[1], gn.T @ a - (gc.sum(axis=0) / (nb * nb))[:, None] * b)
-
-    return _make_node(c, nodes, pullback)
 
 
 # ---------------------------------------------------------------------------
@@ -619,12 +527,11 @@ def backward(loss: Tensor) -> None:
     """
     if not isinstance(loss, Tensor) or loss.ndim != 0:
         raise ContractError("backward needs a scalar Tensor loss")
-    if not loss.requires_grad:
-        raise ContractError("loss does not depend on any requires_grad leaf")
     tape = loss.node._tape
-    if tape is None:  # loss is itself a leaf parameter
-        loss.grad = np.ones_like(loss.data) if loss.grad is None else loss.grad + 1.0
-        return
+    if tape is None:
+        raise ContractError("backward needs a loss that an op recorded on a Tape; this one "
+                            "is a leaf, was built under no_grad or depends on no "
+                            "requires_grad leaf")
     if tape.consumed:
         raise ContractError("tape already consumed; rebuild the forward pass")
     tape.consumed = True

@@ -45,7 +45,9 @@ class TokenConfig:
 
 @dataclass
 class QraConfig:
-    tau: float = Range(0, 10, lo_open=True).field(default=0.07)  # at 10 each logit is in ±0.1
+    # the logits are cosines times 1 / tau, which is inf below about 5.6e-309;
+    # at 1e-3 each logit is in ±1000, and at 10 in ±0.1
+    tau: float = Range(1e-3, 10).field(default=0.07)
     layer: int = Range(2, 32).field(default=5)  # queries see the image from layer 2 on
     steps: int = Range(0, 10_000_000).field(default=300)  # 10^7 kept losses hold 0.3 GB
     # None -> number of modalities; a batch is one forward, as in RunConfig

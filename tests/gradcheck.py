@@ -8,6 +8,14 @@ from mocadet import autodiff as ad
 from mocadet.errors import ContractError, ValidationError
 
 
+def weighted_sum(out, w):
+    """sum(out * w) as one tape node, for a constant ``w`` of ``out``'s shape
+    or one that broadcasts to it: a scalar loss that hands ``out`` the
+    gradient ``w`` (times the loss's own gradient)."""
+    w = np.broadcast_to(np.asarray(w, dtype=np.float64), out.shape)
+    return ad.node((out.data * w).sum(), (out,), lambda g: (g * w,))
+
+
 def clear_grads(params) -> None:
     for p in params:
         p.grad = None

@@ -84,6 +84,9 @@ MUTANTS = (
            "    bundle = build_run(config)\n"
            "    restore_params(bundle.detection_parameters(), stored, allow_extra=False)\n"
            "    return bundle\n"),
+    # the fused InfoNCE pullback without its positives' term
+    Mutant("qra_pullback_no_diagonal", "src/mocadet/queryrepa.py",
+           "        dz[np.arange(r), np.arange(r)] -= gr\n", ""),
 )
 
 

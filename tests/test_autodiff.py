@@ -10,9 +10,11 @@ import inspect
 import numpy as np
 import pytest
 
-from gradcheck import clear_grads, grad_check
+from gradcheck import clear_grads, grad_check, weighted_sum
 from mocadet import autodiff as ad
+from mocadet import detector as det
 from mocadet import losses as ls
+from mocadet import queryrepa as qr
 from mocadet import tokens as tk
 from mocadet.errors import ContractError, ShapeError, ValidationError
 
@@ -60,38 +62,6 @@ def test_softmax_empty_rows_rejected():
         ad.attention(x, x, x, 4, 1.0)
 
 
-def test_cosine_matrix_self_and_antipodal():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        v = ad.constant(rng.normal(size=(1, 6)))
-        w = ad.constant(-v.data)
-        c = ad.cosine_matrix(v, ad.concat_rows([v, w])).data
-        assert c.shape == (1, 2)
-        assert c[0, 0] == pytest.approx(1.0, abs=1e-12)
-        assert c[0, 1] == pytest.approx(-1.0, abs=1e-12)
-    with pytest.raises(ValidationError):
-        ad.cosine_matrix(ad.constant(np.ones((2, 4))), ad.constant(np.zeros((1, 4))))
-    with pytest.raises(ShapeError):
-        ad.cosine_matrix(ad.constant(np.ones((2, 4))), ad.constant(np.ones((2, 3))))
-
-
-def test_cosine_matrix_and_logsumexp_rows_match_pairwise_formulas():
-    """Every entry against the scalar formula u.v / (|u| |v|), and every row's
-    logsumexp against log(sum(exp(row)))."""
-    rng = np.random.default_rng(4)
-    for r, k in [(1, 1), (3, 5), (5, 5)]:
-        a, b = rng.normal(size=(r, 7)), rng.normal(size=(k, 7))
-        with ad.no_grad():
-            c = ad.cosine_matrix(ad.constant(a), ad.constant(b)).data
-            lse = ad.logsumexp_rows(ad.constant(c * 3.0)).data
-        want = np.array([[float(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
-                          for v in b] for u in a])
-        assert np.allclose(c, want, rtol=0, atol=1e-14)
-        assert np.allclose(lse, np.log(np.exp(c * 3.0).sum(axis=1)), rtol=0, atol=1e-13)
-    with pytest.raises(ShapeError):
-        ad.logsumexp_rows(ad.constant(np.ones((2, 0))))
-
-
 def test_mean_rows_segments_are_block_means():
     a = np.random.default_rng(5).normal(size=(6, 3))
     with ad.no_grad():
@@ -115,15 +85,17 @@ def test_backward_linear_map():
     x = np.array([[1.0, 2.0, -3.0]])
     W = ad.param(np.random.default_rng(0).normal(size=(3, 4)))
     with ad.Tape():
-        loss = ad.sum_all(ad.linear(ad.constant(x), W, np.zeros(4)))
+        loss = weighted_sum(ad.linear(ad.constant(x), W, ad.constant(np.zeros(4))), 1.0)
         ad.backward(loss)
     assert np.allclose(W.grad, np.tile(x.T, (1, 4)), atol=1e-14)
 
 
 def test_backward_quadratic():
+    # d sum(v * v) / dv by the product rule: one path per factor, each
+    # weighting v by its value, and backward adds the two
     v = ad.param([1.0, -2.0, 0.5])
     with ad.Tape():
-        loss = ad.sum_all(ad.mul(v, v))
+        loss = ad.add(weighted_sum(v, v.data), weighted_sum(v, v.data))
         ad.backward(loss)
     assert np.allclose(v.grad, 2 * v.data, atol=1e-14)
 
@@ -131,15 +103,27 @@ def test_backward_quadratic():
 def test_backward_requires_scalar():
     v = ad.param([1.0, 2.0])
     with ad.Tape():
-        out = ad.mul(v, v)
+        out = ad.add(v, v)
         with pytest.raises(ContractError):
             ad.backward(out)
+
+
+def test_backward_needs_a_loss_recorded_on_a_tape():
+    # a leaf parameter, a value built under no_grad and a constant: no op
+    # recorded any of them, so there is no tape to run backward over
+    v = ad.param(np.asarray(1.5))
+    with ad.no_grad():
+        unrecorded = weighted_sum(v, 2.0)
+    for loss in (v, unrecorded, ad.constant(0.0)):
+        with pytest.raises(ContractError, match="recorded on a Tape"):
+            ad.backward(loss)
+    assert v.grad is None
 
 
 def test_tape_single_use():
     v = ad.param([1.0, 2.0])
     with ad.Tape():
-        loss = ad.sum_all(ad.mul(v, v))
+        loss = weighted_sum(v, 1.0)
         ad.backward(loss)
         with pytest.raises(ContractError):
             ad.backward(loss)
@@ -148,9 +132,9 @@ def test_tape_single_use():
 def test_op_outside_tape_rejected():
     v = ad.param([1.0])
     with pytest.raises(ContractError):
-        ad.mul(v, v)
+        ad.add(v, v)
     with ad.no_grad():
-        out = ad.mul(v, v)  # fine: no recording
+        out = ad.add(v, v)  # fine: no recording
     assert not out.requires_grad
 
 
@@ -160,9 +144,9 @@ def test_backward_is_deterministic():
         W = ad.param(rng.normal(size=(5, 5)))
         x = ad.constant(rng.normal(size=(5, 3)))
         with ad.Tape():
-            h = ad.relu(ad.linear(W, x, np.zeros(3)))
+            h = ad.relu(ad.linear(W, x, ad.constant(np.zeros(3))))
             s = ad.attention(h, h, h, 1, 0.7)
-            loss = ad.sum_all(ad.mul(s, s))
+            loss = weighted_sum(s, s.data)
             ad.backward(loss)
         return W.grad
 
@@ -172,16 +156,15 @@ def test_backward_is_deterministic():
 
 def test_grad_check_sigmoid_closed_form():
     w = ad.param(np.asarray(0.3))
-    x = 1.0
 
     def f():
-        return ad.sigmoid(ad.mul(w, x))
+        return ad.sigmoid(w)
 
     report = grad_check(f, [("w", w)], h=1e-5, tol=1e-6)
     assert report.passed, report.per_param
-    # independent closed form: d sigma(wx)/dw = x * s * (1 - s)
+    # independent closed form: d sigma(w)/dw = s * (1 - s)
     s = 1.0 / (1.0 + np.exp(-0.3))
-    assert w.grad == pytest.approx(x * s * (1 - s), rel=1e-12)
+    assert w.grad == pytest.approx(s * (1 - s), rel=1e-12)
 
 
 def test_expit_matches_the_closed_form_and_saturates_without_overflow():
@@ -198,7 +181,7 @@ def test_grad_check_unused_param_zero_error():
     w = ad.param([1.0, 2.0])
 
     def f():
-        return ad.sum_all(ad.mul(w, 0.0))
+        return weighted_sum(w, 0.0)
 
     report = grad_check(f, [("w", w)], h=1e-5, tol=1e-6)
     assert report.max_rel_error == 0.0
@@ -207,7 +190,7 @@ def test_grad_check_unused_param_zero_error():
 def test_grad_check_rejects_bad_h():
     w = ad.param([1.0])
     with pytest.raises(ValidationError):
-        grad_check(lambda: ad.sum_all(w), [w], h=1e-2)
+        grad_check(lambda: weighted_sum(w, 1.0), [w], h=1e-2)
 
 
 def _away_from_zero(rng, shape, low=0.2, high=2.0):
@@ -223,7 +206,7 @@ def _build_case(name, rng):
         W = ad.param(rng.normal(size=(4, 2)))
         b = ad.param(rng.normal(size=2))
         w = rng.normal(size=(3, 2))
-        return (lambda: ad.sum_all(ad.mul(ad.linear(x, W, b), w))), [x, W, b]
+        return (lambda: weighted_sum(ad.linear(x, W, b), w)), [x, W, b]
     if name.startswith("attention_segments"):
         # three images of 2 query and 3 key rows; one extra row per image
         extra = name.endswith("extra")
@@ -236,7 +219,7 @@ def _build_case(name, rng):
         w = rng.normal(size=(6, 4))
 
         def f():
-            return ad.sum_all(ad.mul(ad.attention(q, k, v, 2, s, ek, ev, segments=3), w))
+            return weighted_sum(ad.attention(q, k, v, 2, s, ek, ev, segments=3), w)
 
         return f, [q, k, v] + ([ek, ev] if extra else [])
     if name.startswith("attention"):
@@ -251,46 +234,33 @@ def _build_case(name, rng):
         w = rng.normal(size=(3, 4))
 
         def f():
-            return ad.sum_all(ad.mul(ad.attention(q, k, v, n_heads, s, ek, ev), w))
+            return weighted_sum(ad.attention(q, k, v, n_heads, s, ek, ev), w)
 
         return f, [q, k, v] + ([ek, ev] if extra else [])
     if name == "add_row_broadcast":
         a = ad.param(rng.normal(size=shp))
         b = ad.param(rng.normal(size=4))
-        return (lambda: ad.sum_all(ad.mul(ad.add(a, b), w34))), [a, b]
-    if name == "sub":
-        a, b = ad.param(rng.normal(size=shp)), ad.param(rng.normal(size=shp))
-        return (lambda: ad.sum_all(ad.mul(ad.sub(a, b), w34))), [a, b]
-    if name == "mul":
-        a, b = ad.param(rng.normal(size=shp)), ad.param(rng.normal(size=shp))
-        return (lambda: ad.sum_all(ad.mul(ad.mul(a, b), w34))), [a, b]
+        return (lambda: weighted_sum(ad.add(a, b), w34)), [a, b]
     if name == "relu":
         a = ad.param(_away_from_zero(rng, shp))
-        return (lambda: ad.sum_all(ad.mul(ad.relu(a), w34))), [a]
+        return (lambda: weighted_sum(ad.relu(a), w34)), [a]
     if name == "sigmoid":
         a = ad.param(rng.normal(size=shp) * 2)
-        return (lambda: ad.sum_all(ad.mul(ad.sigmoid(a), w34))), [a]
-    if name == "logsumexp_rows":
-        a = ad.param(rng.normal(size=(3, 6)))
-        w = rng.normal(size=3)
-        return (lambda: ad.sum_all(ad.mul(ad.logsumexp_rows(a), w))), [a]
+        return (lambda: weighted_sum(ad.sigmoid(a), w34)), [a]
     if name == "layernorm":
         a = ad.param(rng.normal(size=shp))
-        return (lambda: ad.sum_all(ad.mul(ad.layernorm(a), w34))), [a]
+        return (lambda: weighted_sum(ad.layernorm(a), w34)), [a]
     if name == "layernorm_affine":
         a = ad.param(rng.normal(size=shp))
         gamma = ad.param(rng.normal(size=4))
         beta = ad.param(rng.normal(size=4))
-        return (lambda: ad.sum_all(ad.mul(ad.layernorm(a, gamma, beta), w34))), \
+        return (lambda: weighted_sum(ad.layernorm(a, gamma, beta), w34)), \
             [a, gamma, beta]
     if name == "concat_rows":
         a = ad.param(rng.normal(size=(2, 4)))
         b = ad.param(rng.normal(size=(3, 4)))
         w = rng.normal(size=(5, 4))
-        return (lambda: ad.sum_all(ad.mul(ad.concat_rows([a, b]), w))), [a, b]
-    if name == "sum_all":
-        a = ad.param(rng.normal(size=shp))
-        return (lambda: ad.sum_all(a)), [a]
+        return (lambda: weighted_sum(ad.concat_rows([a, b]), w)), [a, b]
     if name == "node_focal_loss":
         # logits away from the clamps, where the loss is smooth
         logits = ad.param(rng.normal(size=(6, 3)) * 2)
@@ -314,30 +284,34 @@ def _build_case(name, rng):
         proj = tk.TokenProjection(4, 5, rng)
         raw = rng.normal(size=(3, 5))
         w = rng.normal(size=(3, 4))
-        return (lambda: ad.sum_all(ad.mul(proj.rows(raw), w))), [proj.W]
+        return (lambda: weighted_sum(proj.rows(raw), w)), [proj.W]
     if name == "mean_rows":
         a = ad.param(rng.normal(size=(4, 5)))
         w = rng.normal(size=(1, 5))
-        return (lambda: ad.sum_all(ad.mul(ad.mean_rows(a, 1), w))), [a]
+        return (lambda: weighted_sum(ad.mean_rows(a, 1), w)), [a]
     if name == "mean_rows_segments":
         a = ad.param(rng.normal(size=(6, 5)))
         w = rng.normal(size=(3, 5))
-        return (lambda: ad.sum_all(ad.mul(ad.mean_rows(a, 3), w))), [a]
-    if name == "cosine_matrix":
-        u = ad.param(_away_from_zero(rng, (3, 5), low=0.4))
-        v = ad.param(_away_from_zero(rng, (4, 5), low=0.4))
-        w = rng.normal(size=(3, 4))
-        return (lambda: ad.sum_all(ad.mul(ad.cosine_matrix(u, v), w))), [u, v]
+        return (lambda: weighted_sum(ad.mean_rows(a, 3), w)), [a]
+    if name.startswith("node_qra_loss"):
+        # R = K, or R < K; the gradient reaches the head's weights as well
+        k = 4
+        r = k if name == "node_qra_loss" else 2
+        head = det.FeedForward(5, 5, rng)
+        means = ad.param(rng.normal(size=(r, 5)))
+        tokens = ad.param(rng.normal(size=(k, 5)))
+        tau = float(rng.uniform(0.05, 1.0))
+        return (lambda: qr.qra_loss(means, tokens, head, tau)), \
+            [means, tokens] + head.parameters("head")
     raise AssertionError(name)
 
 
 OP_NAMES = ["linear", "attention", "attention_extra_row",
             "attention_one_head", "attention_segments", "attention_segments_extra",
-            "add_row_broadcast", "sub", "mul", "relu", "sigmoid",
-            "logsumexp_rows", "layernorm", "layernorm_affine",
-            "concat_rows", "mean_rows",
-            "mean_rows_segments", "sum_all", "cosine_matrix",
-            "node_focal_loss", "node_box_loss", "node_token_rows"]
+            "add_row_broadcast", "relu", "sigmoid", "layernorm", "layernorm_affine",
+            "concat_rows", "mean_rows", "mean_rows_segments",
+            "node_focal_loss", "node_box_loss", "node_token_rows",
+            "node_qra_loss", "node_qra_loss_r_below_k"]
 
 # public functions of autodiff that build no op node: leaf constructors,
 # the recording switches, backward and the numpy sigmoid
@@ -406,7 +380,7 @@ def test_attention_matches_per_head_oracle(n_heads, extra):
         w = rng.normal(size=(n, d))
         with ad.Tape():
             out = ad.attention(q, k, v, n_heads, scale, ek, ev)
-            ad.backward(ad.sum_all(ad.mul(out, w)))
+            ad.backward(weighted_sum(out, w))
         keys = np.concatenate([k.data, ek.data]) if extra else k.data
         values = np.concatenate([v.data, ev.data]) if extra else v.data
         want, dq, dk, dv = _attention_oracle(q.data, keys, values, n_heads, scale, w)
@@ -438,7 +412,7 @@ def test_attention_segments_equal_separate_calls(extra):
                 else:
                     out = ad.concat_rows([ad.attention(*ts[:3], n_heads, scale, *ts[3:])
                                           for ts in blocks])
-                ad.backward(ad.sum_all(ad.mul(out, w)))
+                ad.backward(weighted_sum(out, w))
             return [out.data] + [t.grad for ts in blocks for t in ts]
 
         for got, want in zip(run(True), run(False)):
@@ -455,6 +429,17 @@ def test_attention_segments_shape_errors():
     with pytest.raises(ShapeError):
         ad.attention(x, ad.constant(np.ones((4, 4))), ad.constant(np.ones((4, 4))), 2, 1.0,
                      segments=3)
+
+
+def _mul_row_op(a, row):
+    """``a * row`` for a row vector over a's last axis, with the pullback of
+    the elementwise product the fused layer norm replaced: the row's
+    gradient sums ``g * a`` over a's rows."""
+    def pullback(g):
+        ga = g * a.data
+        return g * row.data, (ga.sum(axis=0) if a.ndim == 2 else ga)
+
+    return ad.node(a.data * row.data, (a, row), pullback)
 
 
 def test_fused_linear_and_layernorm_equal_composed_ops_bitwise():
@@ -477,13 +462,13 @@ def test_fused_linear_and_layernorm_equal_composed_ops_bitwise():
                 elif fused:
                     h = ad.linear(x, W, b)
                 else:
-                    h = ad.add(ad.linear(x, W, np.zeros(m)), b)
+                    h = ad.add(ad.linear(x, W, ad.constant(np.zeros(m))), b)
                 if fused:
                     y = ad.layernorm(h, gamma, beta) if affine else ad.layernorm(h)
                 else:
                     y = ad.layernorm(h)
-                    y = ad.add(ad.mul(y, gamma), beta) if affine else y
-                ad.backward(ad.sum_all(ad.mul(y, w)))
+                    y = ad.add(_mul_row_op(y, gamma), beta) if affine else y
+                ad.backward(weighted_sum(y, w))
             return [y.data] + [t.grad.copy() for t in leaves]
 
         for got, want in zip(run(True), run(False)):
@@ -509,7 +494,7 @@ def test_layernorm_equals_the_mean_based_formulas_bitwise(shape):
     w = rng.normal(size=shape)
     with ad.Tape():
         y = ad.layernorm(x)
-        ad.backward(ad.sum_all(ad.mul(y, w)))  # the layernorm node receives w itself
+        ad.backward(weighted_sum(y, w))  # the layernorm node receives w itself
     want_y, want_dx = _layernorm_oracle(x.data, w)
     assert np.array_equal(y.data, want_y)
     assert np.array_equal(x.grad, want_dx)
@@ -558,7 +543,7 @@ def test_attention_pullback_equals_the_softmax_formula_bitwise(extra):
         w = rng.normal(size=(s * n, d))
         with ad.Tape():
             out = ad.attention(q, k, v, n_heads, scale, ek, ev, segments=s)
-            ad.backward(ad.sum_all(ad.mul(out, w)))  # the attention node receives w itself
+            ad.backward(weighted_sum(out, w))  # the attention node receives w itself
         dq, dk, dv = _attention_pullback_oracle(q.data, k.data, v.data,
                                                 ek.data if extra else None,
                                                 ev.data if extra else None, n_heads, scale, s, w)
@@ -573,7 +558,7 @@ def test_attention_pullback_equals_the_softmax_formula_bitwise(extra):
 def test_backward_empties_the_tape():
     v = ad.param([1.0, 2.0])
     with ad.Tape() as tape:
-        loss = ad.sum_all(ad.mul(v, v))
+        loss = weighted_sum(ad.add(v, v), v.data)
         assert len(tape.nodes) == 2
         ad.backward(loss)
     assert tape.nodes == []
@@ -589,10 +574,10 @@ def test_a_raising_pullback_still_releases_the_whole_graph():
         return (np.ones(3),)
 
     with ad.Tape() as tape:
-        h = ad.mul(v, v)
+        h = ad.add(v, v)
         bad = ad.node(h.data.sum(), [h], wrong_shape)
         held.append(bad)
-        loss = ad.mul(bad, bad)
+        loss = ad.add(bad, bad)
         nodes = list(tape.nodes)
         assert nodes == [h.node, bad.node, loss.node]
         gc.collect()

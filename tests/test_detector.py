@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from gradcheck import clear_grads, grad_check
+from gradcheck import clear_grads, grad_check, weighted_sum
 from mocadet import autodiff as ad
 from mocadet import detector as det
 from mocadet import losses as ls
@@ -213,7 +213,7 @@ def test_batched_forward_equals_per_image_forwards(n_images):
         parts = (logits, boxes, out.query_states[0])
         weights = weights.reshape(-1, weights.shape[-1])
         cols = np.cumsum([0, cfg.n_classes, 4, cfg.d_model])
-        return functools.reduce(ad.add, [ad.sum_all(ad.mul(part, weights[:, c0:c1]))
+        return functools.reduce(ad.add, [weighted_sum(part, weights[:, c0:c1])
                                          for part, c0, c1 in zip(parts, cols[:-1], cols[1:])])
 
     def run(batched):
@@ -383,7 +383,7 @@ def test_the_forward_pass_frees_values_no_pullback_reads(monkeypatch):
         assert all(ref() is not None for ref in refs["linear"])
         for name in ("layernorm", "relu", "attention"):
             assert all(ref() is None for ref in refs[name]), name
-        ad.backward(ad.sum_all(out.layers[-1][1]))
+        ad.backward(weighted_sum(out.layers[-1][1], 1.0))
 
 
 def test_backward_frees_the_graph_while_outputs_are_held(monkeypatch):

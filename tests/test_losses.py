@@ -428,7 +428,7 @@ def test_batched_detection_loss_equals_mean_of_single_image_losses():
                         [(_rows_op(lg, range(i * n, (i + 1) * n)),
                           _rows_op(bx, range(i * n, (i + 1) * n))) for lg, bx in layers],
                         [target], w) for i, target in enumerate(targets)]
-                    loss = ad.mul(sum(singles[1:], singles[0]), 1.0 / b)
+                    loss = _mul_op(sum(singles[1:], singles[0]), 1.0 / b)
                 value = loss.item()
                 ad.backward(loss)
             results.append((value, [t.grad for t in params]))
@@ -534,6 +534,21 @@ def _max_op(a, b):
     return ad.node(np.maximum(a.data, b.data), (a, b), lambda g: (g * take_a, g * ~take_a))
 
 
+def _mul_op(a, b):
+    # b is a tensor of a's shape, or a constant that broadcasts to it
+    if not isinstance(b, ad.Tensor):
+        return ad.node(a.data * b, (a,), lambda g: (g * b,))
+    return ad.node(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+
+
+def _sub_op(a, b):
+    return ad.node(a.data - b.data, (a, b), lambda g: (g, -g))
+
+
+def _sum_op(a):
+    return ad.node(a.data.sum(), (a,), lambda g: (np.broadcast_to(g, a.shape),))
+
+
 def _div_op(a, b):
     return ad.node(a.data / b.data, (a, b),
                    lambda g: (g / b.data, -g * a.data / (b.data * b.data)))
@@ -560,7 +575,7 @@ def _rows_op(a, rows):
 
 
 def _one_minus(a):
-    return ad.sub(ad.constant(np.ones(a.shape)), a)
+    return _sub_op(ad.constant(np.ones(a.shape)), a)
 
 
 def _composed_focal(logits, targets, alpha, gamma, weights):
@@ -568,25 +583,27 @@ def _composed_focal(logits, targets, alpha, gamma, weights):
     one_minus_p = _clip_op(_one_minus(p), 1e-12, 1.0)
     pos_w = ad.constant(alpha * weights * targets)
     neg_w = ad.constant((1.0 - alpha) * weights * (1.0 - targets))
-    pos = ad.mul(ad.mul(_pow_op(one_minus_p, gamma), _neg_op(_log_op(p))), pos_w)
-    neg = ad.mul(ad.mul(_pow_op(p, gamma), _neg_op(_log_op(one_minus_p))), neg_w)
-    return ad.sum_all(pos + neg)
+    pos = _mul_op(_mul_op(_pow_op(one_minus_p, gamma), _neg_op(_log_op(p))), pos_w)
+    neg = _mul_op(_mul_op(_pow_op(p, gamma), _neg_op(_log_op(one_minus_p))), neg_w)
+    return _sum_op(pos + neg)
 
 
 def _composed_giou(boxes_a, boxes_b):
     def split(b):
         cx, cy, w, h = (_col_op(b, j) for j in range(4))
-        half_w, half_h = ad.mul(w, 0.5), ad.mul(h, 0.5)
-        return (cx - half_w, cy - half_h, cx + half_w, cy + half_h)
+        half_w, half_h = _mul_op(w, 0.5), _mul_op(h, 0.5)
+        return (_sub_op(cx, half_w), _sub_op(cy, half_h), cx + half_w, cy + half_h)
 
     ax1, ay1, ax2, ay2 = split(boxes_a)
     bx1, by1, bx2, by2 = split(boxes_b)
-    iw = ad.relu(_min_op(ax2, bx2) - _max_op(ax1, bx1))
-    ih = ad.relu(_min_op(ay2, by2) - _max_op(ay1, by1))
-    inter = ad.mul(iw, ih)
-    union = ad.mul(ax2 - ax1, ay2 - ay1) + ad.mul(bx2 - bx1, by2 - by1) - inter
-    hull = ad.mul(_max_op(ax2, bx2) - _min_op(ax1, bx1), _max_op(ay2, by2) - _min_op(ay1, by1))
-    return _div_op(inter, union) - _div_op(hull - union, hull)
+    iw = ad.relu(_sub_op(_min_op(ax2, bx2), _max_op(ax1, bx1)))
+    ih = ad.relu(_sub_op(_min_op(ay2, by2), _max_op(ay1, by1)))
+    inter = _mul_op(iw, ih)
+    union = _sub_op(_mul_op(_sub_op(ax2, ax1), _sub_op(ay2, ay1))
+                    + _mul_op(_sub_op(bx2, bx1), _sub_op(by2, by1)), inter)
+    hull = _mul_op(_sub_op(_max_op(ax2, bx2), _min_op(ax1, bx1)),
+                   _sub_op(_max_op(ay2, by2), _min_op(ay1, by1)))
+    return _sub_op(_div_op(inter, union), _div_op(_sub_op(hull, union), hull))
 
 
 def _composed_loss(layers, targets, w, matches):
@@ -612,8 +629,8 @@ def _composed_loss(layers, targets, w, matches):
         rw = row_weight[rows]
         mb = _rows_op(all_boxes, rows)
         gb = ad.constant(np.array(gt_rows))
-        l1 = ad.sum_all(ad.mul(_abs_op(ad.sub(mb, gb)), np.repeat(w.w_l1 * rw, 4, axis=1)))
-        giou_term = ad.sum_all(ad.mul(_one_minus(_composed_giou(mb, gb)), w.w_giou * rw))
+        l1 = _sum_op(_mul_op(_abs_op(_sub_op(mb, gb)), np.repeat(w.w_l1 * rw, 4, axis=1)))
+        giou_term = _sum_op(_mul_op(_one_minus(_composed_giou(mb, gb)), w.w_giou * rw))
         total = total + l1 + giou_term
     return total
 

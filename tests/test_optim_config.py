@@ -10,7 +10,7 @@ import typing
 import numpy as np
 import pytest
 
-from gradcheck import clear_grads
+from gradcheck import clear_grads, weighted_sum
 from mocadet import autodiff as ad
 from mocadet.checkpoint import load_checkpoint, restore_params, save_checkpoint
 from mocadet.cli import main
@@ -116,7 +116,8 @@ def test_flat_adamw_matches_per_tensor_loop_bitwise(weight_decay):
         assigned = rng.normal(size=shapes[3])
         for params in (flat, ref):
             with ad.Tape():
-                terms = [ad.sum_all(ad.mul(ad.mul(p, p), w))
+                # sum(w * p * p): its gradient 2 w p
+                terms = [weighted_sum(p, 2.0 * w * p.data)
                          for i, (p, w) in enumerate(zip(params, weights)) if i not in (2, 3)]
                 ad.backward(sum(terms[1:], terms[0]))
             params[3].grad = assigned.copy()

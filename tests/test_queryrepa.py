@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gradcheck import clear_grads, grad_check
+from gradcheck import clear_grads, grad_check, weighted_sum
 from mocadet import autodiff as ad
 from mocadet import data as dt
 from mocadet import detector as det
@@ -13,7 +13,7 @@ from mocadet import optim as op
 from mocadet import queryrepa as qr
 from mocadet import tokens as tk
 from mocadet import train
-from mocadet.errors import ContractError
+from mocadet.errors import ContractError, ShapeError, ValidationError
 
 
 def _identity_head(d):
@@ -28,6 +28,11 @@ def _identity_head(d):
 def _rows(*vectors):
     """The (R, d) tensor whose rows are the given (d,) tensors."""
     return ad.constant(np.stack([v.data for v in vectors]))
+
+
+def _cosines(u, t):
+    """The (R, K) cosines of the rows of ``u`` with the rows of ``t``, in numpy."""
+    return (u @ t.T) / np.outer(np.linalg.norm(u, axis=1), np.linalg.norm(t, axis=1))
 
 
 def test_cluster_mean_cases():
@@ -83,6 +88,22 @@ def test_qra_loss_contracts():
     with pytest.raises(ContractError):  # the second mean has no token of its own
         with ad.no_grad():
             qr.qra_loss(_rows(q_bar, q_bar), _rows(other), head, tau=0.07)
+    with pytest.raises(ShapeError):  # the head's rows and the tokens differ in width
+        with ad.no_grad():
+            qr.qra_loss(_rows(q_bar), ad.constant(np.ones((2, 4))), head, tau=0.07)
+
+
+def test_qra_loss_rejects_a_zero_token_or_a_zero_head_output():
+    # a cosine with a zero vector is undefined; the identity head maps the
+    # zero mean to a zero row
+    head = _identity_head(3)
+    q_bar = ad.constant([1.0, 0.0, 0.0])
+    other = ad.constant([0.0, 1.0, 0.0])
+    zero = ad.constant([0.0, 0.0, 0.0])
+    for means, tokens in (((q_bar,), (other, zero)), ((zero,), (other, q_bar))):
+        with pytest.raises(ValidationError, match="zero vector"):
+            with ad.Tape():
+                qr.qra_loss(_rows(*means), ad.param(_rows(*tokens).data), head, tau=0.07)
 
 
 def test_qra_loss_matches_independent_reimplementation():
@@ -121,10 +142,76 @@ def test_qra_loss_crude_lower_bound():
         cands = [ad.constant(rng.normal(size=d)) for _ in range(b)]
         tau = float(rng.uniform(0.05, 0.5))
         with ad.no_grad():
-            sims = ad.cosine_matrix(head(_rows(q_bar)), _rows(*cands)).data[0]
+            sims = _cosines(head(_rows(q_bar)).data, _rows(*cands).data)[0]
             loss = qr.qra_loss(_rows(q_bar), _rows(*cands), head, tau=tau).item()
         assert loss >= 0.0
         assert loss >= math.log(b) - (sims.max() - sims.min()) / tau - 1e-12
+
+
+# Before the loss became one node it was a graph of eight generic tape ops.
+# These are those ops, each one node with the pullback it had then.
+
+
+def _cosine_op(a, b):
+    na, nb = np.sqrt((a.data ** 2).sum(axis=1)), np.sqrt((b.data ** 2).sum(axis=1))
+    norms = na[:, None] * nb[None, :]
+    c = (a.data @ b.data.T) / norms
+
+    def pullback(g):
+        gn, gc = g / norms, g * c
+        return (gn @ b.data - (gc.sum(axis=1) / (na * na))[:, None] * a.data,
+                gn.T @ a.data - (gc.sum(axis=0) / (nb * nb))[:, None] * b.data)
+
+    return ad.node(c, (a, b), pullback)
+
+
+def _scale_op(a, c):  # times a constant array or number
+    return ad.node(a.data * c, (a,), lambda g: (g * c,))
+
+
+def _sum_op(a):
+    return ad.node(a.data.sum(), (a,), lambda g: (np.broadcast_to(g, a.shape),))
+
+
+def _sub_op(a, b):
+    return ad.node(a.data - b.data, (a, b), lambda g: (g, -g))
+
+
+def _logsumexp_rows_op(a):
+    m = a.data.max(axis=1, keepdims=True)
+    e = np.exp(a.data - m)
+    s = e.sum(axis=1, keepdims=True)
+    soft = e / s
+    return ad.node((m + np.log(s))[:, 0], (a,), lambda g: (g[:, None] * soft,))
+
+
+def _composed_qra_loss(q_means, tokens, g_phi, tau):
+    r, k = q_means.shape[0], tokens.shape[0]
+    logits = _scale_op(_cosine_op(g_phi(q_means), tokens), 1.0 / tau)
+    positives = _sum_op(_scale_op(logits, np.eye(r, k)))
+    return _scale_op(_sub_op(_sum_op(_logsumexp_rows_op(logits)), positives), 1.0 / r)
+
+
+@pytest.mark.parametrize("r,k", [(1, 1), (4, 4), (2, 5)])
+def test_qra_loss_equals_the_eight_node_graph_it_replaced_bitwise(r, k):
+    # the value and every gradient, under an upstream gradient of 1 (a
+    # training step's) and of 0.37
+    for seed in range(10):
+        rng = np.random.default_rng(40 + seed)
+        head = det.FeedForward(6, 6, rng)
+        means, tokens = ad.param(rng.normal(size=(r, 6))), ad.param(rng.normal(size=(k, 6)))
+        tau = float(rng.uniform(1e-3, 2.0))
+        leaves = [means, tokens] + [p for _, p in head.parameters()]
+        for upstream in (1.0, 0.37):
+            results = []
+            for loss_fn in (qr.qra_loss, _composed_qra_loss):
+                clear_grads(leaves)
+                with ad.Tape():
+                    loss = loss_fn(means, tokens, head, tau)
+                    ad.backward(weighted_sum(loss, upstream))
+                results.append([loss.data] + [p.grad.copy() for p in leaves])
+            for got, want in zip(*results):
+                assert got.tobytes() == want.tobytes(), (seed, upstream)
 
 
 def test_qra_loss_of_a_batch_is_the_mean_of_its_rows_losses():
@@ -148,7 +235,7 @@ def test_qra_loss_of_a_batch_is_the_mean_of_its_rows_losses():
                 order = [i] + [j for j in range(k) if j != i]
                 loss = qr.qra_loss(means[i], ad.concat_rows([tokens[j] for j in order]),
                                    head, tau=0.1)
-                ad.backward(ad.mul(loss, 1.0 / r))
+                ad.backward(weighted_sum(loss, 1.0 / r))
             total += loss.item() / r
         assert abs(batch.item() - total) < 1e-12
         for want, t in zip(grads, means + tokens):
@@ -224,7 +311,7 @@ def _positive_rank_fraction(batches, model, spec, registry, proj, gphi, layer, c
             tokens = dt.attach_token(batch, spec, registry, proj, class_rng)
             out = model.forward(np.stack([s.image for s in batch]), tokens)
             u = gphi(ad.mean_rows(out.state(layer), len(batch)))
-            best = ad.cosine_matrix(u, tokens).data.argmax(axis=1)
+            best = _cosines(u.data, tokens.data).argmax(axis=1)
             hits += int((best == np.arange(len(batch))).sum())
             total += len(batch)
     return hits / total
@@ -268,9 +355,9 @@ def test_pretraining_improves_positive_rank():
 
 def test_alignment_loss_node_count_does_not_depend_on_batch_size():
     """The batch's token rows are one projection node, and the loss on top
-    of the batched forward is one mean node, the head's three nodes and
-    eight for the cosine matrix and the InfoNCE terms, at every B
-    (per-image losses built 2B² + 16B nodes: 130 at B = 5)."""
+    of the batched forward is one mean node, the head's three nodes and one
+    InfoNCE node, at every B (per-image losses built 2B² + 16B nodes: 130 at
+    B = 5; eight generic nodes in place of the InfoNCE node built 12)."""
     spec, samples, cfg, model, registry, proj, gphi = _tiny_setup()
     for b in (1, 2, 3, 5):
         batch = dt.ModalityBatchSampler(samples, 5, b, seed=0).next_batch()
@@ -280,9 +367,9 @@ def test_alignment_loss_node_count_does_not_depend_on_batch_size():
             out = model.forward(np.stack([s.image for s in batch]), tokens)
             before = len(tape.nodes)
             qr.qra_loss(ad.mean_rows(out.state(2), b), tokens, gphi, 0.07)
-            assert len(tape.nodes) - before == 12
+            assert len(tape.nodes) - before == 5
     # at the default model, a B=5 alignment loss is 1 token node, 14 encoder
-    # and 146 decoder nodes, and those 12: the heads run on the last of the
+    # and 146 decoder nodes, and those 5: the heads run on the last of the
     # six layers only, as the loss reads none of them (five nodes a layer)
     cfg = det.DetectorConfig(n_classes=10).validate()
     model = det.Detector(cfg, np.random.default_rng(0))
@@ -293,4 +380,4 @@ def test_alignment_loss_node_count_does_not_depend_on_batch_size():
     with ad.Tape() as tape:
         qr.batch_alignment_loss(batch, model, spec, registry, proj, gphi, 0.07, 5,
                                 np.random.default_rng(0))
-        assert len(tape.nodes) == 173
+        assert len(tape.nodes) == 166

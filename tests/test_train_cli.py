@@ -383,11 +383,12 @@ def test_cli_train_rejects_a_non_finite_number_and_writes_nothing(tmp_path, caps
     ("loss", {"alpha": 2.0}, "loss.alpha must be in [0, 1]"),
     ("dataset", {"image_size": 36}, "dataset.image_size 36 is not a multiple of "
                                     "model.patch_size 8"),
-], ids=["focal_alpha_above_1", "image_not_a_patch_multiple"])
+    ("qra", {"tau": 5e-324}, "qra.tau must be in [0.001, 10], got 5e-324"),
+], ids=["focal_alpha_above_1", "image_not_a_patch_multiple", "tau_below_1e-3"])
 def test_cli_rejects_a_run_that_cannot_work_and_writes_nothing(tmp_path, capsys,
                                                                section, edit, message):
-    # an alpha above 1 gives the focal loss no lower bound, and 8 px patches
-    # do not tile a 36 px image
+    # an alpha above 1 gives the focal loss no lower bound, 8 px patches do
+    # not tile a 36 px image, and 1 / tau is inf for the smallest double
     doc = _tiny_doc(epochs=1)
     doc[section] = dict(doc.get(section, {}), **edit)
     cfg_path = tmp_path / "cfg.json"
