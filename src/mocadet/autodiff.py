@@ -2,14 +2,16 @@
 
 Only what the detector and its objectives need: 0-d/1-d/2-d arrays, a small
 set of primitive ops with hand-written pullbacks, and an explicit Tape that
-records one forward build and supports exactly one backward pass.
+records one forward build and supports exactly one backward pass. One tape
+is open at a time, in one slot per thread.
 
 Ops, one tape node each: the fused ``linear``, ``attention`` (multi-head,
-optional extra key/value rows) and ``layernorm`` (optionally affine);
-elementwise ``add relu sigmoid``; ``concat_rows``; the block means
-``mean_rows``. ``node`` builds one node from a value computed elsewhere and
-a hand-written pullback; the set loss builds its two fused nodes with it,
-the token projection its one and QueryREPA's InfoNCE loss its one.
+optional extra key/value rows) and the affine ``layernorm`` of a matrix;
+elementwise ``add`` of two same-shape operands, ``relu`` and ``sigmoid``;
+``concat_rows``; the block means ``mean_rows``. ``node`` builds one node
+from a value computed elsewhere and a hand-written pullback; the set loss
+builds its two fused nodes with it, the token projection its one and
+QueryREPA's InfoNCE loss its one.
 ``expit`` is the numpy sigmoid that ``sigmoid``, the set loss and the
 detection scores share.
 
@@ -24,9 +26,9 @@ Conventions:
   * ops take Tensors: a constant operand is wrapped by ``constant`` first;
   * differentiable ops must run inside a ``with Tape():`` block (or under
     ``no_grad()`` when only values are needed);
-  * the only broadcast is a row vector against a matrix (``add``'s second
-    operand, ``layernorm``'s gamma and beta) -- anything else is a loud
-    ShapeError.
+  * the only broadcast is a row vector against a matrix, inside ``linear``
+    (its bias) and ``layernorm`` (its gamma and beta); any other shape
+    mismatch is a loud ShapeError.
 
 Graph and values: a ``Tensor`` is its value ``data`` plus a link to its
 ``Node``, which holds what reverse mode needs: ``grad``, ``requires_grad``,
@@ -73,12 +75,6 @@ _state = threading.local()
 _LAYERNORM_EPS = 1e-5
 
 
-def _tape_stack() -> list:
-    if not hasattr(_state, "tapes"):
-        _state.tapes = []
-    return _state.tapes
-
-
 def grad_enabled() -> bool:
     return getattr(_state, "grad_enabled", True)
 
@@ -111,19 +107,18 @@ class Tape:
         self.consumed = False
 
     def __enter__(self) -> "Tape":
-        if _tape_stack():
+        if active_tape() is not None:
             raise ContractError("tapes do not nest; close the active Tape first")
-        _tape_stack().append(self)
+        _state.tape = self
         return self
 
     def __exit__(self, *exc):
-        _tape_stack().pop()
+        _state.tape = None
         return False
 
 
 def active_tape() -> Tape | None:
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return getattr(_state, "tape", None)
 
 
 class Node:
@@ -177,10 +172,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    # -- operator sugar --------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
 
 
 def param(data) -> Tensor:
@@ -378,27 +369,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
     return _make_node(merge(p @ vh), nodes, pullback)
 
 
-def _broadcast_kind(a: Tensor, b: Tensor) -> str:
-    """same | row_b  (b is broadcast against a)."""
-    if a.shape == b.shape:
-        return "same"
-    if a.ndim == 2 and b.ndim == 1 and b.shape[0] == a.shape[1]:
-        return "row_b"
-    raise ShapeError(f"incompatible shapes {a.shape} and {b.shape}")
-
-
-def _reduce_to(g: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "same":
-        return g
-    return g.sum(axis=0)  # row_b
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    kind, na, nb = _broadcast_kind(a, b), a.node, b.node
+    """``a + b`` of two operands of one shape."""
+    if a.shape != b.shape:
+        raise ShapeError(f"add needs operands of one shape, got {a.shape} and {b.shape}")
+    na, nb = a.node, b.node
 
     def pullback(g):
         _accum(na, g)
-        _accum(nb, _reduce_to(g, kind))
+        _accum(nb, g)
 
     return _make_node(a.data + b.data, (na, nb), pullback)
 
@@ -428,46 +407,36 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make_node(out_data, (na,), pullback)
 
 
-def layernorm(a: Tensor, gamma: Tensor | None = None, beta: Tensor | None = None) -> Tensor:
-    """Per-row normalization to zero mean / unit variance (with 1e-5 added to
-    the variance), then ``* gamma + beta`` when those vectors over the
-    normalized axis are given."""
-    if a.ndim not in (1, 2):
-        raise ShapeError(f"layernorm needs a vector or matrix, got {a.shape}")
-    axis, affine = a.ndim - 1, gamma is not None
-    if affine != (beta is not None) or affine and not gamma.shape == beta.shape == a.shape[-1:]:
-        raise ShapeError(f"layernorm needs gamma and beta of shape {a.shape[-1:]} or neither")
+def layernorm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Per-row normalization of a matrix to zero mean / unit variance (with
+    1e-5 added to the variance), then ``* gamma + beta``, both row vectors."""
+    if a.ndim != 2 or not gamma.shape == beta.shape == a.shape[1:]:
+        raise ShapeError(f"layernorm needs an (n, d) matrix with gamma and beta of shape "
+                         f"(d,), got {a.shape}, {gamma.shape} and {beta.shape}")
     # numpy's mean is this sum divided by the count, so the bits are the same
-    n = a.shape[-1]
-    y = a.data - a.data.sum(axis=axis, keepdims=True) / n
-    s = (y ** 2).sum(axis=axis, keepdims=True) / n
+    n = a.shape[1]
+    y = a.data - a.data.sum(axis=1, keepdims=True) / n
+    s = (y ** 2).sum(axis=1, keepdims=True) / n
     s += _LAYERNORM_EPS
     np.sqrt(s, out=s)
     y /= s
-
-    nodes = tuple(t.node for t in ((a, gamma, beta) if affine else (a,)))
-    if affine:
-        kind, gamma = _broadcast_kind(a, gamma), gamma.data
+    na, ngamma, nbeta, gamma = a.node, gamma.node, beta.node, gamma.data
 
     def pullback(g):
-        if affine:
-            _accum(nodes[2], _reduce_to(g, kind))
-            _accum(nodes[1], _reduce_to(g * y, kind))
-            g = g * gamma
-        gm = g.sum(axis=axis, keepdims=True) / n
-        gy = (g * y).sum(axis=axis, keepdims=True) / n
+        _accum(nbeta, g.sum(axis=0))
+        _accum(ngamma, (g * y).sum(axis=0))
+        g = g * gamma
+        gm = g.sum(axis=1, keepdims=True) / n
+        gy = (g * y).sum(axis=1, keepdims=True) / n
         # (g - gm - y * gy) / s
         dx = g - gm
         dx -= y * gy
         dx /= s
-        _accum(nodes[0], dx, owned=True)
+        _accum(na, dx, owned=True)
 
-    if affine:
-        out_data = y * gamma
-        out_data += beta.data
-    else:
-        out_data = y
-    return _make_node(out_data, nodes, pullback)
+    out_data = y * gamma
+    out_data += beta.data
+    return _make_node(out_data, (na, ngamma, nbeta), pullback)
 
 
 def concat_rows(tensors) -> Tensor:

@@ -20,7 +20,9 @@ The whole batch is projected by one ``TokenProjection.rows`` node.
 
 On-disk formats:
   * dataset dir: ``<split>_manifest.json`` + ``<split>_images.<hash>.bin``
-    (little-endian f32, one H*W block per sample, offsets in the manifest;
+    (little-endian f32, one H*W block per sample, byte offsets in the
+    manifest, each a multiple of 4; the manifest's ``image_size`` is its
+    dataset spec's;
     the blob is named after the first 16 hex digits of its sha256, so a
     manifest only ever names the blob it was written with);
   * COCO-style export: JSON (images / annotations with absolute-pixel
@@ -423,6 +425,9 @@ def load_dataset(out_dir, split: str):
         raise IngestError(f"{path}: manifest needs a positive integer image_size, "
                           "a blob name and a list of samples")
     spec = read_dataclass(DatasetSpec, manifest.get("dataset_spec"), "manifest.dataset_spec")
+    if size != spec.image_size:
+        raise IngestError(f"{path}: manifest image_size {size} differs from its "
+                          f"dataset_spec.image_size {spec.image_size}")
     try:
         records = [read_dataclass(_Record, rec, f"manifest.samples[{i}]")
                    for i, rec in enumerate(records)]
@@ -441,7 +446,10 @@ def load_dataset(out_dir, split: str):
             raise IngestError(f"{path}: manifest.samples[{i}] needs a modality_id below "
                               f"{spec.n_modalities}, one box of 4 numbers per class and "
                               f"class ids below {len(spec.global_classes)}: {rec}")
-        start = rec.offset // 4
+        start, misaligned = divmod(rec.offset, 4)
+        if misaligned:
+            raise IngestError(f"{path}: image {rec.id!r} has byte offset {rec.offset}, "
+                              "which is not a multiple of 4")
         if start < 0 or start + size * size > blob.size:
             raise IngestError(f"{blob_path}: image {rec.id!r} lies outside the "
                               f"{blob.size * 4}-byte blob")

@@ -12,11 +12,12 @@ every activation (its P patch rows of the memory, its N query rows in the
 decoder), and every attention is block-diagonal over those blocks, so the
 images never mix. Each attention is one fused ``autodiff.attention`` node;
 image b's token enters it as one extra key/value row after block b's N
-query rows. Masking the token column drops those rows, so the masked
-forward runs the very same call as a token-free forward and is bitwise
-equal to it -- the reduction property the tests pin down.
-The detector has no MoCA switch: ``decode`` uses tokens exactly when it is
-given them, and a run without MoCA passes None.
+query rows. The detector has no MoCA switch: ``decode`` uses tokens exactly
+when it is given them, and a run without MoCA passes None. The mask seam
+exists on ``decode`` only: masking the token column hands the layers no
+token rows, so the masked decode runs the very same calls as a token-free
+one and is bitwise equal to it -- the reduction property the tests pin
+down.
 """
 
 from __future__ import annotations
@@ -94,18 +95,15 @@ class MultiHeadAttention(ad.Module):
         self.wo = Linear(d_model, d_model, rng)
 
     def attend(self, q_in: ad.Tensor, kv_in: ad.Tensor,
-               extra_kv: ad.Tensor | None = None, mask_extra: bool = False,
-               segments: int = 1) -> ad.Tensor:
+               extra_kv: ad.Tensor | None = None, segments: int = 1) -> ad.Tensor:
         """Row block s of ``q_in`` attends to row block s of ``kv_in``.
 
         Both hold ``segments`` equal row blocks. ``extra_kv`` (segments, d)
-        appends its row s after the key/value rows of block s. With
-        ``mask_extra`` those rows are left out, which is plain attention
-        exactly.
+        appends its row s after the key/value rows of block s.
         """
         scale = 1.0 / math.sqrt(self.d_model // self.n_heads)
         q, k, v = self.wq(q_in), self.wk(kv_in), self.wv(kv_in)
-        extra = () if extra_kv is None or mask_extra else (self.wk(extra_kv), self.wv(extra_kv))
+        extra = () if extra_kv is None else (self.wk(extra_kv), self.wv(extra_kv))
         return self.wo(ad.attention(q, k, v, self.n_heads, scale, *extra, segments=segments))
 
 
@@ -158,11 +156,9 @@ class DecoderLayer(ad.Module):
         self.ln3 = LayerNorm(cfg.d_model)
 
     def __call__(self, queries: ad.Tensor, memory: ad.Tensor, query_pos: ad.Tensor,
-                 token_rows: ad.Tensor | None, mask_token: bool = False,
-                 segments: int = 1) -> ad.Tensor:
+                 token_rows: ad.Tensor | None, segments: int = 1) -> ad.Tensor:
         x = ad.add(queries, query_pos)  # token rows carry zero position
-        attn = self.self_attn.attend(x, x, extra_kv=token_rows, mask_extra=mask_token,
-                                     segments=segments)
+        attn = self.self_attn.attend(x, x, extra_kv=token_rows, segments=segments)
         queries = self.ln1(ad.add(queries, attn))
         cross = self.cross_attn.attend(ad.add(queries, query_pos), memory, segments=segments)
         queries = self.ln2(ad.add(queries, cross))
@@ -236,9 +232,10 @@ class Detector(ad.Module):
         With ``final_heads_only`` the class and box heads run on the last
         decoder layer alone, so ``layers`` holds one entry (what inference
         reads); the query states of every layer are kept either way.
-        ``mask_token_column`` leaves the token rows out of every
-        self-attention; no entry point sets it, and it stays as the seam of
-        the reduction-property test.
+        ``mask_token_column`` checks the tokens and then hands the layers
+        None, so every self-attention leaves the token rows out; no entry
+        point sets it, and it stays as the seam of the reduction-property
+        test.
         """
         cfg, b = self.config, n_images
         if b < 1 or memory.ndim != 2 or memory.shape[0] % b:
@@ -247,14 +244,13 @@ class Detector(ad.Module):
         if tokens is not None:
             if tokens.shape != (b, cfg.d_model):
                 raise ShapeError(f"token shape {tokens.shape} != ({b}, {cfg.d_model})")
-            token_rows = self.token_proj(tokens)
+            token_rows = None if mask_token_column else self.token_proj(tokens)
         queries, query_pos = self.query_embed, self.query_pos
         if b > 1:
             queries, query_pos = ad.concat_rows([queries] * b), ad.concat_rows([query_pos] * b)
         out = DetectorOutput(layers=[], n_images=b)
         for i, layer in enumerate(self.decoder):
-            queries = layer(queries, memory, query_pos, token_rows,
-                            mask_token=mask_token_column, segments=b)
+            queries = layer(queries, memory, query_pos, token_rows, segments=b)
             out.query_states.append(queries)
             if final_heads_only and i < len(self.decoder) - 1:
                 continue
@@ -264,11 +260,10 @@ class Detector(ad.Module):
         return out
 
     def forward(self, images: np.ndarray, tokens: ad.Tensor | None = None,
-                mask_token_column: bool = False,
                 final_heads_only: bool = False) -> DetectorOutput:
         """One forward of a (B, H, W) stack or one (H, W) image; ``tokens``
         and ``final_heads_only`` as in ``decode``."""
         n_images = 1 if np.ndim(images) == 2 else len(images)
-        return self.decode(self.encode(images), tokens, mask_token_column, n_images,
-                           final_heads_only)
+        return self.decode(self.encode(images), tokens, n_images=n_images,
+                           final_heads_only=final_heads_only)
 

@@ -55,19 +55,16 @@ DETECTION = np.dtype([("image", np.int64), ("class_id", np.int64),
 _RECALL_PTS = np.linspace(0.0, 1.0, 101) - 1e-12
 
 
-def average_precision(flags, n_gt: int):
+def average_precision(cols: np.ndarray, n_gt: int):
     """101-point interpolated AP from score-ranked flags: 1 TP, 0 FP, -1
     ignored (dropped from the ranking).
 
-    ``flags`` is (D,) or (D, T): the AP of each column, a float for (D,) and
-    a list of T floats for (D, T). Returns None when there is no eligible
-    ground truth (excluded from averages); a column with no kept row gives
-    0.0.
+    ``cols`` is a (D, T) flag matrix; the result is the list of the T
+    columns' APs. Returns None when there is no eligible ground truth
+    (excluded from averages); a column with no kept row gives 0.0.
     """
     if n_gt == 0:
         return None
-    flags = np.asarray(flags)
-    cols = flags[:, None] if flags.ndim == 1 else flags
     # cumsums over all rows equal those of the kept rows at every kept row, and
     # an ignored row repeats the tp and fp of the row before it (0/0 -> 0 at the top)
     tp = np.cumsum(cols == 1, axis=0)
@@ -83,7 +80,7 @@ def average_precision(flags, n_gt: int):
     picked = envelope[idx, np.arange(cols.shape[1])]
     # cumsum adds in sequence; np.sum would add pairwise and round differently
     ap = np.cumsum(picked, axis=0)[-1] / 101.0
-    return ap.tolist() if flags.ndim == 2 else float(ap[0])
+    return ap.tolist()
 
 
 @dataclass
@@ -158,21 +155,21 @@ def _mean(vals):
     return float(np.mean(vals)) if vals else None
 
 
-def ap_report(detections, samples, n_classes: int, modality_names=None,
-              class_modality=None) -> APReport:
+def ap_report(detections, samples, n_classes: int, modality_names,
+              class_modality) -> APReport:
     """Full metric report over an evaluation set.
 
     ``detections`` is a ``DETECTION`` array whose ``image`` field indexes
-    ``samples``. ``class_modality`` maps class id -> modality id for the
-    per-modality breakdown (per-modality evaluation restricts to that
-    modality's images and classes, mirroring per-sub-dataset reporting).
+    ``samples``. ``class_modality`` maps class id -> modality id, and the
+    report breaks AP down by the modalities of ``modality_names``
+    (per-modality evaluation restricts to that modality's images and
+    classes, mirroring per-sub-dataset reporting).
     Each (image, class) is matched once for every threshold and area range;
     the per-modality AP reuses those flags, since matching never crosses
     images.
     """
     _validate(detections, samples)
     n_images, n_thr = len(samples), len(COCO_THRESHOLDS)
-    by_modality = modality_names is not None and class_modality is not None
 
     # rank within each image by descending score, record order on ties
     order = np.lexsort((-detections["score"], detections["image"]))
@@ -222,28 +219,25 @@ def ap_report(detections, samples, n_classes: int, modality_names=None,
         return [None] * n_thr if ap is None else ap
 
     area_ap, modality_ap = {}, {}
-    if by_modality:
-        modality = np.array([s.modality_id for s in samples], dtype=np.int64)
-        in_modality = modality[gt_image] == np.asarray(class_modality, dtype=np.int64)[gt_class]
-        n_gt_modality = np.bincount(gt_class[in_modality], minlength=n_classes)
+    modality = np.array([s.modality_id for s in samples], dtype=np.int64)
+    in_modality = modality[gt_image] == np.asarray(class_modality, dtype=np.int64)[gt_class]
+    n_gt_modality = np.bincount(gt_class[in_modality], minlength=n_classes)
     for c in range(n_classes):
         f = flags[bounds[c]:bounds[c + 1]]
         for k in range(len(AREA_RANGES)):
             area_ap[k, c] = class_ap(f[:, k], n_gt[c, k])
-        if by_modality:
-            mine = modality[pooled["image"][bounds[c]:bounds[c + 1]]] == class_modality[c]
-            modality_ap[c] = class_ap(f[mine, 0], n_gt_modality[c])
+        mine = modality[pooled["image"][bounds[c]:bounds[c + 1]]] == class_modality[c]
+        modality_ap[c] = class_ap(f[mine, 0], n_gt_modality[c])
 
     classes = range(n_classes)
     t50, t75 = COCO_THRESHOLDS.index(0.5), COCO_THRESHOLDS.index(0.75)
     per_modality = {}
-    if by_modality:
-        for mi, mname in enumerate(modality_names):
-            mclasses = [c for c in classes if class_modality[c] == mi]
-            per_modality[mname] = {
-                "ap": _mean([modality_ap[c][t] for t in range(n_thr) for c in mclasses]),
-                "ap50": _mean([modality_ap[c][t50] for c in mclasses]),
-            }
+    for mi, mname in enumerate(modality_names):
+        mclasses = [c for c in classes if class_modality[c] == mi]
+        per_modality[mname] = {
+            "ap": _mean([modality_ap[c][t] for t in range(n_thr) for c in mclasses]),
+            "ap50": _mean([modality_ap[c][t50] for c in mclasses]),
+        }
     bucket = {area: _mean([v for c in classes for v in area_ap[k, c]])
               for k, area in enumerate(AREA_RANGES)}
     return APReport(ap=bucket["all"],

@@ -1,8 +1,9 @@
 """Set-prediction objective: Hungarian matching plus focal / L1 / GIoU terms.
 
 Predictions arrive as one row block per image (the batched detector's
-image-major rows). Matching is computed per (decoder layer, image) on
-detached values, from one cost matrix that covers every layer and image.
+image-major rows). Matching is always computed, per (decoder layer, image)
+on detached values, from one cost matrix that covers every layer and image;
+no caller passes matches in.
 The layers' predictions are then stacked row-wise, and the loss over all
 their rows is two fused tape nodes with hand-written pullbacks: the focal
 term of every (row, class) and the L1 plus GIoU term of the matched rows.
@@ -245,18 +246,15 @@ def _match_blocks(per_layer_preds, gts, sizes, weights: LossWeights) -> list:
     return matches
 
 
-def detection_loss(per_layer_preds, targets, weights: LossWeights,
-                   precomputed_matches=None) -> ad.Tensor:
+def detection_loss(per_layer_preds, targets, weights: LossWeights) -> ad.Tensor:
     """Deep-supervised set loss summed over decoder layers, mean over images.
 
     ``per_layer_preds`` is a list of (logits Tensor [B*N x C], boxes Tensor
     [B*N x 4]), image b owning rows b*N .. (b+1)*N - 1; ``targets`` is a
     list of B (gt classes, gt boxes [G_b x 4]) pairs. Each (layer, image)
     is matched on its own detached row block (``_match_blocks`` builds one
-    cost matrix for the whole call), unless ``precomputed_matches`` gives
-    the (query, gt) pairs of every [layer][image]. No entry point passes
-    them: frozen matches make the loss a differentiable function of the
-    predictions, which its gradient checks need. The layers are then
+    cost matrix for the whole call); the matches are always computed here,
+    and no gradient flows through them. The layers are then
     stacked into one (L*B*N) row block, and the loss is five tape nodes
     whatever L, B and the G_b are: the two row stacks, the focal node, the
     box node and their sum. Matched queries take class target 1 at the
@@ -281,8 +279,7 @@ def detection_loss(per_layer_preds, targets, weights: LossWeights,
     image_weight = np.array([1.0 / (n_images * max(len(c), 1)) for c, _ in gts])
 
     sizes = [logits.shape[0] // n_images for logits, _ in per_layer_preds]
-    matches = (_match_blocks(per_layer_preds, gts, sizes, weights)
-               if precomputed_matches is None else precomputed_matches)
+    matches = _match_blocks(per_layer_preds, gts, sizes, weights)
     rows, cls, gt_rows = [], [], []  # matched rows of the stack, their class and gt box
     offset = 0
     for li, n in enumerate(sizes):
@@ -299,5 +296,5 @@ def detection_loss(per_layer_preds, targets, weights: LossWeights,
     target[rows, cls] = 1.0
     focal = _focal_node(all_logits, target, weights.w_focal * row_weight,
                         weights.alpha, weights.gamma)
-    return focal + _box_node(all_boxes, rows, np.array(gt_rows).reshape(-1, 4),
-                             row_weight[rows], weights)
+    return ad.add(focal, _box_node(all_boxes, rows, np.array(gt_rows).reshape(-1, 4),
+                                   row_weight[rows], weights))

@@ -26,7 +26,7 @@ from .tokens import TokenProjection, TokenRegistry
 
 
 def qra_loss(q_means: ad.Tensor, tokens: ad.Tensor, g_phi: FeedForward,
-             tau: float = 0.07) -> ad.Tensor:
+             tau: float) -> ad.Tensor:
     """Mean over rows r of -log softmax_k(cos(g_phi(q_r), t_k) / tau) at k = r.
 
     ``q_means`` is (R, d) and ``tokens`` (K, d) with R <= K: row r's

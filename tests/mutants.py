@@ -5,9 +5,10 @@
     python3 tests/mutants.py --list
 
 Each mutant replaces one exact snippet of one source file. For each, the
-script copies ``src/``, ``tests/``, ``perfbench/`` and ``pyproject.toml`` into
-a temporary directory, applies the mutant there and runs tier 1 with
-``pytest -x``: a failing run kills the mutant, a passing run lets it survive.
+script copies ``src/``, ``tests/``, ``perfbench/``, ``pyproject.toml`` and
+``ROADMAP.md`` (which the reachability test reads) into a temporary
+directory, applies the mutant there and runs tier 1 with ``pytest -x``: a
+failing run kills the mutant, a passing run lets it survive.
 The unmutated copy runs first; if it fails, the sweep stops with exit code
 2. Otherwise the exit code is 1 when a mutant survives or no longer
 applies, else 0. The checkout itself is only read.
@@ -31,7 +32,7 @@ import time
 from dataclasses import dataclass
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+COPIED = ("src", "tests", "perfbench", "pyproject.toml", "ROADMAP.md")
 TIMEOUT_S = 900
 
 
@@ -87,6 +88,31 @@ MUTANTS = (
     # the fused InfoNCE pullback without its positives' term
     Mutant("qra_pullback_no_diagonal", "src/mocadet/queryrepa.py",
            "        dz[np.arange(r), np.arange(r)] -= gr\n", ""),
+    # the same-shape add and the affine layer norm: one gradient each wrong
+    Mutant("add_second_grad_negated", "src/mocadet/autodiff.py",
+           "        _accum(nb, g)\n", "        _accum(nb, -g)\n"),
+    Mutant("layernorm_gamma_grad_unweighted", "src/mocadet/autodiff.py",
+           "_accum(ngamma, (g * y).sum(axis=0))", "_accum(ngamma, g.sum(axis=0))"),
+    Mutant("layernorm_beta_grad_weighted", "src/mocadet/autodiff.py",
+           "_accum(nbeta, g.sum(axis=0))", "_accum(nbeta, (g * y).sum(axis=0))"),
+    # masking the token column no longer drops the token rows
+    Mutant("decode_mask_ignored", "src/mocadet/detector.py",
+           "token_rows = None if mask_token_column else self.token_proj(tokens)",
+           "token_rows = self.token_proj(tokens)"),
+    # the two manifest checks of load_dataset
+    Mutant("manifest_size_checked_upward_only", "src/mocadet/data.py",
+           "    if size != spec.image_size:\n", "    if size > spec.image_size:\n"),
+    Mutant("offset_rounded_down", "src/mocadet/data.py",
+           "start, misaligned = divmod(rec.offset, 4)", "start, misaligned = rec.offset // 4, 0"),
+    # the two failure branches of verify_bound
+    Mutant("exact_cell_not_violated", "src/mocadet/milab.py",
+           "NCEEstimate(K, 0, exact_loss, exact_bound, 0.0),\n"
+           "                                               True))",
+           "NCEEstimate(K, 0, exact_loss, exact_bound, 0.0),\n"
+           "                                               False))"),
+    Mutant("monotonicity_failure_dropped", "src/mocadet/milab.py",
+           "                        mono_failures.append((ji, a.K, b.K, a.bound, b.bound))\n",
+           "                        pass\n"),
 )
 
 

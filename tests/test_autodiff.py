@@ -75,8 +75,13 @@ def test_mean_rows_segments_are_block_means():
         ad.mean_rows(ad.constant(a), 4)
 
 
+def _plain_affine(d):
+    """gamma of ones and beta of zeros: the affine map that keeps each value"""
+    return ad.constant(np.ones(d)), ad.constant(np.zeros(d))
+
+
 def test_layernorm_constant_row_is_zero():
-    out = ad.layernorm(ad.constant(np.full((3, 8), 2.5)))
+    out = ad.layernorm(ad.constant(np.full((3, 8), 2.5)), *_plain_affine(8))
     assert np.abs(out.data).max() < 1e-8
 
 
@@ -136,6 +141,27 @@ def test_op_outside_tape_rejected():
     with ad.no_grad():
         out = ad.add(v, v)  # fine: no recording
     assert not out.requires_grad
+
+
+def test_one_tape_is_active_at_a_time():
+    with ad.Tape() as tape:
+        assert ad.active_tape() is tape
+        with pytest.raises(ContractError, match="do not nest"):
+            with ad.Tape():
+                pass
+        assert ad.active_tape() is tape
+    assert ad.active_tape() is None
+
+
+def test_add_and_layernorm_take_no_broadcast_or_vector():
+    m, row = ad.constant(np.ones((3, 4))), ad.constant(np.ones(4))
+    with ad.no_grad():
+        with pytest.raises(ShapeError):
+            ad.add(m, row)
+        with pytest.raises(ShapeError):
+            ad.layernorm(row, row, row)
+        with pytest.raises(ShapeError):
+            ad.layernorm(m, row, ad.constant(np.ones(3)))
 
 
 def test_backward_is_deterministic():
@@ -237,9 +263,9 @@ def _build_case(name, rng):
             return weighted_sum(ad.attention(q, k, v, n_heads, s, ek, ev), w)
 
         return f, [q, k, v] + ([ek, ev] if extra else [])
-    if name == "add_row_broadcast":
+    if name == "add":
         a = ad.param(rng.normal(size=shp))
-        b = ad.param(rng.normal(size=4))
+        b = ad.param(rng.normal(size=shp))
         return (lambda: weighted_sum(ad.add(a, b), w34)), [a, b]
     if name == "relu":
         a = ad.param(_away_from_zero(rng, shp))
@@ -249,7 +275,7 @@ def _build_case(name, rng):
         return (lambda: weighted_sum(ad.sigmoid(a), w34)), [a]
     if name == "layernorm":
         a = ad.param(rng.normal(size=shp))
-        return (lambda: weighted_sum(ad.layernorm(a), w34)), [a]
+        return (lambda: weighted_sum(ad.layernorm(a, *_plain_affine(4)), w34)), [a]
     if name == "layernorm_affine":
         a = ad.param(rng.normal(size=shp))
         gamma = ad.param(rng.normal(size=4))
@@ -308,7 +334,7 @@ def _build_case(name, rng):
 
 OP_NAMES = ["linear", "attention", "attention_extra_row",
             "attention_one_head", "attention_segments", "attention_segments_extra",
-            "add_row_broadcast", "relu", "sigmoid", "layernorm", "layernorm_affine",
+            "add", "relu", "sigmoid", "layernorm", "layernorm_affine",
             "concat_rows", "mean_rows", "mean_rows_segments",
             "node_focal_loss", "node_box_loss", "node_token_rows",
             "node_qra_loss", "node_qra_loss_r_below_k"]
@@ -432,42 +458,51 @@ def test_attention_segments_shape_errors():
 
 
 def _mul_row_op(a, row):
-    """``a * row`` for a row vector over a's last axis, with the pullback of
-    the elementwise product the fused layer norm replaced: the row's
-    gradient sums ``g * a`` over a's rows."""
+    """``a * row`` for a row vector over a matrix's columns, with the
+    pullback of the elementwise product the fused layer norm replaced: the
+    row's gradient sums ``g * a`` over a's rows."""
     def pullback(g):
-        ga = g * a.data
-        return g * row.data, (ga.sum(axis=0) if a.ndim == 2 else ga)
+        return g * row.data, (g * a.data).sum(axis=0)
 
     return ad.node(a.data * row.data, (a, row), pullback)
 
 
+def _add_row_op(a, row):
+    """``a + row`` for a row vector over a matrix's columns, with the
+    pullback of the broadcast sum the fused linear and layer norm replaced:
+    the row's gradient sums ``g`` over a's rows."""
+    return ad.node(a.data + row.data, (a, row), lambda g: (g, g.sum(axis=0)))
+
+
 def test_fused_linear_and_layernorm_equal_composed_ops_bitwise():
-    # (rows, k, m, affine): rows=None puts an m-vector into layernorm directly,
-    # with no linear before it; affine=False is the plain layernorm call
-    for rows, k, m, affine in [(5, 4, 6, True), (5, 4, 6, False), (None, 4, 6, True),
+    # (rows, k, m, affine): k=None puts the (rows, m) input into layernorm
+    # directly, with no linear before it; affine=False takes the constant
+    # gamma of ones and beta of zeros. Compared by value: -0.0 + 0.0 is +0.0
+    for rows, k, m, affine in [(5, 4, 6, True), (5, 4, 6, False), (1, None, 6, True),
                                (256, 32, 64, True)]:
         rng = np.random.default_rng(3)
-        x = ad.param(rng.normal(size=(rows, k) if rows else m))
-        W, b = ad.param(rng.normal(size=(k, m))), ad.param(rng.normal(size=m))
+        x = ad.param(rng.normal(size=(rows, k or m)))
+        W, b = ad.param(rng.normal(size=(k or m, m))), ad.param(rng.normal(size=m))
         gamma, beta = ad.param(rng.normal(size=m)), ad.param(rng.normal(size=m))
-        w = rng.normal(size=(rows, m) if rows else m)
-        leaves = ([x, W, b] if rows else [x]) + ([gamma, beta] if affine else [])
+        if not affine:
+            gamma, beta = _plain_affine(m)
+        w = rng.normal(size=(rows, m))
+        leaves = ([x, W, b] if k else [x]) + ([gamma, beta] if affine else [])
 
         def run(fused):
             clear_grads([x, W, b, gamma, beta])
             with ad.Tape():
-                if not rows:
+                if not k:
                     h = x
                 elif fused:
                     h = ad.linear(x, W, b)
                 else:
-                    h = ad.add(ad.linear(x, W, ad.constant(np.zeros(m))), b)
+                    h = _add_row_op(ad.linear(x, W, ad.constant(np.zeros(m))), b)
                 if fused:
-                    y = ad.layernorm(h, gamma, beta) if affine else ad.layernorm(h)
+                    y = ad.layernorm(h, gamma, beta)
                 else:
-                    y = ad.layernorm(h)
-                    y = ad.add(_mul_row_op(y, gamma), beta) if affine else y
+                    y = ad.layernorm(h, *_plain_affine(m))
+                    y = _add_row_op(_mul_row_op(y, gamma), beta)
                 ad.backward(weighted_sum(y, w))
             return [y.data] + [t.grad.copy() for t in leaves]
 
@@ -487,13 +522,14 @@ def _layernorm_oracle(x, g):
     return y, (g - gm - y * gy) / s
 
 
-@pytest.mark.parametrize("shape", [(5, 6), (7,), (256, 64)])
+@pytest.mark.parametrize("shape", [(5, 6), (1, 7), (256, 64)])
 def test_layernorm_equals_the_mean_based_formulas_bitwise(shape):
+    # gamma of ones and beta of zeros; compared by value: -0.0 + 0.0 is +0.0
     rng = np.random.default_rng(4)
     x = ad.param(rng.normal(size=shape) * 3.0 + 1.0)
     w = rng.normal(size=shape)
     with ad.Tape():
-        y = ad.layernorm(x)
+        y = ad.layernorm(x, *_plain_affine(shape[1]))
         ad.backward(weighted_sum(y, w))  # the layernorm node receives w itself
     want_y, want_dx = _layernorm_oracle(x.data, w)
     assert np.array_equal(y.data, want_y)

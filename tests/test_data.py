@@ -308,6 +308,36 @@ def test_malformed_manifest_raises_ingest_error(tmp_path):
     assert len(dt.load_dataset(tmp_path, "val")[0]) == len(good["samples"])
 
 
+def test_manifest_image_size_must_equal_its_spec_image_size(tmp_path):
+    # a 64 px export whose manifest says 32 would load each image as the
+    # first 32 x 32 floats of its 64 x 64 block
+    spec = _tiny_spec()
+    assert spec.image_size == 64
+    dt.export_dataset(dt.generate_synthetic(spec, "val"), spec, tmp_path, "val")
+    path = tmp_path / "val_manifest.json"
+    doc = json.loads(path.read_text())
+    doc["image_size"] = 32
+    path.write_text(json.dumps(doc))
+    with pytest.raises(IngestError, match="image_size 32 differs from its "
+                                          "dataset_spec.image_size 64"):
+        dt.load_dataset(tmp_path, "val")
+
+
+def test_sample_offset_must_be_a_multiple_of_4(tmp_path):
+    # offset 16386 would load the image stored at 16384
+    spec = _tiny_spec()
+    dt.export_dataset(dt.generate_synthetic(spec, "val"), spec, tmp_path, "val")
+    path = tmp_path / "val_manifest.json"
+    good = json.loads(path.read_text())
+    assert good["samples"][1]["offset"] == 64 * 64 * 4
+    for offset in (16385, 16386, 16387):
+        doc = json.loads(json.dumps(good))
+        doc["samples"][1]["offset"] = offset
+        path.write_text(json.dumps(doc))
+        with pytest.raises(IngestError, match=f"byte offset {offset}, which is not a multiple"):
+            dt.load_dataset(tmp_path, "val")
+
+
 def _read_rawf32(path):
     """Reference reader for the ``.rawf32`` format ``write_rawf32`` writes."""
     blob = path.read_bytes()

@@ -32,8 +32,11 @@ def _array(dets, samples):
                     dtype=ev.DETECTION).reshape(-1)
 
 
-def _report(dets, samples, n_classes, **kw):
-    return ev.ap_report(_array(dets, samples), samples, n_classes, **kw)
+def _report(dets, samples, n_classes, modality_names=(), class_modality=None):
+    """``ap_report`` of ``_det`` tuples; by default every class is modality
+    0 and no modality is named, so ``per_modality`` is empty."""
+    return ev.ap_report(_array(dets, samples), samples, n_classes, modality_names,
+                        [0] * n_classes if class_modality is None else class_modality)
 
 
 # -- iou -------------------------------------------------------------------
@@ -161,12 +164,12 @@ def test_average_precision_matches_scalar_loop_bitwise():
         want = [_ap_loop(col[col >= 0], n_gt) for col in flags.T]
         got = ev.average_precision(flags, n_gt)
         if n_gt == 0:
-            assert got is None and ev.average_precision(flags[:, 0], n_gt) is None
+            assert got is None and ev.average_precision(flags[:, :1], n_gt) is None
             continue
         assert _as_bytes(got) == _as_bytes(want), (flags.tolist(), n_gt)
-        # a (D,) column is the one-column case and returns a float
-        one = ev.average_precision(flags[:, 3], n_gt)
-        assert isinstance(one, float) and _as_bytes(one) == _as_bytes(want[3])
+        # a (D, 1) column is the one-column case and returns a list of one float
+        one = ev.average_precision(flags[:, 3:4], n_gt)
+        assert isinstance(one[0], float) and _as_bytes(one) == _as_bytes(want[3:4])
 
 
 def test_average_precision_recall_on_a_point_reaches_it(monkeypatch):
@@ -186,13 +189,18 @@ def test_average_precision_recall_on_a_point_reaches_it(monkeypatch):
     assert hits > 0  # the cases do put recalls exactly on points
 
 
+def _column(flags):
+    return np.array(flags, dtype=np.int8).reshape(-1, 1)
+
+
 def test_average_precision_degenerate_cases():
-    assert ev.average_precision([], 3) == 0.0
-    assert ev.average_precision([1], 1) == pytest.approx(1.0)
-    assert ev.average_precision([], 0) is None
-    assert ev.average_precision([-1, -1], 2) == 0.0
+    assert ev.average_precision(_column([]), 3) == [0.0]
+    assert ev.average_precision(_column([1]), 1) == [pytest.approx(1.0)]
+    assert ev.average_precision(_column([]), 0) is None
+    assert ev.average_precision(_column([-1, -1]), 2) == [0.0]
     assert ev.average_precision(np.zeros((0, 10), dtype=np.int8), 3) == [0.0] * 10
-    assert ev.average_precision([-1, 1, 0, 1], 2) == ev.average_precision([1, 0, 1], 2)
+    assert ev.average_precision(_column([-1, 1, 0, 1]), 2) == \
+        ev.average_precision(_column([1, 0, 1]), 2)
 
 
 def test_perfect_single_detection_full_report():
@@ -225,23 +233,23 @@ def test_non_finite_detection_box_rejected():
         bad = good.copy()
         bad[field] = value
         with pytest.raises(ValidationError):
-            ev.ap_report(bad, samples, n_classes=1)
+            ev.ap_report(bad, samples, 1, [], [0])
     with pytest.raises(ValidationError):
-        ev.ap_report(good, samples + samples, n_classes=1)
+        ev.ap_report(good, samples + samples, 1, [], [0])
     # an image index outside the samples
     for image in (1, -1):
         bad = good.copy()
         bad["image"] = image
         with pytest.raises(ValidationError):
-            ev.ap_report(bad, samples, n_classes=1)
+            ev.ap_report(bad, samples, 1, [], [0])
     # anything but a 1-d DETECTION array
     other = np.dtype([("image", np.int64), ("class_id", np.int64),
                       ("box", np.float64, (4,)), ("score", np.float32)])
     for dets in ([(0, 0, (0.5, 0.5, 0.5, 0.5), 0.9)], good.tolist(), good.astype(other),
                  np.zeros((1, 6)), good.reshape(1, 1)):
         with pytest.raises(ValidationError):
-            ev.ap_report(dets, samples, n_classes=1)
-    ev.ap_report(good, samples, n_classes=1)
+            ev.ap_report(dets, samples, 1, [], [0])
+    ev.ap_report(good, samples, 1, [], [0])
 
 
 def test_class_id_outside_the_class_range_rejected():
@@ -261,7 +269,7 @@ def test_class_id_outside_the_class_range_rejected():
 
 def test_no_detections_zero_ap():
     samples = [_sample("a", [((0.5, 0.5, 0.5, 0.5), 0)])]
-    rep = ev.ap_report(np.zeros(0, dtype=ev.DETECTION), samples, n_classes=1)
+    rep = ev.ap_report(np.zeros(0, dtype=ev.DETECTION), samples, 1, [], [0])
     assert rep.ap == 0.0
 
 

@@ -349,7 +349,7 @@ def test_detection_loss_nonnegative_random():
         assert loss.item() >= 0.0
 
 
-def test_detection_loss_gradient_check():
+def test_detection_loss_gradient_check(monkeypatch):
     rng = np.random.default_rng(31)
     n, c = 4, 3
     logits = ad.param(rng.normal(size=(n, c)))
@@ -363,10 +363,11 @@ def test_detection_loss_gradient_check():
         probs = 1.0 / (1.0 + np.exp(-logits.data))
         cost = ls.build_cost_matrix(probs, base_boxes.data, gt_classes, gt_boxes, w)
     frozen = [ls.hungarian(cost)]
+    # frozen matches make the loss a differentiable function of the predictions
+    monkeypatch.setattr(ls, "_match_blocks", lambda *args: [[m] for m in frozen])
 
     def f():
-        return ls.detection_loss([(logits, ad.sigmoid(braw))], [(gt_classes, gt_boxes)],
-                                 w, precomputed_matches=[[m] for m in frozen])
+        return ls.detection_loss([(logits, ad.sigmoid(braw))], [(gt_classes, gt_boxes)], w)
 
     report = grad_check(f, [("logits", logits), ("boxes_raw", braw)], h=1e-5, tol=1e-4)
     assert report.passed, report.per_param
@@ -428,7 +429,7 @@ def test_batched_detection_loss_equals_mean_of_single_image_losses():
                         [(_rows_op(lg, range(i * n, (i + 1) * n)),
                           _rows_op(bx, range(i * n, (i + 1) * n))) for lg, bx in layers],
                         [target], w) for i, target in enumerate(targets)]
-                    loss = _mul_op(sum(singles[1:], singles[0]), 1.0 / b)
+                    loss = _mul_op(functools.reduce(ad.add, singles), 1.0 / b)
                 value = loss.item()
                 ad.backward(loss)
             results.append((value, [t.grad for t in params]))
@@ -467,9 +468,11 @@ def test_one_cost_matrix_gives_the_matches_of_per_block_cost_matrices(monkeypatc
         monkeypatch.setattr(ls, "build_cost_matrix", lambda *a: calls.append(a) or real(*a))
         results = []
         for matches in (None, per_block):
+            if matches is not None:
+                monkeypatch.setattr(ls, "_match_blocks", lambda *args, m=matches: m)
             clear_grads(params)
             with ad.Tape():
-                loss = ls.detection_loss(layers, targets, w, precomputed_matches=matches)
+                loss = ls.detection_loss(layers, targets, w)
                 value = loss.item()
                 ad.backward(loss)
             results.append((value, [t.grad for t in params]))
@@ -480,14 +483,14 @@ def test_one_cost_matrix_gives_the_matches_of_per_block_cost_matrices(monkeypatc
         assert all(np.array_equal(a, b_) for a, b_ in zip(g1, g2))
 
 
-def test_detection_loss_rejects_truth_without_area():
+def test_detection_loss_rejects_truth_without_area(monkeypatch):
     # GIoU divides by the union and hull areas, which a true box of positive
     # size keeps positive; matches are given, so no cost matrix checks it
+    monkeypatch.setattr(ls, "_match_blocks", lambda *args: [[[(0, 0)]]])
     layer = (ad.constant(np.zeros((2, 2))), ad.constant(np.full((2, 4), 0.5)))
     for box in ([0.5, 0.5, 0.0, 0.2], [0.5, 0.5, 0.2, -0.1]):
         with pytest.raises(ValidationError), ad.no_grad():
-            ls.detection_loss([layer], [([0], np.array([box]))], ls.LossWeights(),
-                              precomputed_matches=[[[(0, 0)]]])
+            ls.detection_loss([layer], [([0], np.array([box]))], ls.LossWeights())
 
 
 def test_detection_loss_rejects_rows_that_do_not_split_into_images():
@@ -585,30 +588,31 @@ def _composed_focal(logits, targets, alpha, gamma, weights):
     neg_w = ad.constant((1.0 - alpha) * weights * (1.0 - targets))
     pos = _mul_op(_mul_op(_pow_op(one_minus_p, gamma), _neg_op(_log_op(p))), pos_w)
     neg = _mul_op(_mul_op(_pow_op(p, gamma), _neg_op(_log_op(one_minus_p))), neg_w)
-    return _sum_op(pos + neg)
+    return _sum_op(ad.add(pos, neg))
 
 
 def _composed_giou(boxes_a, boxes_b):
     def split(b):
         cx, cy, w, h = (_col_op(b, j) for j in range(4))
         half_w, half_h = _mul_op(w, 0.5), _mul_op(h, 0.5)
-        return (_sub_op(cx, half_w), _sub_op(cy, half_h), cx + half_w, cy + half_h)
+        return (_sub_op(cx, half_w), _sub_op(cy, half_h), ad.add(cx, half_w),
+                ad.add(cy, half_h))
 
     ax1, ay1, ax2, ay2 = split(boxes_a)
     bx1, by1, bx2, by2 = split(boxes_b)
     iw = ad.relu(_sub_op(_min_op(ax2, bx2), _max_op(ax1, bx1)))
     ih = ad.relu(_sub_op(_min_op(ay2, by2), _max_op(ay1, by1)))
     inter = _mul_op(iw, ih)
-    union = _sub_op(_mul_op(_sub_op(ax2, ax1), _sub_op(ay2, ay1))
-                    + _mul_op(_sub_op(bx2, bx1), _sub_op(by2, by1)), inter)
+    union = _sub_op(ad.add(_mul_op(_sub_op(ax2, ax1), _sub_op(ay2, ay1)),
+                           _mul_op(_sub_op(bx2, bx1), _sub_op(by2, by1))), inter)
     hull = _mul_op(_sub_op(_max_op(ax2, bx2), _min_op(ax1, bx1)),
                    _sub_op(_max_op(ay2, by2), _min_op(ay1, by1)))
     return _sub_op(_div_op(inter, union), _div_op(_sub_op(hull, union), hull))
 
 
 def _composed_loss(layers, targets, w, matches):
-    """``detection_loss`` with ``precomputed_matches=matches``, assembled from
-    the elementwise ops above."""
+    """``detection_loss`` with its matches replaced by ``matches``, assembled
+    from the elementwise ops above."""
     n_images = len(targets)
     sizes = [lg.shape[0] // n_images for lg, _ in layers]
     rows, cls, gt_rows, offset = [], [], [], 0
@@ -631,7 +635,7 @@ def _composed_loss(layers, targets, w, matches):
         gb = ad.constant(np.array(gt_rows))
         l1 = _sum_op(_mul_op(_abs_op(_sub_op(mb, gb)), np.repeat(w.w_l1 * rw, 4, axis=1)))
         giou_term = _sum_op(_mul_op(_one_minus(_composed_giou(mb, gb)), w.w_giou * rw))
-        total = total + l1 + giou_term
+        total = ad.add(ad.add(total, l1), giou_term)
     return total
 
 
@@ -669,7 +673,7 @@ def _oracle_case(rng, case):
     return layers, targets, weights
 
 
-def test_fused_loss_equals_composed_graph():
+def test_fused_loss_equals_composed_graph(monkeypatch):
     """The two fused nodes against the composed graph they replace: value and
     every gradient within rtol 1e-12, on 300 seeded batches."""
     rng = np.random.default_rng(2026)
@@ -683,11 +687,12 @@ def test_fused_loss_equals_composed_graph():
             matches.append([ls.hungarian(ls.build_cost_matrix(
                 probs[b * n:(b + 1) * n], boxes[b * n:(b + 1) * n], classes, gt, w))
                 if classes else [] for b, (classes, gt) in enumerate(targets)])
+        monkeypatch.setattr(ls, "_match_blocks", lambda *args: matches)
         results = []
-        for loss_fn in (ls.detection_loss, _composed_loss):
+        for loss_fn in (ls.detection_loss, functools.partial(_composed_loss, matches=matches)):
             params = [ad.param(a) for layer in layers for a in layer]
             with ad.Tape():
-                loss = loss_fn(list(zip(params[::2], params[1::2])), targets, w, matches)
+                loss = loss_fn(list(zip(params[::2], params[1::2])), targets, w)
                 ad.backward(loss)
             results.append([loss.data] + [np.zeros(p.shape) if p.grad is None else p.grad
                                           for p in params])

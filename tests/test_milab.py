@@ -283,3 +283,33 @@ def test_cli_mi_lab_flags_an_understated_mi_and_exits_2(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert out.startswith("mi-lab FAIL: 2 cells (0 exact), 1 bound violations")
     assert f"VIOLATION joint=0 critic=optimal K={K}" in out
+
+
+def test_verify_bound_flags_an_mi_below_the_exact_bound(monkeypatch):
+    # a 3x3 joint at K = 3 is checked by enumeration; an MI stated 1e-8 (ten
+    # times the exact tolerance) below the optimal critic's exact bound adds
+    # a violated optimal-exact cell
+    joint, K = ml.identity_joint(3), 3
+    exact = math.log(1 + K) - ml.exact_infonce(joint, ml.optimal_critic(joint), K)
+    monkeypatch.setattr(ml, "exact_mi", lambda j: exact - 1e-8)
+    report = ml.verify_bound([joint], Ks=(K,), n_samples=2000, seed=0)
+    flagged = [c for c in report["violations"] if c.critic_kind == "optimal-exact"]
+    assert [(c.K, c.estimate.bound) for c in flagged] == [(K, exact)]
+    assert report["n_exact_cells"] == 2 and not report["passed"]
+
+
+def test_cli_mi_lab_flags_falling_optimal_bounds_and_exits_2(capsys, monkeypatch):
+    # every estimate is below the MI, so no cell is violated, but the bound
+    # falls by 0.02 from K = 1 to K = 3, seven times the slack of two
+    # combined standard errors of 1e-3; the 7x7 joint has no exact cells
+    def falling(joint, critic, K, n_samples, rng):
+        bound = -0.01 * K
+        return ml.NCEEstimate(K, n_samples, math.log(1 + K) - bound, bound, 1e-3)
+
+    monkeypatch.setattr(ml, "infonce_estimate", falling)
+    assert main(["mi-lab", "--n-joints", "1", "--K", "1,3", "--samples", "2000",
+                 "--seed", "0"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("mi-lab FAIL: 4 cells (0 exact), 0 bound violations")
+    assert out.count("NON-MONOTONE") == 1
+    assert "NON-MONOTONE joint=0 K 1->3: -0.010000 -> -0.030000" in out

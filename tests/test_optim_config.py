@@ -1,6 +1,7 @@
 """Tests for AdamW, the lr schedule, run config, and checkpoint IO."""
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -119,7 +120,7 @@ def test_flat_adamw_matches_per_tensor_loop_bitwise(weight_decay):
                 # sum(w * p * p): its gradient 2 w p
                 terms = [weighted_sum(p, 2.0 * w * p.data)
                          for i, (p, w) in enumerate(zip(params, weights)) if i not in (2, 3)]
-                ad.backward(sum(terms[1:], terms[0]))
+                ad.backward(functools.reduce(ad.add, terms))
             params[3].grad = assigned.copy()
         assert all(p.grad is g for i, (p, g) in enumerate(zip(flat, views)) if i != 3)
         opt.step()
