@@ -325,8 +325,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
                          f"segments; got {q.shape}, {k.shape}")
     if n_heads < 1 or d % n_heads:
         raise ShapeError(f"width {d} does not split into {n_heads} heads")
-    if not scale > 0.0:
-        raise ValidationError("attention scale must be positive")
     m, d_head, kv_shape = k.shape[0] // s, d // n_heads, k.shape
 
     def split(x):  # (S*rows, d) -> (S, h, rows, d_h)

@@ -8,6 +8,7 @@ arguments, or files), 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -168,7 +169,7 @@ def _cmd_pretrain(args) -> int:
 def _cmd_train(args) -> int:
     config = RunConfig.from_json(_load_json(args.config))
     if args.moca is not None:  # the echo and checkpoints carry the flag that took effect
-        config.moca = args.moca == "on"
+        config = dataclasses.replace(config, moca=args.moca == "on")
     summary = run_train(config, args.out, from_pretrain=args.from_pretrain)
     print(f"train: {summary['steps']} steps, moca={summary['moca']}, "
           f"best AP {summary['best']['ap']:.4f} (AP50 {summary['best']['ap50']:.4f}) "
@@ -182,8 +183,8 @@ def _cmd_eval(args) -> int:
             check_output_path(path)
     bundle = load_detector_for_eval(args.ckpt)
     samples, spec = load_dataset(args.data, args.split)
-    if spec.global_classes != bundle.config.dataset.global_classes:
-        raise ValidationError("dataset class list does not match the checkpoint")
+    if spec.token_pairs() != bundle.config.dataset.token_pairs():  # modality and class ids
+        raise ValidationError("dataset modalities and classes do not match the checkpoint")
     report = evaluate(bundle, samples)
     print(f"eval[{args.split}]: AP={report.ap:.4f} AP50={report.ap50:.4f} "
           f"AP75={report.ap75:.4f}")

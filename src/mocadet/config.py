@@ -2,16 +2,20 @@
 
 ``RunConfig.from_json`` reads it by the one rule of ``fileio.read_dataclass``
 on the field annotations, so an unknown key (top-level ones included) or a
-value of the wrong JSON type is a ``ValidationError`` naming the field. Then
-``validate`` checks it before any data or model exists: every numeric field
-declares its range once, in its field's metadata (``fileio.Range``), and
-``fileio.check_ranges`` checks them all, the dataset's and the model's
-included; ``validate`` adds only the rules that tie fields together. An
-upper bound keeps a valid document within bounded memory, or bounds time.
+value of the wrong JSON type is a ``ValidationError`` naming the field. Every
+config class is frozen, and a run config is checked when made, before any
+data or model exists: every numeric field declares its range once, in its
+field's metadata (``fileio.Range``), and ``fileio.check_ranges`` checks them
+all, the dataset's and the model's included; ``validate`` adds only the rules
+that tie fields together, and resolves the model section into the run's
+``DetectorConfig`` once. A config that exists is therefore valid and cannot
+change, and nothing downstream checks it again. An upper bound keeps a valid
+document within bounded memory, or bounds time.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .data import DatasetSpec, make_default_spec
@@ -21,7 +25,7 @@ from .fileio import SEED, Range, check_ranges, json_form, read_dataclass
 from .losses import LossWeights
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimConfig:
     lr: float = Range(0, 1, lo_open=True).field(default=2e-4)  # AdamW moves a weight ~lr a step
     weight_decay: float = Range(0, 1).field(default=1e-4)  # so 1 - lr * weight_decay is in [0, 1]
@@ -35,7 +39,7 @@ class OptimConfig:
         return self.lr * (self.decay_factor if epoch >= self.decay_epoch else 1.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TokenConfig:
     source: str = "synthetic"  # synthetic | file
     d_text: int = Range(2, 4096).field(default=64)  # W of the projection is (d_model, d_text)
@@ -43,7 +47,7 @@ class TokenConfig:
     path: str | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class QraConfig:
     # the logits are cosines times 1 / tau, which is inf below about 5.6e-309;
     # at 1e-3 each logit is in ±1000, and at 10 in ±0.1
@@ -55,7 +59,7 @@ class QraConfig:
     lr: float = Range(0, 1, lo_open=True).field(default=1e-4)  # as optim.lr
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     dataset: DatasetSpec = field(default_factory=make_default_spec)
     model: dict[str, int] = field(default_factory=dict)  # DetectorConfig overrides
@@ -68,8 +72,12 @@ class RunConfig:
     moca: bool = True
     eval_every: int = Range(1, 100_000).field(default=4)  # in epochs, as epochs is
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> "RunConfig":
-        """The run, once every declared range and each rule across fields hold."""
+        """The run, once every declared range and each rule across fields
+        hold; ``__post_init__`` runs it, so a RunConfig that exists passed it."""
         check_ranges(self, "config")
         if self.tokens.source not in ("synthetic", "file"):
             raise ValidationError("tokens.source must be 'synthetic' or 'file'")
@@ -82,7 +90,7 @@ class RunConfig:
             raise ValidationError(
                 f"qra.batch_size {self.qra_batch_size} exceeds modality count {m}; "
                 "pretraining batches must cover distinct modalities")
-        det_cfg = self.detector_config()
+        det_cfg = self.detector_config
         if self.dataset.image_size % det_cfg.patch_size:
             raise ValidationError(
                 f"dataset.image_size {self.dataset.image_size} is not a multiple of "
@@ -92,13 +100,15 @@ class RunConfig:
                                   f"{det_cfg.n_decoder_layers}")
         return self
 
+    @functools.cached_property
     def detector_config(self) -> DetectorConfig:
         """The run's model: the ``model`` section over the defaults, with
-        ``n_classes`` from the dataset, checked."""
+        ``n_classes`` from the dataset, checked; read once, by ``validate``
+        when the config is made."""
         if "n_classes" in self.model:
             raise ValidationError("model.n_classes is derived from the dataset; do not set it")
         model = dict(self.model, n_classes=len(self.dataset.global_classes))
-        return read_dataclass(DetectorConfig, model, "config.model").validate()
+        return read_dataclass(DetectorConfig, model, "config.model")
 
     @property
     def qra_batch_size(self) -> int:
@@ -109,4 +119,4 @@ class RunConfig:
 
     @staticmethod
     def from_json(doc) -> "RunConfig":
-        return read_dataclass(RunConfig, doc, "config").validate()
+        return read_dataclass(RunConfig, doc, "config")

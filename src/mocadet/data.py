@@ -20,9 +20,9 @@ The whole batch is projected by one ``TokenProjection.rows`` node.
 
 On-disk formats:
   * dataset dir: ``<split>_manifest.json`` + ``<split>_images.<hash>.bin``
-    (little-endian f32, one H*W block per sample, byte offsets in the
-    manifest, each a multiple of 4; the manifest's ``image_size`` is its
-    dataset spec's;
+    (little-endian f32, one H*W block of finite pixels per sample, byte
+    offsets in the manifest, each a multiple of 4; sample ids are unique
+    within a manifest; the manifest's ``image_size`` is its dataset spec's;
     the blob is named after the first 16 hex digits of its sha256, so a
     manifest only ever names the blob it was written with);
   * COCO-style export: JSON (images / annotations with absolute-pixel
@@ -37,13 +37,13 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .boxes import corner_iou
-from .errors import ContractError, IngestError, TokenLookupError, ValidationError
+from .errors import IngestError, ValidationError
 from .fileio import SEED, Range, atomic_write, check_ranges, json_form, make_dirs, read_dataclass
 from .tokens import TokenProjection, TokenRegistry, _fnv1a64
 
@@ -97,7 +97,7 @@ class ModalitySpec:
             raise ValidationError(f"modality {self.name!r}: classes must name at least one class")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetSpec:
     modalities: list[ModalitySpec]
     # images are held in memory: 4 MB each at 1024 px, 1.6 GB for 100,000 at 64 px
@@ -232,8 +232,6 @@ def _fixed_mask(shape: str, s: int) -> np.ndarray:
 
 def _shape_mask(shape: str, size: int, rng: np.random.Generator) -> np.ndarray:
     s = max(int(size), 2)
-    if shape not in _SHAPES:
-        raise ValidationError(f"unknown shape {shape!r}")
     if shape != "blob":
         return _fixed_mask(shape, s)
     yy, xx = _grid(s)
@@ -299,7 +297,7 @@ def _render_sample(spec: DatasetSpec, modality_id: int, split: str,
         region = img[r0:r0 + mh, c0:c0 + mw]
         region[mask] = level
         box = ((c0 + mw / 2.0) / size, (r0 + mh / 2.0) / size, mw / size, mh / size)
-        annotations.append(Annotation(box=box, class_id=class_offset + local_cls).validate())
+        annotations.append(Annotation(box=box, class_id=class_offset + local_cls))
 
     img = _apply_curve(img, mod.curve)
     if mod.noise_sigma > 0:
@@ -408,7 +406,8 @@ class _Record:
 
 
 def load_dataset(out_dir, split: str):
-    """Returns (samples, DatasetSpec). A bad manifest or sample record raises
+    """Returns (samples, DatasetSpec). A bad manifest or sample record, a
+    repeated sample id or an image with a NaN or Inf pixel raises
     IngestError; a missing or bad dataset spec raises ValidationError, as a bad
     spec file does."""
     path = os.path.join(out_dir, f"{split}_manifest.json")
@@ -438,8 +437,11 @@ def load_dataset(out_dir, split: str):
         blob = np.fromfile(blob_path, dtype="<f4")
     except OSError as e:
         raise IngestError(f"cannot read image blob {blob_path}: {e}") from e
-    samples = []
+    samples, ids = [], set()
     for i, rec in enumerate(records):
+        if rec.id in ids:
+            raise IngestError(f"{path}: sample id {rec.id!r} appears more than once")
+        ids.add(rec.id)
         if not (0 <= rec.modality_id < spec.n_modalities and len(rec.boxes) == len(rec.classes)
                 and all(0 <= c < len(spec.global_classes) for c in rec.classes)
                 and all(len(b) == 4 for b in rec.boxes)):
@@ -454,7 +456,13 @@ def load_dataset(out_dir, split: str):
             raise IngestError(f"{blob_path}: image {rec.id!r} lies outside the "
                               f"{blob.size * 4}-byte blob")
         img = blob[start:start + size * size].astype(np.float32).reshape(size, size)
-        anns = [Annotation(box=b, class_id=c).validate() for b, c in zip(rec.boxes, rec.classes)]
+        if not np.isfinite(img).all():
+            raise IngestError(f"{blob_path}: image {rec.id!r} has a NaN or Inf pixel")
+        try:  # a box of positive size inside the image, as a rendered box is
+            anns = [Annotation(box=b, class_id=c).validate()
+                    for b, c in zip(rec.boxes, rec.classes)]
+        except ValidationError as e:
+            raise IngestError(f"{path}: manifest.samples[{i}]: {e}") from e
         samples.append(Sample(image=img, modality_id=rec.modality_id,
                               annotations=anns, sample_id=rec.id))
     return samples, spec
@@ -515,17 +523,14 @@ def export_coco(samples, spec: DatasetSpec, out_dir, split: str) -> str:
 class ModalityBatchSampler:
     """Round-robin per-modality queues with the distinct-modality guarantee.
 
-    Every batch holds one sample from each of B >= 1 pairwise-distinct
-    modalities; when B < M the covered subset is drawn uniformly per batch.
+    Every batch holds one sample from each of B pairwise-distinct
+    modalities, 1 <= B <= M (``RunConfig`` holds ``qra_batch_size`` so);
+    when B < M the covered subset is drawn uniformly per batch.
     Queues reshuffle per epoch with the epoch index mixed into the seed, so
     epochs differ but runs reproduce.
     """
 
     def __init__(self, samples, n_modalities: int, batch_size: int, seed: int = 0):
-        if batch_size > n_modalities:
-            raise ContractError(
-                f"batch size {batch_size} exceeds modality count {n_modalities}; "
-                "batches must cover pairwise-distinct modalities")
         self.per_modality = [[] for _ in range(n_modalities)]
         for s in samples:
             self.per_modality[s.modality_id].append(s)
@@ -569,8 +574,6 @@ def _mean_embedding(spec: DatasetSpec, registry: TokenRegistry,
                     modality_id: int) -> np.ndarray:
     """The mean of the raw embeddings of every class declared for a modality."""
     mod_name = spec.modality_names[modality_id]
-    if mod_name not in registry.modality_list:
-        raise TokenLookupError(f"modality {mod_name!r} absent from registry")
     return np.mean([registry.embedding(mod_name, spec.global_classes[cid])
                     for cid in spec.global_class_ids(modality_id)], axis=0)
 

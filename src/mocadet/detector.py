@@ -28,15 +28,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractError, ShapeError, ValidationError
+from .errors import ShapeError, ValidationError
 from .fileio import Range, check_ranges
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectorConfig:
     """Model sizes, each an integer in the range its field declares. A run
     reads its own in ``RunConfig.detector_config``, which checks the types;
-    ``validate`` checks the ranges and how the sizes fit together."""
+    the ranges and how the sizes fit together are checked when it is made."""
 
     # the upper bounds keep the model finite: at every bound at once it holds
     # 950 million weights (DETR's own sizes are d 256, 100 queries, 6 + 6 layers)
@@ -50,13 +50,12 @@ class DetectorConfig:
     n_encoder_layers: int = Range(0, 32).field(default=1)
     ffn_width: int = Range(1, 4096).field(default=128)
 
-    def validate(self) -> "DetectorConfig":
+    def __post_init__(self):
         check_ranges(self, "config.model")
         if self.d_model % self.n_heads != 0:
             raise ValidationError("d_model must be divisible by n_heads")
         if self.d_model % 4 != 0:
             raise ValidationError("d_model must be divisible by 4 (2-d positions)")
-        return self
 
 
 class Linear(ad.Module):
@@ -117,9 +116,8 @@ class FeedForward(ad.Module):
 
 
 def sinusoidal_positions_2d(n_rows: int, n_cols: int, d_model: int) -> np.ndarray:
-    """Fixed 2-d sine/cosine grid encoding; first half encodes y, second x."""
-    if d_model % 4 != 0:
-        raise ShapeError("d_model must be divisible by 4 for 2-d positions")
+    """Fixed 2-d sine/cosine grid encoding; first half encodes y, second x.
+    ``d_model`` is a multiple of 4, as ``DetectorConfig`` holds it."""
     half = d_model // 2
 
     def encode_1d(positions: np.ndarray) -> np.ndarray:
@@ -178,8 +176,6 @@ class DetectorOutput:
 
     def state(self, layer: int) -> ad.Tensor:
         """Q^(l) for 1-indexed decoder layer l."""
-        if not 1 <= layer <= len(self.query_states):
-            raise ContractError(f"no query state for layer {layer}")
         return self.query_states[layer - 1]
 
 
@@ -187,8 +183,7 @@ class Detector(ad.Module):
     def __init__(self, config: DetectorConfig, rng: np.random.Generator | None = None):
         """The model of ``config``, its weights drawn from ``rng`` in a fixed
         order, or all zeros but the layer norms' without it (see ``Linear``)."""
-        cfg = config.validate()
-        self.config = cfg
+        self.config = cfg = config
         d = cfg.d_model
         self.patch_proj = Linear(cfg.patch_size * cfg.patch_size, d, rng)
         self.encoder = [EncoderLayer(cfg, rng) for _ in range(cfg.n_encoder_layers)]

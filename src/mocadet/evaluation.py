@@ -141,8 +141,6 @@ def _validate(detections, samples) -> None:
     if not isinstance(detections, np.ndarray) or detections.dtype != DETECTION \
             or detections.ndim != 1:
         raise ValidationError("detections must be a 1-d array of dtype evaluation.DETECTION")
-    if len({s.sample_id for s in samples}) != len(samples):
-        raise ValidationError("duplicate sample ids in evaluation set")
     image, box, score = detections["image"], detections["box"], detections["score"]
     if ((image < 0) | (image >= len(samples))).any():
         raise ValidationError(f"detection image index outside the {len(samples)} samples")
@@ -254,12 +252,11 @@ def detections_from_output(output, images) -> np.ndarray:
     """The last decoder layer's predictions as a ``DETECTION`` array.
 
     ``images`` gives the ``image`` index of each of the output's images, in
-    row-block order. Each image keeps its ``MAX_DETS_PER_IMAGE`` best
-    (query, class) pairs, ranked by score, then class, then query.
+    row-block order, one per image. Each image keeps its
+    ``MAX_DETS_PER_IMAGE`` best (query, class) pairs, ranked by score, then
+    class, then query.
     """
     images = np.asarray(images, dtype=np.int64)
-    if images.shape != (output.n_images,):
-        raise ValidationError(f"{images.size} image indices for {output.n_images} images")
     logits, boxes = output.layers[-1]
     n_images = output.n_images
     n, c = logits.shape[0] // n_images, logits.shape[1]

@@ -133,15 +133,11 @@ def _lap_rows_le_cols(cost: np.ndarray) -> np.ndarray:
 def hungarian(cost) -> list:
     """Minimum-total-cost injective assignment of size min(N, G).
 
-    Returns (query_index, gt_index) pairs sorted by query index.
+    Returns (query_index, gt_index) pairs sorted by query index. ``cost``
+    is a finite 2-d matrix, a block of one that ``build_cost_matrix``
+    checked; an empty one gives no pairs.
     """
     c = np.asarray(cost, dtype=np.float64)
-    if c.ndim != 2:
-        raise ValidationError(f"cost matrix must be 2-d, got shape {c.shape}")
-    if c.size == 0:
-        return []
-    if not np.all(np.isfinite(c)):
-        raise ValidationError("cost matrix has non-finite entries")
     if c.shape[0] >= c.shape[1]:
         col_assign = _lap_rows_le_cols(c.T)  # one row per gt
         pairs = [(int(q), int(g)) for g, q in enumerate(col_assign)]
@@ -260,22 +256,16 @@ def detection_loss(per_layer_preds, targets, weights: LossWeights) -> ad.Tensor:
     box node and their sum. Matched queries take class target 1 at the
     ground-truth class; all other (query, class) targets are 0. Image b's
     terms are weighted by 1 / (B * max(G_b, 1)), which makes the total the
-    mean over images of each image's loss normalized by its G. Ground-truth
-    boxes need a positive width and height, which keeps GIoU's union and
-    hull areas positive.
+    mean over images of each image's loss normalized by its G. ``decode``
+    gives at least one layer of B*N rows, and every ground-truth box has a
+    positive width and height (a rendered box by construction, a loaded one
+    by ``load_dataset``'s check), which keeps GIoU's union and hull areas
+    positive.
     """
-    if not per_layer_preds:
-        raise ValidationError("detection_loss needs at least one prediction layer")
     n_images = len(targets)
-    if not n_images or any(logits.shape[0] % n_images for logits, _ in per_layer_preds):
-        raise ValidationError(f"prediction rows do not split into {n_images} images")
-    gts = []
-    for classes, boxes in targets:
-        classes = [int(c) for c in classes]
-        boxes = np.asarray(boxes, dtype=np.float64).reshape(len(classes), 4)
-        if not (boxes[:, 2:] > 0.0).all():
-            raise ValidationError("ground-truth boxes need a positive width and height")
-        gts.append((classes, boxes))
+    gts = [([int(c) for c in classes],
+            np.asarray(boxes, dtype=np.float64).reshape(len(classes), 4))
+           for classes, boxes in targets]
     image_weight = np.array([1.0 / (n_images * max(len(c), 1)) for c, _ in gts])
 
     sizes = [logits.shape[0] // n_images for logits, _ in per_layer_preds]

@@ -131,9 +131,7 @@ def optimal_critic(joint: DiscreteJoint) -> Critic:
 
 def cosine_critic(n_u: int, n_v: int, dim: int, tau: float,
                   rng: np.random.Generator) -> Critic:
-    """Cosine similarity of random unit symbol embeddings, scaled by 1/tau."""
-    if tau <= 0:
-        raise ValidationError("critic temperature must be positive")
+    """Cosine similarity of random unit symbol embeddings, scaled by 1/tau > 0."""
     eu = rng.normal(size=(n_u, dim))
     ev = rng.normal(size=(n_v, dim))
     eu /= np.linalg.norm(eu, axis=1, keepdims=True)
@@ -149,10 +147,8 @@ def sample_candidates(joint: DiscreteJoint, K: int, rng: np.random.Generator, n:
 
     The pair (u, v) comes from the joint, the K negatives i.i.d. from the
     marginal p(v) independently of u, and J ~ Uniform{0..K} places the
-    positive. Returns (u[n], candidates[n, K+1], J[n]).
+    positive. Returns (u[n], candidates[n, K+1], J[n]); K >= 1.
     """
-    if K < 1:
-        raise ValidationError("need at least one negative")
     nu, nv = joint.shape
     flat = rng.choice(nu * nv, size=n, p=joint.table.reshape(-1))
     u, v = np.divmod(flat, nv)
@@ -209,9 +205,7 @@ def _all_tuples(n_v: int, length: int) -> np.ndarray:
 
 def exact_infonce(joint: DiscreteJoint, critic: Critic, K: int) -> float:
     """Exact expected contrastive loss: the loss of every (u, v, negative
-    tuple), the positive in slot 0, weighted by its probability."""
-    if K < 1:
-        raise ValidationError("need at least one negative")
+    tuple), the positive in slot 0, weighted by its probability; K >= 1."""
     nv = joint.shape[1]
     _check_enum_size(nv, K)
     negs = _all_tuples(nv, K)

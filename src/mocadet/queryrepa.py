@@ -91,12 +91,9 @@ def batch_alignment_loss(batch, model: Detector, spec: DatasetSpec,
     The batch is decoded in one forward, every image with its own token; the
     candidate set for each image is all B batch tokens, the same (B, d) rows
     the forward takes. ``tau`` and ``layer`` are a checked ``QraConfig``'s:
-    ``RunConfig.validate`` holds ``layer`` in [2, ``n_decoder_layers``].
+    ``RunConfig.validate`` holds ``layer`` in [2, ``n_decoder_layers``]. The
+    batch's modalities are distinct, as ``ModalityBatchSampler`` draws them.
     """
-    mods = [s.modality_id for s in batch]
-    if len(set(mods)) != len(mods):
-        raise ContractError(f"batch modalities not distinct: {mods}")
-
     tokens = attach_token(batch, spec, registry, projection, class_rng)
     return qra_loss(_query_means(model, batch, tokens, layer), tokens, g_phi, tau)
 

@@ -101,10 +101,8 @@ def synth_embedding(prompt: str, d_text: int, seed64: int) -> np.ndarray:
     FNV-1a over (prompt UTF-8 ++ seed64 as 8 LE bytes) seeds a
     splitmix64 stream; pairs of 53-bit uniforms feed Box-Muller; the result
     is L2-normalized. Same (prompt, d_text, seed) always gives the same
-    vector.
+    vector. ``d_text`` is at least 2, as ``TokenConfig.d_text`` declares.
     """
-    if d_text < 2:
-        raise ValidationError(f"d_text must be >= 2, got {d_text}")
     state = _fnv1a64(prompt.encode("utf-8")
                      + int(seed64).to_bytes(8, "little", signed=False))
     vals = np.empty(2 * ((d_text + 1) // 2), dtype=np.float64)

@@ -10,10 +10,10 @@ training and evaluation give the decoder modality tokens and train and store
 the token projection. Pretraining always uses tokens, as QueryREPA needs them.
 
 Both loops take their steps through ``optimizer_step``. Each runs every
-check that can reject the run (the config and data in ``build_run``, the
-batch sampler, the pretraining checkpoint, the optimizer) before its first
-write, so a rejected run leaves no run directory behind; the metric logs are
-closed however the loop ends.
+check that can reject the run (the config when it is made, the data and the
+token registry in ``build_run``, the batch sampler, the pretraining
+checkpoint, the optimizer) before its first write, so a rejected run leaves
+no run directory behind; the metric logs are closed however the loop ends.
 """
 
 from __future__ import annotations
@@ -132,7 +132,6 @@ def build_run(config: RunConfig, weights: dict | None = None) -> RunBundle:
     the next instead of being returned to the kernel and faulted back in.
     """
     _keep_freed_heap()
-    config.validate()
     spec = config.dataset
     train_samples = generate_synthetic(spec, "train")
     val_samples = generate_synthetic(spec, "val") if "val" in spec.counts else []
@@ -149,9 +148,8 @@ def build_run(config: RunConfig, weights: dict | None = None) -> RunBundle:
         return None if weights is not None else np.random.default_rng(
             np.random.SeedSequence([config.seed, tag]))
 
-    det_cfg = config.detector_config()
-    model = Detector(det_cfg, rng(_SS_MODEL))
-    projection = TokenProjection(det_cfg.d_model, registry.d_text, rng(_SS_PROJ))
+    model = Detector(config.detector_config, rng(_SS_MODEL))
+    projection = TokenProjection(model.config.d_model, registry.d_text, rng(_SS_PROJ))
     bundle = RunBundle(config=config, train_samples=train_samples, val_samples=val_samples,
                        registry=registry, model=model, projection=projection)
     if weights is not None:
@@ -238,11 +236,13 @@ def load_pretrained(bundle: RunBundle, ckpt_path: str) -> None:
     """Restore detector + token projection from a pretraining checkpoint.
 
     The alignment head is deliberately dropped: it exists only for the
-    contrastive stage.
+    contrastive stage. The stored run must have the same dataset, tokens and
+    resolved model, however its ``model`` section spells it.
     """
     stored_config, stored = _read_checkpoint(ckpt_path, "pretrain")
-    for section in ("model", "dataset", "tokens"):
-        if getattr(stored_config, section) != getattr(bundle.config, section):
+    for section, attr in (("model", "detector_config"), ("dataset", "dataset"),
+                          ("tokens", "tokens")):
+        if getattr(stored_config, attr) != getattr(bundle.config, attr):
             raise CheckpointError(
                 f"checkpoint config section {section!r} does not match the run config")
     restore_params(bundle.model.parameters() + bundle.projection.parameters(),

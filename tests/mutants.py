@@ -104,6 +104,24 @@ MUTANTS = (
            "    if size != spec.image_size:\n", "    if size > spec.image_size:\n"),
     Mutant("offset_rounded_down", "src/mocadet/data.py",
            "start, misaligned = divmod(rec.offset, 4)", "start, misaligned = rec.offset // 4, 0"),
+    # the one finiteness check of matching, which hungarian relies on
+    Mutant("cost_matrix_nan_passes", "src/mocadet/losses.py",
+           "if not np.all(np.isfinite(cost)):", "if np.isinf(cost).any():"),
+    # the boundary checks of load_dataset: a box of positive size, a repeated
+    # sample id, a non-finite pixel
+    Mutant("loaded_boxes_unchecked", "src/mocadet/data.py",
+           "Annotation(box=b, class_id=c).validate()", "Annotation(box=b, class_id=c)"),
+    Mutant("repeated_id_accepted", "src/mocadet/data.py",
+           "ids.add(rec.id)", "ids.add(i)"),
+    Mutant("one_non_finite_pixel_accepted", "src/mocadet/data.py",
+           "if not np.isfinite(img).all():", "if not np.isfinite(img).any():"),
+    # load_pretrained back on the raw model sections
+    Mutant("pretrained_raw_model_compare", "src/mocadet/train.py",
+           '(("model", "detector_config"),', '(("model", "model"),'),
+    # mocadet eval back on the class list alone, blind to the modality split
+    Mutant("eval_dataset_classes_only", "src/mocadet/cli.py",
+           "if spec.token_pairs() != bundle.config.dataset.token_pairs():",
+           "if spec.global_classes != bundle.config.dataset.global_classes:"),
     # the two failure branches of verify_bound
     Mutant("exact_cell_not_violated", "src/mocadet/milab.py",
            "NCEEstimate(K, 0, exact_loss, exact_bound, 0.0),\n"

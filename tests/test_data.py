@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from mocadet import autodiff as ad
 from mocadet import data as dt
 from mocadet import tokens as tk
-from mocadet.errors import ContractError, IngestError, TokenLookupError, ValidationError
+from mocadet.errors import IngestError, TokenLookupError, ValidationError
 
 
 def _tiny_spec(noise=0.0, classes_a=("alpha_circle",), classes_b=("beta_circle",),
@@ -293,9 +293,13 @@ def test_malformed_manifest_raises_ingest_error(tmp_path):
     def extra_box(doc):
         doc["samples"][1]["boxes"].append([0.5, 0.5, 0.1, 0.1])
 
+    def box_side(side, value):  # the loss and AP divide by box areas
+        return lambda doc: doc["samples"][1]["boxes"][0].__setitem__(side, value)
+
     for edit in (lambda doc: [doc], no_offset, text_size, no_blob, record(modality_id=1.9),
                  record(modality_id="1"), record(modality_id=99), record(classes=["1"]),
-                 record(classes=[5]), extra_box, record(boxes=[[0.5, 0.5, 0.1]])):
+                 record(classes=[5]), extra_box, record(boxes=[[0.5, 0.5, 0.1]]),
+                 box_side(2, 0.0), box_side(3, -0.1), box_side(0, 1.5)):
         doc = json.loads(json.dumps(good))
         path.write_text(json.dumps(edit(doc) or doc))
         with pytest.raises(IngestError):
@@ -336,6 +340,37 @@ def test_sample_offset_must_be_a_multiple_of_4(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(IngestError, match=f"byte offset {offset}, which is not a multiple"):
             dt.load_dataset(tmp_path, "val")
+
+
+def test_a_repeated_sample_id_raises_ingest_error(tmp_path):
+    # AP pools detections by sample id, so the ids of a split must be unique
+    spec = _tiny_spec()
+    dt.export_dataset(dt.generate_synthetic(spec, "val"), spec, tmp_path, "val")
+    path = tmp_path / "val_manifest.json"
+    doc = json.loads(path.read_text())
+    first = doc["samples"][0]["id"]
+    doc["samples"][2]["id"] = first
+    path.write_text(json.dumps(doc))
+    with pytest.raises(IngestError, match=f"sample id '{first}' appears more than once"):
+        dt.load_dataset(tmp_path, "val")
+
+
+def test_a_non_finite_pixel_raises_ingest_error_naming_its_image(tmp_path):
+    # one bad pixel in the middle of the second image
+    spec = _tiny_spec()
+    dt.export_dataset(dt.generate_synthetic(spec, "val"), spec, tmp_path, "val")
+    doc = json.loads((tmp_path / "val_manifest.json").read_text())
+    blob = tmp_path / doc["blob"]
+    good = np.fromfile(blob, dtype="<f4")
+    record = doc["samples"][1]
+    for value in (np.nan, np.inf, -np.inf):
+        bad = good.copy()
+        bad[record["offset"] // 4 + 64 * 32 + 32] = value
+        bad.tofile(blob)
+        with pytest.raises(IngestError, match=f"image '{record['id']}' has a NaN or Inf pixel"):
+            dt.load_dataset(tmp_path, "val")
+    good.tofile(blob)
+    assert len(dt.load_dataset(tmp_path, "val")[0]) == len(doc["samples"])
 
 
 def _read_rawf32(path):
@@ -426,13 +461,6 @@ def test_sampler_batch_order_when_b_lt_m_is_pinned():
     assert ids[0] == ["0-2", "1-0", "3-0"]
     assert hashlib.sha256(json.dumps(ids).encode()).hexdigest() == (
         "ff5923be99a987e3e65587023eff24bc6b21c5df69db71ecf7fe650d23e816f4")
-
-
-def test_sampler_rejects_oversized_batch():
-    spec = _tiny_spec()
-    samples = dt.generate_synthetic(spec, "train")
-    with pytest.raises(ContractError):
-        dt.ModalityBatchSampler(samples, 2, 3, seed=0)
 
 
 def test_sampler_deterministic():

@@ -21,7 +21,7 @@ _BASE = dict(n_classes=2, d_model=8, n_queries=4, n_decoder_layers=2,
 
 
 def _cfg(**kw):
-    return det.DetectorConfig(**dict(_BASE, **kw)).validate()
+    return det.DetectorConfig(**dict(_BASE, **kw))
 
 
 def test_config_validation():
@@ -305,7 +305,7 @@ def test_tape_nodes_per_sample_at_default_config():
     # sum) whatever the number of layers, images and objects; the B token
     # rows are one projection node; and a batch of B images is one forward
     # and one loss, not B of each
-    cfg = det.DetectorConfig(n_classes=10).validate()
+    cfg = det.DetectorConfig(n_classes=10)
     model = det.Detector(cfg, np.random.default_rng(0))
     rng = np.random.default_rng(1)
     images = rng.uniform(0, 1, size=(4, 64, 64))

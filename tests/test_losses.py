@@ -233,11 +233,6 @@ def test_hungarian_row_shift_invariance():
     assert ls.hungarian(shifted) == base
 
 
-def test_hungarian_rejects_non_finite():
-    with pytest.raises(ValidationError):
-        ls.hungarian(np.array([[1.0, np.inf], [0.0, 1.0]]))
-
-
 # -- cost matrix ----------------------------------------------------------
 
 
@@ -249,6 +244,16 @@ def test_cost_matrix_perfect_prediction_is_cheapest():
     cost = ls.build_cost_matrix(probs, boxes, [0], gt_boxes, w)
     assert cost.shape == (3, 1)
     assert cost[0, 0] == cost[:, 0].min()
+
+
+def test_cost_matrix_rejects_non_finite_entries():
+    # the one finiteness check of matching: hungarian takes blocks of this matrix
+    w = ls.LossWeights()
+    for which in (0, 1):  # a NaN probability, then a NaN box coordinate
+        probs, boxes = np.full((3, 2), 0.5), np.full((3, 4), 0.5)
+        (probs, boxes)[which][1, 0] = np.nan
+        with pytest.raises(ValidationError, match="non-finite entries in cost matrix"):
+            ls.build_cost_matrix(probs, boxes, [0], np.full((1, 4), 0.5), w)
 
 
 def test_cost_matrix_empty_targets():
@@ -481,22 +486,6 @@ def test_one_cost_matrix_gives_the_matches_of_per_block_cost_matrices(monkeypatc
         (v1, g1), (v2, g2) = results
         assert v1 == v2
         assert all(np.array_equal(a, b_) for a, b_ in zip(g1, g2))
-
-
-def test_detection_loss_rejects_truth_without_area(monkeypatch):
-    # GIoU divides by the union and hull areas, which a true box of positive
-    # size keeps positive; matches are given, so no cost matrix checks it
-    monkeypatch.setattr(ls, "_match_blocks", lambda *args: [[[(0, 0)]]])
-    layer = (ad.constant(np.zeros((2, 2))), ad.constant(np.full((2, 4), 0.5)))
-    for box in ([0.5, 0.5, 0.0, 0.2], [0.5, 0.5, 0.2, -0.1]):
-        with pytest.raises(ValidationError), ad.no_grad():
-            ls.detection_loss([layer], [([0], np.array([box]))], ls.LossWeights())
-
-
-def test_detection_loss_rejects_rows_that_do_not_split_into_images():
-    layer = (ad.constant(np.zeros((5, 2))), ad.constant(np.full((5, 4), 0.5)))
-    with pytest.raises(ValidationError), ad.no_grad():
-        ls.detection_loss([layer], [([], np.zeros((0, 4)))] * 2, ls.LossWeights())
 
 
 # -- the composed loss, kept as the oracle of the fused nodes ---------------

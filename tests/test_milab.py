@@ -250,8 +250,6 @@ def test_estimator_preconditions():
     joint = ml.identity_joint(3)
     with pytest.raises(ValidationError):
         ml.infonce_estimate(joint, ml.optimal_critic(joint), 2, 10, np.random.default_rng(0))
-    with pytest.raises(ValidationError):
-        ml.sample_candidates(joint, 0, np.random.default_rng(0), 1)
 
 
 def test_cli_report_matches_the_pinned_digest(tmp_path):

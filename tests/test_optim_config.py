@@ -196,6 +196,17 @@ def test_config_round_trip():
     assert RunConfig.from_json({}) == RunConfig()
 
 
+def test_every_config_is_frozen():
+    # a config checks itself when made, so no field may change afterwards
+    cfg = RunConfig()
+    for obj in (cfg, cfg.optim, cfg.tokens, cfg.qra, cfg.loss, cfg.detector_config,
+                cfg.dataset, cfg.dataset.modalities[0]):
+        for f in dataclasses.fields(obj):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, f.name, getattr(obj, f.name))
+    assert dataclasses.replace(cfg, moca=False).moca is False and cfg.moca is True
+
+
 def test_config_rejects_oversized_qra_batch():
     doc = {"dataset": make_default_spec().to_json(), "qra": {"batch_size": 6}}
     with pytest.raises(ValidationError):
@@ -294,8 +305,7 @@ def _numeric_fields():
 # the reader of each document, by the name it gives the document; the model
 # section is read as RunConfig.detector_config reads it
 _READERS = {"config": RunConfig.from_json, "dataset": DatasetSpec.from_json,
-            "config.model": lambda doc: read_dataclass(DetectorConfig, doc,
-                                                       "config.model").validate()}
+            "config.model": lambda doc: read_dataclass(DetectorConfig, doc, "config.model")}
 
 
 def _document(cls, f, value):

@@ -38,8 +38,6 @@ def test_synth_embedding_deterministic_and_unit_norm():
     assert abs(np.linalg.norm(a) - 1.0) <= 1e-12
     c = tk.synth_embedding(p, 64, 8)
     assert not np.array_equal(a, c)
-    with pytest.raises(ValidationError):
-        tk.synth_embedding(p, 1, 7)
 
 
 def test_synth_embedding_odd_dimension():

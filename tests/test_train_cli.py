@@ -15,6 +15,7 @@ from mocadet.checkpoint import load_checkpoint, save_checkpoint
 from mocadet.cli import main
 from mocadet.config import RunConfig
 from mocadet.data import make_default_spec
+from mocadet.detector import DetectorConfig
 from mocadet.errors import CheckpointError
 from mocadet.evaluation import DETECTION, detections_from_output
 from mocadet.losses import detection_loss
@@ -145,6 +146,19 @@ def test_finetune_config_mismatch_rejected(tmp_path):
     bundle = build_run(RunConfig.from_json(other))
     with pytest.raises(CheckpointError):
         load_pretrained(bundle, result["checkpoint"])
+
+
+def test_finetune_accepts_the_same_model_spelled_differently(tmp_path):
+    # the pretraining config spells out the default patch size, the training
+    # config leaves it out: one model, so training starts from the checkpoint
+    pre_path, train_path = tmp_path / "pre.json", tmp_path / "train.json"
+    pre_path.write_text(json.dumps(_tiny_doc(qra_steps=0)))
+    doc = _tiny_doc(epochs=1)
+    assert doc["model"].pop("patch_size") == 8 == DetectorConfig(n_classes=1).patch_size
+    train_path.write_text(json.dumps(doc))
+    assert main(["pretrain", "--config", str(pre_path), "--out", str(tmp_path / "pre")]) == 0
+    assert main(["train", "--config", str(train_path), "--out", str(tmp_path / "run"),
+                 "--from-pretrain", str(tmp_path / "pre" / "pretrain.ckpt")]) == 0
 
 
 def test_finetune_runs_and_improves_nothing_breaks(tmp_path):
@@ -423,6 +437,54 @@ def test_cli_eval_rejects_a_malformed_manifest_record(tmp_path, capsys):
         assert "manifest.samples[0]" in capsys.readouterr().err, field
     path.write_text(json.dumps(good))
     assert main(["eval", "--ckpt", ckpt, "--data", str(tmp_path / "d")]) == 0
+
+
+def test_cli_eval_rejects_a_dataset_whose_modalities_differ_from_the_checkpoint(tmp_path,
+                                                                               capsys):
+    # the same class list split into three modalities, not two: modality
+    # id 2 names no modality of the checkpoint's run
+    doc = _tiny_doc()
+    doc["dataset"]["modalities"][0]["classes"] = ["ma_c0", "ma_c1"]
+    bundle = build_run(RunConfig.from_json(doc))
+    ckpt = str(tmp_path / "model.ckpt")
+    save_checkpoint(ckpt, bundle.detection_parameters(), bundle.config.to_json(),
+                    phase="detection", step=0)
+    split = dict(doc["dataset"], modalities=[
+        {"name": "ma", "classes": ["ma_c0"]}, {"name": "mx", "classes": ["ma_c1"]},
+        {"name": "mb", "classes": ["mb_c0"]}])
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(split))
+    assert main(["gen-data", "--spec", str(spec_path), "--out", str(tmp_path / "d"),
+                 "--splits", "val"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", ckpt, "--data", str(tmp_path / "d")]) == 1
+    assert "modalities and classes do not match" in capsys.readouterr().err
+
+
+def test_an_eval_checks_its_config_once_and_build_run_checks_nothing(tmp_path, monkeypatch):
+    # a config checks itself when made: one in-process `mocadet eval` checks
+    # the stored config and builds its DetectorConfig once, and build_run on
+    # a config that exists does neither
+    doc = _tiny_doc()
+    config = RunConfig.from_json(doc)
+    bundle = build_run(config)
+    ckpt = str(tmp_path / "model.ckpt")
+    save_checkpoint(ckpt, bundle.detection_parameters(), config.to_json(),
+                    phase="detection", step=0)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc["dataset"]))
+    assert main(["gen-data", "--spec", str(spec_path), "--out", str(tmp_path / "d"),
+                 "--splits", "val"]) == 0
+    calls = []
+    for cls, name in ((RunConfig, "validate"), (DetectorConfig, "__init__")):
+        method = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda self, *a, method=method, name=name, **k:
+                            calls.append(name) or method(self, *a, **k))
+    assert main(["eval", "--ckpt", ckpt, "--data", str(tmp_path / "d")]) == 0
+    assert sorted(calls) == ["__init__", "validate"]
+    calls.clear()
+    build_run(config)
+    assert calls == []
 
 
 def test_cli_pretrain_and_mi_lab(tmp_path):
