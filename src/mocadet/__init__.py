@@ -2,7 +2,7 @@
 
 Subpackages/modules:
   errors      -- the exception hierarchy (every error is a MocadetError)
-  fileio      -- atomic file replacement; the one config reader and the one range check
+  fileio      -- atomic file replacement; the one config reader, range check and blob check
   config      -- the run configuration: frozen, and checked when it is made
   autodiff    -- float64 tensors with reverse-mode AD; Module, the one parameter-naming rule
   optim       -- AdamW over one flat parameter store

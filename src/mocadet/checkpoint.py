@@ -2,8 +2,11 @@
 
 Single file: magic ``MDCKPT1\\n``, a little-endian uint64 header length, a
 JSON header, then one raw little-endian float32 blob. The header carries
-the run config echo, phase, step, seeds, and the parameter ordering table
-(name, shape, element offset), so identical bytes mean identical model.
+the run config echo, phase, step, seeds, the parameter ordering table
+(name, shape, element offset) and ``blob_sha256``, the sha256 hex of the
+blob, so identical bytes mean identical model. The loader checks the blob
+against ``blob_sha256`` before it decodes a parameter; a header without
+the key was written before it existed, and its blob is not checked.
 Parameters are float64 in memory; storage rounds to float32. A save
 replaces the file atomically.
 """
@@ -17,7 +20,7 @@ import os
 import numpy as np
 
 from .errors import CheckpointError
-from .fileio import atomic_write, make_dirs
+from .fileio import atomic_write, blob_sha256, check_blob, make_dirs
 
 _MAGIC = b"MDCKPT1\n"
 
@@ -30,9 +33,11 @@ def save_checkpoint(path, named_params, config_json: dict, phase: str,
     for name, p in named_params:
         arr = np.asarray(p.data, dtype="<f4")
         table.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blobs.append(arr.reshape(-1))
+        blobs.append(arr.tobytes())
         offset += arr.size
+    blob = b"".join(blobs)
     header = {
+        "blob_sha256": blob_sha256(blob),
         "format": "mocadet-checkpoint-v1",
         "phase": phase,
         "step": int(step),
@@ -46,8 +51,7 @@ def save_checkpoint(path, named_params, config_json: dict, phase: str,
         fh.write(_MAGIC)
         fh.write(np.uint64(len(payload)).tobytes())
         fh.write(payload)
-        if blobs:
-            fh.write(np.concatenate(blobs).tobytes())
+        fh.write(blob)
 
 
 def _valid_entry(entry) -> bool:
@@ -60,8 +64,9 @@ def _valid_entry(entry) -> bool:
 def load_checkpoint(path):
     """Returns (header dict, {param name: float64 array}).
 
-    Any file that is not a well-formed checkpoint raises CheckpointError,
-    and so does a NaN or Inf in a stored parameter, which is named.
+    Any file that is not a well-formed checkpoint raises CheckpointError:
+    a blob that differs from its ``blob_sha256``, and a NaN or Inf in a
+    stored parameter, which is named.
     """
     try:
         with open(path, "rb") as fh:
@@ -83,6 +88,9 @@ def load_checkpoint(path):
     table = header.get("params")
     if not isinstance(table, list) or not all(_valid_entry(e) for e in table):
         raise CheckpointError(f"{path}: malformed parameter table")
+    if "blob_sha256" in header:
+        check_blob(memoryview(data)[start + length:], header["blob_sha256"],
+                   CheckpointError, path)
     if (len(data) - start - length) % 4:
         raise CheckpointError(f"{path}: truncated parameter blob")
     blob = np.frombuffer(data, dtype="<f4", offset=start + length)

@@ -1,8 +1,8 @@
 """Command-line entry points.
 
-Subcommands: gen-data, tokens (synth/inspect/silhouette), pretrain, train,
-eval, mi-lab. Exit codes: 0 success, 1 validation (bad config,
-arguments, or files), 2 runtime failure.
+Subcommands: gen-data (a dataset dir of manifests and image blobs), tokens
+(synth/inspect/silhouette), pretrain, train, eval, mi-lab. Exit codes: 0
+success, 1 validation (bad config, arguments, or files), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import milab as ml
 from .config import RunConfig, TokenConfig
-from .data import DatasetSpec, export_coco, export_dataset, generate_synthetic, load_dataset
+from .data import DatasetSpec, export_dataset, generate_synthetic, load_dataset
 from .errors import MocadetError, ValidationError
 from .evaluation import report_csv, save_report
 from .fileio import SEED, Range, atomic_write, check_output_path
@@ -34,7 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--spec", required=True, help="dataset spec JSON")
     g.add_argument("--out", required=True)
     g.add_argument("--splits", default=None, help="comma list; default: all declared")
-    g.add_argument("--coco", action="store_true", help="also export COCO-style JSON")
 
     t = sub.add_parser("tokens", help="token registry utilities")
     tsub = t.add_subparsers(dest="tokens_command", required=True)
@@ -120,11 +119,7 @@ def _cmd_gen_data(args) -> int:
     for split in splits:
         samples = generate_synthetic(spec, split)
         manifest = export_dataset(samples, spec, args.out, split)
-        line = f"{split}: {len(samples)} samples -> {manifest}"
-        if args.coco:
-            coco = export_coco(samples, spec, args.out, split)
-            line += f" (+ {coco})"
-        print(line)
+        print(f"{split}: {len(samples)} samples -> {manifest}")
     return 0
 
 

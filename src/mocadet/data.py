@@ -18,22 +18,18 @@ embedding of one of its box classes in training, and the mean of its
 modality's class embeddings for an image without boxes and at inference.
 The whole batch is projected by one ``TokenProjection.rows`` node.
 
-On-disk formats:
-  * dataset dir: ``<split>_manifest.json`` + ``<split>_images.<hash>.bin``
-    (little-endian f32, one H*W block of finite pixels per sample, byte
-    offsets in the manifest, each a multiple of 4; sample ids are unique
-    within a manifest; the manifest's ``image_size`` is its dataset spec's;
-    the blob is named after the first 16 hex digits of its sha256, so a
-    manifest only ever names the blob it was written with);
-  * COCO-style export: JSON (images / annotations with absolute-pixel
-    ``bbox=[x,y,w,h]`` / categories) plus one ``.rawf32`` file per image
-    (magic ``RAWF32\\0`` + uint32 H, W little-endian + H*W f32).
+On-disk format: a dataset dir holds ``<split>_manifest.json`` and
+``<split>_images.<hash>.bin`` (little-endian f32, one H*W block of finite
+pixels per sample, byte offsets in the manifest, each a multiple of 4;
+sample ids are unique within a manifest; the manifest's ``image_size`` is
+its dataset spec's). The blob is named after the first 16 hex digits of its
+sha256, so a manifest only ever names the blob it was written with, and the
+reader checks the blob against its name before it decodes an image.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 import os
@@ -44,10 +40,9 @@ import numpy as np
 from . import autodiff as ad
 from .boxes import corner_iou
 from .errors import IngestError, ValidationError
-from .fileio import SEED, Range, atomic_write, check_ranges, json_form, make_dirs, read_dataclass
+from .fileio import (SEED, Range, atomic_write, blob_sha256, check_blob, check_ranges, json_form,
+                     make_dirs, read_dataclass)
 from .tokens import TokenProjection, TokenRegistry, _fnv1a64
-
-_RAWF32_MAGIC = b"RAWF32\x00"
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +298,7 @@ def _render_sample(spec: DatasetSpec, modality_id: int, split: str,
     if mod.noise_sigma > 0:
         img = img + rng.normal(0.0, mod.noise_sigma, size=img.shape)
     img = np.clip(img, 0.0, 1.0)
-    img = img.astype(np.float32)  # the precision of the raw-f32 export
+    img = img.astype(np.float32)  # the precision of the dataset blob
     return Sample(image=img, modality_id=modality_id, annotations=annotations,
                   sample_id=f"{split}-{mod.name}-{index}")
 
@@ -370,7 +365,7 @@ def export_dataset(samples, spec: DatasetSpec, out_dir, split: str) -> str:
         })
         offset += img32.size * 4
     payload = b"".join(images)
-    blob_name = f"{split}_images.{hashlib.sha256(payload).hexdigest()[:16]}.bin"
+    blob_name = f"{split}_images.{blob_sha256(payload)[:16]}.bin"
     with atomic_write(os.path.join(out_dir, blob_name), "wb") as fh:
         fh.write(payload)
     manifest = {
@@ -407,9 +402,9 @@ class _Record:
 
 def load_dataset(out_dir, split: str):
     """Returns (samples, DatasetSpec). A bad manifest or sample record, a
-    repeated sample id or an image with a NaN or Inf pixel raises
-    IngestError; a missing or bad dataset spec raises ValidationError, as a bad
-    spec file does."""
+    blob that differs from the digest its name carries, a repeated sample id
+    or an image with a NaN or Inf pixel raises IngestError; a missing or bad
+    dataset spec raises ValidationError, as a bad spec file does."""
     path = os.path.join(out_dir, f"{split}_manifest.json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -434,9 +429,16 @@ def load_dataset(out_dir, split: str):
         raise IngestError(f"{path}: {e}") from e
     blob_path = os.path.join(out_dir, blob_name)
     try:
-        blob = np.fromfile(blob_path, dtype="<f4")
+        with open(blob_path, "rb") as fh:
+            raw = fh.read()
     except OSError as e:
         raise IngestError(f"cannot read image blob {blob_path}: {e}") from e
+    digest = blob_name.removeprefix(f"{split}_images.").removesuffix(".bin")
+    check_blob(raw, digest, IngestError, blob_path)
+    if len(raw) % 4:
+        raise IngestError(f"{blob_path}: {len(raw)} bytes is not a whole number of "
+                          "float32 pixels")
+    blob = np.frombuffer(raw, dtype="<f4")
     samples, ids = [], set()
     for i, rec in enumerate(records):
         if rec.id in ids:
@@ -466,53 +468,6 @@ def load_dataset(out_dir, split: str):
         samples.append(Sample(image=img, modality_id=rec.modality_id,
                               annotations=anns, sample_id=rec.id))
     return samples, spec
-
-
-# ---------------------------------------------------------------------------
-# COCO-style JSON
-# ---------------------------------------------------------------------------
-
-
-def write_rawf32(path, image: np.ndarray) -> None:
-    img32 = np.asarray(image, dtype=np.float32)
-    if img32.ndim != 2:
-        raise ValidationError("rawf32 stores a single 2-d image")
-    h, w = img32.shape
-    with atomic_write(path, "wb") as fh:
-        fh.write(_RAWF32_MAGIC)
-        fh.write(np.array([h, w], dtype="<u4").tobytes())
-        fh.write(img32.astype("<f4").tobytes())
-
-
-def export_coco(samples, spec: DatasetSpec, out_dir, split: str) -> str:
-    """COCO-style annotations + one .rawf32 image file per sample."""
-    img_dir = os.path.join(out_dir, f"{split}_images")
-    make_dirs(img_dir)
-    size = spec.image_size
-    images, annotations = [], []
-    ann_id = 1
-    for idx, s in enumerate(samples):
-        fname = f"{s.sample_id}.rawf32"
-        write_rawf32(os.path.join(img_dir, fname), s.image)
-        images.append({"id": idx + 1, "file_name": fname, "width": size, "height": size})
-        for a in s.annotations:
-            cx, cy, w, h = a.box
-            annotations.append({
-                "id": ann_id,
-                "image_id": idx + 1,
-                "category_id": a.class_id + 1,
-                "bbox": [(cx - w / 2) * size, (cy - h / 2) * size, w * size, h * size],
-            })
-            ann_id += 1
-    doc = {
-        "images": images,
-        "annotations": annotations,
-        "categories": [{"id": i + 1, "name": c} for i, c in enumerate(spec.global_classes)],
-    }
-    path = os.path.join(out_dir, f"{split}_coco.json")
-    with atomic_write(path) as fh:
-        json.dump(doc, fh, sort_keys=True)
-    return path
 
 
 # ---------------------------------------------------------------------------

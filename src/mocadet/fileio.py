@@ -8,12 +8,18 @@ as a float, a float must be finite (Python's ``json`` reads ``NaN`` and
 ``Infinity``), absent fields take their defaults and nested dataclasses are
 read by the same rule. ``json_form`` is the inverse. Ranges are not types:
 each numeric field declares its own once (``Range.field``), and the config
-validators call ``check_ranges``, the one rule that checks them all."""
+validators call ``check_ranges``, the one rule that checks them all.
+
+Every blob the program writes and later reads back (a dataset's images, a
+checkpoint's parameters) is checked by one rule: the writer records
+``blob_sha256`` of the bytes, and the reader passes them to ``check_blob``
+before it decodes anything."""
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import math
 import os
 import secrets
@@ -61,6 +67,22 @@ def atomic_write(path, mode: str = "w"):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def blob_sha256(payload) -> str:
+    """The sha256 hex digest of ``payload`` (bytes, or a memoryview of them),
+    as a blob's writer records it."""
+    return hashlib.sha256(payload).hexdigest()
+
+
+def check_blob(payload, digest, error: type, path) -> None:
+    """Raises ``error`` naming ``path`` unless the sha256 hex of ``payload``
+    starts with ``digest``: the recorded digest, or at least 16 of its
+    leading hex digits."""
+    if not (isinstance(digest, str) and len(digest) >= 16
+            and blob_sha256(payload).startswith(digest)):
+        raise error(f"{path}: the blob does not match its recorded sha256 {digest!r}; "
+                    "the file is corrupt or truncated")
 
 
 def make_dirs(path) -> None:

@@ -211,7 +211,10 @@ def load_registry(path) -> TokenRegistry:
             raise RegistryFormatError(f"entry {key!r} is not a list of numbers")
         if len(vec) != d_text:
             raise ShapeError(f"entry {key!r} has length {len(vec)}, expected {d_text}")
-        arr = np.asarray(vec, dtype=np.float64)
+        try:
+            arr = np.asarray(vec, dtype=np.float64)
+        except OverflowError:  # an integer too large for a float
+            raise ValidationError(f"entry {key!r} has a value beyond float range") from None
         if not np.all(np.isfinite(arr)):
             raise ValidationError(f"entry {key!r} has non-finite values")
         reg.entries[(modality, class_name)] = arr

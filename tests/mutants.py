@@ -131,6 +131,11 @@ MUTANTS = (
     Mutant("monotonicity_failure_dropped", "src/mocadet/milab.py",
            "                        mono_failures.append((ji, a.K, b.K, a.bound, b.bound))\n",
            "                        pass\n"),
+    # each reader without its blob digest compare
+    Mutant("dataset_blob_digest_skipped", "src/mocadet/data.py",
+           "    check_blob(raw, digest, IngestError, blob_path)\n", ""),
+    Mutant("checkpoint_blob_digest_skipped", "src/mocadet/checkpoint.py",
+           'if "blob_sha256" in header:', 'if False:'),
 )
 
 

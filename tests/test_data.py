@@ -1,8 +1,10 @@
-"""Tests for synthetic generation, dataset/COCO round trips, and the sampler."""
+"""Tests for synthetic generation, the dataset round trip and its checks, and
+the sampler."""
 
 import dataclasses
 import hashlib
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -197,7 +199,6 @@ def test_exports_that_raise_midway_leave_the_old_files(tmp_path, monkeypatch):
 
     def exports(batch):
         return [lambda: dt.export_dataset(batch, spec, tmp_path, "val"),
-                lambda: dt.export_coco(batch, spec, tmp_path, "val"),
                 lambda: tk.save_registry(reg, tmp_path / "registry.json")]
 
     def snapshot():
@@ -258,14 +259,22 @@ def test_failed_reexport_keeps_the_old_dataset(tmp_path, monkeypatch):
     assert len(list(tmp_path.glob("val_images.*.bin"))) == 1
 
 
-def test_truncated_or_missing_blob_raises_ingest_error(tmp_path):
-    spec = _tiny_spec()
+def _small_export(tmp_path):
+    """(blob path, blob bytes) of a two-image 16 px val split."""
+    mods = [dt.ModalitySpec("a", ("x",)), dt.ModalitySpec("b", ("y",))]
+    spec = dt.DatasetSpec(modalities=mods, image_size=16, counts={"val": 2},
+                          size_range=(4, 8))
     dt.export_dataset(dt.generate_synthetic(spec, "val"), spec, tmp_path, "val")
     blob = tmp_path / json.loads((tmp_path / "val_manifest.json").read_text())["blob"]
-    data = blob.read_bytes()
-    for cut in (4, len(data) // 2, len(data) - 4):
+    return blob, blob.read_bytes()
+
+
+def test_truncated_or_missing_blob_raises_ingest_error(tmp_path):
+    # every cut, those that drop whole images included, fails the blob's digest
+    blob, data = _small_export(tmp_path)
+    for cut in range(len(data)):
         blob.write_bytes(data[:cut])
-        with pytest.raises(IngestError):
+        with pytest.raises(IngestError, match="recorded sha256"):
             dt.load_dataset(tmp_path, "val")
     blob.unlink()
     with pytest.raises(IngestError):
@@ -355,61 +364,70 @@ def test_a_repeated_sample_id_raises_ingest_error(tmp_path):
         dt.load_dataset(tmp_path, "val")
 
 
+def _replace_blob(out_dir, payload: bytes) -> None:
+    """Stores ``payload`` as the val split's blob under the name its own
+    sha256 gives, as ``export_dataset`` names one, and points the manifest
+    at it."""
+    path = out_dir / "val_manifest.json"
+    doc = json.loads(path.read_text())
+    doc["blob"] = f"val_images.{hashlib.sha256(payload).hexdigest()[:16]}.bin"
+    (out_dir / doc["blob"]).write_bytes(payload)
+    path.write_text(json.dumps(doc))
+
+
 def test_a_non_finite_pixel_raises_ingest_error_naming_its_image(tmp_path):
-    # one bad pixel in the middle of the second image
+    # one bad pixel in the middle of the second image, in a blob whose name
+    # carries its new digest, so that the pixel check is the one that sees it
     spec = _tiny_spec()
     dt.export_dataset(dt.generate_synthetic(spec, "val"), spec, tmp_path, "val")
     doc = json.loads((tmp_path / "val_manifest.json").read_text())
-    blob = tmp_path / doc["blob"]
-    good = np.fromfile(blob, dtype="<f4")
+    good = np.fromfile(tmp_path / doc["blob"], dtype="<f4")
     record = doc["samples"][1]
     for value in (np.nan, np.inf, -np.inf):
         bad = good.copy()
         bad[record["offset"] // 4 + 64 * 32 + 32] = value
-        bad.tofile(blob)
+        _replace_blob(tmp_path, bad.tobytes())
         with pytest.raises(IngestError, match=f"image '{record['id']}' has a NaN or Inf pixel"):
             dt.load_dataset(tmp_path, "val")
-    good.tofile(blob)
+    _replace_blob(tmp_path, good.tobytes())
     assert len(dt.load_dataset(tmp_path, "val")[0]) == len(doc["samples"])
 
 
-def _read_rawf32(path):
-    """Reference reader for the ``.rawf32`` format ``write_rawf32`` writes."""
-    blob = path.read_bytes()
-    assert blob[:7] == b"RAWF32\x00"
-    h, w = np.frombuffer(blob[7:15], dtype="<u4")
-    data = np.frombuffer(blob[15:], dtype="<f4")
-    assert data.size == int(h) * int(w)
-    return data.reshape(int(h), int(w)).astype(np.float64)
+def test_a_flipped_bit_in_the_blob_raises_ingest_error_naming_it(tmp_path):
+    # a flip changes a pixel by as little as one ulp: only the digest sees it
+    blob, data = _small_export(tmp_path)
+    rng = np.random.default_rng(26)
+    for bit in rng.choice(8 * len(data), size=64, replace=False).tolist():
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << bit % 8
+        blob.write_bytes(flipped)
+        with pytest.raises(IngestError, match=re.escape(f"{blob}: the blob does not match "
+                                                        "its recorded sha256")):
+            dt.load_dataset(tmp_path, "val")
+    blob.write_bytes(data)
+    assert len(dt.load_dataset(tmp_path, "val")[0]) == 2
 
 
-def test_rawf32_round_trip(tmp_path):
-    img = np.random.default_rng(0).uniform(0, 1, size=(5, 7))
-    img = np.float64(np.float32(img))
-    p = tmp_path / "x.rawf32"
-    dt.write_rawf32(p, img)
-    assert np.array_equal(_read_rawf32(p), img)
-    with pytest.raises(ValidationError):
-        dt.write_rawf32(tmp_path / "y.rawf32", np.zeros((2, 2, 2)))
+def test_a_blob_name_without_its_digest_raises_ingest_error(tmp_path):
+    blob, data = _small_export(tmp_path)
+    path = tmp_path / "val_manifest.json"
+    doc = json.loads(path.read_text())
+    for name in ("val_images.bin", "val_images..bin", f"val_images.{blob.name[11:19]}.bin"):
+        (tmp_path / name).write_bytes(data)
+        path.write_text(json.dumps(dict(doc, blob=name)))
+        with pytest.raises(IngestError, match="recorded sha256"):
+            dt.load_dataset(tmp_path, "val")
 
 
-def test_coco_round_trip(tmp_path):
-    spec = _tiny_spec(noise=0.03)
-    samples = dt.generate_synthetic(spec, "train")
-    dt.export_coco(samples, spec, tmp_path, "train")
-    doc = json.loads((tmp_path / "train_coco.json").read_text())
-    size = spec.image_size
-    assert [c["name"] for c in doc["categories"]] == spec.global_classes
-    assert len(doc["images"]) == len(samples)
-    for s, im in zip(samples, doc["images"]):
-        assert (im["width"], im["height"]) == (size, size)
-        assert np.array_equal(_read_rawf32(tmp_path / "train_images" / im["file_name"]),
-                              s.image)
-        anns = [a for a in doc["annotations"] if a["image_id"] == im["id"]]
-        assert [a["category_id"] - 1 for a in anns] == s.class_ids
-        for a, want in zip(anns, s.annotations):
-            x, y, w, h = (v / size for v in a["bbox"])
-            assert np.allclose((x + w / 2, y + h / 2, w, h), want.box, rtol=0, atol=1e-12)
+def test_a_blob_that_is_not_whole_float32_pixels_raises_ingest_error(tmp_path):
+    # a hand-written blob whose name carries its digest, with 1 to 3 bytes
+    # after the last pixel
+    _blob, data = _small_export(tmp_path)
+    for extra in (1, 2, 3):
+        _replace_blob(tmp_path, data + b"\x00" * extra)
+        with pytest.raises(IngestError, match=f"{len(data) + extra} bytes is not a whole "
+                                              "number of float32 pixels"):
+            dt.load_dataset(tmp_path, "val")
 
 
 @settings(max_examples=60, deadline=None)

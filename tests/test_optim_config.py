@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 import os
@@ -22,6 +23,7 @@ from mocadet.errors import CheckpointError, ContractError, ValidationError
 from mocadet.fileio import atomic_write, read_dataclass
 from mocadet.losses import LossWeights
 from mocadet.optim import CHUNK, AdamW
+from mocadet.train import build_run
 
 
 def test_adamw_zero_grad_zero_decay_noop():
@@ -379,6 +381,9 @@ def test_checkpoint_round_trip(tmp_path):
     header, stored = load_checkpoint(path)
     assert header["phase"] == "detection" and header["step"] == 12
     assert header["config"] == {"x": 1}
+    data = path.read_bytes()
+    blob = data[16 + int.from_bytes(data[8:16], "little"):]
+    assert header["blob_sha256"] == hashlib.sha256(blob).hexdigest()
     for name, p in named:
         assert np.array_equal(stored[name],
                               np.asarray(p.data, dtype=np.float32).astype(np.float64))
@@ -456,17 +461,59 @@ def test_checkpoint_malformed_files_raise_checkpoint_error(tmp_path):
         _raw_checkpoint(_entry_header(name="w", shape="1", offset=0), blob=b"\x00" * 4),
         _raw_checkpoint(_entry_header(name="w", shape=[1], offset=-1), blob=b"\x00" * 4),
         _raw_checkpoint(_entry_header(name="w", shape=[1], offset=True), blob=b"\x00" * 4),
-    ]
+    ] + [  # a recorded blob digest that is not the blob's, or is too short to
+        # check it: "e3b0c442" is the first 8 hex digits of the empty blob's
+        _raw_checkpoint(json.dumps({"format": "mocadet-checkpoint-v1", "params": [],
+                                    "blob_sha256": digest}).encode(), blob=b"")
+        for digest in (5, None, "", "e3b0c442", "0" * 64)]
     for raw in cases:
         bad.write_bytes(raw)
         with pytest.raises(CheckpointError):
             load_checkpoint(bad)
         assert main(["eval", "--ckpt", str(bad), "--data", str(tmp_path)]) == 1
 
+    # the hand-built format itself is accepted, without a blob_sha256 (a file
+    # written before it was recorded) and with the blob's own
     bad.write_bytes(_raw_checkpoint(_entry_header(name="w", shape=[1], offset=0),
                                     blob=b"\x00" * 4))
-    _, stored = load_checkpoint(bad)  # the hand-built format itself is accepted
+    _, stored = load_checkpoint(bad)
     assert np.array_equal(stored["w"], [0.0])
+    doc = {"format": "mocadet-checkpoint-v1", "params": [{"name": "w", "shape": [1], "offset": 0}],
+           "blob_sha256": hashlib.sha256(b"\x00" * 4).hexdigest()}
+    bad.write_bytes(_raw_checkpoint(json.dumps(doc).encode(), blob=b"\x00" * 4))
+    _, stored = load_checkpoint(bad)
+    assert np.array_equal(stored["w"], [0.0])
+
+
+def test_a_flipped_bit_or_a_cut_in_a_default_checkpoint_raises_checkpoint_error(tmp_path):
+    # a flip moves one parameter by as little as one ulp, so only the blob's
+    # digest sees it; the file is the default model's detection checkpoint
+    config = RunConfig(dataset=make_default_spec(counts={"train": 4}))
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(good, build_run(config).detection_parameters(), config.to_json(),
+                    phase="detection", step=0)
+    data = good.read_bytes()
+    start = 16 + int.from_bytes(data[8:16], "little")
+    header, _ = load_checkpoint(good)
+    bad = tmp_path / "bad.ckpt"
+    mismatch = re.escape(f"{bad}: the blob does not match its recorded sha256")
+    rng = np.random.default_rng(26)
+    for bit in rng.choice(8 * (len(data) - start), size=64, replace=False).tolist():
+        flipped = bytearray(data)
+        flipped[start + bit // 8] ^= 1 << bit % 8
+        bad.write_bytes(flipped)
+        with pytest.raises(CheckpointError, match=mismatch):
+            load_checkpoint(bad)
+    # every length from 0 to the full size would hash about 10^12 bytes: the
+    # cuts are 64 seeded lengths, each parameter's first byte and the last
+    # four bytes (the small checkpoint above is cut at every length)
+    cuts = set(rng.choice(len(data), size=64, replace=False).tolist())
+    cuts |= {start + 4 * e["offset"] for e in header["params"]}
+    cuts |= set(range(len(data) - 4, len(data)))
+    for cut in sorted(cuts):
+        bad.write_bytes(data[:cut])
+        with pytest.raises(CheckpointError, match=mismatch if cut >= start else None):
+            load_checkpoint(bad)
 
 
 def test_atomic_write_that_raises_leaves_the_old_file(tmp_path):

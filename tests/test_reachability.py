@@ -188,7 +188,7 @@ def _run_chain(tmp, defs) -> dict:
     # tokens synth and mi-lab take seeds other than their defaults (1 and 0),
     # so that the seed parameters they pass on count as set
     commands = [
-        ["gen-data", "--spec", spec, "--out", at("data"), "--coco"],
+        ["gen-data", "--spec", spec, "--out", at("data")],
         ["tokens", "synth", "--spec", spec, "--d-text", "8", "--seed", "2", "--out", reg],
         ["tokens", "inspect", reg],
         ["tokens", "silhouette", reg, "--json", at("sil.json")],

@@ -124,6 +124,30 @@ def test_registry_error_kinds(tmp_path):
         tk.load_registry(bad_key)
 
 
+def test_every_registry_defect_is_a_typed_error(tmp_path):
+    path = tmp_path / "reg.json"
+    good = {"d_text": 2, "tokens": {"CT|a": [1.0, 0.0]}}
+    cases = [
+        ({"tokens": good["tokens"]}, RegistryFormatError),  # no d_text
+        ({"d_text": 2}, RegistryFormatError),  # no tokens
+        (dict(good, d_text=True), RegistryFormatError),
+        (dict(good, d_text=1), RegistryFormatError),
+        (dict(good, d_text=2.0), RegistryFormatError),
+        (dict(good, tokens={"|a": [1.0, 0.0]}), RegistryFormatError),
+        (dict(good, tokens={"CT|": [1.0, 0.0]}), RegistryFormatError),
+        (dict(good, tokens={"CT|a": [float("nan"), 0.0]}), ValidationError),
+        # an integer too large for a float is a bad value (exit 1), not a
+        # crash (exit 2)
+        (dict(good, tokens={"CT|a": [10 ** 400, 0.0]}), ValidationError),
+    ]
+    for doc, error in cases:
+        path.write_text(json.dumps(doc))
+        with pytest.raises(error):
+            tk.load_registry(path)
+    path.write_text(json.dumps(good))
+    assert np.array_equal(tk.load_registry(path).entries[("CT", "a")], [1.0, 0.0])
+
+
 def test_registry_tokens_must_map_keys_to_lists_of_numbers(tmp_path):
     path = tmp_path / "reg.json"
     for tokens in ([1, 2], "CT|a", {"CT|a": [1.0, "x"]}, {"CT|a": ["1.0", 0.0]},

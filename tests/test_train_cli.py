@@ -6,6 +6,7 @@ import os
 import platform
 import resource
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -53,14 +54,15 @@ def _read(path):
 
 
 def _poison_checkpoint(path, name, value):
-    """Overwrite the first stored element of parameter ``name`` in place."""
-    header, _ = load_checkpoint(path)
-    entry = next(e for e in header["params"] if e["name"] == name)
-    raw = bytearray(_read(path))
-    start = 16 + int.from_bytes(raw[8:16], "little") + 4 * entry["offset"]
-    raw[start:start + 4] = np.array(value, dtype="<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(raw)
+    """Rewrites the checkpoint with ``value`` as the first element of
+    parameter ``name``, through ``save_checkpoint``, so that the blob matches
+    its ``blob_sha256`` and only the finiteness check can reject it; the
+    stand-in parameters are plain holders, as ``ad.param`` refuses a NaN."""
+    header, stored = load_checkpoint(path)
+    stored[name].flat[0] = value
+    named = [(e["name"], SimpleNamespace(data=stored[e["name"]])) for e in header["params"]]
+    save_checkpoint(path, named, header["config"], phase=header["phase"],
+                    step=header["step"], seeds=header["seeds"])
 
 
 def _default_model_step(batch_size):
@@ -304,10 +306,8 @@ def test_final_heads_only_gives_the_detections_of_the_full_forward(moca):
 def test_cli_gen_data_tokens_and_silhouette(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(_tiny_doc()["dataset"]))
-    assert main(["gen-data", "--spec", str(spec_path), "--out",
-                 str(tmp_path / "data"), "--coco"]) == 0
+    assert main(["gen-data", "--spec", str(spec_path), "--out", str(tmp_path / "data")]) == 0
     assert (tmp_path / "data" / "train_manifest.json").exists()
-    assert (tmp_path / "data" / "val_coco.json").exists()
 
     reg = tmp_path / "reg.json"
     assert main(["tokens", "synth", "--catalog", "--d-text", "16",
