@@ -2,7 +2,8 @@
 
 Subpackages/modules:
   errors      -- the exception hierarchy (every error is a MocadetError)
-  fileio      -- atomic file replacement; the one config reader, range check and blob check
+  fileio      -- atomic file replacement; the one config reader and range check; the one
+                 container format of every file read back
   config      -- the run configuration: frozen, and checked when it is made
   autodiff    -- float64 tensors with reverse-mode AD; Module, the one parameter-naming rule
   optim       -- AdamW over one flat parameter store
@@ -14,7 +15,7 @@ Subpackages/modules:
   queryrepa   -- contrastive query-token alignment pretraining (g_phi is a FeedForward)
   milab       -- executable InfoNCE mutual-information bound verification
   evaluation  -- COCO-style AP metrics over one detection array
-  checkpoint  -- the checkpoint file format
+  checkpoint  -- the checkpoint header and its parameters
   train       -- the one optimizer step, the pretraining and detection loops, evaluation
   cli         -- experiment orchestration
 """

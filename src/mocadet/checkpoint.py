@@ -1,106 +1,61 @@
-"""Checkpoint file format.
+"""Checkpoint files: one ``fileio.CHECKPOINT`` container.
 
-Single file: magic ``MDCKPT1\\n``, a little-endian uint64 header length, a
-JSON header, then one raw little-endian float32 blob. The header carries
-the run config echo, phase, step, seeds, the parameter ordering table
-(name, shape, element offset) and ``blob_sha256``, the sha256 hex of the
-blob, so identical bytes mean identical model. The loader checks the blob
-against ``blob_sha256`` before it decodes a parameter; a header without
-the key was written before it existed, and its blob is not checked.
-Parameters are float64 in memory; storage rounds to float32. A save
-replaces the file atomically.
+The header holds ``config`` (the run config echo), ``phase``, ``step``,
+``seeds`` and ``params``, the parameter table: each parameter's name and
+shape, in blob order. The blob holds the parameters' values, rounded from
+the float64 they are in memory to float32, so identical bytes mean an
+identical model. A save replaces the file atomically.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 
 import numpy as np
 
 from .errors import CheckpointError
-from .fileio import atomic_write, blob_sha256, check_blob, make_dirs
-
-_MAGIC = b"MDCKPT1\n"
+from .fileio import CHECKPOINT, make_dirs
 
 
 def save_checkpoint(path, named_params, config_json: dict, phase: str,
                     step: int, seeds: dict | None = None) -> None:
-    table = []
-    blobs = []
-    offset = 0
+    table, arrays = [], []
     for name, p in named_params:
-        arr = np.asarray(p.data, dtype="<f4")
-        table.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blobs.append(arr.tobytes())
-        offset += arr.size
-    blob = b"".join(blobs)
-    header = {
-        "blob_sha256": blob_sha256(blob),
-        "format": "mocadet-checkpoint-v1",
-        "phase": phase,
-        "step": int(step),
-        "seeds": seeds or {},
-        "config": config_json,
-        "params": table,
-    }
-    payload = json.dumps(header, sort_keys=True).encode("utf-8")
+        table.append({"name": name, "shape": list(np.shape(p.data))})
+        arrays.append(p.data)
+    header = {"config": config_json, "params": table, "phase": phase,
+              "seeds": seeds or {}, "step": int(step)}
     make_dirs(os.path.dirname(os.path.abspath(path)))
-    with atomic_write(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(np.uint64(len(payload)).tobytes())
-        fh.write(payload)
-        fh.write(blob)
+    CHECKPOINT.write(path, header, arrays)
 
 
 def _valid_entry(entry) -> bool:
     return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
             and isinstance(entry.get("shape"), list)
-            and all(type(s) is int and s >= 0 for s in entry["shape"])
-            and type(entry.get("offset")) is int and entry["offset"] >= 0)
+            and all(type(s) is int and s >= 0 for s in entry["shape"]))
 
 
 def load_checkpoint(path):
     """Returns (header dict, {param name: float64 array}).
 
     Any file that is not a well-formed checkpoint raises CheckpointError:
-    a blob that differs from its ``blob_sha256``, and a NaN or Inf in a
-    stored parameter, which is named.
+    a parameter table whose sizes do not add up to the blob, and a NaN or
+    Inf in a stored parameter, which is named.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as e:
-        raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
-    if not data.startswith(_MAGIC):
-        raise CheckpointError(f"{path}: bad checkpoint magic")
-    start = len(_MAGIC) + 8
-    length = int.from_bytes(data[len(_MAGIC):start], "little")
-    if len(data) < start or length > len(data) - start:
-        raise CheckpointError(f"{path}: truncated checkpoint header")
-    try:
-        header = json.loads(data[start:start + length].decode("utf-8"))
-    except ValueError as e:  # bad UTF-8 or bad JSON
-        raise CheckpointError(f"{path}: unreadable checkpoint header: {e}") from e
-    if not isinstance(header, dict) or header.get("format") != "mocadet-checkpoint-v1":
-        raise CheckpointError(f"{path}: unknown checkpoint format")
+    header, blob = CHECKPOINT.read(path)
     table = header.get("params")
     if not isinstance(table, list) or not all(_valid_entry(e) for e in table):
         raise CheckpointError(f"{path}: malformed parameter table")
-    if "blob_sha256" in header:
-        check_blob(memoryview(data)[start + length:], header["blob_sha256"],
-                   CheckpointError, path)
-    if (len(data) - start - length) % 4:
-        raise CheckpointError(f"{path}: truncated parameter blob")
-    blob = np.frombuffer(data, dtype="<f4", offset=start + length)
+    sizes = [math.prod(entry["shape"]) for entry in table]
+    if sum(sizes) != blob.size:
+        raise CheckpointError(f"{path}: the parameter table holds {sum(sizes)} values, "
+                              f"the blob {blob.size}")
     finite = bool(np.isfinite(blob).all())
-    params = {}
-    for entry in table:
-        size = math.prod(entry["shape"])
-        chunk = blob[entry["offset"]:entry["offset"] + size]
-        if chunk.size != size:
-            raise CheckpointError(f"{path}: truncated parameter {entry['name']!r}")
+    params, offset = {}, 0
+    for entry, size in zip(table, sizes):
+        chunk = blob[offset:offset + size]
+        offset += size
         if not finite and not np.isfinite(chunk).all():
             raise CheckpointError(f"{path}: parameter {entry['name']!r} holds a NaN or Inf")
         params[entry["name"]] = chunk.astype(np.float64).reshape(entry["shape"])

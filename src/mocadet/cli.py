@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-Subcommands: gen-data (a dataset dir of manifests and image blobs), tokens
+Subcommands: gen-data (a dataset dir of one file per split), tokens
 (synth/inspect/silhouette), pretrain, train, eval, mi-lab. Exit codes: 0
 success, 1 validation (bad config, arguments, or files), 2 runtime failure.
 """
@@ -71,9 +71,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     mi = sub.add_parser("mi-lab", help="verify the contrastive MI lower bound")
     mi.add_argument("--joints", default=None, help="JSON file {'joints': [tables]}")
-    mi.add_argument("--n-joints", type=int, default=20)
-    mi.add_argument("--K", default="1,3,7,15")
-    mi.add_argument("--samples", type=int, default=20000)
+    # a joint is at most 8 x 8, and the report holds 2 cells per joint and K
+    mi.add_argument("--n-joints", type=_within(Range(1, 10_000), "--n-joints"), default=20)
+    # one estimate holds a few (samples, K + 1) arrays of 8-byte values: at
+    # the largest values, 200,000 x 64 x 8 B = 102 MB each
+    mi.add_argument("--K", type=_within(Range(1, 63), "--K", many=True), default="1,3,7,15")
+    mi.add_argument("--samples", type=_within(Range(1_000, 200_000), "--samples"),
+                    default=20000)
     mi.add_argument("--seed", type=_within(SEED, "--seed"), default=0)
     mi.add_argument("--report", default=None)
 
@@ -88,26 +92,18 @@ def _load_json(path):
         raise ValidationError(f"cannot read {path}: {e}") from e
 
 
-def _within(interval: Range, flag: str):
-    """The argparse type of an integer ``flag`` in ``interval``; argparse
-    reports a bad value as a usage error, so the command exits 1."""
-    def parse(text: str) -> int:
+def _within(interval: Range, flag: str, many: bool = False):
+    """The argparse type of an integer ``flag`` in ``interval``, or with
+    ``many`` of a tuple of comma-separated ones; argparse reports a bad value
+    as a usage error, so the command exits 1."""
+    def integer(text: str):  # argparse reports "invalid integer value" when int() fails
         try:
-            return interval.check(int(text), flag)
+            values = tuple(interval.check(int(v), flag)
+                           for v in (text.split(",") if many else [text]))
         except ValidationError as e:
             raise argparse.ArgumentTypeError(str(e)) from None
-    return parse
-
-
-def _positive_ints(text: str, flag: str) -> tuple:
-    """The comma-separated integers of a flag's value, each at least 1."""
-    try:
-        values = tuple(int(v) for v in text.split(","))
-    except ValueError:
-        values = ()
-    if not values or min(values) < 1:
-        raise ValidationError(f"{flag} must be comma-separated integers >= 1, got {text!r}")
-    return values
+        return values if many else values[0]
+    return integer
 
 
 def _cmd_gen_data(args) -> int:
@@ -118,8 +114,8 @@ def _cmd_gen_data(args) -> int:
             raise ValidationError(f"split {split!r} not declared in counts")
     for split in splits:
         samples = generate_synthetic(spec, split)
-        manifest = export_dataset(samples, spec, args.out, split)
-        print(f"{split}: {len(samples)} samples -> {manifest}")
+        path = export_dataset(samples, spec, args.out, split)
+        print(f"{split}: {len(samples)} samples -> {path}")
     return 0
 
 
@@ -192,7 +188,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_mi_lab(args) -> int:
-    Ks = _positive_ints(args.K, "--K")
     if args.joints:
         doc = _load_json(args.joints)
         tables = doc.get("joints") if isinstance(doc, dict) else None
@@ -204,11 +199,9 @@ def _cmd_mi_lab(args) -> int:
         except (TypeError, ValueError) as e:
             raise ValidationError(f"{args.joints}: a joint table is not a numeric matrix") from e
         joints = [ml.DiscreteJoint(t) for t in tables]
-    elif args.n_joints < 1:
-        raise ValidationError(f"--n-joints must be >= 1, got {args.n_joints}")
     else:
         joints = ml.seeded_joint_suite(args.n_joints, seed=args.seed)
-    report = ml.verify_bound(joints, Ks=Ks, n_samples=args.samples, seed=args.seed)
+    report = ml.verify_bound(joints, Ks=args.K, n_samples=args.samples, seed=args.seed)
     if args.report:
         with atomic_write(args.report) as fh:
             json.dump(ml.report_to_json(report), fh, sort_keys=True, indent=1)

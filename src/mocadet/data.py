@@ -6,7 +6,7 @@ across modalities, but the shape assigned to a class depends only on its
 local index, so the same silhouette can mean different classes in different
 modalities -- resolving it requires modality context. Boxes are derived
 from the rendered mask, so annotations are exact by construction. Images
-are float32 from generation on, the precision the raw-blob export stores,
+are float32 from generation on, the precision the split file stores,
 so the export is lossless and a loaded image equals the rendered one; the
 detector widens a batch to float64 when it encodes it. The texture is
 computed on 1-d coordinates and broadcast, and the four fixed shapes are
@@ -18,19 +18,17 @@ embedding of one of its box classes in training, and the mean of its
 modality's class embeddings for an image without boxes and at inference.
 The whole batch is projected by one ``TokenProjection.rows`` node.
 
-On-disk format: a dataset dir holds ``<split>_manifest.json`` and
-``<split>_images.<hash>.bin`` (little-endian f32, one H*W block of finite
-pixels per sample, byte offsets in the manifest, each a multiple of 4;
-sample ids are unique within a manifest; the manifest's ``image_size`` is
-its dataset spec's). The blob is named after the first 16 hex digits of its
-sha256, so a manifest only ever names the blob it was written with, and the
-reader checks the blob against its name before it decodes an image.
+On-disk format: the split ``<split>`` of a dataset dir is the one file
+``<split>.split``, a ``fileio.DATASET_SPLIT`` container. Its header holds
+``dataset_spec``, the spec it was rendered from, which gives the image size,
+the modalities and the classes, and ``samples``: each sample's ``id`` (unique
+in the split), ``modality_id``, ``classes`` and ``boxes``, in blob order. The
+blob holds one image_size x image_size block of finite pixels per sample.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -40,8 +38,8 @@ import numpy as np
 from . import autodiff as ad
 from .boxes import corner_iou
 from .errors import IngestError, ValidationError
-from .fileio import (SEED, Range, atomic_write, blob_sha256, check_blob, check_ranges, json_form,
-                     make_dirs, read_dataclass)
+from .fileio import (DATASET_SPLIT, SEED, Range, check_ranges, json_form, make_dirs,
+                     read_dataclass)
 from .tokens import TokenProjection, TokenRegistry, _fnv1a64
 
 
@@ -92,6 +90,15 @@ class ModalitySpec:
             raise ValidationError(f"modality {self.name!r}: classes must name at least one class")
 
 
+def check_split_name(split: str) -> str:
+    """``split``, unless it is empty or holds a path separator or ``..``,
+    which is a ValidationError: a split's file stays in its dataset dir."""
+    if not split or "/" in split or "\\" in split or ".." in split:
+        raise ValidationError(f"split name {split!r} must be non-empty and hold no "
+                              "path separator or '..'")
+    return split
+
+
 @dataclass(frozen=True)
 class DatasetSpec:
     modalities: list[ModalitySpec]
@@ -109,6 +116,8 @@ class DatasetSpec:
         if len(self.modalities) < 2:
             raise ValidationError("need at least 2 modalities")
         check_ranges(self, "dataset")  # the modalities' ranges too
+        for split in self.counts:
+            check_split_name(split)
         for name, top in (("size_range", self.image_size), ("objects_range", math.inf)):
             r = getattr(self, name)
             if not (len(r) == 2 and all(type(v) is int for v in r) and r[0] <= r[1] <= top):
@@ -317,128 +326,59 @@ def generate_synthetic(spec: DatasetSpec, split: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# dataset export / load (manifest + raw blob)
+# dataset export / load
 # ---------------------------------------------------------------------------
 
 
-def _manifest_blob(path, split: str):
-    """The blob name the manifest at ``path`` records, or None when there is
-    no readable manifest or the name is not one of this split's blobs."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            name = json.load(fh).get("blob")
-    except (OSError, ValueError, AttributeError):
-        return None
-    if (isinstance(name, str) and name == os.path.basename(name)
-            and name.startswith(f"{split}_images") and name.endswith(".bin")):
-        return name
-    return None
-
-
-def _remove_blob(out_dir, name, keep) -> None:
-    if name is not None and name != keep:
-        try:
-            os.remove(os.path.join(out_dir, name))
-        except FileNotFoundError:
-            pass
+def _split_file(out_dir, split: str) -> str:
+    return os.path.join(out_dir, f"{check_split_name(split)}.split")
 
 
 def export_dataset(samples, spec: DatasetSpec, out_dir, split: str) -> str:
-    """Writes the split's image blob, then its manifest.
-
-    Replacing the manifest is the one commit point: until it happens the old
-    manifest still names the old blob, and after it the old blob is removed.
-    A failed export therefore leaves the old dataset as it was.
-    """
+    """Writes the split's file, replacing an old one atomically, and returns
+    its path."""
+    path = _split_file(out_dir, split)
     make_dirs(out_dir)
-    records, images = [], []
-    offset = 0
-    for s in samples:
-        img32 = s.image.astype("<f4")
-        images.append(img32.tobytes())
-        records.append({
-            "id": s.sample_id,
-            "modality_id": s.modality_id,
-            "offset": offset,
-            "classes": [a.class_id for a in s.annotations],
-            "boxes": [list(a.box) for a in s.annotations],
-        })
-        offset += img32.size * 4
-    payload = b"".join(images)
-    blob_name = f"{split}_images.{blob_sha256(payload)[:16]}.bin"
-    with atomic_write(os.path.join(out_dir, blob_name), "wb") as fh:
-        fh.write(payload)
-    manifest = {
-        "format": "mocadet-dataset-v1",
-        "split": split,
-        "image_size": spec.image_size,
-        "blob": blob_name,
-        "modalities": spec.modality_names,
-        "global_classes": spec.global_classes,
-        "dataset_spec": spec.to_json(),
-        "samples": records,
-    }
-    path = os.path.join(out_dir, f"{split}_manifest.json")
-    old_blob = _manifest_blob(path, split)
-    try:
-        with atomic_write(path) as fh:
-            json.dump(manifest, fh, sort_keys=True)
-    except BaseException:
-        _remove_blob(out_dir, blob_name, keep=old_blob)
-        raise
-    _remove_blob(out_dir, old_blob, keep=blob_name)
+    records = [{"boxes": [list(a.box) for a in s.annotations], "classes": s.class_ids,
+                "id": s.sample_id, "modality_id": s.modality_id} for s in samples]
+    DATASET_SPLIT.write(path, {"dataset_spec": spec.to_json(), "samples": records},
+                        [s.image for s in samples])
     return path
 
 
 @dataclass
 class _Record:
-    """One sample of a manifest, as ``export_dataset`` writes it."""
+    """One sample of a split's header, as ``export_dataset`` writes it."""
     id: str
     modality_id: int
-    offset: int  # byte offset into the blob
     classes: list[int]
     boxes: list[tuple[float, ...]]
 
 
+@dataclass
+class _Header:
+    """A split file's header, as ``export_dataset`` writes it."""
+    dataset_spec: DatasetSpec
+    samples: list[_Record]
+
+
 def load_dataset(out_dir, split: str):
-    """Returns (samples, DatasetSpec). A bad manifest or sample record, a
-    blob that differs from the digest its name carries, a repeated sample id
-    or an image with a NaN or Inf pixel raises IngestError; a missing or bad
-    dataset spec raises ValidationError, as a bad spec file does."""
-    path = os.path.join(out_dir, f"{split}_manifest.json")
+    """Returns (samples, DatasetSpec). A file that is not a well-formed
+    split raises IngestError: a bad header, spec or sample record, a blob
+    that does not hold one image per sample, a repeated sample id and an
+    image with a NaN or Inf pixel."""
+    path = _split_file(out_dir, split)
+    doc, blob = DATASET_SPLIT.read(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise IngestError(f"cannot read manifest {path}: {e}") from e
-    if not isinstance(manifest, dict) or manifest.get("format") != "mocadet-dataset-v1":
-        raise IngestError(f"{path}: unknown manifest format")
-    size, blob_name, records = (manifest.get(k) for k in ("image_size", "blob", "samples"))
-    if type(size) is not int or size < 1 or not isinstance(blob_name, str) \
-            or not isinstance(records, list):
-        raise IngestError(f"{path}: manifest needs a positive integer image_size, "
-                          "a blob name and a list of samples")
-    spec = read_dataclass(DatasetSpec, manifest.get("dataset_spec"), "manifest.dataset_spec")
-    if size != spec.image_size:
-        raise IngestError(f"{path}: manifest image_size {size} differs from its "
-                          f"dataset_spec.image_size {spec.image_size}")
-    try:
-        records = [read_dataclass(_Record, rec, f"manifest.samples[{i}]")
-                   for i, rec in enumerate(records)]
+        header = read_dataclass(_Header, doc, "header")
     except ValidationError as e:
         raise IngestError(f"{path}: {e}") from e
-    blob_path = os.path.join(out_dir, blob_name)
-    try:
-        with open(blob_path, "rb") as fh:
-            raw = fh.read()
-    except OSError as e:
-        raise IngestError(f"cannot read image blob {blob_path}: {e}") from e
-    digest = blob_name.removeprefix(f"{split}_images.").removesuffix(".bin")
-    check_blob(raw, digest, IngestError, blob_path)
-    if len(raw) % 4:
-        raise IngestError(f"{blob_path}: {len(raw)} bytes is not a whole number of "
-                          "float32 pixels")
-    blob = np.frombuffer(raw, dtype="<f4")
+    spec, records = header.dataset_spec, header.samples
+    size = spec.image_size
+    if blob.size != len(records) * size * size:
+        raise IngestError(f"{path}: {len(records)} images of {size} x {size} pixels need "
+                          f"{len(records) * size * size} values, the blob holds {blob.size}")
+    images = blob.reshape(len(records), size, size)
     samples, ids = [], set()
     for i, rec in enumerate(records):
         if rec.id in ids:
@@ -447,24 +387,17 @@ def load_dataset(out_dir, split: str):
         if not (0 <= rec.modality_id < spec.n_modalities and len(rec.boxes) == len(rec.classes)
                 and all(0 <= c < len(spec.global_classes) for c in rec.classes)
                 and all(len(b) == 4 for b in rec.boxes)):
-            raise IngestError(f"{path}: manifest.samples[{i}] needs a modality_id below "
+            raise IngestError(f"{path}: header.samples[{i}] needs a modality_id below "
                               f"{spec.n_modalities}, one box of 4 numbers per class and "
                               f"class ids below {len(spec.global_classes)}: {rec}")
-        start, misaligned = divmod(rec.offset, 4)
-        if misaligned:
-            raise IngestError(f"{path}: image {rec.id!r} has byte offset {rec.offset}, "
-                              "which is not a multiple of 4")
-        if start < 0 or start + size * size > blob.size:
-            raise IngestError(f"{blob_path}: image {rec.id!r} lies outside the "
-                              f"{blob.size * 4}-byte blob")
-        img = blob[start:start + size * size].astype(np.float32).reshape(size, size)
+        img = images[i].astype(np.float32)
         if not np.isfinite(img).all():
-            raise IngestError(f"{blob_path}: image {rec.id!r} has a NaN or Inf pixel")
+            raise IngestError(f"{path}: image {rec.id!r} has a NaN or Inf pixel")
         try:  # a box of positive size inside the image, as a rendered box is
             anns = [Annotation(box=b, class_id=c).validate()
                     for b, c in zip(rec.boxes, rec.classes)]
         except ValidationError as e:
-            raise IngestError(f"{path}: manifest.samples[{i}]: {e}") from e
+            raise IngestError(f"{path}: header.samples[{i}]: {e}") from e
         samples.append(Sample(image=img, modality_id=rec.modality_id,
                               annotations=anns, sample_id=rec.id))
     return samples, spec

@@ -10,16 +10,25 @@ read by the same rule. ``json_form`` is the inverse. Ranges are not types:
 each numeric field declares its own once (``Range.field``), and the config
 validators call ``check_ranges``, the one rule that checks them all.
 
-Every blob the program writes and later reads back (a dataset's images, a
-checkpoint's parameters) is checked by one rule: the writer records
-``blob_sha256`` of the bytes, and the reader passes them to ``check_blob``
-before it decodes anything."""
+Every file the program writes and later reads back (a checkpoint, a dataset
+split) is one ``Container``, laid out as:
+
+- 8 bytes of magic, one value per file kind (``CHECKPOINT``, ``DATASET_SPLIT``);
+- the 32-byte sha256 of every byte after it;
+- the header length, a little-endian uint64;
+- the header, sorted-key JSON in UTF-8;
+- the blob, raw little-endian float32 to the end of the file.
+
+The reader checks the digest over the bytes it read before it parses
+anything, so a flipped bit or a cut anywhere is the kind's typed error. Each
+kind keeps only its header schema."""
 
 from __future__ import annotations
 
 import dataclasses
 import functools
 import hashlib
+import json
 import math
 import os
 import secrets
@@ -27,7 +36,9 @@ import types
 import typing
 from contextlib import contextmanager
 
-from .errors import ValidationError
+import numpy as np
+
+from .errors import CheckpointError, IngestError, ValidationError
 
 
 def check_output_path(path) -> None:
@@ -69,20 +80,56 @@ def atomic_write(path, mode: str = "w"):
         raise
 
 
-def blob_sha256(payload) -> str:
-    """The sha256 hex digest of ``payload`` (bytes, or a memoryview of them),
-    as a blob's writer records it."""
-    return hashlib.sha256(payload).hexdigest()
+@dataclasses.dataclass(frozen=True)
+class Container:
+    """One kind of file that the program writes and reads back, in the
+    layout of the module docstring. A bad file raises ``error``."""
+
+    kind: str  # what an error message calls the file
+    magic: bytes
+    error: type
+
+    def write(self, path, header: dict, arrays) -> None:
+        """Writes ``header`` and the float32 values of ``arrays``, in order,
+        to ``path`` through ``atomic_write``."""
+        head = json.dumps(header, sort_keys=True).encode("utf-8")
+        body = [len(head).to_bytes(8, "little"), head,
+                *(np.ascontiguousarray(a, dtype="<f4") for a in arrays)]
+        digest = hashlib.sha256()
+        for part in body:
+            digest.update(part)
+        with atomic_write(path, "wb") as fh:
+            fh.write(self.magic + digest.digest())
+            for part in body:
+                fh.write(part)
+
+    def read(self, path) -> tuple:
+        """(header, blob) of the file at ``path``: the JSON object and a
+        read-only float32 array."""
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError as e:
+            raise self.error(f"cannot read {self.kind} {path}: {e}") from e
+        if data[:8] != self.magic:
+            raise self.error(f"{path}: not a {self.kind} file of this format")
+        if hashlib.sha256(memoryview(data)[40:]).digest() != data[8:40]:
+            raise self.error(f"{path}: the file does not match its recorded sha256; "
+                             "it is corrupt or truncated")
+        start = 48 + int.from_bytes(data[40:48], "little")
+        if start > len(data) or (len(data) - start) % 4:
+            raise self.error(f"{path}: the header length does not leave whole float32 values")
+        try:
+            header = json.loads(data[48:start].decode("utf-8"))
+        except ValueError as e:  # bad UTF-8 or bad JSON
+            raise self.error(f"{path}: unreadable {self.kind} header: {e}") from e
+        if not isinstance(header, dict):
+            raise self.error(f"{path}: the {self.kind} header is not an object")
+        return header, np.frombuffer(data, dtype="<f4", offset=start)
 
 
-def check_blob(payload, digest, error: type, path) -> None:
-    """Raises ``error`` naming ``path`` unless the sha256 hex of ``payload``
-    starts with ``digest``: the recorded digest, or at least 16 of its
-    leading hex digits."""
-    if not (isinstance(digest, str) and len(digest) >= 16
-            and blob_sha256(payload).startswith(digest)):
-        raise error(f"{path}: the blob does not match its recorded sha256 {digest!r}; "
-                    "the file is corrupt or truncated")
+CHECKPOINT = Container("checkpoint", b"MDCKPT2\n", CheckpointError)
+DATASET_SPLIT = Container("dataset split", b"MDSPLIT\n", IngestError)
 
 
 def make_dirs(path) -> None:

@@ -99,11 +99,12 @@ MUTANTS = (
     Mutant("decode_mask_ignored", "src/mocadet/detector.py",
            "token_rows = None if mask_token_column else self.token_proj(tokens)",
            "token_rows = self.token_proj(tokens)"),
-    # the two manifest checks of load_dataset
-    Mutant("manifest_size_checked_upward_only", "src/mocadet/data.py",
-           "    if size != spec.image_size:\n", "    if size > spec.image_size:\n"),
-    Mutant("offset_rounded_down", "src/mocadet/data.py",
-           "start, misaligned = divmod(rec.offset, 4)", "start, misaligned = rec.offset // 4, 0"),
+    # the one length check of each reader, in place of per-record offsets
+    Mutant("split_blob_checked_downward_only", "src/mocadet/data.py",
+           "if blob.size != len(records) * size * size:",
+           "if blob.size < len(records) * size * size:"),
+    Mutant("checkpoint_blob_checked_downward_only", "src/mocadet/checkpoint.py",
+           "if sum(sizes) != blob.size:", "if sum(sizes) > blob.size:"),
     # the one finiteness check of matching, which hungarian relies on
     Mutant("cost_matrix_nan_passes", "src/mocadet/losses.py",
            "if not np.all(np.isfinite(cost)):", "if np.isinf(cost).any():"),
@@ -131,11 +132,12 @@ MUTANTS = (
     Mutant("monotonicity_failure_dropped", "src/mocadet/milab.py",
            "                        mono_failures.append((ji, a.K, b.K, a.bound, b.bound))\n",
            "                        pass\n"),
-    # each reader without its blob digest compare
-    Mutant("dataset_blob_digest_skipped", "src/mocadet/data.py",
-           "    check_blob(raw, digest, IngestError, blob_path)\n", ""),
-    Mutant("checkpoint_blob_digest_skipped", "src/mocadet/checkpoint.py",
-           'if "blob_sha256" in header:', 'if False:'),
+    # the container reader without its digest compare, and without the part
+    # of its length check that leaves whole float32 values
+    Mutant("container_digest_skipped", "src/mocadet/fileio.py",
+           "if hashlib.sha256(memoryview(data)[40:]).digest() != data[8:40]:", "if False:"),
+    Mutant("container_partial_float_accepted", "src/mocadet/fileio.py",
+           "if start > len(data) or (len(data) - start) % 4:", "if start > len(data):"),
 )
 
 

@@ -246,12 +246,6 @@ def test_verify_bound_suite_passes():
     assert js["n_violations"] == 0 and js["passed"]
 
 
-def test_estimator_preconditions():
-    joint = ml.identity_joint(3)
-    with pytest.raises(ValidationError):
-        ml.infonce_estimate(joint, ml.optimal_critic(joint), 2, 10, np.random.default_rng(0))
-
-
 def test_cli_report_matches_the_pinned_digest(tmp_path):
     """The sha256 of the report of ``mi-lab --n-joints 4 --K 1,3 --samples 2000
     --seed 0`` was recorded at commit 6600e97, the parent of the change that

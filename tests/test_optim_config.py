@@ -19,8 +19,8 @@ from mocadet.cli import main
 from mocadet.config import OptimConfig, QraConfig, RunConfig, TokenConfig
 from mocadet.data import DatasetSpec, ModalitySpec, make_default_spec
 from mocadet.detector import DetectorConfig
-from mocadet.errors import CheckpointError, ContractError, ValidationError
-from mocadet.fileio import atomic_write, read_dataclass
+from mocadet.errors import CheckpointError, ContractError, IngestError, ValidationError
+from mocadet.fileio import CHECKPOINT, DATASET_SPLIT, atomic_write, read_dataclass
 from mocadet.losses import LossWeights
 from mocadet.optim import CHUNK, AdamW
 from mocadet.train import build_run
@@ -381,9 +381,12 @@ def test_checkpoint_round_trip(tmp_path):
     header, stored = load_checkpoint(path)
     assert header["phase"] == "detection" and header["step"] == 12
     assert header["config"] == {"x": 1}
+    # each fact once: no offsets, digest or format name in the header
+    assert sorted(header) == ["config", "params", "phase", "seeds", "step"]
+    assert header["params"] == [{"name": "a.W", "shape": [3, 4]}, {"name": "a.b", "shape": [4]},
+                                {"name": "s", "shape": []}]
     data = path.read_bytes()
-    blob = data[16 + int.from_bytes(data[8:16], "little"):]
-    assert header["blob_sha256"] == hashlib.sha256(blob).hexdigest()
+    assert data[:8] == b"MDCKPT2\n" and data[8:40] == hashlib.sha256(data[40:]).digest()
     for name, p in named:
         assert np.array_equal(stored[name],
                               np.asarray(p.data, dtype=np.float32).astype(np.float64))
@@ -428,14 +431,19 @@ def test_checkpoint_bad_file(tmp_path):
         load_checkpoint(bad)
 
 
-def _raw_checkpoint(header: bytes, length=None, blob=b"") -> bytes:
+def _raw_container(magic: bytes, header: bytes, length=None, blob=b"") -> bytes:
+    """A container with ``length`` as its header length, whose digest matches."""
     length = len(header) if length is None else length
-    return b"MDCKPT1\n" + length.to_bytes(8, "little") + header + blob
+    body = length.to_bytes(8, "little") + header + blob
+    return magic + hashlib.sha256(body).digest() + body
+
+
+def _raw_checkpoint(header: bytes, length=None, blob=b"") -> bytes:
+    return _raw_container(b"MDCKPT2\n", header, length, blob)
 
 
 def _entry_header(**entry) -> bytes:
-    doc = {"format": "mocadet-checkpoint-v1", "params": [entry]}
-    return json.dumps(doc).encode()
+    return json.dumps({"params": [entry]}).encode()
 
 
 def test_checkpoint_malformed_files_raise_checkpoint_error(tmp_path):
@@ -449,70 +457,91 @@ def test_checkpoint_malformed_files_raise_checkpoint_error(tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(bad)
 
+    old = b'{"format": "mocadet-checkpoint-v1", "params": []}'
     cases = [
-        b"MDCKPT1\n\x05\x00\x00",  # length field cut short
-        _raw_checkpoint(b'{"format": "mocadet-checkpoint-v1"}'),  # no params
+        b"MDCKPT1\n" + len(old).to_bytes(8, "little") + old,  # the format before the digest
+        _raw_checkpoint(b"{}")[:8] + bytes(32) + _raw_checkpoint(b"{}")[40:],  # wrong digest
+        _raw_checkpoint(b"", length=5)[:-3],  # length field cut short
+        _raw_checkpoint(b"{}"),  # no params
         _raw_checkpoint(b"{not json"),
         _raw_checkpoint(b"\xff\xfe{}"),  # not UTF-8
         _raw_checkpoint(b"[1, 2]"),
         _raw_checkpoint(b"{}", length=2 ** 62),
-        _raw_checkpoint(_entry_header(name=3, shape=[1], offset=0), blob=b"\x00" * 4),
-        _raw_checkpoint(_entry_header(name="w", shape=[-1], offset=0), blob=b"\x00" * 4),
-        _raw_checkpoint(_entry_header(name="w", shape="1", offset=0), blob=b"\x00" * 4),
-        _raw_checkpoint(_entry_header(name="w", shape=[1], offset=-1), blob=b"\x00" * 4),
-        _raw_checkpoint(_entry_header(name="w", shape=[1], offset=True), blob=b"\x00" * 4),
-    ] + [  # a recorded blob digest that is not the blob's, or is too short to
-        # check it: "e3b0c442" is the first 8 hex digits of the empty blob's
-        _raw_checkpoint(json.dumps({"format": "mocadet-checkpoint-v1", "params": [],
-                                    "blob_sha256": digest}).encode(), blob=b"")
-        for digest in (5, None, "", "e3b0c442", "0" * 64)]
+        _raw_checkpoint(_entry_header(name=3, shape=[1]), blob=b"\x00" * 4),
+        _raw_checkpoint(_entry_header(name="w", shape=[-1]), blob=b"\x00" * 4),
+        _raw_checkpoint(_entry_header(name="w", shape="1"), blob=b"\x00" * 4),
+        _raw_checkpoint(_entry_header(name="w", shape=[True]), blob=b"\x00" * 4),
+        # a table whose sizes do not add up to the blob's
+        _raw_checkpoint(_entry_header(name="w", shape=[2]), blob=b"\x00" * 4),
+        _raw_checkpoint(_entry_header(name="w", shape=[1]), blob=b"\x00" * 8),
+    ]
     for raw in cases:
         bad.write_bytes(raw)
         with pytest.raises(CheckpointError):
             load_checkpoint(bad)
         assert main(["eval", "--ckpt", str(bad), "--data", str(tmp_path)]) == 1
 
-    # the hand-built format itself is accepted, without a blob_sha256 (a file
-    # written before it was recorded) and with the blob's own
-    bad.write_bytes(_raw_checkpoint(_entry_header(name="w", shape=[1], offset=0),
-                                    blob=b"\x00" * 4))
+    # the hand-built format itself is accepted
+    bad.write_bytes(_raw_checkpoint(_entry_header(name="w", shape=[1]), blob=b"\x00" * 4))
     _, stored = load_checkpoint(bad)
     assert np.array_equal(stored["w"], [0.0])
-    doc = {"format": "mocadet-checkpoint-v1", "params": [{"name": "w", "shape": [1], "offset": 0}],
-           "blob_sha256": hashlib.sha256(b"\x00" * 4).hexdigest()}
-    bad.write_bytes(_raw_checkpoint(json.dumps(doc).encode(), blob=b"\x00" * 4))
-    _, stored = load_checkpoint(bad)
-    assert np.array_equal(stored["w"], [0.0])
+
+
+@pytest.mark.parametrize("container,error", [(CHECKPOINT, CheckpointError),
+                                             (DATASET_SPLIT, IngestError)],
+                         ids=["checkpoint", "dataset_split"])
+def test_a_header_length_that_leaves_no_whole_float32_blob_raises(tmp_path, container, error):
+    # files whose digest matches: the length field is the one check left
+    path = tmp_path / "file"
+    head = b'{"params": []}'
+    for length, blob in ((len(head) + 1, b""), (2 ** 62, b""), (len(head), b"\x00"),
+                         (len(head), b"\x00" * 3), (len(head), b"\x00" * 6),
+                         (len(head) - 1, b"\x00" * 4)):
+        path.write_bytes(_raw_container(container.magic, head, length, blob))
+        with pytest.raises(error, match="the header length does not leave whole float32"):
+            container.read(path)
+    path.write_bytes(_raw_container(container.magic, head, blob=b"\x00" * 8))
+    header, blob = container.read(path)
+    assert header == {"params": []} and np.array_equal(blob, [0.0, 0.0])
 
 
 def test_a_flipped_bit_or_a_cut_in_a_default_checkpoint_raises_checkpoint_error(tmp_path):
-    # a flip moves one parameter by as little as one ulp, so only the blob's
-    # digest sees it; the file is the default model's detection checkpoint
+    # a flip moves one parameter by as little as one ulp, or one digit of the
+    # run config in the header: only the digest sees it. The file is the
+    # default model's detection checkpoint; the flips are 64 seeded bits of
+    # the whole file and 64 of its magic, digest, length and header
     config = RunConfig(dataset=make_default_spec(counts={"train": 4}))
     good = tmp_path / "good.ckpt"
     save_checkpoint(good, build_run(config).detection_parameters(), config.to_json(),
                     phase="detection", step=0)
     data = good.read_bytes()
-    start = 16 + int.from_bytes(data[8:16], "little")
+    start = 48 + int.from_bytes(data[40:48], "little")
     header, _ = load_checkpoint(good)
     bad = tmp_path / "bad.ckpt"
-    mismatch = re.escape(f"{bad}: the blob does not match its recorded sha256")
     rng = np.random.default_rng(26)
-    for bit in rng.choice(8 * (len(data) - start), size=64, replace=False).tolist():
+    bits = rng.choice(8 * len(data), size=64, replace=False).tolist()
+    bits += rng.choice(8 * start, size=64, replace=False).tolist()
+    assert any(8 * 48 <= b < 8 * start for b in bits)
+    for bit in bits:
         flipped = bytearray(data)
-        flipped[start + bit // 8] ^= 1 << bit % 8
+        flipped[bit // 8] ^= 1 << bit % 8
         bad.write_bytes(flipped)
-        with pytest.raises(CheckpointError, match=mismatch):
+        message = (f"{bad}: the file does not match its recorded sha256" if bit >= 64
+                   else f"{bad}: not a checkpoint file")
+        with pytest.raises(CheckpointError, match=re.escape(message)):
             load_checkpoint(bad)
     # every length from 0 to the full size would hash about 10^12 bytes: the
-    # cuts are 64 seeded lengths, each parameter's first byte and the last
-    # four bytes (the small checkpoint above is cut at every length)
+    # cuts are 64 seeded lengths, the header's end, each parameter's first
+    # byte and the last four bytes (the small checkpoint above is cut at
+    # every length)
     cuts = set(rng.choice(len(data), size=64, replace=False).tolist())
-    cuts |= {start + 4 * e["offset"] for e in header["params"]}
+    cuts |= {start - 1, start}
+    sizes = [math.prod(e["shape"]) for e in header["params"]]
+    cuts |= set((start + 4 * np.cumsum([0] + sizes[:-1])).tolist())
     cuts |= set(range(len(data) - 4, len(data)))
     for cut in sorted(cuts):
         bad.write_bytes(data[:cut])
-        with pytest.raises(CheckpointError, match=mismatch if cut >= start else None):
+        with pytest.raises(CheckpointError, match="recorded sha256" if cut >= 8 else "not a"):
             load_checkpoint(bad)
 
 

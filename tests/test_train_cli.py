@@ -6,7 +6,6 @@ import os
 import platform
 import resource
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from mocadet.data import make_default_spec
 from mocadet.detector import DetectorConfig
 from mocadet.errors import CheckpointError
 from mocadet.evaluation import DETECTION, detections_from_output
+from mocadet.fileio import CHECKPOINT, DATASET_SPLIT
 from mocadet.losses import detection_loss
 from mocadet.optim import AdamW
 from mocadet.train import (build_run, evaluate, load_detector_for_eval,
@@ -55,14 +55,11 @@ def _read(path):
 
 def _poison_checkpoint(path, name, value):
     """Rewrites the checkpoint with ``value`` as the first element of
-    parameter ``name``, through ``save_checkpoint``, so that the blob matches
-    its ``blob_sha256`` and only the finiteness check can reject it; the
-    stand-in parameters are plain holders, as ``ad.param`` refuses a NaN."""
+    parameter ``name``, through the container writer, so that the file
+    matches its sha256 and only the finiteness check can reject it."""
     header, stored = load_checkpoint(path)
     stored[name].flat[0] = value
-    named = [(e["name"], SimpleNamespace(data=stored[e["name"]])) for e in header["params"]]
-    save_checkpoint(path, named, header["config"], phase=header["phase"],
-                    step=header["step"], seeds=header["seeds"])
+    CHECKPOINT.write(path, header, [stored[e["name"]] for e in header["params"]])
 
 
 def _default_model_step(batch_size):
@@ -203,9 +200,7 @@ def test_checkpoint_with_bad_config_raises_checkpoint_error(tmp_path):
     path = tmp_path / "bad.ckpt"
 
     def write(header):
-        raw = json.dumps({"format": "mocadet-checkpoint-v1", "params": [],
-                          **header}).encode()
-        path.write_bytes(b"MDCKPT1\n" + len(raw).to_bytes(8, "little") + raw)
+        CHECKPOINT.write(path, {"params": [], **header}, [])
 
     for config in ({}, {"config": {"model": 3}}, {"config": [1, 2]},
                    {"config": "text"}, {"config": {"batch_size": "four"}},
@@ -307,7 +302,7 @@ def test_cli_gen_data_tokens_and_silhouette(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(_tiny_doc()["dataset"]))
     assert main(["gen-data", "--spec", str(spec_path), "--out", str(tmp_path / "data")]) == 0
-    assert (tmp_path / "data" / "train_manifest.json").exists()
+    assert sorted(p.name for p in (tmp_path / "data").iterdir()) == ["train.split", "val.split"]
 
     reg = tmp_path / "reg.json"
     assert main(["tokens", "synth", "--catalog", "--d-text", "16",
@@ -398,7 +393,10 @@ def test_cli_train_rejects_a_non_finite_number_and_writes_nothing(tmp_path, caps
     ("dataset", {"image_size": 36}, "dataset.image_size 36 is not a multiple of "
                                     "model.patch_size 8"),
     ("qra", {"tau": 5e-324}, "qra.tau must be in [0.001, 10], got 5e-324"),
-], ids=["focal_alpha_above_1", "image_not_a_patch_multiple", "tau_below_1e-3"])
+    ("dataset", {"counts": {"train": 12, "../escaped": 2}}, "split name '../escaped' must"),
+    ("dataset", {"counts": {"train": 12, "": 2}}, "split name '' must"),
+], ids=["focal_alpha_above_1", "image_not_a_patch_multiple", "tau_below_1e-3",
+        "split_outside_the_dir", "empty_split"])
 def test_cli_rejects_a_run_that_cannot_work_and_writes_nothing(tmp_path, capsys,
                                                                section, edit, message):
     # an alpha above 1 gives the focal loss no lower bound, 8 px patches do
@@ -414,7 +412,32 @@ def test_cli_rejects_a_run_that_cannot_work_and_writes_nothing(tmp_path, capsys,
         assert not out.exists()
 
 
-def test_cli_eval_rejects_a_malformed_manifest_record(tmp_path, capsys):
+@pytest.mark.parametrize("split", ["../escaped", ""], ids=["outside_the_dir", "empty"])
+def test_cli_keeps_every_split_file_in_its_dataset_dir(tmp_path, capsys, split):
+    # a split names a file in --data or --out: gen-data and eval reject a
+    # name that leaves the directory, or is empty, and write nothing
+    doc = _tiny_doc(epochs=1)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(dict(doc["dataset"], counts={"val": 2, split: 2})))
+    out = tmp_path / "work" / "data"
+    assert main(["gen-data", "--spec", str(spec), "--out", str(out)]) == 1
+    assert f"split name {split!r} must be non-empty" in capsys.readouterr().err
+    assert not (tmp_path / "work").exists()
+
+    bundle = build_run(RunConfig.from_json(doc))
+    ckpt = str(tmp_path / "model.ckpt")
+    save_checkpoint(ckpt, bundle.detection_parameters(), bundle.config.to_json(),
+                    phase="detection", step=0)
+    spec.write_text(json.dumps(doc["dataset"]))
+    assert main(["gen-data", "--spec", str(spec), "--out", str(out)]) == 0
+    report = tmp_path / "report.json"
+    assert main(["eval", "--ckpt", ckpt, "--data", str(out), "--split", split,
+                 "--out", str(report)]) == 1
+    assert f"split name {split!r} must be non-empty" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_cli_eval_rejects_a_malformed_sample_record(tmp_path, capsys):
     doc = _tiny_doc(epochs=1)
     bundle = build_run(RunConfig.from_json(doc))
     ckpt = str(tmp_path / "model.ckpt")
@@ -424,18 +447,18 @@ def test_cli_eval_rejects_a_malformed_manifest_record(tmp_path, capsys):
     spec_path.write_text(json.dumps(doc["dataset"]))
     assert main(["gen-data", "--spec", str(spec_path), "--out", str(tmp_path / "d"),
                  "--splits", "val"]) == 0
-    path = tmp_path / "d" / "val_manifest.json"
-    good = json.loads(path.read_text())
+    path = tmp_path / "d" / "val.split"
+    good, images = DATASET_SPLIT.read(path)
     box = good["samples"][0]["boxes"][0]
     for field, value in (("modality_id", 1.9), ("modality_id", "1"), ("modality_id", 99),
                          ("classes", ["0"]), ("classes", [7]), ("boxes", [box, box]),
                          ("boxes", [box[:3]]), ("boxes", [[box[0], float("nan")] + box[2:]])):
         bad = json.loads(json.dumps(good))
         bad["samples"][0][field] = value
-        path.write_text(json.dumps(bad))
+        DATASET_SPLIT.write(path, bad, [images])  # the file matches its sha256
         assert main(["eval", "--ckpt", ckpt, "--data", str(tmp_path / "d")]) == 1, field
-        assert "manifest.samples[0]" in capsys.readouterr().err, field
-    path.write_text(json.dumps(good))
+        assert "header.samples[0]" in capsys.readouterr().err, field
+    DATASET_SPLIT.write(path, good, [images])
     assert main(["eval", "--ckpt", ckpt, "--data", str(tmp_path / "d")]) == 0
 
 
@@ -540,13 +563,19 @@ def test_cli_pretrain_with_zero_steps(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args", [["--K", "a"], ["--K", "-1"], ["--K", ""], ["--K", "1,0"],
-                                  ["--n-joints", "0"], ["--n-joints", "-1"]],
+                                  ["--n-joints", "0"], ["--n-joints", "-1"],
+                                  ["--K", "64"], ["--K", "1,1000000000000"],
+                                  ["--samples", "999"], ["--samples", "200001"],
+                                  ["--samples", "1000000000000"], ["--n-joints", "10001"]],
                          ids=["K_text", "K_negative", "K_empty", "K_zero", "no_joints",
-                              "negative_joints"])
+                              "negative_joints", "K_64", "K_10_pow_12", "samples_999",
+                              "samples_200001", "samples_10_pow_12", "joints_10001"])
 def test_cli_mi_lab_bad_arguments_exit_1(capsys, args):
+    # each is a usage error that names its flag, before anything is sampled
     assert main(["mi-lab", "--samples", "1000", *args]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error:") and args[0] in err
+    assert out == "" and err.splitlines()[-1].startswith(
+        f"mocadet mi-lab: error: argument {args[0]}: ")
 
 
 @pytest.mark.parametrize("command,field", [("train", "seed"), ("train", "tokens.seed"),
