@@ -12,8 +12,8 @@ Subpackages/modules:
   boxes       -- box format conversion and pairwise IoU / GIoU
   detector    -- patch encoder + decoder with modality-context attention
   losses      -- Hungarian matching and the focal/L1/GIoU set objective
-  queryrepa   -- contrastive query-token alignment pretraining (g_phi is a FeedForward)
-  milab       -- executable InfoNCE mutual-information bound verification
+  queryrepa   -- contrastive query-token alignment pretraining; the one InfoNCE
+  milab       -- executable check of that InfoNCE's MI lower bound; the mi-lab report
   evaluation  -- COCO-style AP metrics over one detection array
   checkpoint  -- the checkpoint header and its parameters
   train       -- the one optimizer step, the pretraining and detection loops, evaluation

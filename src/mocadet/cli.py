@@ -19,7 +19,7 @@ from .config import RunConfig, TokenConfig
 from .data import DatasetSpec, export_dataset, generate_synthetic, load_dataset
 from .errors import MocadetError, ValidationError
 from .evaluation import report_csv, save_report
-from .fileio import SEED, Range, atomic_write, check_output_path
+from .fileio import SEED, Range, atomic_write, check_output_path, read_dataclass
 from .tokens import (MEDICAL_PROMPT_CATALOG, build_registry, load_registry,
                      save_registry, silhouette_score)
 from .train import evaluate, load_detector_for_eval, run_pretrain, run_train
@@ -177,8 +177,9 @@ def _cmd_eval(args) -> int:
     if spec.token_pairs() != bundle.config.dataset.token_pairs():  # modality and class ids
         raise ValidationError("dataset modalities and classes do not match the checkpoint")
     report = evaluate(bundle, samples)
-    print(f"eval[{args.split}]: AP={report.ap:.4f} AP50={report.ap50:.4f} "
-          f"AP75={report.ap75:.4f}")
+    ap = ["n/a" if v is None else f"{v:.4f}"  # None: a split without ground truth
+          for v in (report.ap, report.ap50, report.ap75)]
+    print(f"eval[{args.split}]: AP={ap[0]} AP50={ap[1]} AP75={ap[2]}")
     if args.out:
         save_report(report, args.out)
     if args.csv:
@@ -187,34 +188,35 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+@dataclasses.dataclass(frozen=True)
+class _JointsFile:  # what mi-lab --joints reads
+    joints: list[list[list[float]]]
+
+
 def _cmd_mi_lab(args) -> int:
     if args.joints:
-        doc = _load_json(args.joints)
-        tables = doc.get("joints") if isinstance(doc, dict) else None
-        if not isinstance(tables, list) or not tables:
-            raise ValidationError(f"{args.joints}: expected {{\"joints\": [tables]}} with "
-                                  f"at least one table")
-        try:
-            tables = [np.asarray(t, dtype=np.float64) for t in tables]
-        except (TypeError, ValueError) as e:
-            raise ValidationError(f"{args.joints}: a joint table is not a numeric matrix") from e
+        tables = read_dataclass(_JointsFile, _load_json(args.joints), args.joints).joints
+        if not tables or any(len({len(row) for row in t}) != 1 for t in tables):
+            raise ValidationError(f"{args.joints}: expected {{\"joints\": [tables]}}, at "
+                                  f"least one table, each a matrix")
         joints = [ml.DiscreteJoint(t) for t in tables]
     else:
         joints = ml.seeded_joint_suite(args.n_joints, seed=args.seed)
     report = ml.verify_bound(joints, Ks=args.K, n_samples=args.samples, seed=args.seed)
     if args.report:
         with atomic_write(args.report) as fh:
-            json.dump(ml.report_to_json(report), fh, sort_keys=True, indent=1)
+            json.dump(report, fh, sort_keys=True, indent=1)
     status = "PASS" if report["passed"] else "FAIL"
-    print(f"mi-lab {status}: {len(report['cells'])} cells "
+    print(f"mi-lab {status}: {report['n_cells']} cells "
           f"({report['n_exact_cells']} exact), "
-          f"{len(report['violations'])} bound violations, "
+          f"{report['n_violations']} bound violations, "
           f"posterior gap {report['posterior_gap_max']:.2e}")
     if not report["passed"]:
-        for c in report["violations"]:
-            print(f"  VIOLATION joint={c.joint_index} critic={c.critic_kind} "
-                  f"K={c.K} bound={c.estimate.bound:.6f} > mi={c.mi:.6f} "
-                  f"(se={c.estimate.stderr:.2e})")
+        for c in report["cells"]:
+            if c["violated"]:
+                print(f"  VIOLATION joint={c['joint']} critic={c['critic']} "
+                      f"K={c['K']} bound={c['bound']:.6f} > mi={c['mi']:.6f} "
+                      f"(se={c['stderr']:.2e})")
         for row in report["monotonicity_failures"]:
             print(f"  NON-MONOTONE joint={row[0]} K {row[1]}->{row[2]}: "
                   f"{row[3]:.6f} -> {row[4]:.6f}")

@@ -60,28 +60,14 @@ def _focal_terms(probs, alpha: float, gamma: float):
 def build_cost_matrix(pred_probs: np.ndarray, pred_boxes: np.ndarray,
                       gt_classes, gt_boxes: np.ndarray,
                       weights: LossWeights) -> np.ndarray:
-    """Pairwise query-to-target matching cost, shape (N, G).
-
-    Classification uses the focal-style positive-minus-negative cost;
-    box terms are L1 on cxcywh plus (1 - GIoU).
+    """Pairwise query-to-target matching cost, shape (N, G), of float64
+    arrays and G >= 1 targets. Classification uses the focal-style
+    positive-minus-negative cost; box terms are L1 on cxcywh plus (1 - GIoU).
     """
-    probs = np.asarray(pred_probs, dtype=np.float64)
-    boxes = np.asarray(pred_boxes, dtype=np.float64)
-    gt_classes = [int(c) for c in gt_classes]
-    gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(len(gt_classes), 4)
-    n, g = probs.shape[0], len(gt_classes)
-    cost = np.zeros((n, g))
-    if g == 0:
-        return cost
-
-    pos, neg = _focal_terms(probs[:, gt_classes], weights.alpha, weights.gamma)
-    cls_cost = pos - neg
-
-    l1 = np.abs(boxes[:, None, :] - gt_boxes[None, :, :]).sum(axis=2)
-
-    giou_cost = 1.0 - giou(cxcywh_to_xyxy(boxes), cxcywh_to_xyxy(gt_boxes))
-
-    cost = weights.w_focal * cls_cost + weights.w_l1 * l1 + weights.w_giou * giou_cost
+    pos, neg = _focal_terms(pred_probs[:, gt_classes], weights.alpha, weights.gamma)
+    l1 = np.abs(pred_boxes[:, None, :] - gt_boxes[None, :, :]).sum(axis=2)
+    giou_cost = 1.0 - giou(cxcywh_to_xyxy(pred_boxes), cxcywh_to_xyxy(gt_boxes))
+    cost = weights.w_focal * (pos - neg) + weights.w_l1 * l1 + weights.w_giou * giou_cost
     if not np.all(np.isfinite(cost)):
         raise ValidationError("non-finite entries in cost matrix")
     return cost

@@ -12,6 +12,8 @@ log-density-ratio critic s(u,v) = ln p(v|u)/p(v) (optimal: its softmax
 equals the true posterior over the positive slot) and a cosine critic over
 random symbol embeddings (suboptimal). Temperature is folded into the
 critic: the cosine critic divides its similarities by its own tau.
+The loss is ``queryrepa.infonce_rows``, the InfoNCE that QueryREPA trains.
+``verify_bound`` returns the document that ``mi-lab --report`` writes.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
+from .queryrepa import infonce_rows
 
 _ENUM_LIMIT = 2_000_000  # max enumerated tuples in exact modes
 _SE_SLACK = 5.0  # a Monte-Carlo bound may exceed the MI by this many standard errors
@@ -172,11 +175,8 @@ class NCEEstimate:
 
 
 def _losses_from_draws(critic: Critic, u, cands, j) -> np.ndarray:
-    s = critic.scores[u[:, None], cands]
-    m = s.max(axis=1, keepdims=True)
-    lse = (m[:, 0] + np.log(np.exp(s - m).sum(axis=1)))
-    pos = s[np.arange(len(j)), j]
-    return lse - pos
+    scores = critic.scores[u[:, None], cands]
+    return infonce_rows(scores)[0] - scores[np.arange(len(j)), j]
 
 
 def infonce_estimate(joint: DiscreteJoint, critic: Critic, K: int, n_samples: int,
@@ -246,19 +246,9 @@ def posterior_identity_gap(joint: DiscreteJoint, critic: Critic, K: int) -> floa
 # -- certification -------------------------------------------------------------
 
 
-@dataclass
-class BoundCell:
-    joint_index: int
-    critic_kind: str
-    K: int
-    mi: float
-    estimate: NCEEstimate
-    violated: bool
-
-
 def verify_bound(joints, Ks=(1, 3, 7, 15), n_samples: int = 20_000,
                  seed: int = 0) -> dict:
-    """Certify the lower bound on a suite of joints.
+    """Certify the lower bound on a suite of joints; returns the report.
 
     For every (joint, critic in {optimal, cosine}, K): assert
     ln(1+K) - L_hat <= I + _SE_SLACK * SE. Where enumeration is affordable
@@ -266,6 +256,9 @@ def verify_bound(joints, Ks=(1, 3, 7, 15), n_samples: int = 20_000,
     ``_EXACT_TOLERANCE``; the slot-posterior identity is checked for the
     optimal critic; and the optimal-critic bound must be non-decreasing in
     K within 2 combined SEs (exactly, in enumeration mode).
+    The report has one dict row per Monte-Carlo cell (``joint``, ``critic``,
+    ``K``, ``mi``, ``loss``, ``bound``, ``stderr``, ``violated``), and one
+    with critic ``<kind>-exact`` and stderr 0 per violated exact cell.
     """
     cells = []
     identity_gaps = []
@@ -283,18 +276,19 @@ def verify_bound(joints, Ks=(1, 3, 7, 15), n_samples: int = 20_000,
             for K in Ks:
                 rng = np.random.default_rng(np.random.SeedSequence([seed, ji, ci, K]))
                 est = infonce_estimate(joint, critic, K, n_samples, rng)
+                cell = {"joint": ji, "critic": critic.kind, "K": K, "mi": mi}
                 # 1e-12 absorbs float rounding when MI and SE are both ~0
-                violated = est.bound > mi + _SE_SLACK * est.stderr + 1e-12
-                cells.append(BoundCell(ji, critic.kind, K, mi, est, violated))
+                cells.append({**cell, "loss": est.loss, "bound": est.bound, "stderr": est.stderr,
+                              "violated": est.bound > mi + _SE_SLACK * est.stderr + 1e-12})
                 bounds.append(est)
                 if nv <= 6 and K <= 3:
                     exact_loss = exact_infonce(joint, critic, K)
                     exact_bound = math.log(1 + K) - exact_loss
                     exact_checked += 1
                     if exact_bound > mi + _EXACT_TOLERANCE:
-                        cells.append(BoundCell(ji, critic.kind + "-exact", K, mi,
-                                               NCEEstimate(K, 0, exact_loss, exact_bound, 0.0),
-                                               True))
+                        cells.append({**cell, "critic": critic.kind + "-exact",
+                                      "loss": exact_loss, "bound": exact_bound,
+                                      "stderr": 0.0, "violated": True})
             if critic.kind == "optimal":
                 if nv ** 2 <= _ENUM_LIMIT:
                     identity_gaps.append(posterior_identity_gap(joint, critic, 1))
@@ -303,36 +297,17 @@ def verify_bound(joints, Ks=(1, 3, 7, 15), n_samples: int = 20_000,
                     if b.bound < a.bound - slack:
                         mono_failures.append((ji, a.K, b.K, a.bound, b.bound))
 
-    violations = [c for c in cells if c.violated]
+    n_violations = sum(c["violated"] for c in cells)
+    gap = max(identity_gaps, default=0.0)
     return {
         "n_joints": len(joints),
         "Ks": list(Ks),
         "n_samples": n_samples,
-        "cells": cells,
-        "violations": violations,
+        "passed": not n_violations and not mono_failures and gap < 1e-10,
+        "n_cells": len(cells),
         "n_exact_cells": exact_checked,
-        "posterior_gap_max": max(identity_gaps) if identity_gaps else 0.0,
+        "n_violations": n_violations,
+        "posterior_gap_max": gap,
         "monotonicity_failures": mono_failures,
-        "passed": (not violations and not mono_failures
-                   and (not identity_gaps or max(identity_gaps) < 1e-10)),
-    }
-
-
-def report_to_json(report: dict) -> dict:
-    return {
-        "n_joints": report["n_joints"],
-        "Ks": report["Ks"],
-        "n_samples": report["n_samples"],
-        "passed": report["passed"],
-        "n_cells": len(report["cells"]),
-        "n_exact_cells": report["n_exact_cells"],
-        "n_violations": len(report["violations"]),
-        "posterior_gap_max": report["posterior_gap_max"],
-        "monotonicity_failures": report["monotonicity_failures"],
-        "cells": [
-            {"joint": c.joint_index, "critic": c.critic_kind, "K": c.K,
-             "mi": c.mi, "loss": c.estimate.loss, "bound": c.estimate.bound,
-             "stderr": c.estimate.stderr, "violated": c.violated}
-            for c in report["cells"]
-        ],
+        "cells": cells,
     }

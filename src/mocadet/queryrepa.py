@@ -9,7 +9,8 @@ modalities): InfoNCE (Oord et al. 2018, arXiv:1807.03748). The B means are
 one (B, d) row block: one mean node, one pass of the head and one loss
 node over the (B, B) cosine matrix against the batch's token rows, whose
 row-wise logsumexp minus its diagonal is the loss, so the loss graph has
-the same five nodes for every B. g_phi is a d -> d -> d
+the same five nodes for every B. That logsumexp, ``infonce_rows``, is the
+one InfoNCE: ``milab`` certifies its bound. g_phi is a d -> d -> d
 ``detector.FeedForward``; it is used only during this stage, stored in the
 pretraining checkpoint as ``gphi.*`` and dropped before detection training.
 """
@@ -23,6 +24,15 @@ from .data import DatasetSpec, attach_token
 from .detector import Detector, FeedForward
 from .errors import ContractError, ShapeError, ValidationError
 from .tokens import TokenProjection, TokenRegistry
+
+
+def infonce_rows(logits: np.ndarray) -> tuple:
+    """Each row's log-sum-exp m + ln s, shifted by its max m, with e = exp(logits - m)
+    and s its (R, 1) row sums: (lse, e, s). e / s is the softmax, if read."""
+    top = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - top)
+    s = e.sum(axis=1, keepdims=True)
+    return (top + np.log(s))[:, 0], e, s
 
 
 def qra_loss(q_means: ad.Tensor, tokens: ad.Tensor, g_phi: FeedForward,
@@ -50,10 +60,7 @@ def qra_loss(q_means: ad.Tensor, tokens: ad.Tensor, g_phi: FeedForward,
     norms = nu[:, None] * nt[None, :]
     cos = (u @ t.T) / norms
     logits = cos * (1.0 / tau)
-    top = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - top)
-    s = e.sum(axis=1, keepdims=True)
-    lse = (top + np.log(s))[:, 0]
+    lse, e, s = infonce_rows(logits)
     soft = e / s
     # the positives sum as a masked matrix, not a trace: the same pairwise sum
     value = (lse.sum() - (logits * np.eye(r, k)).sum()) * (1.0 / r)

@@ -85,6 +85,9 @@ MUTANTS = (
            "    bundle = build_run(config)\n"
            "    restore_params(bundle.detection_parameters(), stored, allow_extra=False)\n"
            "    return bundle\n"),
+    # the one InfoNCE, of QueryREPA and the lab, without its max shift added back
+    Mutant("infonce_lse_unshifted", "src/mocadet/queryrepa.py",
+           "return (top + np.log(s))[:, 0], e, s", "return np.log(s)[:, 0], e, s"),
     # the fused InfoNCE pullback without its positives' term
     Mutant("qra_pullback_no_diagonal", "src/mocadet/queryrepa.py",
            "        dz[np.arange(r), np.arange(r)] -= gr\n", ""),
@@ -125,10 +128,7 @@ MUTANTS = (
            "if spec.global_classes != bundle.config.dataset.global_classes:"),
     # the two failure branches of verify_bound
     Mutant("exact_cell_not_violated", "src/mocadet/milab.py",
-           "NCEEstimate(K, 0, exact_loss, exact_bound, 0.0),\n"
-           "                                               True))",
-           "NCEEstimate(K, 0, exact_loss, exact_bound, 0.0),\n"
-           "                                               False))"),
+           '"stderr": 0.0, "violated": True})', '"stderr": 0.0, "violated": False})'),
     Mutant("monotonicity_failure_dropped", "src/mocadet/milab.py",
            "                        mono_failures.append((ji, a.K, b.K, a.bound, b.bound))\n",
            "                        pass\n"),

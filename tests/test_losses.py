@@ -256,13 +256,6 @@ def test_cost_matrix_rejects_non_finite_entries():
             ls.build_cost_matrix(probs, boxes, [0], np.full((1, 4), 0.5), w)
 
 
-def test_cost_matrix_empty_targets():
-    w = ls.LossWeights()
-    cost = ls.build_cost_matrix(np.full((3, 2), 0.5), np.full((3, 4), 0.5), [], np.zeros((0, 4)), w)
-    assert cost.shape == (3, 0)
-    assert ls.hungarian(cost) == []
-
-
 # -- detection loss --------------------------------------------------------
 
 

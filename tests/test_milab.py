@@ -239,11 +239,10 @@ def test_cross_entropy_decomposition():
 def test_verify_bound_suite_passes():
     report = ml.verify_bound(ml.seeded_joint_suite(6, seed=5), Ks=(1, 3, 7),
                              n_samples=5000, seed=2)
-    assert report["passed"], report["violations"]
+    assert report["passed"], [c for c in report["cells"] if c["violated"]]
+    assert report["n_violations"] == 0 and report["n_cells"] == len(report["cells"]) == 36
     assert report["n_exact_cells"] > 0
     assert report["posterior_gap_max"] < 1e-10
-    js = ml.report_to_json(report)
-    assert js["n_violations"] == 0 and js["passed"]
 
 
 def test_cli_report_matches_the_pinned_digest(tmp_path):
@@ -266,10 +265,9 @@ def test_cli_mi_lab_flags_an_understated_mi_and_exits_2(capsys, monkeypatch):
     suite, K = ml.seeded_joint_suite(1, seed=0), 7
     assert suite[0].shape == (7, 7)
     cell = next(c for c in ml.verify_bound(suite, Ks=(K,), n_samples=2000, seed=0)["cells"]
-                if c.critic_kind == "optimal")
-    assert not cell.violated
-    monkeypatch.setattr(ml, "exact_mi",
-                        lambda joint: cell.estimate.bound - 10 * cell.estimate.stderr)
+                if c["critic"] == "optimal")
+    assert not cell["violated"]
+    monkeypatch.setattr(ml, "exact_mi", lambda joint: cell["bound"] - 10 * cell["stderr"])
     assert main(["mi-lab", "--n-joints", "1", "--K", str(K), "--samples", "2000",
                  "--seed", "0"]) == 2
     out = capsys.readouterr().out
@@ -285,9 +283,11 @@ def test_verify_bound_flags_an_mi_below_the_exact_bound(monkeypatch):
     exact = math.log(1 + K) - ml.exact_infonce(joint, ml.optimal_critic(joint), K)
     monkeypatch.setattr(ml, "exact_mi", lambda j: exact - 1e-8)
     report = ml.verify_bound([joint], Ks=(K,), n_samples=2000, seed=0)
-    flagged = [c for c in report["violations"] if c.critic_kind == "optimal-exact"]
-    assert [(c.K, c.estimate.bound) for c in flagged] == [(K, exact)]
-    assert report["n_exact_cells"] == 2 and not report["passed"]
+    flagged = [c for c in report["cells"] if c["critic"] == "optimal-exact"]
+    assert [(c["K"], c["bound"], c["stderr"], c["violated"]) for c in flagged] == \
+        [(K, exact, 0.0, True)]
+    assert report["n_exact_cells"] == 2 and report["n_violations"] == 1
+    assert not report["passed"]
 
 
 def test_cli_mi_lab_flags_falling_optimal_bounds_and_exits_2(capsys, monkeypatch):

@@ -9,6 +9,7 @@ from gradcheck import clear_grads, grad_check, weighted_sum
 from mocadet import autodiff as ad
 from mocadet import data as dt
 from mocadet import detector as det
+from mocadet import milab as ml
 from mocadet import optim as op
 from mocadet import queryrepa as qr
 from mocadet import tokens as tk
@@ -240,6 +241,30 @@ def test_qra_loss_of_a_batch_is_the_mean_of_its_rows_losses():
         assert abs(batch.item() - total) < 1e-12
         for want, t in zip(grads, means + tokens):
             assert np.allclose(want, t.grad, rtol=0, atol=1e-12)
+
+
+def test_qra_loss_is_the_loss_the_lab_certifies():
+    """QueryREPA trains the InfoNCE whose bound ``mi-lab`` certifies: on
+    seeded random (R, K) logits, the cosines of a random head's rows with
+    random tokens over tau, ``qra_loss`` is the mean of the lab's per-row
+    losses with row r's positive in slot r, to rtol 1e-14, and its bound
+    ln K - L stays at most ln K (ln B - L <= ln B on a B x B batch)."""
+    rng = np.random.default_rng(28)
+    for r, k in [(1, 1), (2, 2), (5, 5), (3, 7)]:
+        for _ in range(5):
+            head = det.FeedForward(6, 6, rng)
+            means, tokens = ad.constant(rng.normal(size=(r, 6))), rng.normal(size=(k, 6))
+            tau = float(rng.uniform(1e-3, 2.0))
+            with ad.no_grad():
+                loss = qr.qra_loss(means, ad.constant(tokens), head, tau).item()
+                u = head(means).data
+            # the cosines in qra_loss's own order of operations
+            nu, nt = np.sqrt((u ** 2).sum(axis=1)), np.sqrt((tokens ** 2).sum(axis=1))
+            logits = (u @ tokens.T) / (nu[:, None] * nt[None, :]) * (1.0 / tau)
+            rows = ml._losses_from_draws(ml.Critic(kind="qra", scores=logits), np.arange(r),
+                                         np.tile(np.arange(k), (r, 1)), np.arange(r))
+            assert loss == pytest.approx(rows.mean(), rel=1e-14, abs=0)
+            assert math.log(k) - loss <= math.log(k)
 
 
 def _tiny_setup(seed=0):

@@ -437,6 +437,29 @@ def test_cli_keeps_every_split_file_in_its_dataset_dir(tmp_path, capsys, split):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("change", [{"objects_range": [0, 0]},
+                                    {"counts": {"train": 12, "val": 0}}],
+                         ids=["no_objects", "no_images"])
+def test_cli_eval_of_a_split_without_ground_truth_prints_n_a_and_exits_0(tmp_path, capsys,
+                                                                        change):
+    doc = _tiny_doc(epochs=1)
+    bundle = build_run(RunConfig.from_json(doc))
+    ckpt = str(tmp_path / "model.ckpt")
+    save_checkpoint(ckpt, bundle.detection_parameters(), bundle.config.to_json(),
+                    phase="detection", step=0)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**doc["dataset"], **change}))
+    assert main(["gen-data", "--spec", str(spec_path), "--out", str(tmp_path / "d"),
+                 "--splits", "val"]) == 0
+    capsys.readouterr()
+    report, table = tmp_path / "report.json", tmp_path / "report.csv"
+    assert main(["eval", "--ckpt", ckpt, "--data", str(tmp_path / "d"),
+                 "--out", str(report), "--csv", str(table)]) == 0
+    assert capsys.readouterr().out == "eval[val]: AP=n/a AP50=n/a AP75=n/a\n"
+    assert json.loads(report.read_text())["ap"] is None
+    assert table.read_text().splitlines()[1].startswith(",,")
+
+
 def test_cli_eval_rejects_a_malformed_sample_record(tmp_path, capsys):
     doc = _tiny_doc(epochs=1)
     bundle = build_run(RunConfig.from_json(doc))
@@ -693,10 +716,13 @@ def test_cli_gen_data_checks_every_split_before_it_writes(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+# bool_entry and unknown_key would be valid 1x1 joints with the bool read as
+# 1.0 or the unknown key dropped
 @pytest.mark.parametrize("doc", [{"joints": 3}, {}, [1], {"joints": []},
-                                 {"joints": [[[0.5, "a"]]]}, {"joints": [[[0.5], [0.25, 0.25]]]}],
+                                 {"joints": [[[0.5, "a"]]]}, {"joints": [[[0.5], [0.25, 0.25]]]},
+                                 {"joints": [[[True]]]}, {"joints": [[[1.0]]], "typo": 1}],
                          ids=["not_a_list", "no_joints", "not_an_object", "empty",
-                              "non_numeric", "ragged"])
+                              "non_numeric", "ragged", "bool_entry", "unknown_key"])
 def test_cli_mi_lab_malformed_joints_file_exits_1(tmp_path, capsys, doc):
     path = tmp_path / "joints.json"
     path.write_text(json.dumps(doc))
