@@ -179,6 +179,37 @@ def param(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
+def stored_param(data: np.ndarray) -> Tensor:
+    """``param`` of ``data`` itself, a float64 array of at most 2 dims that
+    its reader has already checked to be finite: no copy, no second check."""
+    out = Tensor.__new__(Tensor)
+    out.data, out.node = data, Node(True)
+    return out
+
+
+class Drawn:
+    """The parameter source of a model drawn from ``rng``.
+
+    Every module takes its parameters from a source as it is built, in
+    ``parameters()`` order: ``uniform(bound, shape)`` in [-bound, bound),
+    ``normal(scale, shape)`` around 0 and ``constant(value, shape)``. This
+    one draws them from ``rng`` in that order; ``checkpoint.StoredArrays``
+    hands out a checkpoint's arrays instead.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+
+    def uniform(self, bound: float, shape: tuple) -> Tensor:
+        return param(self.rng.uniform(-bound, bound, size=shape))
+
+    def normal(self, scale: float, shape: tuple) -> Tensor:
+        return param(self.rng.normal(0.0, scale, size=shape))
+
+    def constant(self, value: float, shape: tuple) -> Tensor:
+        return param(np.full(shape, value))
+
+
 def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 

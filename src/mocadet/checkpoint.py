@@ -5,6 +5,12 @@ The header holds ``config`` (the run config echo), ``phase``, ``step``,
 shape, in blob order. The blob holds the parameters' values, rounded from
 the float64 they are in memory to float32, so identical bytes mean an
 identical model. A save replaces the file atomically.
+
+A stored model comes back one way: ``load_checkpoint`` reads the file into
+``{name: float64 array}`` and checks every value finite, and the modules
+are built from those arrays by ``StoredArrays``, each parameter holding its
+array itself. No zero model is made first and nothing is copied or checked
+a second time.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import os
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import CheckpointError
 from .fileio import CHECKPOINT, make_dirs
 
@@ -62,23 +69,46 @@ def load_checkpoint(path):
     return header, params
 
 
-def restore_params(named_params, stored: dict, *, allow_extra: bool = True) -> None:
-    """Copy stored arrays into live parameters, matching by name.
-
-    Every live parameter must be present with the right shape; extra stored
-    entries (e.g. a pretraining-only head) are ignored when ``allow_extra``.
+class StoredArrays:
+    """The parameter source (see ``autodiff.Drawn``) of a model built from a
+    checkpoint: it hands out the arrays of ``load_checkpoint``'s
+    ``{name: array}`` in table order, each as the parameter itself, with no
+    copy and no second finiteness check. Modules take their parameters in
+    ``parameters()`` order, so each array lands where it was saved from;
+    ``check_names`` confirms that once the model is built. A parameter whose
+    stored shape differs, or one the table runs out before, is a
+    CheckpointError.
     """
-    names = set()
-    for name, p in named_params:
-        if name not in stored:
-            raise CheckpointError(f"checkpoint is missing parameter {name!r}")
-        arr = stored[name]
-        if tuple(arr.shape) != tuple(p.data.shape):
-            raise CheckpointError(
-                f"parameter {name!r} shape {arr.shape} != live {p.data.shape}")
-        p.data[...] = arr
-        names.add(name)
-    if not allow_extra:
-        extra = set(stored) - names
-        if extra:
-            raise CheckpointError(f"unexpected checkpoint parameters: {sorted(extra)}")
+
+    def __init__(self, stored: dict):
+        self._items = list(stored.items())
+        self._taken = 0
+
+    def uniform(self, _how: float, shape: tuple) -> ad.Tensor:
+        """The next stored array, as the parameter of ``shape``; how a drawn
+        value would be spread, ``_how``, does not matter here."""
+        if self._taken == len(self._items):
+            raise CheckpointError(f"the checkpoint holds {len(self._items)} parameters, "
+                                  "and the model has more")
+        name, arr = self._items[self._taken]
+        if arr.shape != shape:
+            raise CheckpointError(f"stored parameter {name!r} has shape {arr.shape}, "
+                                  f"the model's parameter in its place {shape}")
+        self._taken += 1
+        return ad.stored_param(arr)
+
+    normal = constant = uniform
+
+    def check_names(self, named) -> list:
+        """The names of the arrays not handed out, once ``named``, the built
+        model's ``(name, parameter)`` list, is found to hold the arrays
+        handed out under their stored names, in order; else a CheckpointError
+        that names the first difference."""
+        taken = [name for name, _ in self._items[:self._taken]]
+        built = [name for name, _ in named]
+        if built != taken:
+            stored, wanted = next((t, b) for t, b in zip(taken + [None], built + [None])
+                                  if t != b)
+            raise CheckpointError(f"the checkpoint stores {stored!r} where the model "
+                                  f"has {wanted!r}")
+        return [name for name, _ in self._items[self._taken:]]

@@ -16,12 +16,13 @@ document within bounded memory, or bounds time.
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .data import DatasetSpec, make_default_spec
 from .detector import DetectorConfig
 from .errors import ValidationError
-from .fileio import SEED, Range, check_ranges, json_form, read_dataclass
+from .fileio import SEED, Range, check_ranges, json_form, read_dataclass, read_only
 from .losses import LossWeights
 
 
@@ -62,7 +63,8 @@ class QraConfig:
 @dataclass(frozen=True)
 class RunConfig:
     dataset: DatasetSpec = field(default_factory=make_default_spec)
-    model: dict[str, int] = field(default_factory=dict)  # DetectorConfig overrides
+    # DetectorConfig overrides, held as a read-only mapping whatever was passed
+    model: Mapping[str, int] = field(default_factory=dict)
     loss: LossWeights = field(default_factory=LossWeights)
     optim: OptimConfig = field(default_factory=OptimConfig)
     tokens: TokenConfig = field(default_factory=TokenConfig)
@@ -73,6 +75,7 @@ class RunConfig:
     eval_every: int = Range(1, 100_000).field(default=4)  # in epochs, as epochs is
 
     def __post_init__(self):
+        object.__setattr__(self, "model", read_only(self.model))
         self.validate()
 
     def validate(self) -> "RunConfig":

@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,7 @@ from . import autodiff as ad
 from .boxes import corner_iou
 from .errors import IngestError, ValidationError
 from .fileio import (DATASET_SPLIT, SEED, Range, check_ranges, json_form, make_dirs,
-                     read_dataclass)
+                     read_dataclass, read_only)
 from .tokens import TokenProjection, TokenRegistry, _fnv1a64
 
 
@@ -86,6 +87,7 @@ class ModalitySpec:
     texture_freq: float = Range(0, 512).field(default=2.0)
 
     def __post_init__(self):
+        object.__setattr__(self, "classes", read_only(self.classes))
         if not self.classes:
             raise ValidationError(f"modality {self.name!r}: classes must name at least one class")
 
@@ -101,10 +103,13 @@ def check_split_name(split: str) -> str:
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    modalities: list[ModalitySpec]
+    RANGES_CHECKED_WHEN_MADE = True  # see fileio.check_ranges
+
+    # each container held read-only (fileio.read_only), whatever was passed
+    modalities: tuple[ModalitySpec, ...]
     # images are held in memory: 4 MB each at 1024 px, 1.6 GB for 100,000 at 64 px
     image_size: int = Range(16, 1024).field(default=64)
-    counts: dict[str, int] = Range(0, 100_000).field(
+    counts: Mapping[str, int] = Range(0, 100_000).field(
         default_factory=lambda: {"train": 200, "val": 100})
     seed: int = SEED.field(default=0)
     # object extent in pixels (lo, hi), at most image_size
@@ -113,6 +118,8 @@ class DatasetSpec:
     objects_range: tuple[int, ...] = Range(0, 100).field(default=(1, 4))
 
     def __post_init__(self):
+        for name in ("modalities", "counts", "size_range", "objects_range"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
         if len(self.modalities) < 2:
             raise ValidationError("need at least 2 modalities")
         check_ranges(self, "dataset")  # the modalities' ranges too

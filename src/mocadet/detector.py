@@ -59,25 +59,24 @@ class DetectorConfig:
 
 
 class Linear(ad.Module):
-    """``x @ W + b``. Given ``rng``, W and b are drawn uniform in
-    [-1/sqrt(d_in), 1/sqrt(d_in)); without it they start as zeros, for a
-    model whose weights a checkpoint then fills. Every module here takes
-    ``rng`` the same way."""
+    """``x @ W + b``, W and b uniform in [-1/sqrt(d_in), 1/sqrt(d_in)) when
+    drawn. Every module here takes its parameters from ``init``, a parameter
+    source (``autodiff.Drawn`` or ``checkpoint.StoredArrays``), as it is
+    built."""
 
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator | None = None):
+    def __init__(self, d_in: int, d_out: int, init):
         s = 1.0 / math.sqrt(d_in)
-        self.W = ad.param(np.zeros((d_in, d_out)) if rng is None
-                          else rng.uniform(-s, s, size=(d_in, d_out)))
-        self.b = ad.param(np.zeros(d_out) if rng is None else rng.uniform(-s, s, size=d_out))
+        self.W = init.uniform(s, (d_in, d_out))
+        self.b = init.uniform(s, (d_out,))
 
     def __call__(self, x: ad.Tensor) -> ad.Tensor:
         return ad.linear(x, self.W, self.b)
 
 
 class LayerNorm(ad.Module):
-    def __init__(self, d: int):
-        self.gamma = ad.param(np.ones(d))
-        self.beta = ad.param(np.zeros(d))
+    def __init__(self, d: int, init):
+        self.gamma = init.constant(1.0, (d,))
+        self.beta = init.constant(0.0, (d,))
 
     def __call__(self, x: ad.Tensor) -> ad.Tensor:
         return ad.layernorm(x, self.gamma, self.beta)
@@ -86,12 +85,12 @@ class LayerNorm(ad.Module):
 class MultiHeadAttention(ad.Module):
     """Scaled dot-product attention over n_heads column blocks, output proj."""
 
-    def __init__(self, d_model: int, n_heads: int, rng: np.random.Generator | None = None):
+    def __init__(self, d_model: int, n_heads: int, init):
         self.d_model, self.n_heads = d_model, n_heads
-        self.wq = Linear(d_model, d_model, rng)
-        self.wk = Linear(d_model, d_model, rng)
-        self.wv = Linear(d_model, d_model, rng)
-        self.wo = Linear(d_model, d_model, rng)
+        self.wq = Linear(d_model, d_model, init)
+        self.wk = Linear(d_model, d_model, init)
+        self.wv = Linear(d_model, d_model, init)
+        self.wo = Linear(d_model, d_model, init)
 
     def attend(self, q_in: ad.Tensor, kv_in: ad.Tensor,
                extra_kv: ad.Tensor | None = None, segments: int = 1) -> ad.Tensor:
@@ -107,9 +106,9 @@ class MultiHeadAttention(ad.Module):
 
 
 class FeedForward(ad.Module):
-    def __init__(self, d_model: int, width: int, rng: np.random.Generator | None = None):
-        self.lin1 = Linear(d_model, width, rng)
-        self.lin2 = Linear(width, d_model, rng)
+    def __init__(self, d_model: int, width: int, init):
+        self.lin1 = Linear(d_model, width, init)
+        self.lin2 = Linear(width, d_model, init)
 
     def __call__(self, x: ad.Tensor) -> ad.Tensor:
         return self.lin2(ad.relu(self.lin1(x)))
@@ -133,11 +132,11 @@ def sinusoidal_positions_2d(n_rows: int, n_cols: int, d_model: int) -> np.ndarra
 
 
 class EncoderLayer(ad.Module):
-    def __init__(self, cfg: DetectorConfig, rng: np.random.Generator | None = None):
-        self.attn = MultiHeadAttention(cfg.d_model, cfg.n_heads, rng)
-        self.ffn = FeedForward(cfg.d_model, cfg.ffn_width, rng)
-        self.ln1 = LayerNorm(cfg.d_model)
-        self.ln2 = LayerNorm(cfg.d_model)
+    def __init__(self, cfg: DetectorConfig, init):
+        self.attn = MultiHeadAttention(cfg.d_model, cfg.n_heads, init)
+        self.ffn = FeedForward(cfg.d_model, cfg.ffn_width, init)
+        self.ln1 = LayerNorm(cfg.d_model, init)
+        self.ln2 = LayerNorm(cfg.d_model, init)
 
     def __call__(self, x: ad.Tensor, segments: int = 1) -> ad.Tensor:
         x = self.ln1(ad.add(x, self.attn.attend(x, x, segments=segments)))
@@ -145,13 +144,13 @@ class EncoderLayer(ad.Module):
 
 
 class DecoderLayer(ad.Module):
-    def __init__(self, cfg: DetectorConfig, rng: np.random.Generator | None = None):
-        self.self_attn = MultiHeadAttention(cfg.d_model, cfg.n_heads, rng)
-        self.cross_attn = MultiHeadAttention(cfg.d_model, cfg.n_heads, rng)
-        self.ffn = FeedForward(cfg.d_model, cfg.ffn_width, rng)
-        self.ln1 = LayerNorm(cfg.d_model)
-        self.ln2 = LayerNorm(cfg.d_model)
-        self.ln3 = LayerNorm(cfg.d_model)
+    def __init__(self, cfg: DetectorConfig, init):
+        self.self_attn = MultiHeadAttention(cfg.d_model, cfg.n_heads, init)
+        self.cross_attn = MultiHeadAttention(cfg.d_model, cfg.n_heads, init)
+        self.ffn = FeedForward(cfg.d_model, cfg.ffn_width, init)
+        self.ln1 = LayerNorm(cfg.d_model, init)
+        self.ln2 = LayerNorm(cfg.d_model, init)
+        self.ln3 = LayerNorm(cfg.d_model, init)
 
     def __call__(self, queries: ad.Tensor, memory: ad.Tensor, query_pos: ad.Tensor,
                  token_rows: ad.Tensor | None, segments: int = 1) -> ad.Tensor:
@@ -180,23 +179,20 @@ class DetectorOutput:
 
 
 class Detector(ad.Module):
-    def __init__(self, config: DetectorConfig, rng: np.random.Generator | None = None):
-        """The model of ``config``, its weights drawn from ``rng`` in a fixed
-        order, or all zeros but the layer norms' without it (see ``Linear``)."""
+    def __init__(self, config: DetectorConfig, init):
+        """The model of ``config``, its parameters taken from ``init`` in
+        ``parameters()`` order (see ``Linear``)."""
         self.config = cfg = config
         d = cfg.d_model
-        self.patch_proj = Linear(cfg.patch_size * cfg.patch_size, d, rng)
-        self.encoder = [EncoderLayer(cfg, rng) for _ in range(cfg.n_encoder_layers)]
-        queries = (cfg.n_queries, d)
-        self.query_embed = ad.param(np.zeros(queries) if rng is None
-                                    else rng.normal(0.0, 0.5, size=queries))
-        self.query_pos = ad.param(np.zeros(queries) if rng is None
-                                  else rng.normal(0.0, 0.5, size=queries))
-        self.token_proj = Linear(d, d, rng)  # projects the modality token into query space
-        self.decoder = [DecoderLayer(cfg, rng) for _ in range(cfg.n_decoder_layers)]
-        self.cls_head = Linear(d, cfg.n_classes, rng)
-        self.box_hidden = Linear(d, d, rng)
-        self.box_out = Linear(d, 4, rng)
+        self.patch_proj = Linear(cfg.patch_size * cfg.patch_size, d, init)
+        self.encoder = [EncoderLayer(cfg, init) for _ in range(cfg.n_encoder_layers)]
+        self.query_embed = init.normal(0.5, (cfg.n_queries, d))
+        self.query_pos = init.normal(0.5, (cfg.n_queries, d))
+        self.token_proj = Linear(d, d, init)  # projects the modality token into query space
+        self.decoder = [DecoderLayer(cfg, init) for _ in range(cfg.n_decoder_layers)]
+        self.cls_head = Linear(d, cfg.n_classes, init)
+        self.box_hidden = Linear(d, d, init)
+        self.box_out = Linear(d, 4, init)
 
     # -- forward ----------------------------------------------------------
     def encode(self, images: np.ndarray) -> ad.Tensor:

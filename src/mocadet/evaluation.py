@@ -9,10 +9,16 @@ any order; ``ap_report`` orders them itself.
 Protocol notes (declared here because "standard" hides many choices):
   * thresholds .50:.05:.95; AP is the mean over thresholds and classes of
     per-class 101-point interpolated AP;
-  * AP is computed column-wise: one call takes the (detections, thresholds)
-    flag matrix of a class and returns the AP of all ten thresholds, and
-    the 101 interpolated precisions are summed in sequence, in recall
-    order, so every value equals that of a one-threshold loop bit for bit;
+  * AP is computed from the true-positive rows alone, every column of a
+    report in one call: each (class, area range) and each (class,
+    modality) flag matrix, of ten threshold columns. This is bit for bit
+    the AP of the whole ranking: a false positive only lowers precision,
+    as fl(i / (i + f)) falls as f grows, and an ignored row repeats the
+    row before it, so the envelope at a recall point is the largest
+    tp / (tp + fp) over the TP rows from the first whose recall reaches
+    the point, the same float operations on the same counts. The 101
+    interpolated precisions are summed in sequence, in recall order, so
+    every value equals that of a one-threshold scalar loop bit for bit;
   * within an image, detections rank by descending score, ties broken by
     record order in the array, and at most 100 per image are kept;
   * per class, detections pool across images sorted by descending score,
@@ -55,32 +61,55 @@ DETECTION = np.dtype([("image", np.int64), ("class_id", np.int64),
 _RECALL_PTS = np.linspace(0.0, 1.0, 101) - 1e-12
 
 
-def average_precision(cols: np.ndarray, n_gt: int):
+def average_precision(cols, n_gt):
     """101-point interpolated AP from score-ranked flags: 1 TP, 0 FP, -1
     ignored (dropped from the ranking).
 
-    ``cols`` is a (D, T) flag matrix; the result is the list of the T
-    columns' APs. Returns None when there is no eligible ground truth
-    (excluded from averages); a column with no kept row gives 0.0.
+    ``cols`` is a (D, T) flag matrix whose T columns share ``n_gt`` eligible
+    truths; the result is the list of the T columns' APs, or None when
+    ``n_gt`` is 0 (excluded from averages). A column with no kept row gives
+    0.0. ``cols`` may also be a list of such matrices, each with its own D
+    and T, with ``n_gt`` the list of their counts: the result is then the
+    list of their results, all scored in one pass.
     """
-    if n_gt == 0:
-        return None
-    # cumsums over all rows equal those of the kept rows at every kept row, and
-    # an ignored row repeats the tp and fp of the row before it (0/0 -> 0 at the top)
-    tp = np.cumsum(cols == 1, axis=0)
-    fp = np.cumsum(cols == 0, axis=0)
-    recall = tp / n_gt
-    precision = tp / np.maximum(tp + fp, 1e-12)
-    # precision envelope (monotone non-increasing from the right), plus a
-    # zero row for recall points past the last detection
-    envelope = np.maximum.accumulate(precision[::-1], axis=0)[::-1]
-    envelope = np.concatenate([envelope, np.zeros((1, cols.shape[1]))])
-    idx = np.stack([np.searchsorted(recall[:, t], _RECALL_PTS, side="left")
-                    for t in range(cols.shape[1])], axis=1)
-    picked = envelope[idx, np.arange(cols.shape[1])]
+    single = isinstance(cols, np.ndarray)
+    if single:
+        cols, n_gt = [cols], [n_gt]
+    widths = [m.shape[1] for m in cols]
+    counts = np.repeat(np.asarray(n_gt, dtype=np.int64), widths)
+    # every column's rows in one flat run, column by column: column c is
+    # flat[starts[c]:starts[c + 1]]
+    flat = np.concatenate([m.T.ravel() for m in cols])
+    starts = np.concatenate([[0], np.cumsum(np.repeat([m.shape[0] for m in cols], widths))])
+    # the TP and ignored rows, in column then rank order; the FP rows above
+    # one are its rank in its column less its rank among these rows
+    at = np.flatnonzero(flat)
+    col = np.searchsorted(starts, at, side="right") - 1
+    first = np.searchsorted(at, starts[:-1])[col]
+    fp = at - starts[col] - (np.arange(at.size) - first)
+    is_tp = flat[at] == 1
+    through = np.concatenate([[0], np.cumsum(is_tp)])
+    tp = through[1:] - through[first]
+    rows = is_tp & (counts[col] > 0)
+    col, tp, fp = col[rows], tp[rows], fp[rows]
+    precision = tp / (tp + fp)
+    # a TP row reaches the recall points at or below its recall; the
+    # envelope at point p is the best precision of the rows that reach past p
+    reached = np.searchsorted(_RECALL_PTS, tp / counts[col], side="right")
+    # only the columns with a TP row need the table: the others score 0.0
+    live, slot = np.unique(col, return_inverse=True)
+    best = np.zeros((_RECALL_PTS.size + 1, live.size))
+    np.maximum.at(best, (reached, slot), precision)
+    envelope = np.maximum.accumulate(best[:0:-1], axis=0)[::-1]
+    ap = np.zeros(counts.size)
     # cumsum adds in sequence; np.sum would add pairwise and round differently
-    ap = np.cumsum(picked, axis=0)[-1] / 101.0
-    return ap.tolist()
+    ap[live] = np.cumsum(envelope, axis=0)[-1] / 101.0
+    ap = ap.tolist()
+    out, c = [], 0
+    for count, width in zip(n_gt, widths):
+        out.append(None if count == 0 else ap[c:c + width])
+        c += width
+    return out[0] if single else out
 
 
 @dataclass
@@ -212,20 +241,24 @@ def ap_report(detections, samples, n_classes: int, modality_names,
     flags, pooled = flags[pool], dets[pool]
     bounds = np.searchsorted(pooled["class_id"], np.arange(n_classes + 1))
 
-    def class_ap(f, count):
-        ap = average_precision(f, count)
-        return [None] * n_thr if ap is None else ap
-
-    area_ap, modality_ap = {}, {}
+    # score every (class, area range) and every (class, modality) in one call;
+    # a class's modality column keeps the rows of its modality's images
     modality = np.array([s.modality_id for s in samples], dtype=np.int64)
-    in_modality = modality[gt_image] == np.asarray(class_modality, dtype=np.int64)[gt_class]
-    n_gt_modality = np.bincount(gt_class[in_modality], minlength=n_classes)
+    class_modality = np.asarray(class_modality, dtype=np.int64)
+    mine = modality[pooled["image"]] == class_modality[pooled["class_id"]]
+    n_gt_modality = np.bincount(gt_class[modality[gt_image] == class_modality[gt_class]],
+                                minlength=n_classes)
+    cols, counts = [], []
     for c in range(n_classes):
-        f = flags[bounds[c]:bounds[c + 1]]
+        rows = slice(bounds[c], bounds[c + 1])
+        cols += [flags[rows, k] for k in range(len(AREA_RANGES))] + [flags[rows, 0][mine[rows]]]
+        counts += [*n_gt[c], n_gt_modality[c]]
+    scored = iter(average_precision(cols, counts))
+    area_ap, modality_ap = {}, {}
+    for c in range(n_classes):
         for k in range(len(AREA_RANGES)):
-            area_ap[k, c] = class_ap(f[:, k], n_gt[c, k])
-        mine = modality[pooled["image"][bounds[c]:bounds[c + 1]]] == class_modality[c]
-        modality_ap[c] = class_ap(f[mine, 0], n_gt_modality[c])
+            area_ap[k, c] = next(scored) or [None] * n_thr
+        modality_ap[c] = next(scored) or [None] * n_thr
 
     classes = range(n_classes)
     t50, t75 = COCO_THRESHOLDS.index(0.5), COCO_THRESHOLDS.index(0.75)

@@ -34,6 +34,7 @@ import os
 import secrets
 import types
 import typing
+from collections.abc import Mapping
 from contextlib import contextmanager
 
 import numpy as np
@@ -150,7 +151,8 @@ def read_dataclass(cls, doc, where: str):
     """``cls`` built from the JSON object ``doc``, which ``where`` names.
 
     It reads dataclasses, ``bool``, ``int``, ``float``, ``str``, ``X | None``,
-    ``list[X]``, ``tuple[X, ...]`` and ``dict[str, X]``."""
+    ``list[X]``, ``tuple[X, ...]`` and ``dict[str, X]`` or ``Mapping[str, X]``
+    (both read as a dict)."""
     if not isinstance(doc, dict):
         raise ValidationError(f"{where} must be an object, got {doc!r}")
     hints = _hints(cls)
@@ -175,7 +177,7 @@ def _read(tp, value, where: str):
             raise ValidationError(f"{where} must be a list, got {value!r}")
         out = [_read(args[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
         return out if origin is list else tuple(out)
-    if origin is dict:
+    if origin in (dict, Mapping):
         if not isinstance(value, dict):
             raise ValidationError(f"{where} must be an object, got {value!r}")
         return {k: _read(args[1], v, f"{where}.{k}") for k, v in value.items()}
@@ -220,29 +222,45 @@ SEED = Range(0, 2**64, hi_open=True)  # what every seeded generator here takes
 
 def check_ranges(obj, where: str) -> None:
     """Checks each range the fields of ``obj``, a config dataclass that
-    ``where`` names, declare (on a dict's values, a tuple's items), and so in
-    each dataclass it holds: ``config.loss.alpha must be in [0, 1], got 2.0``."""
+    ``where`` names, declare (on a mapping's values, a tuple's items), and so
+    in each config it holds, unless that config's class sets
+    ``RANGES_CHECKED_WHEN_MADE``: it checked its own when it was made.
+    ``config.loss.alpha must be in [0, 1], got 2.0``."""
     for f in dataclasses.fields(obj):
         value, interval = getattr(obj, f.name), f.metadata.get("range")
-        if interval is None and not isinstance(value, list) and \
+        if interval is None and not isinstance(value, tuple) and \
                 not dataclasses.is_dataclass(value):
             continue  # nothing to check, such as a name
         name = f"{where}.{f.name}"
-        if isinstance(value, dict):
+        if isinstance(value, Mapping):
             entries = [(f"{name}.{k}", v) for k, v in value.items()]
-        elif isinstance(value, (tuple, list)):
+        elif isinstance(value, tuple):
             entries = [(f"{name}[{i}]", v) for i, v in enumerate(value)]
         else:
             entries = [] if value is None else [(name, value)]
         for key, v in entries:
             if interval is not None:
                 interval.check(v, key)
-            elif dataclasses.is_dataclass(v):
+            elif dataclasses.is_dataclass(v) and not getattr(v, "RANGES_CHECKED_WHEN_MADE", False):
                 check_ranges(v, key)
 
 
-def json_form(obj) -> dict:
-    """A config dataclass as JSON-ready data: ``dataclasses.asdict`` with
-    tuples as lists, the form ``read_dataclass`` reads back."""
-    return dataclasses.asdict(obj, dict_factory=lambda items: {
-        k: list(v) if isinstance(v, tuple) else v for k, v in items})
+def read_only(container):
+    """A read-only copy of a config's container: a mapping as a
+    ``MappingProxyType``, a list or tuple as a tuple."""
+    if isinstance(container, Mapping):
+        return types.MappingProxyType(dict(container))
+    return tuple(container)
+
+
+def json_form(obj):
+    """A config dataclass as JSON-ready data, the form ``read_dataclass``
+    reads back: each config as an object of its fields, a mapping as an
+    object, a tuple or list as a list."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: json_form(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, Mapping):
+        return {k: json_form(v) for k, v in obj.items()}
+    if isinstance(obj, (tuple, list)):
+        return [json_form(v) for v in obj]
+    return obj

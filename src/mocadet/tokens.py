@@ -226,15 +226,14 @@ def load_registry(path) -> TokenRegistry:
 
 class TokenProjection(ad.Module):
     """Learnable linear map from text space to the detector's model space;
-    its one parameter is ``token_projection.W``, drawn from ``rng``, or zeros
-    without it (for weights a checkpoint then fills)."""
+    its one parameter is ``token_projection.W``, taken from ``init``, a
+    parameter source (``autodiff.Drawn`` draws it uniform in
+    [-1/sqrt(d_text), 1/sqrt(d_text)))."""
 
     prefix = "token_projection"
 
-    def __init__(self, d_model: int, d_text: int, rng: np.random.Generator | None = None):
-        scale = 1.0 / math.sqrt(d_text)
-        self.W = ad.param(np.zeros((d_model, d_text)) if rng is None
-                          else rng.uniform(-scale, scale, size=(d_model, d_text)))
+    def __init__(self, d_model: int, d_text: int, init):
+        self.W = init.uniform(1.0 / math.sqrt(d_text), (d_model, d_text))
 
     @property
     def d_text(self) -> int:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import load_checkpoint, restore_params, save_checkpoint
+from .checkpoint import StoredArrays, load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .data import ModalityBatchSampler, attach_token, generate_synthetic
 from .detector import Detector, DetectorOutput, FeedForward
@@ -63,7 +63,8 @@ class RunBundle:
     val_samples: list
     registry: object
     model: Detector
-    projection: TokenProjection
+    # None in a run without MoCA built from a detection checkpoint, which stores none
+    projection: TokenProjection | None
 
     @property
     def n_classes(self) -> int:
@@ -123,9 +124,12 @@ def build_run(config: RunConfig, weights: dict | None = None) -> RunBundle:
 
     Without ``weights`` the model and the projection draw their initial
     values from the run's seed. ``weights`` is a detection checkpoint's
-    ``{name: array}``: nothing is drawn, the modules start as zeros, and
-    ``restore_params`` fills the run's detection parameters from it, so a
-    missing name, a wrong shape or an extra entry is a CheckpointError.
+    ``{name: array}``, as ``load_checkpoint`` read and checked it: nothing
+    is drawn, and the modules are built from it (``StoredArrays``), each
+    detection parameter holding the stored array itself. Any other table
+    than the run's detection parameters, in order, is a CheckpointError: a
+    missing, extra, renamed, reordered or reshaped entry. A run without
+    MoCA then has no projection.
 
     Every run starts here, so this first sets the process's allocator policy
     (``_keep_freed_heap``): on glibc, memory freed by one step is reused by
@@ -144,16 +148,20 @@ def build_run(config: RunConfig, weights: dict | None = None) -> RunBundle:
         for pair in spec.token_pairs():
             registry.embedding(*pair)  # fail loudly on undeclared pairs
 
-    def rng(tag):
-        return None if weights is not None else np.random.default_rng(
-            np.random.SeedSequence([config.seed, tag]))
-
-    model = Detector(config.detector_config, rng(_SS_MODEL))
-    projection = TokenProjection(model.config.d_model, registry.d_text, rng(_SS_PROJ))
+    if weights is None:
+        model_init, projection_init = (ad.Drawn(np.random.default_rng(
+            np.random.SeedSequence([config.seed, tag]))) for tag in (_SS_MODEL, _SS_PROJ))
+    else:
+        model_init = projection_init = StoredArrays(weights)
+    model = Detector(config.detector_config, model_init)
+    projection = (TokenProjection(model.config.d_model, registry.d_text, projection_init)
+                  if weights is None or config.moca else None)
     bundle = RunBundle(config=config, train_samples=train_samples, val_samples=val_samples,
                        registry=registry, model=model, projection=projection)
     if weights is not None:
-        restore_params(bundle.detection_parameters(), weights, allow_extra=False)
+        extra = model_init.check_names(bundle.detection_parameters())
+        if extra:
+            raise CheckpointError(f"unexpected checkpoint parameters: {extra}")
     return bundle
 
 
@@ -210,7 +218,8 @@ def run_pretrain(config: RunConfig, out_dir: str) -> dict:
     """Alignment-only pretraining; no detection loss is ever computed."""
     bundle = build_run(config)
     d = bundle.model.config.d_model
-    gphi = FeedForward(d, d, np.random.default_rng(np.random.SeedSequence([config.seed, _SS_GPHI])))
+    gphi = FeedForward(d, d, ad.Drawn(np.random.default_rng(
+        np.random.SeedSequence([config.seed, _SS_GPHI]))))
     named = (bundle.model.parameters() + bundle.projection.parameters()
              + gphi.parameters("gphi"))
     optimizer = AdamW(named, lr=config.qra.lr, weight_decay=config.optim.weight_decay)
@@ -233,11 +242,13 @@ def run_pretrain(config: RunConfig, out_dir: str) -> dict:
 
 
 def load_pretrained(bundle: RunBundle, ckpt_path: str) -> None:
-    """Restore detector + token projection from a pretraining checkpoint.
+    """Rebuild the bundle's detector and token projection from a pretraining
+    checkpoint's arrays, as ``build_run`` builds a detection checkpoint's.
 
-    The alignment head is deliberately dropped: it exists only for the
-    contrastive stage. The stored run must have the same dataset, tokens and
-    resolved model, however its ``model`` section spells it.
+    The alignment head, stored after them, is deliberately dropped: it
+    exists only for the contrastive stage. The stored run must have the same
+    dataset, tokens and resolved model, however its ``model`` section
+    spells it.
     """
     stored_config, stored = _read_checkpoint(ckpt_path, "pretrain")
     for section, attr in (("model", "detector_config"), ("dataset", "dataset"),
@@ -245,8 +256,11 @@ def load_pretrained(bundle: RunBundle, ckpt_path: str) -> None:
         if getattr(stored_config, attr) != getattr(bundle.config, attr):
             raise CheckpointError(
                 f"checkpoint config section {section!r} does not match the run config")
-    restore_params(bundle.model.parameters() + bundle.projection.parameters(),
-                   stored, allow_extra=True)
+    source = StoredArrays(stored)
+    bundle.model = Detector(bundle.config.detector_config, source)
+    bundle.projection = TokenProjection(bundle.model.config.d_model, bundle.registry.d_text,
+                                        source)
+    source.check_names(bundle.model.parameters() + bundle.projection.parameters())
 
 
 def evaluate(bundle: RunBundle, samples):
@@ -330,8 +344,8 @@ def run_train(config: RunConfig, out_dir: str, from_pretrain: str | None = None)
 
 
 def load_detector_for_eval(ckpt_path: str) -> RunBundle:
-    """The bundle of a detection checkpoint: its stored config, and its
-    weights loaded as ``build_run(config, weights)`` builds them, with no
-    random draw. ``evaluate`` then forwards ``INFERENCE_BATCH`` images at a
-    time."""
+    """The bundle of a detection checkpoint: its stored config, and a model
+    that ``build_run(config, weights)`` builds from the stored arrays
+    themselves, with no random draw, no zero model and no copy.
+    ``evaluate`` then forwards ``INFERENCE_BATCH`` images at a time."""
     return build_run(*_read_checkpoint(ckpt_path, "detection"))

@@ -55,11 +55,21 @@ MUTANTS = (
     # ``precision[cols == -1] = 0.0`` in ``average_precision``, was
     # equivalent: on 100,000 random flag matrices every AP stayed bit-identical
     # without it. The line is deleted; this mutant puts the nearest
-    # non-equivalent form back, an ignored row at full precision.
+    # non-equivalent form back, an ignored row at full precision, here by
+    # letting the ignored rows into the TP rows the envelope is built from.
     Mutant("ignored_row_full_precision", "src/mocadet/evaluation.py",
-           "    precision = tp / np.maximum(tp + fp, 1e-12)\n",
-           "    precision = tp / np.maximum(tp + fp, 1e-12)\n"
-           "    precision[cols == -1] = 1.0\n"),
+           "    rows = is_tp & (counts[col] > 0)\n"
+           "    col, tp, fp = col[rows], tp[rows], fp[rows]\n"
+           "    precision = tp / (tp + fp)\n",
+           "    rows = counts[col] > 0\n"
+           "    col, tp, fp = col[rows], tp[rows], fp[rows]\n"
+           "    precision = np.where(is_tp[rows], tp / np.maximum(tp + fp, 1), 1.0)\n"),
+    # the envelope without its suffix maximum: each recall point takes the
+    # precision of the TP rows that reach it and no later point, not the
+    # best precision of every row that reaches it
+    Mutant("ap_envelope_no_suffix_max", "src/mocadet/evaluation.py",
+           "envelope = np.maximum.accumulate(best[:0:-1], axis=0)[::-1]",
+           "envelope = best[1:]"),
     Mutant("sampler_reversed_subset", "src/mocadet/data.py",
            "[:self.batch_size].tolist())\n",
            "[:self.batch_size].tolist())[::-1]\n"),
@@ -79,12 +89,18 @@ MUTANTS = (
            "            batch = samples[start:start + INFERENCE_BATCH]\n",
            "        for start in range(0, len(samples), bundle.config.batch_size):\n"
            "            batch = samples[start:start + bundle.config.batch_size]\n"),
+    # eval back on a drawn model that the stored values are copied into
     Mutant("eval_weights_drawn", "src/mocadet/train.py",
            '    return build_run(*_read_checkpoint(ckpt_path, "detection"))\n',
            '    config, stored = _read_checkpoint(ckpt_path, "detection")\n'
            "    bundle = build_run(config)\n"
-           "    restore_params(bundle.detection_parameters(), stored, allow_extra=False)\n"
+           "    for name, p in bundle.detection_parameters():\n"
+           "        p.data[...] = stored[name]\n"
            "    return bundle\n"),
+    # a model built from a checkpoint whose names are never compared with
+    # the model's
+    Mutant("stored_names_unchecked", "src/mocadet/checkpoint.py",
+           "        if built != taken:\n", "        if False:\n"),
     # the one InfoNCE, of QueryREPA and the lab, without its max shift added back
     Mutant("infonce_lse_unshifted", "src/mocadet/queryrepa.py",
            "return (top + np.log(s))[:, 0], e, s", "return np.log(s)[:, 0], e, s"),

@@ -305,7 +305,7 @@ def _build_case(name, rng):
         weights = ls.LossWeights(w_l1=float(rng.uniform(0.5, 5)), w_giou=float(rng.uniform(0.5, 5)))
         return (lambda: ls._box_node(boxes, rows, truth, row_weight, weights)), [boxes]
     if name == "node_token_rows":
-        proj = tk.TokenProjection(4, 5, rng)
+        proj = tk.TokenProjection(4, 5, ad.Drawn(rng))
         raw = rng.normal(size=(3, 5))
         w = rng.normal(size=(3, 4))
         return (lambda: weighted_sum(proj.rows(raw), w)), [proj.W]
@@ -321,7 +321,7 @@ def _build_case(name, rng):
         # R = K, or R < K; the gradient reaches the head's weights as well
         k = 4
         r = k if name == "node_qra_loss" else 2
-        head = det.FeedForward(5, 5, rng)
+        head = det.FeedForward(5, 5, ad.Drawn(rng))
         means = ad.param(rng.normal(size=(r, 5)))
         tokens = ad.param(rng.normal(size=(k, 5)))
         tau = float(rng.uniform(0.05, 1.0))
@@ -339,7 +339,8 @@ OP_NAMES = ["linear", "attention", "attention_extra_row",
 
 # public functions of autodiff that build no op node: leaf constructors,
 # the recording switches, backward and the numpy sigmoid
-_NOT_OPS = {"param", "constant", "grad_enabled", "active_tape", "backward", "expit"}
+_NOT_OPS = {"param", "stored_param", "constant", "grad_enabled", "active_tape", "backward",
+            "expit"}
 
 
 def test_every_node_building_function_has_a_grad_check_case():

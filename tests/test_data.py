@@ -492,7 +492,7 @@ def test_sampler_deterministic():
 def test_attach_token_modes():
     spec = _tiny_spec()
     registry = tk.build_registry(spec.token_pairs(), d_text=8, seed64=1)
-    proj = tk.TokenProjection(6, 8, np.random.default_rng(0))
+    proj = tk.TokenProjection(6, 8, ad.Drawn(np.random.default_rng(0)))
     samples = dt.generate_synthetic(spec, "train")
     s = samples[0]
     assert len(s.annotations) == 1

@@ -78,9 +78,9 @@ gphi.lin1.W gphi.lin1.b gphi.lin2.W gphi.lin2.b
 
 
 def test_parameter_names_and_order_are_pinned():
-    model = det.Detector(_cfg(n_encoder_layers=1), np.random.default_rng(0))
-    proj = tk.TokenProjection(8, 6, np.random.default_rng(1))
-    gphi = det.FeedForward(8, 8, np.random.default_rng(2))
+    model = det.Detector(_cfg(n_encoder_layers=1), ad.Drawn(np.random.default_rng(0)))
+    proj = tk.TokenProjection(8, 6, ad.Drawn(np.random.default_rng(1)))
+    gphi = det.FeedForward(8, 8, ad.Drawn(np.random.default_rng(2)))
     named = model.parameters() + proj.parameters() + gphi.parameters("gphi")
     assert [name for name, _ in named] == _PARAMETER_NAMES
     params = dict(named)
@@ -93,7 +93,7 @@ def test_parameter_names_and_order_are_pinned():
 
 
 def test_patch_count():
-    model = det.Detector(_cfg(patch_size=8, d_model=8), np.random.default_rng(0))
+    model = det.Detector(_cfg(patch_size=8, d_model=8), ad.Drawn(np.random.default_rng(0)))
     with ad.no_grad():
         memory = model.encode(np.zeros((32, 32)))
     assert memory.shape == (16, 8)
@@ -102,7 +102,7 @@ def test_patch_count():
 
 
 def test_zero_image_zero_bias_memory_equals_positions():
-    model = det.Detector(_cfg(), np.random.default_rng(0))
+    model = det.Detector(_cfg(), ad.Drawn(np.random.default_rng(0)))
     model.patch_proj.b.data[:] = 0.0
     with ad.no_grad():
         memory = model.encode(np.zeros((16, 16)))
@@ -122,7 +122,7 @@ def test_uniform_attention_is_row_mean_per_head():
     # W_Q = W_K = 0 forces uniform attention; with W_o = identity the output
     # per head must be the mean of that head's value rows (hand oracle, N=2)
     rng = np.random.default_rng(2)
-    mha = det.MultiHeadAttention(8, 2, rng)
+    mha = det.MultiHeadAttention(8, 2, ad.Drawn(rng))
     mha.wq.W.data[:] = 0.0
     mha.wq.b.data[:] = 0.0
     mha.wk.W.data[:] = 0.0
@@ -143,7 +143,7 @@ def test_forward_shapes_ranges_and_determinism():
     token = np.random.default_rng(4).normal(size=(1, 8))
 
     def build_and_run():
-        model = det.Detector(cfg, np.random.default_rng(42))
+        model = det.Detector(cfg, ad.Drawn(np.random.default_rng(42)))
         with ad.no_grad():
             return model.forward(image, ad.constant(token))
 
@@ -163,7 +163,7 @@ def test_masked_token_column_bitwise_equals_disabled_20_seeds():
     cfg = _cfg()
     for seed in range(20):
         rng = np.random.default_rng(100 + seed)
-        model = det.Detector(cfg, np.random.default_rng(seed))
+        model = det.Detector(cfg, ad.Drawn(np.random.default_rng(seed)))
         image = rng.uniform(0, 1, size=(16, 16))
         token = ad.constant(rng.normal(size=(1, cfg.d_model)))
         with ad.no_grad():
@@ -181,7 +181,7 @@ def test_masked_token_column_bitwise_equals_disabled_20_seeds():
 def test_masked_token_column_bitwise_equals_disabled_batch_of_3():
     cfg = _cfg(n_encoder_layers=1)
     rng = np.random.default_rng(5)
-    model = det.Detector(cfg, np.random.default_rng(6))
+    model = det.Detector(cfg, ad.Drawn(np.random.default_rng(6)))
     images = rng.uniform(0, 1, size=(3, 16, 16))
     tokens = ad.constant(rng.normal(size=(3, cfg.d_model)))
     with ad.no_grad():
@@ -202,7 +202,7 @@ def test_batched_forward_equals_per_image_forwards(n_images):
     # against B single-image forwards; outputs and parameter gradients
     cfg = _cfg(n_encoder_layers=1)
     rng = np.random.default_rng(20 + n_images)
-    model = det.Detector(cfg, np.random.default_rng(21))
+    model = det.Detector(cfg, ad.Drawn(np.random.default_rng(21)))
     images = rng.uniform(0, 1, size=(n_images, 16, 12))
     tokens = [ad.param(rng.normal(size=(1, cfg.d_model))) for _ in range(n_images)]
     w = rng.normal(size=(n_images, cfg.n_queries, cfg.n_classes + 4 + cfg.d_model))
@@ -239,7 +239,7 @@ def test_batched_forward_equals_per_image_forwards(n_images):
 
 
 def test_encode_rejects_bad_stacks():
-    model = det.Detector(_cfg(), np.random.default_rng(0))
+    model = det.Detector(_cfg(), ad.Drawn(np.random.default_rng(0)))
     with pytest.raises(ShapeError), ad.no_grad():
         model.encode(np.zeros((0, 16, 16)))
     with pytest.raises(ShapeError), ad.no_grad():
@@ -254,7 +254,7 @@ def test_encode_rejects_bad_stacks():
 
 def test_token_perturbation_changes_outputs():
     cfg = _cfg()
-    model = det.Detector(cfg, np.random.default_rng(7))
+    model = det.Detector(cfg, ad.Drawn(np.random.default_rng(7)))
     image = np.random.default_rng(8).uniform(0, 1, size=(16, 16))
     token = np.random.default_rng(9).normal(size=(1, cfg.d_model))
     with ad.no_grad():
@@ -271,7 +271,7 @@ def test_token_perturbation_changes_outputs():
 
 def test_full_model_gradient_check_detection_loss(monkeypatch):
     cfg = _cfg()
-    model = det.Detector(cfg, np.random.default_rng(10))
+    model = det.Detector(cfg, ad.Drawn(np.random.default_rng(10)))
     image = np.random.default_rng(11).uniform(0, 1, size=(8, 8))
     token = ad.param(np.random.default_rng(12).normal(size=(1, cfg.d_model)) * 0.5)
     gt_classes = [0, 1]
@@ -306,10 +306,10 @@ def test_tape_nodes_per_sample_at_default_config():
     # rows are one projection node; and a batch of B images is one forward
     # and one loss, not B of each
     cfg = det.DetectorConfig(n_classes=10)
-    model = det.Detector(cfg, np.random.default_rng(0))
+    model = det.Detector(cfg, ad.Drawn(np.random.default_rng(0)))
     rng = np.random.default_rng(1)
     images = rng.uniform(0, 1, size=(4, 64, 64))
-    projection = tk.TokenProjection(cfg.d_model, 64, rng)
+    projection = tk.TokenProjection(cfg.d_model, 64, ad.Drawn(rng))
     raw = rng.normal(size=(4, 64))
     gt_boxes = np.array([[0.3, 0.3, 0.25, 0.25], [0.7, 0.6, 0.2, 0.3]])
     targets = [([0, 1], gt_boxes), ([], np.zeros((0, 4))), ([3], gt_boxes[:1]),
@@ -343,7 +343,7 @@ def test_backward_leaves_no_reference_cycles():
     gc.collect()
     gc.disable()
     try:
-        model = det.Detector(cfg, np.random.default_rng(10))
+        model = det.Detector(cfg, ad.Drawn(np.random.default_rng(10)))
         token = ad.param(np.random.default_rng(12).normal(size=(1, cfg.d_model)))
         with ad.Tape():
             out = model.forward(image, token)
@@ -362,7 +362,7 @@ def test_the_forward_pass_frees_values_no_pullback_reads(monkeypatch):
     # projections that attention copied into its token-augmented K/V are
     # gone; what a pullback reads, the input of every linear, is alive
     cfg = _cfg()
-    model = det.Detector(cfg, np.random.default_rng(10))
+    model = det.Detector(cfg, ad.Drawn(np.random.default_rng(10)))
     image = np.random.default_rng(11).uniform(0, 1, size=(16, 16))
     token = ad.param(np.random.default_rng(12).normal(size=(1, cfg.d_model)))
     refs = {"linear": [], "layernorm": [], "relu": [], "attention": []}
@@ -394,7 +394,7 @@ def test_backward_frees_the_graph_while_outputs_are_held(monkeypatch):
     # as run_train does until its next step; the intermediate attention
     # outputs are referenced by the graph only and must be freed
     cfg = _cfg()
-    model = det.Detector(cfg, np.random.default_rng(10))
+    model = det.Detector(cfg, ad.Drawn(np.random.default_rng(10)))
     image = np.random.default_rng(11).uniform(0, 1, size=(16, 16))
     token = ad.param(np.random.default_rng(12).normal(size=(1, cfg.d_model)))
     gt_boxes = np.array([[0.3, 0.3, 0.25, 0.25], [0.7, 0.6, 0.2, 0.3]])

@@ -189,6 +189,35 @@ def test_average_precision_recall_on_a_point_reaches_it(monkeypatch):
     assert hits > 0  # the cases do put recalls exactly on points
 
 
+def test_average_precision_of_many_matrices_in_one_call_equals_one_at_a_time(monkeypatch):
+    # seeded sets of flag matrices, each with its own n_gt, length and width,
+    # empty ones, n_gt = 0 and all-ignored columns among them; scored once
+    # with the recall points as they are and once at exact fractions, where
+    # recalls fall on points
+    cases = list(_random_flag_matrices(seed=3, count=400))
+    cases += [(m[:, :4], n) for m, n in _random_flag_matrices(seed=4, count=100)]
+    rng = np.random.default_rng(5)
+    for n_gt in (2, 4, 5, 10, 20):
+        flags = rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=(30, 10))
+        flags[np.cumsum(flags == 1, axis=0) > n_gt] = 0
+        cases.append((flags, n_gt))
+    for points in (ev._RECALL_PTS, np.linspace(0.0, 1.0, 101)):
+        monkeypatch.setattr(ev, "_RECALL_PTS", points)
+        tol = 1e-12 if points[0] < 0 else 0.0
+        for _ in range(30):
+            picked = [cases[i] for i in rng.choice(len(cases), size=int(rng.integers(1, 60)))]
+            got = ev.average_precision([m for m, _ in picked], [n for _, n in picked])
+            assert len(got) == len(picked)
+            for aps, (flags, n_gt) in zip(got, picked):
+                one = ev.average_precision(flags, n_gt)
+                if n_gt == 0:
+                    assert aps is one is None
+                    continue
+                assert _as_bytes(aps) == _as_bytes(one)
+                assert _as_bytes(aps) == _as_bytes([_ap_loop(col[col >= 0], n_gt, tol)
+                                                    for col in flags.T])
+
+
 def _column(flags):
     return np.array(flags, dtype=np.int8).reshape(-1, 1)
 

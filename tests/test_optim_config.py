@@ -1,5 +1,6 @@
 """Tests for AdamW, the lr schedule, run config, and checkpoint IO."""
 
+import collections.abc
 import dataclasses
 import functools
 import hashlib
@@ -14,11 +15,11 @@ import pytest
 
 from gradcheck import clear_grads, weighted_sum
 from mocadet import autodiff as ad
-from mocadet.checkpoint import load_checkpoint, restore_params, save_checkpoint
+from mocadet.checkpoint import StoredArrays, load_checkpoint, save_checkpoint
 from mocadet.cli import main
 from mocadet.config import OptimConfig, QraConfig, RunConfig, TokenConfig
 from mocadet.data import DatasetSpec, ModalitySpec, make_default_spec
-from mocadet.detector import DetectorConfig
+from mocadet.detector import DetectorConfig, FeedForward
 from mocadet.errors import CheckpointError, ContractError, IngestError, ValidationError
 from mocadet.fileio import CHECKPOINT, DATASET_SPLIT, atomic_write, read_dataclass
 from mocadet.losses import LossWeights
@@ -209,6 +210,44 @@ def test_every_config_is_frozen():
     assert dataclasses.replace(cfg, moca=False).moca is False and cfg.moca is True
 
 
+_MUTATORS = ("append", "extend", "insert", "remove", "pop", "popitem", "clear", "update",
+             "setdefault", "sort", "reverse", "__setitem__", "__delitem__", "__iadd__")
+
+
+def test_every_container_of_a_config_is_read_only():
+    # frozen all the way down: no container a config holds can change,
+    # including one whose dict the caller passed in and keeps
+    model = {"d_model": 32}
+    cfg = RunConfig(model=model)
+    model["d_model"] = 8
+    assert cfg.model == {"d_model": 32} and cfg.detector_config.d_model == 32
+    containers = {}
+
+    def walk(obj, where):
+        for f in dataclasses.fields(obj):
+            value, name = getattr(obj, f.name), f"{where}.{f.name}"
+            if dataclasses.is_dataclass(value):
+                walk(value, name)
+            elif isinstance(value, (collections.abc.Mapping, list, tuple)):
+                containers[name] = value
+                for i, item in enumerate(value):
+                    if dataclasses.is_dataclass(item):
+                        walk(item, f"{name}[{i}]")
+
+    walk(cfg, "config")
+    assert {"config.model", "config.dataset.modalities", "config.dataset.counts",
+            "config.dataset.size_range", "config.dataset.modalities[0].classes"} <= set(containers)
+    for name, value in containers.items():
+        assert not [m for m in _MUTATORS if hasattr(value, m)], name
+    with pytest.raises(TypeError):
+        cfg.model["d_model"] = 10
+    with pytest.raises(TypeError):
+        cfg.dataset.counts["train"] = -5
+    with pytest.raises(AttributeError):
+        cfg.dataset.modalities.append(cfg.dataset.modalities[0])
+    assert cfg.dataset.counts["train"] == 200 and cfg.dataset.n_modalities == 5
+
+
 def test_config_rejects_oversized_qra_batch():
     doc = {"dataset": make_default_spec().to_json(), "qra": {"batch_size": 6}}
     with pytest.raises(ValidationError):
@@ -392,24 +431,29 @@ def test_checkpoint_round_trip(tmp_path):
                               np.asarray(p.data, dtype=np.float32).astype(np.float64))
 
 
-def test_checkpoint_restore_and_mismatches(tmp_path):
-    rng = np.random.default_rng(1)
-    named = _params(rng)
+def test_stored_arrays_build_a_module_from_its_checkpoint_in_table_order(tmp_path):
+    saved = FeedForward(3, 4, ad.Drawn(np.random.default_rng(1)))
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, named, {}, phase="pretrain", step=0)
+    save_checkpoint(path, saved.parameters(), {}, phase="pretrain", step=0)
     _, stored = load_checkpoint(path)
 
-    fresh = _params(np.random.default_rng(2))
-    restore_params(fresh, stored)
-    for (name, p), (_, q) in zip(fresh, named):
+    source = StoredArrays(stored)
+    built = FeedForward(3, 4, source)
+    assert source.check_names(built.parameters()) == []
+    for (name, p), (_, q) in zip(built.parameters(), saved.parameters()):
+        assert p.data is stored[name] and p.requires_grad
         assert np.array_equal(p.data, np.float64(np.float32(q.data)))
 
-    with pytest.raises(CheckpointError):
-        restore_params([("missing", ad.param(np.zeros(2)))], stored)
-    with pytest.raises(CheckpointError):
-        restore_params([("a.W", ad.param(np.zeros((2, 2))))], stored)
-    with pytest.raises(CheckpointError):
-        restore_params(fresh[:1], stored, allow_extra=False)
+    with pytest.raises(CheckpointError, match="has shape"):
+        FeedForward(4, 3, StoredArrays(stored))
+    with pytest.raises(CheckpointError, match="holds 3 parameters"):
+        FeedForward(3, 4, StoredArrays(dict(list(stored.items())[:3])))
+    renamed = StoredArrays({f"x.{name}": arr for name, arr in stored.items()})
+    with pytest.raises(CheckpointError, match="stores 'x.lin1.W' where the model has 'lin1.W'"):
+        renamed.check_names(FeedForward(3, 4, renamed).parameters())
+    # the arrays left over are the caller's to judge
+    extra = StoredArrays(dict(stored, head=np.zeros(2)))
+    assert extra.check_names(FeedForward(3, 4, extra).parameters()) == ["head"]
 
 
 def test_checkpoint_bytes_determinism(tmp_path):

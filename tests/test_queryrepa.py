@@ -18,7 +18,7 @@ from mocadet.errors import ContractError, ShapeError, ValidationError
 
 
 def _identity_head(d):
-    head = det.FeedForward(d, d, np.random.default_rng(0))
+    head = det.FeedForward(d, d, ad.Drawn(np.random.default_rng(0)))
     head.lin1.W.data[:] = np.eye(d)
     head.lin1.b.data[:] = 0.0
     head.lin2.W.data[:] = np.eye(d)
@@ -112,7 +112,7 @@ def test_qra_loss_matches_independent_reimplementation():
     rng = np.random.default_rng(123)
     d = 6
     for _ in range(100):
-        head = det.FeedForward(d, d, rng)
+        head = det.FeedForward(d, d, ad.Drawn(rng))
         q_bar = ad.constant(rng.normal(size=d))
         b = int(rng.integers(2, 6))
         cands = [ad.constant(rng.normal(size=d)) for _ in range(b)]
@@ -136,7 +136,7 @@ def test_qra_loss_matches_independent_reimplementation():
 def test_qra_loss_crude_lower_bound():
     rng = np.random.default_rng(7)
     d = 5
-    head = det.FeedForward(d, d, rng)
+    head = det.FeedForward(d, d, ad.Drawn(rng))
     for _ in range(25):
         q_bar = ad.constant(rng.normal(size=d))
         b = int(rng.integers(2, 6))
@@ -199,7 +199,7 @@ def test_qra_loss_equals_the_eight_node_graph_it_replaced_bitwise(r, k):
     # training step's) and of 0.37
     for seed in range(10):
         rng = np.random.default_rng(40 + seed)
-        head = det.FeedForward(6, 6, rng)
+        head = det.FeedForward(6, 6, ad.Drawn(rng))
         means, tokens = ad.param(rng.normal(size=(r, 6))), ad.param(rng.normal(size=(k, 6)))
         tau = float(rng.uniform(1e-3, 2.0))
         leaves = [means, tokens] + [p for _, p in head.parameters()]
@@ -222,7 +222,7 @@ def test_qra_loss_of_a_batch_is_the_mean_of_its_rows_losses():
     rng = np.random.default_rng(21)
     d = 6
     for r, k in [(1, 1), (3, 3), (5, 5), (2, 4)]:
-        head = det.FeedForward(d, d, rng)
+        head = det.FeedForward(d, d, ad.Drawn(rng))
         means = [ad.param(rng.normal(size=(1, d))) for _ in range(r)]
         tokens = [ad.param(rng.normal(size=(1, d))) for _ in range(k)]
         with ad.Tape():
@@ -252,7 +252,7 @@ def test_qra_loss_is_the_loss_the_lab_certifies():
     rng = np.random.default_rng(28)
     for r, k in [(1, 1), (2, 2), (5, 5), (3, 7)]:
         for _ in range(5):
-            head = det.FeedForward(6, 6, rng)
+            head = det.FeedForward(6, 6, ad.Drawn(rng))
             means, tokens = ad.constant(rng.normal(size=(r, 6))), rng.normal(size=(k, 6))
             tau = float(rng.uniform(1e-3, 2.0))
             with ad.no_grad():
@@ -274,10 +274,10 @@ def _tiny_setup(seed=0):
                              n_decoder_layers=2, n_heads=2, patch_size=8,
                              n_encoder_layers=0, ffn_width=12)
     rng = np.random.default_rng(seed)
-    model = det.Detector(cfg, rng)
+    model = det.Detector(cfg, ad.Drawn(rng))
     registry = tk.build_registry(spec.token_pairs(), d_text=6, seed64=1)
-    proj = tk.TokenProjection(cfg.d_model, 6, rng)
-    gphi = det.FeedForward(cfg.d_model, cfg.d_model, rng)
+    proj = tk.TokenProjection(cfg.d_model, 6, ad.Drawn(rng))
+    gphi = det.FeedForward(cfg.d_model, cfg.d_model, ad.Drawn(rng))
     return spec, samples, cfg, model, registry, proj, gphi
 
 
@@ -340,10 +340,10 @@ def test_pretraining_improves_positive_rank():
                              n_decoder_layers=2, n_heads=2, patch_size=8,
                              n_encoder_layers=0, ffn_width=32)
     rng = np.random.default_rng(0)
-    model = det.Detector(cfg, rng)
+    model = det.Detector(cfg, ad.Drawn(rng))
     registry = tk.build_registry(spec.token_pairs(), d_text=16, seed64=1)
-    proj = tk.TokenProjection(cfg.d_model, 16, rng)
-    gphi = det.FeedForward(cfg.d_model, cfg.d_model, rng)
+    proj = tk.TokenProjection(cfg.d_model, 16, ad.Drawn(rng))
+    gphi = det.FeedForward(cfg.d_model, cfg.d_model, ad.Drawn(rng))
     optim = op.AdamW(model.parameters() + proj.parameters() + gphi.parameters("gphi"),
                      lr=1e-3, weight_decay=1e-4)
     sampler = dt.ModalityBatchSampler(samples, 5, 5, seed=3)
@@ -386,10 +386,10 @@ def test_alignment_loss_node_count_does_not_depend_on_batch_size():
     # and 146 decoder nodes, and those 5: the heads run on the last of the
     # six layers only, as the loss reads none of them (five nodes a layer)
     cfg = det.DetectorConfig(n_classes=10)
-    model = det.Detector(cfg, np.random.default_rng(0))
+    model = det.Detector(cfg, ad.Drawn(np.random.default_rng(0)))
     registry = tk.build_registry(spec.token_pairs(), d_text=64, seed64=1)
-    proj = tk.TokenProjection(cfg.d_model, 64, np.random.default_rng(1))
-    gphi = det.FeedForward(cfg.d_model, cfg.d_model, np.random.default_rng(2))
+    proj = tk.TokenProjection(cfg.d_model, 64, ad.Drawn(np.random.default_rng(1)))
+    gphi = det.FeedForward(cfg.d_model, cfg.d_model, ad.Drawn(np.random.default_rng(2)))
     batch = dt.ModalityBatchSampler(samples, 5, 5, seed=0).next_batch()
     with ad.Tape() as tape:
         qr.batch_alignment_loss(batch, model, spec, registry, proj, gphi, 0.07, 5,

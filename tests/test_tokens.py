@@ -162,19 +162,19 @@ def test_token_rows_zero_identity_and_random():
     raw = np.stack([reg.embedding("CT", "nodule"), reg.embedding("CT", "cyst")])
     rng = np.random.default_rng(0)
 
-    proj = tk.TokenProjection(4, 6, rng)
+    proj = tk.TokenProjection(4, 6, ad.Drawn(rng))
     proj.W.data[:] = 0.0
     with ad.no_grad():
         out = proj.rows(raw)
     assert np.array_equal(out.data, np.zeros((2, 4)))  # one (d_model,) row per raw row
 
-    proj_id = tk.TokenProjection(6, 6, rng)
+    proj_id = tk.TokenProjection(6, 6, ad.Drawn(rng))
     proj_id.W.data[:] = np.eye(6)
     with ad.no_grad():
         out = proj_id.rows(raw)
     assert np.allclose(out.data, raw, atol=1e-15)
 
-    proj_r = tk.TokenProjection(5, 6, rng)
+    proj_r = tk.TokenProjection(5, 6, ad.Drawn(rng))
     with ad.no_grad():
         out = proj_r.rows(raw)
         alone = [proj_r.rows(raw[b:b + 1]).data for b in range(2)]
@@ -216,7 +216,7 @@ def test_batch_token_rows_match_the_per_token_projection():
     empty = dt.Sample(image=samples[0].image, modality_id=2, annotations=[], sample_id="e")
     batch = [samples[3], empty, samples[4], samples[6], samples[9]]  # 3, 4, 6: two classes
     registry = tk.build_registry(spec.token_pairs(), d_text=12, seed64=4)
-    proj = tk.TokenProjection(7, 12, np.random.default_rng(1))
+    proj = tk.TokenProjection(7, 12, ad.Drawn(np.random.default_rng(1)))
     g = np.random.default_rng(2).normal(size=(len(batch), 7))
 
     want, parts = _per_token_oracle(batch, spec, registry, proj.W.data,

@@ -231,6 +231,43 @@ def test_moca_checkpoint_must_hold_exactly_the_configured_parameters(tmp_path):
         assert main(["eval", "--ckpt", str(path), "--data", str(tmp_path)]) == 1
 
 
+def test_eval_rejects_a_checkpoint_that_is_not_the_models_table_in_order(tmp_path):
+    # each table holds every array the model needs but one thing: a changed
+    # order, name, presence or shape; two same-shape weights swapped, or one
+    # renamed, pass every shape check and only the name comparison sees them
+    doc = _tiny_doc()
+    bundle = build_run(RunConfig.from_json(doc))
+    named = [(name, p.data) for name, p in bundle.detection_parameters()]
+    i = [name for name, _ in named].index("decoder.0.self_attn.wq.W")
+    j = [name for name, _ in named].index("decoder.0.self_attn.wk.W")
+    swapped = list(named)
+    swapped[i], swapped[j] = named[j], named[i]
+    tables = {
+        "good": named,
+        "reordered": swapped,
+        "renamed": [(name.replace("wq.W", "wQ.W"), a) for name, a in named],
+        "missing": named[:i] + named[i + 1:],
+        "extra": named + [("gphi.lin1.W", np.zeros((2, 2)))],
+        "reshaped": named[:i] + [(named[i][0], named[i][1][:, :-1])] + named[i + 1:],
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc["dataset"]))
+    assert main(["gen-data", "--spec", str(spec_path), "--out", str(tmp_path / "d"),
+                 "--splits", "val"]) == 0
+    for case, table in tables.items():
+        path = str(tmp_path / f"{case}.ckpt")
+        save_checkpoint(path, [(name, ad.constant(a)) for name, a in table],
+                        bundle.config.to_json(), phase="detection", step=0)
+        out = tmp_path / f"{case}.json"
+        code = main(["eval", "--ckpt", path, "--data", str(tmp_path / "d"), "--out", str(out)])
+        if case == "good":
+            assert code == 0 and out.exists()
+            continue
+        with pytest.raises(CheckpointError):
+            load_detector_for_eval(path)
+        assert code == 1 and not out.exists(), case
+
+
 def test_evaluate_in_batches_equals_one_image_at_a_time(tmp_path, monkeypatch):
     from mocadet import train
     seen = []
@@ -273,12 +310,21 @@ def test_eval_loading_draws_no_weights_and_holds_the_stored_ones(tmp_path, monke
     for name in ("Detector", "TokenProjection"):
         cls = getattr(train, name)
         monkeypatch.setattr(train, name, lambda *a, cls=cls: rngs.append(a[-1]) or cls(*a))
+    stored, read = {}, train.load_checkpoint
+
+    def reading(path):
+        header, params = read(path)
+        stored.update(params)
+        return header, params
+
+    monkeypatch.setattr(train, "load_checkpoint", reading)
     loaded = load_detector_for_eval(ckpt)
-    assert rngs == [None, None]
-    _, stored = load_checkpoint(ckpt)
+    assert len(rngs) == 2 and not any(isinstance(r, np.random.Generator) for r in rngs)
     named = loaded.detection_parameters()
-    assert sorted(n for n, _ in named) == sorted(stored)
+    assert [n for n, _ in named] == list(stored)
     for name, p in named:
+        # the parameter is the reader's array itself, not a copy of it
+        assert np.shares_memory(p.data, stored[name]), name
         assert p.data.tobytes() == stored[name].tobytes(), name
 
 
@@ -531,6 +577,33 @@ def test_an_eval_checks_its_config_once_and_build_run_checks_nothing(tmp_path, m
     calls.clear()
     build_run(config)
     assert calls == []
+
+
+def test_an_eval_of_five_modalities_makes_18_range_checks(tmp_path, monkeypatch):
+    # each DatasetSpec checks itself and its 5 modalities (6), and one eval
+    # makes two, the checkpoint's and the split's; the RunConfig checks itself
+    # and its loss, optim, tokens and qra sections (5), not its dataset again;
+    # DetectorConfig checks itself (1)
+    from mocadet import config, data, detector, fileio
+    doc = _tiny_doc()
+    doc["dataset"] = dict(make_default_spec(seed=1, counts={"train": 5, "val": 5}).to_json(),
+                          image_size=16, size_range=[5, 9])
+    cfg = RunConfig.from_json(doc)
+    assert cfg.dataset.n_modalities == 5
+    ckpt = str(tmp_path / "model.ckpt")
+    save_checkpoint(ckpt, build_run(cfg).detection_parameters(), cfg.to_json(),
+                    phase="detection", step=0)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc["dataset"]))
+    assert main(["gen-data", "--spec", str(spec_path), "--out", str(tmp_path / "d"),
+                 "--splits", "val"]) == 0
+    calls = []
+    check = fileio.check_ranges
+    for module in (config, data, detector, fileio):
+        monkeypatch.setattr(module, "check_ranges",
+                            lambda obj, where: calls.append(where) or check(obj, where))
+    assert main(["eval", "--ckpt", ckpt, "--data", str(tmp_path / "d")]) == 0
+    assert len(calls) == 18, calls
 
 
 def test_cli_pretrain_and_mi_lab(tmp_path):
