@@ -21,14 +21,17 @@ checkpoint's parameter table and the optimizer's flat layout, so
 reordering assignments changes both.
 
 Conventions:
-  * all data is float64, row-major;
+  * all data is float64, row-major, of at most 2 dims;
   * leaf tensors are validated finite at construction;
   * ops take Tensors: a constant operand is wrapped by ``constant`` first;
   * differentiable ops must run inside a ``with Tape():`` block (or under
     ``no_grad()`` when only values are needed);
   * the only broadcast is a row vector against a matrix, inside ``linear``
-    (its bias) and ``layernorm`` (its gamma and beta); any other shape
-    mismatch is a loud ShapeError.
+    (its bias) and ``layernorm`` (its gamma and beta). ``attention``,
+    ``add``, ``layernorm`` and ``mean_rows`` raise on a shape mismatch;
+    ``linear`` and ``concat_rows`` take only what the modules and the set
+    loss hand them (a layer's own weights, blocks of one width) and check
+    nothing.
 
 Graph and values: a ``Tensor`` is its value ``data`` plus a link to its
 ``Node``, which holds what reverse mode needs: ``grad``, ``requires_grad``,
@@ -97,9 +100,9 @@ class Tape:
 
     Nodes are appended in creation order, so every node's parents precede it
     (a topological order by construction). A tape supports a single backward
-    pass; rebuilding the forward pass means opening a fresh tape. Tensors
-    created on one tape must not be used as op inputs on another tape
-    (leaves excepted).
+    pass (``backward`` rejects a consumed one); rebuilding the forward pass
+    means opening a fresh tape. Tensors created on one tape must not be used
+    as op inputs on another tape (leaves excepted).
     """
 
     def __init__(self):
@@ -142,8 +145,6 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim > 2:
-            raise ShapeError(f"tensors are at most 2-d, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("leaf tensor contains NaN or Inf")
         self.data = arr
@@ -257,8 +258,6 @@ def _make_node(data: np.ndarray, parents: tuple, pullback) -> Tensor:
                 "differentiable op outside a Tape; wrap the forward pass in "
                 "`with Tape():` or use no_grad()"
             )
-        if tape.consumed:
-            raise ContractError("tape already consumed by backward; open a new Tape")
         n._parents = parents
         n._pullback = pullback
         n._tape = tape
@@ -288,8 +287,6 @@ def node(data, parents, pullback) -> Tensor:
     maps the gradient ``g`` of the value to a sequence of one gradient per
     parent, each of that parent's shape."""
     parents = tuple(parents)
-    if not all(isinstance(p, Tensor) for p in parents):
-        raise ContractError("node parents must be Tensors")
     nodes, shapes = tuple(p.node for p in parents), [p.shape for p in parents]
 
     def run(g):
@@ -311,10 +308,6 @@ def node(data, parents, pullback) -> Tensor:
 
 def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     """``x @ W + b`` as one node; ``b`` is a row vector."""
-    if x.ndim != 2 or W.ndim != 2 or x.shape[1] != W.shape[0] or b.shape != W.shape[1:]:
-        raise ShapeError(f"linear needs (n, k) x (k, m) + (m,) operands, "
-                         f"got {x.shape}, {W.shape} and {b.shape}")
-
     nx, nW, nb, x, W = x.node, W.node, b.node, x.data, W.data
 
     def pullback(g):
@@ -469,11 +462,6 @@ def layernorm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 def concat_rows(tensors) -> Tensor:
-    if not tensors:
-        raise ShapeError("concat_rows of empty list")
-    for t in tensors:
-        if t.ndim != 2 or t.shape[1] != tensors[0].shape[1]:
-            raise ShapeError("concat_rows needs matrices with equal column counts")
     sizes = [t.shape[0] for t in tensors]
     offsets = np.cumsum([0] + sizes)
     nodes = tuple(t.node for t in tensors)

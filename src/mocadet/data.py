@@ -160,12 +160,6 @@ class DatasetSpec:
         off = self.class_offset(modality_id)
         return list(range(off, off + len(self.modalities[modality_id].classes)))
 
-    def modality_of_class(self, class_id: int) -> int:
-        for mi in range(self.n_modalities):
-            if class_id in self.global_class_ids(mi):
-                return mi
-        raise ValidationError(f"class id {class_id} undeclared")
-
     def token_pairs(self) -> list:
         return [(m.name, c) for m in self.modalities for c in m.classes]
 

@@ -65,16 +65,12 @@ def average_precision(cols, n_gt):
     """101-point interpolated AP from score-ranked flags: 1 TP, 0 FP, -1
     ignored (dropped from the ranking).
 
-    ``cols`` is a (D, T) flag matrix whose T columns share ``n_gt`` eligible
-    truths; the result is the list of the T columns' APs, or None when
-    ``n_gt`` is 0 (excluded from averages). A column with no kept row gives
-    0.0. ``cols`` may also be a list of such matrices, each with its own D
-    and T, with ``n_gt`` the list of their counts: the result is then the
-    list of their results, all scored in one pass.
+    ``cols`` is a list of (D, T) flag matrices, each with its own D and T,
+    and ``n_gt`` the list of their counts of eligible truths, all scored in
+    one pass. The result holds, per matrix, the list of its T columns' APs,
+    or None when its count is 0 (excluded from averages). A column with no
+    kept row gives 0.0.
     """
-    single = isinstance(cols, np.ndarray)
-    if single:
-        cols, n_gt = [cols], [n_gt]
     widths = [m.shape[1] for m in cols]
     counts = np.repeat(np.asarray(n_gt, dtype=np.int64), widths)
     # every column's rows in one flat run, column by column: column c is
@@ -109,7 +105,7 @@ def average_precision(cols, n_gt):
     for count, width in zip(n_gt, widths):
         out.append(None if count == 0 else ap[c:c + width])
         c += width
-    return out[0] if single else out
+    return out
 
 
 @dataclass

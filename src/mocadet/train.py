@@ -10,10 +10,11 @@ training and evaluation give the decoder modality tokens and train and store
 the token projection. Pretraining always uses tokens, as QueryREPA needs them.
 
 Both loops take their steps through ``optimizer_step``. Each runs every
-check that can reject the run (the config when it is made, the data and the
-token registry in ``build_run``, the batch sampler, the pretraining
-checkpoint, the optimizer) before its first write, so a rejected run leaves
-no run directory behind; the metric logs are closed however the loop ends.
+check that can reject the run (the config when it is made, the pretraining
+checkpoint, the data, the token registry and the stored weights in
+``build_run``, the batch sampler, the optimizer) before its first write, so
+a rejected run leaves no run directory behind; the metric logs are closed
+however the loop ends.
 """
 
 from __future__ import annotations
@@ -124,8 +125,9 @@ def build_run(config: RunConfig, weights: dict | None = None) -> RunBundle:
 
     Without ``weights`` the model and the projection draw their initial
     values from the run's seed. ``weights`` is a detection checkpoint's
-    ``{name: array}``, as ``load_checkpoint`` read and checked it: nothing
-    is drawn, and the modules are built from it (``StoredArrays``), each
+    ``{name: array}``, as ``load_checkpoint`` read and checked it, or what
+    ``pretrained_weights`` keeps of a pretraining checkpoint's: nothing is
+    drawn, and the modules are built from it (``StoredArrays``), each
     detection parameter holding the stored array itself. Any other table
     than the run's detection parameters, in order, is a CheckpointError: a
     missing, extra, renamed, reordered or reshaped entry. A run without
@@ -241,9 +243,10 @@ def run_pretrain(config: RunConfig, out_dir: str) -> dict:
     return {"checkpoint": ckpt, "losses": losses}
 
 
-def load_pretrained(bundle: RunBundle, ckpt_path: str) -> None:
-    """Rebuild the bundle's detector and token projection from a pretraining
-    checkpoint's arrays, as ``build_run`` builds a detection checkpoint's.
+def pretrained_weights(config: RunConfig, ckpt_path: str) -> dict:
+    """The arrays of a pretraining checkpoint that detection run ``config``
+    starts from, for ``build_run(config, weights)``: the model's, and the
+    token projection's when the run uses MoCA.
 
     The alignment head, stored after them, is deliberately dropped: it
     exists only for the contrastive stage. The stored run must have the same
@@ -253,14 +256,11 @@ def load_pretrained(bundle: RunBundle, ckpt_path: str) -> None:
     stored_config, stored = _read_checkpoint(ckpt_path, "pretrain")
     for section, attr in (("model", "detector_config"), ("dataset", "dataset"),
                           ("tokens", "tokens")):
-        if getattr(stored_config, attr) != getattr(bundle.config, attr):
+        if getattr(stored_config, attr) != getattr(config, attr):
             raise CheckpointError(
                 f"checkpoint config section {section!r} does not match the run config")
-    source = StoredArrays(stored)
-    bundle.model = Detector(bundle.config.detector_config, source)
-    bundle.projection = TokenProjection(bundle.model.config.d_model, bundle.registry.d_text,
-                                        source)
-    source.check_names(bundle.model.parameters() + bundle.projection.parameters())
+    dropped = ("gphi.",) if config.moca else ("gphi.", TokenProjection.prefix + ".")
+    return {name: arr for name, arr in stored.items() if not name.startswith(dropped)}
 
 
 def evaluate(bundle: RunBundle, samples):
@@ -278,7 +278,7 @@ def evaluate(bundle: RunBundle, samples):
             batch = samples[start:start + INFERENCE_BATCH]
             output = bundle.forward(batch, final_heads_only=True)
             detections.append(detections_from_output(output, range(start, start + len(batch))))
-    class_modality = [spec.modality_of_class(c) for c in range(bundle.n_classes)]
+    class_modality = [mi for mi, m in enumerate(spec.modalities) for _ in m.classes]
     return ap_report(np.concatenate(detections), samples, bundle.n_classes,
                      modality_names=spec.modality_names,
                      class_modality=class_modality)
@@ -287,9 +287,8 @@ def evaluate(bundle: RunBundle, samples):
 def run_train(config: RunConfig, out_dir: str, from_pretrain: str | None = None) -> dict:
     """Detection training (optionally resumed from alignment pretraining),
     with MoCA tokens when ``config.moca`` is on."""
-    bundle = build_run(config)
-    if from_pretrain is not None:
-        load_pretrained(bundle, from_pretrain)
+    bundle = build_run(config, None if from_pretrain is None
+                       else pretrained_weights(config, from_pretrain))
     named = bundle.detection_parameters()
     optimizer = AdamW(named, lr=config.optim.lr, weight_decay=config.optim.weight_decay)
     class_rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SS_CLASS]))

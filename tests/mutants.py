@@ -2,18 +2,26 @@
 
     python3 tests/mutants.py            # every mutant
     python3 tests/mutants.py NAME ...   # the named ones
+    python3 tests/mutants.py --full     # each against all of tier 1
     python3 tests/mutants.py --list
 
-Each mutant replaces one exact snippet of one source file. For each, the
-script copies ``src/``, ``tests/``, ``perfbench/``, ``pyproject.toml`` and
+Each mutant replaces one exact snippet of one source file. The script
+copies ``src/``, ``tests/``, ``perfbench/``, ``pyproject.toml`` and
 ``ROADMAP.md`` (which the reachability test reads) into a temporary
-directory, applies the mutant there and runs tier 1 with ``pytest -x``: a
-failing run kills the mutant, a passing run lets it survive.
-The unmutated copy runs first; if it fails, the sweep stops with exit code
-2. Otherwise the exit code is 1 when a mutant survives or no longer
-applies, else 0. The checkout itself is only read.
+directory. The unmutated copy runs tier 1 first; if it fails, the sweep
+stops with exit code 2. Then ``tests/linecover.py --map`` records there
+which ``src/`` lines each test runs. Each mutant is applied in a copy of
+its own, which runs with ``pytest -x`` only the tests that run a line of
+the statements the snippet touches, plus every test that starts a
+subprocess: no other test can see the change. A statement first run at
+import (a module constant, a class body, a field declaration) selects every
+test. ``--full`` skips the map and runs all of tier 1 for every mutant.
+``TABLE_TESTS``, which check the text of the snippet tables, never run on a
+mutated copy. A failing run kills the mutant, a passing run lets it
+survive. The exit code is 1 when a mutant survives or no longer applies,
+else 0. The checkout itself is only read.
 The name keeps pytest from collecting this file; it uses the standard
-library only. A full sweep takes a few minutes.
+library only. A sweep takes a few minutes.
 
 Technique: DeMillo, Lipton & Sayward 1978, "Hints on test data selection"
 (IEEE Computer); Jia & Harman 2011, "An analysis and survey of the
@@ -23,6 +31,8 @@ development of mutation testing" (IEEE TSE).
 from __future__ import annotations
 
 import argparse
+import ast
+import json
 import os
 import shutil
 import subprocess
@@ -34,6 +44,10 @@ from dataclasses import dataclass
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COPIED = ("src", "tests", "perfbench", "pyproject.toml", "ROADMAP.md")
 TIMEOUT_S = 900
+# tests of the text of the sweep's and linecover's own tables: a mutant
+# changes a snippet by design, so these fail on every mutant while testing
+# no behaviour, and a mutated copy runs without them
+TABLE_TESTS = ("tests/test_mutants.py", "tests/test_linecover.py")
 
 
 @dataclass(frozen=True)
@@ -135,7 +149,7 @@ MUTANTS = (
            "ids.add(rec.id)", "ids.add(i)"),
     Mutant("one_non_finite_pixel_accepted", "src/mocadet/data.py",
            "if not np.isfinite(img).all():", "if not np.isfinite(img).any():"),
-    # load_pretrained back on the raw model sections
+    # pretrained_weights back on the raw model sections
     Mutant("pretrained_raw_model_compare", "src/mocadet/train.py",
            '(("model", "detector_config"),', '(("model", "model"),'),
     # mocadet eval back on the class list alone, blind to the modality split
@@ -154,6 +168,12 @@ MUTANTS = (
            "if hashlib.sha256(memoryview(data)[40:]).digest() != data[8:40]:", "if False:"),
     Mutant("container_partial_float_accepted", "src/mocadet/fileio.py",
            "if start > len(data) or (len(data) - start) % 4:", "if start > len(data):"),
+    # run_train's evaluation epochs: every eval_every-th, and the last
+    Mutant("final_epoch_eval_dropped", "src/mocadet/train.py",
+           " == 0\n                                       or epoch == config.optim.epochs - 1):",
+           " == 0):"),
+    Mutant("eval_cadence_off_by_one", "src/mocadet/train.py",
+           "(epoch + 1) % config.eval_every", "epoch % config.eval_every"),
 )
 
 
@@ -167,19 +187,59 @@ def _copy_tree(dest: str) -> None:
             shutil.copy2(src, os.path.join(dest, name))
 
 
-def _tier1(tree: str) -> tuple:
-    """(passed, seconds) of tier 1 with ``-x`` in ``tree``."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
+def _env(tree: str) -> dict:
+    return dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
+
+
+def _tier1(tree: str, args=()) -> tuple:
+    """(passed, seconds) of tier 1 with ``-x`` and ``args`` in ``tree``."""
     t0 = time.perf_counter()
     try:
         done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p",
-                               "no:cacheprovider", "--continue-on-collection-errors"],
-                              cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                               "no:cacheprovider", "--continue-on-collection-errors", *args],
+                              cwd=tree, env=_env(tree), stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
         passed = done.returncode == 0
     except subprocess.TimeoutExpired:
         passed = False  # a hang is a failing run
     return passed, time.perf_counter() - t0
+
+
+def _line_map(tree: str, path: str) -> dict:
+    """``tests/linecover.py``'s map of ``tree``, written to ``path``."""
+    subprocess.run([sys.executable, os.path.join("tests", "linecover.py"), "--map", path],
+                   cwd=tree, env=_env(tree), stdout=subprocess.DEVNULL,
+                   stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _touched_lines(tree: str, mutant: Mutant) -> set:
+    """The lines of the statements that ``mutant``'s snippet touches in the
+    unmutated ``tree``: all of a simple statement, the header of a compound
+    one, and a touched line that no statement holds."""
+    with open(os.path.join(tree, mutant.path), encoding="utf-8") as fh:
+        text = fh.read()
+    first = text[:text.index(mutant.old)].count("\n") + 1
+    snippet = set(range(first, first + mutant.old.rstrip("\n").count("\n") + 1))
+    lines = set(snippet)
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.stmt):
+            body = getattr(node, "body", None)
+            last = max(node.lineno, body[0].lineno - 1) if body else node.end_lineno
+            own = set(range(node.lineno, last + 1))
+            if own & snippet:
+                lines |= own
+    return lines
+
+
+def _selected(line_map: dict, mutant: Mutant, lines: set):
+    """The node ids that can see a change to ``lines`` of ``mutant.path``, in
+    run order, or None when every test can (a line first run at import)."""
+    if lines & set(line_map["import"].get(mutant.path, ())):
+        return None
+    return [t for t, by_file in line_map["tests"].items()
+            if t in line_map["spawned"] or lines & set(by_file.get(mutant.path, ()))]
 
 
 def _apply(tree: str, mutant: Mutant) -> bool:
@@ -197,6 +257,8 @@ def _apply(tree: str, mutant: Mutant) -> bool:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("names", nargs="*", help="mutants to run; default: all")
+    parser.add_argument("--full", action="store_true",
+                        help="run all of tier 1 for each mutant, with no line map")
     parser.add_argument("--list", action="store_true", help="print the mutants and exit")
     args = parser.parse_args(argv)
     by_name = {m.name: m for m in MUTANTS}
@@ -209,6 +271,7 @@ def main(argv=None) -> int:
         parser.error(f"unknown mutants: {', '.join(unknown)}")
     chosen = [by_name[n] for n in args.names] or list(MUTANTS)
 
+    t0 = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mocadet-mutants-") as tmp:
         base = os.path.join(tmp, "base")
         _copy_tree(base)
@@ -216,6 +279,12 @@ def main(argv=None) -> int:
         print(f"unmutated: {'passed' if passed else 'FAILED'} ({seconds:.0f} s)", flush=True)
         if not passed:
             return 2
+        line_map = None
+        if not args.full:
+            started = time.perf_counter()
+            line_map = _line_map(base, os.path.join(tmp, "lines.json"))
+            print(f"line map: {len(line_map['tests'])} tests "
+                  f"({time.perf_counter() - started:.0f} s)", flush=True)
         bad = 0
         for m in chosen:
             tree = os.path.join(tmp, m.name)
@@ -224,11 +293,15 @@ def main(argv=None) -> int:
                 print(f"{m.name}: stale (snippet not found once in {m.path})", flush=True)
                 bad += 1
                 continue
-            passed, seconds = _tier1(tree)
-            print(f"{m.name}: {'survived' if passed else 'killed'} ({seconds:.0f} s)",
+            tests = None if args.full else _selected(line_map, m, _touched_lines(base, m))
+            ran = "all tests" if tests is None else f"{len(tests)} tests"
+            passed, seconds = (True, 0.0) if tests == [] else _tier1(
+                tree, [f"--ignore={t}" for t in TABLE_TESTS] + (tests or []))
+            print(f"{m.name}: {'survived' if passed else 'killed'} ({seconds:.0f} s, {ran})",
                   flush=True)
             bad += passed
             shutil.rmtree(tree)
+    print(f"sweep: {time.perf_counter() - t0:.0f} s", flush=True)
     return 1 if bad else 0
 
 

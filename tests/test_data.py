@@ -162,6 +162,21 @@ def test_noiseless_box_exactly_bounds_object():
         assert rows[-1] + 1 == round((cy + h / 2) * sz)
 
 
+def test_curves_1_and_4_are_the_square_root_and_the_inverse_of_curve_0():
+    # without noise, a curve maps the same clipped image pixel by pixel
+    def images(curve):
+        spec = _tiny_spec()
+        mods = [dataclasses.replace(m, curve=curve) for m in spec.modalities]
+        return [s.image for s in dt.generate_synthetic(
+            dataclasses.replace(spec, modalities=mods), "train")]
+
+    plain = [x.astype(np.float64) for x in images(0)]
+    for curve, of in ((1, np.sqrt), (4, lambda x: 1.0 - x)):
+        for got, x in zip(images(curve), plain, strict=True):
+            assert got.dtype == np.float32
+            np.testing.assert_allclose(got, of(x), rtol=0, atol=2e-7)
+
+
 def test_all_shapes_render_within_box():
     # five classes in one modality exercise every shape kind
     mods = [dt.ModalitySpec("m5", tuple(f"m5_c{i}" for i in range(5)), noise_sigma=0.0),
@@ -364,7 +379,9 @@ def test_malformed_header_raises_ingest_error(tmp_path):
                  record(offset=0), record(modality_id=1.9), record(modality_id="1"),
                  record(modality_id=99), record(classes=["1"]), record(classes=[5]),
                  extra_box, record(boxes=[[0.5, 0.5, 0.1]]),
-                 box_side(2, 0.0), box_side(3, -0.1), box_side(0, 1.5)):
+                 box_side(2, 0.0), box_side(3, -0.1), box_side(0, 1.5),
+                 # centre and size are valid, but the box leaves the unit square
+                 record(boxes=[[0.05, 0.5, 0.2, 0.2]])):
         _rewrite(tmp_path, edit)
         with pytest.raises(IngestError):
             dt.load_dataset(tmp_path, "val")

@@ -29,6 +29,8 @@ def test_config_validation():
         _cfg(d_model=10)  # not divisible by heads=2? 10 is; but not by 4
     with pytest.raises(ValidationError):
         _cfg(n_decoder_layers=1)
+    with pytest.raises(ValidationError, match="d_model must be divisible by n_heads"):
+        _cfg(d_model=12, n_heads=8)
     # every field is an int (not a bool), checked by the reader that builds
     # a run's config; n_encoder_layers >= 0 and the rest >= 1
     for bad in ({"d_model": "8"}, {"d_model": 8.0}, {"n_queries": 2.5}, {"n_queries": True},

@@ -159,16 +159,21 @@ def _as_bytes(aps):
     return np.asarray(aps, dtype=np.float64).tobytes()
 
 
+def _ap(flags, n_gt):
+    """The APs of one flag matrix's columns, or None when ``n_gt`` is 0."""
+    return ev.average_precision([flags], [n_gt])[0]
+
+
 def test_average_precision_matches_scalar_loop_bitwise():
     for flags, n_gt in _random_flag_matrices(seed=0, count=2000):
         want = [_ap_loop(col[col >= 0], n_gt) for col in flags.T]
-        got = ev.average_precision(flags, n_gt)
+        got = _ap(flags, n_gt)
         if n_gt == 0:
-            assert got is None and ev.average_precision(flags[:, :1], n_gt) is None
+            assert got is None and _ap(flags[:, :1], n_gt) is None
             continue
         assert _as_bytes(got) == _as_bytes(want), (flags.tolist(), n_gt)
         # a (D, 1) column is the one-column case and returns a list of one float
-        one = ev.average_precision(flags[:, 3:4], n_gt)
+        one = _ap(flags[:, 3:4], n_gt)
         assert isinstance(one[0], float) and _as_bytes(one) == _as_bytes(want[3:4])
 
 
@@ -184,7 +189,7 @@ def test_average_precision_recall_on_a_point_reaches_it(monkeypatch):
                            p=[0.2, 0.4, 0.4])
         flags[np.cumsum(flags == 1, axis=0) > n_gt] = 0
         want = [_ap_loop(col[col >= 0], n_gt, tol=0.0) for col in flags.T]
-        assert _as_bytes(ev.average_precision(flags, n_gt)) == _as_bytes(want)
+        assert _as_bytes(_ap(flags, n_gt)) == _as_bytes(want)
         hits += want != [_ap_loop(col[col >= 0], n_gt, tol=-1e-12) for col in flags.T]
     assert hits > 0  # the cases do put recalls exactly on points
 
@@ -209,7 +214,7 @@ def test_average_precision_of_many_matrices_in_one_call_equals_one_at_a_time(mon
             got = ev.average_precision([m for m, _ in picked], [n for _, n in picked])
             assert len(got) == len(picked)
             for aps, (flags, n_gt) in zip(got, picked):
-                one = ev.average_precision(flags, n_gt)
+                one = _ap(flags, n_gt)
                 if n_gt == 0:
                     assert aps is one is None
                     continue
@@ -223,13 +228,12 @@ def _column(flags):
 
 
 def test_average_precision_degenerate_cases():
-    assert ev.average_precision(_column([]), 3) == [0.0]
-    assert ev.average_precision(_column([1]), 1) == [pytest.approx(1.0)]
-    assert ev.average_precision(_column([]), 0) is None
-    assert ev.average_precision(_column([-1, -1]), 2) == [0.0]
-    assert ev.average_precision(np.zeros((0, 10), dtype=np.int8), 3) == [0.0] * 10
-    assert ev.average_precision(_column([-1, 1, 0, 1]), 2) == \
-        ev.average_precision(_column([1, 0, 1]), 2)
+    assert _ap(_column([]), 3) == [0.0]
+    assert _ap(_column([1]), 1) == [pytest.approx(1.0)]
+    assert _ap(_column([]), 0) is None
+    assert _ap(_column([-1, -1]), 2) == [0.0]
+    assert _ap(np.zeros((0, 10), dtype=np.int8), 3) == [0.0] * 10
+    assert _ap(_column([-1, 1, 0, 1]), 2) == _ap(_column([1, 0, 1]), 2)
 
 
 def test_perfect_single_detection_full_report():

@@ -283,6 +283,8 @@ def test_config_rejects_non_object_documents_and_bad_values():
                 {"dataset": spec, "optim": {"lr": "fast"}}):
         with pytest.raises(ValidationError):
             RunConfig.from_json(doc)
+    with pytest.raises(ValidationError, match="tokens.path required"):
+        RunConfig.from_json({"dataset": spec, "tokens": {"source": "file"}})
 
     # values of the wrong JSON type and an unknown key, each named by its field
     modalities = [dict(spec["modalities"][0], classes="ab")] + spec["modalities"][1:]
@@ -602,6 +604,13 @@ def test_atomic_write_that_raises_leaves_the_old_file(tmp_path):
         fh.write(b"new")
     assert path.read_bytes() == b"new"
     assert sorted(os.listdir(tmp_path)) == ["report.json"]
+    # a name of 250 characters is a valid one, but its temporary file's is too long
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    with pytest.raises(ValidationError, match="cannot write"):
+        with atomic_write(empty / ("r" * 250)):
+            pass
+    assert os.listdir(empty) == []
 
 
 def test_save_checkpoint_that_fails_leaves_the_old_checkpoint(tmp_path, monkeypatch):

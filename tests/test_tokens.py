@@ -284,5 +284,8 @@ def test_silhouette_bounds_and_bruteforce_agreement():
 
 
 def test_silhouette_single_label_rejected():
-    with pytest.raises(ValidationError):
-        tk.silhouette_score([(0, 0), (1, 1)], [0, 0])
+    # one label, one point, no point: the registry of one token and the empty
+    # registry have fewer than two labels too
+    for vectors, labels in (([(0, 0), (1, 1)], [0, 0]), ([(1, 0)], ["a"]), ([], [])):
+        with pytest.raises(ValidationError, match="need at least 2 distinct labels"):
+            tk.silhouette_score(vectors, labels)

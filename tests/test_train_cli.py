@@ -16,13 +16,15 @@ from mocadet.cli import main
 from mocadet.config import RunConfig
 from mocadet.data import make_default_spec
 from mocadet.detector import DetectorConfig
-from mocadet.errors import CheckpointError
+from mocadet.errors import CheckpointError, TokenLookupError
 from mocadet.evaluation import DETECTION, detections_from_output
 from mocadet.fileio import CHECKPOINT, DATASET_SPLIT
 from mocadet.losses import detection_loss
+from mocadet.milab import DiscreteJoint, exact_mi
 from mocadet.optim import AdamW
-from mocadet.train import (build_run, evaluate, load_detector_for_eval,
-                           load_pretrained, optimizer_step, run_pretrain, run_train)
+from mocadet.tokens import build_registry, load_registry, save_registry
+from mocadet.train import (build_run, evaluate, load_detector_for_eval, optimizer_step,
+                           pretrained_weights, run_pretrain, run_train)
 
 
 def _tiny_doc(seed=3, epochs=2, qra_steps=4):
@@ -92,6 +94,37 @@ def test_run_train_artifacts_and_determinism(tmp_path):
     assert s1["best"] == s2["best"]
 
 
+def test_run_train_evaluates_every_eval_every_epochs_and_after_the_last(tmp_path):
+    # 3 epochs, eval_every 2: epoch 1 by the cadence, epoch 2 as the last
+    run_train(RunConfig.from_json(dict(_tiny_doc(epochs=3), eval_every=2)), str(tmp_path / "run"))
+    rows = (tmp_path / "run" / "metrics_epochs.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["epoch", "1", "2"]
+
+
+def test_a_run_from_a_registry_file_gets_the_synthetic_runs_embeddings(tmp_path):
+    doc = _tiny_doc(epochs=1)
+    spec_path, reg = tmp_path / "spec.json", tmp_path / "reg.json"
+    spec_path.write_text(json.dumps(doc["dataset"]))
+    assert main(["tokens", "synth", "--spec", str(spec_path), "--d-text", "8", "--seed", "1",
+                 "--out", str(reg)]) == 0
+    file_doc = dict(doc, tokens={"source": "file", "d_text": 8, "path": str(reg)})
+    synthetic = build_run(RunConfig.from_json(doc)).registry
+    from_file = build_run(RunConfig.from_json(file_doc)).registry
+    assert list(from_file.entries) == list(synthetic.entries) == [("ma", "ma_c0"),
+                                                                   ("mb", "mb_c0")]
+    for key, vec in synthetic.entries.items():
+        assert from_file.entries[key].tobytes() == vec.tobytes()
+    run_train(RunConfig.from_json(doc), str(tmp_path / "synthetic"))
+    run_train(RunConfig.from_json(file_doc), str(tmp_path / "file"))
+    for name in ("metrics_steps.csv", "metrics_epochs.csv", "report.json"):
+        assert _read(tmp_path / "synthetic" / name) == _read(tmp_path / "file" / name), name
+    # a registry without a declared pair fails the run before it writes
+    save_registry(build_registry([("ma", "ma_c0")], d_text=8), reg)
+    with pytest.raises(TokenLookupError):
+        run_train(RunConfig.from_json(file_doc), str(tmp_path / "short"))
+    assert not (tmp_path / "short").exists()
+
+
 def test_run_train_seed_changes_artifacts(tmp_path):
     a = run_train(RunConfig.from_json(_tiny_doc(seed=3)), str(tmp_path / "a"))
     b = run_train(RunConfig.from_json(_tiny_doc(seed=4)), str(tmp_path / "b"))
@@ -130,11 +163,17 @@ def test_pretrain_then_resume_zero_steps_equals_checkpoint(tmp_path):
     assert os.path.exists(result["checkpoint"])
     assert len(result["losses"]) == 4
 
-    bundle = build_run(RunConfig.from_json(_tiny_doc()))
-    load_pretrained(bundle, result["checkpoint"])
     _, stored = load_checkpoint(result["checkpoint"])
-    for name, p in bundle.model.parameters() + bundle.projection.parameters():
-        assert np.array_equal(p.data, stored[name])
+    # the alignment head is dropped, and with MoCA off the token projection too
+    for moca in (True, False):
+        run_cfg = RunConfig.from_json(dict(_tiny_doc(), moca=moca))
+        weights = pretrained_weights(run_cfg, result["checkpoint"])
+        bundle = build_run(run_cfg, weights)
+        assert (bundle.projection is not None) == moca
+        named = bundle.detection_parameters()
+        assert [name for name, _ in named] == list(weights)
+        for name, p in named:
+            assert np.array_equal(p.data, stored[name])
 
 
 def test_finetune_config_mismatch_rejected(tmp_path):
@@ -142,9 +181,12 @@ def test_finetune_config_mismatch_rejected(tmp_path):
     result = run_pretrain(cfg, str(tmp_path / "pre"))
     other = _tiny_doc()
     other["model"]["n_queries"] = 8
-    bundle = build_run(RunConfig.from_json(other))
     with pytest.raises(CheckpointError):
-        load_pretrained(bundle, result["checkpoint"])
+        pretrained_weights(RunConfig.from_json(other), result["checkpoint"])
+    with pytest.raises(CheckpointError):
+        run_train(RunConfig.from_json(other), str(tmp_path / "ft"),
+                  from_pretrain=result["checkpoint"])
+    assert not (tmp_path / "ft").exists()
 
 
 def test_finetune_accepts_the_same_model_spelled_differently(tmp_path):
@@ -160,12 +202,16 @@ def test_finetune_accepts_the_same_model_spelled_differently(tmp_path):
                  "--from-pretrain", str(tmp_path / "pre" / "pretrain.ckpt")]) == 0
 
 
-def test_finetune_runs_and_improves_nothing_breaks(tmp_path):
+def test_finetune_runs_and_improves_nothing_breaks(tmp_path, monkeypatch):
     cfg = RunConfig.from_json(_tiny_doc(epochs=1))
     pre = run_pretrain(cfg, str(tmp_path / "pre"))
-    summary = run_train(cfg, str(tmp_path / "ft"), from_pretrain=pre["checkpoint"])
-    assert summary["steps"] > 0
-    assert summary["from_pretrain"] == pre["checkpoint"]
+    # a run from the checkpoint is built from its arrays: nothing is drawn
+    monkeypatch.setattr(ad, "Drawn", lambda rng: pytest.fail("a weight was drawn"))
+    for moca in (True, False):
+        summary = run_train(RunConfig.from_json(dict(_tiny_doc(epochs=1), moca=moca)),
+                            str(tmp_path / f"ft_{moca}"), from_pretrain=pre["checkpoint"])
+        assert summary["steps"] > 0
+        assert summary["from_pretrain"] == pre["checkpoint"]
 
 
 def test_run_train_closes_its_logs_when_a_step_fails(tmp_path, monkeypatch):
@@ -194,7 +240,7 @@ def test_eval_checkpoint_round_trip(tmp_path):
     assert report.ap is not None
 
 
-def test_checkpoint_with_bad_config_raises_checkpoint_error(tmp_path):
+def test_checkpoint_with_bad_config_raises_checkpoint_error(tmp_path, capsys):
     # well-formed files that load_checkpoint accepts, with a config entry
     # that is missing, not an object, or not a valid run config
     path = tmp_path / "bad.ckpt"
@@ -209,11 +255,17 @@ def test_checkpoint_with_bad_config_raises_checkpoint_error(tmp_path):
         with pytest.raises(CheckpointError):
             load_detector_for_eval(str(path))
         assert main(["eval", "--ckpt", str(path), "--data", str(tmp_path)]) == 1
-    bundle = build_run(RunConfig.from_json(_tiny_doc()))
+    run_config = RunConfig.from_json(_tiny_doc())
     for config in ({}, {"config": [1, 2]}, {"config": "text"}):
         write({"phase": "pretrain", **config})
         with pytest.raises(CheckpointError):
-            load_pretrained(bundle, str(path))
+            pretrained_weights(run_config, str(path))
+    # a pretraining checkpoint is not one that eval reads
+    capsys.readouterr()
+    run_pretrain(run_config, str(tmp_path / "pre"))
+    assert main(["eval", "--ckpt", str(tmp_path / "pre" / "pretrain.ckpt"),
+                 "--data", str(tmp_path)]) == 1
+    assert "is not a detection checkpoint" in capsys.readouterr().err
 
 
 def test_moca_checkpoint_must_hold_exactly_the_configured_parameters(tmp_path):
@@ -367,6 +419,45 @@ def test_cli_gen_data_tokens_and_silhouette(tmp_path, capsys):
                  "--out", str(big)]) == 1
     assert f"--d-text must be in [2, 4096], got {10 ** 12}" in capsys.readouterr().err
     assert not big.exists()
+
+
+def test_cli_tokens_synth_from_a_spec(tmp_path, capsys):
+    doc = _tiny_doc()["dataset"]
+    spec_path, reg = tmp_path / "spec.json", tmp_path / "reg.json"
+    spec_path.write_text(json.dumps(doc))
+    assert main(["tokens", "synth", "--spec", str(spec_path), "--d-text", "8",
+                 "--out", str(reg)]) == 0
+    assert list(load_registry(reg).entries) == [("ma", "ma_c0"), ("mb", "mb_c0")]
+    # '|' joins a registry key's two names, so a name that holds it writes nothing
+    modalities = [dict(doc["modalities"][0], classes=["ma|c0"])] + doc["modalities"][1:]
+    spec_path.write_text(json.dumps(dict(doc, modalities=modalities)))
+    bad = tmp_path / "bad.json"
+    capsys.readouterr()
+    assert main(["tokens", "synth", "--spec", str(spec_path), "--out", str(bad)]) == 1
+    assert "'|' not allowed in names" in capsys.readouterr().err
+    assert not bad.exists()
+
+
+def test_cli_mi_lab_certifies_a_joints_file(tmp_path):
+    table = [[0.4, 0.1], [0.1, 0.4]]
+    path, report = tmp_path / "joints.json", tmp_path / "mi.json"
+    path.write_text(json.dumps({"joints": [table]}))
+    assert main(["mi-lab", "--joints", str(path), "--K", "1,3", "--samples", "1000",
+                 "--report", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert doc["passed"] and doc["n_joints"] == 1 and doc["n_cells"] == 4
+    assert {c["mi"] for c in doc["cells"]} == {exact_mi(DiscreteJoint(table))}
+
+
+def test_cli_an_unexpected_exception_exits_2(monkeypatch, capsys):
+    from mocadet import cli
+
+    def fail(args):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setitem(cli._DISPATCH, "mi-lab", fail)
+    assert main(["mi-lab"]) == 2
+    assert capsys.readouterr().err == "runtime error: RuntimeError: unexpected\n"
 
 
 def test_cli_train_and_eval_end_to_end(tmp_path):
