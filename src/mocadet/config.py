@@ -7,23 +7,24 @@ config class is frozen, and a run config is checked when made, before any
 data or model exists: every numeric field declares its range once, in its
 field's metadata (``fileio.Range``), and ``fileio.check_ranges`` checks them
 all, the dataset's and the model's included; ``validate`` adds only the rules
-that tie fields together, and resolves the model section into the run's
-``DetectorConfig`` once. A config that exists is therefore valid and cannot
+that tie fields together. A config that exists is therefore valid and cannot
 change, and nothing downstream checks it again. An upper bound keeps a valid
 document within bounded memory, or bounds time.
 """
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .data import DatasetSpec, make_default_spec
-from .detector import DetectorConfig
+from .detector import ModelConfig
 from .errors import ValidationError
-from .fileio import SEED, Range, check_ranges, json_form, read_dataclass, read_only
+from .fileio import SEED, Range, check_ranges, json_form, read_dataclass
 from .losses import LossWeights
+
+
+CLASSES = Range(1, 1024)  # a dataset's class count, as ModelConfig's bounds assume
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,7 @@ class QraConfig:
 @dataclass(frozen=True)
 class RunConfig:
     dataset: DatasetSpec = field(default_factory=make_default_spec)
-    # DetectorConfig overrides, held as a read-only mapping whatever was passed
-    model: Mapping[str, int] = field(default_factory=dict)
+    model: ModelConfig = field(default_factory=ModelConfig)
     loss: LossWeights = field(default_factory=LossWeights)
     optim: OptimConfig = field(default_factory=OptimConfig)
     tokens: TokenConfig = field(default_factory=TokenConfig)
@@ -75,7 +75,11 @@ class RunConfig:
     eval_every: int = Range(1, 100_000).field(default=4)  # in epochs, as epochs is
 
     def __post_init__(self):
-        object.__setattr__(self, "model", read_only(self.model))
+        # the one conversion: perfbench/inputs.py, the benchmark's fixed
+        # input, passes the model section as a dict of sizes
+        if isinstance(self.model, Mapping):
+            object.__setattr__(self, "model", read_dataclass(ModelConfig, dict(self.model),
+                                                             "config.model"))
         self.validate()
 
     def validate(self) -> "RunConfig":
@@ -93,25 +97,20 @@ class RunConfig:
             raise ValidationError(
                 f"qra.batch_size {self.qra_batch_size} exceeds modality count {m}; "
                 "pretraining batches must cover distinct modalities")
-        det_cfg = self.detector_config
-        if self.dataset.image_size % det_cfg.patch_size:
+        model = self.model
+        if model.d_model % model.n_heads:
+            raise ValidationError("model.d_model must be divisible by model.n_heads")
+        if model.d_model % 4:
+            raise ValidationError("model.d_model must be divisible by 4 (2-d positions)")
+        if self.dataset.image_size % model.patch_size:
             raise ValidationError(
                 f"dataset.image_size {self.dataset.image_size} is not a multiple of "
-                f"model.patch_size {det_cfg.patch_size}")
-        if self.qra.layer > det_cfg.n_decoder_layers:
+                f"model.patch_size {model.patch_size}")
+        if self.qra.layer > model.n_decoder_layers:
             raise ValidationError(f"qra.layer {self.qra.layer} exceeds model.n_decoder_layers "
-                                  f"{det_cfg.n_decoder_layers}")
+                                  f"{model.n_decoder_layers}")
+        CLASSES.check(len(self.dataset.global_classes), "config.dataset's class count")
         return self
-
-    @functools.cached_property
-    def detector_config(self) -> DetectorConfig:
-        """The run's model: the ``model`` section over the defaults, with
-        ``n_classes`` from the dataset, checked; read once, by ``validate``
-        when the config is made."""
-        if "n_classes" in self.model:
-            raise ValidationError("model.n_classes is derived from the dataset; do not set it")
-        model = dict(self.model, n_classes=len(self.dataset.global_classes))
-        return read_dataclass(DetectorConfig, model, "config.model")
 
     @property
     def qra_batch_size(self) -> int:

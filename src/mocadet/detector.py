@@ -28,19 +28,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ShapeError, ValidationError
-from .fileio import Range, check_ranges
+from .errors import ShapeError
+from .fileio import Range
 
 
 @dataclass(frozen=True)
-class DetectorConfig:
-    """Model sizes, each an integer in the range its field declares. A run
-    reads its own in ``RunConfig.detector_config``, which checks the types;
-    the ranges and how the sizes fit together are checked when it is made."""
+class ModelConfig:
+    """The ``model`` section of a run: its sizes, each an integer in the range
+    its field declares. ``RunConfig.validate`` checks the ranges and how the
+    sizes fit together; the class count is the dataset's."""
 
-    # the upper bounds keep the model finite: at every bound at once it holds
-    # 950 million weights (DETR's own sizes are d 256, 100 queries, 6 + 6 layers)
-    n_classes: int = Range(1, 1024).field()
+    # the upper bounds keep the model finite: at every bound at once, with the
+    # 1024 classes a run allows (config.CLASSES), it holds 950 million weights
+    # (DETR's own sizes are d 256, 100 queries, 6 + 6 layers)
     d_model: int = Range(4, 1024).field(default=64)
     n_queries: int = Range(1, 1000).field(default=25)
     # QueryREPA aligns a layer >= 2, so the decoder needs two
@@ -49,13 +49,6 @@ class DetectorConfig:
     patch_size: int = Range(1, 64).field(default=8)
     n_encoder_layers: int = Range(0, 32).field(default=1)
     ffn_width: int = Range(1, 4096).field(default=128)
-
-    def __post_init__(self):
-        check_ranges(self, "config.model")
-        if self.d_model % self.n_heads != 0:
-            raise ValidationError("d_model must be divisible by n_heads")
-        if self.d_model % 4 != 0:
-            raise ValidationError("d_model must be divisible by 4 (2-d positions)")
 
 
 class Linear(ad.Module):
@@ -116,7 +109,7 @@ class FeedForward(ad.Module):
 
 def sinusoidal_positions_2d(n_rows: int, n_cols: int, d_model: int) -> np.ndarray:
     """Fixed 2-d sine/cosine grid encoding; first half encodes y, second x.
-    ``d_model`` is a multiple of 4, as ``DetectorConfig`` holds it."""
+    ``d_model`` is a multiple of 4, as ``RunConfig.validate`` holds it."""
     half = d_model // 2
 
     def encode_1d(positions: np.ndarray) -> np.ndarray:
@@ -132,7 +125,7 @@ def sinusoidal_positions_2d(n_rows: int, n_cols: int, d_model: int) -> np.ndarra
 
 
 class EncoderLayer(ad.Module):
-    def __init__(self, cfg: DetectorConfig, init):
+    def __init__(self, cfg: ModelConfig, init):
         self.attn = MultiHeadAttention(cfg.d_model, cfg.n_heads, init)
         self.ffn = FeedForward(cfg.d_model, cfg.ffn_width, init)
         self.ln1 = LayerNorm(cfg.d_model, init)
@@ -144,7 +137,7 @@ class EncoderLayer(ad.Module):
 
 
 class DecoderLayer(ad.Module):
-    def __init__(self, cfg: DetectorConfig, init):
+    def __init__(self, cfg: ModelConfig, init):
         self.self_attn = MultiHeadAttention(cfg.d_model, cfg.n_heads, init)
         self.cross_attn = MultiHeadAttention(cfg.d_model, cfg.n_heads, init)
         self.ffn = FeedForward(cfg.d_model, cfg.ffn_width, init)
@@ -179,9 +172,10 @@ class DetectorOutput:
 
 
 class Detector(ad.Module):
-    def __init__(self, config: DetectorConfig, init):
-        """The model of ``config``, its parameters taken from ``init`` in
-        ``parameters()`` order (see ``Linear``)."""
+    def __init__(self, config: ModelConfig, n_classes: int, init):
+        """The model of ``config`` with ``n_classes`` class logits, its
+        parameters taken from ``init`` in ``parameters()`` order (see
+        ``Linear``)."""
         self.config = cfg = config
         d = cfg.d_model
         self.patch_proj = Linear(cfg.patch_size * cfg.patch_size, d, init)
@@ -190,7 +184,7 @@ class Detector(ad.Module):
         self.query_pos = init.normal(0.5, (cfg.n_queries, d))
         self.token_proj = Linear(d, d, init)  # projects the modality token into query space
         self.decoder = [DecoderLayer(cfg, init) for _ in range(cfg.n_decoder_layers)]
-        self.cls_head = Linear(d, cfg.n_classes, init)
+        self.cls_head = Linear(d, n_classes, init)
         self.box_hidden = Linear(d, d, init)
         self.box_out = Linear(d, 4, init)
 

@@ -57,7 +57,8 @@ def check_output_path(path) -> None:
 
 @contextmanager
 def atomic_write(path, mode: str = "w"):
-    """Open a new temporary file beside ``path`` for writing.
+    """Open a new temporary file beside ``path`` for writing, named
+    ``.<16 hex digits>.tmp`` whatever the length of ``path``'s own name.
 
     When the block ends normally the file replaces ``path`` in one
     ``os.replace``; when it raises, the file is removed and ``path`` is left
@@ -66,8 +67,7 @@ def atomic_write(path, mode: str = "w"):
     is a ValidationError: a bad path argument.
     """
     check_output_path(path)
-    head, tail = os.path.split(os.fspath(path))
-    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+    tmp = os.path.join(os.path.dirname(os.fspath(path)), f".{secrets.token_hex(8)}.tmp")
     try:
         fh = open(tmp, mode.replace("w", "x"), encoding=None if "b" in mode else "utf-8")
     except OSError as e:

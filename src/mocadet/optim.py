@@ -5,9 +5,9 @@ one ``data``, one ``grad`` and one vector for each moment, ``m`` and
 ``v``, over all of them in the given order. It adopts each parameter by
 copying it in and rebinding ``p.data`` to a reshaped view of ``data``;
 ``zero_grad`` points each ``p.grad`` at its view of ``grad``, so backward
-accumulates leaf gradients straight into the flat vector. A tensor can be
-adopted by one optimizer only: a second one would leave the first updating
-storage the tensor no longer reads.
+accumulates leaf gradients straight into the flat vector, the one gradient
+``step`` reads. A tensor can be adopted by one optimizer only: a second one
+would leave the first updating storage the tensor no longer reads.
 
 ``step`` then checks the whole gradient at once and updates the flat
 vectors in chunks of ``CHUNK`` elements, writing every intermediate into
@@ -60,9 +60,6 @@ class AdamW:
     def step(self) -> None:
         """One update of every parameter, or none: all gradients are checked
         before anything changes."""
-        for (_, p), view in zip(self.named_params, self._grad_views):
-            if p.grad is not view:  # assigned directly, or None (zeros)
-                view[...] = 0.0 if p.grad is None else np.reshape(p.grad, view.shape)
         if not np.isfinite(self.grad).all():
             name = next(name for (name, _), lo, hi in
                         zip(self.named_params, self._bounds[:-1], self._bounds[1:])

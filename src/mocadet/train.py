@@ -155,7 +155,7 @@ def build_run(config: RunConfig, weights: dict | None = None) -> RunBundle:
             np.random.SeedSequence([config.seed, tag]))) for tag in (_SS_MODEL, _SS_PROJ))
     else:
         model_init = projection_init = StoredArrays(weights)
-    model = Detector(config.detector_config, model_init)
+    model = Detector(config.model, len(spec.global_classes), model_init)
     projection = (TokenProjection(model.config.d_model, registry.d_text, projection_init)
                   if weights is None or config.moca else None)
     bundle = RunBundle(config=config, train_samples=train_samples, val_samples=val_samples,
@@ -250,13 +250,11 @@ def pretrained_weights(config: RunConfig, ckpt_path: str) -> dict:
 
     The alignment head, stored after them, is deliberately dropped: it
     exists only for the contrastive stage. The stored run must have the same
-    dataset, tokens and resolved model, however its ``model`` section
-    spells it.
+    model, dataset and tokens, however its sections spell them.
     """
     stored_config, stored = _read_checkpoint(ckpt_path, "pretrain")
-    for section, attr in (("model", "detector_config"), ("dataset", "dataset"),
-                          ("tokens", "tokens")):
-        if getattr(stored_config, attr) != getattr(config, attr):
+    for section in ("model", "dataset", "tokens"):
+        if getattr(stored_config, section) != getattr(config, section):
             raise CheckpointError(
                 f"checkpoint config section {section!r} does not match the run config")
     dropped = ("gphi.",) if config.moca else ("gphi.", TokenProjection.prefix + ".")

@@ -20,8 +20,8 @@ kept apart, and so are the tests that start a subprocess. ``tests/mutants.py``
 builds it on the unmutated copy to choose the tests each mutant runs.
 
 The name keeps pytest from collecting this file; besides pytest, which it
-runs, it uses the standard library only. A run takes about twice tier 1's
-time.
+runs, it uses the standard library only. On 2 vCPUs a run took 44 s, against
+24 s for tier 1 untraced and 37 s under a tracer that does nothing.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import argparse
 import glob
 import json
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -95,7 +96,11 @@ class Recorder:
     def __init__(self, files):
         self.files = set(files)
         self.hits = {}          # owner -> {(co_filename, line)}
+        # owner -> {code object: True once the owner has run each of its
+        # lines, else len(hits[owner]) when that was last found not so}
+        self.progress = {}
         self._seen = [None]     # the set of the current owner, where the tracer adds
+        self._progress = [None]  # and the progress of the current owner
         self.own(None)
         self.tests = []         # node ids in run order
         self.fixtures = {}      # node id -> the fixture names it uses
@@ -106,10 +111,15 @@ class Recorder:
     def own(self, owner) -> None:
         self.owner = owner
         self._seen[0] = self.hits.setdefault(owner, set())
+        self._progress[0] = self.progress.setdefault(owner, {})
 
     def _tracer(self):
-        # closures over locals: the tracer runs on every call and every src/ line
-        seen, real, files = self._seen, self.real, self.files
+        # closures over locals: the tracer runs on every call and every src/
+        # line. A code object whose every line the owner has run gets no line
+        # events under that owner again: a call of it can add no line but
+        # its own first one, which the call event adds.
+        seen, progress, real, files = self._seen, self._progress, self.real, self.files
+        lines_of = {}  # code object -> {(co_filename, line)} of its co_lines()
 
         def line(frame, event, arg):
             if event == "line":
@@ -117,14 +127,28 @@ class Recorder:
             return line
 
         def call(frame, event, arg):
-            name = frame.f_code.co_filename
+            code = frame.f_code
+            name = code.co_filename
             path = real.get(name, 0)
             if path == 0:
                 path = os.path.realpath(name)
                 path = real[name] = path if path in files else None
             if path is None:
                 return None
-            seen[0].add((name, frame.f_lineno))
+            owned = seen[0]
+            owned.add((name, frame.f_lineno))
+            known = progress[0]
+            mark = known.get(code)
+            if mark is True:
+                return None
+            if mark != len(owned):  # a set that has not grown is still short
+                need = lines_of.get(code)
+                if need is None:
+                    need = lines_of[code] = {(name, n) for _, _, n in code.co_lines() if n}
+                if need <= owned:
+                    known[code] = True
+                    return None
+                known[code] = len(owned)
             return line
 
         return call
@@ -132,10 +156,6 @@ class Recorder:
     def lines(self, owner) -> set:
         """The (real path, line) pairs run under ``owner``."""
         return {(self.real[name], line) for name, line in self.hits.get(owner, ())}
-
-    def audit(self, event, args):
-        if event == "subprocess.Popen":
-            self.spawners.add(self.owner)
 
     def run(self, pytest_args) -> int:
         """Runs pytest with ``pytest_args`` under this tracer; pytest's exit code."""
@@ -167,7 +187,15 @@ class Recorder:
                 yield
                 rec.own(was)
 
-        sys.addaudithook(self.audit)
+        # reading frame.f_code is an audited event: an audit hook would run
+        # on every traced call and line, so subprocesses are seen here
+        popen_init = subprocess.Popen.__init__
+
+        def spawn(popen, *args, **kwargs):
+            rec.spawners.add(rec.owner)
+            popen_init(popen, *args, **kwargs)
+
+        subprocess.Popen.__init__ = spawn
         threading.settrace(self.trace)
         sys.settrace(self.trace)
         try:
@@ -175,6 +203,7 @@ class Recorder:
         finally:
             sys.settrace(None)
             threading.settrace(None)
+            subprocess.Popen.__init__ = popen_init
 
     def owners_of(self, nodeid: str) -> list:
         """Test ``nodeid`` and each wider fixture it uses that was set up."""

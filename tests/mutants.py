@@ -149,9 +149,11 @@ MUTANTS = (
            "ids.add(rec.id)", "ids.add(i)"),
     Mutant("one_non_finite_pixel_accepted", "src/mocadet/data.py",
            "if not np.isfinite(img).all():", "if not np.isfinite(img).any():"),
-    # pretrained_weights back on the raw model sections
-    Mutant("pretrained_raw_model_compare", "src/mocadet/train.py",
-           '(("model", "detector_config"),', '(("model", "model"),'),
+    # pretrained_weights without the model compare: a checkpoint of other
+    # sizes whose arrays have the run's shapes (another n_heads) passes
+    Mutant("pretrained_model_section_unchecked", "src/mocadet/train.py",
+           'for section in ("model", "dataset", "tokens"):',
+           'for section in ("dataset", "tokens"):'),
     # mocadet eval back on the class list alone, blind to the modality split
     Mutant("eval_dataset_classes_only", "src/mocadet/cli.py",
            "if spec.token_pairs() != bundle.config.dataset.token_pairs():",

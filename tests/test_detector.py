@@ -13,35 +13,37 @@ from mocadet import detector as det
 from mocadet import losses as ls
 from mocadet import tokens as tk
 from mocadet.errors import ShapeError, ValidationError
-from mocadet.fileio import read_dataclass
+from mocadet.config import RunConfig
 
 
-_BASE = dict(n_classes=2, d_model=8, n_queries=4, n_decoder_layers=2,
+_BASE = dict(d_model=8, n_queries=4, n_decoder_layers=2,
              n_heads=2, patch_size=4, n_encoder_layers=0, ffn_width=12)
+_N_CLASSES = 2
 
 
 def _cfg(**kw):
-    return det.DetectorConfig(**dict(_BASE, **kw))
+    return det.ModelConfig(**dict(_BASE, **kw))
 
 
 def test_config_validation():
-    with pytest.raises(ValidationError):
-        _cfg(d_model=10)  # not divisible by heads=2? 10 is; but not by 4
-    with pytest.raises(ValidationError):
-        _cfg(n_decoder_layers=1)
-    with pytest.raises(ValidationError, match="d_model must be divisible by n_heads"):
-        _cfg(d_model=12, n_heads=8)
-    # every field is an int (not a bool), checked by the reader that builds
-    # a run's config; n_encoder_layers >= 0 and the rest >= 1
+    # a run checks its model section: each size's type and range, then how
+    # the sizes fit together (alignment at layer 2 fits two decoder layers)
+    def run(**kw):
+        return RunConfig.from_json({"model": dict(_BASE, **kw), "qra": {"layer": 2}})
+
+    with pytest.raises(ValidationError, match="d_model must be divisible by 4"):
+        run(d_model=10)  # divisible by n_heads 2, not by 4
+    with pytest.raises(ValidationError, match="config.model.n_decoder_layers must be in"):
+        run(n_decoder_layers=1)
+    with pytest.raises(ValidationError, match="d_model must be divisible by model.n_heads"):
+        run(d_model=12, n_heads=8)
+    # every field is an int (not a bool); n_encoder_layers >= 0 and the rest >= 1
     for bad in ({"d_model": "8"}, {"d_model": 8.0}, {"n_queries": 2.5}, {"n_queries": True},
-                {"n_classes": np.int64(2)}):
-        with pytest.raises(ValidationError, match=f"config.model.{next(iter(bad))}"):
-            read_dataclass(det.DetectorConfig, dict(_BASE, **bad), "config.model")
-    for bad in ({"n_heads": 0}, {"d_model": 0}, {"n_queries": 0}, {"n_classes": 0},
+                {"n_heads": np.int64(2)}, {"n_heads": 0}, {"d_model": 0}, {"n_queries": 0},
                 {"patch_size": 0}, {"ffn_width": -1}, {"n_encoder_layers": -1}):
-        with pytest.raises(ValidationError):
-            _cfg(**bad)
-    assert _cfg(n_encoder_layers=0).n_encoder_layers == 0
+        with pytest.raises(ValidationError, match=f"config.model.{next(iter(bad))}"):
+            run(**bad)
+    assert run(n_encoder_layers=0).model == _cfg(n_encoder_layers=0)
 
 
 # Assignment order in each __init__ is the rule that names and orders the
@@ -80,7 +82,7 @@ gphi.lin1.W gphi.lin1.b gphi.lin2.W gphi.lin2.b
 
 
 def test_parameter_names_and_order_are_pinned():
-    model = det.Detector(_cfg(n_encoder_layers=1), ad.Drawn(np.random.default_rng(0)))
+    model = det.Detector(_cfg(n_encoder_layers=1), _N_CLASSES, ad.Drawn(np.random.default_rng(0)))
     proj = tk.TokenProjection(8, 6, ad.Drawn(np.random.default_rng(1)))
     gphi = det.FeedForward(8, 8, ad.Drawn(np.random.default_rng(2)))
     named = model.parameters() + proj.parameters() + gphi.parameters("gphi")
@@ -95,7 +97,8 @@ def test_parameter_names_and_order_are_pinned():
 
 
 def test_patch_count():
-    model = det.Detector(_cfg(patch_size=8, d_model=8), ad.Drawn(np.random.default_rng(0)))
+    model = det.Detector(_cfg(patch_size=8, d_model=8), _N_CLASSES,
+                         ad.Drawn(np.random.default_rng(0)))
     with ad.no_grad():
         memory = model.encode(np.zeros((32, 32)))
     assert memory.shape == (16, 8)
@@ -104,7 +107,7 @@ def test_patch_count():
 
 
 def test_zero_image_zero_bias_memory_equals_positions():
-    model = det.Detector(_cfg(), ad.Drawn(np.random.default_rng(0)))
+    model = det.Detector(_cfg(), _N_CLASSES, ad.Drawn(np.random.default_rng(0)))
     model.patch_proj.b.data[:] = 0.0
     with ad.no_grad():
         memory = model.encode(np.zeros((16, 16)))
@@ -145,14 +148,14 @@ def test_forward_shapes_ranges_and_determinism():
     token = np.random.default_rng(4).normal(size=(1, 8))
 
     def build_and_run():
-        model = det.Detector(cfg, ad.Drawn(np.random.default_rng(42)))
+        model = det.Detector(cfg, _N_CLASSES, ad.Drawn(np.random.default_rng(42)))
         with ad.no_grad():
             return model.forward(image, ad.constant(token))
 
     out1, out2 = build_and_run(), build_and_run()
     assert len(out1.layers) == cfg.n_decoder_layers
     for (logits, boxes), state in zip(out1.layers, out1.query_states):
-        assert logits.shape == (cfg.n_queries, cfg.n_classes)
+        assert logits.shape == (cfg.n_queries, _N_CLASSES)
         assert boxes.shape == (cfg.n_queries, 4)
         assert state.shape == (cfg.n_queries, cfg.d_model)  # token row never leaks
         assert np.all(boxes.data > 0.0) and np.all(boxes.data < 1.0)
@@ -165,7 +168,7 @@ def test_masked_token_column_bitwise_equals_disabled_20_seeds():
     cfg = _cfg()
     for seed in range(20):
         rng = np.random.default_rng(100 + seed)
-        model = det.Detector(cfg, ad.Drawn(np.random.default_rng(seed)))
+        model = det.Detector(cfg, _N_CLASSES, ad.Drawn(np.random.default_rng(seed)))
         image = rng.uniform(0, 1, size=(16, 16))
         token = ad.constant(rng.normal(size=(1, cfg.d_model)))
         with ad.no_grad():
@@ -183,7 +186,7 @@ def test_masked_token_column_bitwise_equals_disabled_20_seeds():
 def test_masked_token_column_bitwise_equals_disabled_batch_of_3():
     cfg = _cfg(n_encoder_layers=1)
     rng = np.random.default_rng(5)
-    model = det.Detector(cfg, ad.Drawn(np.random.default_rng(6)))
+    model = det.Detector(cfg, _N_CLASSES, ad.Drawn(np.random.default_rng(6)))
     images = rng.uniform(0, 1, size=(3, 16, 16))
     tokens = ad.constant(rng.normal(size=(3, cfg.d_model)))
     with ad.no_grad():
@@ -204,10 +207,10 @@ def test_batched_forward_equals_per_image_forwards(n_images):
     # against B single-image forwards; outputs and parameter gradients
     cfg = _cfg(n_encoder_layers=1)
     rng = np.random.default_rng(20 + n_images)
-    model = det.Detector(cfg, ad.Drawn(np.random.default_rng(21)))
+    model = det.Detector(cfg, _N_CLASSES, ad.Drawn(np.random.default_rng(21)))
     images = rng.uniform(0, 1, size=(n_images, 16, 12))
     tokens = [ad.param(rng.normal(size=(1, cfg.d_model))) for _ in range(n_images)]
-    w = rng.normal(size=(n_images, cfg.n_queries, cfg.n_classes + 4 + cfg.d_model))
+    w = rng.normal(size=(n_images, cfg.n_queries, _N_CLASSES + 4 + cfg.d_model))
     params = [t for _, t in model.parameters()] + tokens
 
     def objective(out, weights):
@@ -215,7 +218,7 @@ def test_batched_forward_equals_per_image_forwards(n_images):
         logits, boxes = out.layers[-1]
         parts = (logits, boxes, out.query_states[0])
         weights = weights.reshape(-1, weights.shape[-1])
-        cols = np.cumsum([0, cfg.n_classes, 4, cfg.d_model])
+        cols = np.cumsum([0, _N_CLASSES, 4, cfg.d_model])
         return functools.reduce(ad.add, [weighted_sum(part, weights[:, c0:c1])
                                          for part, c0, c1 in zip(parts, cols[:-1], cols[1:])])
 
@@ -241,7 +244,7 @@ def test_batched_forward_equals_per_image_forwards(n_images):
 
 
 def test_encode_rejects_bad_stacks():
-    model = det.Detector(_cfg(), ad.Drawn(np.random.default_rng(0)))
+    model = det.Detector(_cfg(), _N_CLASSES, ad.Drawn(np.random.default_rng(0)))
     with pytest.raises(ShapeError), ad.no_grad():
         model.encode(np.zeros((0, 16, 16)))
     with pytest.raises(ShapeError), ad.no_grad():
@@ -256,7 +259,7 @@ def test_encode_rejects_bad_stacks():
 
 def test_token_perturbation_changes_outputs():
     cfg = _cfg()
-    model = det.Detector(cfg, ad.Drawn(np.random.default_rng(7)))
+    model = det.Detector(cfg, _N_CLASSES, ad.Drawn(np.random.default_rng(7)))
     image = np.random.default_rng(8).uniform(0, 1, size=(16, 16))
     token = np.random.default_rng(9).normal(size=(1, cfg.d_model))
     with ad.no_grad():
@@ -273,7 +276,7 @@ def test_token_perturbation_changes_outputs():
 
 def test_full_model_gradient_check_detection_loss(monkeypatch):
     cfg = _cfg()
-    model = det.Detector(cfg, ad.Drawn(np.random.default_rng(10)))
+    model = det.Detector(cfg, _N_CLASSES, ad.Drawn(np.random.default_rng(10)))
     image = np.random.default_rng(11).uniform(0, 1, size=(8, 8))
     token = ad.param(np.random.default_rng(12).normal(size=(1, cfg.d_model)) * 0.5)
     gt_classes = [0, 1]
@@ -307,8 +310,8 @@ def test_tape_nodes_per_sample_at_default_config():
     # sum) whatever the number of layers, images and objects; the B token
     # rows are one projection node; and a batch of B images is one forward
     # and one loss, not B of each
-    cfg = det.DetectorConfig(n_classes=10)
-    model = det.Detector(cfg, ad.Drawn(np.random.default_rng(0)))
+    cfg = det.ModelConfig()
+    model = det.Detector(cfg, 10, ad.Drawn(np.random.default_rng(0)))
     rng = np.random.default_rng(1)
     images = rng.uniform(0, 1, size=(4, 64, 64))
     projection = tk.TokenProjection(cfg.d_model, 64, ad.Drawn(rng))
@@ -345,7 +348,7 @@ def test_backward_leaves_no_reference_cycles():
     gc.collect()
     gc.disable()
     try:
-        model = det.Detector(cfg, ad.Drawn(np.random.default_rng(10)))
+        model = det.Detector(cfg, _N_CLASSES, ad.Drawn(np.random.default_rng(10)))
         token = ad.param(np.random.default_rng(12).normal(size=(1, cfg.d_model)))
         with ad.Tape():
             out = model.forward(image, token)
@@ -364,7 +367,7 @@ def test_the_forward_pass_frees_values_no_pullback_reads(monkeypatch):
     # projections that attention copied into its token-augmented K/V are
     # gone; what a pullback reads, the input of every linear, is alive
     cfg = _cfg()
-    model = det.Detector(cfg, ad.Drawn(np.random.default_rng(10)))
+    model = det.Detector(cfg, _N_CLASSES, ad.Drawn(np.random.default_rng(10)))
     image = np.random.default_rng(11).uniform(0, 1, size=(16, 16))
     token = ad.param(np.random.default_rng(12).normal(size=(1, cfg.d_model)))
     refs = {"linear": [], "layernorm": [], "relu": [], "attention": []}
@@ -396,7 +399,7 @@ def test_backward_frees_the_graph_while_outputs_are_held(monkeypatch):
     # as run_train does until its next step; the intermediate attention
     # outputs are referenced by the graph only and must be freed
     cfg = _cfg()
-    model = det.Detector(cfg, ad.Drawn(np.random.default_rng(10)))
+    model = det.Detector(cfg, _N_CLASSES, ad.Drawn(np.random.default_rng(10)))
     image = np.random.default_rng(11).uniform(0, 1, size=(16, 16))
     token = ad.param(np.random.default_rng(12).normal(size=(1, cfg.d_model)))
     gt_boxes = np.array([[0.3, 0.3, 0.25, 0.25], [0.7, 0.6, 0.2, 0.3]])

@@ -2,7 +2,7 @@
 
 The script finds a named line by its exact stripped text, and stops when
 that text is not on exactly one line of its file. It is not part of tier 1,
-since its traced run takes about twice tier 1's time; this test reads the
+since its traced run takes nearly twice tier 1's time; this test reads the
 same files inside tier 1, so a stale entry fails there at once."""
 
 import os

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import secrets
 import typing
 
 import numpy as np
@@ -19,18 +20,22 @@ from mocadet.checkpoint import StoredArrays, load_checkpoint, save_checkpoint
 from mocadet.cli import main
 from mocadet.config import OptimConfig, QraConfig, RunConfig, TokenConfig
 from mocadet.data import DatasetSpec, ModalitySpec, make_default_spec
-from mocadet.detector import DetectorConfig, FeedForward
+from mocadet.detector import FeedForward, ModelConfig
 from mocadet.errors import CheckpointError, ContractError, IngestError, ValidationError
-from mocadet.fileio import CHECKPOINT, DATASET_SPLIT, atomic_write, read_dataclass
+from mocadet.fileio import CHECKPOINT, DATASET_SPLIT, atomic_write
 from mocadet.losses import LossWeights
 from mocadet.optim import CHUNK, AdamW
 from mocadet.train import build_run
 
 
+# a test writes a gradient into the view that zero_grad gives each parameter,
+# the flat vector backward fills and step reads
+
+
 def test_adamw_zero_grad_zero_decay_noop():
     p = ad.param([1.0, -2.0])
     opt = AdamW([("p", p)], lr=0.1, weight_decay=0.0)
-    p.grad = np.zeros(2)
+    opt.zero_grad()
     opt.step()
     assert np.array_equal(p.data, [1.0, -2.0])
 
@@ -39,7 +44,8 @@ def test_adamw_first_step_hand_value():
     # oracle: bias-corrected first step with g=1 moves by lr/(1+eps)
     p = ad.param(np.asarray(0.5))
     opt = AdamW([("p", p)], lr=0.1, weight_decay=0.0)
-    p.grad = np.asarray(1.0)
+    opt.zero_grad()
+    p.grad[...] = 1.0
     opt.step()
     expected = 0.5 - 0.1 * (1.0 / (1.0 + 1e-8))
     assert p.data == pytest.approx(expected, rel=1e-12)
@@ -48,7 +54,7 @@ def test_adamw_first_step_hand_value():
 def test_adamw_decoupled_weight_decay():
     p = ad.param(np.asarray(2.0))
     opt = AdamW([("p", p)], lr=0.1, weight_decay=0.01)
-    p.grad = np.asarray(0.0)
+    opt.zero_grad()
     opt.step()
     assert p.data == pytest.approx(2.0 - 0.1 * 0.01 * 2.0, rel=1e-12)
 
@@ -56,14 +62,16 @@ def test_adamw_decoupled_weight_decay():
 def test_adamw_rejects_nan_gradient():
     p = ad.param(np.asarray(1.0))
     opt = AdamW([("p", p)], lr=0.1)
-    p.grad = np.asarray(np.nan)
+    opt.zero_grad()
+    p.grad[...] = np.nan
     with pytest.raises(ContractError):
         opt.step()
 
     # a NaN in a later parameter leaves the earlier one and the step untouched
     a, b = ad.param(np.asarray(1.0)), ad.param(np.asarray(2.0))
     opt = AdamW([("a", a), ("b", b)], lr=0.1, weight_decay=0.01)
-    a.grad, b.grad = np.asarray(1.0), np.asarray(np.nan)
+    opt.zero_grad()
+    a.grad[...], b.grad[...] = 1.0, np.nan
     with pytest.raises(ContractError):
         opt.step()
     assert a.data == 1.0 and b.data == 2.0 and opt.t == 0
@@ -99,7 +107,7 @@ class _PerTensorAdamW:
 @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
 def test_flat_adamw_matches_per_tensor_loop_bitwise(weight_decay):
     """Five steps over more than two chunks with a ragged last one; parameter
-    2 never gets a gradient and parameter 3's gradient is assigned."""
+    2 never gets a gradient and parameter 3's is written into its view."""
     rng = np.random.default_rng(7)
     shapes = [(200, 200), (150, 100), (7,), (), (3, 5), (12345,)]
     size = sum(int(np.prod(s)) for s in shapes)
@@ -124,8 +132,9 @@ def test_flat_adamw_matches_per_tensor_loop_bitwise(weight_decay):
                 terms = [weighted_sum(p, 2.0 * w * p.data)
                          for i, (p, w) in enumerate(zip(params, weights)) if i not in (2, 3)]
                 ad.backward(functools.reduce(ad.add, terms))
-            params[3].grad = assigned.copy()
-        assert all(p.grad is g for i, (p, g) in enumerate(zip(flat, views)) if i != 3)
+        flat[3].grad[...] = assigned
+        ref[3].grad = assigned.copy()
+        assert all(p.grad is g for p, g in zip(flat, views))
         opt.step()
         oracle.step()
         for i, (p, q) in enumerate(zip(flat, ref)):
@@ -183,7 +192,8 @@ def test_config_round_trip():
         image_size=32, counts={"train": 9, "test": 3}, seed=4, size_range=(6, 30),
         objects_range=(0, 2))
     cfg = RunConfig(
-        dataset=spec, model={"d_model": 32, "n_decoder_layers": 4},
+        dataset=spec, model=ModelConfig(d_model=32, n_queries=7, n_decoder_layers=4, n_heads=2,
+                                        patch_size=4, n_encoder_layers=2, ffn_width=48),
         loss=LossWeights(w_focal=1.5, alpha=0.5, gamma=1.0, w_l1=4.0, w_giou=3.0),
         optim=OptimConfig(lr=1e-3, weight_decay=0.0, decay_epoch=3, decay_factor=0.5,
                           epochs=5),
@@ -202,7 +212,7 @@ def test_config_round_trip():
 def test_every_config_is_frozen():
     # a config checks itself when made, so no field may change afterwards
     cfg = RunConfig()
-    for obj in (cfg, cfg.optim, cfg.tokens, cfg.qra, cfg.loss, cfg.detector_config,
+    for obj in (cfg, cfg.optim, cfg.tokens, cfg.qra, cfg.loss, cfg.model,
                 cfg.dataset, cfg.dataset.modalities[0]):
         for f in dataclasses.fields(obj):
             with pytest.raises(dataclasses.FrozenInstanceError):
@@ -215,12 +225,14 @@ _MUTATORS = ("append", "extend", "insert", "remove", "pop", "popitem", "clear", 
 
 
 def test_every_container_of_a_config_is_read_only():
-    # frozen all the way down: no container a config holds can change,
-    # including one whose dict the caller passed in and keeps
+    # frozen all the way down: no container a config holds can change; a
+    # model section given as a dict, which the caller keeps, is read into
+    # the ModelConfig that JSON gives
     model = {"d_model": 32}
     cfg = RunConfig(model=model)
     model["d_model"] = 8
-    assert cfg.model == {"d_model": 32} and cfg.detector_config.d_model == 32
+    assert cfg.model == ModelConfig(d_model=32) == RunConfig.from_json(
+        {"model": {"d_model": 32}}).model
     containers = {}
 
     def walk(obj, where):
@@ -235,12 +247,10 @@ def test_every_container_of_a_config_is_read_only():
                         walk(item, f"{name}[{i}]")
 
     walk(cfg, "config")
-    assert {"config.model", "config.dataset.modalities", "config.dataset.counts",
+    assert {"config.dataset.modalities", "config.dataset.counts",
             "config.dataset.size_range", "config.dataset.modalities[0].classes"} <= set(containers)
     for name, value in containers.items():
         assert not [m for m in _MUTATORS if hasattr(value, m)], name
-    with pytest.raises(TypeError):
-        cfg.model["d_model"] = 10
     with pytest.raises(TypeError):
         cfg.dataset.counts["train"] = -5
     with pytest.raises(AttributeError):
@@ -262,8 +272,9 @@ def test_config_rejects_bad_qra_layer():
 
 
 def test_config_rejects_reserved_model_keys():
+    # the class count is the dataset's: a model section has no field for it
     doc = {"dataset": make_default_spec().to_json(), "model": {"n_classes": 3}}
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="config.model.n_classes is not a known field"):
         RunConfig.from_json(doc)
 
 
@@ -296,6 +307,7 @@ def test_config_rejects_non_object_documents_and_bad_values():
             ({"epochs": 3}, "config.epochs"),
             ({"optim": {"lr": True}}, "config.optim.lr"),
             ({"dataset": dict(spec, counts={"train": 20.5})}, "config.dataset.counts.train"),
+            ({"dataset": dict(spec, counts=[20])}, "config.dataset.counts must be an object"),
             ({"dataset": dict(spec, modalities=modalities)},
              r"config\.dataset\.modalities\[0\]\.classes"),
             ({"qra": {"batch_size": 2.5}}, "config.qra.batch_size"),
@@ -324,20 +336,17 @@ def test_config_rejects_non_object_documents_and_bad_values():
 
 # where each config class sits in the document its reader takes
 _SECTIONS = {RunConfig: (), OptimConfig: ("optim",), TokenConfig: ("tokens",),
-             QraConfig: ("qra",), LossWeights: ("loss",), DetectorConfig: (),
+             QraConfig: ("qra",), LossWeights: ("loss",), ModelConfig: ("model",),
              DatasetSpec: (), ModalitySpec: ("modalities", 0)}
 
 
 def _numeric_fields():
     """(class, field, int or float) for every field whose annotation holds
-    numbers: a number, an optional one, or a dict or tuple of them. The
-    ``model`` section of a run holds ``DetectorConfig``'s fields by name."""
+    numbers: a number, an optional one, or a dict or tuple of them."""
     out = []
     for cls in _SECTIONS:
         hints = typing.get_type_hints(cls)
         for f in dataclasses.fields(cls):
-            if (cls, f.name) == (RunConfig, "model"):
-                continue
             tp = hints[f.name]
             kind = next((k for k in (int, float) if tp is k or k in typing.get_args(tp)), None)
             if kind is not None:
@@ -345,10 +354,8 @@ def _numeric_fields():
     return out
 
 
-# the reader of each document, by the name it gives the document; the model
-# section is read as RunConfig.detector_config reads it
-_READERS = {"config": RunConfig.from_json, "dataset": DatasetSpec.from_json,
-            "config.model": lambda doc: read_dataclass(DetectorConfig, doc, "config.model")}
+# the reader of each document, by the name it gives the document
+_READERS = {"config": RunConfig.from_json, "dataset": DatasetSpec.from_json}
 
 
 def _document(cls, f, value):
@@ -356,15 +363,15 @@ def _document(cls, f, value):
     ``cls``, which holds ``value`` (as a dict's one entry, or as both items of
     a pair), the reader that takes it, and the dotted name of the value."""
     # 256 one-class modalities fit every qra.batch_size, 1024 px images every
-    # size_range, and 32 decoder layers every qra.layer
+    # size_range and patch_size, 32 decoder layers every qra.layer, and
+    # alignment at layer 2 every n_decoder_layers
     dataset = {"image_size": 1024, "counts": {"train": 1}, "size_range": [1, 16],
                "modalities": [{"name": f"m{i}", "classes": [f"c{i}"]} for i in range(256)]}
-    if cls is DetectorConfig:
-        doc, where = {"n_classes": 2}, "config.model"
-    elif cls in (DatasetSpec, ModalitySpec):
+    if cls in (DatasetSpec, ModalitySpec):
         doc, where = dataset, "dataset"
     else:
-        doc, where = {"dataset": dataset, "model": {"n_decoder_layers": 32}}, "config"
+        doc, where = {"dataset": dataset, "model": {"n_decoder_layers": 32},
+                      "qra": {"layer": 2}}, "config"
     reader, target = _READERS[where], doc
     for key in _SECTIONS[cls]:
         target = target.setdefault(key, {}) if isinstance(key, str) else target[key]
@@ -604,13 +611,30 @@ def test_atomic_write_that_raises_leaves_the_old_file(tmp_path):
         fh.write(b"new")
     assert path.read_bytes() == b"new"
     assert sorted(os.listdir(tmp_path)) == ["report.json"]
-    # a name of 250 characters is a valid one, but its temporary file's is too long
-    empty = tmp_path / "empty"
-    empty.mkdir()
-    with pytest.raises(ValidationError, match="cannot write"):
-        with atomic_write(empty / ("r" * 250)):
-            pass
-    assert os.listdir(empty) == []
+    # a name of 255 characters, the longest most file systems hold: the
+    # temporary file's name is as long whatever the target's
+    longest = tmp_path / "longest"
+    longest.mkdir()
+    with atomic_write(longest / ("r" * 255)) as fh:
+        fh.write("long")
+    assert (longest / ("r" * 255)).read_text(encoding="utf-8") == "long"
+    assert os.listdir(longest) == ["r" * 255]
+
+
+def test_atomic_write_whose_temporary_file_cannot_be_made_raises(tmp_path, monkeypatch):
+    # the temporary name is taken: the open fails before anything is written
+    path = tmp_path / "report.json"
+    path.write_text("old", encoding="utf-8")
+    monkeypatch.setattr(secrets, "token_hex", lambda n: "ab" * n)
+    taken = tmp_path / f".{'ab' * 8}.tmp"
+    taken.write_text("another writer's", encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"cannot write {re.escape(str(path))}") as e:
+        with atomic_write(path) as fh:
+            fh.write("new")
+    assert isinstance(e.value.__cause__, FileExistsError)
+    assert path.read_text(encoding="utf-8") == "old"
+    assert taken.read_text(encoding="utf-8") == "another writer's"
+    assert sorted(os.listdir(tmp_path)) == [taken.name, "report.json"]
 
 
 def test_save_checkpoint_that_fails_leaves_the_old_checkpoint(tmp_path, monkeypatch):

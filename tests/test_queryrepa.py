@@ -270,11 +270,10 @@ def test_qra_loss_is_the_loss_the_lab_certifies():
 def _tiny_setup(seed=0):
     spec = dt.make_default_spec(seed=1, counts={"train": 25})
     samples = dt.generate_synthetic(spec, "train")
-    cfg = det.DetectorConfig(n_classes=10, d_model=8, n_queries=4,
-                             n_decoder_layers=2, n_heads=2, patch_size=8,
-                             n_encoder_layers=0, ffn_width=12)
+    cfg = det.ModelConfig(d_model=8, n_queries=4, n_decoder_layers=2, n_heads=2,
+                          patch_size=8, n_encoder_layers=0, ffn_width=12)
     rng = np.random.default_rng(seed)
-    model = det.Detector(cfg, ad.Drawn(rng))
+    model = det.Detector(cfg, len(spec.global_classes), ad.Drawn(rng))
     registry = tk.build_registry(spec.token_pairs(), d_text=6, seed64=1)
     proj = tk.TokenProjection(cfg.d_model, 6, ad.Drawn(rng))
     gphi = det.FeedForward(cfg.d_model, cfg.d_model, ad.Drawn(rng))
@@ -336,11 +335,10 @@ def test_pretraining_improves_positive_rank():
     rises from near-uniform to > 0.9 (asserted at 0.85 = 0.9 - tolerance)."""
     spec = dt.make_default_spec(seed=1, counts={"train": 50})
     samples = dt.generate_synthetic(spec, "train")
-    cfg = det.DetectorConfig(n_classes=10, d_model=16, n_queries=8,
-                             n_decoder_layers=2, n_heads=2, patch_size=8,
-                             n_encoder_layers=0, ffn_width=32)
+    cfg = det.ModelConfig(d_model=16, n_queries=8, n_decoder_layers=2, n_heads=2,
+                          patch_size=8, n_encoder_layers=0, ffn_width=32)
     rng = np.random.default_rng(0)
-    model = det.Detector(cfg, ad.Drawn(rng))
+    model = det.Detector(cfg, len(spec.global_classes), ad.Drawn(rng))
     registry = tk.build_registry(spec.token_pairs(), d_text=16, seed64=1)
     proj = tk.TokenProjection(cfg.d_model, 16, ad.Drawn(rng))
     gphi = det.FeedForward(cfg.d_model, cfg.d_model, ad.Drawn(rng))
@@ -385,8 +383,8 @@ def test_alignment_loss_node_count_does_not_depend_on_batch_size():
     # at the default model, a B=5 alignment loss is 1 token node, 14 encoder
     # and 146 decoder nodes, and those 5: the heads run on the last of the
     # six layers only, as the loss reads none of them (five nodes a layer)
-    cfg = det.DetectorConfig(n_classes=10)
-    model = det.Detector(cfg, ad.Drawn(np.random.default_rng(0)))
+    cfg = det.ModelConfig()
+    model = det.Detector(cfg, len(spec.global_classes), ad.Drawn(np.random.default_rng(0)))
     registry = tk.build_registry(spec.token_pairs(), d_text=64, seed64=1)
     proj = tk.TokenProjection(cfg.d_model, 64, ad.Drawn(np.random.default_rng(1)))
     gphi = det.FeedForward(cfg.d_model, cfg.d_model, ad.Drawn(np.random.default_rng(2)))

@@ -15,7 +15,7 @@ from mocadet.checkpoint import load_checkpoint, save_checkpoint
 from mocadet.cli import main
 from mocadet.config import RunConfig
 from mocadet.data import make_default_spec
-from mocadet.detector import DetectorConfig
+from mocadet.detector import ModelConfig
 from mocadet.errors import CheckpointError, TokenLookupError
 from mocadet.evaluation import DETECTION, detections_from_output
 from mocadet.fileio import CHECKPOINT, DATASET_SPLIT
@@ -177,16 +177,19 @@ def test_pretrain_then_resume_zero_steps_equals_checkpoint(tmp_path):
 
 
 def test_finetune_config_mismatch_rejected(tmp_path):
+    # the pretraining run has 2 heads: a run with 4 has every parameter of
+    # the same shape, so only the compare of the model sections sees it
     cfg = RunConfig.from_json(_tiny_doc())
     result = run_pretrain(cfg, str(tmp_path / "pre"))
-    other = _tiny_doc()
-    other["model"]["n_queries"] = 8
-    with pytest.raises(CheckpointError):
-        pretrained_weights(RunConfig.from_json(other), result["checkpoint"])
-    with pytest.raises(CheckpointError):
-        run_train(RunConfig.from_json(other), str(tmp_path / "ft"),
-                  from_pretrain=result["checkpoint"])
-    assert not (tmp_path / "ft").exists()
+    for field, value in (("n_queries", 8), ("n_heads", 4)):
+        other = _tiny_doc()
+        other["model"][field] = value
+        with pytest.raises(CheckpointError, match="section 'model' does not match"):
+            pretrained_weights(RunConfig.from_json(other), result["checkpoint"])
+        with pytest.raises(CheckpointError):
+            run_train(RunConfig.from_json(other), str(tmp_path / "ft"),
+                      from_pretrain=result["checkpoint"])
+        assert not (tmp_path / "ft").exists()
 
 
 def test_finetune_accepts_the_same_model_spelled_differently(tmp_path):
@@ -195,11 +198,68 @@ def test_finetune_accepts_the_same_model_spelled_differently(tmp_path):
     pre_path, train_path = tmp_path / "pre.json", tmp_path / "train.json"
     pre_path.write_text(json.dumps(_tiny_doc(qra_steps=0)))
     doc = _tiny_doc(epochs=1)
-    assert doc["model"].pop("patch_size") == 8 == DetectorConfig(n_classes=1).patch_size
+    assert doc["model"].pop("patch_size") == 8 == ModelConfig().patch_size
     train_path.write_text(json.dumps(doc))
     assert main(["pretrain", "--config", str(pre_path), "--out", str(tmp_path / "pre")]) == 0
     assert main(["train", "--config", str(train_path), "--out", str(tmp_path / "run"),
                  "--from-pretrain", str(tmp_path / "pre" / "pretrain.ckpt")]) == 0
+
+
+def _with_model_section(path, section):
+    """Rewrites the checkpoint at ``path`` with ``section`` as its config's
+    model section, as checkpoints written before the section listed every
+    size stored it; the arrays and the digest stay whole."""
+    header, blob = CHECKPOINT.read(path)
+    header["config"]["model"] = section
+    CHECKPOINT.write(path, header, [blob])
+
+
+def test_checkpoints_with_an_empty_or_partial_model_section_still_load(tmp_path):
+    # absent sizes take their defaults: an eval of the same arrays writes the
+    # same report, and a default-model run trains from such a pretraining
+    # checkpoint
+    doc = dict(_tiny_doc(epochs=1, qra_steps=0), model={})
+    config = RunConfig.from_json(doc)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc["dataset"]))
+    assert main(["gen-data", "--spec", str(spec_path), "--out", str(tmp_path / "d"),
+                 "--splits", "val"]) == 0
+    named = build_run(config).detection_parameters()
+    reports = []
+    for i, section in enumerate((None, {}, {"d_model": 64, "patch_size": 8})):
+        ckpt = str(tmp_path / f"model{i}.ckpt")
+        save_checkpoint(ckpt, named, config.to_json(), phase="detection", step=0)
+        if section is not None:
+            _with_model_section(ckpt, section)
+        report = tmp_path / f"report{i}.json"
+        assert main(["eval", "--ckpt", ckpt, "--data", str(tmp_path / "d"),
+                     "--out", str(report)]) == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+
+    pre = run_pretrain(config, str(tmp_path / "pre"))["checkpoint"]
+    _with_model_section(pre, {})
+    assert load_checkpoint(pre)[0]["config"]["model"] == {}
+    weights = pretrained_weights(config, pre)
+    assert [name for name, _ in build_run(config, weights).detection_parameters()] == \
+        list(weights)
+
+
+def test_a_dataset_of_1025_classes_is_rejected_before_any_write(tmp_path, capsys):
+    # the class head holds at most 1024 classes: the run's dataset gives the
+    # count, and the config is rejected before its run directory exists
+    doc = _tiny_doc(epochs=1)
+    doc["dataset"]["modalities"][1]["classes"] = [f"mb_c{i}" for i in range(1023)]
+    assert len(RunConfig.from_json(doc).dataset.global_classes) == 1024
+    doc["dataset"]["modalities"][1]["classes"].append("mb_c1023")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    for command in ("train", "pretrain"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert ("config.dataset's class count must be in [1, 1024], got 1025"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 def test_finetune_runs_and_improves_nothing_breaks(tmp_path, monkeypatch):
@@ -646,8 +706,7 @@ def test_cli_eval_rejects_a_dataset_whose_modalities_differ_from_the_checkpoint(
 
 def test_an_eval_checks_its_config_once_and_build_run_checks_nothing(tmp_path, monkeypatch):
     # a config checks itself when made: one in-process `mocadet eval` checks
-    # the stored config and builds its DetectorConfig once, and build_run on
-    # a config that exists does neither
+    # the stored config once, and build_run on a config that exists does not
     doc = _tiny_doc()
     config = RunConfig.from_json(doc)
     bundle = build_run(config)
@@ -659,12 +718,11 @@ def test_an_eval_checks_its_config_once_and_build_run_checks_nothing(tmp_path, m
     assert main(["gen-data", "--spec", str(spec_path), "--out", str(tmp_path / "d"),
                  "--splits", "val"]) == 0
     calls = []
-    for cls, name in ((RunConfig, "validate"), (DetectorConfig, "__init__")):
-        method = getattr(cls, name)
-        monkeypatch.setattr(cls, name, lambda self, *a, method=method, name=name, **k:
-                            calls.append(name) or method(self, *a, **k))
+    validate = RunConfig.validate
+    monkeypatch.setattr(RunConfig, "validate",
+                        lambda self: calls.append("validate") or validate(self))
     assert main(["eval", "--ckpt", ckpt, "--data", str(tmp_path / "d")]) == 0
-    assert sorted(calls) == ["__init__", "validate"]
+    assert calls == ["validate"]
     calls.clear()
     build_run(config)
     assert calls == []
@@ -673,9 +731,9 @@ def test_an_eval_checks_its_config_once_and_build_run_checks_nothing(tmp_path, m
 def test_an_eval_of_five_modalities_makes_18_range_checks(tmp_path, monkeypatch):
     # each DatasetSpec checks itself and its 5 modalities (6), and one eval
     # makes two, the checkpoint's and the split's; the RunConfig checks itself
-    # and its loss, optim, tokens and qra sections (5), not its dataset again;
-    # DetectorConfig checks itself (1)
-    from mocadet import config, data, detector, fileio
+    # and its model, loss, optim, tokens and qra sections (6), not its
+    # dataset again
+    from mocadet import config, data, fileio
     doc = _tiny_doc()
     doc["dataset"] = dict(make_default_spec(seed=1, counts={"train": 5, "val": 5}).to_json(),
                           image_size=16, size_range=[5, 9])
@@ -690,7 +748,7 @@ def test_an_eval_of_five_modalities_makes_18_range_checks(tmp_path, monkeypatch)
                  "--splits", "val"]) == 0
     calls = []
     check = fileio.check_ranges
-    for module in (config, data, detector, fileio):
+    for module in (config, data, fileio):
         monkeypatch.setattr(module, "check_ranges",
                             lambda obj, where: calls.append(where) or check(obj, where))
     assert main(["eval", "--ckpt", ckpt, "--data", str(tmp_path / "d")]) == 0
@@ -722,12 +780,13 @@ def test_cli_pretrain_rejected_by_the_sampler_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "pre").exists()
 
 
-@pytest.mark.parametrize("case", ["missing", "empty_path", "n_queries"])
+@pytest.mark.parametrize("case", ["missing", "empty_path", "n_queries", "n_heads"])
 def test_cli_train_rejecting_the_pretraining_checkpoint_writes_nothing(tmp_path, capsys, case):
+    # n_heads: a checkpoint of 4 heads holds the shapes of the run's 2
     ckpt = "" if case == "empty_path" else tmp_path / "pre" / "pretrain.ckpt"
-    if case == "n_queries":
+    if case in ("n_queries", "n_heads"):
         other = _tiny_doc(qra_steps=0)
-        other["model"]["n_queries"] = 8
+        other["model"][case] = {"n_queries": 8, "n_heads": 4}[case]
         run_pretrain(RunConfig.from_json(other), str(tmp_path / "pre"))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_tiny_doc(epochs=1)))
