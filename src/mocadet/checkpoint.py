@@ -48,7 +48,8 @@ def load_checkpoint(path):
 
     Any file that is not a well-formed checkpoint raises CheckpointError:
     a parameter table whose sizes do not add up to the blob, and a NaN or
-    Inf in a stored parameter, which is named.
+    Inf in a stored parameter, which is named. A header that names one key
+    twice is a DuplicateKeyError instead, as in every JSON the program reads.
     """
     header, blob = CHECKPOINT.read(path)
     table = header.get("params")

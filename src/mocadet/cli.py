@@ -10,16 +10,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
 
 from . import milab as ml
-from .config import RunConfig, TokenConfig
-from .data import DatasetSpec, export_dataset, generate_synthetic, load_dataset
+from .config import RunConfig
+from .data import DatasetSpec, export_dataset, generate_synthetic, load_dataset, split_file
 from .errors import MocadetError, ValidationError
 from .evaluation import report_csv, save_report
-from .fileio import SEED, Range, atomic_write, check_output_path, read_dataclass
+from .fileio import D_TEXT, SEED, Range, atomic_write, check_output_path, read_dataclass, read_json
 from .tokens import (MEDICAL_PROMPT_CATALOG, build_registry, load_registry,
                      save_registry, silhouette_score)
 from .train import evaluate, load_detector_for_eval, run_pretrain, run_train
@@ -42,8 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--spec", help="dataset spec JSON (uses its modality/class grid)")
     src.add_argument("--catalog", action="store_true",
                      help="use the built-in 27-pair medical catalog")
-    d_text = TokenConfig.__dataclass_fields__["d_text"].metadata["range"]
-    ts.add_argument("--d-text", type=_within(d_text, "--d-text"), default=64)
+    ts.add_argument("--d-text", type=_within(D_TEXT, "--d-text"), default=64)
     ts.add_argument("--seed", type=_within(SEED, "--seed"), default=1)
     ts.add_argument("--out", required=True)
     ti = tsub.add_parser("inspect", help="summarize a registry file")
@@ -84,14 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise ValidationError(f"cannot read {path}: {e}") from e
-
-
 def _within(interval: Range, flag: str, many: bool = False):
     """The argparse type of an integer ``flag`` in ``interval``, or with
     ``many`` of a tuple of comma-separated ones; argparse reports a bad value
@@ -107,7 +99,7 @@ def _within(interval: Range, flag: str, many: bool = False):
 
 
 def _cmd_gen_data(args) -> int:
-    spec = DatasetSpec.from_json(_load_json(args.spec))
+    spec = DatasetSpec.from_json(read_json(args.spec, ValidationError))
     splits = args.splits.split(",") if args.splits else list(spec.counts)
     for split in splits:  # all of them before the first is rendered
         if split not in spec.counts:
@@ -124,7 +116,7 @@ def _cmd_tokens(args) -> int:
         if args.catalog:
             pairs = MEDICAL_PROMPT_CATALOG
         else:
-            pairs = DatasetSpec.from_json(_load_json(args.spec)).token_pairs()
+            pairs = DatasetSpec.from_json(read_json(args.spec, ValidationError)).token_pairs()
         reg = build_registry(pairs, d_text=args.d_text, seed64=args.seed)
         save_registry(reg, args.out)
         print(f"registry: {len(reg.entries)} tokens, d_text={reg.d_text} -> {args.out}")
@@ -149,7 +141,7 @@ def _cmd_tokens(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
-    config = RunConfig.from_json(_load_json(args.config))
+    config = RunConfig.from_json(read_json(args.config, ValidationError))
     result = run_pretrain(config, args.out)
     losses = result["losses"]
     trend = f", loss {losses[0]:.4f} -> {np.mean(losses[-20:]):.4f}" if losses else ""
@@ -158,7 +150,7 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = RunConfig.from_json(_load_json(args.config))
+    config = RunConfig.from_json(read_json(args.config, ValidationError))
     if args.moca is not None:  # the echo and checkpoints carry the flag that took effect
         config = dataclasses.replace(config, moca=args.moca == "on")
     summary = run_train(config, args.out, from_pretrain=args.from_pretrain)
@@ -169,9 +161,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    for path in (args.out, args.csv):
-        if path:
-            check_output_path(path)
+    taken = {os.path.realpath(p) for p in (args.ckpt, split_file(args.data, args.split))}
+    for path in filter(None, (args.out, args.csv)):
+        check_output_path(path)
+        if os.path.realpath(path) in taken:
+            raise ValidationError(f"cannot write {path}: it is an input or the other output")
+        taken.add(os.path.realpath(path))
     bundle = load_detector_for_eval(args.ckpt)
     samples, spec = load_dataset(args.data, args.split)
     if spec.token_pairs() != bundle.config.dataset.token_pairs():  # modality and class ids
@@ -195,7 +190,8 @@ class _JointsFile:  # what mi-lab --joints reads
 
 def _cmd_mi_lab(args) -> int:
     if args.joints:
-        tables = read_dataclass(_JointsFile, _load_json(args.joints), args.joints).joints
+        doc = read_json(args.joints, ValidationError)
+        tables = read_dataclass(_JointsFile, doc, args.joints).joints
         if not tables or any(len({len(row) for row in t}) != 1 for t in tables):
             raise ValidationError(f"{args.joints}: expected {{\"joints\": [tables]}}, at "
                                   f"least one table, each a matrix")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .data import DatasetSpec, make_default_spec
 from .detector import ModelConfig
 from .errors import ValidationError
-from .fileio import SEED, Range, check_ranges, json_form, read_dataclass
+from .fileio import D_TEXT, SEED, Range, check_ranges, json_form, read_dataclass
 from .losses import LossWeights
 
 
@@ -44,7 +44,7 @@ class OptimConfig:
 @dataclass(frozen=True)
 class TokenConfig:
     source: str = "synthetic"  # synthetic | file
-    d_text: int = Range(2, 4096).field(default=64)  # W of the projection is (d_model, d_text)
+    d_text: int = D_TEXT.field(default=64)
     seed: int = SEED.field(default=1)
     path: str | None = None
 

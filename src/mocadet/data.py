@@ -331,14 +331,14 @@ def generate_synthetic(spec: DatasetSpec, split: str) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _split_file(out_dir, split: str) -> str:
+def split_file(out_dir, split: str) -> str:
     return os.path.join(out_dir, f"{check_split_name(split)}.split")
 
 
 def export_dataset(samples, spec: DatasetSpec, out_dir, split: str) -> str:
     """Writes the split's file, replacing an old one atomically, and returns
     its path."""
-    path = _split_file(out_dir, split)
+    path = split_file(out_dir, split)
     make_dirs(out_dir)
     records = [{"boxes": [list(a.box) for a in s.annotations], "classes": s.class_ids,
                 "id": s.sample_id, "modality_id": s.modality_id} for s in samples]
@@ -368,7 +368,7 @@ def load_dataset(out_dir, split: str):
     split raises IngestError: a bad header, spec or sample record, a blob
     that does not hold one image per sample, a repeated sample id and an
     image with a NaN or Inf pixel."""
-    path = _split_file(out_dir, split)
+    path = split_file(out_dir, split)
     doc, blob = DATASET_SPLIT.read(path)
     try:
         header = read_dataclass(_Header, doc, "header")

@@ -10,6 +10,10 @@ read by the same rule. ``json_form`` is the inverse. Ranges are not types:
 each numeric field declares its own once (``Range.field``), and the config
 validators call ``check_ranges``, the one rule that checks them all.
 
+``read_json`` (``parse_json`` of bytes) is the one JSON parse: an unreadable
+file, bad UTF-8 or JSON and nesting too deep to parse are the error its caller
+names, and an object that names one key twice is a ``DuplicateKeyError``.
+
 Every file the program writes and later reads back (a checkpoint, a dataset
 split) is one ``Container``, laid out as:
 
@@ -39,7 +43,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import CheckpointError, IngestError, ValidationError
+from .errors import CheckpointError, DuplicateKeyError, IngestError, ValidationError
 
 
 def check_output_path(path) -> None:
@@ -81,6 +85,35 @@ def atomic_write(path, mode: str = "w"):
         raise
 
 
+def _read_bytes(path, error: type, what: str) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as e:
+        raise error(f"cannot read {what}: {e}") from e
+
+
+def parse_json(data: bytes, where: str, error: type):
+    """The JSON document in the UTF-8 bytes ``data``, which ``where`` names."""
+    def unique_keys(pairs):
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            seen = set()
+            key = next(k for k, _ in pairs if k in seen or seen.add(k))
+            raise DuplicateKeyError(f"{where}: the key {key!r} appears more than once")
+        return doc
+
+    try:
+        return json.loads(data.decode("utf-8"), object_pairs_hook=unique_keys)
+    except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON; nesting too deep
+        raise error(f"cannot read {where}: {e}") from e
+
+
+def read_json(path, error: type):
+    """``parse_json`` of the file at ``path``, where an unreadable file is ``error``."""
+    return parse_json(_read_bytes(path, error, path), path, error)
+
+
 @dataclasses.dataclass(frozen=True)
 class Container:
     """One kind of file that the program writes and reads back, in the
@@ -107,11 +140,7 @@ class Container:
     def read(self, path) -> tuple:
         """(header, blob) of the file at ``path``: the JSON object and a
         read-only float32 array."""
-        try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        except OSError as e:
-            raise self.error(f"cannot read {self.kind} {path}: {e}") from e
+        data = _read_bytes(path, self.error, f"{self.kind} {path}")
         if data[:8] != self.magic:
             raise self.error(f"{path}: not a {self.kind} file of this format")
         if hashlib.sha256(memoryview(data)[40:]).digest() != data[8:40]:
@@ -120,10 +149,7 @@ class Container:
         start = 48 + int.from_bytes(data[40:48], "little")
         if start > len(data) or (len(data) - start) % 4:
             raise self.error(f"{path}: the header length does not leave whole float32 values")
-        try:
-            header = json.loads(data[48:start].decode("utf-8"))
-        except ValueError as e:  # bad UTF-8 or bad JSON
-            raise self.error(f"{path}: unreadable {self.kind} header: {e}") from e
+        header = parse_json(data[48:start], f"the {self.kind} header of {path}", self.error)
         if not isinstance(header, dict):
             raise self.error(f"{path}: the {self.kind} header is not an object")
         return header, np.frombuffer(data, dtype="<f4", offset=start)
@@ -218,6 +244,7 @@ class Range:
 
 
 SEED = Range(0, 2**64, hi_open=True)  # what every seeded generator here takes
+D_TEXT = Range(2, 4096)  # a raw token's width; the projection's W is (d_model, d_text)
 
 
 def check_ranges(obj, where: str) -> None:

@@ -15,7 +15,7 @@ Registry file format (JSON, UTF-8)::
 
     {"d_text": <int>, "tokens": {"<modality>|<class>": [floats...]}}
 
-``|`` is forbidden inside modality and class names.
+``|`` is forbidden in modality and class names; ``d_text`` is in ``D_TEXT``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import (DuplicateKeyError, RegistryFormatError, ShapeError,
                      TokenLookupError, ValidationError)
-from .fileio import atomic_write
+from .fileio import D_TEXT, atomic_write, check_ranges, read_dataclass, read_json
 
 # Demo catalog: 27 (modality, class) pairs spanning five imaging domains.
 MEDICAL_PROMPT_CATALOG: list[tuple[str, str]] = [
@@ -101,7 +101,7 @@ def synth_embedding(prompt: str, d_text: int, seed64: int) -> np.ndarray:
     FNV-1a over (prompt UTF-8 ++ seed64 as 8 LE bytes) seeds a
     splitmix64 stream; pairs of 53-bit uniforms feed Box-Muller; the result
     is L2-normalized. Same (prompt, d_text, seed) always gives the same
-    vector. ``d_text`` is at least 2, as ``TokenConfig.d_text`` declares.
+    vector. ``d_text`` is at least 2, as ``D_TEXT`` declares.
     """
     state = _fnv1a64(prompt.encode("utf-8")
                      + int(seed64).to_bytes(8, "little", signed=False))
@@ -161,60 +161,35 @@ def save_registry(reg: TokenRegistry, path) -> None:
     for modality, class_name in reg.entries:
         if "|" in modality or "|" in class_name:
             raise ValidationError(f"'|' not allowed in names: {(modality, class_name)}")
-    doc = {
-        "d_text": reg.d_text,
-        "tokens": {f"{d}|{c}": [float(x) for x in vec]
-                   for (d, c), vec in reg.entries.items()},
-    }
+    doc = {"d_text": reg.d_text,
+           "tokens": {f"{d}|{c}": [float(x) for x in vec] for (d, c), vec in reg.entries.items()}}
     with atomic_write(path) as fh:
         json.dump(doc, fh)
 
 
+@dataclass(frozen=True)
+class _RegistryFile:  # what load_registry reads, as save_registry writes it
+    d_text: int = D_TEXT.field()
+    tokens: dict[str, list[float]]  # "<modality>|<class>" -> vector
+
+
 def load_registry(path) -> TokenRegistry:
-    """Parse and validate a registry file; every defect gets its own error kind."""
-
-    def reject_dupes(pairs):
-        seen = set()
-        for k, _ in pairs:
-            if k in seen:
-                raise DuplicateKeyError(f"duplicate registry key {k!r}")
-            seen.add(k)
-        return dict(pairs)
-
+    """The registry in the file at ``path``. A file that is not UTF-8 JSON of the
+    format above (finite numbers, ``d_text`` in range) is a RegistryFormatError, a
+    repeated key a DuplicateKeyError and a vector not ``d_text`` long a ShapeError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, object_pairs_hook=reject_dupes)
-    except DuplicateKeyError:
-        raise
-    except (OSError, json.JSONDecodeError) as e:
-        raise RegistryFormatError(f"cannot read registry {path}: {e}") from e
-
-    if not isinstance(doc, dict) or "d_text" not in doc or "tokens" not in doc:
-        raise RegistryFormatError("registry must have 'd_text' and 'tokens' fields")
-    d_text = doc["d_text"]
-    if not isinstance(d_text, int) or d_text < 2:
-        raise RegistryFormatError(f"bad d_text: {d_text!r}")
-
-    if not isinstance(doc["tokens"], dict):
-        raise RegistryFormatError("registry 'tokens' must map '<modality>|<class>' to vectors")
-    reg = TokenRegistry(d_text=d_text)
-    for key, vec in doc["tokens"].items():
-        if not isinstance(key, str) or key.count("|") != 1:
-            raise RegistryFormatError(f"token key must be '<modality>|<class>': {key!r}")
-        modality, class_name = key.split("|")
-        if not modality or not class_name:
-            raise RegistryFormatError(f"empty name in key {key!r}")
-        if not isinstance(vec, list) or not all(type(v) in (int, float) for v in vec):
-            raise RegistryFormatError(f"entry {key!r} is not a list of numbers")
-        if len(vec) != d_text:
-            raise ShapeError(f"entry {key!r} has length {len(vec)}, expected {d_text}")
-        try:
-            arr = np.asarray(vec, dtype=np.float64)
-        except OverflowError:  # an integer too large for a float
-            raise ValidationError(f"entry {key!r} has a value beyond float range") from None
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError(f"entry {key!r} has non-finite values")
-        reg.entries[(modality, class_name)] = arr
+        doc = read_dataclass(_RegistryFile, read_json(path, RegistryFormatError), "registry")
+        check_ranges(doc, "registry")
+    except ValidationError as e:
+        raise RegistryFormatError(f"{path}: {e}") from e
+    reg = TokenRegistry(d_text=doc.d_text)
+    for key, vec in doc.tokens.items():
+        modality, _, class_name = key.partition("|")
+        if not modality or "|" in class_name or not class_name:
+            raise RegistryFormatError(f"{path}: token key must be '<modality>|<class>': {key!r}")
+        if len(vec) != doc.d_text:
+            raise ShapeError(f"{path}: entry {key!r} has length {len(vec)}, not {doc.d_text}")
+        reg.entries[(modality, class_name)] = np.asarray(vec, dtype=np.float64)
     return reg
 
 

@@ -170,6 +170,15 @@ MUTANTS = (
            "if hashlib.sha256(memoryview(data)[40:]).digest() != data[8:40]:", "if False:"),
     Mutant("container_partial_float_accepted", "src/mocadet/fileio.py",
            "if start > len(data) or (len(data) - start) % 4:", "if start > len(data):"),
+    # the one JSON parse: a repeated key kept as its last value, nesting too
+    # deep left a RecursionError, bad UTF-8 left a UnicodeDecodeError
+    Mutant("json_repeated_key_accepted", "src/mocadet/fileio.py",
+           "if len(doc) < len(pairs):", "if False:"),
+    Mutant("json_recursion_uncaught", "src/mocadet/fileio.py",
+           "except (ValueError, RecursionError) as e:", "except ValueError as e:"),
+    Mutant("json_error_narrowed_to_decode_errors", "src/mocadet/fileio.py",
+           "except (ValueError, RecursionError) as e:",
+           "except (json.JSONDecodeError, RecursionError) as e:"),
     # run_train's evaluation epochs: every eval_every-th, and the last
     Mutant("final_epoch_eval_dropped", "src/mocadet/train.py",
            " == 0\n                                       or epoch == config.optim.epochs - 1):",

@@ -135,10 +135,10 @@ def test_every_registry_defect_is_a_typed_error(tmp_path):
         (dict(good, d_text=2.0), RegistryFormatError),
         (dict(good, tokens={"|a": [1.0, 0.0]}), RegistryFormatError),
         (dict(good, tokens={"CT|": [1.0, 0.0]}), RegistryFormatError),
-        (dict(good, tokens={"CT|a": [float("nan"), 0.0]}), ValidationError),
+        (dict(good, tokens={"CT|a": [float("nan"), 0.0]}), RegistryFormatError),
         # an integer too large for a float is a bad value (exit 1), not a
         # crash (exit 2)
-        (dict(good, tokens={"CT|a": [10 ** 400, 0.0]}), ValidationError),
+        (dict(good, tokens={"CT|a": [10 ** 400, 0.0]}), RegistryFormatError),
     ]
     for doc, error in cases:
         path.write_text(json.dumps(doc))
@@ -146,6 +146,32 @@ def test_every_registry_defect_is_a_typed_error(tmp_path):
             tk.load_registry(path)
     path.write_text(json.dumps(good))
     assert np.array_equal(tk.load_registry(path).entries[("CT", "a")], [1.0, 0.0])
+
+
+def test_a_registry_d_text_has_the_range_of_token_config_d_text(tmp_path, capsys):
+    # a file registry sizes the projection, a (d_model, d_text) matrix
+    from mocadet.cli import main
+    path = tmp_path / "reg.json"
+    for d_text in (1, 4096, 4097):
+        path.write_text(json.dumps({"d_text": d_text, "tokens": {"ma|ma_c0": [0.5] * d_text}}))
+        if d_text == 4096:
+            assert tk.load_registry(path).entries[("ma", "ma_c0")].shape == (4096,)
+            continue
+        with pytest.raises(RegistryFormatError, match=rf"registry.d_text must be in "
+                                                      rf"\[2, 4096\], got {d_text}"):
+            tk.load_registry(path)
+    # and train rejects it before its run directory is made
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "dataset": {"image_size": 16, "counts": {"train": 2}, "size_range": [5, 9],
+                    "modalities": [{"name": "ma", "classes": ["ma_c0"]},
+                                   {"name": "mb", "classes": ["mb_c0"]}]},
+        "model": {"d_model": 16, "n_queries": 4, "n_decoder_layers": 2, "n_heads": 2,
+                  "patch_size": 8, "n_encoder_layers": 0, "ffn_width": 16},
+        "tokens": {"source": "file", "path": str(path)}, "qra": {"layer": 2}}))
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
+    assert "registry.d_text must be in [2, 4096], got 4097" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_registry_tokens_must_map_keys_to_lists_of_numbers(tmp_path):

@@ -1035,6 +1035,38 @@ def test_cli_eval_report_path_under_a_file_or_on_a_directory_exits_1(tmp_path, c
     assert out == "" and not loads
 
 
+@pytest.mark.parametrize("flag,target,other", [
+    ("--out", "r.json", ["--csv", "r.json"]), ("--csv", "d/../model.ckpt", []),
+    ("--out", "model.ckpt", []), ("--out", "link.ckpt", []),
+    ("--out", "d/val.split", []), ("--csv", "d/val.split", ["--out", "r.json"])],
+    ids=["out_is_csv", "csv_is_ckpt", "out_is_ckpt", "out_links_to_ckpt", "out_is_split",
+         "csv_is_split"])
+def test_cli_eval_writes_no_file_it_reads_or_writes_twice(tmp_path, capsys, monkeypatch,
+                                                         flag, target, other):
+    from mocadet import train
+    bundle = build_run(RunConfig.from_json(_tiny_doc()))
+    save_checkpoint(str(tmp_path / "model.ckpt"), bundle.detection_parameters(),
+                    bundle.config.to_json(), phase="detection", step=0)
+    (tmp_path / "link.ckpt").symlink_to(tmp_path / "model.ckpt")
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_tiny_doc()["dataset"]))
+    assert main(["gen-data", "--spec", str(spec_path), "--out", str(tmp_path / "d"),
+                 "--splits", "val"]) == 0
+    (tmp_path / "r.json").write_text("an old report")
+    files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    loads, load = [], train.load_checkpoint
+    monkeypatch.setattr(train, "load_checkpoint", lambda *a: loads.append(a) or load(*a))
+    capsys.readouterr()
+    other = [other[0], str(tmp_path / other[1])] if other else []
+    assert main(["eval", "--ckpt", str(tmp_path / "model.ckpt"), "--data", str(tmp_path / "d"),
+                 *other, flag, str(tmp_path / target)]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: cannot write") and "it is an input or the other output" in err
+    # rejected before the checkpoint is read, and every file is left as it was
+    assert out == "" and not loads
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
+
+
 def test_a_non_finite_detection_checkpoint_value_fails_eval_by_name(tmp_path, capsys):
     doc = _tiny_doc(epochs=1)
     bundle = build_run(RunConfig.from_json(doc))
