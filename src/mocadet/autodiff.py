@@ -369,7 +369,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
     vh = split(with_extra(v.data, extra_v))
     p = qh @ kh.transpose(0, 1, 3, 2)
     p *= scale
-    p -= p.max(axis=3, keepdims=True)
+    p -= np.fmax.reduce(p, axis=3, keepdims=True)  # max of a finite row; a NaN row stays NaN
     np.exp(p, out=p)
     p /= p.sum(axis=3, keepdims=True)
 

@@ -98,6 +98,18 @@ def _within(interval: Range, flag: str, many: bool = False):
     return integer
 
 
+def _check_files(inputs, outputs) -> None:
+    """Refuse, before a command reads anything, an output that
+    ``check_output_path`` rejects or whose real path is an input's or an
+    earlier output's; a None path is a file the command was not given."""
+    taken = {os.path.realpath(p) for p in inputs if p}
+    for path in filter(None, outputs):
+        check_output_path(path)
+        if os.path.realpath(path) in taken:
+            raise ValidationError(f"cannot write {path}: it is an input or the other output")
+        taken.add(os.path.realpath(path))
+
+
 def _cmd_gen_data(args) -> int:
     spec = DatasetSpec.from_json(read_json(args.spec, ValidationError))
     splits = args.splits.split(",") if args.splits else list(spec.counts)
@@ -113,6 +125,7 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_tokens(args) -> int:
     if args.tokens_command == "synth":
+        _check_files((args.spec,), (args.out,))
         if args.catalog:
             pairs = MEDICAL_PROMPT_CATALOG
         else:
@@ -121,6 +134,8 @@ def _cmd_tokens(args) -> int:
         save_registry(reg, args.out)
         print(f"registry: {len(reg.entries)} tokens, d_text={reg.d_text} -> {args.out}")
         return 0
+    if args.tokens_command == "silhouette":
+        _check_files((args.registry,), (args.json_out,))
     reg = load_registry(args.registry)
     if args.tokens_command == "inspect":
         print(f"d_text={reg.d_text} entries={len(reg.entries)} "
@@ -161,12 +176,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    taken = {os.path.realpath(p) for p in (args.ckpt, split_file(args.data, args.split))}
-    for path in filter(None, (args.out, args.csv)):
-        check_output_path(path)
-        if os.path.realpath(path) in taken:
-            raise ValidationError(f"cannot write {path}: it is an input or the other output")
-        taken.add(os.path.realpath(path))
+    _check_files((args.ckpt, split_file(args.data, args.split)), (args.out, args.csv))
     bundle = load_detector_for_eval(args.ckpt)
     samples, spec = load_dataset(args.data, args.split)
     if spec.token_pairs() != bundle.config.dataset.token_pairs():  # modality and class ids
@@ -189,6 +199,7 @@ class _JointsFile:  # what mi-lab --joints reads
 
 
 def _cmd_mi_lab(args) -> int:
+    _check_files((args.joints,), (args.report,))
     if args.joints:
         doc = read_json(args.joints, ValidationError)
         tables = read_dataclass(_JointsFile, doc, args.joints).joints

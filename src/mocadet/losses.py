@@ -3,7 +3,9 @@
 Predictions arrive as one row block per image (the batched detector's
 image-major rows). Matching is always computed, per (decoder layer, image)
 on detached values, from one cost matrix that covers every layer and image;
-no caller passes matches in.
+no caller passes matches in. Each block is solved on its own by a
+shortest-augmenting-path scan written as scalar loops, since a block of a
+few targets by the query count is too small for numpy to pay off.
 The layers' predictions are then stacked row-wise, and the loss over all
 their rows is two fused tape nodes with hand-written pullbacks: the focal
 term of every (row, class) and the L1 plus GIoU term of the matched rows.
@@ -73,36 +75,42 @@ def build_cost_matrix(pred_probs: np.ndarray, pred_boxes: np.ndarray,
     return cost
 
 
-def _lap_rows_le_cols(cost: np.ndarray) -> np.ndarray:
+def _lap_rows_le_cols(cost: np.ndarray) -> list:
     """Shortest-augmenting-path assignment for cost (n, m), n <= m.
 
-    Returns row -> column. Deterministic: augmenting scans prefer the
-    smallest index on ties (``argmin`` takes the first minimum), so a fully
-    tied matrix yields the identity-style matching.
+    Returns row -> column. Deterministic: each scan visits the free columns
+    in index order and keeps the first minimum, so ties go to the smallest
+    index and a fully tied matrix yields the identity-style matching.
+    A block is a few targets by the query count, too small for numpy's
+    per-call cost to pay off, so the scans are scalar loops over lists; each
+    entry's float operations and their order are those of an elementwise
+    pass over the columns.
     """
     n, m = cost.shape
-    u = np.zeros(n + 1)
-    v = np.zeros(m + 1)
-    col_to_row = np.full(m + 1, n, dtype=int)  # virtual free row = n
-    way = np.zeros(m + 1, dtype=int)
+    rows = cost.tolist()
+    u, v = [0.0] * (n + 1), [0.0] * (m + 1)
+    col_to_row = [n] * (m + 1)  # virtual free row = n; column m starts each path
+    way = [0] * m
     for i in range(n):
         col_to_row[m] = i
-        j0 = m
-        minv = np.full(m + 1, np.inf)
-        used = np.zeros(m + 1, dtype=bool)
+        j0, minv, free, used = m, [np.inf] * m, list(range(m)), [m]
         while True:
-            used[j0] = True
-            i0 = col_to_row[j0]
-            free = ~used[:m]
-            cur = cost[i0] - u[i0] - v[:m]
-            better = free & (cur < minv[:m])
-            minv[:m][better] = cur[better]
-            way[:m][better] = j0
-            j1 = int(np.argmin(np.where(free, minv[:m], np.inf)))
-            delta = minv[j1]
-            u[col_to_row[used]] += delta
-            v[used] -= delta
-            minv[~used] -= delta
+            row, u0 = rows[col_to_row[j0]], u[col_to_row[j0]]
+            delta, j1 = np.inf, m
+            for j in free:
+                cur = row[j] - u0 - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta, j1 = minv[j], j
+            for j in used:
+                u[col_to_row[j]] += delta
+                v[j] -= delta
+            for j in free:
+                minv[j] -= delta
+            free.remove(j1)
+            used.append(j1)
             j0 = j1
             if col_to_row[j0] == n:
                 break
@@ -110,9 +118,10 @@ def _lap_rows_le_cols(cost: np.ndarray) -> np.ndarray:
             j1 = way[j0]
             col_to_row[j0] = col_to_row[j1]
             j0 = j1
-    row_to_col = np.full(n, -1, dtype=int)
-    assigned = col_to_row[:m] != n
-    row_to_col[col_to_row[:m][assigned]] = np.flatnonzero(assigned)
+    row_to_col = [-1] * n
+    for j, i in enumerate(col_to_row[:m]):
+        if i != n:
+            row_to_col[i] = j
     return row_to_col
 
 
@@ -125,12 +134,8 @@ def hungarian(cost) -> list:
     """
     c = np.asarray(cost, dtype=np.float64)
     if c.shape[0] >= c.shape[1]:
-        col_assign = _lap_rows_le_cols(c.T)  # one row per gt
-        pairs = [(int(q), int(g)) for g, q in enumerate(col_assign)]
-    else:
-        row_assign = _lap_rows_le_cols(c)
-        pairs = [(int(q), int(g)) for q, g in enumerate(row_assign)]
-    return sorted(pairs)
+        return sorted((q, g) for g, q in enumerate(_lap_rows_le_cols(c.T)))  # one row per gt
+    return list(enumerate(_lap_rows_le_cols(c)))
 
 
 def _focal_node(logits: ad.Tensor, targets: np.ndarray, row_weight: np.ndarray,

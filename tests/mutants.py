@@ -141,6 +141,12 @@ MUTANTS = (
     # the one finiteness check of matching, which hungarian relies on
     Mutant("cost_matrix_nan_passes", "src/mocadet/losses.py",
            "if not np.all(np.isfinite(cost)):", "if np.isinf(cost).any():"),
+    # the matcher: ties broken to the last minimum, and each augmenting
+    # path stopped before the column next to the virtual start
+    Mutant("lap_tie_takes_last_minimum", "src/mocadet/losses.py",
+           "if minv[j] < delta:", "if minv[j] <= delta:"),
+    Mutant("lap_augmentation_one_column_short", "src/mocadet/losses.py",
+           "        while j0 != m:\n", "        while j0 != m and way[j0] != m:\n"),
     # the boundary checks of load_dataset: a box of positive size, a repeated
     # sample id, a non-finite pixel
     Mutant("loaded_boxes_unchecked", "src/mocadet/data.py",

@@ -444,6 +444,20 @@ def test_attention_segments_equal_separate_calls(extra):
             assert np.abs(got - want).max() <= 1e-12
 
 
+def test_attention_with_a_nan_key_gives_nan_rows_in_that_head_only():
+    # the softmax shift is fmax, which skips a NaN score; the row sum is NaN all the same
+    rng = np.random.default_rng(5)
+    q, k, v = (rng.normal(size=(3, 4)) for _ in range(3))
+    keys = ad.constant(k)
+    k[1, 0] = np.nan  # key 1's score is NaN for every query of head 0 (columns 0 and 1)
+    keys.data = k  # as an overflowed upstream value would be: a leaf refuses a NaN
+    with ad.no_grad():
+        out = ad.attention(ad.constant(q), keys, ad.constant(v), 2, 0.5).data
+    want, *_ = _attention_oracle(q, k, v, 2, 0.5, np.zeros((3, 4)))
+    assert np.isnan(out[:, :2]).all() and np.isnan(want[:, :2]).all()
+    assert np.abs(out[:, 2:] - want[:, 2:]).max() <= 1e-12
+
+
 def test_attention_segments_shape_errors():
     x = ad.constant(np.ones((6, 4)))
     with pytest.raises(ShapeError):

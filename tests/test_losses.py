@@ -168,6 +168,45 @@ def test_hungarian_matches_brute_force_1000_seeded():
         assert total == pytest.approx(_brute_force_min_cost(cost), abs=1e-9), f"trial {trial}"
 
 
+def _vector_lap(cost):
+    """The column scan of ``ls._lap_rows_le_cols`` as whole-row numpy
+    passes: ``argmin`` takes the first minimum, so the first index wins ties."""
+    n, m = cost.shape
+    u = np.zeros(n + 1)
+    v = np.zeros(m + 1)
+    col_to_row = np.full(m + 1, n, dtype=int)  # virtual free row = n
+    way = np.zeros(m + 1, dtype=int)
+    for i in range(n):
+        col_to_row[m] = i
+        j0 = m
+        minv = np.full(m + 1, np.inf)
+        used = np.zeros(m + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = col_to_row[j0]
+            free = ~used[:m]
+            cur = cost[i0] - u[i0] - v[:m]
+            better = free & (cur < minv[:m])
+            minv[:m][better] = cur[better]
+            way[:m][better] = j0
+            j1 = int(np.argmin(np.where(free, minv[:m], np.inf)))
+            delta = minv[j1]
+            u[col_to_row[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+            j0 = j1
+            if col_to_row[j0] == n:
+                break
+        while j0 != m:
+            j1 = way[j0]
+            col_to_row[j0] = col_to_row[j1]
+            j0 = j1
+    row_to_col = np.full(n, -1, dtype=int)
+    assigned = col_to_row[:m] != n
+    row_to_col[col_to_row[:m][assigned]] = np.flatnonzero(assigned)
+    return row_to_col
+
+
 def _scalar_lap(cost):
     """The column scan of ``_lap_rows_le_cols`` as scalar loops: first index wins ties."""
     n, m = cost.shape
@@ -221,7 +260,25 @@ def test_lap_matches_scalar_scan_3000_seeded():
             cost = np.round(cost)  # many ties
         if trial % 7 == 0:
             cost[:] = 0.0
-        assert np.array_equal(ls._lap_rows_le_cols(cost), _scalar_lap(cost)), f"trial {trial}"
+        want = _scalar_lap(cost).tolist()
+        assert ls._lap_rows_le_cols(cost) == want == _vector_lap(cost).tolist(), f"trial {trial}"
+
+
+def test_hungarian_gives_the_vector_scans_matches_on_detection_blocks_1000_seeded():
+    """Blocks of a detection step: 25 queries against 0 to 6 targets, costs
+    rounded to 0.1 (many ties) in half the cases, and every tenth block 26
+    to 100 targets (G > N, as ``objects_range`` allows)."""
+    rng = np.random.default_rng(34)
+    for case in range(1000):
+        g = int(rng.integers(26, 101)) if case % 10 == 0 else int(rng.integers(0, 7))
+        cost = rng.uniform(0, 6, size=(25, g))
+        if case % 2:
+            cost = np.round(cost, 1)
+        if g <= 25:
+            want = sorted((int(q), j) for j, q in enumerate(_vector_lap(cost.T)))
+        else:
+            want = [(q, int(j)) for q, j in enumerate(_vector_lap(cost))]
+        assert ls.hungarian(cost) == want, f"case {case}"
 
 
 def test_hungarian_row_shift_invariance():

@@ -1067,6 +1067,29 @@ def test_cli_eval_writes_no_file_it_reads_or_writes_twice(tmp_path, capsys, monk
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
 
 
+@pytest.mark.parametrize("argv", [
+    ["tokens", "silhouette", "r.json", "--json", "r.json"],
+    ["mi-lab", "--joints", "j.json", "--report", "j.json"],
+    ["mi-lab", "--joints", "j.json", "--report", "link.json"],
+    ["tokens", "synth", "--spec", "s.json", "--out", "s.json"]],
+    ids=["silhouette_json_is_registry", "mi_lab_report_is_joints",
+         "mi_lab_report_links_to_joints", "synth_out_is_spec"])
+def test_cli_commands_write_no_file_they_read(tmp_path, capsys, monkeypatch, argv):
+    (tmp_path / "s.json").write_text(json.dumps(_tiny_doc()["dataset"]))
+    assert main(["tokens", "synth", "--spec", str(tmp_path / "s.json"), "--d-text", "8",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    (tmp_path / "j.json").write_text(json.dumps({"joints": [[[0.4, 0.1], [0.1, 0.4]]]}))
+    (tmp_path / "link.json").symlink_to(tmp_path / "j.json")
+    files = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: cannot write") and "it is an input or the other output" in err
+    assert out == ""  # refused before the command read or computed anything
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+
 def test_a_non_finite_detection_checkpoint_value_fails_eval_by_name(tmp_path, capsys):
     doc = _tiny_doc(epochs=1)
     bundle = build_run(RunConfig.from_json(doc))
