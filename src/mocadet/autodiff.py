@@ -5,13 +5,13 @@ set of primitive ops with hand-written pullbacks, and an explicit Tape that
 records one forward build and supports exactly one backward pass. One tape
 is open at a time, in one slot per thread.
 
-Ops, one tape node each: the fused ``linear``, ``attention`` (multi-head,
-optional extra key/value rows) and the affine ``layernorm`` of a matrix;
-elementwise ``add`` of two same-shape operands, ``relu`` and ``sigmoid``;
-``concat_rows``; the block means ``mean_rows``. ``node`` builds one node
-from a value computed elsewhere and a hand-written pullback; the set loss
-builds its two fused nodes with it, the token projection its one and
-QueryREPA's InfoNCE loss its one.
+Ops, one tape node each: the fused ``linear``, the multi-head
+``attention`` and the affine ``layernorm`` of a matrix; elementwise ``add``
+of two same-shape operands, ``relu`` and ``sigmoid``; ``concat_rows``,
+which stacks matrices whole or row block by row block; the block means
+``mean_rows``. ``node`` builds one node from a value computed elsewhere and
+a hand-written pullback; the set loss builds its two fused nodes with it,
+the token projection its one and QueryREPA's InfoNCE loss its one.
 ``expit`` is the numpy sigmoid that ``sigmoid``, the set loss and the
 detection scores share.
 
@@ -30,8 +30,8 @@ Conventions:
     (its bias) and ``layernorm`` (its gamma and beta). ``attention``,
     ``add``, ``layernorm`` and ``mean_rows`` raise on a shape mismatch;
     ``linear`` and ``concat_rows`` take only what the modules and the set
-    loss hand them (a layer's own weights, blocks of one width) and check
-    nothing.
+    loss hand them (a layer's own weights, matrices of one width split
+    into whole row blocks) and check nothing.
 
 Graph and values: a ``Tensor`` is its value ``data`` plus a link to its
 ``Node``, which holds what reverse mode needs: ``grad``, ``requires_grad``,
@@ -40,13 +40,13 @@ at a tensor or a value.
 
 Capture: a pullback closes over the parent nodes it accumulates into and
 over only the arrays and shapes its formula reads, all taken at forward
-time. ``linear`` keeps ``x`` and ``W``; ``attention`` its q/k/v head views
-(the concatenated copies when extra rows are appended) and the softmax
-``p``; ``layernorm`` its normalized ``y``, the row scales and ``gamma``;
-``sigmoid`` its own output; ``relu`` its mask. ``add``, ``concat_rows``
-and ``mean_rows`` keep no value. So a value that no pullback reads -- a
-residual sum that only a layer norm takes, an FFN pre-activation -- is
-freed as soon as the forward code drops its tensor.
+time. ``linear`` keeps ``x`` and ``W``; ``attention`` the head views of
+q, k and v, which copy nothing, and the softmax ``p``; ``layernorm`` its
+normalized ``y``, the row scales and ``gamma``; ``sigmoid`` its own output;
+``relu`` its mask. ``add``, ``concat_rows`` and ``mean_rows`` keep no
+value. So a value that no pullback reads -- a residual sum that only a
+layer norm takes, an FFN pre-activation -- is freed as soon as the forward
+code drops its tensor.
 
 Gradient ownership: a pullback gives each parent its gradient through
 ``_accum``, which adds into a gradient the parent already holds and
@@ -323,7 +323,6 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
-              extra_k: Tensor | None = None, extra_v: Tensor | None = None,
               segments: int = 1) -> Tensor:
     """Multi-head scaled dot-product attention as one node.
 
@@ -331,25 +330,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
     block s attends only to key/value block s (block-diagonal attention
     over a batch of stacked images). Head h is column block h (width
     d / n_heads); it outputs softmax(scale * q_h k_h^T) v_h, and the head
-    outputs are concatenated in order. ``extra_k``/``extra_v`` are
-    (segments, d): row s is appended after the key/value rows of block s
-    (the MoCA token row of image s). Heads are (segments, h, rows, d_h)
+    outputs are concatenated in order. Heads are (segments, h, rows, d_h)
     views inside numpy. The softmax pullback is dS = P * (dP - rowsum(dP *
     P)), as in the FlashAttention backward pass (Dao et al. 2022,
     arXiv:2205.14135).
     """
-    extras = [t for t in (extra_k, extra_v) if t is not None]
     d = q.shape[-1] if q.ndim == 2 else -1
     s = int(segments)
     if (d < 0 or s < 1 or q.shape[0] % s or k.shape != v.shape or k.shape[1:] != (d,)
-            or k.shape[0] == 0 or k.shape[0] % s
-            or len(extras) == 1 or any(e.shape != (s, d) for e in extras)):
-        raise ShapeError(f"attention needs (S*n, d) queries, equal non-empty (S*m, d) keys "
-                         f"and values, and (S, d) extra rows in pairs for S={segments} "
-                         f"segments; got {q.shape}, {k.shape}")
+            or k.shape[0] == 0 or k.shape[0] % s):
+        raise ShapeError(f"attention needs (S*n, d) queries and equal non-empty (S*m, d) keys "
+                         f"and values for S={segments} segments; got {q.shape}, {k.shape}")
     if n_heads < 1 or d % n_heads:
         raise ShapeError(f"width {d} does not split into {n_heads} heads")
-    m, d_head, kv_shape = k.shape[0] // s, d // n_heads, k.shape
+    d_head = d // n_heads
 
     def split(x):  # (S*rows, d) -> (S, h, rows, d_h)
         return x.reshape(s, -1, n_heads, d_head).transpose(0, 2, 1, 3)
@@ -357,16 +351,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
     def merge(x):  # (S, h, rows, d_h) -> (S*rows, d)
         return x.transpose(0, 2, 1, 3).reshape(-1, d)
 
-    def with_extra(x, extra):  # (S*m, d) -> (S, m [+ 1], d): row s of extra ends block s
-        x = x.reshape(s, m, d)
-        return x if extra is None else np.concatenate([x, extra.data[:, None, :]], axis=1)
-
-    extra_k, extra_v = extras or (None, None)
-    nodes = tuple(t.node for t in (q, k, v, *extras))
-    extra_shape = extra_k.shape if extras else None
-    qh = split(q.data)
-    kh = split(with_extra(k.data, extra_k))
-    vh = split(with_extra(v.data, extra_v))
+    nq, nk, nv = q.node, k.node, v.node
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
     p = qh @ kh.transpose(0, 1, 3, 2)
     p *= scale
     p -= np.fmax.reduce(p, axis=3, keepdims=True)  # max of a finite row; a NaN row stays NaN
@@ -380,15 +366,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
         dp -= (dp * p).sum(axis=3, keepdims=True)
         ds = scale * p
         ds *= dp
-        _accum(nodes[0], merge(ds @ kh), owned=True)
-        dk = merge(ds.transpose(0, 1, 3, 2) @ qh).reshape(s, -1, d)
-        dv = merge(p.transpose(0, 1, 3, 2) @ go).reshape(s, -1, d)
-        # disjoint row blocks of two fresh arrays: each parent owns its block
-        for n, grad, shape in zip(nodes[1:], (dk[:, :m], dv[:, :m], dk[:, m:], dv[:, m:]),
-                                  (kv_shape, kv_shape, extra_shape, extra_shape)):
-            _accum(n, grad.reshape(shape), owned=True)
+        _accum(nq, merge(ds @ kh), owned=True)
+        _accum(nk, merge(ds.transpose(0, 1, 3, 2) @ qh), owned=True)
+        _accum(nv, merge(p.transpose(0, 1, 3, 2) @ go), owned=True)
 
-    return _make_node(merge(p @ vh), nodes, pullback)
+    return _make_node(merge(p @ vh), (nq, nk, nv), pullback)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -461,16 +443,20 @@ def layernorm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return _make_node(out_data, (na, ngamma, nbeta), pullback)
 
 
-def concat_rows(tensors) -> Tensor:
-    sizes = [t.shape[0] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+def concat_rows(tensors, segments: int = 1) -> Tensor:
+    """Each tensor holds ``segments`` row blocks, as in ``attention``; block s
+    of the result stacks block s of every tensor in turn."""
+    s, cols = int(segments), tensors[0].shape[1]
+    offsets = np.cumsum([0] + [t.shape[0] // s for t in tensors])
     nodes = tuple(t.node for t in tensors)
 
     def pullback(g):
+        g = g.reshape(s, -1, cols)
         for n, i0, i1 in zip(nodes, offsets[:-1], offsets[1:]):
-            _accum(n, g[i0:i1])
+            _accum(n, g[:, i0:i1].reshape(-1, cols))
 
-    return _make_node(np.concatenate([t.data for t in tensors], axis=0), nodes, pullback)
+    data = np.concatenate([t.data.reshape(s, -1, cols) for t in tensors], axis=1)
+    return _make_node(data.reshape(-1, cols), nodes, pullback)
 
 
 def mean_rows(a: Tensor, segments: int) -> Tensor:

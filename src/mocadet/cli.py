@@ -25,6 +25,11 @@ from .tokens import (MEDICAL_PROMPT_CATALOG, build_registry, load_registry,
                      save_registry, silhouette_score)
 from .train import evaluate, load_detector_for_eval, run_pretrain, run_train
 
+# the files that a run of each command writes into its --out directory
+RUN_FILES = {"pretrain": ("config.json", "pretrain_steps.csv", "pretrain.ckpt"),
+             "train": ("config.json", "metrics_steps.csv", "metrics_epochs.csv", "best.ckpt",
+                       "final.ckpt", "report.json")}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mocadet",
@@ -110,6 +115,19 @@ def _check_files(inputs, outputs) -> None:
         taken.add(os.path.realpath(path))
 
 
+def _run_config(args) -> RunConfig:
+    """The config of a pretrain or train run, refusing, before anything else
+    is read, an input that the run would write over: the config itself,
+    ``--from-pretrain`` or the config's token file."""
+    config = RunConfig.from_json(read_json(args.config, ValidationError))
+    written = {os.path.realpath(os.path.join(args.out, f)) for f in RUN_FILES[args.command]}
+    for path in (args.config, getattr(args, "from_pretrain", None),
+                 config.tokens.source == "file" and config.tokens.path):
+        if path and os.path.realpath(path) in written:
+            raise ValidationError(f"cannot run with {path}: the run writes over it")
+    return config
+
+
 def _cmd_gen_data(args) -> int:
     spec = DatasetSpec.from_json(read_json(args.spec, ValidationError))
     splits = args.splits.split(",") if args.splits else list(spec.counts)
@@ -156,7 +174,7 @@ def _cmd_tokens(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
-    config = RunConfig.from_json(read_json(args.config, ValidationError))
+    config = _run_config(args)
     result = run_pretrain(config, args.out)
     losses = result["losses"]
     trend = f", loss {losses[0]:.4f} -> {np.mean(losses[-20:]):.4f}" if losses else ""
@@ -165,7 +183,7 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = RunConfig.from_json(read_json(args.config, ValidationError))
+    config = _run_config(args)
     if args.moca is not None:  # the echo and checkpoints carry the flag that took effect
         config = dataclasses.replace(config, moca=args.moca == "on")
     summary = run_train(config, args.out, from_pretrain=args.from_pretrain)

@@ -11,13 +11,13 @@ A batch of B images runs as one forward: image b owns row block b of
 every activation (its P patch rows of the memory, its N query rows in the
 decoder), and every attention is block-diagonal over those blocks, so the
 images never mix. Each attention is one fused ``autodiff.attention`` node;
-image b's token enters it as one extra key/value row after block b's N
-query rows. The detector has no MoCA switch: ``decode`` uses tokens exactly
-when it is given them, and a run without MoCA passes None. The mask seam
-exists on ``decode`` only: masking the token column hands the layers no
-token rows, so the masked decode runs the very same calls as a token-free
-one and is bitwise equal to it -- the reduction property the tests pin
-down.
+for MoCA, image b's projected token row joins block b's N query rows in the
+self-attention key/value input. The detector has no MoCA switch: ``decode``
+uses tokens exactly when it is given them, and a run without MoCA passes
+None. The mask seam exists on ``decode`` only: masking the token column
+hands the layers no token rows, so the masked decode runs the very same
+calls as a token-free one and is bitwise equal to it -- the reduction
+property the tests pin down.
 """
 
 from __future__ import annotations
@@ -85,17 +85,11 @@ class MultiHeadAttention(ad.Module):
         self.wv = Linear(d_model, d_model, init)
         self.wo = Linear(d_model, d_model, init)
 
-    def attend(self, q_in: ad.Tensor, kv_in: ad.Tensor,
-               extra_kv: ad.Tensor | None = None, segments: int = 1) -> ad.Tensor:
-        """Row block s of ``q_in`` attends to row block s of ``kv_in``.
-
-        Both hold ``segments`` equal row blocks. ``extra_kv`` (segments, d)
-        appends its row s after the key/value rows of block s.
-        """
+    def attend(self, q_in: ad.Tensor, kv_in: ad.Tensor, segments: int = 1) -> ad.Tensor:
+        """Row block s of ``q_in`` attends to row block s of ``kv_in`` (``segments`` each)."""
         scale = 1.0 / math.sqrt(self.d_model // self.n_heads)
         q, k, v = self.wq(q_in), self.wk(kv_in), self.wv(kv_in)
-        extra = () if extra_kv is None else (self.wk(extra_kv), self.wv(extra_kv))
-        return self.wo(ad.attention(q, k, v, self.n_heads, scale, *extra, segments=segments))
+        return self.wo(ad.attention(q, k, v, self.n_heads, scale, segments=segments))
 
 
 class FeedForward(ad.Module):
@@ -148,7 +142,8 @@ class DecoderLayer(ad.Module):
     def __call__(self, queries: ad.Tensor, memory: ad.Tensor, query_pos: ad.Tensor,
                  token_rows: ad.Tensor | None, segments: int = 1) -> ad.Tensor:
         x = ad.add(queries, query_pos)  # token rows carry zero position
-        attn = self.self_attn.attend(x, x, extra_kv=token_rows, segments=segments)
+        kv = x if token_rows is None else ad.concat_rows([x, token_rows], segments=segments)
+        attn = self.self_attn.attend(x, kv, segments=segments)
         queries = self.ln1(ad.add(queries, attn))
         cross = self.cross_attn.attend(ad.add(queries, query_pos), memory, segments=segments)
         queries = self.ln2(ad.add(queries, cross))
@@ -211,12 +206,11 @@ class Detector(ad.Module):
                final_heads_only: bool = False) -> DetectorOutput:
         """Decode the memory of ``n_images`` stacked images.
 
-        ``tokens`` is None or the (n_images, d) token rows, row b for image b.
-        Given tokens, each self-attention takes image b's projected token as
-        one extra key/value row (MoCA); given None, it is plain attention.
-        With ``final_heads_only`` the class and box heads run on the last
-        decoder layer alone, so ``layers`` holds one entry (what inference
-        reads); the query states of every layer are kept either way.
+        ``tokens`` is None (plain attention) or the (n_images, d) token rows of
+        MoCA, row b for image b. With ``final_heads_only`` the class and box
+        heads run on the last decoder layer alone, so ``layers`` holds one
+        entry (what inference reads); the query states of every layer are kept
+        either way.
         ``mask_token_column`` checks the tokens and then hands the layers
         None, so every self-attention leaves the token rows out; no entry
         point sets it, and it stays as the seam of the reduction-property

@@ -11,9 +11,11 @@ would leave the first updating storage the tensor no longer reads.
 
 ``step`` then checks the whole gradient at once and updates the flat
 vectors in chunks of ``CHUNK`` elements, writing every intermediate into
-two chunk-long scratch buffers. The arithmetic and its order are those of
+one chunk-long scratch buffer. The arithmetic and its order are those of
 the per-tensor update, elementwise, so the parameters come out bit for bit
-the same.
+the same. The bias corrections go into the step size and epsilon, the folded
+form of Kingma & Ba 2015 (arXiv:1412.6980, section 2): lr * (m / bc1) /
+(sqrt(v / bc2) + eps) = (lr * sqrt(bc2) / bc1) * m / (sqrt(v) + eps * sqrt(bc2)).
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class AdamW:
             self.data[lo:hi] = p.data.reshape(-1)
             p.data = self.data[lo:hi].reshape(p.data.shape)
             self._grad_views.append(self.grad[lo:hi].reshape(p.data.shape))
-        self._scratch = (np.empty(min(size, CHUNK)), np.empty(min(size, CHUNK)))
+        self._scratch = np.empty(min(size, CHUNK))
 
     def zero_grad(self) -> None:
         self.grad.fill(0.0)
@@ -66,20 +68,19 @@ class AdamW:
                         if not np.isfinite(self.grad[lo:hi]).all())
             raise ContractError(f"non-finite gradient in {name!r}; aborting step {self.t + 1}")
         self.t += 1
-        bc1 = 1.0 - BETA1 ** self.t
-        bc2 = 1.0 - BETA2 ** self.t
-        decay = self.lr * self.weight_decay
+        root_bc2 = np.sqrt(1.0 - BETA2 ** self.t)
+        step = self.lr * root_bc2 / (1.0 - BETA1 ** self.t)
         for lo in range(0, self.data.size, CHUNK):
             g, m, v, x = (a[lo:lo + CHUNK] for a in (self.grad, self.m, self.v, self.data))
-            s, u = (a[:g.size] for a in self._scratch)
+            s = self._scratch[:g.size]
             m *= BETA1
             m += np.multiply(1.0 - BETA1, g, out=s)
             v *= BETA2
             v += np.multiply(np.multiply(1.0 - BETA2, g, out=s), g, out=s)
-            # u = (m / bc1) / (sqrt(v / bc2) + EPS)
-            np.sqrt(np.divide(v, bc2, out=s), out=s)
-            s += EPS
-            np.divide(np.divide(m, bc1, out=u), s, out=u)
+            # x = x * (1 - lr * weight_decay) - step * (m / (sqrt(v) + EPS * root_bc2))
+            np.sqrt(v, out=s)
+            s += EPS * root_bc2
+            np.multiply(step, np.divide(m, s, out=s), out=s)
             if self.weight_decay:
-                x -= np.multiply(decay, x, out=s)
-            x -= np.multiply(self.lr, u, out=u)
+                x *= 1.0 - self.lr * self.weight_decay
+            x -= s

@@ -128,6 +128,14 @@ MUTANTS = (
            "_accum(ngamma, (g * y).sum(axis=0))", "_accum(ngamma, g.sum(axis=0))"),
     Mutant("layernorm_beta_grad_weighted", "src/mocadet/autodiff.py",
            "_accum(nbeta, g.sum(axis=0))", "_accum(nbeta, (g * y).sum(axis=0))"),
+    # the row stack of MoCA's key/value input hands each block's gradient
+    # one row off
+    Mutant("concat_rows_segment_block_shifted", "src/mocadet/autodiff.py",
+           "_accum(n, g[:, i0:i1].reshape(-1, cols))",
+           "_accum(n, g[:, i0 + 1:i1 + 1].reshape(-1, cols))"),
+    # AdamW's folded step size without the bias corrections
+    Mutant("adamw_step_size_uncorrected", "src/mocadet/optim.py",
+           "step = self.lr * root_bc2 / (1.0 - BETA1 ** self.t)", "step = self.lr"),
     # masking the token column no longer drops the token rows
     Mutant("decode_mask_ignored", "src/mocadet/detector.py",
            "token_rows = None if mask_token_column else self.token_proj(tokens)",

@@ -231,22 +231,17 @@ def _build_case(name, rng):
         b = ad.param(rng.normal(size=2))
         w = rng.normal(size=(3, 2))
         return (lambda: weighted_sum(ad.linear(x, W, b), w)), [x, W, b]
-    if name.startswith("attention_segments"):
-        # three images of 2 query and 3 key rows; one extra row per image
-        extra = name.endswith("extra")
+    if name == "attention_segments":
+        # three images of 2 query and 3 key rows
         q = ad.param(rng.normal(size=(6, 4)))
         k = ad.param(rng.normal(size=(9, 4)))
         v = ad.param(rng.normal(size=(9, 4)))
-        ek = ad.param(rng.normal(size=(3, 4))) if extra else None
-        ev = ad.param(rng.normal(size=(3, 4))) if extra else None
         s = float(rng.uniform(0.2, 2.0))
         w = rng.normal(size=(6, 4))
-
-        def f():
-            return weighted_sum(ad.attention(q, k, v, 2, s, ek, ev, segments=3), w)
-
-        return f, [q, k, v] + ([ek, ev] if extra else [])
+        return (lambda: weighted_sum(ad.attention(q, k, v, 2, s, segments=3), w)), [q, k, v]
     if name.startswith("attention"):
+        # attention_extra_row and attention_one_head stack one more key/value
+        # row under k and v, as MoCA stacks its token row
         n_heads = 1 if name == "attention_one_head" else 2
         extra = name != "attention"
         q = ad.param(rng.normal(size=(3, 4)))
@@ -258,7 +253,8 @@ def _build_case(name, rng):
         w = rng.normal(size=(3, 4))
 
         def f():
-            return weighted_sum(ad.attention(q, k, v, n_heads, s, ek, ev), w)
+            keys, values = (ad.concat_rows([k, ek]), ad.concat_rows([v, ev])) if extra else (k, v)
+            return weighted_sum(ad.attention(q, keys, values, n_heads, s), w)
 
         return f, [q, k, v] + ([ek, ev] if extra else [])
     if name == "add":
@@ -285,6 +281,13 @@ def _build_case(name, rng):
         b = ad.param(rng.normal(size=(3, 4)))
         w = rng.normal(size=(5, 4))
         return (lambda: weighted_sum(ad.concat_rows([a, b]), w)), [a, b]
+    if name == "concat_rows_segments":
+        # S = 1 to 3 row blocks in each of three tensors, whose blocks are 1,
+        # 2 and 3 rows high in a drawn order
+        s = int(rng.integers(1, 4))
+        ts = [ad.param(rng.normal(size=(s * h, 4))) for h in rng.permutation([1, 2, 3])]
+        w = rng.normal(size=(6 * s, 4))
+        return (lambda: weighted_sum(ad.concat_rows(ts, segments=s), w)), ts
     if name == "node_focal_loss":
         # logits away from the clamps, where the loss is smooth
         logits = ad.param(rng.normal(size=(6, 3)) * 2)
@@ -331,9 +334,9 @@ def _build_case(name, rng):
 
 
 OP_NAMES = ["linear", "attention", "attention_extra_row",
-            "attention_one_head", "attention_segments", "attention_segments_extra",
+            "attention_one_head", "attention_segments",
             "add", "relu", "sigmoid", "layernorm", "layernorm_affine",
-            "concat_rows", "mean_rows", "mean_rows_segments",
+            "concat_rows", "concat_rows_segments", "mean_rows", "mean_rows_segments",
             "node_focal_loss", "node_box_loss", "node_token_rows",
             "node_qra_loss", "node_qra_loss_r_below_k"]
 
@@ -370,7 +373,7 @@ def _attention_oracle(q, k, v, n_heads, scale, w):
     """Per-head loop with the explicit softmax Jacobian diag(p) - p p^T.
 
     Returns the output and the gradients of sum(out * w) with respect to
-    q, k and v (k and v already include any extra rows).
+    q, k and v.
     """
     n, d = q.shape
     dh = d // n_heads
@@ -393,50 +396,47 @@ def _attention_oracle(q, k, v, n_heads, scale, w):
 
 
 @pytest.mark.parametrize("n_heads", [1, 2, 4])
-@pytest.mark.parametrize("extra", [False, True])
-def test_attention_matches_per_head_oracle(n_heads, extra):
+def test_attention_matches_per_head_oracle(n_heads):
     for seed in range(20):
         rng = np.random.default_rng(500 + seed)
         n, m, d = int(rng.integers(1, 7)), int(rng.integers(1, 7)), 8
         scale = float(rng.uniform(0.1, 2.0))
         q, k, v = (ad.param(rng.normal(size=shape)) for shape in [(n, d), (m, d), (m, d)])
-        ek = ad.param(rng.normal(size=(1, d))) if extra else None
-        ev = ad.param(rng.normal(size=(1, d))) if extra else None
         w = rng.normal(size=(n, d))
         with ad.Tape():
-            out = ad.attention(q, k, v, n_heads, scale, ek, ev)
+            out = ad.attention(q, k, v, n_heads, scale)
             ad.backward(weighted_sum(out, w))
-        keys = np.concatenate([k.data, ek.data]) if extra else k.data
-        values = np.concatenate([v.data, ev.data]) if extra else v.data
-        want, dq, dk, dv = _attention_oracle(q.data, keys, values, n_heads, scale, w)
-        got_dk = np.concatenate([k.grad, ek.grad]) if extra else k.grad
-        got_dv = np.concatenate([v.grad, ev.grad]) if extra else v.grad
-        for got, ref in [(out.data, want), (q.grad, dq), (got_dk, dk), (got_dv, dv)]:
+        want, dq, dk, dv = _attention_oracle(q.data, k.data, v.data, n_heads, scale, w)
+        for got, ref in [(out.data, want), (q.grad, dq), (k.grad, dk), (v.grad, dv)]:
             assert np.abs(got - ref).max() <= 1e-12
 
 
-@pytest.mark.parametrize("extra", [False, True])
-def test_attention_segments_equal_separate_calls(extra):
+@pytest.mark.parametrize("token_rows", [False, True])
+def test_attention_segments_equal_separate_calls(token_rows):
     # S row blocks in one call equal S calls, one per block, concatenated; each
-    # block is its own parameter, and the one call takes them concatenated
+    # block is its own parameter, and the one call takes them concatenated.
+    # With token rows, each block's k and v gain one last row, stacked under
+    # them by concat_rows as MoCA stacks its token rows
     for seed in range(20):
         rng = np.random.default_rng(700 + seed)
         s, n, m, d = int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(1, 6)), 8
         n_heads = int(rng.choice([1, 2, 4]))
         scale = float(rng.uniform(0.1, 2.0))
-        shapes = [(n, d), (m, d), (m, d)] + ([(1, d), (1, d)] if extra else [])
+        shapes = [(n, d), (m, d), (m, d)] + ([(1, d), (1, d)] if token_rows else [])
         arrays = [[rng.normal(size=shape) for shape in shapes] for _ in range(s)]
         w = rng.normal(size=(s * n, d))
+
+        def attend(ts, segments):
+            kv = [ad.concat_rows([x, t], segments=segments) for x, t in zip(ts[1:3], ts[3:])]
+            return ad.attention(ts[0], *(kv or ts[1:3]), n_heads, scale, segments=segments)
 
         def run(segmented):
             blocks = [[ad.param(a) for a in block] for block in arrays]
             with ad.Tape():
                 if segmented:
-                    stacked = [ad.concat_rows(ts) for ts in zip(*blocks)]
-                    out = ad.attention(*stacked[:3], n_heads, scale, *stacked[3:], segments=s)
+                    out = attend([ad.concat_rows(ts) for ts in zip(*blocks)], s)
                 else:
-                    out = ad.concat_rows([ad.attention(*ts[:3], n_heads, scale, *ts[3:])
-                                          for ts in blocks])
+                    out = ad.concat_rows([attend(ts, 1) for ts in blocks])
                 ad.backward(weighted_sum(out, w))
             return [out.data] + [t.grad for ts in blocks for t in ts]
 
@@ -462,9 +462,6 @@ def test_attention_segments_shape_errors():
     x = ad.constant(np.ones((6, 4)))
     with pytest.raises(ShapeError):
         ad.attention(x, x, x, 2, 1.0, segments=4)  # 6 rows do not split into 4
-    with pytest.raises(ShapeError):  # one extra row per segment
-        ad.attention(x, x, x, 2, 1.0, ad.constant(np.ones((1, 4))), ad.constant(np.ones((1, 4))),
-                     segments=2)
     with pytest.raises(ShapeError):
         ad.attention(x, ad.constant(np.ones((4, 4))), ad.constant(np.ones((4, 4))), 2, 1.0,
                      segments=3)
@@ -549,12 +546,11 @@ def test_layernorm_equals_the_mean_based_formulas_bitwise(shape):
     assert np.array_equal(x.grad, want_dx)
 
 
-def _attention_pullback_oracle(q, k, v, ek, ev, n_heads, scale, s, g):
+def _attention_pullback_oracle(q, k, v, n_heads, scale, s, g):
     """dq, dk and dv of ``attention`` for output gradient ``g``, with the
-    softmax pullback written as scale * P * (dP - rowsum(dP * P)); dk and dv
-    are (s, rows, d) with each segment's extra row last."""
+    softmax pullback written as scale * P * (dP - rowsum(dP * P))."""
     d = q.shape[1]
-    m, d_head = k.shape[0] // s, d // n_heads
+    d_head = d // n_heads
 
     def split(x):
         return x.reshape(s, -1, n_heads, d_head).transpose(0, 2, 1, 3)
@@ -562,11 +558,7 @@ def _attention_pullback_oracle(q, k, v, ek, ev, n_heads, scale, s, g):
     def merge(x):
         return x.transpose(0, 2, 1, 3).reshape(-1, d)
 
-    def rows(x, extra):
-        x = x.reshape(s, m, d)
-        return x if extra is None else np.concatenate([x, extra[:, None, :]], axis=1)
-
-    qh, kh, vh = split(q), split(rows(k, ek)), split(rows(v, ev))
+    qh, kh, vh = split(q), split(k), split(v)
     p = qh @ kh.transpose(0, 1, 3, 2)
     p *= scale
     p -= p.max(axis=3, keepdims=True)
@@ -575,12 +567,11 @@ def _attention_pullback_oracle(q, k, v, ek, ev, n_heads, scale, s, g):
     go = split(g)
     dp = go @ vh.transpose(0, 1, 3, 2)
     ds = scale * p * (dp - (dp * p).sum(axis=3, keepdims=True))
-    return (merge(ds @ kh), merge(ds.transpose(0, 1, 3, 2) @ qh).reshape(s, -1, d),
-            merge(p.transpose(0, 1, 3, 2) @ go).reshape(s, -1, d))
+    return (merge(ds @ kh), merge(ds.transpose(0, 1, 3, 2) @ qh),
+            merge(p.transpose(0, 1, 3, 2) @ go))
 
 
-@pytest.mark.parametrize("extra", [False, True])
-def test_attention_pullback_equals_the_softmax_formula_bitwise(extra):
+def test_attention_pullback_equals_the_softmax_formula_bitwise():
     for seed in range(10):
         rng = np.random.default_rng(900 + seed)
         s, n, m, d = int(rng.integers(1, 4)), int(rng.integers(1, 6)), int(rng.integers(1, 6)), 8
@@ -588,20 +579,14 @@ def test_attention_pullback_equals_the_softmax_formula_bitwise(extra):
         scale = float(rng.uniform(0.1, 2.0))
         q, k, v = (ad.param(rng.normal(size=shape)) for shape in [(s * n, d), (s * m, d),
                                                                    (s * m, d)])
-        ek, ev = (ad.param(rng.normal(size=(s, d))) for _ in range(2)) if extra else (None, None)
         w = rng.normal(size=(s * n, d))
         with ad.Tape():
-            out = ad.attention(q, k, v, n_heads, scale, ek, ev, segments=s)
+            out = ad.attention(q, k, v, n_heads, scale, segments=s)
             ad.backward(weighted_sum(out, w))  # the attention node receives w itself
-        dq, dk, dv = _attention_pullback_oracle(q.data, k.data, v.data,
-                                                ek.data if extra else None,
-                                                ev.data if extra else None, n_heads, scale, s, w)
+        dq, dk, dv = _attention_pullback_oracle(q.data, k.data, v.data, n_heads, scale, s, w)
         assert np.array_equal(q.grad, dq)
-        assert np.array_equal(k.grad, dk[:, :m].reshape(k.shape))
-        assert np.array_equal(v.grad, dv[:, :m].reshape(v.shape))
-        if extra:
-            assert np.array_equal(ek.grad, dk[:, m:].reshape(ek.shape))
-            assert np.array_equal(ev.grad, dv[:, m:].reshape(ev.shape))
+        assert np.array_equal(k.grad, dk)
+        assert np.array_equal(v.grad, dv)
 
 
 def test_backward_empties_the_tape():

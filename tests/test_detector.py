@@ -308,8 +308,10 @@ def test_tape_nodes_per_sample_at_default_config():
     # would put roughly 4x as many nodes on the decode side; the set loss is
     # five nodes (two row stacks, the focal node, the box node and their
     # sum) whatever the number of layers, images and objects; the B token
-    # rows are one projection node; and a batch of B images is one forward
-    # and one loss, not B of each
+    # rows are one projection node, and in each decoder layer MoCA adds one
+    # row-stacking node and no linear (its token rows share the layer's key
+    # and value projections); and a batch of B images is one forward and one
+    # loss, not B of each
     cfg = det.ModelConfig()
     model = det.Detector(cfg, 10, ad.Drawn(np.random.default_rng(0)))
     rng = np.random.default_rng(1)
@@ -332,13 +334,13 @@ def test_tape_nodes_per_sample_at_default_config():
             ls.detection_loss(out.layers, targets, ls.LossWeights())
             return n_tokens, n_encode, n_decode, len(tape.nodes) - before
 
-    assert count(images[0], raw[:1], targets[:1]) == (1, 14, 169, 5)
-    assert count(images[0], raw[:1], targets[1:2]) == (1, 14, 169, 5)
+    assert count(images[0], raw[:1], targets[:1]) == (1, 14, 163, 5)
+    assert count(images[0], raw[:1], targets[1:2]) == (1, 14, 163, 5)
     # B=4: the same token, encoder and decoder nodes, plus tiling the
-    # query embeddings and positions (2): a train step builds 191 nodes
+    # query embeddings and positions (2): a train step builds 185 nodes
     counts = count(images, raw, targets)
-    assert counts == (1, 14, 171, 5)
-    assert sum(counts) == 191
+    assert counts == (1, 14, 165, 5)
+    assert sum(counts) == 185
 
 
 def test_backward_leaves_no_reference_cycles():
@@ -362,10 +364,10 @@ def test_backward_leaves_no_reference_cycles():
 
 
 def test_the_forward_pass_frees_values_no_pullback_reads(monkeypatch):
-    # before backward runs, the residual sums that only a layer norm takes,
-    # the FFN pre-activations that only relu takes and the key/value
-    # projections that attention copied into its token-augmented K/V are
-    # gone; what a pullback reads, the input of every linear, is alive
+    # before backward runs, the residual sums that only a layer norm takes
+    # and the FFN pre-activations that only relu takes are gone; what a
+    # pullback reads, the input of every linear and the q, k and v of every
+    # attention (which copies none of them, token rows included), is alive
     cfg = _cfg()
     model = det.Detector(cfg, _N_CLASSES, ad.Drawn(np.random.default_rng(10)))
     image = np.random.default_rng(11).uniform(0, 1, size=(16, 16))
@@ -376,8 +378,8 @@ def test_the_forward_pass_frees_values_no_pullback_reads(monkeypatch):
         op = getattr(ad, name)
 
         def run(*args, **kwargs):
-            # the input; for attention, k and v when token rows are appended
-            held = args[:1] if name != "attention" else args[1:3] if len(args) > 5 else ()
+            # the input; for attention, q, k and v
+            held = args[:3] if name == "attention" else args[:1]
             refs[name] += [weakref.ref(t.data) for t in held]
             return op(*args, **kwargs)
         return run
@@ -388,8 +390,8 @@ def test_the_forward_pass_frees_values_no_pullback_reads(monkeypatch):
         out = model.forward(image, token)
         monkeypatch.undo()
         assert all(len(r) >= cfg.n_decoder_layers for r in refs.values())
-        assert all(ref() is not None for ref in refs["linear"])
-        for name in ("layernorm", "relu", "attention"):
+        assert all(ref() is not None for ref in refs["linear"] + refs["attention"])
+        for name in ("layernorm", "relu"):
             assert all(ref() is None for ref in refs[name]), name
         ad.backward(weighted_sum(out.layers[-1][1], 1.0))
 

@@ -79,7 +79,8 @@ def test_adamw_rejects_nan_gradient():
 
 
 class _PerTensorAdamW:
-    """The per-tensor AdamW loop the flat store replaced, kept as the oracle."""
+    """The per-tensor AdamW loop the flat store replaced, kept as the oracle,
+    in the folded form: the bias corrections in the step size and epsilon."""
 
     def __init__(self, params, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
         self.params, self.lr, self.weight_decay, self.eps = params, lr, weight_decay, eps
@@ -90,18 +91,18 @@ class _PerTensorAdamW:
 
     def step(self):
         self.t += 1
-        bc1 = 1.0 - self.b1 ** self.t
-        bc2 = 1.0 - self.b2 ** self.t
+        root_bc2 = np.sqrt(1.0 - self.b2 ** self.t)
+        step = self.lr * root_bc2 / (1.0 - self.b1 ** self.t)
         for p, m, v in zip(self.params, self.m, self.v):
             g = np.zeros_like(p.data) if p.grad is None else p.grad.reshape(p.data.shape)
             m *= self.b1
             m += (1.0 - self.b1) * g
             v *= self.b2
             v += (1.0 - self.b2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            update = step * (m / (np.sqrt(v) + self.eps * root_bc2))
             if self.weight_decay:
-                p.data -= self.lr * self.weight_decay * p.data
-            p.data -= self.lr * update
+                p.data *= 1.0 - self.lr * self.weight_decay
+            p.data -= update
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])

@@ -381,7 +381,7 @@ def test_alignment_loss_node_count_does_not_depend_on_batch_size():
             qr.qra_loss(ad.mean_rows(out.state(2), b), tokens, gphi, 0.07)
             assert len(tape.nodes) - before == 5
     # at the default model, a B=5 alignment loss is 1 token node, 14 encoder
-    # and 146 decoder nodes, and those 5: the heads run on the last of the
+    # and 140 decoder nodes, and those 5: the heads run on the last of the
     # six layers only, as the loss reads none of them (five nodes a layer)
     cfg = det.ModelConfig()
     model = det.Detector(cfg, len(spec.global_classes), ad.Drawn(np.random.default_rng(0)))
@@ -392,4 +392,4 @@ def test_alignment_loss_node_count_does_not_depend_on_batch_size():
     with ad.Tape() as tape:
         qr.batch_alignment_loss(batch, model, spec, registry, proj, gphi, 0.07, 5,
                                 np.random.default_rng(0))
-        assert len(tape.nodes) == 166
+        assert len(tape.nodes) == 160

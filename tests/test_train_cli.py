@@ -12,7 +12,7 @@ import pytest
 
 from mocadet import autodiff as ad
 from mocadet.checkpoint import load_checkpoint, save_checkpoint
-from mocadet.cli import main
+from mocadet.cli import RUN_FILES, main
 from mocadet.config import RunConfig
 from mocadet.data import make_default_spec
 from mocadet.detector import ModelConfig
@@ -1088,6 +1088,55 @@ def test_cli_commands_write_no_file_they_read(tmp_path, capsys, monkeypatch, arg
     assert err.startswith("error: cannot write") and "it is an input or the other output" in err
     assert out == ""  # refused before the command read or computed anything
     assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+
+@pytest.mark.parametrize("argv,registry", [
+    (["pretrain", "--config", "run/config.json", "--out", "run"], None),
+    (["train", "--config", "run/config.json", "--out", "run"], None),
+    (["train", "--config", "cfg.json", "--out", "./run/", "--from-pretrain", "run/final.ckpt"],
+     None),
+    (["train", "--config", "cfg.json", "--out", "run", "--from-pretrain", "run/best.ckpt"],
+     None),
+    (["pretrain", "--config", "cfg.json", "--out", "run"], "run/pretrain_steps.csv"),
+    (["train", "--config", "cfg.json", "--out", "run"], "run/report.json")],
+    ids=["pretrain_config", "train_config", "train_from_final_ckpt", "train_from_best_ckpt",
+         "pretrain_token_file", "train_token_file"])
+def test_a_run_refuses_an_input_that_it_would_write_over(tmp_path, capsys, monkeypatch, argv,
+                                                         registry):
+    # every input is valid, so without the check the run would go on and
+    # replace it
+    monkeypatch.chdir(tmp_path)
+    run_pretrain(RunConfig.from_json(_tiny_doc(qra_steps=0)), "run")
+    doc = _tiny_doc(epochs=1, qra_steps=1)
+    if registry:
+        save_registry(build_registry([("ma", "ma_c0"), ("mb", "mb_c0")], d_text=8), registry)
+        doc["tokens"] = {"source": "file", "d_text": 8, "path": registry}
+    for name in (argv[argv.index("--config") + 1], "cfg.json"):
+        (tmp_path / name).write_text(json.dumps(doc))
+    if "--from-pretrain" in argv:
+        os.replace("run/pretrain.ckpt", argv[-1])
+    tree = {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+    capsys.readouterr()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: cannot run with") and "the run writes over it" in err
+    assert out == ""
+    assert {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")} == tree
+
+
+def test_a_run_may_read_what_the_other_phase_wrote_into_its_directory(tmp_path, monkeypatch):
+    # train over the pretraining run: pretrain.ckpt is not a file train writes
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(_tiny_doc(epochs=1, qra_steps=1)))
+    assert main(["pretrain", "--config", "cfg.json", "--out", "run"]) == 0
+    before = _read(tmp_path / "run" / "pretrain.ckpt")
+    assert main(["train", "--config", "run/config.json", "--out", "run/ft",
+                 "--from-pretrain", "run/pretrain.ckpt"]) == 0
+    assert main(["train", "--config", "cfg.json", "--out", "run",
+                 "--from-pretrain", "run/pretrain.ckpt"]) == 0
+    assert _read(tmp_path / "run" / "pretrain.ckpt") == before
+    assert sorted(os.listdir(tmp_path / "run")) == sorted(
+        set(RUN_FILES["pretrain"]) | set(RUN_FILES["train"]) | {"ft"})
 
 
 def test_a_non_finite_detection_checkpoint_value_fails_eval_by_name(tmp_path, capsys):
